@@ -4,9 +4,10 @@ The distributed system has two Neko processes:
 
 * ``monitored`` — stack ``[Heartbeater, SimCrash]``; the heartbeater sends
   every ``eta``, SimCrash injects crash/repair cycles;
-* ``monitor`` — stack ``[MultiPlexer(detectors...)]``; the MultiPlexer
-  fans every arrival out to all failure-detector combinations so they
-  perceive identical network conditions.
+* ``monitor`` — stack ``[MultiPlexer(DetectorBank, extras...)]``; the
+  fused bank holds all failure-detector combinations, so they perceive
+  identical network conditions by construction, and the MultiPlexer feeds
+  any extra monitor layers the same arrivals.
 
 The two are connected by a fair-lossy link built from the configured
 :class:`~repro.net.wan.WanProfile`.  An :class:`~repro.nekostat.log.EventLog`
@@ -22,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.clocks.clock import Clock, DriftingClock, PerfectClock
 from repro.fd.bank import make_detector_bank
 from repro.fd.combinations import combination_ids
-from repro.fd.detector import PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.multiplexer import MultiPlexer
 from repro.fd.simcrash import SimCrash
@@ -147,7 +147,8 @@ def build_qos_system(
 
     Keys of the returned dict: ``sim``, ``system``, ``event_log``,
     ``handler``, ``heartbeater``, ``simcrash``, ``multiplexer``,
-    ``detectors`` (dict by id), ``link``.
+    ``detectors`` (the :class:`~repro.fd.bank.DetectorBank`, a mapping
+    from detector id to its view), ``link``.
     """
     sim = Simulator()
     streams = RandomStreams(config.seed)
@@ -176,14 +177,14 @@ def build_qos_system(
     monitored_stack = ProtocolStack([heartbeater, simcrash])
 
     initial_timeout = config.extras.get("initial_timeout", 10.0 * config.eta)
-    detectors: Dict[str, PushFailureDetector] = make_detector_bank(
+    detectors = make_detector_bank(
         MONITORED,
         config.eta,
         event_log,
         detector_ids,
         initial_timeout=initial_timeout,
     )
-    uppers: List[Layer] = list(detectors.values())
+    uppers: List[Layer] = [detectors]
     if extra_monitor_layers is not None:
         uppers.extend(extra_monitor_layers(event_log))
     multiplexer = MultiPlexer(uppers, event_log, record_received_events=record_events)

@@ -19,7 +19,11 @@ faster than the per-observation class path, and proven equivalent to it.
 The experimental layers — :class:`~repro.fd.heartbeat.Heartbeater`,
 :class:`~repro.fd.simcrash.SimCrash` and
 :class:`~repro.fd.multiplexer.MultiPlexer` — reproduce the paper's
-Figure 3 architecture.
+Figure 3 architecture.  :class:`~repro.fd.bank.DetectorBank` is the
+matrix itself as one layer: the shared predictor and margin states, every
+row's deadline and one timer per monitored endpoint;
+:class:`~repro.fd.detector.PushFailureDetector` is the single-detector
+layer for any other :class:`~repro.fd.timeout.TimeoutStrategy`.
 """
 
 from repro.fd.predictors import (
@@ -33,6 +37,7 @@ from repro.fd.predictors import (
 from repro.fd.safety import ConfidenceIntervalMargin, JacobsonMargin, SafetyMargin, ConstantMargin
 from repro.fd.timeout import TimeoutStrategy
 from repro.fd.detector import PushFailureDetector
+from repro.fd.bank import DetectorBank, make_detector_bank
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.multiplexer import MultiPlexer
 from repro.fd.simcrash import SimCrash
@@ -83,6 +88,7 @@ __all__ = [
     "QosRequirements",
     "UnsatisfiableRequirements",
     "ConstantMargin",
+    "DetectorBank",
     "DetectorReplay",
     "StrategyReplay",
     "Heartbeater",
@@ -100,6 +106,7 @@ __all__ = [
     "TimeoutStrategy",
     "WinMeanPredictor",
     "all_combinations",
+    "make_detector_bank",
     "make_margin",
     "make_predictor",
     "configure",

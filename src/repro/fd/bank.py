@@ -1,29 +1,456 @@
-"""Detector-bank construction shared by the batch runner and the live service.
+"""The fused detector bank: every (predictor, margin) row of one endpoint.
 
-Both execution modes — the discrete-event campaign of
-:mod:`repro.experiments.runner` and the long-running monitoring daemon of
-:mod:`repro.service` — want the same thing: one
-:class:`~repro.fd.detector.PushFailureDetector` per (predictor, margin)
-combination, all watching the same monitored address, ready to be fanned
-out to by a :class:`~repro.fd.multiplexer.MultiPlexer`.  Building them in
-one place keeps the two modes comparable by construction.
+The paper's MultiPlexer exists so that all 30 combinations "perceive
+identical network conditions".  The matrix has far fewer *states* than
+rows: five predictors, one ``SM_CI`` state (γ scales it at use time) and
+one ``SM_JAC`` deviation per predictor (φ scales it at use time); the 30
+time-outs are affine in those.  :class:`DetectorBank` therefore holds the
+states once, computes the delay and the freshness test once per
+heartbeat, derives every row's time-out and deadline, and keeps **one**
+:class:`~repro.sim.process.Timer` on the earliest deadline — the
+guarantee holds by construction rather than by fan-out.
+
+Its observable behaviour is that of one
+:class:`~repro.fd.detector.PushFailureDetector` per row behind a
+MultiPlexer, transition for transition and float for float (proved by
+``tests/test_detector_bank.py``): the same ``START_SUSPECT`` /
+``END_SUSPECT`` events, ``freshness``/``suspect``/``trust`` spans and
+``on_transition`` calls, in bank order.  Two rules keep that true with a
+single timer:
+
+* **Ties.**  Rows whose deadlines are equal become suspect in bank order,
+  each in its own timer expiry (re-armed at the same instant), exactly as
+  thirty timers armed in bank order would fire.
+* **Overdue rows.**  On a real-time scheduler the clock has moved on when
+  the timer fires; every further row whose deadline is strictly before
+  ``now`` becomes suspect inside the same expiry instead of waiting for a
+  re-armed timer (which would let the next datagram in between).  A
+  deadline equal to ``now`` — the simulator's tie — is re-armed.
+
+:func:`make_detector_bank` is the one place the matrix is built; the
+batch runner, the live service and the KV controller all get this layer.
+``PushFailureDetector`` remains the single-detector layer for arbitrary
+:class:`~repro.fd.timeout.TimeoutStrategy` objects.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, TYPE_CHECKING
+import math
+from typing import (
+    Callable,
+    Dict,
+    ItemsView,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids fd -> obs import
     from repro.obs.trace import TraceRecorder
 
-from repro.fd.combinations import combination_ids, make_strategy, parse_combination_id
-from repro.fd.detector import PushFailureDetector
+from repro.fd.combinations import (
+    GAMMA_VALUES,
+    JACOBSON_ALPHA,
+    PHI_VALUES,
+    combination_ids,
+    make_predictor,
+    parse_combination_id,
+)
+from repro.fd.safety import ConfidenceIntervalMargin, JacobsonMargin
+from repro.fd.timeout import TimeoutStrategy
+from repro.neko.layer import Layer
+from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.log import EventLog
+from repro.net.message import Datagram
+from repro.sim.process import Timer
 
 #: Signature of the per-detector transition-hook factory: given a detector
 #: id, return the ``on_transition(suspecting)`` callback for that detector
 #: (or ``None`` for no hook).
 TransitionHookFactory = Callable[[str], Optional[Callable[[bool], None]]]
+
+#: Deadline of a row with no pending expiry (suspecting, or stopped).
+_NEVER = math.inf
+
+
+class DetectorView:
+    """Read-only view of one row of a :class:`DetectorBank`.
+
+    Exposes what callers read off a single detector — verdict, counters,
+    the time-out in force — without owning any state.
+    """
+
+    __slots__ = ("_bank", "_row", "detector_id")
+
+    def __init__(self, bank: "DetectorBank", row: int, detector_id: str) -> None:
+        self._bank = bank
+        self._row = row
+        self.detector_id = detector_id
+
+    @property
+    def suspecting(self) -> bool:
+        """Whether this row currently suspects the monitored process."""
+        return self._bank._suspecting[self._row]
+
+    @property
+    def suspicions_raised(self) -> int:
+        """How many times this row started suspecting."""
+        return self._bank._suspicions[self._row]
+
+    @property
+    def heartbeats_seen(self) -> int:
+        """Heartbeats received from the monitored process (bank-wide)."""
+        return self._bank.heartbeats_seen
+
+    @property
+    def stale_heartbeats(self) -> int:
+        """Late or reordered heartbeats among them (bank-wide)."""
+        return self._bank.stale_heartbeats
+
+    @property
+    def highest_sequence(self) -> int:
+        """The highest heartbeat sequence number received (−1 if none)."""
+        return self._bank.highest_sequence
+
+    def prediction(self) -> float:
+        """The row's current delay forecast ``pred``, in seconds."""
+        bank = self._bank
+        return bank._strategies[bank._rows[self._row][0]].prediction()
+
+    def current_timeout(self) -> float:
+        """The ``delta = pred + sm`` currently in force, in seconds."""
+        return self._bank._timeouts[self._row]
+
+    def stop(self) -> None:
+        """Drop this row's pending expiry; the next fresh heartbeat
+        re-arms it."""
+        self._bank._stop_row(self._row)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "suspecting" if self.suspecting else "trusting"
+        return f"DetectorView({self.detector_id!r}, {state})"
+
+
+class DetectorBank(Layer):
+    """All detector combinations watching one endpoint, as one layer.
+
+    Indexing (``bank[detector_id]``, ``.items()``, iteration, ``len``)
+    yields one :class:`DetectorView` per row, in bank order.
+
+    Parameters
+    ----------
+    monitored:
+        Address of the monitored process (other traffic passes up).
+    eta:
+        The heartbeat sending period, seconds.
+    event_log:
+        Where ``START_SUSPECT``/``END_SUSPECT`` events are recorded.
+    detector_ids:
+        Combination ids (``"Arima+CI_low"`` …), any subset in any order;
+        the order is the bank order.  May be empty.
+    initial_timeout:
+        Time-out applied before the first heartbeat, measured from start
+        plus one sending period.
+    observe_stale:
+        Whether delays of stale (reordered/late) heartbeats feed the
+        predictors and margins.
+    on_transition_factory:
+        Optional hook factory; its return value for a detector id is
+        called as ``on_transition(suspecting)`` on that row's transitions.
+    tracer:
+        Optional :class:`~repro.obs.trace.TraceRecorder`: one
+        ``freshness`` span per row per fresh heartbeat, ``suspect`` /
+        ``trust`` spans on transitions.
+    """
+
+    def __init__(
+        self,
+        monitored: str,
+        eta: float,
+        event_log: EventLog,
+        detector_ids: Sequence[str],
+        *,
+        initial_timeout: float = 10.0,
+        observe_stale: bool = True,
+        on_transition_factory: Optional[TransitionHookFactory] = None,
+        tracer: Optional["TraceRecorder"] = None,
+    ) -> None:
+        super().__init__(name=f"DetectorBank[{monitored}]")
+        if eta <= 0:
+            raise ValueError(f"eta must be > 0, got {eta!r}")
+        if initial_timeout < 0:
+            raise ValueError(f"initial_timeout must be >= 0, got {initial_timeout!r}")
+        self.monitored = monitored
+        self.eta = float(eta)
+        self.initial_timeout = float(initial_timeout)
+        self._event_log = event_log
+        self._observe_stale = bool(observe_stale)
+        self._tracer = tracer
+        # Shared states: one strategy per predictor (its unit-scale
+        # Jacobson margin keeps the "prediction in force" rule in
+        # TimeoutStrategy), one confidence-interval state for all CI rows.
+        self._strategies: List[TimeoutStrategy] = []
+        self._deviations: List[JacobsonMargin] = []
+        self._ci: Optional[ConfidenceIntervalMargin] = None
+        #: Per row: ``(index of its strategy, CI family?, gamma or phi)``.
+        self._rows: List[Tuple[int, bool, float]] = []
+        self._views: Dict[str, DetectorView] = {}
+        self._hooks: List[Optional[Callable[[bool], None]]] = []
+        slots: Dict[str, int] = {}
+        for detector_id in detector_ids:
+            if detector_id in self._views:
+                continue  # a repeated id is the same row
+            predictor_name, margin_name = parse_combination_id(detector_id)
+            if predictor_name not in slots:
+                slots[predictor_name] = len(self._strategies)
+                deviation = JacobsonMargin(1.0, alpha=JACOBSON_ALPHA)
+                self._deviations.append(deviation)
+                self._strategies.append(
+                    TimeoutStrategy(make_predictor(predictor_name), deviation)
+                )
+            confidence_interval = margin_name in GAMMA_VALUES
+            if confidence_interval and self._ci is None:
+                self._ci = ConfidenceIntervalMargin(1.0)
+            scale = (GAMMA_VALUES if confidence_interval else PHI_VALUES)[margin_name]
+            self._views[detector_id] = DetectorView(self, len(self._rows), detector_id)
+            self._rows.append((slots[predictor_name], confidence_interval, scale))
+            self._hooks.append(
+                on_transition_factory(detector_id)
+                if on_transition_factory is not None
+                else None
+            )
+        rows = len(self._rows)
+        self._ids: List[str] = list(self._views)
+        self._suspecting: List[bool] = [False] * rows
+        self._suspicions: List[int] = [0] * rows
+        #: Absolute (scheduler-time) expiry per row; ``_NEVER`` if none.
+        self._deadlines: List[float] = [_NEVER] * rows
+        #: Per row: ``delta = pred + sm`` in force (refreshed on every
+        #: observation, so an expiry reports the value current then).
+        self._timeouts: List[float] = self._derive_timeouts()
+        self._timer: Optional[Timer] = None
+        self._max_seq = -1
+        # Counters (diagnostics; metrics come from the event log).
+        self.heartbeats_seen = 0
+        self.stale_heartbeats = 0
+
+    # ------------------------------------------------------------------
+    # Per-detector views
+    # ------------------------------------------------------------------
+    def __getitem__(self, detector_id: str) -> DetectorView:
+        return self._views[detector_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __contains__(self, detector_id: object) -> bool:
+        return detector_id in self._views
+
+    def get(self, detector_id: str) -> Optional[DetectorView]:
+        """The view of ``detector_id``, or ``None`` if the bank lacks it."""
+        return self._views.get(detector_id)
+
+    def items(self) -> ItemsView[str, DetectorView]:
+        """``(detector id, view)`` pairs in bank order."""
+        return self._views.items()
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def highest_sequence(self) -> int:
+        """The highest heartbeat sequence number received (−1 if none)."""
+        return self._max_seq
+
+    def _derive_timeouts(self) -> List[float]:
+        """Every row's time-out from the shared states.
+
+        ``pred`` is the row's predictor's forecast; ``sm`` scales the
+        shared margin state by the row's γ or φ (multiplied left to right,
+        as :meth:`SafetyMargin.current` does).  Clamped below at zero like
+        :meth:`TimeoutStrategy.timeout`.
+        """
+        spread = self._ci.spread() if self._ci is not None else None
+        if spread is not None:
+            sigma, inflation_root = spread
+        predictions = []
+        deviations = []
+        for strategy, deviation in zip(self._strategies, self._deviations):
+            predictions.append(strategy.prediction())
+            deviations.append(deviation.mdev)
+        timeouts = []
+        for slot, confidence_interval, scale in self._rows:
+            if confidence_interval:
+                if spread is None:
+                    margin = self._ci.initial_margin
+                else:
+                    margin = scale * sigma * inflation_root
+            elif deviations[slot] is None:
+                margin = self._deviations[slot].initial_margin
+            else:
+                margin = scale * deviations[slot]
+            delta = predictions[slot] + margin
+            timeouts.append(delta if delta > 0.0 else 0.0)
+        return timeouts
+
+    def stop(self) -> None:
+        """Cancel every pending expiry so the bank goes quiescent.
+
+        Used by the live monitoring service on endpoint removal and
+        daemon shutdown; the bank keeps its state and is re-armed by the
+        next fresh heartbeat if traffic resumes.
+        """
+        self._deadlines[:] = [_NEVER] * len(self._rows)
+        if self._timer is not None:
+            self._timer.cancel()
+
+    def _stop_row(self, row: int) -> None:
+        self._deadlines[row] = _NEVER
+        self._arm()
+
+    # ------------------------------------------------------------------
+    # Layer lifecycle
+    # ------------------------------------------------------------------
+    def on_attach(self) -> None:
+        self._timer = self.process.timer(
+            self._expired, name=f"fd-bank:{self.monitored}", priority=1
+        )
+
+    def on_start(self) -> None:
+        # Before any heartbeat: expect the first one within one period
+        # plus the configured initial time-out, on every row.
+        deadline = self.process.sim.now + (self.eta + self.initial_timeout)
+        self._deadlines[:] = [deadline] * len(self._rows)
+        self._arm()
+
+    # ------------------------------------------------------------------
+    # Message handling
+    # ------------------------------------------------------------------
+    def deliver(self, message: Datagram) -> None:
+        if message.kind != "heartbeat" or message.source != self.monitored:
+            self.deliver_up(message)
+            return
+        if message.seq is None or message.timestamp is None:
+            raise ValueError(f"heartbeat without seq/timestamp: {message!r}")
+        self.heartbeats_seen += 1
+        delay = self.process.local_time() - message.timestamp
+        fresh = message.seq > self._max_seq
+        if fresh or self._observe_stale:
+            # Every shared state sees the delay once.
+            for strategy in self._strategies:
+                strategy.observe(delay)
+            if self._ci is not None:
+                self._ci.update(delay, 0.0)  # SM_CI ignores the prediction
+            self._timeouts = self._derive_timeouts()
+        if fresh:
+            self._max_seq = message.seq
+            self._trust_and_rearm(message.timestamp)
+        else:
+            self.stale_heartbeats += 1
+        self.deliver_up(message)
+
+    def _trust_and_rearm(self, send_timestamp_local: float) -> None:
+        """End every suspicion and move each row's deadline to its next
+        freshness point ``tau_{i+1} = sigma_i + eta + delta``.
+
+        ``sigma_i`` is the sender's local timestamp; the freshness point
+        is converted through this process's clock, which is exact under
+        the paper's synchronised-clock assumption and carries the residual
+        offset otherwise.
+        """
+        process = self.process
+        sim = process.sim
+        now = sim.now
+        global_from_local = process.clock.global_from_local
+        next_send_local = send_timestamp_local + self.eta
+        suspecting = self._suspecting
+        deadlines = self._deadlines
+        tracer = self._tracer
+        for row, delta in enumerate(self._timeouts):
+            if suspecting[row]:
+                suspecting[row] = False
+                self._transition(row, EventKind.END_SUSPECT, delta)
+            tau_global = global_from_local(next_send_local + delta)
+            deadlines[row] = tau_global if tau_global > now else now
+            if tracer is not None:
+                tracer.emit(
+                    sim.now,
+                    "freshness",
+                    self.monitored,
+                    detector=self._ids[row],
+                    seq=self._max_seq,
+                    timeout=delta,
+                    deadline=tau_global,
+                )
+        self._arm()
+
+    def _arm(self) -> None:
+        """Put the one timer on the earliest pending deadline, if any."""
+        assert self._timer is not None
+        earliest = min(self._deadlines, default=_NEVER)
+        if earliest < _NEVER:
+            self._timer.arm_at(earliest)
+        else:
+            self._timer.cancel()
+
+    def _expired(self) -> None:
+        deadlines = self._deadlines
+        sim = self.process.sim
+        # The earliest row is due.  Further rows follow inside this expiry
+        # only while strictly overdue (real-time schedulers); a deadline
+        # equal to ``now`` gets its own expiry, as its own timer would.
+        while True:
+            row = deadlines.index(min(deadlines))  # ties: bank order
+            deadlines[row] = _NEVER
+            self._suspecting[row] = True
+            self._suspicions[row] += 1
+            self._transition(row, EventKind.START_SUSPECT, self._timeouts[row])
+            earliest = min(deadlines)
+            if earliest >= sim.now:
+                break
+        if earliest < _NEVER:
+            assert self._timer is not None
+            self._timer.arm_at(earliest)
+
+    def _transition(self, row: int, kind: EventKind, timeout: float) -> None:
+        """Record one suspect/trust transition of ``row``: event, span, hook."""
+        process = self.process
+        detector_id = self._ids[row]
+        self._event_log.append(
+            StatEvent(
+                time=process.sim.now,
+                kind=kind,
+                site=process.address,
+                detector=detector_id,
+                local_time=process.local_time(),
+                data={"timeout": timeout},
+            )
+        )
+        suspecting = kind is EventKind.START_SUSPECT
+        if self._tracer is not None:
+            self._tracer.emit(
+                process.sim.now,
+                "suspect" if suspecting else "trust",
+                self.monitored,
+                detector=detector_id,
+                seq=self._max_seq,
+                timeout=timeout,
+            )
+        hook = self._hooks[row]
+        if hook is not None:
+            hook(suspecting)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"DetectorBank({self.monitored!r}, rows={len(self._rows)}, "
+            f"suspecting={sum(self._suspecting)}, seq={self._max_seq})"
+        )
 
 
 def make_detector_bank(
@@ -36,53 +463,28 @@ def make_detector_bank(
     observe_stale: bool = True,
     on_transition_factory: Optional[TransitionHookFactory] = None,
     tracer: Optional["TraceRecorder"] = None,
-) -> Dict[str, PushFailureDetector]:
-    """Build one fresh detector per combination id, keyed by id.
+) -> DetectorBank:
+    """Build the fused bank for ``detector_ids`` (default: all thirty).
 
-    Parameters
-    ----------
-    monitored:
-        Address of the process the bank watches.
-    eta:
-        The heartbeat period, seconds.
-    event_log:
-        Shared log receiving ``START_SUSPECT``/``END_SUSPECT`` events.
-    detector_ids:
-        Combination ids to instantiate (default: all thirty).
-    initial_timeout:
-        Grace period before the first heartbeat.
-    observe_stale:
-        Whether stale-heartbeat delays feed the strategies.
-    on_transition_factory:
-        Optional hook factory; its return value becomes each detector's
-        ``on_transition`` callback (the live service plugs its streaming
-        QoS accumulators in here).
-    tracer:
-        Optional :class:`~repro.obs.trace.TraceRecorder` shared by every
-        detector in the bank (``None`` = tracing disabled at nil cost).
+    See :class:`DetectorBank` for the parameters.  The result is one
+    layer to place above a :class:`~repro.fd.multiplexer.MultiPlexer`,
+    and a mapping from detector id to its :class:`DetectorView`.
     """
-    if detector_ids is None:
-        detector_ids = combination_ids()
-    bank: Dict[str, PushFailureDetector] = {}
-    for detector_id in detector_ids:
-        predictor_name, margin_name = parse_combination_id(detector_id)
-        hook = (
-            on_transition_factory(detector_id)
-            if on_transition_factory is not None
-            else None
-        )
-        bank[detector_id] = PushFailureDetector(
-            make_strategy(predictor_name, margin_name),
-            monitored,
-            eta,
-            event_log,
-            detector_id=detector_id,
-            initial_timeout=initial_timeout,
-            observe_stale=observe_stale,
-            on_transition=hook,
-            tracer=tracer,
-        )
-    return bank
+    return DetectorBank(
+        monitored,
+        eta,
+        event_log,
+        combination_ids() if detector_ids is None else detector_ids,
+        initial_timeout=initial_timeout,
+        observe_stale=observe_stale,
+        on_transition_factory=on_transition_factory,
+        tracer=tracer,
+    )
 
 
-__all__ = ["TransitionHookFactory", "make_detector_bank"]
+__all__ = [
+    "DetectorBank",
+    "DetectorView",
+    "TransitionHookFactory",
+    "make_detector_bank",
+]

@@ -22,6 +22,12 @@ Operationally:
 
 The detector emits ``START_SUSPECT``/``END_SUSPECT`` events into the
 experiment's event log; all QoS metrics are derived from those events.
+
+This is the single-detector layer, for any
+:class:`~repro.fd.timeout.TimeoutStrategy` (baselines, tuning sweeps,
+per-peer detectors).  The paper's predictor × margin matrix runs as one
+:class:`~repro.fd.bank.DetectorBank`, which behaves as one of these per
+row.
 """
 
 from __future__ import annotations

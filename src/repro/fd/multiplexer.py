@@ -1,10 +1,17 @@
 """The MultiPlexer layer (paper Section 4).
 
 When the monitor receives a message from the network, the MultiPlexer
-immediately forwards it to *all* the components at the upper level — the 30
-failure-detector combinations — guaranteeing that every detector perceives
-identical network conditions.  This fan-out is what makes the comparison
-fair: one arrival sequence, thirty simultaneous consumers.
+immediately forwards it to *all* the components at the upper level,
+guaranteeing that every consumer perceives identical network conditions.
+This fan-out is what makes the comparison fair: one arrival sequence, many
+simultaneous consumers.
+
+The paper's thirty combinations are one upper here: the fused
+:class:`~repro.fd.bank.DetectorBank` gives them identical conditions by
+construction (one delay, one freshness test per heartbeat).  The
+MultiPlexer stays in every monitor stack for what sits beside the bank —
+baseline and tuning detectors (``extra_monitor_layers``), the ``fanout``
+span and ``RECEIVED`` events.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import abc
 import math
+from typing import Optional, Tuple
 
 from repro.nekostat.stats import Welford
 
@@ -56,6 +57,11 @@ class SafetyMargin(abc.ABC):
         if initial_margin < 0:
             raise ValueError(f"initial_margin must be >= 0, got {initial_margin!r}")
         self._initial_margin = float(initial_margin)
+
+    @property
+    def initial_margin(self) -> float:
+        """The margin in force until the state can produce one."""
+        return self._initial_margin
 
     @abc.abstractmethod
     def update(self, observation: float, prediction: float) -> None:
@@ -120,17 +126,31 @@ class ConfidenceIntervalMargin(SafetyMargin):
         self._accumulator.add(observation)
         self._last_observation = float(observation)
 
-    def current(self) -> float:
+    def spread(self) -> Optional[Tuple[float, float]]:
+        """The margin's scale-free state ``(sigma_hat, sqrt(inflation))``.
+
+        ``None`` until two observations are available.  The margin for any
+        ``gamma`` is ``gamma * sigma_hat * sqrt(inflation)``, multiplied
+        left to right — one state therefore serves every ``SM_CI`` level
+        of a detector bank.
+        """
         n = self._accumulator.count
         if n < 2:
-            return self._initial_margin
+            return None
         variance_sum = self._accumulator.variance * (n - 1)  # sum of squared deviations
         sigma = self._accumulator.std
         if sigma == 0.0:
-            return 0.0
+            return 0.0, 1.0
         deviation = self._last_observation - self._accumulator.mean
         inflation = 1.0 + 1.0 / n + (deviation * deviation) / variance_sum
-        return self.gamma * sigma * math.sqrt(inflation)
+        return sigma, math.sqrt(inflation)
+
+    def current(self) -> float:
+        spread = self.spread()
+        if spread is None:
+            return self._initial_margin
+        sigma, inflation_root = spread
+        return self.gamma * sigma * inflation_root
 
     def reset(self) -> None:
         self._accumulator = Welford()
@@ -171,6 +191,13 @@ class JacobsonMargin(SafetyMargin):
         """The current smoothed mean absolute prediction error."""
         return self._mdev
 
+    @property
+    def mdev(self) -> Optional[float]:
+        """The margin's scale-free state: ``mean_deviation`` once an error
+        has been observed, ``None`` before.  The margin for any ``phi`` is
+        ``phi * mdev``."""
+        return self._mdev if self._updates else None
+
     def update(self, observation: float, prediction: float) -> None:
         if not math.isfinite(observation) or not math.isfinite(prediction):
             raise ValueError("observation and prediction must be finite")
@@ -184,9 +211,8 @@ class JacobsonMargin(SafetyMargin):
         self._updates += 1
 
     def current(self) -> float:
-        if self._updates == 0:
-            return self._initial_margin
-        return self.phi * self._mdev
+        mdev = self.mdev
+        return self._initial_margin if mdev is None else self.phi * mdev
 
     def reset(self) -> None:
         self._mdev = 0.0

@@ -15,7 +15,7 @@ primary's writes dominate a deposed one's.
 
 The simulated controller (:class:`FailoverControllerLayer`) sits on top
 of a :class:`~repro.fd.multiplexer.MultiPlexer` fanning heartbeats into
-one detector per node, all built via
+one one-row detector bank per node, all built via
 :func:`repro.fd.bank.make_detector_bank`.  View changes are broadcast as
 ``kv-view`` datagrams to every node and client, and re-broadcast
 periodically so a lost view datagram delays — never wedges —

@@ -18,7 +18,7 @@ The wiring mirrors :func:`repro.apps.harness.build_consensus_group`:
   ``Heartbeater(→controller)`` / ``SimCrash`` — a crash silences both
   the replica protocol and its heartbeats;
 * controller stack: ``FailoverControllerLayer`` / ``MultiPlexer`` over
-  one detector per node, all built via
+  a one-row detector bank per node, all built via
   :func:`repro.fd.bank.make_detector_bank`;
 * client stacks: a bare ``KvClientLayer``.
 
@@ -200,7 +200,7 @@ def run_kv_sim(config: KvSimConfig) -> KvSimResult:
         rebroadcast_interval=config.rebroadcast_interval,
     )
     node_logs: Dict[str, EventLog] = {name: EventLog() for name in node_names}
-    detectors = []
+    banks = []
     for name in node_names:
         bank = make_detector_bank(
             name,
@@ -212,9 +212,9 @@ def run_kv_sim(config: KvSimConfig) -> KvSimResult:
                 lambda suspected: controller.on_transition(node, suspected)
             ),
         )
-        detectors.append(bank[config.detector_id])
+        banks.append(bank)
     system.create_process(
-        CONTROLLER, ProtocolStack([controller, MultiPlexer(detectors, EventLog())])
+        CONTROLLER, ProtocolStack([controller, MultiPlexer(banks, EventLog())])
     )
 
     # Replicas: protocol layer over a heartbeater over crash injection.

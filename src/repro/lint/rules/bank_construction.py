@@ -1,13 +1,17 @@
 """detector-bank-construction (FDL008): banks come from ``fd.bank``.
 
 The thirty-detector matrix is materialised in exactly one place —
-:func:`repro.fd.bank.make_detector_bank` — so every consumer gets the
-same strategy wiring, stale-observation policy and per-id transition
-hooks.  Hand-rolling the fan-out (constructing
+:func:`repro.fd.bank.make_detector_bank`, which returns the fused
+:class:`repro.fd.bank.DetectorBank` (shared predictor and margin states,
+one timer per endpoint) — so every consumer gets the same strategy
+wiring, stale-observation policy and per-id transition hooks.
+Hand-rolling the fan-out (constructing
 :class:`repro.fd.detector.PushFailureDetector` inside a loop or
 comprehension that iterates the combination ids) silently forks that
-policy: a later fix to the bank (initial timeouts, tracer plumbing,
-observe-stale semantics) would not reach the inline copy.  Constructing
+policy — a later fix to the bank (initial timeouts, tracer plumbing,
+observe-stale semantics) would not reach the inline copy — and brings
+back the per-heartbeat cost the bank exists to remove: every predictor
+updated six times, thirty timers re-armed.  Constructing
 a *single* detector directly stays legal — the tuning and sweep layers
 do it on purpose — and so does any loop over non-combination sources
 (e.g. the consensus harness's loop over peers).  The bank module itself

@@ -17,6 +17,15 @@ compares a rolling window against it:
   :class:`~repro.net.calibrate.CalibrationResult` of each, so operators
   see *which* generator parameter moved (floor vs queueing vs jitter).
 
+Both triggers are relative to the baseline's own spread, and a loopback
+baseline's spread is tens of microseconds — so a verdict also needs an
+**absolute effect size**: the largest shift among the quartiles and the
+90th percentile must reach ``min_effect`` seconds.  Quantiles rather
+than the mean, so that one stalled heartbeat in the window is not drift;
+a floor rather than a tighter threshold, so that interpreter jitter late
+in a long process (microseconds) cannot read as WAN drift however often
+the window is re-tested.
+
 Each evaluation updates ``fd_service_drift_*`` gauges (rendered into
 the exporter head via :meth:`render_metrics`, the same extension hook
 the live KV controller uses), feeds the ``/drift`` HTTP route, and —
@@ -34,6 +43,11 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
+
+
+#: Where the absolute effect size is read: the quartiles and the 90th
+#: percentile (one outlier in a window of twenty or more moves none).
+_EFFECT_QUANTILES = (0.25, 0.5, 0.75, 0.9)
 
 
 def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -102,6 +116,12 @@ class DriftMonitor:
         Alternative trigger: ``|window_mean - baseline_mean|`` as a
         multiple of the baseline std (guards near-constant baselines
         whose KS saturates on tiny absolute shifts).
+    min_effect:
+        Absolute effect-size floor, seconds: whichever threshold trips,
+        the endpoint is flagged only if a quartile or the 90th percentile
+        of the window moved at least this far from the baseline's.  The
+        daemon scales it with the heartbeat period; a shift far below
+        ``eta`` cannot matter to a time-out.
     calibrate_min:
         Run the full parameter calibration only when both samples reach
         this size (the calibrator itself requires ≥ 1000).
@@ -119,6 +139,7 @@ class DriftMonitor:
         min_samples: int = 64,
         ks_threshold: float = 0.35,
         mean_shift_threshold: float = 3.0,
+        min_effect: float = 0.001,
         calibrate_min: int = 1000,
         tracer: Optional["TraceRecorder"] = None,
     ) -> None:
@@ -136,6 +157,8 @@ class DriftMonitor:
             raise ValueError(
                 f"ks_threshold must be in (0, 1], got {ks_threshold}"
             )
+        if min_effect < 0:
+            raise ValueError(f"min_effect must be >= 0, got {min_effect!r}")
         self.window_samples = int(window_samples)
         self.baseline_samples = int(baseline_samples)
         # A window smaller than min_samples would never produce a
@@ -143,6 +166,7 @@ class DriftMonitor:
         self.min_samples = min(int(min_samples), self.window_samples)
         self.ks_threshold = float(ks_threshold)
         self.mean_shift_threshold = float(mean_shift_threshold)
+        self.min_effect = float(min_effect)
         self.calibrate_min = int(calibrate_min)
         self._tracer = tracer
         self._shared_baseline: Optional[np.ndarray] = None
@@ -192,6 +216,7 @@ class DriftMonitor:
             "t": now,
             "window_samples": self.window_samples,
             "ks_threshold": self.ks_threshold,
+            "min_effect": self.min_effect,
             "observations_total": self.observations_total,
             "evaluations_total": self.evaluations_total,
             "drifted": sorted(
@@ -231,8 +256,14 @@ class DriftMonitor:
             else float("inf") if window_mean != baseline_mean else 0.0
         )
         loss = self._loss_rate(state)
-        drifted = ks >= self.ks_threshold or (
-            mean_shift >= self.mean_shift_threshold
+        effect = float(
+            np.abs(
+                np.quantile(window, _EFFECT_QUANTILES)
+                - np.quantile(baseline, _EFFECT_QUANTILES)
+            ).max()
+        )
+        drifted = effect >= self.min_effect and (
+            ks >= self.ks_threshold or mean_shift >= self.mean_shift_threshold
         )
         entry: Dict[str, Any] = {
             "status": "ok",
@@ -241,6 +272,7 @@ class DriftMonitor:
             "baseline_count": int(baseline.size),
             "ks": ks,
             "mean_shift_sigmas": mean_shift,
+            "effect_seconds": effect,
             "window_mean": window_mean,
             "window_std": window_std,
             "baseline_mean": baseline_mean,

@@ -10,8 +10,9 @@ A trace follows one heartbeat across the whole pipeline:
 ``receive``     :class:`~repro.service.daemon.MonitorDaemon` decoded
                 and routed the datagram (``delay`` = one-way delay)
 ``fanout``      :class:`~repro.fd.multiplexer.MultiPlexer` forwarded
-                the arrival to every detector combination
-``freshness``   :class:`~repro.fd.detector.PushFailureDetector`
+                the arrival to the detector bank
+``freshness``   :class:`~repro.fd.bank.DetectorBank` (one span per row;
+                or a lone :class:`~repro.fd.detector.PushFailureDetector`)
                 consumed a fresh heartbeat: the strategy's forecast
                 (``timeout`` = delta = prediction + safety margin) and
                 the armed freshness point (``deadline`` = tau)

@@ -5,7 +5,7 @@ The batch paths (discrete-event campaigns, trace replay) answer "what QoS
 delivering *right now*": a long-running :class:`MonitorDaemon` watches an
 arbitrary fleet of heartbeat endpoints over real UDP datagrams (same wire
 format as :mod:`repro.net.udp`), runs the full thirty-combination
-:class:`~repro.fd.multiplexer.MultiPlexer` per endpoint so every
+:class:`~repro.fd.bank.DetectorBank` per endpoint so every
 (predictor, margin) pair sees identical live traffic, and keeps streaming
 :class:`~repro.nekostat.metrics.OnlineQosAccumulator` state per detector
 — T_D, T_M, T_MR and P_A so far, updated on every transition.  Metrics

@@ -226,6 +226,9 @@ class MonitorDaemon:
                 window_samples=drift_window,
                 baseline=drift_baseline,
                 baseline_samples=drift_window,
+                # A shift below 2 % of the period cannot matter to a
+                # time-out; never below a millisecond.
+                min_effect=max(0.001, 0.02 * self.eta),
                 tracer=tracer,
             )
         self._drift_handle = None

@@ -1,9 +1,9 @@
 """Per-endpoint monitoring state and the runtime endpoint registry.
 
 Each registered endpoint gets the paper's full monitor-side architecture
-— a :class:`~repro.fd.multiplexer.MultiPlexer` fanning every arrival out
-to one :class:`~repro.fd.detector.PushFailureDetector` per (predictor,
-margin) combination — plus one streaming
+— a :class:`~repro.fd.multiplexer.MultiPlexer` over the fused
+:class:`~repro.fd.bank.DetectorBank` that holds every (predictor, margin)
+combination on one timer — plus one streaming
 :class:`~repro.nekostat.metrics.OnlineQosAccumulator` per detector, fed
 by the detectors' ``on_transition`` hooks and by crash/restore
 notifications from the live crash injector.  Endpoints can be added and
@@ -27,8 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.hub import ObservabilityHub
     from repro.obs.trace import TraceRecorder
 
-from repro.fd.bank import make_detector_bank
-from repro.fd.detector import PushFailureDetector
+from repro.fd.bank import DetectorBank, make_detector_bank
 from repro.fd.multiplexer import MultiPlexer
 from repro.neko.layer import ProtocolStack
 from repro.neko.process import NekoProcess
@@ -71,7 +70,7 @@ class EndpointMonitor:
             )
             for detector_id in detector_ids
         }
-        self.detectors: Dict[str, PushFailureDetector] = make_detector_bank(
+        self.detectors: DetectorBank = make_detector_bank(
             name,
             eta,
             self.event_log,
@@ -80,7 +79,7 @@ class EndpointMonitor:
             on_transition_factory=self._transition_hook,
             tracer=tracer,
         )
-        self.multiplexer = MultiPlexer(list(self.detectors.values()), tracer=tracer)
+        self.multiplexer = MultiPlexer([self.detectors], tracer=tracer)
         self.process = NekoProcess(
             system,  # type: ignore[arg-type]  # duck-typed system facade
             f"monitor[{name}]",
@@ -196,8 +195,7 @@ class EndpointMonitor:
         if self._closed:
             return
         self._closed = True
-        for detector in self.detectors.values():
-            detector.stop()
+        self.detectors.stop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"

@@ -4,8 +4,8 @@ The Neko promise — the same protocol layers run in simulation and for
 real — is delivered a third time here.  :class:`AsyncioScheduler`
 implements the scheduling surface of :class:`repro.sim.engine.Simulator`
 (``now``, ``schedule``, ``schedule_at``) on the asyncio event loop, so an
-unchanged :class:`~repro.fd.detector.PushFailureDetector` (and the whole
-:class:`~repro.fd.multiplexer.MultiPlexer` stack above it) runs inside a
+unchanged :class:`~repro.fd.bank.DetectorBank` (and the
+:class:`~repro.fd.multiplexer.MultiPlexer` stack it sits in) runs inside a
 single-threaded asyncio daemon.  Unlike the thread-based
 :class:`~repro.net.udp.WallClockScheduler`, no dispatch lock is needed:
 the event loop itself serialises all upcalls.

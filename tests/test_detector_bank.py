@@ -1,0 +1,437 @@
+"""The fused ``DetectorBank`` against the stack it replaces.
+
+The reference is the paper's literal architecture: a ``MultiPlexer``
+fanning out to one ``PushFailureDetector`` (own strategy, own timer) per
+combination.  Both stacks are driven with the same arrival sequence on
+separate simulators and must agree on everything an observer can see:
+the event log (kind, time, detector, time-out in force), the order of
+``on_transition`` calls, the trace spans and the number of engine events.
+Equality is exact — no tolerances — because the committed goldens and the
+replay ≡ simulator proof compare floats.
+"""
+
+import asyncio
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.clocks.clock import DriftingClock, PerfectClock
+from repro.fd.bank import DetectorBank, make_detector_bank
+from repro.fd.combinations import combination_ids, make_strategy, parse_combination_id
+from repro.fd.detector import PushFailureDetector
+from repro.fd.multiplexer import MultiPlexer
+from repro.neko.layer import ProtocolStack
+from repro.neko.process import NekoProcess
+from repro.neko.system import NekoSystem
+from repro.nekostat.events import EventKind
+from repro.nekostat.log import EventLog
+from repro.net.message import Datagram
+from repro.obs.trace import TraceRecorder
+from repro.service.runtime import AsyncioScheduler, ServiceSystem
+from repro.sim.engine import Simulator
+
+from tests.conftest import RecordingLayer
+
+ETA = 1.0
+INITIAL_TIMEOUT = 4.0
+ALL_IDS = combination_ids()
+
+
+def heartbeat(seq, *, eta=ETA, timestamp=None):
+    return Datagram(
+        source="q",
+        destination="p",
+        kind="heartbeat",
+        seq=seq,
+        timestamp=seq * eta if timestamp is None else timestamp,
+    )
+
+
+def scalar_uppers(ids, event_log, hook_factory, tracer, observe_stale):
+    """Today's bank: one detector, one strategy and one timer per id."""
+    return [
+        PushFailureDetector(
+            make_strategy(*parse_combination_id(detector_id)),
+            "q",
+            ETA,
+            event_log,
+            detector_id=detector_id,
+            initial_timeout=INITIAL_TIMEOUT,
+            observe_stale=observe_stale,
+            on_transition=hook_factory(detector_id),
+            tracer=tracer,
+        )
+        for detector_id in ids  # fdlint: disable=detector-bank-construction (the reference stack the fused bank is proved against)
+    ]
+
+
+def fused_uppers(ids, event_log, hook_factory, tracer, observe_stale):
+    return [
+        make_detector_bank(
+            "q",
+            ETA,
+            event_log,
+            ids,
+            initial_timeout=INITIAL_TIMEOUT,
+            observe_stale=observe_stale,
+            on_transition_factory=hook_factory,
+            tracer=tracer,
+        )
+    ]
+
+
+class Observed:
+    """Everything one run of one stack lets an observer see."""
+
+    def __init__(self, build, ids, arrivals, *, until, observe_stale=True,
+                 offset=0.0, drift=0.0):
+        self.sim = Simulator()
+        self.event_log = EventLog()
+        self.tracer = TraceRecorder(ring_capacity=1_000_000)
+        self.hook_calls = []
+        self.uppers = build(
+            ids, self.event_log, self._hook, self.tracer, observe_stale
+        )
+        system = NekoSystem(self.sim)
+        clock = (
+            DriftingClock(self.sim, offset=offset, drift=drift)
+            if offset or drift
+            else PerfectClock(self.sim)
+        )
+        self.process = system.create_process(
+            "p",
+            ProtocolStack([MultiPlexer(self.uppers, tracer=self.tracer)]),
+            clock=clock,
+        )
+        for arrival, seq in arrivals:
+            self.sim.schedule_at(
+                arrival,
+                lambda seq=seq: self.process.receive_from_network(heartbeat(seq)),
+            )
+        system.run(until=until)
+
+    def _hook(self, detector_id):
+        def on_transition(suspecting):
+            self.hook_calls.append((self.sim.now, detector_id, suspecting))
+
+        return on_transition
+
+    @property
+    def events(self):
+        return [
+            (e.kind, e.time, e.detector, e.data["timeout"], e.local_time, e.site)
+            for e in self.event_log
+        ]
+
+    @property
+    def spans(self):
+        return self.tracer.tail(1_000_000)
+
+
+def assert_same(ids, arrivals, *, until, **options):
+    """Run both stacks; return the fused one after asserting equality."""
+    scalar = Observed(scalar_uppers, ids, arrivals, until=until, **options)
+    fused = Observed(fused_uppers, ids, arrivals, until=until, **options)
+    assert fused.events == scalar.events
+    assert fused.hook_calls == scalar.hook_calls
+    assert fused.spans == scalar.spans
+    assert fused.sim.events_processed == scalar.sim.events_processed
+    bank = fused.uppers[0]
+    for detector in scalar.uppers:
+        view = bank[detector.detector_id]
+        assert view.suspecting == detector.suspecting
+        assert view.suspicions_raised == detector.suspicions_raised
+        assert view.heartbeats_seen == detector.heartbeats_seen
+        assert view.stale_heartbeats == detector.stale_heartbeats
+        assert view.highest_sequence == detector.highest_sequence
+        assert view.current_timeout() == detector.current_timeout()
+        assert view.prediction() == detector.strategy.prediction()
+    return fused
+
+
+# ----------------------------------------------------------------------
+# Generated arrival sequences
+# ----------------------------------------------------------------------
+#: Per heartbeat: lost, or a delay.  Delays on a coarse grid make equal
+#: deadlines (ties between rows) common; delays beyond one period make
+#: reordering, so stale heartbeats; runs of losses are crashes.
+beats = st.lists(
+    st.one_of(
+        st.none(),
+        st.sampled_from([0.125, 0.25, 0.25, 0.375, 0.5]),
+        st.floats(min_value=0.01, max_value=0.9),
+        st.floats(min_value=1.1, max_value=3.5),
+    ),
+    min_size=1,
+    max_size=90,
+)
+crashes = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(3, 12)), max_size=2
+)
+detector_sets = st.one_of(
+    st.just(ALL_IDS),
+    st.lists(st.sampled_from(ALL_IDS), min_size=1, max_size=8, unique=True),
+)
+clocks = st.one_of(
+    st.just((0.0, 0.0)),
+    st.tuples(
+        st.floats(min_value=-0.05, max_value=0.05),
+        st.floats(min_value=-1e-4, max_value=1e-4),
+    ),
+)
+
+
+def arrivals_of(delays, crash_spans):
+    down = {
+        seq for start, length in crash_spans for seq in range(start, start + length)
+    }
+    return [
+        (seq * ETA + delay, seq)
+        for seq, delay in enumerate(delays)
+        if delay is not None and seq not in down
+    ]
+
+
+class TestDifferential:
+    @given(beats, crashes, detector_sets, clocks, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_fused_bank_equals_thirty_detectors(
+        self, delays, crash_spans, ids, clock, observe_stale
+    ):
+        offset, drift = clock
+        assert_same(
+            ids,
+            arrivals_of(delays, crash_spans),
+            until=len(delays) * ETA + 12.0,
+            observe_stale=observe_stale,
+            offset=offset,
+            drift=drift,
+        )
+
+    def test_long_run_through_the_arima_fit(self, rng):
+        """450 heartbeats: past ARIMA's initial fit at 200 observations,
+        with loss, reordering and two crashes."""
+        delays = rng.gamma(4.0, 0.05, size=450)
+        delays[rng.random(450) < 0.03] += 1.7  # late: reordered, stale
+        lost = rng.random(450) < 0.02
+        arrivals = [
+            (seq * ETA + float(delay), seq)
+            for seq, delay in enumerate(delays)
+            if not lost[seq] and not 120 <= seq < 135 and not 300 <= seq < 310
+        ]
+        fused = assert_same(ALL_IDS, arrivals, until=470.0)
+        assert len(fused.event_log) > 60  # both crashes, every row
+
+
+# ----------------------------------------------------------------------
+# Pinned cases
+# ----------------------------------------------------------------------
+def suspicions(observed):
+    return [e for e in observed.event_log if e.kind is EventKind.START_SUSPECT]
+
+
+class TestTies:
+    def test_common_start_deadline_fires_in_bank_order(self):
+        """No heartbeat ever: all thirty rows share the ``on_start``
+        deadline and become suspect in bank order, one engine event each."""
+        fused = assert_same(ALL_IDS, [], until=20.0)
+        started = suspicions(fused)
+        assert [e.detector for e in started] == ALL_IDS
+        assert {e.time for e in started} == {ETA + INITIAL_TIMEOUT}
+        assert fused.sim.events_processed == 30
+
+    def test_all_ci_rows_tie_before_the_second_observation(self):
+        """After one observation every predictor forecasts it and SM_CI
+        is still its initial margin: the fifteen CI rows share a deadline
+        (and the five rows of each JAC level share theirs)."""
+        fused = assert_same(ALL_IDS, [(0.25, 0)], until=20.0)
+        by_time = {}
+        for event in suspicions(fused):
+            by_time.setdefault(event.time, []).append(event.detector)
+        ci_rows = [i for i in ALL_IDS if "+CI_" in i]
+        assert ci_rows in by_time.values()
+        assert sorted(len(rows) for rows in by_time.values()) == [5, 5, 5, 15]
+        assert fused.sim.events_processed == 1 + 30
+
+    def test_mean_equals_winmean_for_the_first_ten_observations(self):
+        arrivals = [(seq * ETA + delay, seq) for seq, delay in enumerate(
+            [0.21, 0.35, 0.18, 0.27, 0.4, 0.22, 0.31]
+        )]
+        fused = assert_same(ALL_IDS, arrivals, until=30.0)
+        # The silence after the last heartbeat: every row's final suspicion.
+        final = [e for e in suspicions(fused) if e.time > arrivals[-1][0]]
+        times = {e.detector: e.time for e in final}
+        order = [e.detector for e in final]
+        assert sorted(order) == sorted(ALL_IDS)
+        for margin in ("CI_low", "CI_med", "CI_high", "JAC_low", "JAC_med", "JAC_high"):
+            mean, winmean = f"Mean+{margin}", f"WinMean+{margin}"
+            assert times[mean] == times[winmean]
+            assert order.index(mean) < order.index(winmean)
+        # Tied or not, each suspicion was its own engine event.
+        assert fused.sim.events_processed == len(arrivals) + len(suspicions(fused))
+
+
+class TestStaleHeartbeat:
+    #: Heartbeat 2 is overtaken by 3 and arrives stale, before any of the
+    #: deadlines that 3 armed.
+    ARRIVALS = [(0.2, 0), (1.2, 1), (3.2, 3), (3.3, 2)]
+
+    def _armed_by_heartbeat_3(self, fused):
+        return {
+            span["detector"]: span
+            for span in fused.spans
+            if span["kind"] == "freshness" and span["seq"] == 3
+        }
+
+    def _final_suspicions(self, fused):
+        final = [e for e in suspicions(fused) if e.time > 3.3]
+        assert sorted(e.detector for e in final) == sorted(ALL_IDS)
+        return final
+
+    def test_suspicion_carries_the_timeout_in_force_at_expiry(self):
+        """The stale delay moves every time-out without re-arming:
+        ``START_SUSPECT`` fires at the armed deadline but reports the
+        time-out in force at expiry."""
+        fused = assert_same(ALL_IDS, self.ARRIVALS, until=30.0)
+        assert fused.uppers[0].stale_heartbeats == 1
+        armed = self._armed_by_heartbeat_3(fused)
+        moved = 0
+        for event in self._final_suspicions(fused):
+            assert event.time == armed[event.detector]["deadline"]
+            moved += event.data["timeout"] != armed[event.detector]["timeout"]
+        assert moved == 30
+
+    def test_unobserved_stale_heartbeat_moves_nothing(self):
+        fused = assert_same(ALL_IDS, self.ARRIVALS, until=30.0, observe_stale=False)
+        assert fused.uppers[0].stale_heartbeats == 1
+        armed = self._armed_by_heartbeat_3(fused)
+        for event in self._final_suspicions(fused):
+            assert event.time == armed[event.detector]["deadline"]
+            assert event.data["timeout"] == armed[event.detector]["timeout"]
+
+
+class TestSmallBanks:
+    def test_empty_bank_arms_nothing_and_passes_traffic_on(self, sim, event_log):
+        bank = make_detector_bank("q", ETA, event_log, [])
+        extra = RecordingLayer()
+        system = NekoSystem(sim)
+        process = system.create_process(
+            "p", ProtocolStack([MultiPlexer([bank, extra], event_log)])
+        )
+        system.start()
+        assert sim.pending_events == 0
+        process.receive_from_network(heartbeat(0))
+        sim.run(until=50.0)
+        assert len(bank) == 0 and list(bank.items()) == []
+        assert bank.heartbeats_seen == 1
+        assert [m.seq for m in extra.received] == [0]
+        assert len(event_log) == 0 and sim.events_processed == 0
+
+    @pytest.mark.parametrize("detector_id", ["Last+CI_med", "Arima+JAC_high"])
+    def test_one_row_bank_is_the_single_detector(self, detector_id):
+        arrivals = [
+            (seq * ETA + delay, seq)
+            for seq, delay in enumerate([0.2, 0.3, 0.25, 1.6, 0.22, 0.21, 0.4])
+            if seq != 4
+        ]
+        fused = assert_same([detector_id], arrivals, until=30.0)
+        bank = fused.uppers[0]
+        assert list(bank) == [detector_id] and detector_id in bank
+        assert bank.get("Mean+CI_low") is None
+
+    def test_views_follow_bank_order_and_repeats_collapse(self, event_log):
+        ids = ["WinMean+JAC_low", "Arima+CI_high", "WinMean+JAC_low"]
+        bank = make_detector_bank("q", ETA, event_log, ids)
+        assert isinstance(bank, DetectorBank)
+        assert list(bank) == ["WinMean+JAC_low", "Arima+CI_high"]
+        assert [view.detector_id for _id, view in bank.items()] == list(bank)
+        assert bank.initial_timeout == 10.0
+        with pytest.raises(ValueError):
+            make_detector_bank("q", ETA, event_log, ["Nope+CI_low"])
+
+    def test_stopped_row_stays_quiet_until_the_next_heartbeat(self, sim, event_log):
+        bank = make_detector_bank(
+            "q", ETA, event_log, ["Last+CI_low", "Last+CI_high"],
+            initial_timeout=INITIAL_TIMEOUT,
+        )
+        system = NekoSystem(sim)
+        process = system.create_process("p", ProtocolStack([MultiPlexer([bank])]))
+        system.start()
+        bank["Last+CI_low"].stop()
+        sim.run(until=10.0)
+        assert not bank["Last+CI_low"].suspecting
+        assert bank["Last+CI_high"].suspecting
+        sim.schedule_at(
+            10.2, lambda: process.receive_from_network(heartbeat(10))
+        )
+        sim.run(until=30.0)
+        assert bank["Last+CI_low"].suspecting  # re-armed by the heartbeat
+        bank.stop()
+        assert sim.pending_events == 0
+
+
+# ----------------------------------------------------------------------
+# The live path: one timer on a clock that moves
+# ----------------------------------------------------------------------
+class TestAsyncioScheduler:
+    #: Twelve prompt heartbeats, then one that sat in a queue for 4 s: its
+    #: delay moves the forecasts, and nine rows' freshness points are still
+    #: over 0.4 s in the past on arrival (the rest over 0.4 s ahead).
+    PROMPT, QUEUED = 0.2, 4.0
+
+    def _overdue_rows(self):
+        overdue = []
+        for detector_id in ALL_IDS:
+            strategy = make_strategy(*parse_combination_id(detector_id))
+            for _ in range(12):
+                strategy.observe(self.PROMPT)
+            strategy.observe(self.QUEUED)
+            if strategy.timeout() < self.QUEUED - ETA:
+                overdue.append(detector_id)
+        return overdue
+
+    def _suspicions_per_turn(self, build):
+        """Suspicion count after each turn of the loop that changed it,
+        up to the first turn that raised any; and the suspects in order."""
+
+        async def main():
+            scheduler = AsyncioScheduler(asyncio.get_running_loop())
+            log = EventLog()
+            uppers = build(ALL_IDS, log, lambda _id: None, None, True)
+            process = NekoProcess(
+                ServiceSystem(scheduler),  # type: ignore[arg-type]
+                "p",
+                ProtocolStack([MultiPlexer(uppers)]),
+            )
+            process.start()
+            for seq in range(12):
+                process.receive_from_network(
+                    heartbeat(seq, timestamp=scheduler.now - self.PROMPT)
+                )
+            process.receive_from_network(
+                heartbeat(12, timestamp=scheduler.now - self.QUEUED)
+            )
+            counts = [len(log)]
+            for _ in range(1000):
+                if counts[-1]:
+                    break
+                await asyncio.sleep(0)
+                counts.append(len(log))
+            scheduler.close()
+            return counts, [e.detector for e in log]
+
+        return asyncio.run(asyncio.wait_for(main(), timeout=30.0))
+
+    def test_overdue_rows_all_suspect_in_one_loop_turn(self):
+        """Timers that are all due run in one turn of the loop; the bank's
+        single timer must not hand the loop back between overdue rows (the
+        next datagram would slip in and trust them first)."""
+        overdue = self._overdue_rows()
+        assert len(overdue) == 9
+        for build in (scalar_uppers, fused_uppers):
+            counts, suspects = self._suspicions_per_turn(build)
+            # Nothing on delivery; then every overdue row in the first
+            # turn that raises any, in bank order.
+            assert counts[0] == 0 and counts[-1] >= len(overdue), build.__name__
+            assert suspects[: len(overdue)] == overdue, build.__name__

@@ -24,14 +24,12 @@ class TestConfigExtras:
             extras={"initial_timeout": 42.0},
         )
         parts = build_qos_system(config, ["Last+JAC_med"])
-        detector = parts["detectors"]["Last+JAC_med"]
-        assert detector._initial_timeout == 42.0
+        assert parts["detectors"].initial_timeout == 42.0
 
     def test_extras_default_initial_timeout_scales_with_eta(self):
         config = ExperimentConfig(num_cycles=200, mttc=60.0, ttr=12.0, eta=2.0)
         parts = build_qos_system(config, ["Last+JAC_med"])
-        detector = parts["detectors"]["Last+JAC_med"]
-        assert detector._initial_timeout == 20.0
+        assert parts["detectors"].initial_timeout == 20.0
 
 
 class TestMetricValueEdges:

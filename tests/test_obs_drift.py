@@ -69,6 +69,8 @@ class TestDriftMonitor:
             DriftMonitor(ks_threshold=0.0)
         with pytest.raises(ValueError):
             DriftMonitor(baseline=[0.1])
+        with pytest.raises(ValueError):
+            DriftMonitor(min_effect=-0.001)
 
     def test_self_baseline_freezes_then_window_fills(self, rng):
         monitor = DriftMonitor(
@@ -122,13 +124,63 @@ class TestDriftMonitor:
         monitor = DriftMonitor(
             window_samples=16, baseline=[0.1] * 64, min_samples=8
         )
-        feed(monitor, "q", [0.1001] * 16)
+        feed(monitor, "q", [0.105] * 16)
         entry = monitor.evaluate(1.0)["endpoints"]["q"]
         # KS saturates on any shift of a constant; the verdict is
         # reached either way, with an enormous reported sigma shift
         # (the baseline std is zero up to float rounding).
         assert entry["drifted"]
         assert entry["mean_shift_sigmas"] > 1e6
+        assert entry["effect_seconds"] == pytest.approx(0.005)
+
+    def test_shift_below_the_effect_floor_is_not_drift(self):
+        """The same saturated KS and sigma count, but 0.1 ms: both
+        triggers trip and the absolute floor (1 ms) holds the verdict."""
+        monitor = DriftMonitor(
+            window_samples=16, baseline=[0.1] * 64, min_samples=8
+        )
+        feed(monitor, "q", [0.1001] * 16)
+        entry = monitor.evaluate(1.0)["endpoints"]["q"]
+        assert entry["ks"] == 1.0 and entry["mean_shift_sigmas"] > 1e6
+        assert not entry["drifted"]
+        assert DriftMonitor(min_effect=0.0).min_effect == 0.0
+
+    def test_false_positive_rate_on_a_stationary_loopback_stream(self, rng):
+        """A 40-sample loopback baseline (σ ≈ 15 µs), then 4 000 delays
+        of the same network seen through a busier interpreter: the level
+        wanders by tens of microseconds and one delay in a hundred is a
+        multi-millisecond stall.  Re-tested every five heartbeats — 800
+        verdicts — none may be drift; without the floor most are."""
+
+        def run(min_effect):
+            monitor = DriftMonitor(
+                window_samples=40, baseline_samples=40, min_samples=40,
+                min_effect=min_effect,
+            )
+            stream = np.random.default_rng(20050628)
+            feed(monitor, "q", stream.normal(120e-6, 15e-6, size=40))
+            wander = 50e-6 * (1 + np.sin(np.arange(4000) / 180.0))
+            delays = stream.normal(120e-6, 15e-6, size=4000) + wander
+            stalls = stream.random(4000) < 0.01
+            delays[stalls] += stream.uniform(0.003, 0.03, size=int(stalls.sum()))
+            flagged = verdicts = 0
+            for start in range(0, 4000, 5):
+                feed(monitor, "q", delays[start:start + 5], start_seq=40 + start)
+                entry = monitor.evaluate(float(start))["endpoints"]["q"]
+                if entry["status"] == "ok":
+                    verdicts += 1
+                    flagged += entry["drifted"]
+            return flagged, verdicts, monitor
+
+        flagged, verdicts, monitor = run(0.001)
+        assert verdicts > 700
+        assert flagged == 0
+        without_floor, _, _ = run(0.0)
+        assert without_floor > verdicts // 2
+        # The floor does not blind it: a real 5 ms shift is flagged as
+        # soon as it fills the window.
+        feed(monitor, "q", rng.normal(5.12e-3, 15e-6, size=40), start_seq=5000)
+        assert monitor.evaluate(9999.0)["drifted"] == ["q"]
 
     def test_loss_rate_from_sequence_gaps(self, rng):
         baseline = rng.normal(0.1, 0.01, size=64)
@@ -275,7 +327,9 @@ class TestLiveDrift:
         assert report["drifted"] == []
         entry = report["endpoints"]["node-1"]
         assert entry["status"] == "ok"
-        assert entry["ks"] < 0.35
+        # Loopback jitter may move the KS distance of a 40-sample window;
+        # it cannot move a quantile by a millisecond.
+        assert entry["effect_seconds"] < report["min_effect"]
 
     def test_injected_delay_spike_is_flagged(self):
         from repro.chaos import FaultPlan

@@ -267,8 +267,8 @@ class TestEndpointRegistry:
             monitor = registry.add("ep1")
             assert len(registry) == 1 and "ep1" in registry
             assert sorted(monitor.detectors) == ["Last+CI_med", "Mean+JAC_low"]
-            # Registration armed one initial-timeout timer per detector.
-            assert scheduler.outstanding == 2
+            # Registration armed the endpoint's one timer (fused bank).
+            assert scheduler.outstanding == 1
             with pytest.raises(ValueError):
                 registry.add("ep1")
             removed = registry.remove("ep1")
