@@ -11,8 +11,10 @@ Five independent measurements:
   no-change scrape (cached QoS body + fresh head).  The contract proved
   by ``benchmarks/test_bench_obs.py`` is a >= 10x speedup at 50 x 30.
 * **Tracing** — per-event cost of ``TraceRecorder.emit`` with the ring
-  alone and with JSONL persistence.
-* **History** — transition insert throughput and window-query latency of
+  alone and with JSONL persistence, and of ``emit_batch`` at the detector
+  bank's thirty rows per heartbeat.
+* **History** — transition insert throughput, window-query latency and
+  the per-endpoint query (thirty detectors together) of
   :class:`repro.obs.WindowedQosStore`.
 * **Analyze** — ``repro trace-analyze``'s core (load + full analysis)
   over a synthesized ~100k-span JSONL trace.  The contract proved by
@@ -157,11 +159,40 @@ def _bench_trace(events: int, tmp_dir: str) -> Dict:
     stats = jsonl.stats()
     jsonl.close()
     os.unlink(path)
+
+    # What the detector bank emits per heartbeat: thirty ``freshness``
+    # rows in one batch, time-outs and deadlines of full float precision.
+    detector_ids = combination_ids()
+    batches = max(1, events // len(detector_ids))
+    batched = TraceRecorder(path, ring_capacity=4096)
+    started = time.perf_counter()
+    for i in range(batches):
+        t = 1000.0 + 0.1 * i
+        batched.emit_batch(
+            t,
+            "freshness",
+            "bench",
+            [
+                (detector_id, None, 0.2 + 1e-7 * (i + row), t + 0.3 + 1e-7 * row)
+                for row, detector_id in enumerate(detector_ids)
+            ],
+            seq=i,
+        )
+    batch_ns = 1e9 * (time.perf_counter() - started) / (
+        batches * len(detector_ids)
+    )
+    batch_stats = batched.stats()
+    batched.close()
+    os.unlink(path)
     return {
         "events": events,
         "ring_only_ns_per_event": round(ring_ns, 1),
         "jsonl_ns_per_event": round(jsonl_ns, 1),
+        "jsonl_batch_ns_per_event": round(batch_ns, 1),
         "jsonl_bytes_per_event": round(stats["bytes_total"] / events, 1),
+        "jsonl_batch_bytes_per_event": round(
+            batch_stats["bytes_total"] / batch_stats["events_total"], 1
+        ),
         "self_measured_overhead_s": round(stats["overhead_seconds"], 4),
     }
 
@@ -268,11 +299,28 @@ def _bench_history(transitions: int) -> Dict:
         window = store.query("bench", "fd", start, end)
         query_ms = 1e3 * (time.perf_counter() - started)
         assert window.qos.mistakes  # the window really replayed rows
+
+        # What ``/qos?endpoint=`` asks: thirty detectors of one endpoint,
+        # a few mistakes each inside the window, answered together.
+        detector_ids = combination_ids()
+        for i in range(8):
+            for detector_id in detector_ids:
+                store.record_suspect("fleet", detector_id, 10.0 * i)
+                store.record_trust("fleet", detector_id, 10.0 * i + 0.5)
+        store.flush()
+        rounds = 20
+        started = time.perf_counter()
+        for _ in range(rounds):
+            windows = store.query_endpoint("fleet", detector_ids, 5.0, 75.0)
+        endpoint_ms = 1e3 * (time.perf_counter() - started) / rounds
+        assert all(len(w.qos.mistakes) == 7 for w in windows)
         return {
             "transitions": transitions,
             "insert_rows_per_s": round(transitions / insert_s, 1),
             "window_query_ms": round(query_ms, 3),
             "window_rows_replayed": int(transitions * 0.5),
+            "endpoint_query_ms": round(endpoint_ms, 3),
+            "endpoint_query_detectors": len(detector_ids),
         }
     finally:
         store.close()
@@ -324,9 +372,13 @@ def format_report(record: Dict) -> str:
             "ns/event",
             f"  ring + JSONL         : {t['jsonl_ns_per_event']:10.1f} "
             "ns/event",
+            f"  ring + JSONL, batch  : {t['jsonl_batch_ns_per_event']:10.1f} "
+            "ns/event (30 rows per batch)",
             f"history ({h['transitions']} transitions)",
             f"  insert               : {h['insert_rows_per_s']:10.1f} rows/s",
             f"  window query         : {h['window_query_ms']:10.3f} ms",
+            f"  endpoint query       : {h['endpoint_query_ms']:10.3f} ms "
+            f"({h['endpoint_query_detectors']} detectors)",
             f"analyze ({a['spans']} spans)",
             f"  load                 : {a['load_s']:10.3f} s",
             f"  analyze              : {a['analyze_s']:10.3f} s",

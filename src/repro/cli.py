@@ -683,8 +683,7 @@ def _command_qos_history(args: argparse.Namespace) -> int:
         windows = []
         for name in names:
             ids = detectors if detectors is not None else store.detectors(name)
-            for detector_id in ids:
-                windows.append(store.query(name, detector_id, start, end))
+            windows.extend(store.query_endpoint(name, ids, start, end))
     finally:
         store.close()
     if args.json:

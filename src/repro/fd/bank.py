@@ -371,23 +371,29 @@ class DetectorBank(Layer):
         next_send_local = send_timestamp_local + self.eta
         suspecting = self._suspecting
         deadlines = self._deadlines
+        ids = self._ids
         tracer = self._tracer
+        # The rows' ``freshness`` spans go to the recorder in one batch;
+        # None when nothing is traced.
+        spans = [] if tracer is not None else None
         for row, delta in enumerate(self._timeouts):
             if suspecting[row]:
                 suspecting[row] = False
+                if spans:
+                    # The earlier rows' spans precede this row's ``trust``.
+                    tracer.emit_batch(
+                        sim.now, "freshness", self.monitored, spans, seq=self._max_seq
+                    )
+                    spans = []
                 self._transition(row, EventKind.END_SUSPECT, delta)
             tau_global = global_from_local(next_send_local + delta)
             deadlines[row] = tau_global if tau_global > now else now
-            if tracer is not None:
-                tracer.emit(
-                    sim.now,
-                    "freshness",
-                    self.monitored,
-                    detector=self._ids[row],
-                    seq=self._max_seq,
-                    timeout=delta,
-                    deadline=tau_global,
-                )
+            if spans is not None:
+                spans.append((ids[row], None, delta, tau_global))
+        if spans:
+            tracer.emit_batch(
+                sim.now, "freshness", self.monitored, spans, seq=self._max_seq
+            )
         self._arm()
 
     def _arm(self) -> None:

@@ -148,7 +148,7 @@ class ModuleSummary:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: Non-docstring ``fd_*`` string tokens: ``[line, name]``.
     metric_literals: List[List[Any]] = field(default_factory=list)
-    #: Trace-span kinds passed literally to ``.emit``/``._emit``.
+    #: Trace-span kinds passed literally to ``.emit``/``.emit_batch``/``._emit``.
     emit_kinds: List[List[Any]] = field(default_factory=list)
     #: Span kinds this file *handles* (compared against a ``*kind*``
     #: name, or member of a ``*KINDS*`` set literal).
@@ -574,7 +574,7 @@ class _SummaryBuilder:
         if not isinstance(node.func, ast.Attribute):
             return
         kind_arg: Optional[ast.expr] = None
-        if node.func.attr == "emit" and len(node.args) >= 2:
+        if node.func.attr in ("emit", "emit_batch") and len(node.args) >= 2:
             kind_arg = node.args[1]
         elif node.func.attr == "_emit" and len(node.args) >= 1:
             kind_arg = node.args[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,11 +58,14 @@ def normal_quantile(p: float) -> float:
     return z
 
 
+@lru_cache(maxsize=4096)
 def _t_critical(confidence: float, dof: int) -> float:
     """Two-sided Student-t critical value.
 
     Uses scipy when present; otherwise falls back to the normal quantile,
     which is accurate for the sample sizes the experiments produce.
+    Memoised: a pure function of two scalars, asked again on every scrape
+    and window read, and ``scipy.stats.t.ppf`` costs tens of microseconds.
     """
     if _scipy_stats is not None:
         return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))

@@ -50,7 +50,8 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.nekostat.metrics import DetectorQos, MistakeInterval, OnlineQosAccumulator
 
@@ -61,6 +62,9 @@ TRANSITION_KINDS = ("suspect", "trust", "crash", "restore")
 #: transitions (the accumulator's documented tie-breaking).  Suspect and
 #: trust share a rank so the stable sort preserves their arrival order.
 _KIND_RANK = {"restore": 0, "crash": 1, "suspect": 2, "trust": 2}
+
+#: Replay order of ``(t, rank, kind)`` rows: by time, then by rank.
+_TIME_AND_RANK = itemgetter(0, 1)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS transitions (
@@ -202,11 +206,12 @@ class WindowedQosStore:
     # All SQL flows through the two helpers below so the store has
     # exactly two blocking call sites, each with a measured bound
     # (BENCH_obs.json: batched inserts ~400k rows/s, window queries
-    # ~47 ms per 25k replayed rows at the default 30 s snapshot cadence)
+    # ~50 ms per 25k replayed rows, ~1.1 ms for the thirty detectors of
+    # an endpoint with a few mistakes each)
     # instead of a dozen scattered ones.  An executor offload would add
     # cross-thread hand-off for work that is already microseconds.
 
-    # fdlint: disable=async-blocking (bounded choke point: ~400k rows/s inserts, ~47ms worst-case window query; measured in BENCH_obs.json)
+    # fdlint: disable=async-blocking (bounded choke point: ~400k rows/s inserts, ~50ms worst-case window query (history.window_query_ms), ~1.1ms per endpoint read (history.endpoint_query_ms); measured in BENCH_obs.json)
     def _sql(self, statement: str, parameters=(), *, many: bool = False):
         """Execute one statement (the store's only query/DML site).
 
@@ -329,6 +334,12 @@ class WindowedQosStore:
             self.flushes_total += 1
         self._commit()
 
+    def _flush_pending(self) -> None:
+        """What a read needs: buffered rows in the table.  With nothing
+        buffered there is nothing to insert and nothing to commit."""
+        if self._pending:
+            self.flush()
+
     def prune(self, now: Optional[float] = None) -> int:
         """Delete rows older than the retention horizon; returns count.
 
@@ -354,7 +365,7 @@ class WindowedQosStore:
     # ------------------------------------------------------------------
     def endpoints(self) -> List[str]:
         """Distinct endpoints with any recorded history, sorted."""
-        self.flush()
+        self._flush_pending()
         rows = self._sql(
             "SELECT DISTINCT endpoint FROM transitions "
             "UNION SELECT DISTINCT endpoint FROM snapshots"
@@ -367,7 +378,7 @@ class WindowedQosStore:
         Lets an offline reader (``repro qos-history``) anchor a trailing
         window without knowing the recording scheduler's clock.
         """
-        self.flush()
+        self._flush_pending()
         row = self._sql(
             "SELECT MAX(t) FROM ("
             "SELECT t FROM transitions UNION ALL SELECT t FROM snapshots)"
@@ -376,7 +387,7 @@ class WindowedQosStore:
 
     def detectors(self, endpoint: str) -> List[str]:
         """Distinct detector ids recorded for ``endpoint``, sorted."""
-        self.flush()
+        self._flush_pending()
         rows = self._sql(
             "SELECT DISTINCT detector FROM transitions "
             "WHERE endpoint = ? AND detector != '' "
@@ -386,26 +397,6 @@ class WindowedQosStore:
         ).fetchall()
         return sorted(row[0] for row in rows)
 
-    def _state_at(
-        self, endpoint: str, detector: str, t: float
-    ) -> Tuple[bool, bool]:
-        """(crashed, suspecting) state at instant ``t`` (inclusive)."""
-        row = self._sql(
-            "SELECT kind FROM transitions "
-            "WHERE endpoint = ? AND detector = '' AND t <= ? "
-            "ORDER BY t DESC, rowid DESC LIMIT 1",
-            (endpoint, t),
-        ).fetchone()
-        crashed = row is not None and row[0] == "crash"
-        row = self._sql(
-            "SELECT kind FROM transitions "
-            "WHERE endpoint = ? AND detector = ? AND t <= ? "
-            "ORDER BY t DESC, rowid DESC LIMIT 1",
-            (endpoint, detector, t),
-        ).fetchone()
-        suspecting = row is not None and row[0] == "suspect"
-        return crashed, suspecting
-
     def query(
         self, endpoint: str, detector: str, start: float, end: float
     ) -> QosWindow:
@@ -414,41 +405,80 @@ class WindowedQosStore:
         See the module docstring for the exact semantics (boundary
         closure at ``start``, replay, snapshot at ``end``).
         """
+        return self.query_endpoint(endpoint, [detector], start, end)[0]
+
+    def query_endpoint(
+        self, endpoint: str, detectors: Sequence[str], start: float, end: float
+    ) -> List[QosWindow]:
+        """QoS of ``(start, end]`` for each of ``detectors`` watching
+        ``endpoint``, in the order given.
+
+        Two statements however many detectors: the state of the endpoint
+        and of every detector at ``start``, and every row inside the
+        window — the endpoint's crash/restore rows and the detectors'
+        transitions — in ``(t, rowid)`` order.
+        """
         if end < start:
             raise ValueError(
                 f"window end {end!r} precedes window start {start!r}"
             )
-        self.flush()
-        crashed, suspecting = self._state_at(endpoint, detector, start)
-        rows = self._sql(
-            "SELECT kind, t FROM transitions "
-            "WHERE endpoint = ? AND (detector = ? OR detector = '') "
-            "AND t > ? AND t <= ? ORDER BY t, rowid",
-            (endpoint, detector, start, end),
-        ).fetchall()
-        accumulator = OnlineQosAccumulator(detector, start_time=start)
-        if crashed:
-            accumulator.observe_crash(start)
-        if suspecting:
-            accumulator.observe_suspect(start)
-        for kind, t in sorted(
-            rows, key=lambda row: (row[1], _KIND_RANK[row[0]])
-        ):
-            if kind == "suspect":
-                accumulator.observe_suspect(t)
-            elif kind == "trust":
-                accumulator.observe_trust(t)
-            elif kind == "crash":
-                accumulator.observe_crash(t)
-            else:
-                accumulator.observe_restore(t)
-        return QosWindow(
-            endpoint=endpoint,
-            detector=detector,
-            start=start,
-            end=end,
-            qos=accumulator.snapshot(end),
+        self._flush_pending()
+        # ``''`` is the endpoint's own scope (crash/restore rows).
+        scopes = list(dict.fromkeys(["", *detectors]))
+        marks = ",".join(["?"] * len(scopes))
+        values = ",".join(["(?)"] * len(scopes))
+        state = dict(
+            self._sql(
+                f"WITH scope(detector) AS (VALUES {values}) "
+                "SELECT detector, (SELECT kind FROM transitions "
+                "WHERE endpoint = ? AND detector = scope.detector AND t <= ? "
+                "ORDER BY t DESC, rowid DESC LIMIT 1) FROM scope",
+                (*scopes, endpoint, start),
+            )
         )
+        inside: Dict[str, List[Tuple[float, int, str]]] = {
+            scope: [] for scope in scopes
+        }
+        for scope, kind, t in self._sql(
+            "SELECT detector, kind, t FROM transitions "
+            f"WHERE endpoint = ? AND detector IN ({marks}) "
+            "AND t > ? AND t <= ? ORDER BY t, rowid",
+            (endpoint, *scopes, start, end),
+        ):
+            inside[scope].append((t, _KIND_RANK[kind], kind))
+        outages = inside.pop("")
+        crashed = state.get("") == "crash"
+        windows = []
+        for detector in detectors:
+            accumulator = OnlineQosAccumulator(detector, start_time=start)
+            if crashed:
+                accumulator.observe_crash(start)
+            if state.get(detector) == "suspect":
+                accumulator.observe_suspect(start)
+            replay = inside.get(detector, [])
+            if outages:
+                # Both lists are in (t, rowid) order and share no rank, so
+                # the stable sort by (t, rank) is the same-instant rule.
+                replay = sorted(outages + replay, key=_TIME_AND_RANK)
+            for t, _, kind in replay:
+                if kind == "suspect":
+                    accumulator.observe_suspect(t)
+                elif kind == "trust":
+                    accumulator.observe_trust(t)
+                elif kind == "crash":
+                    accumulator.observe_crash(t)
+                else:
+                    accumulator.observe_restore(t)
+            windows.append(
+                QosWindow(
+                    endpoint=endpoint,
+                    detector=detector,
+                    start=start,
+                    end=end,
+                    qos=accumulator.snapshot(end),
+                )
+            )
+        return windows
 
     def query_many(
         self,
@@ -466,8 +496,7 @@ class WindowedQosStore:
             detector_ids = (
                 [detector] if detector is not None else self.detectors(name)
             )
-            for detector_id in detector_ids:
-                windows.append(self.query(name, detector_id, start, end))
+            windows.extend(self.query_endpoint(name, detector_ids, start, end))
         return windows
 
     def snapshots(
@@ -479,7 +508,7 @@ class WindowedQosStore:
         end: float = float("inf"),
     ) -> List[Tuple[float, DetectorQos]]:
         """Persisted cumulative snapshots in ``[start, end]``, by time."""
-        self.flush()
+        self._flush_pending()
         rows = self._sql(
             "SELECT t, qos FROM snapshots "
             "WHERE endpoint = ? AND detector = ? AND t >= ? AND t <= ? "

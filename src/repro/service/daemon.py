@@ -672,10 +672,8 @@ class MonitorDaemon:
                 continue
             ids = [d for d in detector_ids if d in monitor.accumulators]
             endpoints[name] = {
-                detector_id: history.query(
-                    name, detector_id, start, end
-                ).to_dict()
-                for detector_id in ids
+                window.detector: window.to_dict()
+                for window in history.query_endpoint(name, ids, start, end)
             }
         return {
             "window_seconds": float(window),

@@ -463,9 +463,17 @@ class IncrementalExporter:
             )
             lines.append(f"fd_obs_trace_evicted_total {stats['evicted_total']}")
             header(
+                "fd_obs_trace_write_errors_total",
+                "counter",
+                "Failed JSONL writes (the recorder went ring-only)",
+            )
+            lines.append(
+                f"fd_obs_trace_write_errors_total {stats['write_errors_total']}"
+            )
+            header(
                 "fd_obs_trace_overhead_seconds_total",
                 "counter",
-                "Wall-clock seconds spent inside TraceRecorder.emit",
+                "Wall-clock seconds spent inside TraceRecorder emission",
             )
             lines.append(
                 "fd_obs_trace_overhead_seconds_total "

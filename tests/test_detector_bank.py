@@ -85,10 +85,10 @@ class Observed:
     """Everything one run of one stack lets an observer see."""
 
     def __init__(self, build, ids, arrivals, *, until, observe_stale=True,
-                 offset=0.0, drift=0.0):
+                 offset=0.0, drift=0.0, trace_path=None):
         self.sim = Simulator()
         self.event_log = EventLog()
-        self.tracer = TraceRecorder(ring_capacity=1_000_000)
+        self.tracer = TraceRecorder(trace_path, ring_capacity=1_000_000)
         self.hook_calls = []
         self.uppers = build(
             ids, self.event_log, self._hook, self.tracer, observe_stale
@@ -253,6 +253,44 @@ class TestTies:
         assert ci_rows in by_time.values()
         assert sorted(len(rows) for rows in by_time.values()) == [5, 5, 5, 15]
         assert fused.sim.events_processed == 1 + 30
+
+    def test_rows_trusting_in_the_middle_of_the_bank_keep_the_span_order(
+        self, tmp_path
+    ):
+        """The bank hands its ``freshness`` spans over in batches, cut
+        before every ``trust``.  While a late heartbeat is awaited the tight
+        rows suspect and the loose ones keep trusting, so its arrival
+        brings trusts scattered through the bank: ring and JSONL file must
+        still read as thirty detectors emitting one span at a time."""
+        delays = [0.21, 0.35, 0.18, 0.27, 0.4, 0.22, 0.31, 0.25, 0.2, 0.3, 0.45, 0.25]
+        arrivals = [(seq * ETA + delay, seq) for seq, delay in enumerate(delays)]
+        paths = {name: str(tmp_path / f"{name}.jsonl") for name in ("scalar", "fused")}
+        scalar = Observed(
+            scalar_uppers, ALL_IDS, arrivals, until=12.9, trace_path=paths["scalar"]
+        )
+        fused = Observed(
+            fused_uppers, ALL_IDS, arrivals, until=12.9, trace_path=paths["fused"]
+        )
+        assert fused.spans == scalar.spans
+        late = [
+            s for s in fused.spans
+            if s["seq"] == 10 and s["kind"] in ("trust", "freshness")
+        ]
+        trusting = [ALL_IDS.index(s["detector"]) for s in late if s["kind"] == "trust"]
+        # Neither a prefix of the bank nor all of it: several segments.
+        assert 1 < len(trusting) < 30
+        assert trusting != list(range(len(trusting)))
+        expected = []
+        for row, detector_id in enumerate(ALL_IDS):
+            if row in trusting:
+                expected.append(("trust", detector_id))
+            expected.append(("freshness", detector_id))
+        assert [(s["kind"], s["detector"]) for s in late] == expected
+        for observed in (scalar, fused):
+            observed.tracer.close()
+        with open(paths["scalar"], "rb") as one, open(paths["fused"], "rb") as other:
+            assert one.read() == other.read()
+        assert fused.tracer.bytes_total == scalar.tracer.bytes_total
 
     def test_mean_equals_winmean_for_the_first_ten_observations(self):
         arrivals = [(seq * ETA + delay, seq) for seq, delay in enumerate(

@@ -129,6 +129,7 @@ class TestContractDrift:
     def test_span_kind_drift(self):
         messages = [f.message for f in self.run().findings]
         assert any("mystery-kind" in m for m in messages)
+        assert any("mystery-batch-kind" in m for m in messages)
         assert not any("'known-kind'" in m for m in messages)
 
     def test_cli_surface_drift(self):

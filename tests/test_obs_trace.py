@@ -8,8 +8,13 @@ numbers.
 """
 
 import json
+import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fd.combinations import make_strategy
 from repro.fd.detector import PushFailureDetector
@@ -20,6 +25,7 @@ from repro.neko.layer import ProtocolStack
 from repro.neko.system import NekoSystem
 from repro.net.delay import ConstantDelay
 from repro.obs import TraceEvent, TraceRecorder
+from repro.obs.analyze import rotated_paths
 
 pytestmark = pytest.mark.obs
 
@@ -196,6 +202,207 @@ class TestTraceRecorderFile:
         assert stats["ring_capacity"] == 8
         assert stats["path"] is None
         assert stats["overhead_seconds"] >= 0.0
+
+
+def _freshness_rows(count, width=0):
+    return [
+        (f"fd{i:03d}" + "x" * width, None, 0.25 + i * 1e-3, 10.0 + i * 1e-3)
+        for i in range(count)
+    ]
+
+
+# Names off the wire are arbitrary text; numeric fields arrive as Python
+# or numpy scalars, finite or not.
+NAMES = st.text(max_size=12)
+NUMBERS = st.one_of(
+    st.integers(min_value=-(2**53), max_value=2**53),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 1e-320]),
+)
+OPTIONAL_NUMBERS = st.one_of(st.none(), NUMBERS)
+ROWS = st.lists(
+    st.tuples(NAMES, OPTIONAL_NUMBERS, OPTIONAL_NUMBERS, OPTIONAL_NUMBERS),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestLineBytes:
+    """The recorder formats its lines itself; what it writes is still,
+    byte for byte, the compact ``json.dumps`` of the public record."""
+
+    @given(
+        t=NUMBERS,
+        kind=NAMES,
+        endpoint=NAMES,
+        seq=st.integers(min_value=-3, max_value=2**40),
+        rows=ROWS,
+        batched=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lines_equal_json_dumps_of_the_event(
+        self, t, kind, endpoint, seq, rows, batched
+    ):
+        events = [
+            TraceEvent(t, kind, endpoint, detector, seq, delay, timeout, deadline)
+            for detector, delay, timeout, deadline in rows
+        ]
+        expected = "".join(
+            json.dumps(event.to_dict(), separators=(",", ":")) + "\n"
+            for event in events
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "trace.jsonl")
+            recorder = TraceRecorder(path)
+            if batched:
+                recorder.emit_batch(t, kind, endpoint, rows, seq=seq)
+            else:
+                for detector, delay, timeout, deadline in rows:
+                    recorder.emit(
+                        t, kind, endpoint, detector=detector, seq=seq,
+                        delay=delay, timeout=timeout, deadline=deadline,
+                    )
+            recorder.close()
+            with open(path, "rb") as handle:
+                written = handle.read()
+        assert written == expected.encode("utf-8")
+        assert recorder.bytes_total == len(written)
+        assert recorder.events_total == len(rows)
+        # NaN is not equal to itself: compare the tail by its spelling.
+        assert json.dumps(recorder.tail(len(rows))) == json.dumps(
+            [event.to_dict() for event in events]
+        )
+
+
+class TestBatchAccounting:
+    """One eviction count, one write and one rotation check per batch
+    must leave the counters where one ``emit`` per row leaves them."""
+
+    @pytest.mark.parametrize("before, batch", [(3, 4), (0, 5), (5, 5), (2, 13), (5, 1)])
+    def test_batch_crossing_the_ring_counts_evictions_exactly(self, before, batch):
+        batched = TraceRecorder(ring_capacity=5)
+        single = TraceRecorder(ring_capacity=5)
+        rows = _freshness_rows(batch)
+        for recorder in (batched, single):
+            for i in range(before):
+                recorder.emit(float(i), "send", "q", seq=i)
+        batched.emit_batch(9.0, "freshness", "q", rows, seq=7)
+        for detector, delay, timeout, deadline in rows:
+            single.emit(
+                9.0, "freshness", "q", detector=detector, seq=7,
+                delay=delay, timeout=timeout, deadline=deadline,
+            )
+        assert batched.evicted_total == single.evicted_total == max(0, before + batch - 5)
+        assert batched.events_total == single.events_total == before + batch
+        assert batched.tail(5) == single.tail(5)
+        assert len(batched) == min(5, before + batch)
+
+    def test_batch_crossing_max_bytes_rotates_and_counts_every_byte(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        recorder = TraceRecorder(path, max_bytes=4096, backups=8)
+        rows = _freshness_rows(30, width=40)
+        for seq in range(4):
+            recorder.emit_batch(float(seq), "freshness", "q", rows, seq=seq)
+        recorder.close()
+        # A batch is ~3.9 kB: the check after each one rotates.
+        assert recorder.rotations_total >= 3
+        generations = rotated_paths(path)
+        assert recorder.bytes_total == sum(os.path.getsize(g) for g in generations)
+        records = [
+            json.loads(line)
+            for generation in generations
+            for line in open(generation, encoding="utf-8")
+        ]
+        assert [(r["seq"], r["detector"]) for r in records] == [
+            (seq, row[0]) for seq in range(4) for row in rows
+        ]
+
+    def test_emit_batch_after_close_is_a_noop(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        recorder = TraceRecorder(str(path))
+        recorder.emit_batch(0.0, "freshness", "q", _freshness_rows(3), seq=0)
+        recorder.close()
+        recorder.emit_batch(1.0, "freshness", "q", _freshness_rows(3), seq=1)
+        assert recorder.events_total == 3
+        assert len(recorder) == 3
+        assert len(path.read_text().splitlines()) == 3
+
+    def test_empty_batch_records_nothing(self, tmp_path):
+        recorder = TraceRecorder(str(tmp_path / "trace.jsonl"))
+        recorder.emit_batch(0.0, "freshness", "q", [], seq=0)
+        recorder.close()
+        assert recorder.events_total == 0 and recorder.bytes_total == 0
+
+
+class _FullDisk:
+    """A sink whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def close(self):
+        raise OSError(28, "No space left on device")
+
+
+class TestWriteErrors:
+    def test_failing_sink_drops_to_ring_only_and_is_counted(self, tmp_path):
+        recorder = TraceRecorder(str(tmp_path / "trace.jsonl"), ring_capacity=16)
+        recorder.emit(0.0, "send", "q", seq=0)
+        written = recorder.bytes_total
+        recorder._file.close()
+        recorder._file = _FullDisk()
+        recorder.emit(1.0, "send", "q", seq=1)  # must not raise
+        recorder.emit_batch(2.0, "freshness", "q", _freshness_rows(3), seq=1)
+        assert recorder.write_errors_total == 1  # ring-only after the first
+        assert recorder.stats()["write_errors_total"] == 1
+        assert recorder.bytes_total == written
+        assert recorder.events_total == 5
+        assert [e["kind"] for e in recorder.tail()] == ["send", "send"] + ["freshness"] * 3
+        recorder.close()
+
+    def test_rotation_into_a_vanished_directory_is_a_write_error(self, tmp_path):
+        directory = tmp_path / "logs"
+        directory.mkdir()
+        recorder = TraceRecorder(str(directory / "trace.jsonl"), max_bytes=4096)
+        os.rename(directory, tmp_path / "rotated-away")
+        for seq in range(3):  # the open file still takes writes; rotation cannot
+            recorder.emit_batch(float(seq), "freshness", "q", _freshness_rows(30, 40), seq=seq)
+        assert recorder.write_errors_total == 1
+        assert recorder.events_total == 90
+        recorder.close()
+
+    def test_daemon_keeps_dispatching_and_exports_the_count(self, tmp_path):
+        import asyncio
+
+        from repro.net.message import Datagram
+        from repro.service import MonitorDaemon
+
+        async def main():
+            tracer = TraceRecorder(str(tmp_path / "trace.jsonl"))
+            daemon = MonitorDaemon(port=0, http_port=None, eta=0.5, tracer=tracer)
+            await daemon.start()
+            try:
+                tracer._file.close()
+                tracer._file = _FullDisk()
+                for seq in range(2):
+                    daemon.dispatch(
+                        Datagram(
+                            source="ep", destination="monitor", kind="heartbeat",
+                            seq=seq, timestamp=daemon.scheduler.now,
+                        )
+                    )
+                assert daemon.heartbeats_total == 2
+                tail = daemon.trace_tail(100)
+                assert tail["recorder"]["write_errors_total"] == 1
+                assert {e["kind"] for e in tail["events"]} == {
+                    "receive", "fanout", "freshness"
+                }
+                assert "fd_obs_trace_write_errors_total 1" in daemon.metrics_text()
+            finally:
+                await daemon.stop()
+
+        asyncio.run(asyncio.wait_for(main(), timeout=10.0))
 
 
 def _traced_scenario(sim, event_log, tracer, *, crash_schedule=()):

@@ -378,6 +378,103 @@ def test_window_query_equals_batch_extraction(
         store.close()
 
 
+# ----------------------------------------------------------------------
+# One endpoint, all its detectors: query_endpoint against query
+# ----------------------------------------------------------------------
+BANK = ["fd0", "fd1", "fd2"]
+#: ``""`` is the endpoint itself (crash/restore), the rest its detectors.
+ACTOR = st.sampled_from(["", *BANK])
+
+
+def _legal_stream(actors, flips, gaps, scale):
+    """``(actor, kind, t)`` rows obeying every state machine; a gap of
+    zero puts consecutive rows on the same instant.  A restore is never
+    on its crash's instant: the replay puts a restore *before* a crash
+    of the same instant, so that stream would not be legal."""
+    state = dict.fromkeys(["", *BANK], False)
+    rows = []
+    t = 0
+    crashed_at = None
+    for actor, flip, gap in zip(actors, flips, gaps):
+        if not flip:
+            continue
+        t += gap
+        if not actor:
+            if state[actor] and crashed_at == t:
+                t += 1
+            crashed_at = t
+        state[actor] = not state[actor]
+        if actor:
+            kind = "suspect" if state[actor] else "trust"
+        else:
+            kind = "crash" if state[actor] else "restore"
+        rows.append((actor, kind, t * scale))
+    return rows, t * scale
+
+
+def _store_with(rows, flush_every, failures):
+    store = WindowedQosStore(flush_every=flush_every)
+    for actor, kind, t in rows:
+        store.record_transition(ENDPOINT, actor, kind, t)
+    store.inject_sqlite_failures(failures)
+    return store
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    actors=st.lists(ACTOR, max_size=60),
+    flips=st.lists(st.booleans(), min_size=60, max_size=60),
+    gaps=st.lists(st.integers(min_value=0, max_value=3), min_size=60, max_size=60),
+    scale=SCALE,
+    fractions=st.tuples(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    flush_every=st.sampled_from([1, 4, 7, 1000]),
+    failures=st.sampled_from([0, 0, 1, 2, 3]),
+    asked=st.permutations([*BANK, "ghost"]),
+)
+def test_endpoint_query_equals_one_query_per_detector(
+    actors, flips, gaps, scale, fractions, flush_every, failures, asked
+):
+    """``query_endpoint`` answers every detector from two statements;
+    each answer must be, field for field, what ``query`` gives for that
+    detector alone — with same-instant rows, a window that starts inside
+    a suspicion or an outage, rows still buffered when the read comes
+    (``flush_every``), a detector without history (``ghost``), and sqlite
+    failing under the read (the degraded store still answers, and both
+    ways of asking see the same degraded store)."""
+    rows, total = _legal_stream(actors, flips, gaps, scale)
+    start, end = sorted(fraction * (total + scale) for fraction in fractions)
+    together = _store_with(rows, flush_every, failures)
+    one_by_one = _store_with(rows, flush_every, failures)
+    try:
+        windows = together.query_endpoint(ENDPOINT, asked, start, end)
+        singles = [one_by_one.query(ENDPOINT, d, start, end) for d in asked]
+        assert [w.detector for w in windows] == list(asked)
+        assert windows == singles
+        assert [w.to_dict() for w in windows] == [w.to_dict() for w in singles]
+        assert together.degraded == one_by_one.degraded == (failures > 0)
+        assert together.stats()["pending"] == 0
+    finally:
+        together.close()
+        one_by_one.close()
+
+
+def test_read_with_nothing_buffered_does_not_commit():
+    store = WindowedQosStore()
+    commits = []
+    commit = store._commit
+    store._commit = lambda: (commits.append(1), commit())
+    store.record_suspect(ENDPOINT, DETECTOR, 1.0)
+    store.query(ENDPOINT, DETECTOR, 0.0, 2.0)  # inserts the buffered row
+    assert len(commits) == 1 and store.flushes_total == 1
+    store.query_endpoint(ENDPOINT, [DETECTOR], 0.0, 2.0)
+    store.endpoints(), store.detectors(ENDPOINT), store.latest_time()
+    assert len(commits) == 1 and store.flushes_total == 1
+    store.close()
+
+
 class TestQosHistoryCli:
     def _populate(self, path):
         store = WindowedQosStore(path)
