@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from repro.fd.combinations import make_predictor
-from repro.net.delay import MultiScaleWanDelay
+from repro.net.delay import MultiScaleWanDelay, SpikeTier
 from repro.timeseries.base import evaluate_forecaster
 
 PREDICTORS = ("Arima", "Last", "LPF", "Mean", "WinMean")
@@ -44,11 +44,9 @@ def synthesize(n, seed, white_var_ms2, epoch_ms, dwell_low, dwell_high,
         telegraph_dwell_high=dwell_high,
         slow_std=0.0015,
         slow_tau=3000.0,
-        spike_probability=spike_rate,
-        spike_min=spike_lo_ms * 1e-3,
-        spike_max=spike_hi_ms * 1e-3,
-        spike_run=2,
-        spike_decay=0.5,
+        spike_tiers=[
+            SpikeTier(spike_rate, spike_lo_ms * 1e-3, spike_hi_ms * 1e-3, run=2)
+        ],
     )
     return np.array([model.sample(float(i)) for i in range(n)])
 

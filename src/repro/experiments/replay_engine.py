@@ -15,8 +15,10 @@ of a repetition — the delay/loss trace the WAN profile produces — is
 2. :func:`run_qos_replay` replays all requested combinations over it with
    :func:`~repro.fd.replay.replay_detector_matrix` — one arrival/freshness
    resolution, one prediction pass per predictor family (the batched
-   ARIMA included), thirty O(n) margin/interval passes — and packages the
-   result as a :class:`~repro.experiments.runner.QosRunSummary`
+   ARIMA included), six unit margin states (one moment pass for every
+   ``SM_CI`` row, one deviation pass per predictor for its ``SM_JAC``
+   rows), then a scale and the interval algebra per row — and packages
+   the result as a :class:`~repro.experiments.runner.QosRunSummary`
    interchangeable with the simulator path's, so ``aggregate_runs``,
    sweeps, stores and figures work unchanged;
 3. :func:`run_repetitions_replay` shards repetitions across the existing
@@ -121,13 +123,13 @@ def synthesize_heartbeat_trace(config: ExperimentConfig) -> HeartbeatTrace:
     send_times = np.arange(count) * config.eta
     delays = np.full(count, np.nan)
     lost = np.zeros(count, dtype=bool)
-    sends = send_times.tolist()
-    for index in range(count):
-        now = sends[index]
-        if loss_model.drops(now):
+    drops = loss_model.drops
+    sample = delay_model.sample
+    for index, now in enumerate(send_times.tolist()):
+        if drops(now):
             lost[index] = True
         else:
-            delays[index] = delay_model.sample(now)
+            delays[index] = sample(now)
     if bool(np.all(lost)):
         raise ValueError("every heartbeat was lost; nothing to replay")
     return HeartbeatTrace(

@@ -315,7 +315,7 @@ def aggregate_runs(
         for detector_id, qos in result.qos.items():
             aggregate = pooled.setdefault(detector_id, AggregatedQos(detector_id))
             aggregate.td_samples.extend(qos.td_samples)
-            aggregate.tm_samples.extend(m.duration for m in qos.mistakes)
+            aggregate.tm_samples.extend([end - start for start, end in qos.mistakes])
             aggregate.tmr_samples.extend(qos.tmr_samples)
             aggregate.undetected_crashes += qos.undetected_crashes
             aggregate.up_time += qos.up_time

@@ -30,6 +30,15 @@ with NumPy:
   operations, and only the MA innovation feedback remains a seeded O(n)
   float recurrence — so all 30 paper combinations replay vectorized.
 
+The 5 × 6 matrix shares its state the way
+:class:`~repro.fd.bank.DetectorBank` does: :func:`replay_detector_matrix`
+runs one prediction pass per predictor and one *unit* margin state per
+family member — one pair of running moments serves every ``SM_CI`` row
+(the margin ignores the prediction), one ``|x − prediction in force|``
+EWMA per predictor serves its ``SM_JAC`` rows — and a row is that state
+times its γ or φ.  :func:`replay_margins` is the one-row case of the same
+two helpers.
+
 :func:`replay_strategy` matches the per-observation
 :class:`~repro.fd.timeout.TimeoutStrategy` classes to float tolerance
 (``tests/test_replay.py`` proves it against both the scalar classes and a
@@ -39,10 +48,6 @@ needs the event-driven engine — the replay models a crash-free monitored
 process, which is exactly the offline predictor/margin evaluation
 workload (and the ``engine="replay"`` campaign mode of
 :mod:`repro.experiments.replay_engine`).
-
-NumPy is a declared dependency, but the import is guarded so that the
-scalar helpers (:func:`replay_strategy_scalar`,
-:func:`replay_detector_scalar`) keep working without it.
 """
 
 from __future__ import annotations
@@ -50,10 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-try:  # guarded: the scalar reference path must work without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.fd.combinations import (
     ARIMA_ORDER,
@@ -135,14 +137,6 @@ def supports_replay(
     return True
 
 
-def _require_numpy() -> None:
-    if np is None:
-        raise RuntimeError(
-            "the vectorized replay fast path requires numpy (a declared "
-            "dependency); install it or use replay_strategy_scalar()"
-        )
-
-
 def _seeded_ewma(values: "np.ndarray", gain: float) -> "np.ndarray":
     """``out[0] = v[0]; out[k] = out[k-1] + gain*(v[k] - out[k-1])``.
 
@@ -180,7 +174,6 @@ def replay_predictions(
     ``observations[: k + 1]`` — the forecast the detector arms its next
     freshness point with.
     """
-    _require_numpy()
     x = np.asarray(observations, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("observations must be a non-empty 1-D array")
@@ -220,6 +213,60 @@ def replay_predictions(
     )
 
 
+def _unit_margin_state(
+    family: str,
+    x: "np.ndarray",
+    predictions: "np.ndarray",
+    initial_prediction: float,
+    alpha: float,
+):
+    """The level-free state every margin of one family member scales.
+
+    ``"CI"``: the ``(sigma, sqrt(inflation), m2 == 0)`` triple of the
+    running moments — independent of the prediction, so one serves every
+    ``SM_CI`` row of a trace.  ``"JAC"``: the Jacobson mean deviation of
+    ``|x − prediction in force|`` — one per predictor.
+    """
+    if family == "CI":
+        counts = np.arange(1, x.size + 1, dtype=float)
+        # Shift by the overall mean before accumulating moments: the
+        # cumulative sums then cancel benignly and the running variance
+        # matches the scalar Welford accumulator to ~1e-15 relative.
+        shift = float(np.mean(x))
+        xs = x - shift
+        cs = np.cumsum(xs)
+        running_mean = cs / counts
+        m2 = np.maximum(np.cumsum(xs * xs) - cs * running_mean, 0.0)
+        deviation = xs - running_mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigma = np.sqrt(m2 / (counts - 1.0))
+            root = np.sqrt(1.0 + 1.0 / counts + (deviation * deviation) / m2)
+        return sigma, root, m2 == 0.0
+    if predictions.shape != x.shape:
+        raise ValueError("predictions must align with observations")
+    in_force = np.concatenate(([float(initial_prediction)], predictions[:-1]))
+    return _seeded_ewma(np.abs(x - in_force), alpha)
+
+
+def _scale_margin(
+    family: str, level: float, state, initial_margin: float
+) -> "np.ndarray":
+    """One margin row: the unit state times its γ or φ.
+
+    Multiplied left to right, as
+    :meth:`~repro.fd.safety.ConfidenceIntervalMargin.current` and
+    ``DetectorBank._derive_timeouts`` do, so the floats are theirs.
+    """
+    if family == "JAC":
+        return level * state
+    sigma, root, degenerate = state
+    with np.errstate(invalid="ignore"):
+        out = level * sigma * root
+    out[degenerate] = 0.0  # sigma == 0 -> margin 0, as in the scalar class
+    out[0] = initial_margin  # fewer than two observations
+    return out
+
+
 def replay_margins(
     margin_name: MarginSpec,
     observations: "np.ndarray",
@@ -238,40 +285,14 @@ def replay_margins(
     may also be an explicit ``("CI", gamma)`` / ``("JAC", phi)`` pair,
     which is how the continuous margin-level sweeps ride the fast path.
     """
-    _require_numpy()
     x = np.asarray(observations, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("observations must be a non-empty 1-D array")
-    n = x.size
     family, level, _ = _resolve_margin_spec(margin_name)
-    if family == "CI":
-        gamma = level
-        counts = np.arange(1, n + 1, dtype=float)
-        # Shift by the overall mean before accumulating moments: the
-        # cumulative sums then cancel benignly and the running variance
-        # matches the scalar Welford accumulator to ~1e-15 relative.
-        shift = float(np.mean(x))
-        xs = x - shift
-        cs = np.cumsum(xs)
-        running_mean = cs / counts
-        m2 = np.maximum(np.cumsum(xs * xs) - cs * running_mean, 0.0)
-        deviation = xs - running_mean
-        out = np.empty(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sigma = np.sqrt(m2 / (counts - 1.0))
-            inflation = 1.0 + 1.0 / counts + (deviation * deviation) / m2
-            out = gamma * sigma * np.sqrt(inflation)
-        out[m2 == 0.0] = 0.0  # sigma == 0 -> margin 0, as in the scalar class
-        if n >= 1:
-            out[0] = initial_margin  # fewer than two observations
-        return out
-    phi = level
-    predictions = np.asarray(predictions, dtype=float)
-    if predictions.shape != x.shape:
-        raise ValueError("predictions must align with observations")
-    in_force = np.concatenate(([float(initial_prediction)], predictions[:-1]))
-    errors = np.abs(x - in_force)
-    return phi * _seeded_ewma(errors, alpha)
+    state = _unit_margin_state(
+        family, x, np.asarray(predictions, dtype=float), initial_prediction, alpha
+    )
+    return _scale_margin(family, level, state, initial_margin)
 
 
 @dataclass(frozen=True)
@@ -301,7 +322,6 @@ def replay_strategy(
     """Vectorized equivalent of feeding every observation to a
     :class:`~repro.fd.timeout.TimeoutStrategy` built by
     :func:`~repro.fd.combinations.make_strategy`."""
-    _require_numpy()
     x = np.asarray(observations, dtype=float)
     predictions = replay_predictions(predictor_name, x)
     margins = replay_margins(
@@ -452,7 +472,6 @@ def trace_view(
     ``end_time`` are outside the replayed horizon, exactly as events past
     ``run(until=...)`` never fire.
     """
-    _require_numpy()
     if eta <= 0:
         raise ValueError(f"eta must be > 0, got {eta!r}")
     sends = np.asarray(send_times, dtype=float)
@@ -495,6 +514,7 @@ def trace_view(
             initial_timeout=float(initial_timeout),
             arrival_times=np.empty(0),
             sequence_numbers=np.empty(0, dtype=int),
+            sigma=np.empty(0),
             fresh=np.empty(0, dtype=bool),
             observations=np.empty(0),
             fresh_observation_index=np.empty(0, dtype=int),
@@ -645,12 +665,12 @@ def replay_detector_matrix(
 
     The arrival/freshness resolution is computed once, and the prediction
     sequence once per predictor *family* (the expensive ARIMA batch runs
-    a single time however many ``Arima+*`` margins are requested) — the
-    full 30-combination paper matrix costs five prediction passes plus
-    thirty O(n) margin/interval passes.  Returns replays keyed by id, in
-    input order.
+    a single time however many ``Arima+*`` margins are requested) and each
+    unit margin state once — the full 30-combination paper matrix costs
+    five prediction passes, one moment pass and five deviation passes;
+    what is left per row is a scale, a clamp and the interval algebra.
+    Returns replays keyed by id, in input order.
     """
-    _require_numpy()
     combos = [parse_combination_id(detector_id) for detector_id in detector_ids]
     view = trace_view(
         send_times,
@@ -668,19 +688,23 @@ def replay_detector_matrix(
                 view, detector_id, np.empty(0)
             )
         return results
-    predictions_by_family: Dict[str, "np.ndarray"] = {}
+    x = view.observations
+    predictions_of: Dict[str, "np.ndarray"] = {}
+    # Unit margin states of this call, keyed "CI" / ("JAC", predictor).
+    states: Dict[object, object] = {}
     for detector_id, (predictor_name, margin_name) in zip(detector_ids, combos):
-        predictions = predictions_by_family.get(predictor_name)
+        predictions = predictions_of.get(predictor_name)
         if predictions is None:
-            predictions = replay_predictions(predictor_name, view.observations)
-            predictions_by_family[predictor_name] = predictions
-        margins = replay_margins(
-            margin_name,
-            view.observations,
-            predictions,
-            initial_prediction=initial_prediction,
-            initial_margin=initial_margin,
-        )
+            predictions = replay_predictions(predictor_name, x)
+            predictions_of[predictor_name] = predictions
+        family, level, _ = _resolve_margin_spec(margin_name)
+        key = family if family == "CI" else (family, predictor_name)
+        state = states.get(key)
+        if state is None:
+            state = states[key] = _unit_margin_state(
+                family, x, predictions, initial_prediction, JACOBSON_ALPHA
+            )
+        margins = _scale_margin(family, level, state, initial_margin)
         timeouts = np.maximum(0.0, predictions + margins)
         results[detector_id] = replay_view_with_timeouts(
             view, detector_id, timeouts

@@ -26,12 +26,9 @@ All computation is done on the event log alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-try:  # guarded: the event-log path works without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.log import EventLog
@@ -40,9 +37,12 @@ from repro.nekostat.stats import SummaryStats, summarize
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class MistakeInterval:
-    """One mistake: an erroneous suspicion and its correction."""
+class MistakeInterval(NamedTuple):
+    """One mistake: an erroneous suspicion and its correction.
+
+    A tuple, so a run's thousands of mistakes are built by one C-level
+    ``map`` over the interval arrays and pooled by unpacking.
+    """
 
     start: float
     end: float
@@ -88,7 +88,7 @@ class DetectorQos:
         """Summary of mistake durations, or ``None`` if mistake-free."""
         if not self.mistakes:
             return None
-        return summarize([mistake.duration for mistake in self.mistakes])
+        return summarize([end - start for start, end in self.mistakes])
 
     @property
     def t_mr(self) -> Optional[SummaryStats]:
@@ -135,41 +135,44 @@ class DetectorQos:
         return len(self.mistakes) / self.up_time
 
 
-def _suspicion_intervals(
-    events: Sequence[StatEvent], detector: str, end_time: float
-) -> List[Tuple[float, float]]:
-    """Maximal [start, end) suspicion intervals for one detector."""
-    intervals: List[Tuple[float, float]] = []
-    open_start: Optional[float] = None
+def _suspicion_intervals_by_detector(
+    events: Iterable[StatEvent], detectors: Sequence[str], end_time: float
+) -> Dict[str, List[Tuple[float, float]]]:
+    """Maximal [start, end) suspicion intervals of each detector, from one
+    pass over the log; an id that never appears keeps an empty list."""
+    intervals: Dict[str, List[Tuple[float, float]]] = {
+        detector: [] for detector in detectors
+    }
+    open_starts: Dict[str, float] = {}
     for event in events:
-        if event.detector != detector:
+        detector = event.detector
+        found = intervals.get(detector)  # type: ignore[arg-type]
+        if found is None:
             continue
         if event.kind is EventKind.START_SUSPECT:
-            if open_start is not None:
+            if detector in open_starts:
                 raise ValueError(
                     f"detector {detector!r}: StartSuspect while already suspecting "
                     f"at t={event.time:.6f}"
                 )
-            open_start = event.time
+            open_starts[detector] = event.time
         elif event.kind is EventKind.END_SUSPECT:
-            if open_start is None:
+            if detector not in open_starts:
                 raise ValueError(
                     f"detector {detector!r}: EndSuspect without StartSuspect "
                     f"at t={event.time:.6f}"
                 )
-            intervals.append((open_start, event.time))
-            open_start = None
-    if open_start is not None:
-        intervals.append((open_start, max(open_start, end_time)))
+            found.append((open_starts.pop(detector), event.time))
+    for detector, open_start in open_starts.items():
+        intervals[detector].append((open_start, max(open_start, end_time)))
     return intervals
 
 
-def _is_up_at(t: float, crashes: Sequence[Tuple[float, float]]) -> bool:
-    """Whether the monitored process is up at instant ``t``."""
-    for crash_start, crash_end in crashes:
-        if crash_start - _EPS <= t < crash_end - _EPS:
-            return False
-    return True
+def _suspicion_intervals(
+    events: Sequence[StatEvent], detector: str, end_time: float
+) -> List[Tuple[float, float]]:
+    """Maximal [start, end) suspicion intervals for one detector."""
+    return _suspicion_intervals_by_detector(events, [detector], end_time)[detector]
 
 
 def _overlap(
@@ -205,7 +208,7 @@ def extract_qos(
     crashed_time = sum(end - start for start, end in crashes)
     up_windows = _up_windows(crashes, end_time)
     detector_ids = list(detectors) if detectors is not None else log.detectors()
-    events = list(log)
+    intervals_of = _suspicion_intervals_by_detector(log, detector_ids, end_time)
 
     results: Dict[str, DetectorQos] = {}
     for detector in detector_ids:
@@ -214,15 +217,20 @@ def extract_qos(
             observation_time=end_time,
             up_time=max(0.0, end_time - crashed_time),
         )
-        intervals = _suspicion_intervals(events, detector, end_time)
+        intervals = intervals_of[detector]
         permanent: set = set()
 
         # --- detection times -------------------------------------------
+        # Crashes and intervals are both time-ordered, so the intervals
+        # that ended before one crash ended before every later one: the
+        # search resumes where the previous crash's began.
+        first = 0
         for crash_start, crash_end in crashes:
             detection: Optional[Tuple[float, float]] = None
-            for index, (s, e) in enumerate(intervals):
-                if e < crash_start:
-                    continue
+            while first < len(intervals) and intervals[first][1] < crash_start:
+                first += 1
+            for index in range(first, len(intervals)):
+                s, e = intervals[index]
                 if s >= crash_end - _EPS:
                     break
                 if e >= crash_end - _EPS:
@@ -235,10 +243,18 @@ def extract_qos(
                 qos.td_samples.append(max(0.0, detection[0] - crash_start))
 
         # --- mistakes ----------------------------------------------------
+        # A suspicion raised while the process was up, i.e. outside every
+        # [crash, restore) window; the same sweep over two sorted lists.
+        crash_index = 0
         for index, (s, e) in enumerate(intervals):
             if index in permanent:
                 continue
-            if _is_up_at(s, crashes):
+            while (
+                crash_index < len(crashes)
+                and crashes[crash_index][1] - _EPS <= s
+            ):
+                crash_index += 1
+            if crash_index == len(crashes) or s < crashes[crash_index][0] - _EPS:
                 qos.mistakes.append(MistakeInterval(start=s, end=e))
 
         # --- recurrence --------------------------------------------------
@@ -302,11 +318,6 @@ def qos_from_suspicion_arrays(
     sample math stays in arrays until the final ``tolist()`` (lint rule
     FDL007 forbids per-element ``float()`` narrowing on this path).
     """
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise RuntimeError(
-            "qos_from_suspicion_arrays requires numpy (a declared "
-            "dependency); use extract_qos on an event log instead"
-        )
     starts = np.asarray(suspicion_starts, dtype=float)
     ends = np.asarray(suspicion_ends, dtype=float)
     if starts.shape != ends.shape or starts.ndim != 1:
@@ -320,10 +331,9 @@ def qos_from_suspicion_arrays(
         observation_time=float(end_time),
         up_time=float(end_time),
     )
-    qos.mistakes = [
-        MistakeInterval(start=start, end=end)
-        for start, end in zip(starts.tolist(), ends.tolist())
-    ]
+    qos.mistakes = list(
+        map(MistakeInterval._make, zip(starts.tolist(), ends.tolist()))
+    )
     qos.tmr_samples = np.diff(starts).tolist()
     qos.suspected_up_time = float(np.sum(ends - starts))
     return qos

@@ -23,6 +23,7 @@ from repro.net.delay import (
     MultiScaleWanDelay,
     ShiftedGammaDelay,
     SpikeOverlay,
+    SpikeTier,
     TelegraphDelay,
     TraceDelay,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "RouteFlappingDelay",
     "ShiftedGammaDelay",
     "SpikeOverlay",
+    "SpikeTier",
     "TelegraphDelay",
     "TraceDelay",
     "TraceRecorder",

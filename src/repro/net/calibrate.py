@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.delay import DelayModel, MultiScaleWanDelay
+from repro.net.delay import DelayModel, MultiScaleWanDelay, SpikeTier
 from repro.net.loss import BernoulliLoss, LossModel
 from repro.net.traces import DelayTrace
 from repro.net.wan import WanProfile
@@ -73,9 +73,14 @@ class CalibrationResult:
                 telegraph_dwell_high=self.telegraph_dwell_high,
                 slow_std=self.slow_std,
                 slow_tau=self.slow_tau,
-                spike_probability=self.spike_probability,
-                spike_min=self.spike_min,
-                spike_max=self.spike_max,
+                spike_tiers=[
+                    SpikeTier(
+                        self.spike_probability,
+                        self.spike_min,
+                        self.spike_max,
+                        run=3,
+                    )
+                ],
             )
 
         def loss_factory(rng: np.random.Generator) -> LossModel:

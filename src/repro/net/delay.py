@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -228,6 +229,46 @@ class TelegraphDelay(DelayModel):
         self._in_high = False
 
 
+@dataclass(frozen=True)
+class SpikeTier:
+    """The parameters of one spike process (see :class:`SpikeOverlay`)."""
+
+    probability: float
+    minimum: float
+    maximum: float
+    run: int = 1
+    decay: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.probability <= 1.0:
+            raise ValueError(
+                f"spike_probability must be in [0, 1], got {self.probability!r}"
+            )
+        if self.minimum < 0 or self.maximum < self.minimum:
+            raise ValueError(
+                f"need 0 <= spike_min <= spike_max, got {self.minimum!r}, {self.maximum!r}"
+            )
+        if self.run < 1:
+            raise ValueError(f"spike_run must be >= 1, got {self.run!r}")
+        if not 0.0 <= self.decay <= 1.0:
+            raise ValueError(f"decay must be in [0, 1], got {self.decay!r}")
+
+
+class _SpikeRun:
+    """One tier's parameters beside its running state, for the flat sampler."""
+
+    __slots__ = ("probability", "minimum", "span", "rest", "decay", "spike", "remaining")
+
+    def __init__(self, tier: SpikeTier) -> None:
+        self.probability = float(tier.probability)
+        self.minimum = float(tier.minimum)
+        self.span = float(tier.maximum) - self.minimum
+        self.rest = int(tier.run) - 1
+        self.decay = float(tier.decay)
+        self.spike = 0.0  # what the next covered datagram gets
+        self.remaining = 0  # datagrams the current spike still covers
+
+
 class MultiScaleWanDelay(DelayModel):
     """The calibrated multi-timescale WAN delay process.
 
@@ -241,14 +282,22 @@ class MultiScaleWanDelay(DelayModel):
     * ``telegraph`` — congestion epochs (:class:`TelegraphDelay`);
     * ``slow`` — an AR(1) level wandering over ~an hour (time-of-day
       drift);
-    * ``spikes`` — rare multi-packet delay excursions
-      (:class:`SpikeOverlay` semantics inlined: uniform amplitude, short
-      decaying run).
+    * ``spikes`` — rare multi-packet delay excursions, one process per
+      entry of ``spike_tiers`` (:class:`SpikeOverlay` semantics: uniform
+      amplitude, short decaying run).
 
     The mixture is what lets the reproduction exhibit the paper's
     predictor phenomenology: jitter penalises LAST, epochs penalise MEAN,
     spikes stress every safety margin, and the floor anchors the Table 4
     minimum.
+
+    :meth:`sample` is one flat method — every simulated datagram and every
+    replayed heartbeat pays it — that draws white, slow, telegraph and
+    then each tier in turn from the one generator: the draws, in the order,
+    of ``CompositeDelay([core with the first tier, SpikeOverlay(rng,
+    ConstantDelay(0.0), second tier), ...])`` built from the public
+    classes, which ``tests/test_delay_models.py`` holds it to sample for
+    sample and generator state for generator state.
     """
 
     def __init__(
@@ -263,37 +312,33 @@ class MultiScaleWanDelay(DelayModel):
         telegraph_dwell_high: float,
         slow_std: float,
         slow_tau: float,
-        spike_probability: float,
-        spike_min: float,
-        spike_max: float,
-        spike_run: int = 3,
-        spike_decay: float = 0.5,
+        spike_tiers: Sequence[SpikeTier] = (),
     ) -> None:
         if floor < 0 or base_queue < 0:
             raise ValueError("floor and base_queue must be >= 0")
         if min(white_std, slow_std) < 0 or slow_tau <= 0:
             raise ValueError("noise parameters must be >= 0 (tau > 0)")
-        self._rng = rng
+        # Validates the epoch parameters; its state is inlined below.
+        telegraph = TelegraphDelay(
+            rng, telegraph_high, telegraph_dwell_low, telegraph_dwell_high
+        )
+        self._draw = rng.random
+        self._normal = rng.standard_normal
         self._floor = float(floor)
         self._base = float(base_queue)
         self._white_std = float(white_std)
-        self._telegraph = TelegraphDelay(
-            rng, telegraph_high, telegraph_dwell_low, telegraph_dwell_high
-        )
+        self._high = float(telegraph_high)
+        self._duty_cycle = telegraph.duty_cycle()
+        self._p_low_to_high = 1.0 / float(telegraph_dwell_low)
+        self._p_high_to_low = 1.0 / float(telegraph_dwell_high)
+        self._in_high = False
         self._slow_phi = math.exp(-1.0 / float(slow_tau))
         self._slow_noise = float(slow_std) * math.sqrt(1.0 - self._slow_phi**2)
         self._slow = 0.0
-        self._spikes = None
-        if spike_probability > 0:
-            self._spikes = SpikeOverlay(
-                rng,
-                ConstantDelay(0.0),
-                spike_probability,
-                spike_min,
-                spike_max,
-                spike_run=spike_run,
-                decay=spike_decay,
-            )
+        # A tier that can never fire draws nothing, as in SpikeOverlay.
+        self._tiers = [
+            _SpikeRun(tier) for tier in spike_tiers if tier.probability > 0.0
+        ]
 
     @property
     def floor(self) -> float:
@@ -302,24 +347,41 @@ class MultiScaleWanDelay(DelayModel):
 
     def mean_queueing(self) -> float:
         """Expected queueing above the floor (ignoring clamping/spikes)."""
-        return self._base + self._telegraph._high * self._telegraph.duty_cycle()
+        return self._base + self._high * self._duty_cycle
 
     def sample(self, now: float) -> float:
-        white = self._rng.normal(0.0, self._white_std) if self._white_std else 0.0
-        self._slow = self._slow_phi * self._slow + (
-            self._rng.normal(0.0, self._slow_noise) if self._slow_noise else 0.0
-        )
-        queue = self._base + white + self._telegraph.sample(now) + self._slow
-        delay = self._floor + max(0.0, queue)
-        if self._spikes is not None:
-            delay += self._spikes.sample(now)
+        # rng.normal(0.0, s) is s * standard_normal() and rng.uniform(a, b)
+        # is a + (b - a) * random(), bit for bit.
+        draw = self._draw
+        white = self._white_std * self._normal() if self._white_std else 0.0
+        slow = self._slow_phi * self._slow
+        if self._slow_noise:
+            slow += self._slow_noise * self._normal()
+        self._slow = slow
+        if self._in_high:
+            if draw() < self._p_high_to_low:
+                self._in_high = False
+        elif draw() < self._p_low_to_high:
+            self._in_high = True
+        queue = self._base + white + (self._high if self._in_high else 0.0) + slow
+        delay = self._floor + (queue if queue > 0.0 else 0.0)
+        for tier in self._tiers:
+            if tier.remaining > 0:
+                tier.remaining -= 1
+            elif draw() < tier.probability:
+                tier.spike = tier.minimum + tier.span * draw()
+                tier.remaining = tier.rest
+            else:
+                continue
+            delay += tier.spike
+            tier.spike *= tier.decay
         return delay
 
     def reset(self) -> None:
-        self._telegraph.reset()
+        self._in_high = False
         self._slow = 0.0
-        if self._spikes is not None:
-            self._spikes.reset()
+        for tier in self._tiers:
+            tier.spike, tier.remaining = 0.0, 0
 
 
 class SpikeOverlay(DelayModel):
@@ -343,16 +405,7 @@ class SpikeOverlay(DelayModel):
         spike_run: int = 1,
         decay: float = 0.5,
     ) -> None:
-        if not 0.0 <= spike_probability <= 1.0:
-            raise ValueError(f"spike_probability must be in [0, 1], got {spike_probability!r}")
-        if spike_min < 0 or spike_max < spike_min:
-            raise ValueError(
-                f"need 0 <= spike_min <= spike_max, got {spike_min!r}, {spike_max!r}"
-            )
-        if spike_run < 1:
-            raise ValueError(f"spike_run must be >= 1, got {spike_run!r}")
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError(f"decay must be in [0, 1], got {decay!r}")
+        SpikeTier(spike_probability, spike_min, spike_max, spike_run, decay)  # validates
         self._rng = rng
         self._base = base
         self._p = float(spike_probability)
@@ -489,6 +542,7 @@ __all__ = [
     "MultiScaleWanDelay",
     "ShiftedGammaDelay",
     "SpikeOverlay",
+    "SpikeTier",
     "TelegraphDelay",
     "TraceDelay",
 ]

@@ -37,13 +37,12 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.net.delay import (
-    CompositeDelay,
-    ConstantDelay,
     DelayModel,
     LognormalDelay,
     MultiScaleWanDelay,
     ShiftedGammaDelay,
     SpikeOverlay,
+    SpikeTier,
 )
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 from repro.sim.random import RandomStreams
@@ -98,7 +97,11 @@ def italy_japan_profile(
         # |error| profile) and rare large spikes (the 330 ms maxima).
         # Measured over 100 000 sends: mean ~201 ms, sigma ~6.7 ms,
         # min 192 ms, max ~320-335 ms.
-        core = MultiScaleWanDelay(
+        tiers = [
+            SpikeTier(3e-3, 0.030, 0.080, run=2, decay=0.5),
+            SpikeTier(3e-5, 0.090, 0.130, run=3, decay=0.5),
+        ]
+        return MultiScaleWanDelay(
             rng,
             floor=0.192,  # Table 4 minimum
             base_queue=0.006,
@@ -108,24 +111,8 @@ def italy_japan_profile(
             telegraph_dwell_high=11.0,
             slow_std=0.0015,
             slow_tau=3000.0,
-            spike_probability=3e-3 if spikes else 0.0,
-            spike_min=0.030,
-            spike_max=0.080,
-            spike_run=2,
-            spike_decay=0.5,
+            spike_tiers=tiers if spikes else (),
         )
-        if not spikes:
-            return core
-        rare = SpikeOverlay(
-            rng,
-            ConstantDelay(0.0),
-            spike_probability=3e-5,
-            spike_min=0.090,
-            spike_max=0.130,
-            spike_run=3,
-            decay=0.5,
-        )
-        return CompositeDelay([core, rare])
 
     def loss_factory(rng: np.random.Generator) -> LossModel:
         if not loss:

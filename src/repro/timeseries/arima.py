@@ -350,7 +350,7 @@ class ArimaForecaster(Forecaster):
         self._last_w_forecast = w_forecast
         if len(self._raw) < self.d:
             return self._fallback_prediction()
-        return undifference_forecast(w_forecast, list(self._raw), self.d)
+        return undifference_forecast(w_forecast, self._raw, self.d)
 
     def reset(self) -> None:
         self._raw.clear()
@@ -367,10 +367,14 @@ class ArimaForecaster(Forecaster):
         return self._raw[-1] if self._raw else 0.0
 
     def _current_differenced(self) -> float:
-        """``w_t`` from the last ``d + 1`` raw values."""
+        """``w_t`` from the last ``d + 1`` raw values.
+
+        Indexed from the right end of the deque, so the cost does not grow
+        with the fit window (up to ``fit_window + d + 1`` values deep).
+        """
         if self.d == 0:
             return self._raw[-1]
-        window = list(self._raw)[-(self.d + 1):]
+        window = list(map(self._raw.__getitem__, range(-(self.d + 1), 0)))
         return float(difference(window, self.d)[-1])
 
     def _should_refit(self) -> bool:

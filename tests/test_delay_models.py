@@ -1,17 +1,23 @@
 """Tests for the delay models."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.delay import (
     ArCorrelatedDelay,
     CompositeDelay,
     ConstantDelay,
+    DelayModel,
     DiurnalModulation,
     LognormalDelay,
     MultiScaleWanDelay,
     ShiftedGammaDelay,
     SpikeOverlay,
+    SpikeTier,
     TelegraphDelay,
     TraceDelay,
 )
@@ -252,9 +258,7 @@ class TestMultiScaleWanDelay:
             telegraph_dwell_high=11.0,
             slow_std=0.0015,
             slow_tau=3000.0,
-            spike_probability=3e-3,
-            spike_min=0.03,
-            spike_max=0.08,
+            spike_tiers=[SpikeTier(3e-3, 0.03, 0.08, run=3)],
         )
         params.update(overrides)
         return MultiScaleWanDelay(rng, **params)
@@ -264,25 +268,149 @@ class TestMultiScaleWanDelay:
         assert np.all(sample_many(model, 20000) >= 0.192)
 
     def test_mean_queueing_estimate(self, rng):
-        model = self.make(rng, spike_probability=0.0, white_std=0.0, slow_std=0.0)
+        model = self.make(rng, spike_tiers=(), white_std=0.0, slow_std=0.0)
         samples = sample_many(model, 50000)
         expected = 0.192 + model.mean_queueing()
         assert samples.mean() == pytest.approx(expected, abs=0.001)
 
-    def test_reset_restores_state(self, rng):
-        model = self.make(rng)
-        sample_many(model, 100)
-        model.reset()
-        assert not model._telegraph.in_high_state
+    def test_reset_restores_state(self):
+        # Spikes every few datagrams and an epoch that starts soon and never
+        # ends: after 100 samples a run is in flight, the slow level
+        # has wandered and the path is congested; reset() must forget all
+        # three.
+        tiers = [SpikeTier(0.3, 0.03, 0.08, run=4), SpikeTier(0.2, 0.09, 0.13, run=3)]
+        epochs = dict(telegraph_dwell_low=10.0, telegraph_dwell_high=1e9)
+        used_rng = np.random.default_rng(5)
+        used = self.make(used_rng, spike_tiers=tiers, **epochs)
+        sample_many(used, 100)
+        used.reset()
+        fresh_rng = np.random.default_rng(0)
+        fresh_rng.bit_generator.state = used_rng.bit_generator.state
+        fresh = self.make(fresh_rng, spike_tiers=tiers, **epochs)
+        assert sample_many(used, 5000).tolist() == sample_many(fresh, 5000).tolist()
 
     def test_no_spikes_variant(self, rng):
-        model = self.make(rng, spike_probability=0.0)
+        model = self.make(rng, spike_tiers=())
         samples = sample_many(model, 20000)
         # Without spikes the range stays tight around the floor.
         assert samples.max() < 0.25
+
+    def test_zero_probability_tier_draws_nothing(self):
+        plain = self.make(np.random.default_rng(3), spike_tiers=())
+        muted = self.make(
+            np.random.default_rng(3), spike_tiers=[SpikeTier(0.0, 0.03, 0.08)]
+        )
+        assert sample_many(plain, 2000).tolist() == sample_many(muted, 2000).tolist()
 
     def test_invalid_parameters(self, rng):
         with pytest.raises(ValueError):
             self.make(rng, floor=-0.1)
         with pytest.raises(ValueError):
             self.make(rng, slow_tau=0.0)
+        with pytest.raises(ValueError):
+            self.make(rng, telegraph_high=-0.001)
+        with pytest.raises(ValueError):
+            self.make(rng, telegraph_dwell_low=0.5)
+
+    def test_invalid_tier(self):
+        with pytest.raises(ValueError):
+            SpikeTier(1.5, 0.03, 0.08)
+        with pytest.raises(ValueError):
+            SpikeTier(0.1, 0.08, 0.03)
+        with pytest.raises(ValueError):
+            SpikeTier(0.1, 0.03, 0.08, run=0)
+        with pytest.raises(ValueError):
+            SpikeTier(0.1, 0.03, 0.08, decay=1.5)
+
+
+class ComposedWanCore(DelayModel):
+    """The multi-scale core as a composition of the public models and the
+    generator's own ``normal``: the reference the flat sampler must equal."""
+
+    def __init__(self, rng, *, floor, base_queue, white_std, telegraph_high,
+                 telegraph_dwell_low, telegraph_dwell_high, slow_std, slow_tau):
+        self._rng = rng
+        self._floor = floor
+        self._base = base_queue
+        self._white_std = white_std
+        self._telegraph = TelegraphDelay(
+            rng, telegraph_high, telegraph_dwell_low, telegraph_dwell_high
+        )
+        self._slow_phi = math.exp(-1.0 / slow_tau)
+        self._slow_noise = slow_std * math.sqrt(1.0 - self._slow_phi**2)
+        self._slow = 0.0
+
+    def sample(self, now):
+        white = self._rng.normal(0.0, self._white_std) if self._white_std else 0.0
+        self._slow = self._slow_phi * self._slow + (
+            self._rng.normal(0.0, self._slow_noise) if self._slow_noise else 0.0
+        )
+        queue = self._base + white + self._telegraph.sample(now) + self._slow
+        return self._floor + max(0.0, queue)
+
+
+def overlay(rng, tier):
+    return SpikeOverlay(
+        rng, ConstantDelay(0.0), tier.probability, tier.minimum, tier.maximum,
+        spike_run=tier.run, decay=tier.decay,
+    )
+
+
+spike_tiers = st.builds(
+    lambda p, low, width, run, decay: SpikeTier(p, low, low + width, run, decay),
+    st.sampled_from([0.0, 3e-5, 3e-3, 0.05, 0.5, 1.0]),
+    st.floats(0.0, 0.1),
+    st.floats(0.0, 0.1),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.5, 0.7, 1.0]),
+)
+
+
+class TestFlatSamplerEqualsComposition:
+    """Same delays *and* same generator consumption: the link keeps
+    drawing from the stream after any horizon a test looks at."""
+
+    DRAWS = 20000
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        white_std=st.sampled_from([0.0, 0.0028]),
+        slow_std=st.sampled_from([0.0, 0.0015]),
+        base_queue=st.sampled_from([0.0, 0.002, 0.006]),
+        dwell_low=st.floats(1.0, 50.0),
+        dwell_high=st.floats(1.0, 20.0),
+        tiers=st.lists(spike_tiers, max_size=2),
+    )
+    def test_sample_for_sample_and_state_for_state(
+        self, seed, white_std, slow_std, base_queue, dwell_low, dwell_high, tiers
+    ):
+        core = dict(
+            floor=0.192,
+            base_queue=base_queue,
+            white_std=white_std,
+            telegraph_high=0.011,
+            telegraph_dwell_low=dwell_low,
+            telegraph_dwell_high=dwell_high,
+            slow_std=slow_std,
+            slow_tau=3000.0,
+        )
+        flat_rng = np.random.default_rng(seed)
+        flat = MultiScaleWanDelay(flat_rng, **core, spike_tiers=tiers)
+        composed_rng = np.random.default_rng(seed)
+        composed = CompositeDelay(
+            [ComposedWanCore(composed_rng, **core)]
+            + [overlay(composed_rng, tier) for tier in tiers]
+        )
+        # The shape the profile had: first tier inside, second wrapped around.
+        wrapped_rng = np.random.default_rng(seed)
+        wrapped = CompositeDelay(
+            [MultiScaleWanDelay(wrapped_rng, **core, spike_tiers=tiers[:1])]
+            + [overlay(wrapped_rng, tier) for tier in tiers[1:]]
+        )
+        expected = sample_many(composed, self.DRAWS).tolist()
+        assert sample_many(flat, self.DRAWS).tolist() == expected
+        assert sample_many(wrapped, self.DRAWS).tolist() == expected
+        state = composed_rng.bit_generator.state
+        assert flat_rng.bit_generator.state == state
+        assert wrapped_rng.bit_generator.state == state

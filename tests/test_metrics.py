@@ -9,11 +9,16 @@ crashes, and open intervals at the end of a run.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.log import EventLog
-from repro.nekostat.metrics import extract_qos
+from repro.nekostat.metrics import (
+    MistakeInterval,
+    extract_qos,
+    qos_from_suspicion_arrays,
+)
 
 
 def build_log(entries):
@@ -235,6 +240,77 @@ class TestMultipleDetectors:
         qos = extract_qos(log, end_time=10.0, detectors=["a", "ghost"])
         assert set(qos) == {"a", "ghost"}
         assert qos["ghost"].mistakes == []
+
+    def test_many_crashes_interleaved_detectors(self):
+        # Per crash: "a" is wrong once before it, flaps during it (a stale
+        # heartbeat corrects the first suspicion) and then detects; "b"
+        # suspects early and holds (T_D = 0); "c" never notices.
+        entries = []
+        for k in range(6):
+            base = 100.0 * k
+            entries += [
+                (base + 5.0, S, "a"), (base + 6.0, E, "a"),
+                (base + 8.0, S, "b"),
+                (base + 10.0, C, None),
+                (base + 11.0, S, "a"), (base + 12.0, E, "a"),
+                (base + 14.0, S, "a"),
+                (base + 40.0, R, None),
+                (base + 41.0, E, "a"), (base + 42.0, E, "b"),
+            ]
+        qos = extract_qos(build_log(entries), end_time=600.0, detectors=["c", "b", "a"])
+        assert list(qos) == ["c", "b", "a"]
+        assert qos["a"].td_samples == pytest.approx([4.0] * 6)
+        assert [m.duration for m in qos["a"].mistakes] == pytest.approx([1.0] * 6)
+        assert qos["a"].tmr_samples == pytest.approx([100.0] * 5)
+        assert qos["b"].td_samples == [0.0] * 6
+        assert qos["b"].mistakes == []
+        assert qos["b"].suspected_up_time == pytest.approx(6 * (2.0 + 2.0))
+        assert qos["c"].undetected_crashes == 6
+        assert qos["c"].td_samples == [] and qos["c"].mistakes == []
+
+    def test_malformed_detector_outside_the_filter_is_ignored(self):
+        log = build_log([(1.0, S, "bad"), (2.0, S, "bad"), (3.0, S, "a"), (4.0, E, "a")])
+        qos = extract_qos(log, end_time=10.0, detectors=["a"])
+        assert qos["a"].mistakes == [MistakeInterval(3.0, 4.0)]
+        with pytest.raises(ValueError, match="'bad'.*StartSuspect"):
+            extract_qos(log, end_time=10.0)
+
+
+class TestMistakeInterval:
+    def test_keyword_and_positional_construction(self):
+        mistake = MistakeInterval(start=2.0, end=3.5)
+        assert mistake == MistakeInterval(2.0, 3.5)
+        assert (mistake.start, mistake.end) == (2.0, 3.5)
+        assert mistake.duration == 1.5
+        start, end = mistake
+        assert end - start == mistake.duration
+
+    def test_equality_and_hash(self):
+        assert MistakeInterval(1.0, 2.0) != MistakeInterval(1.0, 2.5)
+        assert len({MistakeInterval(1.0, 2.0), MistakeInterval(1.0, 2.0)}) == 1
+
+    def test_built_from_arrays(self):
+        qos = qos_from_suspicion_arrays(
+            "fd", np.array([1.0, 5.0]), np.array([1.5, 7.0]), end_time=10.0
+        )
+        assert qos.mistakes == [MistakeInterval(1.0, 1.5), MistakeInterval(5.0, 7.0)]
+        assert all(type(m) is MistakeInterval for m in qos.mistakes)
+        assert all(type(m.start) is float for m in qos.mistakes)
+        assert qos.t_m.mean == pytest.approx(1.25)
+        assert qos.tmr_samples == [4.0]
+
+    def test_mistake_free_arrays(self):
+        qos = qos_from_suspicion_arrays("fd", np.empty(0), np.empty(0), end_time=10.0)
+        assert qos.mistakes == []
+        assert qos.t_m is None and qos.p_a == 1.0
+
+    def test_misordered_arrays_rejected(self):
+        with pytest.raises(ValueError):
+            qos_from_suspicion_arrays("fd", np.array([2.0]), np.array([1.0]), end_time=10.0)
+        with pytest.raises(ValueError):
+            qos_from_suspicion_arrays(
+                "fd", np.array([5.0, 1.0]), np.array([6.0, 2.0]), end_time=10.0
+            )
 
 
 class TestMalformedLogs:

@@ -13,9 +13,19 @@ Three layers of proof, per the performance-layer contract:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.fd.replay as replay_module
 from repro.clocks.clock import PerfectClock
-from repro.fd.combinations import MARGIN_NAMES, combination_ids, make_strategy
+from repro.fd.combinations import (
+    GAMMA_VALUES,
+    JACOBSON_ALPHA,
+    MARGIN_NAMES,
+    PHI_VALUES,
+    combination_ids,
+    make_strategy,
+)
 from repro.fd.detector import PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.replay import (
@@ -24,6 +34,8 @@ from repro.fd.replay import (
     replay_detector,
     replay_detector_matrix,
     replay_detector_scalar,
+    replay_margins,
+    replay_predictions,
     replay_strategy,
     replay_strategy_scalar,
     supports_replay,
@@ -252,38 +264,165 @@ class TestDetectorReplay:
             assert len(qos.tmr_samples) == len(qos.mistakes) - 1
 
 
+def reference_margins(family, level, x, predictions, initial_margin=0.1):
+    """One margin row computed on its own, level inside every pass: what
+    each of the 30 rows cost before the matrix shared its unit states."""
+    n = x.size
+    if family == "CI":
+        counts = np.arange(1, n + 1, dtype=float)
+        xs = x - float(np.mean(x))
+        cs = np.cumsum(xs)
+        running_mean = cs / counts
+        m2 = np.maximum(np.cumsum(xs * xs) - cs * running_mean, 0.0)
+        deviation = xs - running_mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigma = np.sqrt(m2 / (counts - 1.0))
+            inflation = 1.0 + 1.0 / counts + (deviation * deviation) / m2
+            out = level * sigma * np.sqrt(inflation)
+        out[m2 == 0.0] = 0.0
+        out[0] = initial_margin
+        return out
+    errors = np.abs(x - np.concatenate(([0.0], predictions[:-1]))).tolist()
+    out = np.empty(n)
+    mdev = out[0] = errors[0]
+    for index in range(1, n):
+        mdev += JACOBSON_ALPHA * (errors[index] - mdev)
+        out[index] = mdev
+    return level * out
+
+
+def awkward_trace(n, seed):
+    """Loss, and delays of several periods so that arrivals reorder."""
+    rng = np.random.default_rng(seed)
+    delays = make_trace(n, seed=seed, spike_probability=0.05)
+    delays[rng.random(n) < 0.03] += 3.5
+    return np.arange(n) * 1.0, delays, rng.random(n) < 0.03
+
+
+REPLAYED_ARRAYS = ("timeouts", "freshness_points", "suspicion_starts", "suspicion_ends")
+
+
+def assert_same_replay(batch, single):
+    assert batch.detector == single.detector
+    for name in REPLAYED_ARRAYS:
+        assert np.array_equal(getattr(batch, name), getattr(single, name)), name
+
+
+class TestMarginRows:
+    """A row of the matrix is a unit state times its level — and, float for
+    float, the row the level-inside formulas give."""
+
+    @pytest.mark.parametrize("predictor", REPLAY_PREDICTORS)
+    def test_rows_equal_the_level_inside_formulas(self, predictor):
+        x = make_trace(900, seed=17, spike_probability=0.03)
+        predictions = replay_predictions(predictor, x)
+        specs = [(name, "CI", level) for name, level in GAMMA_VALUES.items()]
+        specs += [(name, "JAC", level) for name, level in PHI_VALUES.items()]
+        specs += [(("CI", 2.5), "CI", 2.5), (("JAC", 3.0), "JAC", 3.0)]
+        for spec, family, level in specs:
+            assert np.array_equal(
+                replay_margins(spec, x, predictions),
+                reference_margins(family, level, x, predictions),
+            ), (predictor, spec)
+
+    def test_constant_series_has_zero_ci_margin(self):
+        x = np.full(50, 0.2)
+        margins = replay_margins("CI_high", x, x)
+        assert margins[0] == 0.1
+        assert np.all(margins[1:] == 0.0)
+
+    def test_value_errors_kept(self):
+        x = make_trace(20)
+        with pytest.raises(ValueError, match="align"):
+            replay_margins("JAC_med", x, x[:-1])
+        with pytest.raises(ValueError, match="non-empty"):
+            replay_margins("CI_med", np.empty(0), np.empty(0))
+        with pytest.raises(ValueError, match="non-empty"):
+            replay_margins("JAC_med", np.empty(0), np.empty(0))
+        for spec in (("CI", 0.0), ("JAC", -1.0)):
+            with pytest.raises(ValueError, match="level"):
+                replay_margins(spec, x, x)
+        with pytest.raises(ValueError, match="family"):
+            replay_margins(("XX", 1.0), x, x)
+
+
 class TestDetectorMatrix:
-    """replay_detector_matrix == per-combination replay_detector, with the
-    trace view and predictions shared instead of recomputed 30 times."""
+    """replay_detector_matrix == per-combination replay_detector, bit for
+    bit, with the trace view, the predictions and the unit margin states
+    shared instead of recomputed 30 times."""
 
     def test_full_matrix_matches_individual_replays(self):
-        n, eta = 1500, 1.0
-        rng = np.random.default_rng(31)
-        delays = make_trace(n, seed=31, spike_probability=0.02)
-        lost = rng.random(n) < 0.02
-        sends = np.arange(n) * eta
+        self.check_full_matrix(observe_stale=True)
+
+    def test_full_matrix_without_stale_observations(self):
+        self.check_full_matrix(observe_stale=False)
+
+    def check_full_matrix(self, observe_stale):
+        n = 1500
+        sends, delays, lost = awkward_trace(n, seed=31)
         ids = combination_ids()
-        matrix = replay_detector_matrix(
-            ids, sends, delays, eta=eta, lost=lost, end_time=n * eta
-        )
+        kwargs = dict(eta=1.0, lost=lost, end_time=float(n), observe_stale=observe_stale)
+        matrix = replay_detector_matrix(ids, sends, delays, **kwargs)
         assert list(matrix) == ids
+        assert not matrix[ids[0]].fresh.all()  # the trace does reorder
         for detector_id in ids:
             predictor, margin = detector_id.split("+")
-            single = replay_detector(
-                predictor, margin, sends, delays,
-                eta=eta, lost=lost, end_time=n * eta,
+            single = replay_detector(predictor, margin, sends, delays, **kwargs)
+            assert_same_replay(matrix[detector_id], single)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        ids=st.lists(st.sampled_from(combination_ids()), min_size=1, max_size=8),
+        seed=st.integers(0, 50),
+        observe_stale=st.booleans(),
+    )
+    def test_any_subset_order_and_repetition(self, ids, seed, observe_stale):
+        n = 320  # past ARIMA's first fit at 200 observations
+        sends, delays, lost = awkward_trace(n, seed=seed)
+        kwargs = dict(eta=1.0, lost=lost, end_time=float(n), observe_stale=observe_stale)
+        matrix = replay_detector_matrix(ids, sends, delays, **kwargs)
+        assert list(matrix) == list(dict.fromkeys(ids))
+        for detector_id in ids:
+            predictor, margin = detector_id.split("+")
+            single = replay_detector(predictor, margin, sends, delays, **kwargs)
+            assert_same_replay(matrix[detector_id], single)
+
+    def test_no_arrival_inside_the_horizon(self):
+        sends, delays = np.arange(5) * 1.0, np.full(5, 30.0)
+        ids = ["Mean+CI_low", "Last+JAC_high", "Arima+CI_med"]
+        kwargs = dict(eta=1.0, initial_timeout=4.0, end_time=20.0)
+        matrix = replay_detector_matrix(ids, sends, delays, **kwargs)
+        for detector_id in ids:
+            predictor, margin = detector_id.split("+")
+            assert_same_replay(
+                matrix[detector_id],
+                replay_detector(predictor, margin, sends, delays, **kwargs),
             )
-            batch = matrix[detector_id]
-            assert batch.detector == detector_id
-            np.testing.assert_array_equal(
-                batch.freshness_points, single.freshness_points
-            )
-            np.testing.assert_array_equal(
-                batch.suspicion_starts, single.suspicion_starts
-            )
-            np.testing.assert_array_equal(
-                batch.suspicion_ends, single.suspicion_ends
-            )
+            assert matrix[detector_id].suspicion_starts.tolist() == [5.0]
+            assert matrix[detector_id].suspicion_ends.tolist() == [20.0]
+
+    def test_one_state_per_family_member(self, monkeypatch):
+        """Counted, not timed: 30 rows cost one moment pass and one
+        deviation EWMA per predictor (LPF's own prediction EWMA is the
+        sixth), however the ids are ordered or repeated."""
+        calls = {"ewma": 0, "CI": 0, "JAC": 0}
+        real_ewma = replay_module._seeded_ewma
+        real_state = replay_module._unit_margin_state
+
+        def counting_ewma(values, gain):
+            calls["ewma"] += 1
+            return real_ewma(values, gain)
+
+        def counting_state(family, *args):
+            calls[family] += 1
+            return real_state(family, *args)
+
+        monkeypatch.setattr(replay_module, "_seeded_ewma", counting_ewma)
+        monkeypatch.setattr(replay_module, "_unit_margin_state", counting_state)
+        sends, delays, lost = awkward_trace(400, seed=2)
+        ids = combination_ids()[::-1] + combination_ids()[:7]
+        replay_detector_matrix(ids, sends, delays, eta=1.0, lost=lost, end_time=400.0)
+        assert calls == {"ewma": 6, "CI": 1, "JAC": 5}
 
     def test_margin_spec_tuple_ids_rejected_cleanly(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for the time-series substrate: AR, ARMA, ARIMA, selection, diagnostics."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -252,6 +253,48 @@ class TestArimaForecaster:
         assert math.isfinite(msqerr)
         assert msqerr < np.var(z) * 3
         assert np.all(np.isfinite(predictions[300:]))
+
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_per_observation_cost_independent_of_window_depth(self, d):
+        # Counted, not timed: between refits neither observe() nor
+        # predict() may walk or copy the raw window, which at the paper's
+        # horizon is fit_window + d + 1 = 4 000-odd values deep.
+        class CountingDeque(deque):
+            walks = 0
+
+            def __iter__(self):
+                CountingDeque.walks += 1
+                return super().__iter__()
+
+            def __reversed__(self):
+                CountingDeque.walks += 1
+                return super().__reversed__()
+
+            def copy(self):
+                CountingDeque.walks += 1
+                return super().copy()
+
+            __copy__ = copy
+
+        rng = np.random.default_rng(4)
+        series = (0.2 + 0.003 * rng.standard_normal(4400)).tolist()
+        forecaster = ArimaForecaster(2, d, 1, refit_interval=10_000)
+        plain = ArimaForecaster(2, d, 1, refit_interval=10_000)
+        forecaster._raw = CountingDeque(maxlen=forecaster._raw.maxlen)
+        walks_at_depth = {}
+        for index, value in enumerate(series):
+            forecaster.observe(value)
+            plain.observe(value)
+            assert forecaster.predict() == plain.predict()
+            if index in (299, 399, 4199, 4299):
+                walks_at_depth[index] = CountingDeque.walks
+        assert forecaster.fitted
+        assert len(forecaster._raw) == forecaster._raw.maxlen
+        # One walk in all: the single fit, at observation 200.
+        assert walks_at_depth[399] - walks_at_depth[299] == 0
+        assert walks_at_depth[4299] - walks_at_depth[4199] == 0
+        assert CountingDeque.walks == 1
 
 
 class TestEvaluateForecaster:
