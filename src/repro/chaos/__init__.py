@@ -23,10 +23,8 @@ from repro.chaos.runner import (
 )
 from repro.chaos.shim import (
     ChaosIntake,
+    attach_backend,
     attach_daemon,
-    attach_fleet,
-    attach_intake,
-    attach_kv_node,
 )
 
 __all__ = [
@@ -41,10 +39,8 @@ __all__ = [
     "FaultPlan",
     "FaultPlanBuilder",
     "add_channel_plan",
+    "attach_backend",
     "attach_daemon",
-    "attach_fleet",
-    "attach_intake",
-    "attach_kv_node",
     "install_chaos",
     "plan_from_spec",
     "run_daemon_scenario",

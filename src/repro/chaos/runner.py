@@ -26,7 +26,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.link import install_chaos
 from repro.chaos.plan import FaultPlan
-from repro.chaos.shim import attach_daemon, attach_fleet
+from repro.chaos.shim import attach_backend, attach_daemon
 
 DEFAULT_DETECTOR = "Last+CI_med"
 
@@ -154,7 +154,7 @@ async def run_daemon_scenario_async(
     daemon_intake.arm(daemon.scheduler.now)
     host, port = daemon.udp_endpoint
     fleet = HeartbeatFleet(list(endpoints), (host, port), eta=eta, tracer=tracer)
-    attach_fleet(engine, fleet)
+    attach_backend(engine, fleet.network, name="fleet")
     await fleet.start()
     try:
         # fdlint: disable=clock-discipline (live loopback scenario; duration is wall-clock by contract)

@@ -18,9 +18,8 @@ simulator's :class:`~repro.chaos.link.ChaosLink`:
   and its inbound traffic held until the pause window closes (the
   kernel-buffer burst a SIGSTOP'd process sees on resume).
 
-Attach shims **before** ``start()``: some components hand their bound
-``_on_datagram`` to the protocol factory at startup, so late attachment
-would be invisible to them.
+Both protocol shells look ``_on_datagram`` up per datagram, so a shim
+attached at any time takes effect from the next datagram on.
 """
 
 from __future__ import annotations
@@ -118,48 +117,30 @@ class ChaosIntake:
         return data
 
 
-def attach_intake(
-    engine: ChaosEngine,
-    component: Any,
-    *,
-    scheduler_fn: Optional[Callable[[], Any]] = None,
-    name: str = "",
-) -> ChaosIntake:
-    """Wrap ``component._on_datagram`` with a chaos intake (pre-start)."""
+def attach_backend(engine: ChaosEngine, backend: Any, *, name: str = "") -> ChaosIntake:
+    """Wrap ``backend._on_datagram`` with a chaos intake.
+
+    ``backend`` is a :class:`~repro.net.udp.UdpNetwork` — a fleet's, a
+    KV node's, a client's: every live component but the monitor daemon
+    receives through one — or anything else with an ``_on_datagram``
+    intake and a ``scheduler``.
+    """
     intake = ChaosIntake(
-        engine, component._on_datagram, scheduler_fn=scheduler_fn,
-        name=name or type(component).__name__,
+        engine, backend._on_datagram, scheduler_fn=lambda: backend.scheduler,
+        name=name or type(backend).__name__,
     )
-    component._on_datagram = intake
+    backend._on_datagram = intake
     return intake
 
 
 def attach_daemon(engine: ChaosEngine, daemon: Any) -> ChaosIntake:
-    """Shim a :class:`~repro.service.daemon.MonitorDaemon`'s intake."""
-    return attach_intake(
-        engine, daemon, scheduler_fn=lambda: daemon.scheduler, name="daemon",
-    )
-
-
-def attach_fleet(engine: ChaosEngine, fleet: Any) -> ChaosIntake:
-    """Shim a :class:`~repro.service.heartbeat.HeartbeatFleet`'s intake."""
-    return attach_intake(
-        engine, fleet, scheduler_fn=lambda: fleet._scheduler, name="fleet",
-    )
-
-
-def attach_kv_node(engine: ChaosEngine, node: Any) -> ChaosIntake:
-    """Shim a :class:`~repro.kv.live.LiveKvNode`'s intake (before start)."""
-    return attach_intake(
-        engine, node, scheduler_fn=lambda: node._scheduler,
-        name=f"kv:{getattr(node, 'name', 'node')}",
-    )
+    """Shim a :class:`~repro.service.daemon.MonitorDaemon`'s intake (the
+    daemon has the two attributes :func:`attach_backend` needs)."""
+    return attach_backend(engine, daemon, name="daemon")
 
 
 __all__ = [
     "ChaosIntake",
+    "attach_backend",
     "attach_daemon",
-    "attach_fleet",
-    "attach_intake",
-    "attach_kv_node",
 ]

@@ -20,7 +20,11 @@ from repro.sim.process import PeriodicTimer
 
 
 class Heartbeater(Layer):
-    """Sends heartbeat datagrams to the monitor every ``eta`` seconds."""
+    """Sends heartbeat datagrams to the monitor every ``eta`` seconds.
+
+    ``start`` is the absolute time of heartbeat 0 (default: when the
+    system starts); a fleet staggers its members' phases with it.
+    """
 
     def __init__(
         self,
@@ -29,12 +33,14 @@ class Heartbeater(Layer):
         event_log: Optional[EventLog] = None,
         *,
         record_sent_events: bool = False,
+        start: Optional[float] = None,
     ) -> None:
         super().__init__(name="Heartbeater")
         if eta <= 0:
             raise ValueError(f"eta must be > 0, got {eta!r}")
         self.monitor = monitor
         self.eta = float(eta)
+        self._start = start
         self._event_log = event_log
         self._record_sent_events = bool(record_sent_events)
         self._timer: Optional[PeriodicTimer] = None
@@ -43,7 +49,7 @@ class Heartbeater(Layer):
 
     def on_start(self) -> None:
         self._timer = self.process.periodic_timer(
-            self.eta, self._beat, name="heartbeat"
+            self.eta, self._beat, start=self._start, name="heartbeat"
         )
         self._timer.start()
 

@@ -12,7 +12,7 @@ version below one this client already observed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -85,6 +85,65 @@ class _ActiveOp:
     rotation: int = 0
 
 
+class ClientView:
+    """What a client believes about the cluster and has seen of its data.
+
+    The one copy of the view-adoption, replica-rotation and stale-read
+    rules, shared by the simulated :class:`KvClientLayer` and the live
+    :class:`~repro.kv.live.AsyncKvClient`.
+    """
+
+    def __init__(self, nodes: Sequence[str]) -> None:
+        if not nodes:
+            raise ValueError("client needs at least one node")
+        self.nodes = list(nodes)
+        self.epoch = 0
+        self.primary: Optional[str] = self.nodes[0]
+        self.high_version: Dict[str, Version] = {}
+
+    def _target(self, rotation: int) -> str:
+        """The replica ``rotation`` places past the believed primary."""
+        anchor = self.primary if self.primary is not None else self.nodes[0]
+        try:
+            base = self.nodes.index(anchor)
+        except ValueError:
+            base = 0
+        return self.nodes[(base + rotation) % len(self.nodes)]
+
+    def _adopt_view(self, payload: Dict[str, Any], rotation: int = 0) -> int:
+        """Adopt a strictly newer view (a broadcast or a redirect's).
+
+        Returns the rotation a retransmit after a redirect should use:
+        0 — straight at the primary the redirect named — when the view
+        was newer, one onward from ``rotation`` when a stale node
+        re-named the view already held (e.g. the primary is dead but
+        undetected), so the client does not ping-pong between the same
+        two replicas.
+        """
+        epoch = int(payload["epoch"])
+        if epoch > self.epoch:
+            self.epoch = epoch
+            self.primary = payload["primary"]
+            return 0
+        return rotation + 1
+
+    def observe(self, key: str, version: Optional[Version]) -> bool:
+        """Note the version a reply carried; ``True`` when it is stale.
+
+        Stale means below a version this client already observed for
+        ``key`` (``None`` — the key is absent — is below everything).
+        """
+        high = self.high_version.get(key)
+        if high is None:
+            if version is not None:
+                self.high_version[key] = version
+            return False
+        if version is None or version < high:
+            return True
+        self.high_version[key] = version
+        return False
+
+
 class KvClientLayer(Layer):
     """A seeded closed-loop client as a protocol layer."""
 
@@ -95,14 +154,9 @@ class KvClientLayer(Layer):
         rng: np.random.Generator,
     ) -> None:
         super().__init__(name="KvClient")
-        if not nodes:
-            raise ValueError("client needs at least one node")
-        self.nodes = list(nodes)
+        self.view = ClientView(nodes)
         self.spec = spec
         self._rng = rng
-        self.epoch = 0
-        self.primary: Optional[str] = self.nodes[0]
-        self.high_version: Dict[str, Version] = {}
         self.records: List[OpRecord] = []
         self._active: Optional[_ActiveOp] = None
         self._op_counter = 0
@@ -156,27 +210,21 @@ class KvClientLayer(Layer):
         op = spec.choose_op(self._rng)
         key = spec.choose_key(self._rng)
         self._op_counter += 1
-        uid = f"{self.process.address}:{self._op_counter}"
+        process = self.process
+        address = process.address
+        uid = f"{address}:{self._op_counter}"
         value = None
         if op == "set":
-            value = f"{self.process.address}-v{self._op_counter}"
+            value = f"{address}-v{self._op_counter}"
         self._active = _ActiveOp(
-            op=op, key=key, uid=uid, value=value, start=self.process.sim.now
+            op=op, key=key, uid=uid, value=value, start=process.sim.now
         )
         self._transmit()
-
-    def _target(self, rotation: int) -> str:
-        anchor = self.primary if self.primary is not None else self.nodes[0]
-        try:
-            base = self.nodes.index(anchor)
-        except ValueError:
-            base = 0
-        return self.nodes[(base + rotation) % len(self.nodes)]
 
     def _transmit(self) -> None:
         active = self._active
         assert active is not None and self._op_timer is not None
-        target = self._target(active.rotation)
+        target = self.view._target(active.rotation)
         if active.op == "get":
             payload: Dict[str, Any] = {"key": active.key, "uid": active.uid}
             kind = KV_GET
@@ -242,7 +290,7 @@ class KvClientLayer(Layer):
     def deliver(self, message: Datagram) -> None:
         kind = message.kind
         if kind == KV_VIEW:
-            self._adopt_view(message.payload)
+            self.view._adopt_view(message.payload)
             return
         if kind not in (KV_SET_OK, KV_GET_OK, KV_REDIRECT):
             self.deliver_up(message)
@@ -252,46 +300,23 @@ class KvClientLayer(Layer):
             return  # Late reply of an operation already finished or retried.
         if kind == KV_SET_OK:
             version = decode_version(message.payload["version"])
-            self._observe(active.key, version)
+            self.view.observe(active.key, version)
             self._finish(ok=True, version=version)
         elif kind == KV_GET_OK:
             raw = message.payload["version"]
             version = decode_version(raw) if raw is not None else None
-            high = self.high_version.get(active.key)
-            stale = high is not None and (version is None or version < high)
-            if version is not None:
-                self._observe(active.key, version)
+            stale = self.view.observe(active.key, version)
             self._finish(ok=True, stale=stale, version=version)
         else:  # KV_REDIRECT
-            prev_epoch = self.epoch
-            self._adopt_view(message.payload)
-            if self.primary is None:
+            rotation = self.view._adopt_view(message.payload, active.rotation)
+            if self.view.primary is None:
                 return  # No primary known: let the op timeout drive retries.
             active.attempts += 1
-            if self.epoch > prev_epoch:
-                # The redirect installed a newer view: go straight to the
-                # primary it named instead of continuing the rotation.
-                active.rotation = 0
-            else:
-                # A stale node re-naming the view we already hold (e.g.
-                # the primary is dead but undetected): rotate onward so
-                # we do not ping-pong between the same two replicas.
-                active.rotation += 1
+            active.rotation = rotation
             if active.attempts > self.spec.max_retries:
                 self._finish(ok=False, error="timeout")
             else:
                 self._transmit()
 
-    def _observe(self, key: str, version: Version) -> None:
-        high = self.high_version.get(key)
-        if high is None or version > high:
-            self.high_version[key] = version
 
-    def _adopt_view(self, payload: Dict[str, Any]) -> None:
-        epoch = int(payload["epoch"])
-        if epoch > self.epoch:
-            self.epoch = epoch
-            self.primary = payload["primary"]
-
-
-__all__ = ["KvClientLayer", "OpRecord"]
+__all__ = ["ClientView", "KvClientLayer", "OpRecord"]

@@ -1,16 +1,16 @@
 """The KV service over real UDP sockets, next to the monitoring daemon.
 
-Live mode reuses the exact protocol core the simulation runs
-(:class:`~repro.kv.node.KvNodeCore`) and drives failover from the
+Live mode runs the simulation's own layers on a
+:class:`~repro.net.udp.UdpNetwork` and drives failover from the
 monitoring daemon's detector bank instead of a simulated one:
 
-* :class:`LiveKvNode` — one replica on its own UDP socket.  It embeds a
-  :class:`~repro.service.heartbeat.HeartbeatEmitter` sending heartbeats
-  *from the same socket*, so the daemon's auto-learned peer table entry
-  for the node is the node's service address — which is what lets the
-  daemon transmit ``kv-view`` broadcasts back (the outbound path of
-  ``MonitorDaemon._send``).  ``crash()`` mirrors SimCrash semantics:
-  announce, then drop all traffic in both directions.
+* :class:`LiveKvNode` — one replica: the stack ``KvNodeLayer /
+  Heartbeater / LiveCrash`` of :func:`~repro.kv.sim.run_kv_sim` (with
+  the crash layer that announces itself to the monitor) on its own UDP
+  socket.  Heartbeats leave *from the service socket*, so the daemon's
+  auto-learned peer table entry for the node is the node's service
+  address — which is what lets the daemon transmit ``kv-view``
+  broadcasts back (the outbound path of ``MonitorDaemon._send``).
 * :class:`LiveFailoverController` — subscribes to the daemon's
   observability hub; every dirty notification for the configured
   detector re-reads that endpoint's suspicion state and feeds the shared
@@ -18,22 +18,22 @@ monitoring daemon's detector bank instead of a simulated one:
   (``kv-view`` / ``kv-promote`` / ``kv-demote`` span events) and
   broadcast over the daemon's socket; ``render_metrics`` contributes
   ``fd_kv_*`` series to ``/metrics``.
-* :class:`AsyncKvClient` — a coroutine client with the same
-  retry/redirect behaviour as the simulated one (the smoke-test driver).
+* :class:`AsyncKvClient` — a coroutine client following the same
+  :class:`~repro.kv.client.ClientView` rules as the simulated one (the
+  smoke-test driver).
 """
 
 from __future__ import annotations
 
 import asyncio
-import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
     from repro.service.daemon import MonitorDaemon
 
+from repro.fd.heartbeat import Heartbeater
+from repro.kv.client import ClientView
 from repro.kv.failover import FailoverState, ViewChange
 from repro.kv.node import (
     KV_GET,
@@ -43,21 +43,24 @@ from repro.kv.node import (
     KV_SET_OK,
     KV_VIEW,
     KvNodeCore,
-    NODE_KINDS,
+    KvNodeLayer,
 )
 from repro.kv.store import Version, decode_version
+from repro.neko.layer import ProtocolStack
+from repro.neko.process import NekoProcess
+from repro.neko.system import NekoSystem
 from repro.net.message import Datagram
-from repro.net.udp import DatagramDecodeError, decode_datagram, encode_datagram
-from repro.service.heartbeat import HeartbeatEmitter
-from repro.service.runtime import AsyncioScheduler
+from repro.net.udp import UdpNetwork
+from repro.service.heartbeat import LiveCrash, jitter_rng
 
-
-class _UdpProtocol(asyncio.DatagramProtocol):
-    def __init__(self, on_datagram) -> None:
-        self._on_datagram = on_datagram
-
-    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
-        self._on_datagram(data, addr)
+#: Pause before the first timeout retry; it doubles per attempt, capped
+#: at one op timeout.  Redirect retries stay immediate (the cluster
+#: answered); only silence earns a growing pause.
+RETRY_BACKOFF = 0.05
+RETRY_BACKOFF_FACTOR = 2.0
+#: Relative jitter on each pause: during a partition a herd of clients
+#: must not re-probe in lock-step.
+RETRY_JITTER = 0.2
 
 
 class LiveKvNode:
@@ -79,70 +82,43 @@ class LiveKvNode:
         self.core = KvNodeCore(name, nodes, write_concern=write_concern)
         self.name = name
         self.eta = float(eta)
-        self._monitor = monitor
-        self._monitor_address = monitor_address
-        # Threaded into the heartbeat emitter so every KV heartbeat gets
-        # a `send` span (emit wall-time + seq) like fleet emitters do —
-        # per-hop trace analysis never has to infer the emit time.
-        self._tracer = tracer
-        self._host = host
-        self._port = port
-        self._peers: Dict[str, Tuple[str, int]] = {}
-        self._scheduler: Optional[AsyncioScheduler] = None
-        self._transport: Optional[asyncio.DatagramTransport] = None
-        self.emitter: Optional[HeartbeatEmitter] = None
-        self._crashed = False
-        self.dropped_while_crashed = 0
-        self.unroutable = 0
+        # The tracer gives every KV heartbeat a `send` span (emit
+        # wall-time + seq) like fleet emitters — per-hop trace analysis
+        # never has to infer the emit time.
+        self.network = UdpNetwork(host=host, port=port, tracer=tracer)
+        self.network.add_peer(monitor_address, monitor)
+        self._crash = LiveCrash(monitor_address)
+        self._stack = ProtocolStack([
+            KvNodeLayer(self.core),
+            Heartbeater(monitor_address, self.eta),
+            self._crash,
+        ])
+        self.process: Optional[NekoProcess] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Open the socket and start heartbeating the monitor."""
-        if self._transport is not None:
-            raise RuntimeError("node already started")
-        loop = asyncio.get_running_loop()
-        self._scheduler = AsyncioScheduler(loop)
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _UdpProtocol(self._on_datagram),
-            local_addr=(self._host, self._port),
-        )
-        self._transport = transport
-        self.emitter = HeartbeatEmitter(
-            self.name,
-            self._transmit,
-            self._scheduler,
-            eta=self.eta,
-            monitor_address=self._monitor_address,
-            tracer=self._tracer,
-        )
-        self.emitter.start()
+        await self.network.open()
+        system = NekoSystem(self.network.scheduler, self.network)  # type: ignore[arg-type]
+        self.process = system.create_process(self.name, self._stack)
+        system.start()
 
     async def stop(self) -> None:
         """Stop heartbeating and close the socket (idempotent)."""
-        if self.emitter is not None:
-            self.emitter.stop()
-            self.emitter = None
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
+        self.network.close()
         # fdlint: disable=clock-discipline (zero-delay event-loop yield so transport close callbacks run; not time flow)
         await asyncio.sleep(0)
 
     @property
     def udp_endpoint(self) -> Tuple[str, int]:
         """The bound (host, port) of this node's service socket."""
-        if self._transport is None:
-            raise RuntimeError("node is not started")
-        return self._transport.get_extra_info("sockname")[:2]
+        return self.network.local_endpoint
 
     def add_peer(self, name: str, addr: Tuple[str, int]) -> None:
         """Pin another node's (or a client's) UDP address."""
-        self._peers[name] = (addr[0], addr[1])
+        self.network.add_peer(name, addr)
 
     # ------------------------------------------------------------------
     # Crash semantics (SimCrash over a real socket)
@@ -150,75 +126,18 @@ class LiveKvNode:
     @property
     def crashed(self) -> bool:
         """Whether the node is currently simulating a crash."""
-        return self._crashed
+        return self._crash.crashed
 
     def crash(self) -> None:
         """Announce the crash, then drop all traffic in both directions."""
-        if self._crashed:
-            return
-        assert self.emitter is not None
-        self.emitter.crash()
-        self._crashed = True
+        self._crash.crash()
 
     def restore(self) -> None:
-        """Resume service and heartbeats, then announce the restore."""
-        if not self._crashed:
-            return
-        assert self.emitter is not None
-        self._crashed = False
-        self.emitter.restore()
-
-    # ------------------------------------------------------------------
-    # Datagram plumbing
-    # ------------------------------------------------------------------
-    def _on_datagram(self, data: bytes, addr: Tuple[str, int]) -> None:
-        try:
-            message = decode_datagram(data)
-        except DatagramDecodeError:
-            return
-        if message.kind == "control-ack":
-            # Monitor receipts must reach the emitter even mid-crash —
-            # the crash announcement itself is what is being acked.
-            if self.emitter is not None and isinstance(message.payload, dict):
-                self.emitter.on_control_ack(message.payload.get("ctl"))
-            return
-        if self._crashed:
-            self.dropped_while_crashed += 1
-            return
-        self._peers[message.source] = (addr[0], addr[1])
-        if message.kind not in NODE_KINDS:
-            return
-        for destination, kind, payload in self.core.handle(
-            message.source, message.kind, message.payload
-        ):
-            self._transmit(
-                Datagram(
-                    source=self.name,
-                    destination=destination,
-                    kind=kind,
-                    payload=payload,
-                )
-            )
-
-    def _transmit(self, message: Datagram) -> None:
-        if self._crashed and message.kind not in ("crash", "restore"):
-            self.dropped_while_crashed += 1
-            return
-        transport = self._transport
-        if transport is None or transport.is_closing():
-            return
-        if message.destination == self._monitor_address:
-            addr = self._monitor
-        else:
-            peer = self._peers.get(message.destination)
-            if peer is None:
-                self.unroutable += 1
-                return
-            addr = peer
-        transport.sendto(encode_datagram(message), addr)
+        """Resume service and heartbeats, and announce the restore."""
+        self._crash.restore()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "crashed" if self._crashed else "up"
+        state = "crashed" if self.crashed else "up"
         return f"LiveKvNode({self.name!r}, {state})"
 
 
@@ -352,60 +271,25 @@ class AsyncKvClient:
         *,
         op_timeout: float = 0.5,
         max_retries: int = 8,
-        retry_backoff: float = 0.05,
-        retry_backoff_factor: float = 2.0,
-        retry_jitter: float = 0.2,
-        retry_seed: int = 0,
     ) -> None:
-        if not order:
-            raise ValueError("client needs at least one node")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff!r}")
-        if retry_backoff_factor < 1.0:
-            raise ValueError(
-                f"retry_backoff_factor must be >= 1, got {retry_backoff_factor!r}"
-            )
-        if not 0.0 <= retry_jitter < 1.0:
-            raise ValueError(
-                f"retry_jitter must be in [0, 1), got {retry_jitter!r}"
-            )
         self.name = name
-        self._addrs = dict(nodes)
-        self.order = list(order)
+        self.view = ClientView(order)
         self.op_timeout = float(op_timeout)
         self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.retry_backoff_factor = float(retry_backoff_factor)
-        self.retry_jitter = float(retry_jitter)
-        # Jittered timeout-retry spacing, seeded per client name: during
-        # a partition a herd of clients must not re-probe in lock-step.
-        self._retry_rng = np.random.Generator(
-            np.random.PCG64(
-                np.random.SeedSequence(
-                    (int(retry_seed), zlib.crc32(name.encode("utf-8")))
-                )
-            )
-        )
-        self.epoch = 0
-        self.primary: Optional[str] = self.order[0]
-        self.high_version: Dict[str, Version] = {}
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        self._retry_rng = jitter_rng(name)
+        self.network = UdpNetwork()
+        for node, addr in nodes.items():
+            self.network.add_peer(node, addr)
+        self.network.register(name, self._on_message)
         self._waiters: Dict[str, asyncio.Future] = {}
         self._op_counter = 0
         self.retries_total = 0
 
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _UdpProtocol(self._on_datagram),
-            local_addr=("127.0.0.1", 0),
-        )
-        self._transport = transport
+        await self.network.open()
 
     async def stop(self) -> None:
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
+        self.network.close()
         for waiter in self._waiters.values():
             if not waiter.done():
                 waiter.cancel()
@@ -418,7 +302,7 @@ class AsyncKvClient:
         payload = {"key": key, "value": value}
         reply = await self._request(KV_SET, payload, ok_kind=KV_SET_OK)
         version = decode_version(reply["version"])
-        self._observe(key, version)
+        self.view.observe(key, version)
         return version
 
     async def get(self, key: str) -> Tuple[Any, Optional[Version], bool]:
@@ -426,56 +310,24 @@ class AsyncKvClient:
         reply = await self._request(KV_GET, {"key": key}, ok_kind=KV_GET_OK)
         raw = reply["version"]
         version = decode_version(raw) if raw is not None else None
-        high = self.high_version.get(key)
-        stale = high is not None and (version is None or version < high)
-        if version is not None:
-            self._observe(key, version)
-        return reply["value"], version, stale
+        return reply["value"], version, self.view.observe(key, version)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _observe(self, key: str, version: Version) -> None:
-        high = self.high_version.get(key)
-        if high is None or version > high:
-            self.high_version[key] = version
-
-    def _adopt_view(self, payload: Dict[str, Any]) -> None:
-        epoch = int(payload["epoch"])
-        if epoch > self.epoch:
-            self.epoch = epoch
-            self.primary = payload["primary"]
-
     def _retry_delay(self, attempt: int) -> float:
-        """Jittered exponential backoff before timeout retry ``attempt``.
-
-        Redirect retries stay immediate (the cluster answered); only
-        silence earns a growing pause, capped at one op timeout.
-        """
-        if self.retry_backoff <= 0:
-            return 0.0
+        """Jittered exponential backoff before timeout retry ``attempt``."""
         delay = min(
-            self.retry_backoff * self.retry_backoff_factor ** (attempt - 1),
-            self.op_timeout,
+            RETRY_BACKOFF * RETRY_BACKOFF_FACTOR ** (attempt - 1), self.op_timeout
         )
-        if self.retry_jitter:
-            delay *= 1.0 + self.retry_jitter * float(
-                self._retry_rng.uniform(-1.0, 1.0)
-            )
-        return delay
-
-    def _target(self, rotation: int) -> str:
-        anchor = self.primary if self.primary is not None else self.order[0]
-        try:
-            base = self.order.index(anchor)
-        except ValueError:
-            base = 0
-        return self.order[(base + rotation) % len(self.order)]
+        return delay * (
+            1.0 + RETRY_JITTER * float(self._retry_rng.uniform(-1.0, 1.0))
+        )
 
     async def _request(
         self, kind: str, payload: Dict[str, Any], *, ok_kind: str
     ) -> Dict[str, Any]:
-        if self._transport is None:
+        if self.network.scheduler is None:
             raise RuntimeError("client is not started")
         self._op_counter += 1
         uid = f"{self.name}:{self._op_counter}"
@@ -484,19 +336,15 @@ class AsyncKvClient:
         attempt = 0
         rotation = 0
         while attempt <= self.max_retries:
-            target = self._target(rotation)
             waiter: asyncio.Future = asyncio.get_running_loop().create_future()
             self._waiters[uid] = waiter
-            self._transport.sendto(
-                encode_datagram(
-                    Datagram(
-                        source=self.name,
-                        destination=target,
-                        kind=kind,
-                        payload=payload,
-                    )
-                ),
-                self._addrs[target],
+            self.network.send(
+                Datagram(
+                    source=self.name,
+                    destination=self.view._target(rotation),
+                    kind=kind,
+                    payload=payload,
+                )
             )
             try:
                 reply = await asyncio.wait_for(waiter, timeout=self.op_timeout)
@@ -504,34 +352,24 @@ class AsyncKvClient:
                 attempt += 1
                 rotation += 1
                 self.retries_total += 1
-                delay = self._retry_delay(attempt)
-                if delay > 0:
-                    # fdlint: disable=clock-discipline (seeded jittered retry backoff; live-network-only client path, no simulated time flows here)
-                    await asyncio.sleep(delay)
+                # fdlint: disable=clock-discipline (seeded jittered retry backoff; live-network-only client path, no simulated time flows here)
+                await asyncio.sleep(self._retry_delay(attempt))
                 continue
             finally:
                 self._waiters.pop(uid, None)
             if reply.kind == ok_kind:
                 return reply.payload
-            # Redirect: adopt the view and retry immediately — straight at
-            # the named primary when the view is strictly newer, onward in
-            # the rotation when a stale node re-named the view we hold.
-            prev_epoch = self.epoch
-            self._adopt_view(reply.payload)
-            rotation = 0 if self.epoch > prev_epoch else rotation + 1
+            # Redirect: adopt the view and retry immediately.
+            rotation = self.view._adopt_view(reply.payload, rotation)
             attempt += 1
             self.retries_total += 1
         raise KvClientError(
             f"{kind} {payload.get('key')!r} exhausted {self.max_retries} retries"
         )
 
-    def _on_datagram(self, data: bytes, addr: Tuple[str, int]) -> None:
-        try:
-            message = decode_datagram(data)
-        except DatagramDecodeError:
-            return
+    def _on_message(self, message: Datagram) -> None:
         if message.kind == KV_VIEW:
-            self._adopt_view(message.payload)
+            self.view._adopt_view(message.payload)
             return
         if message.kind not in (KV_SET_OK, KV_GET_OK, KV_REDIRECT):
             return

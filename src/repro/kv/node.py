@@ -2,11 +2,11 @@
 
 The protocol logic lives in :class:`KvNodeCore`, a transport-agnostic
 state machine whose handlers take a decoded request and return the
-datagram-shaped replies to transmit.  Two thin adapters wrap it:
-:class:`KvNodeLayer` here (a :class:`~repro.neko.layer.Layer` for the
-deterministic simulation) and :class:`~repro.kv.live.LiveKvNode` (a real
-UDP endpoint).  Keeping the core pure is what lets the hypothesis
-byte-stability test exercise the exact code the live service runs.
+datagram-shaped replies to transmit.  :class:`KvNodeLayer` wraps it as
+a :class:`~repro.neko.layer.Layer`, which the deterministic simulation
+and the live :class:`~repro.kv.live.LiveKvNode` (the same stack on a
+real UDP socket) both run — the hypothesis byte-stability test
+exercises the exact code the live service runs.
 
 Protocol sketch (primary + backups, client-driven retry):
 
@@ -282,7 +282,7 @@ class KvNodeCore:
 
 
 class KvNodeLayer(Layer):
-    """Simulation adapter: a :class:`KvNodeCore` as a protocol layer."""
+    """A :class:`KvNodeCore` as a protocol layer."""
 
     def __init__(self, core: KvNodeCore) -> None:
         super().__init__(name=f"KvNode({core.name})")

@@ -40,15 +40,11 @@ def in_dirs(rel_path: str, dirs: Tuple[str, ...]) -> bool:
 class LintConfig:
     """Scoping policy consumed by the rules (see module docstring)."""
 
-    #: clock-discipline: files allowed to read the wall clock.  These
-    #: are the two real-network anchors — the UDP wall-clock scheduler
-    #: and the asyncio scheduler that maps loop time onto the epoch.
-    #: Everything else must take time from a Scheduler surface (or carry
-    #: a justified pragma).
-    clock_allowed_files: Tuple[str, ...] = (
-        "repro/net/udp.py",
-        "repro/service/runtime.py",
-    )
+    #: clock-discipline: files allowed to read the wall clock.  This is
+    #: the one real-network anchor — the asyncio scheduler that maps loop
+    #: time onto the epoch.  Everything else must take time from a
+    #: Scheduler surface (or carry a justified pragma).
+    clock_allowed_files: Tuple[str, ...] = ("repro/service/runtime.py",)
 
     #: seeded-randomness: files allowed to construct generators from
     #: module-level numpy/stdlib randomness.  ``sim/random.py`` *is* the
@@ -76,9 +72,7 @@ class LintConfig:
     asyncio_safe_receivers: Tuple[str, ...] = ("writer", "transport")
 
     #: lock-discipline: directories whose classes are checked for
-    #: attributes mutated both inside and outside ``with self._lock:``
-    #: (net/ joined when the read-side race rule landed — the threaded
-    #: UDP scheduler shares state across the dispatch thread).
+    #: attributes mutated both inside and outside ``with self._lock:``.
     lock_dirs: Tuple[str, ...] = ("obs/", "service/", "net/")
 
     #: mutable-shared-state: directories whose *class-level* mutable
@@ -171,8 +165,7 @@ class LintConfig:
 
     #: lock-read-race: directories whose lock-using classes are checked
     #: for attributes written under ``with self.*lock*`` in one method
-    #: but read bare in another (superset of ``lock_dirs`` because the
-    #: threaded UDP scheduler lives under net/).
+    #: but read bare in another.
     race_dirs: Tuple[str, ...] = ("obs/", "service/", "net/")
 
     #: contract-drift: where each contract surface lives.  A sub-check
@@ -194,7 +187,7 @@ class LintConfig:
     #: *events* to an injected callback, not TraceRecorder spans.)
     contract_span_emitters: Tuple[str, ...] = (
         "repro/service/daemon.py",
-        "repro/service/heartbeat.py",
+        "repro/net/udp.py",
         "repro/obs/drift.py",
         "repro/kv/live.py",
     )

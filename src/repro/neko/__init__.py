@@ -9,8 +9,8 @@ simulated network or a real one.  This package reproduces that contract:
 * :class:`~repro.neko.process.NekoProcess` — an addressable process holding
   a protocol stack and a local clock;
 * :class:`~repro.neko.system.NekoSystem` — wires processes to a network
-  backend (the discrete-event simulator by default, real UDP sockets via
-  :class:`repro.net.udp.UdpNetwork`).
+  backend (the discrete-event simulator by default, a real UDP socket on
+  an asyncio loop via :class:`repro.net.udp.UdpNetwork`).
 """
 
 from repro.neko.layer import Layer, ProtocolStack

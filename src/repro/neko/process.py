@@ -21,8 +21,8 @@ class NekoProcess:
     :class:`~repro.clocks.clock.Clock`, and its network address.  Layers
     reach the simulation engine and the clock through their process, which
     is how the same layer code runs on a simulated or a real network (in
-    real executions the "simulator" is a thin wall-clock shim — see
-    :class:`repro.net.udp.WallClockScheduler`).
+    real executions the "simulator" is a thin event-loop shim — see
+    :class:`repro.service.runtime.AsyncioScheduler`).
     """
 
     def __init__(

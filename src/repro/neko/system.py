@@ -3,8 +3,9 @@
 The backend abstraction is what delivers Neko's "same code, simulated or
 real network" promise: :class:`SimulatedNetwork` routes datagrams over
 :class:`~repro.net.link.FairLossyLink` instances on the discrete-event
-engine, while :class:`repro.net.udp.UdpNetwork` routes them over real
-sockets.  Application layers cannot tell the difference.
+engine, while :class:`repro.net.udp.UdpNetwork` routes them over a real
+UDP socket on an asyncio event loop.  Application layers cannot tell the
+difference.
 """
 
 from __future__ import annotations
@@ -155,6 +156,11 @@ class NekoSystem:
         q = system.create_process("q", ProtocolStack([...]))
         system.start()
         sim.run(until=3600.0)
+
+    On a real network ``sim`` is the network's
+    :class:`~repro.service.runtime.AsyncioScheduler` and time passes by
+    itself: ``NekoSystem(network.scheduler, network)``, then
+    :meth:`start`.
     """
 
     def __init__(

@@ -1,166 +1,42 @@
-"""Real-network backend: UDP sockets plus a wall-clock scheduler.
+"""Real-network backend: the JSON wire codec and one asyncio UDP backend.
 
 This module delivers the Neko promise for *real* executions: the same
 protocol stacks that run on the discrete-event simulator run here over
-actual UDP datagrams.  Two pieces are needed:
+actual UDP datagrams.  :class:`UdpNetwork` is the
+:class:`~repro.neko.system.NetworkBackend` — one socket, one
+:class:`~repro.service.runtime.AsyncioScheduler` — that a
+:class:`~repro.neko.system.NekoSystem` is built on instead of a
+:class:`~repro.neko.system.SimulatedNetwork`::
 
-* :class:`WallClockScheduler` — an object with the scheduling surface of
-  :class:`repro.sim.engine.Simulator` (``now``, ``schedule``,
-  ``schedule_at``) implemented with ``threading.Timer`` over the monotonic
-  clock, so layer code is oblivious to which world it is in;
-* :class:`UdpNetwork` — a :class:`~repro.neko.system.NetworkBackend` that
-  maps process addresses to local UDP ports and serialises datagrams as
-  JSON.
+    network = UdpNetwork()
+    await network.open()
+    system = NekoSystem(network.scheduler, network)
 
-A single dispatch lock serialises all upcalls (timer expiries and datagram
-deliveries), so layers keep the single-threaded discipline they enjoy in
-simulation.
+Everything runs on the event loop's thread, which serialises timer
+expiries and datagram deliveries: layers keep the single-threaded
+discipline they enjoy in simulation.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
-import socket
-import threading
-import time
-from typing import Callable, Dict, Optional, Tuple
+import sys
+from typing import Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
+from repro.neko.system import NetworkBackend
 from repro.net.message import Datagram
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.trace import TraceRecorder
+    from repro.service.runtime import AsyncioScheduler
 
-class _TimerHandle:
-    """Cancellable handle mirroring :class:`repro.sim.engine.EventHandle`."""
+#: Largest UDP payload (65 535 minus the IP and UDP headers).
+MAX_DATAGRAM = 65_507
 
-    def __init__(self, timer: threading.Timer, when: float, name: str) -> None:
-        self._timer = timer
-        self._when = when
-        self._name = name
-        self._cancelled = False
-
-    @property
-    def time(self) -> float:
-        """The wall-clock-relative time the callback fires at."""
-        return self._when
-
-    @property
-    def name(self) -> str:
-        """Diagnostic name supplied at scheduling time."""
-        return self._name
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was called."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Best-effort cancellation (idempotent)."""
-        self._cancelled = True
-        self._timer.cancel()
-
-
-class WallClockScheduler:
-    """Wall-clock drop-in for the simulator's scheduling surface.
-
-    ``now`` is seconds since construction, measured on the monotonic
-    clock.  Callbacks run under a shared dispatch lock.
-    """
-
-    def __init__(self, dispatch_lock: Optional[threading.Lock] = None) -> None:
-        self._t0 = time.monotonic()
-        self._lock = dispatch_lock if dispatch_lock is not None else threading.Lock()
-        self._registry_lock = threading.Lock()
-        self._handles: "set[_TimerHandle]" = set()
-        self._closed = False
-
-    @property
-    def dispatch_lock(self) -> threading.Lock:
-        """The lock under which all callbacks are dispatched."""
-        return self._lock
-
-    @property
-    def now(self) -> float:
-        """Seconds elapsed since this scheduler was created."""
-        return time.monotonic() - self._t0
-
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = 0,
-        name: str = "",
-    ) -> _TimerHandle:
-        """Run ``callback`` after ``delay`` wall-clock seconds."""
-        if self._closed:
-            raise RuntimeError("scheduler is closed")
-        if delay < 0:
-            delay = 0.0
-        handle_box: list = []
-
-        def guarded() -> None:
-            handle = handle_box[0]
-            try:
-                if handle.cancelled:
-                    return
-                with self._lock:
-                    if not handle.cancelled:
-                        callback()
-            finally:
-                with self._registry_lock:
-                    self._handles.discard(handle)
-
-        timer = threading.Timer(delay, guarded)
-        timer.daemon = True
-        handle = _TimerHandle(timer, self.now + delay, name)
-        handle_box.append(handle)
-        with self._registry_lock:
-            self._handles.add(handle)
-        timer.start()
-        return handle
-
-    def schedule_at(
-        self,
-        when: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = 0,
-        name: str = "",
-    ) -> _TimerHandle:
-        """Run ``callback`` at scheduler time ``when``."""
-        return self.schedule(when - self.now, callback, priority=priority, name=name)
-
-    def run(self, until: float) -> None:
-        """Sleep (wall clock) until scheduler time ``until``."""
-        remaining = until - self.now
-        if remaining > 0:
-            time.sleep(remaining)
-
-    def close(self, *, timeout: float = 1.0) -> None:
-        """Cancel outstanding timers and join in-flight callbacks.
-
-        After close, :meth:`schedule` raises — a shutting-down daemon
-        must not be able to leak a fresh timer thread.  ``timeout``
-        bounds the total time spent joining (a callback stuck under the
-        dispatch lock cannot stall shutdown forever).  Idempotent; must
-        not be called from inside a timer callback.
-        """
-        self._closed = True
-        with self._registry_lock:
-            handles = list(self._handles)
-            self._handles.clear()
-        for handle in handles:
-            handle.cancel()
-        deadline = time.monotonic() + max(0.0, timeout)
-        for handle in handles:
-            thread = handle._timer
-            if thread is threading.current_thread():  # pragma: no cover
-                continue
-            thread.join(max(0.0, deadline - time.monotonic()))
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called."""
-        return self._closed
+_FLOAT_MAX = sys.float_info.max
+_FLOAT_MIN = -_FLOAT_MAX
+_NUMBER = (int, float)
 
 
 def encode_datagram(message: Datagram) -> bytes:
@@ -181,8 +57,8 @@ class DatagramDecodeError(ValueError):
 
     This is the *only* exception :func:`decode_datagram` raises: the
     receive paths on the live side treat it as a fair-lossy drop, so any
-    other exception type escaping the decoder would crash a receiver
-    thread on attacker-controlled bytes.
+    other exception type escaping the decoder would crash the event loop
+    on attacker-controlled bytes.
     """
 
 
@@ -192,7 +68,7 @@ def decode_datagram(raw: bytes) -> Datagram:
     Raises :class:`DatagramDecodeError` — and nothing else — on
     truncated, oversized, malformed, or type-confused payloads.
     """
-    if len(raw) > UdpNetwork.MAX_DATAGRAM:
+    if len(raw) > MAX_DATAGRAM:
         raise DatagramDecodeError(f"datagram too large: {len(raw)} bytes")
     try:
         data = json.loads(raw.decode("utf-8"))
@@ -209,14 +85,21 @@ def decode_datagram(raw: bytes) -> Datagram:
             and isinstance(kind, str)
         ):
             raise DatagramDecodeError("source/destination/kind must be strings")
+        # ``type(x) is int`` rather than isinstance: JSON ``true`` decodes
+        # to a bool, which *is* an int to isinstance.
         seq = data.get("seq")
-        if seq is not None and not isinstance(seq, int):
+        if seq is not None and type(seq) is not int:
             raise DatagramDecodeError("seq must be an integer or null")
+        # json.loads accepts NaN/Infinity and integers too large for a
+        # float; the chained comparison is false for all of them, so the
+        # receiver's ``now - timestamp`` is always a finite float.
         timestamp = data.get("timestamp")
-        if timestamp is not None and not isinstance(timestamp, (int, float)):
-            raise DatagramDecodeError("timestamp must be a number or null")
+        if timestamp is not None and not (
+            type(timestamp) in _NUMBER and _FLOAT_MIN <= timestamp <= _FLOAT_MAX
+        ):
+            raise DatagramDecodeError("timestamp must be a finite number or null")
         uid = data.get("uid", 0)
-        if not isinstance(uid, int):
+        if type(uid) is not int:
             raise DatagramDecodeError("uid must be an integer")
         return Datagram(
             source=source,
@@ -232,136 +115,164 @@ def decode_datagram(raw: bytes) -> Datagram:
     except Exception as exc:
         # Funnel every failure mode (bad UTF-8, bad JSON, missing keys,
         # nesting-depth RecursionError, ...) into the one typed error the
-        # receive loops are contracted to catch.
+        # receive paths are contracted to catch.
         raise DatagramDecodeError(f"undecodable datagram: {exc!r}") from exc
 
 
-class UdpNetwork:
-    """A :class:`~repro.neko.system.NetworkBackend` over real UDP sockets.
+class _NetworkProtocol(asyncio.DatagramProtocol):
+    def __init__(self, network: "UdpNetwork") -> None:
+        self._network = network
 
-    Each registered address is bound to a UDP port on ``host`` (default
-    loopback).  Addresses of *remote* peers can be declared with
-    :meth:`add_peer`, enabling genuinely distributed executions; the
-    integration tests use two endpoints on localhost.
+    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
+        # Looked up per datagram: the chaos shim replaces the attribute.
+        self._network._on_datagram(data, addr)
 
-    Use :meth:`close` (or a ``with`` block) to stop the receiver threads.
+
+class UdpNetwork(NetworkBackend):
+    """A :class:`~repro.neko.system.NetworkBackend` over one UDP socket.
+
+    Any number of local process addresses register on the one socket;
+    inbound datagrams are demultiplexed by ``Datagram.destination``.
+    Outbound datagrams go to the destination's entry in a name →
+    ``(host, port)`` peer table, which is pinned by :meth:`add_peer` or
+    learned from the source of an inbound datagram (the last address a
+    peer spoke from — the classic NAT-friendly UDP convention).  Pinned
+    names are never re-learned: a datagram's claimed source is
+    unauthenticated, so a spoofer could otherwise redirect a peer's
+    outbound traffic.
+
+    :meth:`open` binds the socket and creates :attr:`scheduler`, the
+    :class:`~repro.service.runtime.AsyncioScheduler` a
+    :class:`~repro.neko.system.NekoSystem` on this network runs on;
+    :meth:`close` cancels its timers and closes the socket.
+
+    ``tracer``, when given, gets one ``send`` span per heartbeat actually
+    put on the wire — the sender half of the end-to-end heartbeat trace,
+    stamped with the datagram's own timestamp and sequence number.
     """
-
-    MAX_DATAGRAM = 65_507
 
     def __init__(
         self,
-        scheduler: WallClockScheduler,
         *,
         host: str = "127.0.0.1",
-        base_port: int = 0,
+        port: int = 0,
+        tracer: Optional["TraceRecorder"] = None,
     ) -> None:
-        self._scheduler = scheduler
-        self._host = host
-        self._base_port = base_port
-        self._next_port_offset = 0
-        self._sockets: Dict[str, socket.socket] = {}
-        self._threads: Dict[str, threading.Thread] = {}
-        self._endpoints: Dict[str, Tuple[str, int]] = {}
+        self._bind = (host, port)
+        self._tracer = tracer
+        self.scheduler: Optional["AsyncioScheduler"] = None
+        self._transport: Optional[asyncio.DatagramTransport] = None
         self._receivers: Dict[str, Callable[[Datagram], None]] = {}
-        self._closed = False
+        self._peers: Dict[str, Tuple[str, int]] = {}
+        self._pinned: Set[str] = set()
+        #: Inbound datagrams that were undecodable or addressed to a name
+        #: nobody registered here.
+        self.dropped_datagrams = 0
+        #: Outbound datagrams whose destination has no known address.
+        self.unroutable = 0
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    async def open(self) -> None:
+        """Bind the socket on the running loop and create the scheduler."""
+        # Imported here: repro.service imports this module for the codec.
+        from repro.service.runtime import AsyncioScheduler
+
+        if self.scheduler is not None:
+            raise RuntimeError("network already opened")
+        loop = asyncio.get_running_loop()
+        self.scheduler = AsyncioScheduler(loop)
+        self._transport, _ = await loop.create_datagram_endpoint(
+            lambda: _NetworkProtocol(self), local_addr=self._bind
+        )
+
+    def close(self) -> None:
+        """Cancel every timer and close the socket (idempotent)."""
+        if self.scheduler is not None:
+            self.scheduler.close()
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
+
+    @property
+    def local_endpoint(self) -> Tuple[str, int]:
+        """The bound (host, port) of the socket (after :meth:`open`)."""
+        if self._transport is None:
+            raise RuntimeError("network is not open")
+        return self._transport.get_extra_info("sockname")[:2]
 
     # ------------------------------------------------------------------
     # NetworkBackend interface
     # ------------------------------------------------------------------
     def register(self, address: str, receiver: Callable[[Datagram], None]) -> None:
-        """Bind a socket for ``address`` and start its receiver thread."""
+        """Deliver datagrams addressed to ``address`` to ``receiver``."""
         if address in self._receivers:
             raise ValueError(f"address {address!r} already registered")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        if self._base_port:
-            port = self._base_port + self._next_port_offset
-            self._next_port_offset += 1
-            sock.bind((self._host, port))
-        else:
-            sock.bind((self._host, 0))
-        sock.settimeout(0.2)
-        self._sockets[address] = sock
-        self._endpoints[address] = sock.getsockname()
         self._receivers[address] = receiver
-        thread = threading.Thread(
-            target=self._receive_loop, args=(address, sock), daemon=True,
-            name=f"udp-recv-{address}",
-        )
-        self._threads[address] = thread
-        thread.start()
 
     def send(self, message: Datagram) -> None:
-        """Serialise and transmit ``message`` to its destination endpoint."""
-        endpoint = self._endpoints.get(message.destination)
-        if endpoint is None:
-            # Unknown destination: fair-lossy links may drop, and UDP to a
-            # closed port is exactly that.
+        """Serialise and transmit ``message`` to its destination's address."""
+        transport = self._transport
+        if transport is None or transport.is_closing():
             return
+        addr = self._peers.get(message.destination)
+        if addr is None:
+            if message.destination not in self._receivers:
+                # Unknown destination: fair-lossy links may drop, and UDP
+                # to a closed port is exactly that.
+                self.unroutable += 1
+                return
+            # Another process of this system: through the socket all the
+            # same, so local and remote traffic share one path.
+            addr = self.local_endpoint
         raw = encode_datagram(message)
-        if len(raw) > self.MAX_DATAGRAM:
+        if len(raw) > MAX_DATAGRAM:
             raise ValueError(f"datagram too large: {len(raw)} bytes")
-        source_socket = self._sockets.get(message.source)
-        sock = source_socket if source_socket is not None else self._any_socket()
-        sock.sendto(raw, endpoint)
+        transport.sendto(raw, addr)
+        if self._tracer is not None and message.kind == "heartbeat":
+            self._tracer.emit(
+                message.timestamp, "send", message.source, seq=message.seq
+            )
 
     # ------------------------------------------------------------------
-    # Topology helpers
+    # Peer table
     # ------------------------------------------------------------------
-    def add_peer(self, address: str, host: str, port: int) -> None:
-        """Declare a remote peer's endpoint (for multi-host executions)."""
-        self._endpoints[address] = (host, port)
+    def add_peer(self, address: str, addr: Tuple[str, int]) -> None:
+        """Pin the UDP address of ``address``, disabling learning for it."""
+        self._peers[address] = (addr[0], addr[1])
+        self._pinned.add(address)
 
     def endpoint(self, address: str) -> Tuple[str, int]:
-        """The (host, port) bound or declared for ``address``."""
-        return self._endpoints[address]
-
-    def _any_socket(self) -> socket.socket:
-        if not self._sockets:
-            raise RuntimeError("no local sockets registered")
-        return next(iter(self._sockets.values()))
+        """The (host, port) ``address`` is reached at."""
+        if address in self._peers:
+            return self._peers[address]
+        if address in self._receivers:
+            return self.local_endpoint
+        raise KeyError(address)
 
     # ------------------------------------------------------------------
-    # Receiving and shutdown
+    # Intake
     # ------------------------------------------------------------------
-    def _receive_loop(self, address: str, sock: socket.socket) -> None:
-        receiver = self._receivers[address]
-        while not self._closed:
-            try:
-                raw, _peer = sock.recvfrom(self.MAX_DATAGRAM)
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # socket closed during shutdown
-            try:
-                message = decode_datagram(raw)
-            except DatagramDecodeError:
-                continue  # corrupted datagram: drop (fair-lossy)
-            with self._scheduler.dispatch_lock:
-                if not self._closed:
-                    receiver(message)
-
-    def close(self) -> None:
-        """Stop receiver threads and close all sockets (idempotent)."""
-        if self._closed:
+    def _on_datagram(self, data: bytes, addr: Tuple[str, int]) -> None:
+        try:
+            message = decode_datagram(data)
+        except DatagramDecodeError:
+            self.dropped_datagrams += 1  # corrupted datagram: fair-lossy drop
             return
-        self._closed = True
-        for sock in self._sockets.values():
-            sock.close()
-        for thread in self._threads.values():
-            thread.join(timeout=1.0)
-
-    def __enter__(self) -> "UdpNetwork":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        if message.source not in self._pinned:
+            self._peers[message.source] = (addr[0], addr[1])
+        receiver = self._receivers.get(message.destination)
+        if receiver is None:
+            self.dropped_datagrams += 1
+            return
+        receiver(message)
 
 
 __all__ = [
     "DatagramDecodeError",
+    "MAX_DATAGRAM",
     "UdpNetwork",
-    "WallClockScheduler",
     "decode_datagram",
     "encode_datagram",
 ]

@@ -5,8 +5,8 @@ A trace follows one heartbeat across the whole pipeline:
 ==============  ======================================================
 ``kind``        emitted by / meaning
 ==============  ======================================================
-``send``        :class:`~repro.service.heartbeat.HeartbeatEmitter` put
-                the heartbeat on the wire
+``send``        :class:`~repro.net.udp.UdpNetwork` put the heartbeat on
+                the wire
 ``receive``     :class:`~repro.service.daemon.MonitorDaemon` decoded
                 and routed the datagram (``delay`` = one-way delay)
 ``fanout``      :class:`~repro.fd.multiplexer.MultiPlexer` forwarded

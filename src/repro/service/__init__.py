@@ -12,16 +12,16 @@ format as :mod:`repro.net.udp`), runs the full thirty-combination
 are exported in Prometheus text format and as JSON over a local HTTP
 endpoint, which also accepts runtime endpoint add/remove.
 
-The sending side is :class:`HeartbeatFleet` /
-:class:`HeartbeatEmitter`: asyncio heartbeaters with a SimCrash-style
-live crash injector, so end-to-end detection time is measurable on a
-real network.  ``repro serve-monitor`` and ``repro serve-heartbeat``
-expose both over the CLI.
+The sending side is :class:`HeartbeatFleet`: the simulator's
+``Heartbeater`` over :class:`LiveCrash` (SimCrash that announces its
+crashes to the monitor) on a UDP network backend, so end-to-end
+detection time is measurable on a real network.  ``repro serve-monitor``
+and ``repro serve-heartbeat`` expose both over the CLI.
 """
 
 from repro.service.daemon import MonitorDaemon
 from repro.service.exporter import render_prometheus, render_status
-from repro.service.heartbeat import HeartbeatEmitter, HeartbeatFleet, LiveCrashInjector
+from repro.service.heartbeat import HeartbeatFleet, LiveCrash
 from repro.service.http import MetricsHttpServer
 from repro.service.registry import EndpointMonitor, EndpointRegistry
 from repro.service.runtime import AsyncioScheduler, BoundedEventLog
@@ -31,9 +31,8 @@ __all__ = [
     "BoundedEventLog",
     "EndpointMonitor",
     "EndpointRegistry",
-    "HeartbeatEmitter",
     "HeartbeatFleet",
-    "LiveCrashInjector",
+    "LiveCrash",
     "MetricsHttpServer",
     "MonitorDaemon",
     "render_prometheus",

@@ -1,234 +1,110 @@
-"""Asyncio heartbeat emitters with a SimCrash-style live crash injector.
+"""The sending side of the live service: the simulator's stack on UDP.
 
-The sending side of the live service: each :class:`HeartbeatEmitter`
-plays the paper's monitored process ``q`` — a heartbeat every ``eta``
-seconds, sequence numbers advancing with time even across crash periods
-(exactly the :class:`~repro.fd.simcrash.SimCrash` semantics: while
-"crashed" the messages are suppressed, not renumbered).
+Each fleet emitter is the paper's monitored process ``q`` exactly as the
+simulator runs it — :class:`~repro.fd.heartbeat.Heartbeater` over a
+crash layer, hosted by a :class:`~repro.neko.process.NekoProcess` — on a
+:class:`~repro.net.udp.UdpNetwork` instead of a simulated one.  Sequence
+numbers advance with time even across crash periods: while "crashed" the
+heartbeats are suppressed, not renumbered.
 
-Crashes are injected by :class:`LiveCrashInjector` with the paper's
-timing — time-to-crash uniform in ``[MTTC/2, 3*MTTC/2]``, constant TTR —
-or on demand via :meth:`HeartbeatEmitter.crash`.  Because there is no
-shared simulator log on a real network, the emitter announces crash and
-restore instants with ``"crash"``/``"restore"`` control datagrams: the
-live analogue of NekoStat's merged event log, instrumentation that makes
-end-to-end ``T_D`` measurable.  Control datagrams are retransmitted
-until the monitor's ``control-ack`` arrives (the monitor records them
-idempotently, so duplicates are harmless) — a lost crash datagram no
-longer costs a ``T_D`` sample.
+The one live-specific piece is :class:`LiveCrash`.  On a real network
+there is no shared simulator log the monitor could read crash instants
+from, so the crash layer announces them with ``"crash"``/``"restore"``
+control datagrams: the live analogue of NekoStat's merged event log,
+instrumentation that makes end-to-end ``T_D`` measurable.  Control
+datagrams are retransmitted until the monitor's ``control-ack`` arrives
+(the monitor records them idempotently, so duplicates are harmless) — a
+lost crash datagram does not cost a ``T_D`` sample.
 
-:class:`HeartbeatFleet` runs many emitters on one socket and one event
-loop — the shape both the integration tests and the service benchmark
-use.
+:class:`HeartbeatFleet` assembles many emitters on one socket and one
+event loop — the shape both the integration tests and the service
+benchmark use.
 """
 
 from __future__ import annotations
 
 import asyncio
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
 
+from repro.fd.heartbeat import Heartbeater
+from repro.fd.simcrash import SimCrash
+from repro.neko.layer import ProtocolStack
+from repro.neko.process import NekoProcess
+from repro.neko.system import NekoSystem
+from repro.nekostat.events import EventKind
+from repro.nekostat.log import EventLog
 from repro.net.message import Datagram
-from repro.net.udp import DatagramDecodeError, decode_datagram, encode_datagram
-from repro.service.runtime import AsyncioScheduler
+from repro.net.udp import UdpNetwork
+
+#: Seconds before an unacknowledged crash/restore control is first resent.
+CONTROL_RETRANSMIT = 0.5
+#: Retransmissions of one control before it is given up.
+CONTROL_MAX_RETRIES = 5
+#: Growth of the retransmit spacing per attempt (capped at 10x the base):
+#: a dead or partitioned monitor is probed ever more gently.
+CONTROL_BACKOFF = 1.5
+#: Relative jitter on each spacing, so a fleet of emitters does not
+#: retransmit in lock-step after a partition heals.
+CONTROL_JITTER = 0.1
 
 
-class HeartbeatEmitter:
-    """One monitored process: periodic heartbeats plus crash semantics."""
+def jitter_rng(name: str) -> np.random.Generator:
+    """The generator a live process jitters its retries with: seeded by
+    its name, so live runs stay reproducible and no two processes retry
+    in step."""
+    return np.random.Generator(
+        np.random.PCG64(
+            np.random.SeedSequence((0, zlib.crc32(name.encode("utf-8"))))
+        )
+    )
+
+
+class LiveCrash(SimCrash):
+    """SimCrash that tells the monitor about its crashes and restores.
+
+    Every ``CRASH``/``RESTORE`` event — scheduled by the injected
+    ``mttc``/``ttr`` cycle or a ``schedule`` exactly as in
+    :class:`~repro.fd.simcrash.SimCrash`, or forced by :meth:`crash` /
+    :meth:`restore` — is also sent to ``monitor`` as a control datagram
+    carrying a ``ctl`` sequence number, and resent until the monitor's
+    ``control-ack`` for that number arrives.  Controls and their acks
+    pass the layer even while it is crashed: the crash announcement
+    itself is what is being acknowledged.
+
+    With neither ``mttc`` nor ``schedule`` nothing is injected and the
+    layer crashes only on demand.
+    """
 
     def __init__(
         self,
-        name: str,
-        send: Callable[[Datagram], None],
-        scheduler: AsyncioScheduler,
+        monitor: str,
+        mttc: Optional[float] = None,
+        ttr: float = 0.0,
+        rng: Optional[np.random.Generator] = None,
+        event_log: Optional[EventLog] = None,
         *,
-        eta: float,
-        monitor_address: str = "monitor",
-        phase: float = 0.0,
-        tracer: Optional["TraceRecorder"] = None,
-        control_retransmit: float = 0.5,
-        control_max_retries: int = 5,
-        control_backoff: float = 1.5,
-        control_jitter: float = 0.1,
-        control_seed: int = 0,
+        schedule: Optional[Sequence[Tuple[float, float]]] = None,
     ) -> None:
-        if eta <= 0:
-            raise ValueError(f"eta must be > 0, got {eta!r}")
-        if not name:
-            raise ValueError("emitter name must be non-empty")
-        if control_retransmit <= 0:
-            raise ValueError(
-                f"control_retransmit must be > 0, got {control_retransmit!r}"
-            )
-        if control_max_retries < 0:
-            raise ValueError(
-                f"control_max_retries must be >= 0, got {control_max_retries!r}"
-            )
-        self.name = name
-        self.eta = float(eta)
-        self.monitor_address = monitor_address
-        self._send = send
-        self._scheduler = scheduler
-        self._phase = float(phase)
-        self._tracer = tracer
-        self._origin = 0.0
-        self._tick = 0
-        self._handle = None
-        self._running = False
-        self._crashed = False
-        self.control_retransmit = float(control_retransmit)
-        self.control_max_retries = int(control_max_retries)
-        if control_backoff < 1.0:
-            raise ValueError(
-                f"control_backoff must be >= 1, got {control_backoff!r}"
-            )
-        if not 0.0 <= control_jitter < 1.0:
-            raise ValueError(
-                f"control_jitter must be in [0, 1), got {control_jitter!r}"
-            )
-        self.control_backoff = float(control_backoff)
-        self.control_jitter = float(control_jitter)
-        # Jittered retransmit spacing desynchronises a fleet of emitters
-        # re-announcing controls through the same lossy path.  Seeded per
-        # emitter name so live runs stay reproducible.
-        self._control_rng = np.random.Generator(
-            np.random.PCG64(
-                np.random.SeedSequence(
-                    (int(control_seed), zlib.crc32(name.encode("utf-8")))
-                )
-            )
-        )
+        if mttc is None and schedule is None:
+            schedule = ()
+        super().__init__(mttc or 0.0, ttr, rng, event_log, schedule=schedule)
+        self.monitor = monitor
         self._ctl_seq = 0
         # ctl -> (datagram, attempts so far, pending retransmit handle).
         self._pending_controls: Dict[int, Tuple[Datagram, int, object]] = {}
-        self.sent = 0
-        self.suppressed = 0
-        self.crash_count = 0
+        self._jitter_rng: Optional[np.random.Generator] = None
         self.control_retransmits = 0
         self.control_acked = 0
         self.control_given_up = 0
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin beating; the first heartbeat fires after ``phase``."""
-        if self._running:
-            return
-        self._running = True
-        self._origin = self._scheduler.now + self._phase
-        self._tick = 0
-        self._schedule_next()
-
-    def stop(self) -> None:
-        """Stop beating (no restore/crash control is sent)."""
-        self._running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-        for _datagram, _attempts, handle in self._pending_controls.values():
-            handle.cancel()  # type: ignore[attr-defined]
-        self._pending_controls.clear()
-
-    @property
-    def running(self) -> bool:
-        """Whether the emitter is started."""
-        return self._running
-
-    @property
-    def crashed(self) -> bool:
-        """Whether the emitter is currently simulating a crash."""
-        return self._crashed
-
-    # ------------------------------------------------------------------
-    # Crash semantics
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Enter a crash period: announce it, then fall silent."""
-        if self._crashed:
-            return
-        self._announce("crash")
-        self._crashed = True
-        self.crash_count += 1
-
-    def restore(self) -> None:
-        """Leave the crash period: resume beating, then announce it."""
-        if not self._crashed:
-            return
-        self._crashed = False
-        self._announce("restore")
-
-    def _announce(self, kind: str) -> None:
-        """Send a crash/restore control, retransmitting until acked.
-
-        A lost control datagram used to cost a ``T_D`` sample (the
-        monitor never saw the crash instant).  Each control now carries a
-        ``ctl`` sequence number and is resent every
-        ``control_retransmit`` seconds until the monitor's
-        ``control-ack`` for that sequence arrives (bounded by
-        ``control_max_retries``).  The monitor records controls
-        idempotently, so duplicates are harmless.
-        """
-        self._ctl_seq += 1
-        ctl = self._ctl_seq
-        datagram = Datagram(
-            source=self.name,
-            destination=self.monitor_address,
-            kind=kind,
-            payload={"ctl": ctl},
-            timestamp=self._scheduler.now,
-        )
-        self._send(datagram)
-        if self.control_max_retries > 0:
-            self._arm_control_retransmit(ctl, datagram, attempts=0)
-
-    def _arm_control_retransmit(
-        self, ctl: int, datagram: Datagram, *, attempts: int
-    ) -> None:
-        # Exponential spacing (capped at 10x base) with jitter: a dead
-        # or partitioned monitor is probed ever more gently, and a fleet
-        # of emitters does not retransmit in lock-step after a heal.
-        delay = min(
-            self.control_retransmit * self.control_backoff ** attempts,
-            10.0 * self.control_retransmit,
-        )
-        if self.control_jitter:
-            delay *= 1.0 + self.control_jitter * float(
-                self._control_rng.uniform(-1.0, 1.0)
-            )
-        handle = self._scheduler.schedule(
-            delay,
-            lambda: self._retransmit_control(ctl),
-            name=f"{self.name}:control-retransmit",
-        )
-        self._pending_controls[ctl] = (datagram, attempts, handle)
-
-    def _retransmit_control(self, ctl: int) -> None:
-        pending = self._pending_controls.pop(ctl, None)
-        if pending is None:
-            return
-        datagram, attempts, _handle = pending
-        if attempts >= self.control_max_retries:
-            self.control_given_up += 1
-            return
-        self._send(datagram)
-        self.control_retransmits += 1
-        self._arm_control_retransmit(ctl, datagram, attempts=attempts + 1)
-
-    def on_control_ack(self, ctl: object) -> None:
-        """The monitor confirmed a control datagram: stop resending it."""
-        if not isinstance(ctl, int):
-            return
-        pending = self._pending_controls.pop(ctl, None)
-        if pending is None:
-            return
-        pending[2].cancel()  # type: ignore[attr-defined]
-        self.control_acked += 1
+    def on_attach(self) -> None:
+        self._jitter_rng = jitter_rng(self.process.address)
 
     @property
     def pending_controls(self) -> int:
@@ -236,112 +112,74 @@ class HeartbeatEmitter:
         return len(self._pending_controls)
 
     # ------------------------------------------------------------------
-    # Beating
+    # Crashes on demand (integration tests, drills)
     # ------------------------------------------------------------------
-    def _schedule_next(self) -> None:
-        # Multiplicative deadlines (origin + k * eta) so float error does
-        # not accumulate over long uptimes, matching PeriodicTimer.
-        when = self._origin + self._tick * self.eta
-        self._handle = self._scheduler.schedule_at(
-            when, self._beat, name=f"{self.name}:heartbeat"
-        )
+    def crash(self) -> None:
+        """Enter a crash period now; it lasts until :meth:`restore`."""
+        if not self._crashed:
+            self._crashed = True
+            self.crash_count += 1
+            self._emit(EventKind.CRASH)
 
-    def _beat(self) -> None:
-        seq = self._tick
-        self._tick += 1
+    def restore(self) -> None:
+        """Leave the crash period now."""
         if self._crashed:
-            self.suppressed += 1
-        else:
-            self.sent += 1
-            now = self._scheduler.now
-            self._send(
-                Datagram(
-                    source=self.name,
-                    destination=self.monitor_address,
-                    kind="heartbeat",
-                    seq=seq,
-                    timestamp=now,
-                )
-            )
-            if self._tracer is not None:
-                self._tracer.emit(now, "send", self.name, seq=seq)
-        if self._running:
-            self._schedule_next()
+            self._crashed = False
+            self._emit(EventKind.RESTORE)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "crashed" if self._crashed else "up"
-        return f"HeartbeatEmitter({self.name!r}, {state}, sent={self.sent})"
+    # ------------------------------------------------------------------
+    # Announcing CRASH/RESTORE to the monitor
+    # ------------------------------------------------------------------
+    def _emit(self, kind: EventKind) -> None:
+        super()._emit(kind)
+        self._ctl_seq += 1
+        datagram = Datagram(
+            source=self.process.address,
+            destination=self.monitor,
+            kind=kind.value,
+            payload={"ctl": self._ctl_seq},
+            timestamp=self.process.local_time(),
+        )
+        self.send_down(datagram)
+        self._arm_retransmit(self._ctl_seq, datagram, attempts=0)
 
+    def _arm_retransmit(self, ctl: int, datagram: Datagram, *, attempts: int) -> None:
+        assert self._jitter_rng is not None
+        delay = min(
+            CONTROL_RETRANSMIT * CONTROL_BACKOFF ** attempts,
+            10.0 * CONTROL_RETRANSMIT,
+        )
+        delay *= 1.0 + CONTROL_JITTER * float(self._jitter_rng.uniform(-1.0, 1.0))
+        handle = self.process.sim.schedule(
+            delay,
+            lambda: self._retransmit(ctl),
+            name=f"{self.process.address}:control-retransmit",
+        )
+        self._pending_controls[ctl] = (datagram, attempts, handle)
 
-class LiveCrashInjector:
-    """Drives an emitter through crash/repair cycles on the wall clock."""
-
-    def __init__(
-        self,
-        emitter: HeartbeatEmitter,
-        scheduler: AsyncioScheduler,
-        *,
-        mttc: float,
-        ttr: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if mttc <= 0:
-            raise ValueError(f"mttc must be > 0, got {mttc!r}")
-        if ttr < 0:
-            raise ValueError(f"ttr must be >= 0, got {ttr!r}")
-        self._emitter = emitter
-        self._scheduler = scheduler
-        self.mttc = float(mttc)
-        self.ttr = float(ttr)
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._handle = None
-        self._running = False
-
-    def start(self) -> None:
-        """Arm the first crash."""
-        if self._running:
+    def _retransmit(self, ctl: int) -> None:
+        datagram, attempts, _handle = self._pending_controls.pop(ctl)
+        if attempts >= CONTROL_MAX_RETRIES:
+            self.control_given_up += 1
             return
-        self._running = True
-        self._arm_next_crash()
+        self.send_down(datagram)
+        self.control_retransmits += 1
+        self._arm_retransmit(ctl, datagram, attempts=attempts + 1)
 
-    def stop(self) -> None:
-        """Cancel the pending crash/restore."""
-        self._running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _arm_next_crash(self) -> None:
-        delay = float(self._rng.uniform(0.5 * self.mttc, 1.5 * self.mttc))
-        self._handle = self._scheduler.schedule(
-            delay, self._crash, name=f"{self._emitter.name}:crash"
-        )
-
-    def _crash(self) -> None:
-        self._emitter.crash()
-        self._handle = self._scheduler.schedule(
-            self.ttr, self._restore, name=f"{self._emitter.name}:restore"
-        )
-
-    def _restore(self) -> None:
-        self._emitter.restore()
-        if self._running:
-            self._arm_next_crash()
-
-
-class _FleetProtocol(asyncio.DatagramProtocol):
-    """Receives the monitor's replies on the fleet's connected socket.
-
-    Today the only monitor→emitter traffic is ``control-ack`` (the
-    receipt for a crash/restore control datagram); it is routed to the
-    emitter the ack is addressed to.
-    """
-
-    def __init__(self, fleet: "HeartbeatFleet") -> None:
-        self._fleet = fleet
-
-    def datagram_received(self, data, addr) -> None:
-        self._fleet._on_datagram(data)
+    def deliver(self, message: Datagram) -> None:
+        if message.kind != "control-ack":
+            super().deliver(message)
+            return
+        # The payload comes off the wire: anything but the number of a
+        # pending control is ignored.
+        payload = message.payload
+        ctl = payload.get("ctl") if isinstance(payload, dict) else None
+        if type(ctl) is not int:
+            return
+        pending = self._pending_controls.pop(ctl, None)
+        if pending is not None:
+            pending[2].cancel()  # type: ignore[attr-defined]
+            self.control_acked += 1
 
 
 class HeartbeatFleet:
@@ -350,22 +188,23 @@ class HeartbeatFleet:
     Parameters
     ----------
     names:
-        Endpoint names; each becomes one emitter.
+        Endpoint names; each becomes one ``Heartbeater / LiveCrash``
+        process (:attr:`emitters`).
     monitor:
         The monitor daemon's (host, port) UDP intake.
     eta:
         Heartbeat period for every emitter.
     mttc, ttr:
-        When ``mttc`` is given, every emitter gets a
-        :class:`LiveCrashInjector` with these parameters.
+        When ``mttc`` is given, every emitter's crash layer injects
+        crash/repair cycles with these parameters.
     seed:
-        Seeds the injectors' crash draws and the emitters' start phases
-        (emitters are phase-staggered across one period so a large fleet
-        does not beat in lockstep).
+        Seeds the crash draws and the emitters' start phases (emitters
+        are phase-staggered across one period so a large fleet does not
+        beat in lockstep).
     tracer:
-        Optional :class:`~repro.obs.trace.TraceRecorder` shared by all
-        emitters; each put-on-the-wire heartbeat becomes a ``send`` span
-        event (the sender half of the end-to-end heartbeat trace).
+        Optional :class:`~repro.obs.trace.TraceRecorder`; each
+        put-on-the-wire heartbeat becomes a ``send`` span event (the
+        sender half of the end-to-end heartbeat trace).
     """
 
     def __init__(
@@ -385,67 +224,45 @@ class HeartbeatFleet:
         if len(set(names)) != len(names):
             raise ValueError("fleet endpoint names must be unique")
         self._names = list(names)
-        self._monitor = monitor
         self.eta = float(eta)
         self._monitor_address = monitor_address
         self._mttc = mttc
         self._ttr = ttr
-        self._tracer = tracer
         self._rng = np.random.default_rng(seed)
-        self._scheduler: Optional[AsyncioScheduler] = None
-        self._transport: Optional[asyncio.DatagramTransport] = None
-        self.emitters: Dict[str, HeartbeatEmitter] = {}
-        self.injectors: List[LiveCrashInjector] = []
+        # All interfaces: the monitor may be on another host.
+        self.network = UdpNetwork(host="0.0.0.0", tracer=tracer)
+        self.network.add_peer(monitor_address, monitor)
+        self.emitters: Dict[str, NekoProcess] = {}
         self._running = False
 
     async def start(self) -> None:
-        """Open the socket and start every emitter (and injector)."""
+        """Open the socket and start every emitter."""
         if self._running:
             raise RuntimeError("fleet already started")
-        loop = asyncio.get_running_loop()
-        self._scheduler = AsyncioScheduler(loop)
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _FleetProtocol(self), remote_addr=self._monitor
-        )
-        self._transport = transport
+        await self.network.open()
+        scheduler = self.network.scheduler
+        assert scheduler is not None
+        system = NekoSystem(scheduler, self.network)  # type: ignore[arg-type]
         for name in self._names:
-            emitter = HeartbeatEmitter(
-                name,
-                self._send,
-                self._scheduler,
-                eta=self.eta,
-                monitor_address=self._monitor_address,
-                phase=float(self._rng.uniform(0.0, self.eta)),
-                tracer=self._tracer,
-            )
-            self.emitters[name] = emitter
-            emitter.start()
-            if self._mttc is not None:
-                injector = LiveCrashInjector(
-                    emitter,
-                    self._scheduler,
-                    mttc=self._mttc,
-                    ttr=self._ttr,
-                    rng=self._rng,
-                )
-                self.injectors.append(injector)
-                injector.start()
+            phase = float(self._rng.uniform(0.0, self.eta))
+            stack = ProtocolStack([
+                Heartbeater(
+                    self._monitor_address, self.eta, start=scheduler.now + phase
+                ),
+                LiveCrash(
+                    self._monitor_address, self._mttc, self._ttr, self._rng
+                ),
+            ])
+            self.emitters[name] = system.create_process(name, stack)
+        system.start()
         self._running = True
 
     async def stop(self) -> None:
-        """Stop every emitter/injector and close the socket (idempotent)."""
+        """Stop every emitter and close the socket (idempotent)."""
         if not self._running:
             return
         self._running = False
-        for injector in self.injectors:
-            injector.stop()
-        for emitter in self.emitters.values():
-            emitter.stop()
-        if self._scheduler is not None:
-            self._scheduler.close()
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
+        self.network.close()
         # fdlint: disable=clock-discipline (zero-delay event-loop yield so transport close callbacks run; not time flow)
         await asyncio.sleep(0)
 
@@ -456,34 +273,28 @@ class HeartbeatFleet:
 
     def crash(self, name: str) -> None:
         """Manually crash one emitter (integration tests, drills)."""
-        self.emitters[name].crash()
+        self.emitters[name].stack.bottom.crash()  # type: ignore[attr-defined]
 
     def restore(self, name: str) -> None:
         """Manually restore one emitter."""
-        self.emitters[name].restore()
+        self.emitters[name].stack.bottom.restore()  # type: ignore[attr-defined]
 
     def total_sent(self) -> int:
-        """Heartbeats actually put on the wire, fleet-wide."""
-        return sum(emitter.sent for emitter in self.emitters.values())
+        """Heartbeats actually put on the wire, fleet-wide.
 
-    def _send(self, message: Datagram) -> None:
-        if self._transport is not None and not self._transport.is_closing():
-            self._transport.sendto(encode_datagram(message))
-
-    def _on_datagram(self, data: bytes) -> None:
-        try:
-            message = decode_datagram(data)
-        except DatagramDecodeError:
-            return
-        if message.kind != "control-ack":
-            return
-        emitter = self.emitters.get(message.destination)
-        if emitter is not None and isinstance(message.payload, dict):
-            emitter.on_control_ack(message.payload.get("ctl"))
+        A crashed emitter drops its own heartbeats and nothing else (the
+        only traffic towards an emitter is ``control-ack``, which the
+        crash layer consumes), so the drops are the suppressed beats.
+        """
+        return sum(
+            process.stack.top.sent  # type: ignore[attr-defined]
+            - process.stack.bottom.dropped_messages  # type: ignore[attr-defined]
+            for process in self.emitters.values()
+        )
 
 
 __all__ = [
-    "HeartbeatEmitter",
     "HeartbeatFleet",
-    "LiveCrashInjector",
+    "LiveCrash",
+    "jitter_rng",
 ]

@@ -1,14 +1,15 @@
 """Asyncio substrate for the live service: scheduler, clock and log.
 
 The Neko promise — the same protocol layers run in simulation and for
-real — is delivered a third time here.  :class:`AsyncioScheduler`
-implements the scheduling surface of :class:`repro.sim.engine.Simulator`
-(``now``, ``schedule``, ``schedule_at``) on the asyncio event loop, so an
-unchanged :class:`~repro.fd.bank.DetectorBank` (and the
+real — is delivered here.  :class:`AsyncioScheduler`, the one real-time
+scheduler, implements the scheduling surface of
+:class:`repro.sim.engine.Simulator` (``now``, ``schedule``,
+``schedule_at``) on the asyncio event loop, so an unchanged
+:class:`~repro.fd.bank.DetectorBank` (and the
 :class:`~repro.fd.multiplexer.MultiPlexer` stack it sits in) runs inside a
-single-threaded asyncio daemon.  Unlike the thread-based
-:class:`~repro.net.udp.WallClockScheduler`, no dispatch lock is needed:
-the event loop itself serialises all upcalls.
+single-threaded asyncio daemon, and unchanged heartbeaters and KV
+replicas run on a :class:`~repro.net.udp.UdpNetwork`.  No dispatch lock
+is needed: the event loop itself serialises all upcalls.
 
 Scheduler time is anchored to the UNIX epoch (``time.time()`` at
 construction, advanced by the loop's monotonic clock), so heartbeat

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.neko.layer import Layer, ProtocolStack
-from repro.neko.system import NekoSystem
+from repro.neko.system import NekoSystem, NetworkBackend
 from repro.nekostat.log import EventLog
 from repro.net.delay import ConstantDelay
 from repro.sim.engine import Simulator
@@ -62,3 +62,27 @@ def make_two_process_system(
     monitored = system.create_process("monitored", ProtocolStack(monitored_layers))
     monitor = system.create_process("monitor", ProtocolStack(monitor_layers))
     return system, monitored, monitor
+
+
+class RecordingNetwork(NetworkBackend):
+    """A backend that records what is sent and delivers nothing: the
+    socket-less third network the live layers are unit-tested on."""
+
+    def __init__(self) -> None:
+        self.sent = []
+
+    def register(self, address, receiver) -> None:
+        pass
+
+    def send(self, message) -> None:
+        self.sent.append(message)
+
+
+def socketless_emitter(scheduler, name, layers):
+    """One process of ``layers`` on ``scheduler``, started; returns the
+    list its datagrams land in."""
+    network = RecordingNetwork()
+    system = NekoSystem(scheduler, network)
+    system.create_process(name, ProtocolStack(layers))
+    system.start()
+    return network.sent

@@ -16,8 +16,8 @@ import pytest
 from repro.chaos import (
     ChaosEngine,
     FaultPlan,
+    attach_backend,
     attach_daemon,
-    attach_fleet,
     run_daemon_scenario_async,
 )
 from repro.nekostat.metrics import OnlineQosAccumulator
@@ -109,7 +109,7 @@ class TestDaemonSurvivesChaos:
             fleet = HeartbeatFleet(
                 ["node-1", "node-2"], daemon.udp_endpoint, eta=0.15
             )
-            attach_fleet(engine, fleet)
+            attach_backend(engine, fleet.network)
             await fleet.start()
             try:
                 # fdlint: disable=clock-discipline (live loopback scenario runs in real time by contract)

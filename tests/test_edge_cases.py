@@ -137,35 +137,45 @@ class TestLiveMembershipIntegration:
 
 class TestUdpExtras:
     def test_wallclock_schedule_at(self):
-        import time
+        import asyncio
 
-        from repro.net.udp import WallClockScheduler
+        from repro.service.runtime import AsyncioScheduler
 
-        scheduler = WallClockScheduler()
-        fired = []
-        scheduler.schedule_at(scheduler.now + 0.03, lambda: fired.append(True))
-        time.sleep(0.15)
-        assert fired == [True]
+        async def main():
+            scheduler = AsyncioScheduler(asyncio.get_running_loop())
+            fired = []
+            scheduler.schedule_at(scheduler.now + 0.03, lambda: fired.append(True))
+            await asyncio.sleep(0.15)
+            assert fired == [True]
+
+        asyncio.run(asyncio.wait_for(main(), timeout=10.0))
 
     def test_add_peer_endpoint(self):
-        from repro.net.udp import UdpNetwork, WallClockScheduler
+        from repro.net.udp import UdpNetwork
 
-        with UdpNetwork(WallClockScheduler()) as network:
-            network.add_peer("remote", "10.0.0.1", 9999)
-            assert network.endpoint("remote") == ("10.0.0.1", 9999)
+        network = UdpNetwork()
+        network.add_peer("remote", ("10.0.0.1", 9999))
+        assert network.endpoint("remote") == ("10.0.0.1", 9999)
 
     def test_oversized_datagram_rejected(self):
-        from repro.net.message import Datagram
-        from repro.net.udp import UdpNetwork, WallClockScheduler
+        import asyncio
 
-        with UdpNetwork(WallClockScheduler()) as network:
+        from repro.net.message import Datagram
+        from repro.net.udp import UdpNetwork
+
+        async def main():
+            network = UdpNetwork()
+            await network.open()
             network.register("a", lambda m: None)
-            network.add_peer("b", "127.0.0.1", 1)
+            network.add_peer("b", ("127.0.0.1", 1))
             huge = Datagram(
                 source="a", destination="b", kind="t", payload="x" * 70_000
             )
             with pytest.raises(ValueError):
                 network.send(huge)
+            network.close()
+
+        asyncio.run(asyncio.wait_for(main(), timeout=10.0))
 
 
 class TestDetectorClockInteraction:

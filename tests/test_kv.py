@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kv.client import KvClientLayer
+from repro.kv.client import ClientView, KvClientLayer
 from repro.kv.failover import FailoverState, ViewChange
 from repro.kv.metrics import (
     compute_summary,
@@ -269,8 +269,8 @@ class TestKvClientTargeting:
 
     def test_same_view_redirect_rotates_onward(self):
         client, sent = _stub_client(["n0", "n1", "n2"])
-        client.epoch = 1
-        client.primary = "n1"
+        client.view.epoch = 1
+        client.view.primary = "n1"
         client._begin_op()
         assert sent[-1].destination == "n1"
         client._on_op_timeout()  # believed primary timed out: rotate
@@ -283,6 +283,33 @@ class TestKvClientTargeting:
                                 payload={"uid": uid, "epoch": 1,
                                          "primary": "n1"}))
         assert sent[-1].destination == "n0"
+
+
+class TestClientView:
+    """The rules the simulated and the live client share."""
+
+    def test_stale_is_below_a_version_already_observed(self):
+        view = ClientView(["n0", "n1"])
+        assert view.observe("k", None) is False  # absent, never seen
+        assert view.observe("k", (0, 2)) is False
+        assert view.observe("k", (0, 1)) is True
+        assert view.observe("k", None) is True  # absent after being seen
+        assert view.observe("k", (0, 2)) is False  # re-reading is not stale
+        assert view.observe("k", (1, 1)) is False
+        assert view.high_version == {"k": (1, 1)}
+
+    def test_only_a_strictly_newer_view_is_adopted(self):
+        view = ClientView(["n0", "n1", "n2"])
+        assert view._adopt_view({"epoch": 2, "primary": "n2"}, 1) == 0
+        assert (view.epoch, view.primary) == (2, "n2")
+        assert view._adopt_view({"epoch": 2, "primary": "n0"}, 1) == 2
+        assert view._adopt_view({"epoch": 1, "primary": "n0"}) == 1
+        assert (view.epoch, view.primary) == (2, "n2")
+        assert [view._target(r) for r in range(3)] == ["n2", "n0", "n1"]
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValueError):
+            ClientView([])
 
 
 # ----------------------------------------------------------------------

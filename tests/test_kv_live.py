@@ -13,9 +13,12 @@ import asyncio
 import pytest
 
 from repro.chaos import ChaosEngine, FaultPlan, attach_daemon
+from repro.fd.heartbeat import Heartbeater
+from repro.fd.simcrash import SimCrash
 from repro.kv.live import AsyncKvClient, LiveFailoverController, LiveKvNode
+from repro.kv.node import KvNodeLayer
 from repro.obs import TraceRecorder
-from repro.service import MonitorDaemon
+from repro.service import LiveCrash, MonitorDaemon
 
 pytestmark = [pytest.mark.kv, pytest.mark.network]
 
@@ -75,6 +78,12 @@ class TestLiveFailover:
                     max_retries=30,
                 )
                 await client.start()
+
+                # A live replica is the simulator's stack in a NekoProcess.
+                assert [type(layer) for layer in nodes[0].process.stack.layers] == [
+                    KvNodeLayer, Heartbeater, LiveCrash
+                ]
+                assert issubclass(LiveCrash, SimCrash)
 
                 # Both replicas heartbeat the daemon, which learns their
                 # service addresses from the inbound datagrams.

@@ -291,7 +291,7 @@ class TestLiveDrift:
         )
 
     async def _daemon_drift_run(self, plan, *, duration):
-        from repro.chaos import ChaosEngine, attach_daemon, attach_fleet
+        from repro.chaos import ChaosEngine, attach_backend, attach_daemon
         from repro.service import HeartbeatFleet, MonitorDaemon
 
         daemon = MonitorDaemon(
@@ -307,7 +307,7 @@ class TestLiveDrift:
             intake.arm(daemon.scheduler.now)
         fleet = HeartbeatFleet(["node-1"], daemon.udp_endpoint, eta=0.05)
         if engine is not None:
-            attach_fleet(engine, fleet)
+            attach_backend(engine, fleet.network)
         await fleet.start()
         try:
             # fdlint: disable=clock-discipline (live loopback scenario runs in real time by contract)

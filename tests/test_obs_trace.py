@@ -472,26 +472,44 @@ class TestSendSpanRegression:
     def test_emitter_send_span_time_equals_datagram_timestamp(self):
         import asyncio
 
-        from repro.service.heartbeat import HeartbeatEmitter
-        from repro.service.runtime import AsyncioScheduler
+        from repro.fd.heartbeat import Heartbeater
+        from repro.neko.layer import ProtocolStack
+        from repro.neko.system import NekoSystem
+        from repro.net.udp import UdpNetwork
+        from repro.service.heartbeat import LiveCrash
 
         async def main():
-            scheduler = AsyncioScheduler()
             tracer = TraceRecorder(ring_capacity=64)
+            network = UdpNetwork(tracer=tracer)
+            await network.open()
             datagrams = []
-            emitter = HeartbeatEmitter(
-                "ep", datagrams.append, scheduler, eta=0.02, tracer=tracer
+            network.register(
+                "monitor",
+                lambda m: datagrams.append(m) if m.kind == "heartbeat" else None,
             )
-            emitter.start()
+            heartbeater, crash = Heartbeater("monitor", 0.02), LiveCrash("monitor")
+            system = NekoSystem(network.scheduler, network)
+            system.create_process("ep", ProtocolStack([heartbeater, crash]))
+            system.start()
             # fdlint: disable=clock-discipline (live emitter test runs on the wall clock by contract)
-            await asyncio.sleep(0.2)
-            emitter.stop()
+            await asyncio.sleep(0.1)
+            crash.crash()  # suppressed heartbeats must leave no span
+            # fdlint: disable=clock-discipline (live emitter test runs on the wall clock by contract)
+            await asyncio.sleep(0.06)
+            crash.restore()
+            # fdlint: disable=clock-discipline (live emitter test runs on the wall clock by contract)
+            await asyncio.sleep(0.1)
+            heartbeater.stop()
+            # fdlint: disable=clock-discipline (lets the last datagram land)
+            await asyncio.sleep(0.05)
+            network.close()
             spans = tracer.tail(64, kind="send")
             assert len(spans) >= 3
+            assert crash.dropped_messages >= 1
             assert len(spans) == len(datagrams)
             for span, datagram in zip(spans, datagrams):
                 # The span's t IS the datagram's wire timestamp — the
-                # same scheduler read, not a second sample.
+                # same clock read, not a second sample.
                 assert span["t"] == datagram.timestamp
                 assert span["seq"] == datagram.seq
                 assert span["endpoint"] == "ep"

@@ -19,15 +19,15 @@ import threading
 import pytest
 
 from repro.fd.combinations import combination_ids
+from repro.fd.heartbeat import Heartbeater
 from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.metrics import DetectorQos
 from repro.net.message import Datagram
 from repro.service import (
     AsyncioScheduler,
     BoundedEventLog,
-    HeartbeatEmitter,
     HeartbeatFleet,
-    LiveCrashInjector,
+    LiveCrash,
     MetricsHttpServer,
     MonitorDaemon,
     render_prometheus,
@@ -35,6 +35,8 @@ from repro.service import (
 )
 from repro.service.registry import EndpointRegistry
 from repro.service.runtime import ServiceSystem
+
+from tests.conftest import socketless_emitter
 
 NETWORK_TIMEOUT = 60.0
 
@@ -401,26 +403,26 @@ class TestDaemonDispatch:
 
 
 # ----------------------------------------------------------------------
-# Heartbeat emitter semantics (socket-less: send is a list.append)
+# Emitter semantics: Heartbeater / LiveCrash on the asyncio scheduler
+# (socket-less: the network is a list)
 # ----------------------------------------------------------------------
 class TestHeartbeatEmitter:
     def test_seq_advances_across_crash(self):
         async def main():
             scheduler = AsyncioScheduler()
-            sent = []
-            emitter = HeartbeatEmitter("q", sent.append, scheduler, eta=0.02)
-            emitter.start()
+            heartbeater, crash = Heartbeater("monitor", 0.02), LiveCrash("monitor")
+            sent = socketless_emitter(scheduler, "q", [heartbeater, crash])
             await asyncio.sleep(0.08)
-            emitter.crash()
+            crash.crash()
             await asyncio.sleep(0.06)
-            emitter.restore()
+            crash.restore()
             await asyncio.sleep(0.06)
-            emitter.stop()
             scheduler.close()
             kinds = [m.kind for m in sent]
             assert "crash" in kinds and "restore" in kinds
             beats = [m for m in sent if m.kind == "heartbeat"]
-            assert emitter.suppressed >= 1
+            assert crash.dropped_messages >= 1
+            assert len(beats) == heartbeater.sent - crash.dropped_messages
             # SimCrash semantics: numbering keeps advancing while silent,
             # so the post-restore seq jumps over the suppressed beats.
             seqs = [m.seq for m in beats]
@@ -434,18 +436,45 @@ class TestHeartbeatEmitter:
             import numpy as np
 
             scheduler = AsyncioScheduler()
-            emitter = HeartbeatEmitter("q", lambda m: None, scheduler, eta=0.05)
-            emitter.start()
-            injector = LiveCrashInjector(
-                emitter, scheduler, mttc=0.06, ttr=0.02,
-                rng=np.random.default_rng(7),
+            crash = LiveCrash(
+                "monitor", mttc=0.06, ttr=0.02, rng=np.random.default_rng(7)
             )
-            injector.start()
+            sent = socketless_emitter(
+                scheduler, "q", [Heartbeater("monitor", 0.05), crash]
+            )
             await asyncio.sleep(0.5)
-            injector.stop()
-            emitter.stop()
             scheduler.close()
-            assert emitter.crash_count >= 2
+            assert crash.crash_count >= 2
+            # Every injected CRASH/RESTORE was announced, in order.
+            controls = [m for m in sent if m.kind != "heartbeat"][:4]
+            assert [m.kind for m in controls] == ["crash", "restore"] * 2
+            assert [m.payload["ctl"] for m in controls] == [1, 2, 3, 4]
+
+        run(main())
+
+    def test_loop_stall_skips_ticks_instead_of_sending_a_backlog(self):
+        """The simulator's PeriodicTimer semantics win on the real clock
+        too: ticks that elapsed while the loop was blocked are skipped —
+        a sequence gap, as across a crash — not sent late in a burst."""
+        async def main():
+            import time
+
+            scheduler = AsyncioScheduler()
+            eta = 0.02
+            sent = socketless_emitter(
+                scheduler, "q", [Heartbeater("monitor", eta), LiveCrash("monitor")]
+            )
+            await asyncio.sleep(3.5 * eta)
+            before = len(sent)
+            # fdlint: disable=async-blocking (the stall under test)
+            time.sleep(5 * eta)
+            await asyncio.sleep(3.5 * eta)
+            scheduler.close()
+            seqs = [m.seq for m in sent]
+            assert len(sent) - before <= 5  # no backlog of 5 late beats on top
+            gaps = [b - a for a, b in zip(seqs, seqs[1:])]
+            assert max(gaps) >= 4  # the stalled ticks are simply missing
+            assert all(gap >= 1 for gap in gaps)
 
         run(main())
 

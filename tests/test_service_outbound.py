@@ -11,14 +11,18 @@ import asyncio
 
 import pytest
 
+from repro.fd.heartbeat import Heartbeater
 from repro.net.message import Datagram
 from repro.net.udp import decode_datagram, encode_datagram
 from repro.service import (
     AsyncioScheduler,
-    HeartbeatEmitter,
     HeartbeatFleet,
+    LiveCrash,
     MonitorDaemon,
+    heartbeat,
 )
+
+from tests.conftest import socketless_emitter
 
 NETWORK_TIMEOUT = 60.0
 
@@ -50,21 +54,28 @@ class _Capture(asyncio.DatagramProtocol):
 
 
 # ----------------------------------------------------------------------
-# Control retransmits (no sockets: emitter + scheduler only)
+# Control retransmits (no sockets: Heartbeater / LiveCrash on a list)
 # ----------------------------------------------------------------------
+def _ack(payload):
+    return Datagram(source="monitor", destination="ep1", kind="control-ack",
+                    payload=payload)
+
+
 class TestControlRetransmit:
-    def test_unacked_control_is_retransmitted_then_given_up(self):
+    def test_unacked_control_is_retransmitted_then_given_up(self, monkeypatch):
+        monkeypatch.setattr(heartbeat, "CONTROL_RETRANSMIT", 0.03)
+        monkeypatch.setattr(heartbeat, "CONTROL_MAX_RETRIES", 2)
+
         async def main():
             scheduler = AsyncioScheduler()
-            sent = []
-            emitter = HeartbeatEmitter(
-                "ep1", sent.append, scheduler, eta=10.0,
-                control_retransmit=0.03, control_max_retries=2,
+            crash = LiveCrash("monitor")
+            sent = socketless_emitter(
+                scheduler, "ep1", [Heartbeater("monitor", 10.0), crash]
             )
-            emitter.crash()
-            assert await eventually(lambda: emitter.control_given_up == 1)
-            assert emitter.control_retransmits == 2
-            assert emitter.pending_controls == 0
+            crash.crash()
+            assert await eventually(lambda: crash.control_given_up == 1)
+            assert crash.control_retransmits == 2
+            assert crash.pending_controls == 0
             controls = [m for m in sent if m.kind == "crash"]
             assert len(controls) == 3  # original + 2 retransmits
             assert all(m.payload["ctl"] == 1 for m in controls)
@@ -72,38 +83,48 @@ class TestControlRetransmit:
 
         run(main())
 
-    def test_ack_stops_the_retransmit_loop(self):
+    def test_ack_stops_the_retransmit_loop(self, monkeypatch):
+        monkeypatch.setattr(heartbeat, "CONTROL_RETRANSMIT", 0.03)
+
         async def main():
             scheduler = AsyncioScheduler()
-            sent = []
-            emitter = HeartbeatEmitter(
-                "ep1", sent.append, scheduler, eta=10.0,
-                control_retransmit=0.03, control_max_retries=5,
+            crash = LiveCrash("monitor")
+            sent = socketless_emitter(
+                scheduler, "ep1", [Heartbeater("monitor", 10.0), crash]
             )
-            emitter.crash()
-            emitter.on_control_ack(1)
-            assert emitter.control_acked == 1
-            assert emitter.pending_controls == 0
+            crash.crash()
+            # The ack reaches the layer mid-crash; junk acks are ignored.
+            for junk in (None, {"ctl": [1]}, {"ctl": True}, {"ctl": 7}):
+                crash.deliver(_ack(junk))
+            assert crash.control_acked == 0
+            crash.deliver(_ack({"kind": "crash", "ctl": 1}))
+            assert crash.control_acked == 1
+            assert crash.pending_controls == 0
             await asyncio.sleep(0.12)
-            assert emitter.control_retransmits == 0
+            assert crash.control_retransmits == 0
             assert [m.kind for m in sent] == ["crash"]
             scheduler.close()
 
         run(main())
 
-    def test_stop_cancels_pending_controls(self):
+    def test_stop_cancels_pending_controls(self, monkeypatch):
+        monkeypatch.setattr(heartbeat, "CONTROL_RETRANSMIT", 0.03)
+
         async def main():
             scheduler = AsyncioScheduler()
-            emitter = HeartbeatEmitter(
-                "ep1", lambda _m: None, scheduler, eta=10.0,
-                control_retransmit=0.03,
+            crash = LiveCrash("monitor")
+            sent = socketless_emitter(
+                scheduler, "ep1", [Heartbeater("monitor", 10.0), crash]
             )
-            emitter.start()
-            emitter.crash()
-            assert emitter.pending_controls == 1
-            emitter.stop()
-            assert emitter.pending_controls == 0
+            crash.crash()
+            assert crash.pending_controls == 1
+            # Stopping an emitter is closing its scheduler: the pending
+            # retransmit dies with every other timer.
             scheduler.close()
+            assert scheduler.outstanding == 0
+            await asyncio.sleep(0.12)
+            assert crash.control_retransmits == 0
+            assert [m.kind for m in sent] == ["crash"]
 
         run(main())
 
@@ -182,8 +203,12 @@ class TestDaemonOutbound:
                 assert await eventually(lambda: daemon.heartbeats_total > 0)
                 # The inbound heartbeat taught the daemon ep1's address.
                 assert daemon.peer_addr("ep1") is not None
+                # A fleet emitter is the simulator's stack in a NekoProcess.
+                assert [type(layer) for layer in fleet.emitters["ep1"].stack.layers] == [
+                    Heartbeater, LiveCrash
+                ]
                 fleet.crash("ep1")
-                emitter = fleet.emitters["ep1"]
+                emitter = fleet.emitters["ep1"].stack.find(LiveCrash)
                 # The daemon records the crash and acks it back over the
                 # same socket, which stops the emitter's retransmit loop.
                 assert await eventually(lambda: emitter.control_acked == 1)
