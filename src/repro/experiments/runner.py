@@ -31,7 +31,7 @@ from repro.neko.layer import Layer, ProtocolStack
 from repro.neko.system import NekoSystem, SimulatedNetwork
 from repro.nekostat.handler import FDStatHandler
 from repro.nekostat.log import EventLog
-from repro.nekostat.metrics import DetectorQos, extract_qos
+from repro.nekostat.metrics import DetectorQos, extract_qos, query_accuracy
 from repro.nekostat.stats import SummaryStats, summarize
 from repro.net.wan import get_profile
 from repro.sim.engine import Simulator
@@ -120,13 +120,7 @@ class AggregatedQos:
     @property
     def p_a(self) -> float:
         """Query accuracy probability from the pooled means."""
-        t_m = self.t_m
-        t_mr = self.t_mr
-        if t_m is None or t_mr is None:
-            return 1.0
-        if t_mr.mean <= 0:
-            return 0.0
-        return max(0.0, (t_mr.mean - t_m.mean) / t_mr.mean)
+        return query_accuracy(self.t_m, self.t_mr)
 
     @property
     def empirical_p_a(self) -> float:

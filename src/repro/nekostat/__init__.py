@@ -24,6 +24,7 @@ from repro.nekostat.metrics import (
     MistakeInterval,
     OnlineQosAccumulator,
     extract_qos,
+    query_accuracy,
 )
 from repro.nekostat.quantities import (
     CounterQuantity,
@@ -59,5 +60,6 @@ __all__ = [
     "extract_qos",
     "mean_squared_error",
     "normal_quantile",
+    "query_accuracy",
     "summarize",
 ]

@@ -53,6 +53,22 @@ class MistakeInterval(NamedTuple):
         return self.end - self.start
 
 
+def query_accuracy(
+    t_m: Optional[SummaryStats], t_mr: Optional[SummaryStats]
+) -> float:
+    """``P_A = (T_MR − T_M) / T_MR`` on the means of the two summaries.
+
+    1.0 when either is ``None`` (no mistake), 0.0 when the mean
+    recurrence is not positive, never below 0.0.  Callers that already
+    hold the summaries pass them instead of summarising the samples again.
+    """
+    if t_m is None or t_mr is None:
+        return 1.0
+    if t_mr.mean <= 0:
+        return 0.0
+    return max(0.0, (t_mr.mean - t_m.mean) / t_mr.mean)
+
+
 @dataclass
 class DetectorQos:
     """The QoS samples extracted for one failure-detector combination."""
@@ -106,17 +122,9 @@ class DetectorQos:
 
     @property
     def p_a(self) -> float:
-        """Query accuracy probability from mean ``T_MR`` and ``T_M``.
-
-        A mistake-free run yields 1.0.
-        """
-        t_m = self.t_m
-        t_mr = self.t_mr
-        if t_m is None or t_mr is None:
-            return 1.0
-        if t_mr.mean <= 0:
-            return 0.0
-        return max(0.0, (t_mr.mean - t_m.mean) / t_mr.mean)
+        """Query accuracy probability from mean ``T_MR`` and ``T_M``
+        (:func:`query_accuracy`); a mistake-free run yields 1.0."""
+        return query_accuracy(self.t_m, self.t_mr)
 
     @property
     def empirical_p_a(self) -> float:
@@ -559,4 +567,5 @@ __all__ = [
     "OnlineQosAccumulator",
     "extract_qos",
     "qos_from_suspicion_arrays",
+    "query_accuracy",
 ]

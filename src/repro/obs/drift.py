@@ -271,7 +271,10 @@ class DriftMonitor:
             "window_count": int(window.size),
             "baseline_count": int(baseline.size),
             "ks": ks,
-            "mean_shift_sigmas": mean_shift,
+            # A baseline without spread makes any shift infinitely many
+            # sigmas; JSON (RFC 8259) has no Infinity, so it is served as
+            # null.  The verdict above used the unbounded value.
+            "mean_shift_sigmas": mean_shift if mean_shift < float("inf") else None,
             "effect_seconds": effect,
             "window_mean": window_mean,
             "window_std": window_std,

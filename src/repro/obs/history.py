@@ -24,7 +24,10 @@ exactly as the batch extractor would see it:
    last transition at or before ``start`` (a suspicion or crash that is
    still open enters the window as a synthetic boundary event at
    ``start`` — crash first, then suspicion, matching
-   :func:`~repro.nekostat.metrics.extract_qos`'s tie-breaking);
+   :func:`~repro.nekostat.metrics.extract_qos`'s tie-breaking); where no
+   row precedes ``start`` but the first row inside the window is a
+   ``trust`` or ``restore``, the interval it closes was open at
+   ``start``;
 2. transitions strictly inside the window are replayed through a fresh
    :class:`~repro.nekostat.metrics.OnlineQosAccumulator` started at
    ``start``;
@@ -37,8 +40,10 @@ equals batch extraction over the window's log slice re-based to the
 window start — the property ``tests/test_qos_history.py`` asserts.
 
 Queries older than the retention horizon see a truncated transition
-stream and are answered best-effort; keep ``retention`` at least as
-large as the longest window you intend to ask about.
+stream and are answered best-effort (the rule above keeps the replay
+legal), as are windows of a store degraded to memory; keep
+``retention`` at least as large as the longest window you intend to ask
+about.
 
 sqlite3 is stdlib, runs in-process, and ``":memory:"`` gives the daemon
 a zero-configuration default; pass a filesystem path to keep history
@@ -53,7 +58,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.nekostat.metrics import DetectorQos, MistakeInterval, OnlineQosAccumulator
+from repro.nekostat.metrics import (
+    DetectorQos,
+    MistakeInterval,
+    OnlineQosAccumulator,
+    query_accuracy,
+)
 
 #: Transition kinds accepted by :meth:`WindowedQosStore.record_transition`.
 TRANSITION_KINDS = ("suspect", "trust", "crash", "restore")
@@ -65,6 +75,9 @@ _KIND_RANK = {"restore": 0, "crash": 1, "suspect": 2, "trust": 2}
 
 #: Replay order of ``(t, rank, kind)`` rows: by time, then by rank.
 _TIME_AND_RANK = itemgetter(0, 1)
+
+#: The state an interval-closing row implies was open before it.
+_OPENED_BEFORE = {"trust": "suspect", "restore": "crash"}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS transitions (
@@ -123,7 +136,7 @@ def _qos_to_dict(qos: DetectorQos) -> Dict[str, Any]:
         "mistake_duration_mean": t_m.mean if t_m else None,
         "mistake_recurrence_mean": t_mr.mean if t_mr else None,
         "mistakes": len(qos.mistakes),
-        "query_accuracy_probability": qos.p_a,
+        "query_accuracy_probability": query_accuracy(t_m, t_mr),
         "empirical_p_a": qos.empirical_p_a,
         "observation_time": qos.observation_time,
         "up_time": qos.up_time,
@@ -164,7 +177,9 @@ class WindowedQosStore:
         the newest recorded time).
     flush_every:
         Buffered transition rows are committed once this many are
-        pending (queries and :meth:`close` always flush first).
+        pending.  A query inserts what is buffered into the open
+        transaction and reads it there without committing; commits happen
+        only here, in :meth:`flush`, :meth:`prune` and :meth:`close`.
     """
 
     def __init__(
@@ -231,7 +246,7 @@ class WindowedQosStore:
                 return self._connection.executemany(statement, parameters)
             return self._connection.execute(statement, parameters)
 
-    # fdlint: disable=async-blocking (commits batch flush_every=256 transition rows; sub-ms on a local file, measured in BENCH_obs.json)
+    # fdlint: disable=async-blocking (commits only at flush_every=256 rows, flush(), prune() on the snapshot tick and close(), never on a read; ~0.4 ms fsync on a local file, measured in docs/performance.md section 8)
     def _commit(self) -> None:
         """Commit the current transaction (the only commit site)."""
         try:
@@ -322,7 +337,14 @@ class WindowedQosStore:
             self._last_time = float(t)
 
     def flush(self) -> None:
-        """Commit buffered transition rows."""
+        """Insert buffered transition rows and commit."""
+        self._insert_pending()
+        self._commit()
+
+    def _insert_pending(self) -> None:
+        """What a read needs: buffered rows in the table.  Inserted into
+        the open transaction, which this connection already sees; the
+        commit (an fsync on a file) waits for :meth:`flush`."""
         if self._pending:
             self._sql(
                 "INSERT INTO transitions (endpoint, detector, kind, t) "
@@ -332,13 +354,6 @@ class WindowedQosStore:
             )
             self._pending.clear()
             self.flushes_total += 1
-        self._commit()
-
-    def _flush_pending(self) -> None:
-        """What a read needs: buffered rows in the table.  With nothing
-        buffered there is nothing to insert and nothing to commit."""
-        if self._pending:
-            self.flush()
 
     def prune(self, now: Optional[float] = None) -> int:
         """Delete rows older than the retention horizon; returns count.
@@ -365,7 +380,7 @@ class WindowedQosStore:
     # ------------------------------------------------------------------
     def endpoints(self) -> List[str]:
         """Distinct endpoints with any recorded history, sorted."""
-        self._flush_pending()
+        self._insert_pending()
         rows = self._sql(
             "SELECT DISTINCT endpoint FROM transitions "
             "UNION SELECT DISTINCT endpoint FROM snapshots"
@@ -378,7 +393,7 @@ class WindowedQosStore:
         Lets an offline reader (``repro qos-history``) anchor a trailing
         window without knowing the recording scheduler's clock.
         """
-        self._flush_pending()
+        self._insert_pending()
         row = self._sql(
             "SELECT MAX(t) FROM ("
             "SELECT t FROM transitions UNION ALL SELECT t FROM snapshots)"
@@ -387,7 +402,7 @@ class WindowedQosStore:
 
     def detectors(self, endpoint: str) -> List[str]:
         """Distinct detector ids recorded for ``endpoint``, sorted."""
-        self._flush_pending()
+        self._insert_pending()
         rows = self._sql(
             "SELECT DISTINCT detector FROM transitions "
             "WHERE endpoint = ? AND detector != '' "
@@ -422,7 +437,7 @@ class WindowedQosStore:
             raise ValueError(
                 f"window end {end!r} precedes window start {start!r}"
             )
-        self._flush_pending()
+        self._insert_pending()
         # ``''`` is the endpoint's own scope (crash/restore rows).
         scopes = list(dict.fromkeys(["", *detectors]))
         marks = ",".join(["?"] * len(scopes))
@@ -446,6 +461,12 @@ class WindowedQosStore:
             (endpoint, *scopes, start, end),
         ):
             inside[scope].append((t, _KIND_RANK[kind], kind))
+        # No row at or before the start (history pruned past retention, or
+        # lost to a degradation): a scope whose first row inside the window
+        # closes an interval was in that interval at the start.
+        for scope, rows in inside.items():
+            if rows and state.get(scope) is None:
+                state[scope] = _OPENED_BEFORE.get(rows[0][2])
         outages = inside.pop("")
         crashed = state.get("") == "crash"
         windows = []
@@ -508,7 +529,7 @@ class WindowedQosStore:
         end: float = float("inf"),
     ) -> List[Tuple[float, DetectorQos]]:
         """Persisted cumulative snapshots in ``[start, end]``, by time."""
-        self._flush_pending()
+        self._insert_pending()
         rows = self._sql(
             "SELECT t, qos FROM snapshots "
             "WHERE endpoint = ? AND detector = ? AND t >= ? AND t <= ? "

@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKIN
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.service.daemon import MonitorDaemon
 
-from repro.nekostat.metrics import DetectorQos
+from repro.nekostat.metrics import DetectorQos, query_accuracy
 
 _QOS_GAUGES = (
     (
@@ -96,7 +96,7 @@ def _qos_values(qos: DetectorQos) -> Dict[str, Optional[float]]:
         "fd_qos_detection_time_max_seconds": qos.t_d_upper,
         "fd_qos_mistake_duration_seconds": t_m.mean if t_m else None,
         "fd_qos_mistake_recurrence_seconds": t_mr.mean if t_mr else None,
-        "fd_qos_query_accuracy_probability": qos.p_a,
+        "fd_qos_query_accuracy_probability": query_accuracy(t_m, t_mr),
     }
 
 
@@ -577,7 +577,7 @@ class IncrementalExporter:
             labels, qos.td_samples
         )
         fragment["fd_mistake_length_seconds"] = self._render_summary(
-            labels, [m.duration for m in qos.mistakes]
+            labels, [end - start for start, end in qos.mistakes]
         )
         return fragment
 

@@ -11,14 +11,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.experiments.runner import AggregatedQos
 from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.log import EventLog
 from repro.nekostat.metrics import (
+    DetectorQos,
     MistakeInterval,
     extract_qos,
     qos_from_suspicion_arrays,
+    query_accuracy,
 )
+from repro.nekostat.stats import summarize
 
 
 def build_log(entries):
@@ -210,6 +215,52 @@ class TestAccuracy:
         qos = extract_qos(log, end_time=100.0)["fd"]
         assert qos.up_time == pytest.approx(70.0)
         assert qos.suspected_up_time == pytest.approx(0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        durations=st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=12),
+        recurrences=st.lists(
+            st.floats(min_value=-1.0, max_value=100.0), max_size=12
+        ),
+        up_time=st.sampled_from([0.0, 3.5, 1000.0]),
+    )
+    def test_query_accuracy_is_the_ratio_of_means_formula(
+        self, durations, recurrences, up_time
+    ):
+        """``query_accuracy`` of the summaries equals the formula ``p_a``
+        had inline, and both ``p_a`` properties go through it."""
+        qos = DetectorQos(
+            detector="fd",
+            mistakes=[MistakeInterval(10.0, 10.0 + d) for d in durations],
+            tmr_samples=list(recurrences),
+            up_time=up_time,
+        )
+        t_m, t_mr = qos.t_m, qos.t_mr
+        if t_m is None or t_mr is None:
+            expected = 1.0
+        elif t_mr.mean <= 0:
+            expected = 0.0
+        else:
+            expected = max(0.0, (t_mr.mean - t_m.mean) / t_mr.mean)
+        assert repr(query_accuracy(t_m, t_mr)) == repr(expected)
+        assert repr(qos.p_a) == repr(expected)
+        pooled = AggregatedQos(
+            "fd",
+            tm_samples=[end - start for start, end in qos.mistakes],
+            tmr_samples=list(recurrences),
+        )
+        assert repr(pooled.p_a) == repr(
+            query_accuracy(pooled.t_m, pooled.t_mr)
+        )
+
+    def test_query_accuracy_edges(self):
+        one = summarize([1.0])
+        assert query_accuracy(None, None) == 1.0
+        assert query_accuracy(one, None) == 1.0
+        assert query_accuracy(None, one) == 1.0
+        assert query_accuracy(summarize([2.0]), summarize([0.0])) == 0.0
+        assert query_accuracy(summarize([5.0]), summarize([4.0])) == 0.0
+        assert query_accuracy(summarize([1.0]), summarize([4.0])) == 0.75
 
     def test_mistake_rate(self):
         log = build_log([

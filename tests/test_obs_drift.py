@@ -277,6 +277,51 @@ class TestDriftMonitor:
         feed(monitor, "q", rng.normal(0.1, 0.01, size=16))
         json.dumps(monitor.evaluate(1.0))
 
+    def test_unbounded_mean_shift_is_null_and_still_drift(self):
+        """A baseline without spread: any shift is infinitely many sigmas,
+        which strict JSON cannot carry; the verdict stands."""
+        monitor = DriftMonitor(window_samples=8, baseline=[0.5] * 3, min_samples=4)
+        feed(monitor, "q", [0.75] * 8)
+        report = monitor.evaluate(1.0)
+        entry = report["endpoints"]["q"]
+        assert entry["mean_shift_sigmas"] is None
+        assert entry["drifted"] and report["drifted"] == ["q"]
+        json.dumps(report, allow_nan=False)
+        # No shift at all stays a finite zero.
+        feed(monitor, "q", [0.5] * 8)
+        assert monitor.evaluate(2.0)["endpoints"]["q"]["mean_shift_sigmas"] == 0.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"not RFC 8259 JSON: {name}")
+
+
+@pytest.mark.network
+def test_drift_route_serves_strict_json():
+    from repro.service import MonitorDaemon
+    from tests.test_service import _http, run
+
+    async def main():
+        daemon = MonitorDaemon(
+            port=0, http_port=0, eta=0.1, detector_ids=["Last+CI_med"],
+            drift_window=8, drift_baseline=[0.5] * 3,
+        )
+        await daemon.start()
+        try:
+            for seq in range(8):
+                daemon.drift.observe("q", float(seq), 0.75, seq=seq)
+            host, port = daemon.http_endpoint
+            return await _http(host, port, "GET", "/drift")
+        finally:
+            await daemon.stop()
+
+    status, payload = run(main())
+    assert status == 200
+    report = json.loads(payload, parse_constant=_reject_constant)
+    entry = report["endpoints"]["q"]
+    assert entry["mean_shift_sigmas"] is None
+    assert entry["drifted"] and report["drifted"] == ["q"]
+
 
 @pytest.mark.network
 @pytest.mark.chaos

@@ -9,7 +9,9 @@ documented tie-breaking).  The property test mirrors the streaming
 equivalence suite in ``tests/test_online_qos.py``.
 """
 
+import asyncio
 import math
+import sqlite3
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.log import EventLog
 from repro.nekostat.metrics import OnlineQosAccumulator, extract_qos
 from repro.obs import WindowedQosStore
+from repro.service import MonitorDaemon
+from tests.test_service import run
 
 pytestmark = pytest.mark.obs
 
@@ -268,6 +272,32 @@ class TestWindowSemantics:
         assert window.qos.mistakes == []
         store.close()
 
+    def test_window_reaching_past_pruned_history_still_answers(self):
+        # Pruning drops the suspect and crash rows; the restore and trust
+        # left inside the window say both intervals were open at its start.
+        store = WindowedQosStore(retention=3600.0)
+        _record(store, [("S", 1.0), ("C", 2.0), ("R", 4999.0), ("T", 5000.0)])
+        assert store.prune(5000.0) == 2
+        window = store.query(ENDPOINT, DETECTOR, 0.0, 6000.0)
+        assert window.qos.td_samples == [0.0]
+        assert window.qos.mistakes == [] and window.qos.undetected_crashes == 0
+        assert window.qos.up_time == pytest.approx(1001.0)
+        store.close()
+
+    def test_degraded_store_with_rows_buffered_still_answers(self):
+        """sqlite fails while a batch is buffered: the in-memory store
+        starts from the buffered rows, the first of which may close an
+        interval whose opening row was lost."""
+        store = WindowedQosStore(flush_every=4)
+        store.record_suspect(ENDPOINT, DETECTOR, 0.0)
+        _record(store, [("C", 0.0), ("R", 0.25), ("C", 0.25), ("R", 0.5)])
+        store.inject_sqlite_failures(1)
+        window = store.query(ENDPOINT, DETECTOR, 0.0, 1.0)
+        assert store.degraded
+        assert window.qos.undetected_crashes == 1
+        assert window.qos.up_time == pytest.approx(0.5)
+        store.close()
+
     def test_snapshots_time_range_is_inclusive_both_ends(self):
         store = WindowedQosStore()
         accumulator = OnlineQosAccumulator(DETECTOR)
@@ -412,10 +442,14 @@ def _legal_stream(actors, flips, gaps, scale):
     return rows, t * scale
 
 
-def _store_with(rows, flush_every, failures):
+def _store_with(rows, flush_every, failures, read_first=False):
     store = WindowedQosStore(flush_every=flush_every)
     for actor, kind, t in rows:
         store.record_transition(ENDPOINT, actor, kind, t)
+    if read_first:
+        # Inserts what is buffered and leaves the transaction open, so
+        # the failures below strike inside it.
+        store.latest_time()
     store.inject_sqlite_failures(failures)
     return store
 
@@ -432,22 +466,25 @@ def _store_with(rows, flush_every, failures):
     ),
     flush_every=st.sampled_from([1, 4, 7, 1000]),
     failures=st.sampled_from([0, 0, 1, 2, 3]),
+    read_first=st.booleans(),
     asked=st.permutations([*BANK, "ghost"]),
 )
 def test_endpoint_query_equals_one_query_per_detector(
-    actors, flips, gaps, scale, fractions, flush_every, failures, asked
+    actors, flips, gaps, scale, fractions, flush_every, failures, read_first,
+    asked,
 ):
     """``query_endpoint`` answers every detector from two statements;
     each answer must be, field for field, what ``query`` gives for that
     detector alone — with same-instant rows, a window that starts inside
     a suspicion or an outage, rows still buffered when the read comes
     (``flush_every``), a detector without history (``ghost``), and sqlite
-    failing under the read (the degraded store still answers, and both
-    ways of asking see the same degraded store)."""
+    failing under the read, also inside the transaction an earlier read
+    left open (the degraded store still answers, and both ways of asking
+    see the same degraded store)."""
     rows, total = _legal_stream(actors, flips, gaps, scale)
     start, end = sorted(fraction * (total + scale) for fraction in fractions)
-    together = _store_with(rows, flush_every, failures)
-    one_by_one = _store_with(rows, flush_every, failures)
+    together = _store_with(rows, flush_every, failures, read_first)
+    one_by_one = _store_with(rows, flush_every, failures, read_first)
     try:
         windows = together.query_endpoint(ENDPOINT, asked, start, end)
         singles = [one_by_one.query(ENDPOINT, d, start, end) for d in asked]
@@ -461,18 +498,117 @@ def test_endpoint_query_equals_one_query_per_detector(
         one_by_one.close()
 
 
-def test_read_with_nothing_buffered_does_not_commit():
+def test_a_read_inserts_buffered_rows_and_commits_nothing():
     store = WindowedQosStore()
     commits = []
     commit = store._commit
     store._commit = lambda: (commits.append(1), commit())
     store.record_suspect(ENDPOINT, DETECTOR, 1.0)
-    store.query(ENDPOINT, DETECTOR, 0.0, 2.0)  # inserts the buffered row
-    assert len(commits) == 1 and store.flushes_total == 1
-    store.query_endpoint(ENDPOINT, [DETECTOR], 0.0, 2.0)
+    store.record_trust(ENDPOINT, DETECTOR, 1.5)
+    window = store.query(ENDPOINT, DETECTOR, 0.0, 2.0)
+    # The connection reads the rows of its own open transaction.
+    assert window.qos.mistakes == [(1.0, 1.5)]
+    assert store.stats()["pending"] == 0 and store.flushes_total == 1
+    assert commits == [] and store._connection.in_transaction
+    store.record_suspect(ENDPOINT, DETECTOR, 3.0)
+    store.query_endpoint(ENDPOINT, [DETECTOR], 0.0, 4.0)
     store.endpoints(), store.detectors(ENDPOINT), store.latest_time()
-    assert len(commits) == 1 and store.flushes_total == 1
+    store.snapshots(ENDPOINT, DETECTOR)
+    assert commits == [] and store.flushes_total == 2
+    store.flush()
+    assert commits == [1] and not store._connection.in_transaction
     store.close()
+
+
+async def _snapshot_tick_commits(store, count):
+    """A running daemon over ``store``: rows a read inserted reach another
+    connection on the daemon's own snapshot tick."""
+    daemon = MonitorDaemon(
+        port=0, http_port=None, history=store, snapshot_interval=0.05,
+        own_observability=False,
+    )
+    await daemon.start()
+    try:
+        now = daemon.scheduler.now
+        store.record_suspect(ENDPOINT, DETECTOR, now)
+        store.record_trust(ENDPOINT, DETECTOR, now + 0.5)
+        store.query(ENDPOINT, DETECTOR, now - 1.0, now + 1.0)
+        assert count() == 0
+        for _ in range(500):
+            if count():
+                break
+            await asyncio.sleep(0.02)
+        return count()
+    finally:
+        await daemon.stop()
+
+
+@pytest.mark.parametrize(
+    "committed_by",
+    ["flush", pytest.param("snapshot tick", marks=pytest.mark.network), "close"],
+)
+def test_another_connection_sees_read_rows_once_committed(tmp_path, committed_by):
+    path = str(tmp_path / "qos.sqlite")
+    store = WindowedQosStore(path)
+    reader = sqlite3.connect(path)
+
+    def count():
+        return reader.execute("SELECT COUNT(*) FROM transitions").fetchone()[0]
+
+    try:
+        if committed_by == "snapshot tick":
+            assert run(_snapshot_tick_commits(store, count)) == 2
+            return
+        store.record_suspect(ENDPOINT, DETECTOR, 1.0)
+        store.record_trust(ENDPOINT, DETECTOR, 1.5)
+        store.query(ENDPOINT, DETECTOR, 0.0, 2.0)
+        assert count() == 0  # inserted into the open transaction only
+        if committed_by == "flush":
+            store.flush()
+        else:
+            store.close()
+        assert count() == 2
+    finally:
+        reader.close()
+        store.close()
+
+
+def test_degradation_inside_a_read_transaction_answers_like_a_committed_store(
+    tmp_path,
+):
+    """Twin file stores, one left inside the transaction a read opened and
+    one committed, then sqlite fails under both: the same degraded
+    answers, before and after new rows."""
+    rows = [("", "crash", 1.0), ("fd0", "suspect", 1.5), ("fd1", "suspect", 2.0),
+            ("", "restore", 3.0), ("fd0", "trust", 3.5)]
+    later = [("fd2", "suspect", 6.5), ("fd2", "trust", 7.0)]
+    reading = WindowedQosStore(str(tmp_path / "reading.sqlite"))
+    committed = WindowedQosStore(str(tmp_path / "committed.sqlite"))
+    stores = (reading, committed)
+    try:
+        for store in stores:
+            for actor, kind, t in rows:
+                store.record_transition(ENDPOINT, actor, kind, t)
+        assert reading.query_endpoint(ENDPOINT, BANK, 0.0, 5.0) == (
+            committed.query_endpoint(ENDPOINT, BANK, 0.0, 5.0)
+        )
+        committed.flush()
+        assert reading._connection.in_transaction
+        assert not committed._connection.in_transaction
+        for store in stores:
+            store.inject_sqlite_failures(1)
+        degraded = [s.query_endpoint(ENDPOINT, BANK, 0.0, 5.0) for s in stores]
+        assert degraded[0] == degraded[1]
+        assert reading.degraded and committed.degraded
+        for store in stores:
+            for actor, kind, t in later:
+                store.record_transition(ENDPOINT, actor, kind, t)
+        after = [s.query_endpoint(ENDPOINT, BANK, 4.0, 8.0) for s in stores]
+        assert after[0] == after[1]
+        assert [len(w.qos.mistakes) for w in after[0]] == [0, 0, 1]
+    finally:
+        for store in stores:
+            store.close()
 
 
 class TestQosHistoryCli:

@@ -1,17 +1,81 @@
 """Tests for the statistics helpers."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nekostat.stats import (
     SummaryStats,
     Welford,
+    _t_critical,
     mean_squared_error,
     normal_quantile,
     summarize,
 )
+
+
+def numpy_summarize(values, confidence=0.95):
+    """The numpy body ``summarize`` had before its short-sample path: the
+    reference every field must equal bit for bit."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError("cannot summarise an empty sample")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    with np.errstate(all="ignore"):
+        mean = float(np.mean(arr))
+        if arr.size > 1:
+            std = float(np.std(arr, ddof=1))
+            half = _t_critical(confidence, arr.size - 1) * std / math.sqrt(arr.size)
+        else:
+            std = 0.0
+            half = float("inf")
+        return SummaryStats(
+            count=int(arr.size),
+            mean=mean,
+            std=std,
+            minimum=float(np.min(arr)),
+            maximum=float(np.max(arr)),
+            ci_half_width=half,
+            confidence=confidence,
+        )
+
+
+def bits(stats):
+    """Every field as bytes: ``==`` would equate 0.0 with -0.0 and never
+    a NaN with itself."""
+    floats = ("mean", "std", "minimum", "maximum", "ci_half_width", "confidence")
+    return (
+        type(stats.count),
+        stats.count,
+        *(struct.pack("<d", getattr(stats, name)) for name in floats),
+    )
+
+
+#: The block edges of numpy's pairwise sum (8 and 128) and either side.
+EDGE_SIZES = st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 200])
+ELEMENT = st.one_of(
+    st.floats(min_value=0.19, max_value=0.34),  # one-way WAN delays
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]),
+    st.integers(min_value=-(2**62), max_value=2**62),
+)
+
+
+@st.composite
+def samples(draw):
+    size = draw(st.one_of(EDGE_SIZES, st.integers(min_value=1, max_value=140)))
+    values = draw(st.lists(ELEMENT, min_size=size, max_size=size))
+    form = draw(st.sampled_from(["list", "tuple", "array"]))
+    if form == "tuple":
+        return tuple(values)
+    if form == "array":
+        return np.asarray(values, dtype=float)
+    return values
 
 
 class TestSummarize:
@@ -60,6 +124,47 @@ class TestSummarize:
         assert stats.minimum == pytest.approx(100.0)
         assert stats.confidence == 0.95
 
+    @settings(max_examples=400, deadline=None)
+    @given(values=samples(), confidence=st.sampled_from([0.95, 0.9, 0.99]))
+    def test_equals_the_numpy_body_bit_for_bit(self, values, confidence):
+        with np.errstate(all="ignore"):  # long samples overflow in numpy
+            actual = summarize(values, confidence)
+        assert bits(actual) == bits(numpy_summarize(values, confidence))
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 300])
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            [0.0, -0.0],
+            [-0.0, 0.0],
+            [-0.0],
+            [0.0, 1.0, -0.0],
+            [math.inf, 0.5],
+            [math.inf, -math.inf],
+            [math.nan, 1.0],
+            [1e308, 1e308, -1e308],
+            [0.215, 0.2150000000000001, 0.7],
+        ],
+    )
+    def test_signed_zeros_and_non_finite_values(self, size, pattern):
+        values = (pattern * size)[:size]
+        for form in (values, tuple(values), np.asarray(values)):
+            with np.errstate(all="ignore"):
+                actual = summarize(form)
+            assert bits(actual) == bits(numpy_summarize(form))
+
+    def test_ints_and_what_float_refuses_go_where_numpy_takes_them(self):
+        assert bits(summarize([1, 2, 3])) == bits(numpy_summarize([1, 2, 3]))
+        assert bits(summarize([True, 2.5])) == bits(numpy_summarize([True, 2.5]))
+        # float(None) raises; numpy reads None as NaN.
+        assert bits(summarize([None, 1.0])) == bits(numpy_summarize([None, 1.0]))
+        with pytest.raises(ValueError, match="empty"):
+            summarize(())
+        with pytest.raises(ValueError, match="empty"):
+            summarize([], confidence=2.0)
+        with pytest.raises(ValueError, match="confidence"):
+            summarize([1.0], confidence=0.0)
+
 
 class TestWelford:
     def test_matches_numpy(self):
@@ -101,6 +206,19 @@ class TestWelford:
     def test_summary_empty_rejected(self):
         with pytest.raises(ValueError):
             Welford().summary()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.5])
+    def test_summary_invalid_confidence_rejected_like_summarize(
+        self, count, confidence
+    ):
+        acc = Welford()
+        for value in range(count):
+            acc.add(value)
+        with pytest.raises(ValueError, match="confidence must be in"):
+            acc.summary(confidence=confidence)
+        with pytest.raises(ValueError, match="confidence must be in"):
+            summarize(list(range(count)), confidence=confidence)
 
     def test_numerical_stability_large_offset(self):
         # Welford must not lose precision with a huge common offset.
