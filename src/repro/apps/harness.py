@@ -4,7 +4,7 @@
 experiment needs:
 
 * every ordered pair of processes gets a fair-lossy link from the chosen
-  network profile;
+  network profile (built when it first carries a datagram);
 * every process heartbeats every other process (one
   :class:`~repro.fd.heartbeat.Heartbeater` per destination) through a
   :class:`~repro.fd.simcrash.SimCrash` layer, so injected crashes silence
@@ -98,18 +98,11 @@ def build_consensus_group(
     """
     if len(group) < 2:
         raise ValueError("a consensus group needs at least 2 processes")
-    streams = RandomStreams(seed)
     event_log = EventLog()
-    system = NekoSystem(sim)
-    network = system.network
-    assert isinstance(network, SimulatedNetwork)
-
-    for source in group:
-        for destination in group:
-            if source != destination:
-                network.set_link_profile(
-                    source, destination, profile, streams, record_delays=False
-                )
+    system = NekoSystem(
+        sim,
+        SimulatedNetwork(sim, profile, RandomStreams(seed), record_delays=False),
+    )
 
     consensus_layers: Dict[str, ConsensusLayer] = {}
     detectors: Dict[Tuple[str, str], PushFailureDetector] = {}

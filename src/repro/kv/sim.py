@@ -170,21 +170,14 @@ class KvSimResult:
 def run_kv_sim(config: KvSimConfig) -> KvSimResult:
     """Run one deterministic simulated KV experiment."""
     sim = Simulator()
-    system = NekoSystem(sim)
-    network = system.network
-    assert isinstance(network, SimulatedNetwork)
     streams = RandomStreams(config.seed)
-    profile = get_profile(config.profile_name)
+    network = SimulatedNetwork(
+        sim, get_profile(config.profile_name), streams, record_delays=False
+    )
+    system = NekoSystem(sim, network)
 
     node_names = config.node_names
     client_names = config.client_names
-    everyone = node_names + client_names + [CONTROLLER]
-    for source in everyone:
-        for destination in everyone:
-            if source != destination:
-                network.set_link_profile(
-                    source, destination, profile, streams, record_delays=False
-                )
 
     chaos_engine: Optional[ChaosEngine] = None
     if config.fault_plan is not None:

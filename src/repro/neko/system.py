@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.clocks.clock import Clock
 from repro.neko.layer import ProtocolStack
 from repro.neko.process import NekoProcess
-from repro.net.delay import DelayModel
+from repro.net.delay import ConstantDelay, DelayModel
 from repro.net.link import FairLossyLink
 from repro.net.loss import LossModel
 from repro.net.message import Datagram
@@ -41,16 +41,30 @@ class SimulatedNetwork(NetworkBackend):
     """A mesh of fair-lossy links over the simulation engine.
 
     Links are configured per ordered (source, destination) pair with
-    :meth:`set_link` or, more conveniently, :meth:`set_link_profile`.
-    A pair with no configured link gets a zero-delay lossless default,
-    which keeps unit tests terse.
+    :meth:`set_link` or :meth:`set_link_profile`.  A pair with no
+    configured link gets one the first time a datagram needs it (or
+    :meth:`link` asks for it): built from the network-wide ``profile``
+    on ``streams`` with ``link_kwargs`` when one is given, otherwise a
+    zero-delay lossless default, which keeps unit tests terse.  Streams
+    are named by direction and no model draws at construction, so a link
+    built on first use is the link an eager all-pairs mesh would hold.
     """
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        profile: Optional[WanProfile] = None,
+        streams: Optional[RandomStreams] = None,
+        **link_kwargs,
+    ) -> None:
+        if (profile is None) != (streams is None):
+            raise ValueError("profile and streams must be given together")
         self._sim = sim
+        self._profile = profile
+        self._streams = streams
+        self._link_kwargs = link_kwargs
         self._receivers: Dict[str, Callable[[Datagram], None]] = {}
         self._links: Dict[Tuple[str, str], FairLossyLink] = {}
-        self._default_factory: Optional[Callable[[], FairLossyLink]] = None
         self._outbound_filter: Optional[
             Callable[[FairLossyLink, Datagram], None]
         ] = None
@@ -105,11 +119,24 @@ class SimulatedNetwork(NetworkBackend):
         )
 
     def link(self, source: str, destination: str) -> FairLossyLink:
-        """Return the installed link for the ordered pair; raises if none."""
-        try:
-            return self._links[(source, destination)]
-        except KeyError:
-            raise LookupError(f"no link configured for {source!r} -> {destination!r}") from None
+        """Return the link for the ordered pair, building it from the
+        network's profile if it has none yet; raises if there is no
+        profile to build from."""
+        link = self._links.get((source, destination))
+        if link is not None:
+            return link
+        if self._profile is None:
+            raise LookupError(f"no link configured for {source!r} -> {destination!r}")
+        return self._build_link(source, destination)
+
+    def _build_link(self, source: str, destination: str) -> FairLossyLink:
+        """The link a pair gets on first use."""
+        if self._profile is None:
+            return self.set_link(source, destination, ConstantDelay(0.0))
+        assert self._streams is not None
+        return self.set_link_profile(
+            source, destination, self._profile, self._streams, **self._link_kwargs
+        )
 
     def set_outbound_filter(
         self,
@@ -125,12 +152,9 @@ class SimulatedNetwork(NetworkBackend):
         self._outbound_filter = filter_fn
 
     def send(self, message: Datagram) -> None:
-        key = (message.source, message.destination)
-        link = self._links.get(key)
+        link = self._links.get((message.source, message.destination))
         if link is None:
-            from repro.net.delay import ConstantDelay
-
-            link = self.set_link(message.source, message.destination, ConstantDelay(0.0))
+            link = self._build_link(message.source, message.destination)
         if self._outbound_filter is not None:
             self._outbound_filter(link, message)
         else:

@@ -16,6 +16,7 @@ These are the "fair lossy link" semantics of the paper's Section 2.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.net.delay import DelayModel
@@ -124,9 +125,7 @@ class FairLossyLink:
             delay = delivery_time - now
         self._last_scheduled_delivery = max(self._last_scheduled_delivery, delivery_time)
         self._sim.schedule_at(
-            delivery_time,
-            lambda dgram=datagram, dly=delay, idx=send_index: self._deliver(dgram, dly, idx),
-            name=f"deliver:{datagram.kind}",
+            delivery_time, partial(self._deliver, datagram, delay, send_index), name="deliver"
         )
         return delay
 

@@ -28,7 +28,7 @@ from repro.nekostat.log import EventLog
 
 
 class _LoopTimerHandle:
-    """Cancellable handle mirroring :class:`repro.sim.engine.EventHandle`."""
+    """Cancellable handle mirroring :class:`repro.sim.engine.Event`."""
 
     __slots__ = ("_handle", "_when", "_name", "_cancelled", "_scheduler")
 

@@ -12,13 +12,12 @@ named :class:`~repro.sim.random.RandomStreams` so that adding a new random
 component never perturbs the draws seen by existing components.
 """
 
-from repro.sim.engine import Event, EventHandle, Simulator, SimulationError
+from repro.sim.engine import Event, Simulator, SimulationError
 from repro.sim.random import RandomStreams
 from repro.sim.process import PeriodicTimer, Timer
 
 __all__ = [
     "Event",
-    "EventHandle",
     "PeriodicTimer",
     "RandomStreams",
     "SimulationError",

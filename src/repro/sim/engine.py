@@ -30,65 +30,30 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """An entry in the simulator's event list.
+    """A scheduled callback, and the caller's handle on it.
 
     Events are carried inside tuple heap entries ``(time, priority, seq,
     event)``; the record itself holds the callback and bookkeeping flags.
-    ``__slots__`` keeps the per-event footprint small — a 100 000-cycle run
-    allocates hundreds of thousands of these.
+    :meth:`Simulator.schedule` returns the event itself, so one schedule
+    allocates one object.  ``__slots__`` keeps the per-event footprint
+    small — a 100 000-cycle run allocates hundreds of thousands of these.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "name", "cancelled", "fired")
+    __slots__ = ("time", "callback", "name", "cancelled", "fired", "_sim")
 
     def __init__(
         self,
+        sim: "Simulator",
         time: float,
-        priority: int,
-        seq: int,
         callback: Callable[[], None],
         name: str = "",
     ) -> None:
+        self._sim = sim
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.name = name
         self.cancelled = False
         self.fired = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        return f"Event(t={self.time:.6f}, prio={self.priority}, seq={self.seq}, {state})"
-
-
-class EventHandle:
-    """A cancellable reference to a scheduled :class:`Event`.
-
-    Handles are returned by :meth:`Simulator.schedule` and friends.  They
-    support cancellation and inspection but deliberately do not expose the
-    callback, keeping the engine's internals private.
-    """
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: Event, sim: "Simulator") -> None:
-        self._event = event
-        self._sim = sim
-
-    @property
-    def time(self) -> float:
-        """The virtual time at which the event fires (or would have)."""
-        return self._event.time
-
-    @property
-    def name(self) -> str:
-        """The diagnostic name given at scheduling time."""
-        return self._event.name
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was called before the event fired."""
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -97,11 +62,14 @@ class EventHandle:
         a silent no-op, matching the semantics of ``asyncio`` timer handles
         (the caller usually cannot know whether the race was lost).
         """
-        self._sim._cancel(self._event)
+        if self.cancelled or self.fired:
+            return
+        self.cancelled = True
+        self._sim._pending -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.6f}, name={self.name!r}, {state})"
+        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
+        return f"Event(t={self.time:.6f}, name={self.name!r}, {state})"
 
 
 class Simulator:
@@ -162,7 +130,7 @@ class Simulator:
         *,
         priority: int = 0,
         name: str = "",
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from :attr:`now`.
 
         ``delay`` must be non-negative and finite.  ``priority`` breaks ties
@@ -180,27 +148,24 @@ class Simulator:
         *,
         priority: int = 0,
         name: str = "",
-    ) -> EventHandle:
-        """Schedule ``callback`` at absolute virtual time ``time``."""
-        if not math.isfinite(time):
-            raise SimulationError(f"event time must be finite, got {time!r}")
-        if time < self._now:
+    ) -> Event:
+        """Schedule ``callback`` at absolute virtual time ``time``.
+
+        Returns the event, which the caller may :meth:`~Event.cancel`.
+        """
+        if not self._now <= time < math.inf:  # false for NaN too
+            if not math.isfinite(time):
+                raise SimulationError(f"event time must be finite, got {time!r}")
             raise SimulationError(
                 f"cannot schedule event at {time:.6f}, before current time {self._now:.6f}"
             )
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
-        event = Event(float(time), priority, next(self._seq), callback, name)
-        heapq.heappush(self._queue, (event.time, event.priority, event.seq, event))
+        time = float(time)
+        event = Event(self, time, callback, name)
+        heapq.heappush(self._queue, (time, priority, next(self._seq), event))
         self._pending += 1
-        return EventHandle(event, self)
-
-    def _cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (idempotent; no-op after it fired)."""
-        if event.cancelled or event.fired:
-            return
-        event.cancelled = True
-        self._pending -= 1
+        return event
 
     # ------------------------------------------------------------------
     # Execution
@@ -232,9 +197,10 @@ class Simulator:
 
         ``until`` is an absolute virtual time: every event with
         ``time <= until`` is executed, and :attr:`now` is advanced to
-        ``until`` afterwards even if no event fired exactly there.
-        ``max_events`` bounds the number of events executed in this call —
-        a guard against accidental unbounded periodic timers.
+        ``until`` afterwards even if no event fired exactly there — unless
+        events due by ``until`` are still queued because the run stopped
+        early.  ``max_events`` bounds the number of events executed in this
+        call — a guard against accidental unbounded periodic timers.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -242,38 +208,36 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {until:.6f}, before current time {self._now:.6f}"
             )
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
+        queue = self._queue
         self._running = True
         self._stopped = False
         executed = 0
+        budget_hit = False
         try:
-            while self._queue and not self._stopped:
-                if max_events is not None and executed >= max_events:
+            while queue and not self._stopped:
+                head = queue[0]
+                if head[3].cancelled:
+                    heapq.heappop(queue)
+                    continue
+                if head[0] > horizon:
                     break
-                upcoming = self._peek()
-                if upcoming is None:
-                    break
-                if until is not None and upcoming.time > until:
+                if executed >= budget:
+                    budget_hit = True
                     break
                 self.step()
                 executed += 1
         finally:
             self._running = False
-        if until is not None and not self._stopped and self._now < until:
+        # Events due by ``until`` may still be queued after a budget stop:
+        # jumping past them would make the next run move time backwards.
+        if until is not None and not (budget_hit or self._stopped) and self._now < until:
             self._now = until
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the in-flight event returns."""
         self._stopped = True
-
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without removing it."""
-        while self._queue:
-            event = self._queue[0][3]
-            if event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            return event
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -282,4 +246,4 @@ class Simulator:
         )
 
 
-__all__ = ["Event", "EventHandle", "SimulationError", "Simulator"]
+__all__ = ["Event", "SimulationError", "Simulator"]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.engine import EventHandle, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 
 class Timer:
@@ -32,7 +32,7 @@ class Timer:
         self._callback = callback
         self._name = name
         self._priority = priority
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
 
     @property
     def armed(self) -> bool:
@@ -49,7 +49,8 @@ class Timer:
 
     def arm_at(self, time: float) -> None:
         """(Re-)arm the timer to fire at absolute time ``time``."""
-        self.cancel()
+        if self._handle is not None:
+            self._handle.cancel()
         self._handle = self._sim.schedule_at(
             time, self._fire, name=self._name, priority=self._priority
         )
@@ -95,9 +96,12 @@ class PeriodicTimer:
         self._period = float(period)
         self._callback = callback
         self._name = name
-        self._start = sim.now if start is None else float(start)
+        # A defaulted start means "when start() is first called": resolved
+        # there, so time passing between construction and start (real time
+        # on the asyncio scheduler) cannot make tick 0 look missed.
+        self._start: Optional[float] = None if start is None else float(start)
         self._tick = 0
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
         self._running = False
 
     @property
@@ -116,12 +120,16 @@ class PeriodicTimer:
         return self._running
 
     def start(self) -> None:
-        """Begin ticking.  The first tick fires at the configured start time
-        (immediately, if the start time is now or in the past)."""
+        """Begin ticking.  The first tick fires at the configured start time,
+        or now if none was given; ticks whose time has passed are skipped."""
         if self._running:
             return
         self._running = True
-        self._schedule_next()
+        if self._start is None:
+            self._start = self._sim.now
+            self._handle = self._sim.schedule_at(self._start, self._fire, name=self._name)
+        else:
+            self._schedule_next()
 
     def stop(self) -> None:
         """Stop ticking.  A later :meth:`start` resumes from the next
@@ -134,6 +142,7 @@ class PeriodicTimer:
             self._handle = None
 
     def _schedule_next(self) -> None:
+        assert self._start is not None
         when = self._start + self._tick * self._period
         if when < self._sim.now:
             # Skip ticks that elapsed while stopped.

@@ -19,6 +19,32 @@ from typing import Dict, Iterable
 
 import numpy as np
 
+#: ``SeedSequence.pool_size``: the entropy words a spawn key is placed after.
+_POOL_WORDS = 4
+
+
+def _child_sequence(seed: int, name: str) -> np.random.SeedSequence:
+    """``SeedSequence(entropy=seed, spawn_key=tuple(map(ord, name)))``, fast.
+
+    numpy assembles that sequence's entropy as the seed's 32-bit words
+    (least significant first), zero-padded to the pool size when a spawn
+    key is present, followed by one word per spawn-key element.  Handing
+    it that array directly yields the same pool — hence the same
+    generator — without coercing the key element by element.  (Padding
+    an empty name too is harmless: the pool mixes in zeros for missing
+    words.)
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    words = [seed & 0xFFFFFFFF]
+    seed >>= 32
+    while seed:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+    words.extend([0] * (_POOL_WORDS - len(words)))
+    words.extend(map(ord, name))
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+
 
 class RandomStreams:
     """A factory of independent, reproducible random generators.
@@ -52,9 +78,7 @@ class RandomStreams:
         if name not in self._streams:
             # Derive a child seed from (root seed, name) so the mapping is
             # stable regardless of creation order.
-            name_entropy = [ord(ch) for ch in name]
-            seq = np.random.SeedSequence(entropy=self._seed, spawn_key=tuple(name_entropy))
-            self._streams[name] = np.random.default_rng(seq)
+            self._streams[name] = np.random.default_rng(_child_sequence(self._seed, name))
         return self._streams[name]
 
     def names(self) -> Iterable[str]:
@@ -68,11 +92,7 @@ class RandomStreams:
         sibling spawned under a different name.
         """
         child = RandomStreams(self._seed)
-        child._seed = int(
-            np.random.SeedSequence(
-                entropy=self._seed, spawn_key=tuple(ord(ch) for ch in name)
-            ).generate_state(1)[0]
-        )
+        child._seed = int(_child_sequence(self._seed, name).generate_state(1)[0])
         return child
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

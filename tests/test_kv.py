@@ -33,9 +33,11 @@ from repro.kv.node import (
     KV_VIEW,
     KvNodeCore,
 )
-from repro.kv.sim import KvSimConfig, run_kv_sim
+from repro.kv import sim as kv_sim
+from repro.kv.sim import CONTROLLER, KvSimConfig, run_kv_sim
 from repro.kv.store import VersionedStore, decode_version, encode_version
 from repro.kv.workload import WorkloadSpec
+from repro.neko.system import SimulatedNetwork
 from repro.net.message import Datagram
 
 pytestmark = pytest.mark.kv
@@ -395,6 +397,44 @@ class TestRunKvSim:
         )
         assert recomputed.ops == result.summary.ops
         assert recomputed.unavailability == result.summary.unavailability
+
+
+class _EagerMesh(SimulatedNetwork):
+    """The all-pairs wiring: every ordered pair of registered addresses
+    gets its profile link at registration, before the first event."""
+
+    def register(self, address, receiver):
+        for other in list(self._receivers):
+            self.link(other, address)
+            self.link(address, other)
+        super().register(address, receiver)
+
+
+class TestLinksOnFirstUse:
+    CONFIG = KvSimConfig(duration=20.0, eta=0.2, seed=4, clients=2)
+
+    def test_profile_built_links_equal_an_eager_mesh(self, monkeypatch):
+        networks = []
+
+        def recording(network_class):
+            def build(*args, **kwargs):
+                networks.append(network_class(*args, **kwargs))
+                return networks[-1]
+
+            return build
+
+        monkeypatch.setattr(kv_sim, "SimulatedNetwork", recording(SimulatedNetwork))
+        lazy = run_kv_sim(self.CONFIG)
+        monkeypatch.setattr(kv_sim, "SimulatedNetwork", recording(_EagerMesh))
+        wired = run_kv_sim(self.CONFIG)
+        assert wired.canonical_json() == lazy.canonical_json()
+
+        lazy_pairs, wired_pairs = (set(network._links) for network in networks)
+        everyone = len(self.CONFIG.node_names) + len(self.CONFIG.client_names) + 1
+        assert len(wired_pairs) == everyone * (everyone - 1)
+        # Clients never talk to one another, so their links are never built.
+        assert ("client0", "client1") not in lazy_pairs
+        assert ("node0", CONTROLLER) in lazy_pairs
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,9 @@ from repro.neko.layer import Layer, ProtocolStack
 from repro.neko.system import NekoSystem, SimulatedNetwork
 from repro.net.delay import ConstantDelay
 from repro.net.message import Datagram
+from repro.net.wan import get_profile
+from repro.sim.engine import Simulator
+from repro.sim.random import RandomStreams
 
 from tests.conftest import RecordingLayer, make_two_process_system
 
@@ -187,6 +190,78 @@ class TestSimulatedNetwork:
         times = dict(received)
         assert times["b"] == pytest.approx(0.1)
         assert times["a"] == pytest.approx(0.5)
+
+
+class TestNetworkProfile:
+    """A network-wide profile builds a pair's link when it is first used."""
+
+    @staticmethod
+    def _system(sim, streams, addresses):
+        network = SimulatedNetwork(
+            sim, get_profile("italy-japan"), streams, record_delays=False
+        )
+        system = NekoSystem(sim, network)
+        layers = {}
+        for address in addresses:
+            layers[address] = (Layer(f"s-{address}"), RecordingLayer())
+            system.create_process(address, ProtocolStack(list(layers[address])))
+        return network, layers
+
+    def test_a_pair_that_carries_nothing_creates_no_stream(self, sim):
+        streams = RandomStreams(3)
+        network, layers = self._system(sim, streams, ["a", "b", "c"])
+        assert tuple(streams.names()) == ()
+        layers["a"][0].send(Datagram(source="a", destination="b", kind="t"))
+        sim.run()
+        assert set(streams.names()) == {
+            "italy-japan.a->b.delay",
+            "italy-japan.a->b.loss",
+        }
+        assert network.link("a", "b").stats.sent == 1
+
+    def test_link_builds_from_the_profile(self, sim):
+        streams = RandomStreams(3)
+        network, layers = self._system(sim, streams, ["a", "b"])
+        link = network.link("b", "a")
+        assert set(streams.names()) == {
+            "italy-japan.b->a.delay",
+            "italy-japan.b->a.loss",
+        }
+        assert network.link("b", "a") is link
+        layers["b"][0].send(Datagram(source="b", destination="a", kind="t"))
+        sim.run()
+        assert link.stats.sent == 1
+        assert link.stats.delays == []  # the profile's link kwargs apply
+
+    def test_lazy_link_equals_an_eager_one(self):
+        """Same profile and seed: a link built on first use draws exactly
+        what one installed before the run does."""
+
+        def delays(eager):
+            sim = Simulator()
+            streams = RandomStreams(5)
+            profile = get_profile("italy-japan")
+            network = SimulatedNetwork(sim, profile, streams)
+            if eager:
+                for pair in [("b", "a"), ("a", "c"), ("a", "b")]:
+                    network.set_link_profile(*pair, profile, streams)
+            network.register("b", lambda message: None)
+            for seq in range(200):
+                sim.schedule_at(
+                    seq * 0.5,
+                    lambda seq=seq: network.send(
+                        Datagram(source="a", destination="b", kind="t", seq=seq)
+                    ),
+                )
+            sim.run()
+            return network.link("a", "b").stats.delays
+
+        lazy = delays(eager=False)
+        assert lazy and lazy == delays(eager=True)
+
+    def test_profile_needs_streams(self, sim):
+        with pytest.raises(ValueError):
+            SimulatedNetwork(sim, get_profile("italy-japan"))
 
 
 class TestSystemLifecycle:

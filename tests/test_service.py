@@ -407,6 +407,22 @@ class TestDaemonDispatch:
 # (socket-less: the network is a list)
 # ----------------------------------------------------------------------
 class TestHeartbeatEmitter:
+    def test_first_heartbeat_is_seq_zero(self):
+        """With the default ``start`` the first tick is anchored when the
+        timer starts, so real time passing since construction cannot
+        make tick 0 look missed."""
+        async def main():
+            scheduler = AsyncioScheduler()
+            sent = socketless_emitter(
+                scheduler, "q", [Heartbeater("monitor", 0.02), LiveCrash("monitor")]
+            )
+            await asyncio.sleep(0.05)
+            scheduler.close()
+            seqs = [m.seq for m in sent if m.kind == "heartbeat"]
+            assert seqs and seqs[0] == 0
+
+        run(main())
+
     def test_seq_advances_across_crash(self):
         async def main():
             scheduler = AsyncioScheduler()

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -166,6 +166,30 @@ class TestRunControl:
         assert sim.step() is True
         assert fired == [1]
 
+    def test_budget_stop_keeps_time_at_last_event(self, sim):
+        """A run cut by ``max_events`` with events due before ``until``
+        still queued must not jump to ``until``: the next run would move
+        time backwards, and scheduling between the two would raise."""
+        fired = []
+        for i in range(5):
+            sim.schedule(float(i + 1), lambda i=i: fired.append(sim.now))
+        sim.run(until=10.0, max_events=2)
+        assert fired == [1.0, 2.0]
+        assert sim.now == 2.0
+        sim.schedule_at(2.5, lambda: fired.append(sim.now))
+        sim.run(until=10.0)
+        assert fired == [1.0, 2.0, 2.5, 3.0, 4.0, 5.0]
+        assert sim.now == 10.0
+
+    def test_budget_stop_advances_when_nothing_is_due(self, sim):
+        sim.schedule(1.0, lambda: None)
+        later = sim.schedule(2.0, lambda: None)
+        sim.schedule(20.0, lambda: None)
+        later.cancel()
+        sim.run(until=10.0, max_events=1)
+        # Only a cancelled event and one after ``until`` remain.
+        assert sim.now == 10.0
+
     def test_events_processed_counter(self, sim):
         for i in range(5):
             sim.schedule(float(i), lambda: None)
@@ -174,6 +198,17 @@ class TestRunControl:
 
 
 class TestCancellation:
+    """The scheduled :class:`Event` is itself the handle."""
+
+    def test_schedule_returns_the_event(self, sim):
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(1), name="probe")
+        assert isinstance(event, Event)
+        assert not event.cancelled and not event.fired
+        sim.run()
+        assert fired == [1]
+        assert event.fired and not event.cancelled
+
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
         handle = sim.schedule(1.0, lambda: fired.append(1))
@@ -211,6 +246,18 @@ class TestCancellation:
         sim.schedule(1.0, handle.cancel)
         sim.run()
         assert fired == []
+        assert handle.cancelled and not handle.fired
+
+    def test_cancel_at_queue_head_before_run(self, sim):
+        fired = []
+        head = sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(2.0, lambda: fired.append(2))
+        head.cancel()
+        sim.run(until=1.5)
+        assert fired == []
+        assert sim.now == 1.5
+        sim.run()
+        assert fired == [2]
 
 
 class TestDeterminism:
@@ -248,6 +295,16 @@ class TestPendingCounter:
         assert sim.pending_events == 0
         handle.cancel()  # already fired: must not drive the counter negative
         assert sim.pending_events == 0
+
+    def test_cancel_after_cancel_counts_once(self, sim):
+        event = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        event.cancel()
+        event.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.pending_events == 0
+        assert sim.events_processed == 1
 
     def test_schedule_during_run_is_counted(self, sim):
         def chain(depth):
