@@ -318,9 +318,14 @@ class DetectorBank(Layer):
     # Layer lifecycle
     # ------------------------------------------------------------------
     def on_attach(self) -> None:
-        self._timer = self.process.timer(
+        process = self.process
+        self._timer = process.timer(
             self._expired, name=f"fd-bank:{self.monitored}", priority=1
         )
+        # What every transition record reads, bound once.
+        self._sim = process.sim
+        self._site = process.address
+        self._local_from_global = process.clock.local_from_global
 
     def on_start(self) -> None:
         # Before any heartbeat: expect the first one within one period
@@ -426,22 +431,24 @@ class DetectorBank(Layer):
 
     def _transition(self, row: int, kind: EventKind, timeout: float) -> None:
         """Record one suspect/trust transition of ``row``: event, span, hook."""
-        process = self.process
+        now = self._sim.now
         detector_id = self._ids[row]
+        # Positional, in StatEvent's field order (seq is None).
         self._event_log.append(
             StatEvent(
-                time=process.sim.now,
-                kind=kind,
-                site=process.address,
-                detector=detector_id,
-                local_time=process.local_time(),
-                data={"timeout": timeout},
+                now,
+                kind,
+                self._site,
+                detector_id,
+                None,
+                self._local_from_global(now),
+                {"timeout": timeout},
             )
         )
         suspecting = kind is EventKind.START_SUSPECT
         if self._tracer is not None:
             self._tracer.emit(
-                process.sim.now,
+                now,
                 "suspect" if suspecting else "trust",
                 self.monitored,
                 detector=detector_id,

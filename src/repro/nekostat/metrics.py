@@ -183,15 +183,6 @@ def _suspicion_intervals(
     return _suspicion_intervals_by_detector(events, [detector], end_time)[detector]
 
 
-def _overlap(
-    interval: Tuple[float, float], window: Tuple[float, float]
-) -> float:
-    """Length of the intersection of two [start, end) intervals."""
-    start = max(interval[0], window[0])
-    end = min(interval[1], window[1])
-    return max(0.0, end - start)
-
-
 def extract_qos(
     log: EventLog,
     *,
@@ -217,6 +208,9 @@ def extract_qos(
     up_windows = _up_windows(crashes, end_time)
     detector_ids = list(detectors) if detectors is not None else log.detectors()
     intervals_of = _suspicion_intervals_by_detector(log, detector_ids, end_time)
+    crash_count = len(crashes)
+    window_count = len(up_windows)
+    make_mistake = MistakeInterval._make
 
     results: Dict[str, DetectorQos] = {}
     for detector in detector_ids:
@@ -253,38 +247,41 @@ def extract_qos(
         # --- mistakes ----------------------------------------------------
         # A suspicion raised while the process was up, i.e. outside every
         # [crash, restore) window; the same sweep over two sorted lists.
+        mistakes = qos.mistakes
         crash_index = 0
-        for index, (s, e) in enumerate(intervals):
+        for index, interval in enumerate(intervals):
             if index in permanent:
                 continue
-            while (
-                crash_index < len(crashes)
-                and crashes[crash_index][1] - _EPS <= s
-            ):
+            s = interval[0]
+            while crash_index < crash_count and crashes[crash_index][1] - _EPS <= s:
                 crash_index += 1
-            if crash_index == len(crashes) or s < crashes[crash_index][0] - _EPS:
-                qos.mistakes.append(MistakeInterval(start=s, end=e))
+            if crash_index == crash_count or s < crashes[crash_index][0] - _EPS:
+                mistakes.append(make_mistake(interval))
 
         # --- recurrence --------------------------------------------------
-        starts = [mistake.start for mistake in qos.mistakes]
+        starts = [mistake[0] for mistake in mistakes]
         qos.tmr_samples = [b - a for a, b in zip(starts, starts[1:])]
 
         # --- availability ------------------------------------------------
         # Two-pointer sweep over the two sorted interval lists: O(n + m)
         # rather than O(n * m) — on a 100 000-cycle run with thousands of
         # mistakes and hundreds of crash windows the difference is the
-        # bulk of the extraction time.
+        # bulk of the extraction time.  Each overlap is
+        # ``max(0.0, min(e, we) - max(s, ws))`` written out with the
+        # builtins' tie rules (the first operand wins a tie), added in
+        # interval order.
         suspected_up = 0.0
         window_index = 0
         for s, e in intervals:
-            while (
-                window_index < len(up_windows)
-                and up_windows[window_index][1] <= s
-            ):
+            while window_index < window_count and up_windows[window_index][1] <= s:
                 window_index += 1
             k = window_index
-            while k < len(up_windows) and up_windows[k][0] < e:
-                suspected_up += _overlap((s, e), up_windows[k])
+            while k < window_count:
+                ws, we = up_windows[k]
+                if not ws < e:
+                    break
+                overlap = (we if we < e else e) - (ws if ws > s else s)
+                suspected_up += overlap if overlap > 0.0 else 0.0
                 k += 1
         qos.suspected_up_time = suspected_up
 
@@ -369,7 +366,8 @@ class OnlineQosAccumulator:
 
     Events must arrive in non-decreasing time order.  At equal
     timestamps, feed ``restore`` before ``crash`` before the detector
-    transitions — the order the batch extractor's interval semantics
+    transitions (:data:`~repro.nekostat.events.SAME_INSTANT_RANK`) — the
+    order the batch extractor's interval semantics
     imply (a suspicion starting at the restore instant counts as raised
     while up; one starting at the crash instant counts as raised during
     the crash).

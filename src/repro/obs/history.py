@@ -32,7 +32,10 @@ exactly as the batch extractor would see it:
    :class:`~repro.nekostat.metrics.OnlineQosAccumulator` started at
    ``start``;
 3. the accumulator is snapshotted at ``end``, closing open intervals
-   there.
+   there.  By the event model's same-instant rule
+   (:mod:`repro.nekostat.events`) the end closes a crash still open
+   there *before* the detector transitions stamped ``end`` are replayed,
+   as ``extract_qos`` closes it at its ``end_time``.
 
 Because the accumulator is proven equal to ``extract_qos`` on arbitrary
 legal interleavings (``tests/test_online_qos.py``), a window query
@@ -58,6 +61,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.nekostat.events import SAME_INSTANT_RANK, EventKind
 from repro.nekostat.metrics import (
     DetectorQos,
     MistakeInterval,
@@ -68,10 +72,18 @@ from repro.nekostat.metrics import (
 #: Transition kinds accepted by :meth:`WindowedQosStore.record_transition`.
 TRANSITION_KINDS = ("suspect", "trust", "crash", "restore")
 
-#: Same-instant replay order: restore before crash before detector
-#: transitions (the accumulator's documented tie-breaking).  Suspect and
-#: trust share a rank so the stable sort preserves their arrival order.
-_KIND_RANK = {"restore": 0, "crash": 1, "suspect": 2, "trust": 2}
+#: Same-instant replay order, the event model's
+#: :data:`~repro.nekostat.events.SAME_INSTANT_RANK`: restore before crash
+#: before detector transitions.  Suspect and trust share a rank so the
+#: stable sort preserves their arrival order.
+_KIND_RANK = {
+    "restore": SAME_INSTANT_RANK[EventKind.RESTORE],
+    "crash": SAME_INSTANT_RANK[EventKind.CRASH],
+    "suspect": SAME_INSTANT_RANK[EventKind.START_SUSPECT],
+    "trust": SAME_INSTANT_RANK[EventKind.END_SUSPECT],
+}
+
+_DETECTOR_RANK = _KIND_RANK["suspect"]
 
 #: Replay order of ``(t, rank, kind)`` rows: by time, then by rank.
 _TIME_AND_RANK = itemgetter(0, 1)
@@ -481,7 +493,12 @@ class WindowedQosStore:
                 # Both lists are in (t, rowid) order and share no rank, so
                 # the stable sort by (t, rank) is the same-instant rule.
                 replay = sorted(outages + replay, key=_TIME_AND_RANK)
-            for t, _, kind in replay:
+            for t, rank, kind in replay:
+                if t >= end and rank == _DETECTOR_RANK and accumulator.crashed:
+                    # Same-instant rule: the window's end (no row is past
+                    # it) closes the crash before the detector transitions
+                    # stamped with it.
+                    accumulator.observe_restore(end)
                 if kind == "suspect":
                     accumulator.observe_suspect(t)
                 elif kind == "trust":

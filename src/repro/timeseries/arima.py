@@ -332,7 +332,7 @@ class ArimaForecaster(Forecaster):
                     self._last_w_forecast
                     if self._last_w_forecast is not None
                     else self._model.forecast_one(
-                        list(self._recent_w), list(self._recent_innovations)
+                        self._recent_w, self._recent_innovations
                     )
                 )
                 self._recent_innovations.append(w - forecast)
@@ -345,7 +345,7 @@ class ArimaForecaster(Forecaster):
         if self._model is None:
             return self._fallback_prediction()
         w_forecast = self._model.forecast_one(
-            list(self._recent_w), list(self._recent_innovations)
+            self._recent_w, self._recent_innovations
         )
         self._last_w_forecast = w_forecast
         if len(self._raw) < self.d:
@@ -371,11 +371,18 @@ class ArimaForecaster(Forecaster):
 
         Indexed from the right end of the deque, so the cost does not grow
         with the fit window (up to ``fit_window + d + 1`` values deep).
+        Differenced in plain floats: each pass subtracts neighbours exactly
+        as ``np.diff`` does, without building an array per observation.
         """
+        raw = self._raw
         if self.d == 0:
-            return self._raw[-1]
-        window = list(map(self._raw.__getitem__, range(-(self.d + 1), 0)))
-        return float(difference(window, self.d)[-1])
+            return raw[-1]
+        if self.d == 1:  # the paper's model: one subtraction
+            return raw[-1] - raw[-2]
+        values = list(map(raw.__getitem__, range(-(self.d + 1), 0)))
+        for _ in range(self.d):
+            values = [b - a for a, b in zip(values, values[1:])]
+        return values[-1]
 
     def _should_refit(self) -> bool:
         if self._count < self._initial_fit:

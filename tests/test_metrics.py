@@ -8,6 +8,7 @@ crashes, and open intervals at the end of a run.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from repro.experiments.runner import AggregatedQos
 from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.log import EventLog
 from repro.nekostat.metrics import (
+    _EPS,
     DetectorQos,
     MistakeInterval,
+    _suspicion_intervals_by_detector,
+    _up_windows,
     extract_qos,
     qos_from_suspicion_arrays,
     query_accuracy,
@@ -380,3 +384,151 @@ class TestMalformedLogs:
         assert qos.td_samples == []
         assert qos.p_a == 1.0
         assert qos.up_time == 10.0
+
+
+# ----------------------------------------------------------------------
+# extract_qos against its earlier per-interval body, bit for bit
+# ----------------------------------------------------------------------
+def _reference_overlap(interval, window):
+    start = max(interval[0], window[0])
+    end = min(interval[1], window[1])
+    return max(0.0, end - start)
+
+
+def _reference_extract_qos(log, *, end_time=None, detectors=None):
+    """The extractor as it was written with a helper call per overlap and
+    a keyword-built mistake per interval: the reference for bit identity."""
+    if end_time is None:
+        end_time = log[-1].time if len(log) else 0.0
+    crashes = log.crash_intervals(end_time=end_time)
+    crashed_time = sum(end - start for start, end in crashes)
+    up_windows = _up_windows(crashes, end_time)
+    detector_ids = list(detectors) if detectors is not None else log.detectors()
+    intervals_of = _suspicion_intervals_by_detector(log, detector_ids, end_time)
+    results = {}
+    for detector in detector_ids:
+        qos = DetectorQos(
+            detector=detector,
+            observation_time=end_time,
+            up_time=max(0.0, end_time - crashed_time),
+        )
+        intervals = intervals_of[detector]
+        permanent = set()
+        first = 0
+        for crash_start, crash_end in crashes:
+            detection = None
+            while first < len(intervals) and intervals[first][1] < crash_start:
+                first += 1
+            for index in range(first, len(intervals)):
+                s, e = intervals[index]
+                if s >= crash_end - _EPS:
+                    break
+                if e >= crash_end - _EPS:
+                    detection = (s, e)
+                    permanent.add(index)
+                    break
+            if detection is None:
+                qos.undetected_crashes += 1
+            else:
+                qos.td_samples.append(max(0.0, detection[0] - crash_start))
+        crash_index = 0
+        for index, (s, e) in enumerate(intervals):
+            if index in permanent:
+                continue
+            while crash_index < len(crashes) and crashes[crash_index][1] - _EPS <= s:
+                crash_index += 1
+            if crash_index == len(crashes) or s < crashes[crash_index][0] - _EPS:
+                qos.mistakes.append(MistakeInterval(start=s, end=e))
+        starts = [mistake.start for mistake in qos.mistakes]
+        qos.tmr_samples = [b - a for a, b in zip(starts, starts[1:])]
+        suspected_up = 0.0
+        window_index = 0
+        for s, e in intervals:
+            while window_index < len(up_windows) and up_windows[window_index][1] <= s:
+                window_index += 1
+            k = window_index
+            while k < len(up_windows) and up_windows[k][0] < e:
+                suspected_up += _reference_overlap((s, e), up_windows[k])
+                k += 1
+        qos.suspected_up_time = suspected_up
+        results[detector] = qos
+    return results
+
+
+def _qos_bytes(qos):
+    """Every field of a DetectorQos, floats as their IEEE bytes."""
+    floats = [
+        *qos.td_samples,
+        *(bound for mistake in qos.mistakes for bound in mistake),
+        *qos.tmr_samples,
+        qos.observation_time,
+        qos.up_time,
+        qos.suspected_up_time,
+    ]
+    return (
+        qos.detector,
+        qos.undetected_crashes,
+        len(qos.td_samples),
+        len(qos.mistakes),
+        len(qos.tmr_samples),
+        struct.pack(f"<{len(floats)}d", *floats),
+    )
+
+
+#: Instants in [0, 50]: any float, or a non-dyadic one (k / 97) so that
+#: sums of overlaps round, and a different summation order shows.
+_TIME = st.one_of(
+    st.floats(min_value=0.0, max_value=50.0),
+    st.integers(0, 4850).map(lambda k: k / 97),
+)
+
+
+@st.composite
+def _signed_zero_logs(draw):
+    """A legal log over one crash/restore actor ("") and one to three
+    detectors.  Times come from a small shared pool (so suspicions start
+    and end on crash and restore instants), from ±0.0 in either order, or
+    fresh; one suspicion often spans several up-windows, and a lone
+    detector collects enough overlaps that numpy's pairwise summation
+    would round differently from the sequential one."""
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    size = draw(st.integers(0, 120))
+    actors = draw(
+        st.lists(st.sampled_from(["", "", *names]), min_size=size, max_size=size)
+    )
+    pool = draw(st.lists(_TIME, min_size=1, max_size=6)) + [-0.0, 0.0]
+    times = sorted(
+        draw(st.one_of(st.sampled_from(pool), _TIME)) for _ in actors
+    )
+    state = dict.fromkeys(["", "a", "b", "c"], False)
+    log = EventLog()
+    for actor, t in zip(actors, times):
+        state[actor] = not state[actor]
+        if actor:
+            kind = EventKind.START_SUSPECT if state[actor] else EventKind.END_SUSPECT
+            log.append(StatEvent(t, kind, "monitor", actor))
+        else:
+            kind = EventKind.CRASH if state[actor] else EventKind.RESTORE
+            log.append(StatEvent(t, kind, "monitored"))
+    last = times[-1] if times else draw(st.sampled_from([-0.0, 0.0]))
+    end_time = draw(
+        st.one_of(st.none(), st.just(last), _TIME.map(lambda extra: last + extra))
+    )
+    return log, end_time
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_signed_zero_logs(), ask_all=st.booleans())
+def test_extract_qos_bit_identical_to_reference(case, ask_all):
+    """Bytes, not approximate values: the inlined overlap keeps the
+    builtins' tie rules (which operand wins a tie, hence which zero) and
+    the sequential summation order, and every sample, up-time and pooled
+    digest downstream stays the same."""
+    log, end_time = case
+    detectors = None if ask_all else ["a", "b", "c", "ghost"]
+    fast = extract_qos(log, end_time=end_time, detectors=detectors)
+    reference = _reference_extract_qos(log, end_time=end_time, detectors=detectors)
+    assert list(fast) == list(reference)
+    for detector in reference:
+        assert _qos_bytes(fast[detector]) == _qos_bytes(reference[detector])
+        assert all(type(m) is MistakeInterval for m in fast[detector].mistakes)

@@ -7,6 +7,8 @@ seed is derived from the run index (``ExperimentConfig.with_run``), not
 from any shared mutable state.
 """
 
+import struct
+
 import pytest
 
 from repro.experiments.parallel import (
@@ -24,7 +26,7 @@ from repro.experiments.runner import (
 from repro.experiments.sweep import sweep_eta
 from repro.neko.config import ExperimentConfig
 
-DETECTORS = ["Last+JAC_med", "Mean+CI_med"]
+DETECTORS = ["Last+JAC_med", "Mean+CI_med", "Arima+CI_low"]
 
 CONFIG = ExperimentConfig(
     num_cycles=1200,
@@ -36,16 +38,24 @@ CONFIG = ExperimentConfig(
 )
 
 
+def _pooled_bytes(qos):
+    """One detector's pooled samples and totals, floats as IEEE bytes."""
+    floats = [
+        *qos.td_samples, *qos.tm_samples, *qos.tmr_samples,
+        qos.up_time, qos.suspected_up_time,
+    ]
+    return (
+        len(qos.td_samples), len(qos.tm_samples), len(qos.tmr_samples),
+        qos.undetected_crashes, struct.pack(f"<{len(floats)}d", *floats),
+    )
+
+
 def _assert_pooled_identical(pooled_a, pooled_b):
     assert set(pooled_a) == set(pooled_b)
     for detector_id in pooled_a:
-        a, b = pooled_a[detector_id], pooled_b[detector_id]
-        assert a.td_samples == b.td_samples
-        assert a.tm_samples == b.tm_samples
-        assert a.tmr_samples == b.tmr_samples
-        assert a.undetected_crashes == b.undetected_crashes
-        assert a.up_time == b.up_time
-        assert a.suspected_up_time == b.suspected_up_time
+        assert _pooled_bytes(pooled_a[detector_id]) == _pooled_bytes(
+            pooled_b[detector_id]
+        )
 
 
 class TestHelpers:

@@ -14,7 +14,7 @@ import math
 import sqlite3
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.nekostat.events import EventKind, StatEvent
@@ -255,6 +255,19 @@ class TestWindowSemantics:
         assert boundary.qos.mistakes[0].end == pytest.approx(6.999)
         store.close()
 
+    def test_window_end_closes_an_open_crash_before_its_transitions(self):
+        # The same-instant rule at the end: the crash still open at 7 is
+        # closed there first, so the trust at 7 ends a detection (no
+        # mistake) and the suspect at 7 is raised while up.
+        store = WindowedQosStore()
+        sequence = [("S", 3.0), ("C", 5.0), ("T", 7.0), ("S", 7.0)]
+        _record(store, sequence)
+        window = assert_window_equivalent(store, sequence, 0.0, 7.0)
+        assert window.qos.td_samples == [0.0]
+        assert window.qos.undetected_crashes == 0
+        assert [(m.start, m.end) for m in window.qos.mistakes] == [(7.0, 7.0)]
+        store.close()
+
     def test_window_entirely_after_recorded_span(self):
         store = WindowedQosStore()
         sequence = [("S", 1.0), ("T", 2.0)]
@@ -374,6 +387,17 @@ SCALE = st.sampled_from([0.25, 1.0, 7.3])
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.0, max_value=1.0),
     ),
+)
+# A transition exactly at the window's end while the endpoint is down: the
+# end closes the crash first (the event model's same-instant rule), so a
+# trust there ends a detection and a suspect there is raised while up.
+@example(
+    tokens=["S", "C", "T", "S"], gaps=[1, 1, 1, 2] + [1] * 36,
+    scale=0.25, tail_gap=1, fractions=(0.0, 0.5),
+)
+@example(
+    tokens=["C", "S"], gaps=[1] * 40,
+    scale=0.25, tail_gap=1, fractions=(0.5, 0.5),
 )
 def test_window_query_equals_batch_extraction(
     tokens, gaps, scale, tail_gap, fractions

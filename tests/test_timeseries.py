@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from repro.timeseries.ar import fit_ar_ols, fit_ar_yule_walker
-from repro.timeseries.arima import ArimaForecaster, difference, undifference_forecast
+from repro.timeseries.arima import (
+    ArimaForecaster,
+    batch_arima_predictions,
+    difference,
+    undifference_forecast,
+)
 from repro.timeseries.arma import ArmaModel, fit_arma_hannan_rissanen
 from repro.timeseries.base import evaluate_forecaster
 from repro.timeseries.diagnostics import acf, ljung_box, pacf
@@ -295,6 +300,68 @@ class TestArimaForecaster:
         assert walks_at_depth[399] - walks_at_depth[299] == 0
         assert walks_at_depth[4299] - walks_at_depth[4199] == 0
         assert CountingDeque.walks == 1
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_no_numpy_between_refits(self, d, monkeypatch):
+        # Counted, not timed: every numpy.diff / numpy.asarray call over
+        # 1 500 observations happens inside a refit.
+        calls = {"all": 0, "in_refit": 0}
+        for name in ("diff", "asarray"):
+            original = getattr(np, name)
+
+            def counting(*args, _original=original, **kwargs):
+                calls["all"] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        refit = ArimaForecaster._refit
+
+        def counted_refit(self):
+            before = calls["all"]
+            refit(self)
+            calls["in_refit"] += calls["all"] - before
+
+        monkeypatch.setattr(ArimaForecaster, "_refit", counted_refit)
+        rng = np.random.default_rng(11)
+        series = (0.2 + 0.003 * rng.standard_normal(1500)).tolist()
+        forecaster = ArimaForecaster(2, d, 1, refit_interval=500, initial_fit=200)
+        for value in series:
+            forecaster.observe(value)
+            forecaster.predict()
+        assert forecaster.refits == 4  # at observations 200, 500, 1000, 1500
+        assert calls["in_refit"] > 0
+        assert calls["all"] == calls["in_refit"]
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_scalar_step_bit_equal_to_numpy_differencing_and_batch(self, d):
+        # The plain-float differencing of the per-observation step against
+        # the array form it replaced (np.diff over the last d + 1 values)
+        # and against the batched replay, float bits compared.
+        class NumpyDifferencing(ArimaForecaster):
+            def _current_differenced(self):
+                if self.d == 0:
+                    return self._raw[-1]
+                window = list(self._raw)[-(self.d + 1):]
+                return float(difference(window, self.d)[-1])
+
+        rng = np.random.default_rng(12 + d)
+        series = np.cumsum(0.003 * rng.standard_normal(1600)) + 0.2
+        scalar = ArimaForecaster(2, d, 1, refit_interval=500, initial_fit=200)
+        reference = NumpyDifferencing(2, d, 1, refit_interval=500, initial_fit=200)
+        ours, theirs = [], []
+        for value in series:
+            scalar.observe(value)
+            reference.observe(value)
+            ours.append(scalar.predict())
+            theirs.append(reference.predict())
+        assert scalar.refits == reference.refits >= 3
+        assert np.array_equal(
+            np.array(ours).view(np.uint64), np.array(theirs).view(np.uint64)
+        )
+        batch = batch_arima_predictions(
+            series, 2, d, 1, refit_interval=500, initial_fit=200
+        )
+        assert np.array_equal(batch.view(np.uint64), np.array(ours).view(np.uint64))
 
 
 class TestEvaluateForecaster:
