@@ -14,9 +14,13 @@ Its observable behaviour is that of one
 :class:`~repro.fd.detector.PushFailureDetector` per row behind a
 MultiPlexer, transition for transition and float for float (proved by
 ``tests/test_detector_bank.py``): the same ``START_SUSPECT`` /
-``END_SUSPECT`` events, ``freshness``/``suspect``/``trust`` spans and
-``on_transition`` calls, in bank order.  Two rules keep that true with a
-single timer:
+``END_SUSPECT`` events, ``suspect``/``trust`` spans and ``on_transition``
+calls, in bank order.  Its trace follows its one timer: a fresh heartbeat
+writes **one** ``freshness`` span, the line of the row the timer is then
+armed on, where thirty detectors would write thirty.  A row's own
+freshness point is read only when it expires, so the ``suspect`` span
+carries it (``deadline``, and the ``timeout`` it was armed with).  Two
+rules keep the transitions equal with a single timer:
 
 * **Ties.**  Rows whose deadlines are equal become suspect in bank order,
   each in its own timer expiry (re-armed at the same instant), exactly as
@@ -162,8 +166,8 @@ class DetectorBank(Layer):
         called as ``on_transition(suspecting)`` on that row's transitions.
     tracer:
         Optional :class:`~repro.obs.trace.TraceRecorder`: one
-        ``freshness`` span per row per fresh heartbeat, ``suspect`` /
-        ``trust`` spans on transitions.
+        ``freshness`` span per fresh heartbeat (the row the timer is
+        armed on), ``suspect`` / ``trust`` spans on transitions.
     """
 
     def __init__(
@@ -231,6 +235,14 @@ class DetectorBank(Layer):
         #: Per row: ``delta = pred + sm`` in force (refreshed on every
         #: observation, so an expiry reports the value current then).
         self._timeouts: List[float] = self._derive_timeouts()
+        # What the pending deadlines were armed from, so an expiry can
+        # name its freshness point: the ``_timeouts`` list of the last
+        # fresh heartbeat (replaced, never mutated, by an observation) and
+        # that heartbeat's ``sigma + eta``; ``None`` while the ``on_start``
+        # deadline is pending.
+        self._armed_timeouts: Optional[List[float]] = None
+        self._armed_send_local = 0.0
+        self._start_deadline = _NEVER
         self._timer: Optional[Timer] = None
         self._max_seq = -1
         # Counters (diagnostics; metrics come from the event log).
@@ -325,13 +337,17 @@ class DetectorBank(Layer):
         # What every transition record reads, bound once.
         self._sim = process.sim
         self._site = process.address
-        self._local_from_global = process.clock.local_from_global
+        clock = process.clock
+        self._local_from_global = clock.local_from_global
+        self._global_from_local = clock.global_from_local
 
     def on_start(self) -> None:
         # Before any heartbeat: expect the first one within one period
         # plus the configured initial time-out, on every row.
         deadline = self.process.sim.now + (self.eta + self.initial_timeout)
         self._deadlines[:] = [deadline] * len(self._rows)
+        self._armed_timeouts = None
+        self._start_deadline = deadline
         self._arm()
 
     # ------------------------------------------------------------------
@@ -368,6 +384,12 @@ class DetectorBank(Layer):
         is converted through this process's clock, which is exact under
         the paper's synchronised-clock assumption and carries the residual
         offset otherwise.
+
+        Traced, the ``trust`` spans come in bank order, then one
+        ``freshness`` span: the line a lone detector would write for the
+        row the timer is now armed on (the earliest deadline, bank order
+        on ties).  The arming snapshot (this ``_timeouts`` list and
+        ``sigma_i + eta``) is kept for the ``suspect`` spans.
         """
         process = self.process
         sim = process.sim
@@ -376,30 +398,31 @@ class DetectorBank(Layer):
         next_send_local = send_timestamp_local + self.eta
         suspecting = self._suspecting
         deadlines = self._deadlines
-        ids = self._ids
-        tracer = self._tracer
-        # The rows' ``freshness`` spans go to the recorder in one batch;
-        # None when nothing is traced.
-        spans = [] if tracer is not None else None
-        for row, delta in enumerate(self._timeouts):
+        timeouts = self._timeouts
+        self._armed_timeouts = timeouts
+        self._armed_send_local = next_send_local
+        for row, delta in enumerate(timeouts):
             if suspecting[row]:
                 suspecting[row] = False
-                if spans:
-                    # The earlier rows' spans precede this row's ``trust``.
-                    tracer.emit_batch(
-                        sim.now, "freshness", self.monitored, spans, seq=self._max_seq
-                    )
-                    spans = []
                 self._transition(row, EventKind.END_SUSPECT, delta)
             tau_global = global_from_local(next_send_local + delta)
             deadlines[row] = tau_global if tau_global > now else now
-            if spans is not None:
-                spans.append((ids[row], None, delta, tau_global))
-        if spans:
-            tracer.emit_batch(
-                sim.now, "freshness", self.monitored, spans, seq=self._max_seq
-            )
         self._arm()
+        if self._tracer is not None and deadlines:
+            row = deadlines.index(min(deadlines))
+            delta = timeouts[row]
+            tau_global = deadlines[row]
+            if tau_global <= now:  # clamped to now: tau itself is earlier
+                tau_global = global_from_local(next_send_local + delta)
+            self._tracer.emit(
+                sim.now,
+                "freshness",
+                self.monitored,
+                detector=self._ids[row],
+                seq=self._max_seq,
+                timeout=delta,
+                deadline=tau_global,
+            )
 
     def _arm(self) -> None:
         """Put the one timer on the earliest pending deadline, if any."""
@@ -430,7 +453,15 @@ class DetectorBank(Layer):
             self._timer.arm_at(earliest)
 
     def _transition(self, row: int, kind: EventKind, timeout: float) -> None:
-        """Record one suspect/trust transition of ``row``: event, span, hook."""
+        """Record one suspect/trust transition of ``row``: event, span, hook.
+
+        ``timeout`` is the time-out in force, which the event carries.  A
+        ``suspect`` span carries instead the freshness point that expired
+        (``deadline``) and the time-out it was armed with, recomputed from
+        the arming snapshot with the operands and operations of
+        :meth:`_trust_and_rearm` (so equal to the armed value unless the
+        clock was stepped in between).
+        """
         now = self._sim.now
         detector_id = self._ids[row]
         # Positional, in StatEvent's field order (seq is None).
@@ -447,6 +478,17 @@ class DetectorBank(Layer):
         )
         suspecting = kind is EventKind.START_SUSPECT
         if self._tracer is not None:
+            deadline = None
+            if suspecting:
+                armed = self._armed_timeouts
+                if armed is None:
+                    timeout = self.initial_timeout
+                    deadline = self._start_deadline
+                else:
+                    timeout = armed[row]
+                    deadline = self._global_from_local(
+                        self._armed_send_local + timeout
+                    )
             self._tracer.emit(
                 now,
                 "suspect" if suspecting else "trust",
@@ -454,6 +496,7 @@ class DetectorBank(Layer):
                 detector=detector_id,
                 seq=self._max_seq,
                 timeout=timeout,
+                deadline=deadline,
             )
         hook = self._hooks[row]
         if hook is not None:

@@ -79,7 +79,9 @@ class PushFailureDetector(Layer):
         detector emits ``freshness`` span events (forecast delta and
         armed freshness point) for every fresh heartbeat and
         ``suspect``/``trust`` events on every transition, each carrying
-        the highest heartbeat sequence number seen.  ``None`` (the
+        the highest heartbeat sequence number seen; a ``suspect`` span
+        also carries the freshness point that expired (``deadline``) and
+        the delta it was armed with (``timeout``).  ``None`` (the
         default) costs one pointer comparison per site.
     """
 
@@ -114,6 +116,9 @@ class PushFailureDetector(Layer):
         self._last_fresh_timestamp: Optional[float] = None
         self._suspecting = False
         self._timer: Optional[Timer] = None
+        # The pending expiry: its delta and freshness point.
+        self._armed_timeout = self._initial_timeout
+        self._armed_deadline = 0.0
         # Counters (diagnostics; metrics come from the event log).
         self.heartbeats_seen = 0
         self.stale_heartbeats = 0
@@ -172,6 +177,11 @@ class PushFailureDetector(Layer):
         # plus the configured initial time-out.
         assert self._timer is not None
         self._timer.arm(self.eta + self._initial_timeout)
+        if self._tracer is not None:  # only a suspect span reads it
+            self._armed_timeout = self._initial_timeout
+            self._armed_deadline = self.process.sim.now + (
+                self.eta + self._initial_timeout
+            )
 
     # ------------------------------------------------------------------
     # Message handling
@@ -217,6 +227,8 @@ class PushFailureDetector(Layer):
         tau_local = send_timestamp_local + self.eta + delta
         tau_global = self.process.clock.global_from_local(tau_local)
         self._timer.arm_at(max(self.process.sim.now, tau_global))
+        self._armed_timeout = delta
+        self._armed_deadline = tau_global
         if self._tracer is not None:
             self._tracer.emit(
                 self.process.sim.now,
@@ -241,13 +253,18 @@ class PushFailureDetector(Layer):
 
     def _trace_transition(self, kind: str) -> None:
         assert self._tracer is not None
+        if kind == "suspect":
+            timeout, deadline = self._armed_timeout, self._armed_deadline
+        else:
+            timeout, deadline = self.strategy.timeout(), None
         self._tracer.emit(
             self.process.sim.now,
             kind,
             self.monitored,
             detector=self.detector_id,
             seq=self._max_seq,
-            timeout=self.strategy.timeout(),
+            timeout=timeout,
+            deadline=deadline,
         )
 
     def _emit(self, kind: EventKind) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -161,16 +162,18 @@ def hop_breakdown(
     The emit time comes from the ``send`` span when present; otherwise
     it is recovered from the ``receive`` span's recorded one-way
     ``delay`` (``emit = receive.t - delay``), so daemon-only traces
-    still yield the network hop.  ``fanout→decision`` is sampled once
-    per ``freshness`` span (one per detector), so it reflects the whole
-    bank, not just the first detector.
+    still yield the network hop.  ``fanout→decision`` and ``total`` are
+    sampled once per heartbeat, at its first ``freshness`` span: a
+    detector bank writes one, and the per-detector spans of older traces
+    all share the bank's ``t``.
     """
-    # (endpoint, seq) -> [send_t, receive_t, receive_delay, fanout_t]
+    # (endpoint, seq) -> [send_t, receive_t, receive_delay, fanout_t,
+    # decided_t]
     journeys: Dict[Tuple[str, int], List[Optional[float]]] = {}
     samples: Dict[str, Dict[str, List[float]]] = {}
 
     def journey(endpoint: str, seq: int) -> List[Optional[float]]:
-        return journeys.setdefault((endpoint, seq), [None, None, None, None])
+        return journeys.setdefault((endpoint, seq), [None, None, None, None, None])
 
     def bucket(endpoint: str, hop: str) -> List[float]:
         return samples.setdefault(endpoint, {}).setdefault(hop, [])
@@ -191,7 +194,8 @@ def hop_breakdown(
             journey(endpoint, seq)[3] = event["t"]
         elif kind == "freshness":
             slots = journeys.get((endpoint, seq))
-            if slots is not None and slots[3] is not None:
+            if slots is not None and slots[3] is not None and slots[4] is None:
+                slots[4] = event["t"]
                 bucket(endpoint, "fanout_to_decision").append(
                     event["t"] - slots[3]
                 )
@@ -214,7 +218,7 @@ def hop_breakdown(
 
 
 def _emit_time(slots: List[Optional[float]]) -> Optional[float]:
-    send_t, receive_t, receive_delay, _fanout_t = slots
+    send_t, receive_t, receive_delay = slots[:3]
     if send_t is not None:
         return send_t
     if receive_t is not None and receive_delay is not None:
@@ -378,10 +382,19 @@ def post_mortems(
     endpoint: Optional[str] = None,
     detector: Optional[str] = None,
 ) -> List[PostMortem]:
-    """One :class:`PostMortem` per suspect span, in trace order."""
-    # Per-endpoint receive log for resolving-heartbeat lookup.
-    receives: Dict[str, List[Dict[str, Any]]] = {}
-    # Last freshness span per (endpoint, detector): the armed deadline.
+    """One :class:`PostMortem` per suspect span, in trace order.
+
+    A ``suspect`` span carries the freshness point that expired
+    (``deadline``), the time-out it was armed with (``timeout``) and the
+    arming heartbeat (``seq``).  A trace written before suspect spans
+    carried them has one ``freshness`` span per detector and heartbeat
+    instead, and a suspect span without ``deadline`` reads its detector's
+    last one.  Receives are looked up by time, so events must be in time
+    order, as :func:`load_events` returns them.
+    """
+    # Per endpoint: receive times and spans, for the resolving heartbeats.
+    receives: Dict[str, Tuple[List[float], List[Dict[str, Any]]]] = {}
+    # Last freshness span per (endpoint, detector), for older traces.
     freshness: Dict[Tuple[str, str], Dict[str, Any]] = {}
     crashed: Dict[str, bool] = {}
     open_mortems: Dict[Tuple[str, str], PostMortem] = {}
@@ -391,7 +404,9 @@ def post_mortems(
         kind = event.get("kind")
         name = event.get("endpoint", "")
         if kind == "receive":
-            receives.setdefault(name, []).append(event)
+            times, spans = receives.setdefault(name, ([], []))
+            times.append(event["t"])
+            spans.append(event)
         elif kind == "freshness":
             freshness[(name, event.get("detector", ""))] = event
         elif kind == "crash":
@@ -404,7 +419,7 @@ def post_mortems(
                 continue
             if detector is not None and det != detector:
                 continue
-            armed = freshness.get((name, det))
+            armed = event if "deadline" in event else freshness.get((name, det))
             mortem = PostMortem(
                 endpoint=name,
                 detector=det,
@@ -427,20 +442,25 @@ def post_mortems(
                 continue
             mortem.trust_t = event["t"]
             mortem.duration = event["t"] - mortem.suspect_t
-            _attach_resolution(mortem, receives.get(name, ()))
+            times, spans = receives.get(name, ([], []))
+            _attach_resolution(
+                mortem,
+                spans[
+                    bisect_right(times, mortem.suspect_t):
+                    bisect_right(times, mortem.trust_t)
+                ],
+            )
     return mortems
 
 
 def _attach_resolution(
     mortem: PostMortem, receive_log: Sequence[Dict[str, Any]]
 ) -> None:
-    """Fill ``margin`` and ``preventers`` from the endpoint's receives."""
-    assert mortem.trust_t is not None
+    """Fill ``margin`` and ``preventers`` from the receives that arrived
+    during the suspicion (``suspect_t < t <= trust_t``), in order."""
     deadline = mortem.deadline
     for event in receive_log:
         t = event["t"]
-        if t <= mortem.suspect_t or t > mortem.trust_t:
-            continue
         entry: Dict[str, Any] = {
             "seq": event.get("seq"),
             "receive_t": t,

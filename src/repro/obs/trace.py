@@ -11,14 +11,19 @@ A trace follows one heartbeat across the whole pipeline:
                 and routed the datagram (``delay`` = one-way delay)
 ``fanout``      :class:`~repro.fd.multiplexer.MultiPlexer` forwarded
                 the arrival to the detector bank
-``freshness``   :class:`~repro.fd.bank.DetectorBank` (one span per row;
-                or a lone :class:`~repro.fd.detector.PushFailureDetector`)
-                consumed a fresh heartbeat: the strategy's forecast
-                (``timeout`` = delta = prediction + safety margin) and
-                the armed freshness point (``deadline`` = tau)
+``freshness``   a fresh heartbeat armed the detector's timer: the
+                forecast (``timeout`` = delta = prediction + safety
+                margin) and the freshness point (``deadline`` = tau).  A
+                :class:`~repro.fd.bank.DetectorBank` writes one per
+                heartbeat, for the row its one timer is armed on (the
+                earliest deadline); a lone
+                :class:`~repro.fd.detector.PushFailureDetector` its own
 ``suspect``     the detector started suspecting (``seq`` = highest
-                heartbeat sequence seen at the transition)
-``trust``       the detector stopped suspecting (a fresh heartbeat)
+                heartbeat sequence seen at the transition): the
+                freshness point that expired (``deadline``) and the
+                delta it was armed with (``timeout``)
+``trust``       the detector stopped suspecting (a fresh heartbeat;
+                ``timeout`` = the delta now in force)
 ``crash``       crash control datagram (or inferred crash) observed
 ``restore``     restore control datagram (or inferred restore) observed
 ==============  ======================================================
@@ -38,13 +43,18 @@ in a bounded in-memory ring (the ``/trace`` HTTP tail) and — when a
 ``path`` is configured — as one JSON line in an append-only file with
 size-based rotation (``path`` → ``path.1`` → ``path.2`` …).
 
-A span costs per *batch*, not per span: :meth:`TraceRecorder.emit_batch`
-takes every span one event produces (the bank's thirty ``freshness``
-rows of one heartbeat) and pays one clock pair, one ``write``, one
-rotation check and one eviction count for all of them; :meth:`emit` is
-its one-row case.  Lines are formatted directly — byte for byte what
-``json.dumps(TraceEvent(...).to_dict(), separators=(",", ":"))`` spells —
-so the JSONL stays readable by anything that reads JSON.
+A traced heartbeat costs three spans (``receive``, ``fanout``, one
+``freshness``) plus one per transition: 4–5 µs each with the JSONL sink
+on a 2-CPU x86 box, most of it the shortest-round-trip spelling of each
+float (≈ 0.5 µs per float there, and ``repr``, ``%r`` and ``json.dumps``
+all pay it; ``docs/performance.md`` §11).
+:meth:`TraceRecorder.emit_batch` takes several spans sharing ``t``,
+``kind``, ``endpoint`` and ``seq`` and pays one clock pair, one
+``write``, one rotation check and one eviction count for all of them;
+:meth:`emit` is its one-row case.  Lines are formatted directly — byte
+for byte what ``json.dumps(TraceEvent(...).to_dict(),
+separators=(",", ":"))`` spells — so the JSONL stays readable by
+anything that reads JSON.
 
 The recorder also measures itself: events/bytes written, ring
 evictions, failed writes, and the cumulative wall-clock overhead of
@@ -205,10 +215,11 @@ class TraceRecorder:
         started = perf_counter()
         ring = self._ring
         file = self._file
-        spans = [
-            (t, kind, endpoint, detector, seq, delay, timeout, deadline)
-            for detector, delay, timeout, deadline in rows
-        ]
+        # A loop, not a comprehension: most batches are one row (every
+        # :meth:`emit`), and a comprehension is a call of its own.
+        spans: List[Tuple[Any, ...]] = []
+        for detector, delay, timeout, deadline in rows:
+            spans.append((t, kind, endpoint, detector, seq, delay, timeout, deadline))
         if file is not None:
             # The formatter is written out in this one loop on purpose: a
             # helper call per field would cost more than the formatting.
@@ -268,7 +279,7 @@ class TraceRecorder:
                 piece("}\n")
             text = "".join(pieces)
             try:
-                # fdlint: disable=async-blocking (bounded: one buffered write per batch of JSONL lines; ~1.7us per span in a batch of thirty, ~2.5us for a lone span, formatting included, measured in BENCH_obs.json trace.jsonl_batch_ns_per_event / trace.jsonl_ns_per_event)
+                # fdlint: disable=async-blocking (bounded: one buffered write per batch of JSONL lines; ~2.5us for a lone span, formatting included, measured in BENCH_obs.json trace.jsonl_ns_per_event; a traced heartbeat writes three spans plus one per transition)
                 file.write(text)
                 # json.dumps escapes everything outside ASCII: one
                 # character is one byte.

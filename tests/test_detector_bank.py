@@ -6,8 +6,12 @@ combination.  Both stacks are driven with the same arrival sequence on
 separate simulators and must agree on everything an observer can see:
 the event log (kind, time, detector, time-out in force), the order of
 ``on_transition`` calls, the trace spans and the number of engine events.
-Equality is exact — no tolerances — because the committed goldens and the
-replay ≡ simulator proof compare floats.
+The bank's trace follows its one timer, so it is compared with a
+projection of the thirty detectors' spans (:func:`project`): suspect and
+trust spans as they are, and per fresh heartbeat the one ``freshness``
+span of the row the timer is armed on.  Equality is exact — no
+tolerances — because the committed goldens and the replay ≡ simulator
+proof compare floats.
 """
 
 import asyncio
@@ -105,11 +109,18 @@ class Observed:
             clock=clock,
         )
         for arrival, seq in arrivals:
-            self.sim.schedule_at(
-                arrival,
-                lambda seq=seq: self.process.receive_from_network(heartbeat(seq)),
-            )
+            self.sim.schedule_at(arrival, lambda seq=seq: self._receive(seq))
         system.run(until=until)
+
+    def _receive(self, seq):
+        """Deliver heartbeat ``seq``, after a ``receive`` span as the
+        daemon writes it (``delay`` = local arrival − send timestamp)."""
+        message = heartbeat(seq)
+        self.tracer.emit(
+            self.sim.now, "receive", "q", seq=seq,
+            delay=self.process.local_time() - message.timestamp,
+        )
+        self.process.receive_from_network(message)
 
     def _hook(self, detector_id):
         def on_transition(suspecting):
@@ -129,13 +140,40 @@ class Observed:
         return self.tracer.tail(1_000_000)
 
 
+def project(spans):
+    """The thirty detectors' spans as the bank writes them.
+
+    Per fresh heartbeat the detectors write their ``trust`` and
+    ``freshness`` spans interleaved, in bank order; the bank writes the
+    trusts, then the freshness span of the row its one timer is armed on:
+    the earliest deadline (clamped below at the arming instant, as the
+    timer is), bank order on ties.  Every other span passes unchanged.
+    """
+    projected, armed = [], []
+
+    def flush():
+        if armed:
+            projected.append(min(armed, key=lambda s: max(s["t"], s["deadline"])))
+            armed.clear()
+
+    for span in spans:
+        if span["kind"] == "freshness":
+            armed.append(span)
+            continue
+        if span["kind"] != "trust":
+            flush()  # the next heartbeat's fan-out, or a suspicion
+        projected.append(span)
+    flush()
+    return projected
+
+
 def assert_same(ids, arrivals, *, until, **options):
     """Run both stacks; return the fused one after asserting equality."""
     scalar = Observed(scalar_uppers, ids, arrivals, until=until, **options)
     fused = Observed(fused_uppers, ids, arrivals, until=until, **options)
     assert fused.events == scalar.events
     assert fused.hook_calls == scalar.hook_calls
-    assert fused.spans == scalar.spans
+    assert fused.spans == project(scalar.spans)
     assert fused.sim.events_processed == scalar.sim.events_processed
     bank = fused.uppers[0]
     for detector in scalar.uppers:
@@ -240,6 +278,10 @@ class TestTies:
         assert [e.detector for e in started] == ALL_IDS
         assert {e.time for e in started} == {ETA + INITIAL_TIMEOUT}
         assert fused.sim.events_processed == 30
+        # Each suspect span names the ``on_start`` deadline it expired on.
+        assert {
+            (span["deadline"], span["timeout"]) for span in fused.spans
+        } == {(ETA + INITIAL_TIMEOUT, INITIAL_TIMEOUT)}
 
     def test_all_ci_rows_tie_before_the_second_observation(self):
         """After one observation every predictor forecasts it and SM_CI
@@ -254,24 +296,28 @@ class TestTies:
         assert sorted(len(rows) for rows in by_time.values()) == [5, 5, 5, 15]
         assert fused.sim.events_processed == 1 + 30
 
-    def test_rows_trusting_in_the_middle_of_the_bank_keep_the_span_order(
+    def test_rows_trusting_in_the_middle_write_their_trusts_then_one_freshness(
         self, tmp_path
     ):
-        """The bank hands its ``freshness`` spans over in batches, cut
-        before every ``trust``.  While a late heartbeat is awaited the tight
-        rows suspect and the loose ones keep trusting, so its arrival
-        brings trusts scattered through the bank: ring and JSONL file must
-        still read as thirty detectors emitting one span at a time."""
+        """While a late heartbeat is awaited the tight rows suspect and the
+        loose ones keep trusting, so its arrival brings trusts scattered
+        through the bank.  The bank writes them in bank order, then one
+        ``freshness`` span; ring and JSONL file read as the projection of
+        thirty detectors emitting one span at a time."""
         delays = [0.21, 0.35, 0.18, 0.27, 0.4, 0.22, 0.31, 0.25, 0.2, 0.3, 0.45, 0.25]
         arrivals = [(seq * ETA + delay, seq) for seq, delay in enumerate(delays)]
-        paths = {name: str(tmp_path / f"{name}.jsonl") for name in ("scalar", "fused")}
+        paths = {
+            name: str(tmp_path / f"{name}.jsonl")
+            for name in ("scalar", "fused", "projected")
+        }
         scalar = Observed(
             scalar_uppers, ALL_IDS, arrivals, until=12.9, trace_path=paths["scalar"]
         )
         fused = Observed(
             fused_uppers, ALL_IDS, arrivals, until=12.9, trace_path=paths["fused"]
         )
-        assert fused.spans == scalar.spans
+        projected = project(scalar.spans)
+        assert fused.spans == projected
         late = [
             s for s in fused.spans
             if s["seq"] == 10 and s["kind"] in ("trust", "freshness")
@@ -280,17 +326,24 @@ class TestTies:
         # Neither a prefix of the bank nor all of it: several segments.
         assert 1 < len(trusting) < 30
         assert trusting != list(range(len(trusting)))
-        expected = []
-        for row, detector_id in enumerate(ALL_IDS):
-            if row in trusting:
-                expected.append(("trust", detector_id))
-            expected.append(("freshness", detector_id))
-        assert [(s["kind"], s["detector"]) for s in late] == expected
-        for observed in (scalar, fused):
-            observed.tracer.close()
-        with open(paths["scalar"], "rb") as one, open(paths["fused"], "rb") as other:
+        assert trusting == sorted(trusting)
+        [armed] = [s for s in late if s["kind"] == "freshness"]
+        assert late[-1] is armed
+        # The row the timer is armed on: the earliest of thirty deadlines.
+        per_row = [
+            s for s in scalar.spans if s["seq"] == 10 and s["kind"] == "freshness"
+        ]
+        assert len(per_row) == 30
+        assert armed["deadline"] == min(s["deadline"] for s in per_row)
+        rewritten = TraceRecorder(paths["projected"])
+        for span in projected:
+            rewritten.emit(**span)
+        for recorder in (scalar.tracer, fused.tracer, rewritten):
+            recorder.close()
+        with open(paths["projected"], "rb") as one, open(paths["fused"], "rb") as other:
             assert one.read() == other.read()
-        assert fused.tracer.bytes_total == scalar.tracer.bytes_total
+        assert fused.tracer.bytes_total == rewritten.bytes_total
+        assert fused.tracer.bytes_total < scalar.tracer.bytes_total
 
     def test_mean_equals_winmean_for_the_first_ten_observations(self):
         arrivals = [(seq * ETA + delay, seq) for seq, delay in enumerate(
@@ -316,11 +369,16 @@ class TestStaleHeartbeat:
     ARRIVALS = [(0.2, 0), (1.2, 1), (3.2, 3), (3.3, 2)]
 
     def _armed_by_heartbeat_3(self, fused):
-        return {
+        """Per row, the ``suspect`` span of its final suspicion: the
+        freshness point heartbeat 3 armed and the time-out it used."""
+        armed = {
             span["detector"]: span
             for span in fused.spans
-            if span["kind"] == "freshness" and span["seq"] == 3
+            if span["kind"] == "suspect" and span["t"] > 3.3
         }
+        for span in armed.values():
+            assert span["seq"] == 3
+        return armed
 
     def _final_suspicions(self, fused):
         final = [e for e in suspicions(fused) if e.time > 3.3]
@@ -330,10 +388,16 @@ class TestStaleHeartbeat:
     def test_suspicion_carries_the_timeout_in_force_at_expiry(self):
         """The stale delay moves every time-out without re-arming:
         ``START_SUSPECT`` fires at the armed deadline but reports the
-        time-out in force at expiry."""
+        time-out in force at expiry, while the ``suspect`` span keeps the
+        one the deadline was armed with."""
         fused = assert_same(ALL_IDS, self.ARRIVALS, until=30.0)
         assert fused.uppers[0].stale_heartbeats == 1
         armed = self._armed_by_heartbeat_3(fused)
+        [heartbeat_3] = [
+            s for s in fused.spans if s["kind"] == "freshness" and s["seq"] == 3
+        ]
+        assert heartbeat_3 == {**armed[heartbeat_3["detector"]], "kind": "freshness",
+                               "t": heartbeat_3["t"]}
         moved = 0
         for event in self._final_suspicions(fused):
             assert event.time == armed[event.detector]["deadline"]

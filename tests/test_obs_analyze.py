@@ -13,12 +13,16 @@ network-marked scenarios.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
+from repro.nekostat.events import EventKind
 from repro.nekostat.metrics import OnlineQosAccumulator
 from repro.obs import TraceRecorder, WindowedQosStore
 from repro.obs.analyze import (
     HOPS,
+    PostMortem,
     analyze,
     cross_check,
     history_reference,
@@ -28,6 +32,20 @@ from repro.obs.analyze import (
     qos_from_spans,
     read_trace_file,
     rotated_paths,
+)
+
+from tests.test_detector_bank import (
+    ALL_IDS,
+    ETA,
+    INITIAL_TIMEOUT,
+    Observed,
+    arrivals_of,
+    beats,
+    clocks,
+    crashes,
+    detector_sets,
+    fused_uppers,
+    scalar_uppers,
 )
 
 pytestmark = pytest.mark.obs
@@ -137,13 +155,19 @@ class TestHopBreakdown:
         assert hops["emit_to_intake"].p50 == pytest.approx(0.1)
         assert hops["total"].p50 == pytest.approx(0.103)
 
-    def test_freshness_per_detector_each_sampled(self):
-        events = heartbeat_journey("q", 0, 0.0)
-        # A second detector consumes the same heartbeat a bit later.
-        events.append(span(0.105, "freshness", "q", seq=0, detector="fd2",
-                           timeout=0.3, deadline=1.105))
+    def test_decision_sampled_once_per_heartbeat(self):
+        """A trace written when every detector had its own ``freshness``
+        span still yields one decision sample per heartbeat: the first."""
+        events = []
+        for seq in range(3):
+            events.extend(heartbeat_journey("q", seq, float(seq)))
+            decide_t = events[-1]["t"]
+            events.append(span(decide_t, "freshness", "q", seq=seq, detector="fd2",
+                               timeout=0.4, deadline=decide_t + 1.1))
         hops = hop_breakdown(events)["q"]
-        assert hops["fanout_to_decision"].count == 2
+        assert hops["fanout_to_decision"].count == 3
+        assert hops["total"].count == 3
+        assert hops["fanout_to_decision"].p50 == pytest.approx(0.002)
 
     def test_incomplete_journeys_are_skipped(self):
         events = [span(0.0, "send", "q", seq=0)]  # never received
@@ -250,6 +274,251 @@ class TestPostMortems:
         assert post_mortems(events, endpoint="other") == []
         assert post_mortems(events, detector="other") == []
         assert len(post_mortems(events, endpoint="q", detector="fd")) == 1
+
+    def test_suspect_span_names_its_freshness_point(self):
+        """A bank writes one ``freshness`` span per heartbeat, for another
+        row: the suspicion reads its freshness point off its own span."""
+        events = heartbeat_journey("q", 7, 0.0, detector="other")
+        events.append(span(1.2, "suspect", "q", detector="fd", seq=7,
+                           timeout=0.25, deadline=1.2))
+        events.append(span(1.5, "receive", "q", seq=8, delay=0.5))
+        events.append(span(1.5, "trust", "q", detector="fd", seq=8, timeout=0.3))
+        [mortem] = post_mortems(events)
+        assert (mortem.freshness_seq, mortem.prediction, mortem.deadline) == (
+            7, 0.25, 1.2
+        )
+        assert mortem.margin == pytest.approx(0.3)
+        [preventer] = mortem.preventers
+        assert preventer["preventing_delay"] == pytest.approx(0.2)
+
+    def test_trace_written_with_a_freshness_span_per_detector(self, tmp_path):
+        """The format of release 1.15 and before: thirty ``freshness`` lines
+        per heartbeat, and ``suspect`` lines whose ``timeout`` is the one in
+        force at expiry, with no ``deadline``.  Every field is recovered."""
+        path = tmp_path / "fd-trace.jsonl"
+        path.write_text(LEGACY_TRACE)
+        events = load_events([str(path)])
+        assert [mortem.to_dict() for mortem in post_mortems(events)] == [
+            {
+                "endpoint": "ep00",
+                "detector": "Last+CI_low",
+                "suspect_t": 2.325,
+                "trust_t": 3.75,
+                "duration": 3.75 - 2.325,
+                "kind": "mistake",
+                "freshness_seq": 1,
+                "prediction": 0.225,
+                "deadline": 2.325,
+                "margin": 3.75 - 2.325,
+                "preventers": [
+                    {"seq": 2, "receive_t": 3.75, "delay": 1.75,
+                     "late_by": 3.75 - 2.325,
+                     "preventing_delay": 1.75 - (3.75 - 2.325)},
+                ],
+            },
+            {
+                "endpoint": "ep00",
+                "detector": "Last+JAC_high",
+                "suspect_t": 3.0,
+                "trust_t": None,
+                "duration": None,
+                "kind": "mistake",
+                "freshness_seq": 1,
+                "prediction": 0.9,
+                "deadline": 3.0,
+                "margin": None,
+                "preventers": [],
+            },
+        ]
+        assert legacy_post_mortems(events) == [
+            mortem.to_dict() for mortem in post_mortems(events)
+        ]
+
+
+#: Release 1.15 trace lines of one endpoint and two detectors.
+LEGACY_TRACE = "".join(
+    line + "\n"
+    for line in (
+        '{"t":1.1,"kind":"receive","endpoint":"ep00","seq":1,"delay":0.1}',
+        '{"t":1.1,"kind":"fanout","endpoint":"ep00","seq":1}',
+        '{"t":1.1,"kind":"freshness","endpoint":"ep00","detector":"Last+CI_low",'
+        '"seq":1,"timeout":0.225,"deadline":2.325}',
+        '{"t":1.1,"kind":"freshness","endpoint":"ep00","detector":"Last+JAC_high",'
+        '"seq":1,"timeout":0.9,"deadline":3.0}',
+        '{"t":2.325,"kind":"suspect","endpoint":"ep00","detector":"Last+CI_low",'
+        '"seq":1,"timeout":0.25}',
+        '{"t":3.0,"kind":"suspect","endpoint":"ep00","detector":"Last+JAC_high",'
+        '"seq":1,"timeout":0.9}',
+        '{"t":3.75,"kind":"receive","endpoint":"ep00","seq":2,"delay":1.75}',
+        '{"t":3.75,"kind":"fanout","endpoint":"ep00","seq":2}',
+        '{"t":3.75,"kind":"trust","endpoint":"ep00","detector":"Last+CI_low",'
+        '"seq":2,"timeout":1.0}',
+    )
+)
+
+
+def legacy_post_mortems(events):
+    """``post_mortems`` as it was while every detector wrote its own
+    ``freshness`` span: a suspicion reads its detector's last one, and the
+    resolving receives come from a scan of the endpoint's whole receive
+    log.  The reference for the analyzer that reads the ``suspect`` span
+    and bisects."""
+    receives, freshness, crashed, open_mortems, mortems = {}, {}, {}, {}, []
+    for event in events:
+        kind = event.get("kind")
+        name = event.get("endpoint", "")
+        if kind == "receive":
+            receives.setdefault(name, []).append(event)
+        elif kind == "freshness":
+            freshness[(name, event.get("detector", ""))] = event
+        elif kind == "crash":
+            crashed[name] = True
+        elif kind == "restore":
+            crashed[name] = False
+        elif kind == "suspect":
+            det = event.get("detector", "")
+            armed = freshness.get((name, det))
+            mortem = PostMortem(
+                endpoint=name,
+                detector=det,
+                suspect_t=event["t"],
+                trust_t=None,
+                duration=None,
+                kind="detection" if crashed.get(name) else "mistake",
+                freshness_seq=armed.get("seq") if armed else None,
+                prediction=armed.get("timeout") if armed else None,
+                deadline=armed.get("deadline") if armed else None,
+                preventers=[],
+                margin=None,
+            )
+            open_mortems[(name, det)] = mortem
+            mortems.append(mortem)
+        elif kind == "trust":
+            mortem = open_mortems.pop((name, event.get("detector", "")), None)
+            if mortem is None:
+                continue
+            mortem.trust_t = event["t"]
+            mortem.duration = event["t"] - mortem.suspect_t
+            for receive in receives.get(name, ()):
+                t = receive["t"]
+                if t <= mortem.suspect_t or t > mortem.trust_t:
+                    continue
+                entry = {"seq": receive.get("seq"), "receive_t": t,
+                         "delay": receive.get("delay")}
+                if mortem.deadline is not None:
+                    late_by = t - mortem.deadline
+                    entry["late_by"] = late_by
+                    delay = receive.get("delay")
+                    if delay is not None and delay > late_by:
+                        entry["preventing_delay"] = delay - late_by
+                    if mortem.margin is None:
+                        mortem.margin = late_by
+                mortem.preventers.append(entry)
+    return [mortem.to_dict() for mortem in mortems]
+
+
+#: One step of a generated time-ordered trace: a time increment (zero
+#: often, so spans tie), a span kind, an endpoint, a detector, a sequence
+#: number and a value for the span's delay or time-out.
+trace_steps = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+                  st.floats(min_value=0.0, max_value=2.0)),
+        st.sampled_from(
+            ["receive", "receive", "suspect", "trust", "freshness", "crash",
+             "restore"]
+        ),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["x", "y"]),
+        st.integers(0, 40),
+        st.floats(min_value=0.01, max_value=3.0),
+    ),
+    max_size=80,
+)
+
+
+def trace_of(steps):
+    events, t = [], 0.0
+    for step, kind, endpoint, detector, seq, value in steps:
+        t += step
+        if kind == "receive":
+            events.append(span(t, kind, endpoint, seq=seq, delay=value))
+        elif kind == "freshness":
+            events.append(span(t, kind, endpoint, detector=detector, seq=seq,
+                               timeout=value, deadline=t + value))
+        elif kind in ("suspect", "trust"):
+            events.append(span(t, kind, endpoint, detector=detector, seq=seq,
+                               timeout=value))
+        else:
+            events.append(span(t, kind, endpoint))
+    return events
+
+
+class TestPostMortemDifferential:
+    @given(trace_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_bisected_receives_equal_the_linear_scan(self, steps):
+        """On a time-ordered trace, slicing the receive log by bisection
+        finds exactly the receives the whole-log scan found."""
+        events = trace_of(steps)
+        assert [m.to_dict() for m in post_mortems(events)] == (
+            legacy_post_mortems(events)
+        )
+
+    def test_bank_trace_equals_thirty_detectors_read_the_old_way(self):
+        """The bank's trace (one ``freshness`` span per heartbeat, the
+        freshness point on the ``suspect`` span) yields, field for field,
+        what the old analyzer made of thirty detectors' per-row spans.
+        Heartbeat 2 arrives stale between the arming by heartbeat 3 and
+        the expiry, moving every time-out in force; heartbeat 4 arrives
+        after every deadline it arms; heartbeats 5 and 6 are lost."""
+        arrivals = [(0.2, 0), (1.25, 1), (3.2, 3), (3.3, 2), (6.9, 4),
+                    (7.2, 7), (8.25, 8), (9.3, 9), (10.2, 10)]
+        scalar = Observed(scalar_uppers, ALL_IDS, arrivals, until=12.9)
+        fused = Observed(fused_uppers, ALL_IDS, arrivals, until=12.9)
+        expected = legacy_post_mortems(scalar.spans)
+        actual = [mortem.to_dict() for mortem in post_mortems(fused.spans)]
+        assert actual == expected
+        assert len(actual) > 60
+        assert all(mortem["deadline"] is not None for mortem in actual)
+        assert any(mortem["preventers"] for mortem in actual)
+        # The stale heartbeat moved the time-out in force, which the event
+        # log reports; the post-mortem names the one the deadline used.
+        in_force = {
+            (e.detector, e.time): e.data["timeout"]
+            for e in fused.event_log if e.kind is EventKind.START_SUSPECT
+        }
+        moved = [
+            m for m in actual
+            if in_force[(m["detector"], m["suspect_t"])] != m["prediction"]
+        ]
+        assert {m["freshness_seq"] for m in moved} == {3}
+
+    @given(beats, crashes, detector_sets, clocks)
+    @settings(max_examples=25, deadline=None)
+    def test_every_suspicion_armed_by_a_heartbeat_matches(
+        self, delays, crash_spans, ids, clock
+    ):
+        offset, drift = clock
+        arrivals = arrivals_of(delays, crash_spans)
+        options = dict(until=len(delays) * ETA + 12.0, offset=offset, drift=drift)
+        scalar = Observed(scalar_uppers, ids, arrivals, **options)
+        fused = Observed(fused_uppers, ids, arrivals, **options)
+        expected = legacy_post_mortems(scalar.spans)
+        actual = [mortem.to_dict() for mortem in post_mortems(fused.spans)]
+        assert len(actual) == len(expected)
+        for new, old in zip(actual, expected):
+            if old["deadline"] is not None:
+                assert new == old
+                continue
+            # The initial expiry: no heartbeat armed it, and the old
+            # analyzer had nothing to say; the suspect span names the
+            # ``on_start`` deadline.
+            assert old["freshness_seq"] is None and new["freshness_seq"] is None
+            assert new["deadline"] == ETA + INITIAL_TIMEOUT
+            assert new["prediction"] == INITIAL_TIMEOUT
+            for field_name in ("endpoint", "detector", "suspect_t", "trust_t", "kind"):
+                assert new[field_name] == old[field_name]
 
 
 class TestAnalyzeAndCrossCheck:

@@ -411,6 +411,19 @@ class TestTracedLoopbackIntegration:
             1 for e in events if e["kind"] in TRANSITION_KINDS
         )
         assert traced_transitions == transitions_recorded
+        # A heartbeat's journey is three spans: the bank writes one
+        # freshness span per fresh heartbeat, not one per detector, and
+        # each suspicion names the freshness point that expired.
+        journey = [e for e in events if e["kind"] not in TRANSITION_KINDS]
+        assert {e["kind"] for e in journey} == {"receive", "fanout", "freshness"}
+        freshness = [e["seq"] for e in journey if e["kind"] == "freshness"]
+        assert len(freshness) == len(set(freshness))
+        assert len(journey) <= 3 * sum(1 for e in journey if e["kind"] == "receive")
+        for suspect in suspects:
+            # The deadline passed by the suspicion (the loop may run a
+            # timer a clock tick early).
+            assert suspect["deadline"] < suspect["t"] + 1e-3
+            assert suspect["timeout"] > 0.0
 
 
 # ----------------------------------------------------------------------
