@@ -43,7 +43,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.chaos import ChaosEngine, FaultPlan, attach_daemon  # noqa: E402
+from repro.chaos import ChaosEngine, FaultPlan, attach_backend  # noqa: E402
 from repro.net.message import Datagram  # noqa: E402
 from repro.net.udp import encode_datagram  # noqa: E402
 from repro.service import HeartbeatFleet, MonitorDaemon  # noqa: E402
@@ -71,7 +71,9 @@ async def _measure_intake_latency(
         initial_timeout=10.0 * eta,
     )
     if with_shim:
-        intake = attach_daemon(ChaosEngine(FaultPlan(name="empty")), daemon)
+        intake = attach_backend(
+            ChaosEngine(FaultPlan(name="empty")), daemon.network, name="daemon"
+        )
     await daemon.start()
     if with_shim:
         intake.arm(daemon.scheduler.now)

@@ -21,11 +21,7 @@ from repro.chaos.runner import (
     run_kv_scenario,
     run_sim_scenario,
 )
-from repro.chaos.shim import (
-    ChaosIntake,
-    attach_backend,
-    attach_daemon,
-)
+from repro.chaos.shim import ChaosIntake, attach_backend
 
 __all__ = [
     "FAULT_KINDS",
@@ -40,7 +36,6 @@ __all__ = [
     "FaultPlanBuilder",
     "add_channel_plan",
     "attach_backend",
-    "attach_daemon",
     "install_chaos",
     "plan_from_spec",
     "run_daemon_scenario",

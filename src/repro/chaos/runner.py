@@ -26,7 +26,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.link import install_chaos
 from repro.chaos.plan import FaultPlan
-from repro.chaos.shim import attach_backend, attach_daemon
+from repro.chaos.shim import attach_backend
 
 DEFAULT_DETECTOR = "Last+CI_med"
 
@@ -149,7 +149,7 @@ async def run_daemon_scenario_async(
         drift_interval=drift_interval,
     )
     engine = ChaosEngine(plan)
-    daemon_intake = attach_daemon(engine, daemon)
+    daemon_intake = attach_backend(engine, daemon.network, name="daemon")
     await daemon.start()
     daemon_intake.arm(daemon.scheduler.now)
     host, port = daemon.udp_endpoint

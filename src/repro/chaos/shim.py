@@ -1,10 +1,10 @@
 """Live-side fault injection: the intake shim over real UDP components.
 
 The live path has exactly one choke point per component — its
-``_on_datagram`` intake — so chaos is injected there, on the raw wire
-bytes, driven by the same :class:`~repro.chaos.engine.ChaosEngine` (and
-therefore the same :class:`~repro.chaos.plan.FaultPlan` JSON) as the
-simulator's :class:`~repro.chaos.link.ChaosLink`:
+network's ``_on_datagram`` intake — so chaos is injected there, on the
+raw wire bytes, driven by the same :class:`~repro.chaos.engine.ChaosEngine`
+(and therefore the same :class:`~repro.chaos.plan.FaultPlan` JSON) as
+the simulator's :class:`~repro.chaos.link.ChaosLink`:
 
 * drops and loss bursts discard the bytes before the component sees them;
 * delay spikes / reordering re-deliver the bytes later via the
@@ -18,8 +18,8 @@ simulator's :class:`~repro.chaos.link.ChaosLink`:
   and its inbound traffic held until the pause window closes (the
   kernel-buffer burst a SIGSTOP'd process sees on resume).
 
-Both protocol shells look ``_on_datagram`` up per datagram, so a shim
-attached at any time takes effect from the next datagram on.
+The network's protocol shell looks ``_on_datagram`` up per datagram, so
+a shim attached at any time takes effect from the next datagram on.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class ChaosIntake:
 def attach_backend(engine: ChaosEngine, backend: Any, *, name: str = "") -> ChaosIntake:
     """Wrap ``backend._on_datagram`` with a chaos intake.
 
-    ``backend`` is a :class:`~repro.net.udp.UdpNetwork` — a fleet's, a
-    KV node's, a client's: every live component but the monitor daemon
+    ``backend`` is a :class:`~repro.net.udp.UdpNetwork` — the monitor
+    daemon's, a fleet's, a KV node's, a client's: every live component
     receives through one — or anything else with an ``_on_datagram``
     intake and a ``scheduler``.
     """
@@ -133,14 +133,7 @@ def attach_backend(engine: ChaosEngine, backend: Any, *, name: str = "") -> Chao
     return intake
 
 
-def attach_daemon(engine: ChaosEngine, daemon: Any) -> ChaosIntake:
-    """Shim a :class:`~repro.service.daemon.MonitorDaemon`'s intake (the
-    daemon has the two attributes :func:`attach_backend` needs)."""
-    return attach_backend(engine, daemon, name="daemon")
-
-
 __all__ = [
     "ChaosIntake",
     "attach_backend",
-    "attach_daemon",
 ]

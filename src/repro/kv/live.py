@@ -7,10 +7,10 @@ monitoring daemon's detector bank instead of a simulated one:
 * :class:`LiveKvNode` — one replica: the stack ``KvNodeLayer /
   Heartbeater / LiveCrash`` of :func:`~repro.kv.sim.run_kv_sim` (with
   the crash layer that announces itself to the monitor) on its own UDP
-  socket.  Heartbeats leave *from the service socket*, so the daemon's
-  auto-learned peer table entry for the node is the node's service
-  address — which is what lets the daemon transmit ``kv-view``
-  broadcasts back (the outbound path of ``MonitorDaemon._send``).
+  socket.  Heartbeats leave *from the service socket*, so the peer
+  table of the daemon's :class:`~repro.net.udp.UdpNetwork` learns the
+  node's service address — which is what lets the daemon transmit
+  ``kv-view`` broadcasts back through ``daemon.network.send``.
 * :class:`LiveFailoverController` — subscribes to the daemon's
   observability hub; every dirty notification for the configured
   detector re-reads that endpoint's suspicion state and feeds the shared
@@ -225,7 +225,7 @@ class LiveFailoverController:
         """Push the current view to every replica over the daemon socket."""
         payload = {"epoch": self.state.epoch, "primary": self.state.primary}
         for node in self.nodes:
-            sent = self.daemon.send_datagram(
+            sent = self.daemon.network.send(
                 Datagram(
                     source=self.daemon.address,
                     destination=node,

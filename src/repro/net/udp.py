@@ -127,6 +127,11 @@ class _NetworkProtocol(asyncio.DatagramProtocol):
         # Looked up per datagram: the chaos shim replaces the attribute.
         self._network._on_datagram(data, addr)
 
+    def error_received(self, exc: Exception) -> None:
+        # The selector loop reports a failed ``sendto`` here, from inside
+        # the call, instead of raising it.
+        self._network.send_errors += 1
+
 
 class UdpNetwork(NetworkBackend):
     """A :class:`~repro.neko.system.NetworkBackend` over one UDP socket.
@@ -148,7 +153,8 @@ class UdpNetwork(NetworkBackend):
 
     ``tracer``, when given, gets one ``send`` span per heartbeat actually
     put on the wire — the sender half of the end-to-end heartbeat trace,
-    stamped with the datagram's own timestamp and sequence number.
+    stamped with the datagram's own timestamp and sequence number — and
+    one ``send-error`` span per datagram the socket refused.
     """
 
     def __init__(
@@ -168,8 +174,13 @@ class UdpNetwork(NetworkBackend):
         #: Inbound datagrams that were undecodable or addressed to a name
         #: nobody registered here.
         self.dropped_datagrams = 0
-        #: Outbound datagrams whose destination has no known address.
+        #: Outbound datagrams not put on the wire: the socket was not open
+        #: or the destination has no known address.
         self.unroutable = 0
+        #: Outbound datagrams handed to the socket.
+        self.sent_datagrams = 0
+        #: Outbound datagrams the socket refused.
+        self.send_errors = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -182,10 +193,12 @@ class UdpNetwork(NetworkBackend):
         if self.scheduler is not None:
             raise RuntimeError("network already opened")
         loop = asyncio.get_running_loop()
-        self.scheduler = AsyncioScheduler(loop)
+        # The scheduler only after a successful bind: a taken port leaves
+        # the network as it was, so ``open`` can be retried.
         self._transport, _ = await loop.create_datagram_endpoint(
             lambda: _NetworkProtocol(self), local_addr=self._bind
         )
+        self.scheduler = AsyncioScheduler(loop)
 
     def close(self) -> None:
         """Cancel every timer and close the socket (idempotent)."""
@@ -211,29 +224,54 @@ class UdpNetwork(NetworkBackend):
             raise ValueError(f"address {address!r} already registered")
         self._receivers[address] = receiver
 
-    def send(self, message: Datagram) -> None:
-        """Serialise and transmit ``message`` to its destination's address."""
+    def send(self, message: Datagram) -> bool:
+        """Serialise and transmit ``message`` to its destination's address.
+
+        Returns whether the datagram was handed to the socket: ``False``
+        when the socket is not open, the destination has no known
+        address, or the socket refused the datagram.
+        """
         transport = self._transport
         if transport is None or transport.is_closing():
-            return
+            self.unroutable += 1
+            return False
         addr = self._peers.get(message.destination)
         if addr is None:
             if message.destination not in self._receivers:
                 # Unknown destination: fair-lossy links may drop, and UDP
                 # to a closed port is exactly that.
                 self.unroutable += 1
-                return
+                return False
             # Another process of this system: through the socket all the
             # same, so local and remote traffic share one path.
             addr = self.local_endpoint
         raw = encode_datagram(message)
         if len(raw) > MAX_DATAGRAM:
             raise ValueError(f"datagram too large: {len(raw)} bytes")
-        transport.sendto(raw, addr)
-        if self._tracer is not None and message.kind == "heartbeat":
-            self._tracer.emit(
+        errors = self.send_errors
+        try:
+            transport.sendto(raw, addr)
+        except OSError:
+            self.send_errors += 1
+        tracer = self._tracer
+        if self.send_errors != errors:
+            # Raised, or reported through ``error_received`` inside the
+            # call: either way this datagram never left.
+            if tracer is not None:
+                assert self.scheduler is not None
+                tracer.emit(
+                    self.scheduler.now,
+                    "send-error",
+                    message.destination,
+                    detector=message.kind,
+                )
+            return False
+        self.sent_datagrams += 1
+        if tracer is not None and message.kind == "heartbeat":
+            tracer.emit(
                 message.timestamp, "send", message.source, seq=message.seq
             )
+        return True
 
     # ------------------------------------------------------------------
     # Peer table

@@ -1,8 +1,12 @@
 """The long-running fleet-monitoring daemon.
 
-One UDP socket receives the whole fleet's traffic (the wire format of
-:mod:`repro.net.udp`); datagrams are routed to per-endpoint monitors by
-their ``source`` address.  Three datagram kinds are understood:
+The daemon is one process on a :class:`~repro.net.udp.UdpNetwork`, like
+any live Neko component: the network's socket receives the whole fleet's
+traffic, decodes it, learns each sender's address and hands the
+datagrams addressed to the daemon (``address``, default ``"monitor"``)
+to :meth:`MonitorDaemon._on_datagram`; anything else is a counted drop.
+Datagrams are routed to per-endpoint monitors by their ``source``
+address.  Three datagram kinds are understood:
 
 * ``"heartbeat"`` — fanned out to the endpoint's thirty detector
   combinations through its MultiPlexer;
@@ -15,10 +19,11 @@ Unknown sources are auto-registered by default (a fleet can simply start
 sending), or rejected when ``auto_register=False`` and endpoints are
 managed explicitly via :meth:`MonitorDaemon.add_endpoint` / the HTTP API.
 
-Shutdown is graceful with a bounded drain: intake stops first (UDP
-transport closed), in-flight HTTP responses get up to ``drain`` seconds
-to finish, then every detector timer is cancelled and the scheduler is
-closed so nothing can leak.
+Shutdown is graceful with a bounded drain: intake stops first (no
+datagram is dispatched once :meth:`~MonitorDaemon.stop` begins),
+in-flight HTTP responses get up to ``drain`` seconds to finish on a live
+scheduler, then the network is closed — every timer cancelled, the
+socket released — so nothing can leak.
 
 Observability: the daemon owns one
 :class:`~repro.obs.hub.ObservabilityHub` wiring the optional
@@ -34,7 +39,7 @@ hub's dirty notifications; both sinks default to ``None`` at nil cost.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.drift import DriftMonitor
@@ -42,21 +47,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
 
 from repro.fd.combinations import combination_ids
+from repro.neko.system import NekoSystem
 from repro.net.message import Datagram
-from repro.net.udp import DatagramDecodeError, decode_datagram, encode_datagram
+from repro.net.udp import UdpNetwork
 from repro.obs.hub import ObservabilityHub
 from repro.service.exporter import IncrementalExporter, render_status
 from repro.service.registry import EndpointMonitor, EndpointRegistry
-from repro.service.runtime import AsyncioScheduler, ServiceSystem
+from repro.service.runtime import AsyncioScheduler
 from repro.service.supervise import ComponentSupervisor, RestartPolicy
-
-
-class _MonitorProtocol(asyncio.DatagramProtocol):
-    def __init__(self, daemon: "MonitorDaemon") -> None:
-        self._daemon = daemon
-
-    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
-        self._daemon._on_datagram(data, addr)
 
 
 class MonitorDaemon:
@@ -79,8 +77,8 @@ class MonitorDaemon:
     auto_register:
         Whether heartbeats from unknown sources create endpoints.
     address:
-        The daemon's own address carried as datagram ``destination`` by
-        well-behaved emitters (not currently enforced).
+        The daemon's own address on its network: emitters send to it, and
+        a datagram addressed to any other name is dropped and counted.
     log_capacity:
         Bounded per-endpoint event-log tail retained for debugging.
     tracer:
@@ -135,8 +133,6 @@ class MonitorDaemon:
     ) -> None:
         if eta <= 0:
             raise ValueError(f"eta must be > 0, got {eta!r}")
-        self._host = host
-        self._port = port
         self._http_host = http_host
         self._http_port = http_port
         self.eta = float(eta)
@@ -150,6 +146,10 @@ class MonitorDaemon:
         )
         self.auto_register = bool(auto_register)
         self.address = address
+        #: The daemon's one socket and peer table, built here so that a
+        #: chaos shim can attach before :meth:`start`.
+        self.network = UdpNetwork(host=host, port=port, tracer=tracer)
+        self.network.register(address, self._on_datagram)
         self._log_capacity = log_capacity
         self._max_endpoints = max_endpoints
         if snapshot_interval < 0:
@@ -162,31 +162,20 @@ class MonitorDaemon:
         )
 
         self._scheduler: Optional[AsyncioScheduler] = None
-        self._system: Optional[ServiceSystem] = None
         self._registry: Optional[EndpointRegistry] = None
-        self._transport: Optional[asyncio.DatagramTransport] = None
         self._http_server = None  # MetricsHttpServer, created in start()
         self._exporter: Optional[IncrementalExporter] = None
         self._snapshot_handle = None
         self._started_at = 0.0
         self._running = False
-        # Peer table: endpoint name -> last UDP (host, port) it sent from.
-        # Auto-learned from inbound traffic, or pinned via add_peer();
-        # this is what makes the daemon's outbound path (_send) work.
-        # Auto-learning trusts the datagram's claimed source name — fine
-        # on a loopback research harness, spoofable on a shared network —
-        # so pinned names are exempt from it (see add_peer).
-        self._peers: Dict[str, Tuple[str, int]] = {}
-        self._pinned_peers: Set[str] = set()
         # Optional live KV failover controller (repro.kv.live); when set,
         # the exporter renders its per-application series.
         self.kv_controller: Optional[Any] = None
-        # Fleet-level counters.
+        # Fleet-level counters (the network counts what it sends and the
+        # datagrams that never reach dispatch).
         self.heartbeats_total = 0
-        self.dropped_datagrams = 0
-        self.sent_datagrams = 0
+        self._dispatch_drops = 0
         self.control_acks_sent = 0
-        self.send_errors_total = 0
         self.shed_datagrams = 0
         # Graceful degradation: bounded intake (token bucket) and
         # supervised auxiliary components (snapshot timer, HTTP server).
@@ -238,14 +227,18 @@ class MonitorDaemon:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the UDP intake (and HTTP endpoint) on the running loop."""
+        """Bind the UDP intake (and HTTP endpoint) on the running loop.
+
+        The socket is bound first: a taken port raises before anything
+        else is built, and the start can be retried.
+        """
         if self._running:
             raise RuntimeError("daemon already started")
-        loop = asyncio.get_running_loop()
-        self._scheduler = AsyncioScheduler(loop)
-        self._system = ServiceSystem(self._scheduler, self._send)
+        await self.network.open()
+        self._scheduler = self.network.scheduler
+        assert self._scheduler is not None
         self._registry = EndpointRegistry(
-            self._system,
+            NekoSystem(self._scheduler, self.network),  # type: ignore[arg-type]
             eta=self.eta,
             detector_ids=self.detector_ids,
             initial_timeout=self.initial_timeout,
@@ -256,11 +249,6 @@ class MonitorDaemon:
         )
         self._exporter = IncrementalExporter(self)
         self.obs.add_dirty_listener(self._exporter.on_change)
-        transport, _protocol = await loop.create_datagram_endpoint(
-            lambda: _MonitorProtocol(self),
-            local_addr=(self._host, self._port),
-        )
-        self._transport = transport
         if self._http_port is not None:
             from repro.service.http import MetricsHttpServer
 
@@ -290,16 +278,14 @@ class MonitorDaemon:
     async def stop(self, *, drain: float = 1.0) -> None:
         """Graceful shutdown with bounded drain (idempotent).
 
-        Closes intake first, gives in-flight HTTP handlers up to
-        ``drain`` seconds, then quiesces every endpoint and cancels all
-        outstanding timers.
+        Stops dispatching first, gives in-flight HTTP handlers up to
+        ``drain`` seconds, then quiesces every endpoint and closes the
+        network, which cancels all outstanding timers.
         """
         if not self._running:
             return
+        # From here on _on_datagram drops everything: no dispatch.
         self._running = False
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
         if self._http_supervisor is not None:
             self._http_supervisor.stop()
             self._http_supervisor = None
@@ -317,8 +303,7 @@ class MonitorDaemon:
             self._take_snapshots()
         if self._registry is not None:
             self._registry.close()
-        if self._scheduler is not None:
-            self._scheduler.close()
+        self.network.close()
         self.obs.close()
         # One loop turn so transport close callbacks run before we return.
         # fdlint: disable=clock-discipline (zero-delay event-loop yield, not time flow; the drain path is real-network only)
@@ -358,9 +343,7 @@ class MonitorDaemon:
     @property
     def udp_endpoint(self) -> Tuple[str, int]:
         """The bound (host, port) of the heartbeat intake socket."""
-        if self._transport is None:
-            raise RuntimeError("daemon is not started")
-        return self._transport.get_extra_info("sockname")[:2]
+        return self.network.local_endpoint
 
     @property
     def http_endpoint(self) -> Optional[Tuple[str, int]]:
@@ -383,26 +366,24 @@ class MonitorDaemon:
     # ------------------------------------------------------------------
     # Datagram intake
     # ------------------------------------------------------------------
-    def _on_datagram(self, data: bytes, addr: Tuple[str, int]) -> None:
-        if self._max_intake_rate is not None and not self._intake_token():
-            # Bounded intake: past the configured rate, shed load before
-            # paying for decode + fanout.  Shed datagrams are counted
-            # separately from malformed drops.
-            self.shed_datagrams += 1
+    def _on_datagram(self, message: Datagram) -> None:
+        """The network's receiver for :attr:`address`: one decoded datagram
+        (raw bytes enter through ``network._on_datagram``)."""
+        if not self._running:
             return
-        try:
-            message = decode_datagram(data)
-        except DatagramDecodeError:
-            self.dropped_datagrams += 1
-            return
-        # Learn (or refresh) the sender's service address: replies and
-        # any future outbound traffic go to the last address the peer
-        # spoke from, the classic UDP NAT-friendly convention.  Names
-        # pinned via add_peer() are exempt — their claimed source is
-        # unauthenticated, so a spoofer could otherwise redirect the
-        # peer's outbound traffic (control-acks, kv-view broadcasts).
-        if message.source not in self._pinned_peers:
-            self._peers[message.source] = (addr[0], addr[1])
+        rate = self._max_intake_rate
+        if rate is not None:
+            # Bounded intake, a token bucket with a one-second burst: past
+            # the configured rate, shed load before paying for fan-out.
+            # Shed datagrams are counted separately from drops.
+            now = self._scheduler.now  # type: ignore[union-attr]
+            elapsed = max(0.0, now - self._intake_stamp)
+            self._intake_stamp = now
+            self._intake_tokens = min(rate, self._intake_tokens + elapsed * rate)
+            if self._intake_tokens < 1.0:
+                self.shed_datagrams += 1
+                return
+            self._intake_tokens -= 1.0
         self.dispatch(message)
 
     def dispatch(self, message: Datagram) -> None:
@@ -414,12 +395,12 @@ class MonitorDaemon:
         if message.kind == "heartbeat":
             if monitor is None:
                 if not self.auto_register:
-                    self.dropped_datagrams += 1
+                    self._dispatch_drops += 1
                     return
                 try:
                     monitor = registry.add(message.source)
                 except (RuntimeError, ValueError):
-                    self.dropped_datagrams += 1
+                    self._dispatch_drops += 1
                     return
             self.heartbeats_total += 1
             tracer = self.obs.tracer
@@ -447,18 +428,18 @@ class MonitorDaemon:
             monitor.deliver(message)
         elif message.kind == "crash":
             if monitor is None:
-                self.dropped_datagrams += 1
+                self._dispatch_drops += 1
                 return
             monitor.record_crash()
             self._ack_control(message)
         elif message.kind == "restore":
             if monitor is None:
-                self.dropped_datagrams += 1
+                self._dispatch_drops += 1
                 return
             monitor.record_restore()
             self._ack_control(message)
         else:
-            self.dropped_datagrams += 1
+            self._dispatch_drops += 1
 
     def _ack_control(self, message: Datagram) -> None:
         """Acknowledge a crash/restore control datagram.
@@ -472,83 +453,33 @@ class MonitorDaemon:
         ctl = None
         if isinstance(message.payload, dict):
             ctl = message.payload.get("ctl")
-        sent = self._send(
+        sent = self.network.send(
             message.reply("control-ack", {"kind": message.kind, "ctl": ctl})
         )
         if sent:
             self.control_acks_sent += 1
 
     # ------------------------------------------------------------------
-    # Outbound traffic (peer table)
+    # Counters
     # ------------------------------------------------------------------
-    def add_peer(self, name: str, addr: Tuple[str, int]) -> None:
-        """Pin the UDP address of ``name``, disabling auto-learning for it.
+    @property
+    def dropped_datagrams(self) -> int:
+        """Datagrams lost to the service: undecodable, addressed to another
+        name, unroutable replies, and rejected by :meth:`dispatch`."""
+        network = self.network
+        return (
+            network.dropped_datagrams + network.unroutable + self._dispatch_drops
+        )
 
-        Unpinned names are auto-learned from inbound traffic, which
-        trusts the datagram's claimed source — acceptable on loopback,
-        spoofable on a shared network.  A pinned name keeps this address
-        until the next ``add_peer`` call, so a spoofed source cannot
-        redirect the peer's outbound traffic.
-        """
-        self._peers[name] = (addr[0], addr[1])
-        self._pinned_peers.add(name)
+    @property
+    def sent_datagrams(self) -> int:
+        """Datagrams the daemon handed to its socket."""
+        return self.network.sent_datagrams
 
-    def peer_addr(self, name: str) -> Optional[Tuple[str, int]]:
-        """The last-known UDP address of ``name``, if any."""
-        return self._peers.get(name)
-
-    def peers(self) -> Dict[str, Tuple[str, int]]:
-        """A copy of the peer table (diagnostics)."""
-        return dict(self._peers)
-
-    def send_datagram(self, message: Datagram) -> bool:
-        """Transmit ``message`` to its destination's learned address.
-
-        Returns whether the datagram was put on the wire (``False`` when
-        the destination is unknown or the socket is closed).
-        """
-        return self._send(message)
-
-    def _send(self, message: Datagram) -> bool:
-        addr = self._peers.get(message.destination)
-        transport = self._transport
-        if addr is None or transport is None or transport.is_closing():
-            self.dropped_datagrams += 1
-            return False
-        try:
-            transport.sendto(encode_datagram(message), addr)
-        except OSError:
-            # A failing socket is an observable service event, not a
-            # silently dropped boolean: count it and span it.
-            self.send_errors_total += 1
-            tracer = self.obs.tracer
-            if tracer is not None:
-                # The span kind is "send-error"; the failed datagram's
-                # own kind rides in the detector field (emit()'s second
-                # positional is the span kind, so a kind= kwarg here
-                # used to raise TypeError and kill the send path).
-                tracer.emit(
-                    self.scheduler.now,
-                    "send-error",
-                    message.destination,
-                    detector=message.kind,
-                )
-            return False
-        self.sent_datagrams += 1
-        return True
-
-    def _intake_token(self) -> bool:
-        """Take one token from the intake bucket (burst = one second)."""
-        rate = self._max_intake_rate
-        assert rate is not None
-        now = self.scheduler.now
-        elapsed = max(0.0, now - self._intake_stamp)
-        self._intake_stamp = now
-        self._intake_tokens = min(rate, self._intake_tokens + elapsed * rate)
-        if self._intake_tokens >= 1.0:
-            self._intake_tokens -= 1.0
-            return True
-        return False
+    @property
+    def send_errors_total(self) -> int:
+        """Datagrams the daemon's socket refused."""
+        return self.network.send_errors
 
     # ------------------------------------------------------------------
     # Observability

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.neko.system import NekoSystem
     from repro.obs.hub import ObservabilityHub
     from repro.obs.trace import TraceRecorder
 
@@ -33,7 +34,7 @@ from repro.neko.layer import ProtocolStack
 from repro.neko.process import NekoProcess
 from repro.nekostat.metrics import DetectorQos, OnlineQosAccumulator
 from repro.net.message import Datagram
-from repro.service.runtime import AsyncioScheduler, BoundedEventLog, ServiceSystem
+from repro.service.runtime import BoundedEventLog
 
 
 class EndpointMonitor:
@@ -41,13 +42,15 @@ class EndpointMonitor:
 
     Hosts an unchanged simulator-grade protocol stack (MultiPlexer over
     the detector bank) on the asyncio scheduler, and keeps one online
-    QoS accumulator per detector combination.
+    QoS accumulator per detector combination.  Its process is not
+    registered on the system's network: heartbeats reach it only through
+    :meth:`deliver`, never by a datagram addressed to ``monitor[name]``.
     """
 
     def __init__(
         self,
         name: str,
-        system: ServiceSystem,
+        system: "NekoSystem",
         *,
         eta: float,
         detector_ids: Sequence[str],
@@ -59,7 +62,7 @@ class EndpointMonitor:
         if not name:
             raise ValueError("endpoint name must be non-empty")
         self.name = name
-        self._scheduler: AsyncioScheduler = system.sim
+        self._scheduler = system.sim
         self._hub = hub
         self._tracer = tracer
         self.registered_at = self._scheduler.now
@@ -81,7 +84,7 @@ class EndpointMonitor:
         )
         self.multiplexer = MultiPlexer([self.detectors], tracer=tracer)
         self.process = NekoProcess(
-            system,  # type: ignore[arg-type]  # duck-typed system facade
+            system,
             f"monitor[{name}]",
             ProtocolStack([self.multiplexer]),
         )
@@ -210,7 +213,7 @@ class EndpointRegistry:
 
     def __init__(
         self,
-        system: ServiceSystem,
+        system: "NekoSystem",
         *,
         eta: float,
         detector_ids: Sequence[str],

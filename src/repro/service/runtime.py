@@ -176,46 +176,7 @@ class BoundedEventLog(EventLog):
         return maxlen
 
 
-class ServiceSystem:
-    """Minimal :class:`~repro.neko.system.NekoSystem` stand-in.
-
-    :class:`~repro.neko.process.NekoProcess` only needs two things from
-    its system — the scheduling engine and a network ``send`` — so the
-    daemon provides exactly those.  Outbound datagrams are handed to the
-    supplied sender (the daemon's UDP transport); monitors that never
-    send may pass ``None`` to drop silently.
-    """
-
-    def __init__(
-        self,
-        scheduler: AsyncioScheduler,
-        sender: Optional[Callable] = None,
-    ) -> None:
-        self._scheduler = scheduler
-        self._network = _SenderBackend(sender)
-
-    @property
-    def sim(self) -> AsyncioScheduler:
-        """The scheduling engine (the asyncio scheduler)."""
-        return self._scheduler
-
-    @property
-    def network(self) -> "_SenderBackend":
-        """The outbound-datagram sink."""
-        return self._network
-
-
-class _SenderBackend:
-    def __init__(self, sender: Optional[Callable]) -> None:
-        self._sender = sender
-
-    def send(self, message) -> None:
-        if self._sender is not None:
-            self._sender(message)
-
-
 __all__ = [
     "AsyncioScheduler",
     "BoundedEventLog",
-    "ServiceSystem",
 ]

@@ -17,7 +17,6 @@ from repro.chaos import (
     ChaosEngine,
     FaultPlan,
     attach_backend,
-    attach_daemon,
     run_daemon_scenario_async,
 )
 from repro.nekostat.metrics import OnlineQosAccumulator
@@ -103,7 +102,7 @@ class TestDaemonSurvivesChaos:
                 detector_ids=[DETECTOR], initial_timeout=0.8,
                 tracer=tracer,
             )
-            intake = attach_daemon(engine, daemon)
+            intake = attach_backend(engine, daemon.network, name="daemon")
             await daemon.start()
             intake.arm(daemon.scheduler.now)
             fleet = HeartbeatFleet(
@@ -166,7 +165,7 @@ class TestDaemonSurvivesChaos:
                 port=0, http_port=None, eta=0.1,
                 detector_ids=[DETECTOR], initial_timeout=0.8,
             )
-            intake = attach_daemon(engine, daemon)
+            intake = attach_backend(engine, daemon.network, name="daemon")
             await daemon.start()
             # Keep the plan dormant until the endpoint is registered.
             intake.arm(float("inf"))

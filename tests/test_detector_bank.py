@@ -32,10 +32,10 @@ from repro.nekostat.events import EventKind
 from repro.nekostat.log import EventLog
 from repro.net.message import Datagram
 from repro.obs.trace import TraceRecorder
-from repro.service.runtime import AsyncioScheduler, ServiceSystem
+from repro.service.runtime import AsyncioScheduler
 from repro.sim.engine import Simulator
 
-from tests.conftest import RecordingLayer
+from tests.conftest import RecordingLayer, RecordingNetwork
 
 ETA = 1.0
 INITIAL_TIMEOUT = 4.0
@@ -502,7 +502,7 @@ class TestAsyncioScheduler:
             log = EventLog()
             uppers = build(ALL_IDS, log, lambda _id: None, None, True)
             process = NekoProcess(
-                ServiceSystem(scheduler),  # type: ignore[arg-type]
+                NekoSystem(scheduler, RecordingNetwork()),  # type: ignore[arg-type]
                 "p",
                 ProtocolStack([MultiPlexer(uppers)]),
             )

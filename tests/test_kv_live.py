@@ -12,7 +12,7 @@ import asyncio
 
 import pytest
 
-from repro.chaos import ChaosEngine, FaultPlan, attach_daemon
+from repro.chaos import ChaosEngine, FaultPlan, attach_backend
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.simcrash import SimCrash
 from repro.kv.live import AsyncKvClient, LiveFailoverController, LiveKvNode
@@ -38,6 +38,15 @@ async def eventually(predicate, *, timeout=30.0, interval=0.02):
         if loop.time() > deadline:
             return False
         await asyncio.sleep(interval)
+    return True
+
+
+def _learned(network, name):
+    """Whether ``network``'s peer table has an address for ``name``."""
+    try:
+        network.endpoint(name)
+    except KeyError:
+        return False
     return True
 
 
@@ -88,7 +97,7 @@ class TestLiveFailover:
                 # Both replicas heartbeat the daemon, which learns their
                 # service addresses from the inbound datagrams.
                 assert await eventually(
-                    lambda: all(daemon.peer_addr(n) is not None for n in names)
+                    lambda: all(_learned(daemon.network, n) for n in names)
                 )
 
                 # A write against the initial view lands on kv-a.
@@ -167,7 +176,7 @@ class TestLivePartitionHeal:
                 detector_ids=["Last+CI_med"], initial_timeout=0.8,
                 auto_register=True,
             )
-            intake = attach_daemon(engine, daemon)
+            intake = attach_backend(engine, daemon.network, name="daemon")
             await daemon.start()
             # Keep the partition dormant until the steady state exists.
             intake.arm(float("inf"))
@@ -197,7 +206,7 @@ class TestLivePartitionHeal:
                 await client.start()
 
                 assert await eventually(
-                    lambda: all(daemon.peer_addr(n) is not None for n in names)
+                    lambda: all(_learned(daemon.network, n) for n in names)
                 )
                 before = await client.set("k", "pre-partition")
                 assert controller.view.primary == "kv-a"

@@ -336,7 +336,7 @@ class TestLiveDrift:
         )
 
     async def _daemon_drift_run(self, plan, *, duration):
-        from repro.chaos import ChaosEngine, attach_backend, attach_daemon
+        from repro.chaos import ChaosEngine, attach_backend
         from repro.service import HeartbeatFleet, MonitorDaemon
 
         daemon = MonitorDaemon(
@@ -346,7 +346,7 @@ class TestLiveDrift:
         )
         engine = ChaosEngine(plan) if plan is not None else None
         if engine is not None:
-            intake = attach_daemon(engine, daemon)
+            intake = attach_backend(engine, daemon.network, name="daemon")
         await daemon.start()
         if engine is not None:
             intake.arm(daemon.scheduler.now)

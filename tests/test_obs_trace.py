@@ -536,18 +536,19 @@ class TestSendSpanRegression:
             )
             await daemon.start()
             try:
-                daemon._peers["ep"] = ("127.0.0.1", 9)
-                daemon._transport = BrokenTransport()
+                daemon.network.add_peer("ep", ("127.0.0.1", 9))
+                transport = daemon.network._transport
+                daemon.network._transport = BrokenTransport()
                 message = Datagram(
                     source="monitor", destination="ep", kind="crash-ack"
                 )
-                assert daemon._send(message) is False
+                assert daemon.network.send(message) is False
                 assert daemon.send_errors_total == 1
                 [span] = tracer.tail(16, kind="send-error")
                 assert span["endpoint"] == "ep"
                 assert span["detector"] == "crash-ack"
             finally:
-                daemon._transport = None
+                daemon.network._transport = transport
                 await daemon.stop()
 
         asyncio.run(asyncio.wait_for(main(), timeout=10.0))

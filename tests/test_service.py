@@ -23,6 +23,7 @@ from repro.fd.heartbeat import Heartbeater
 from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.metrics import DetectorQos
 from repro.net.message import Datagram
+from repro.net.udp import encode_datagram
 from repro.service import (
     AsyncioScheduler,
     BoundedEventLog,
@@ -34,9 +35,9 @@ from repro.service import (
     render_status,
 )
 from repro.service.registry import EndpointRegistry
-from repro.service.runtime import ServiceSystem
+from repro.neko.system import NekoSystem
 
-from tests.conftest import socketless_emitter
+from tests.conftest import RecordingNetwork, socketless_emitter
 
 NETWORK_TIMEOUT = 60.0
 
@@ -254,7 +255,7 @@ class TestHttpRouting:
 class TestEndpointRegistry:
     def _registry(self, max_endpoints=10):
         scheduler = AsyncioScheduler()
-        system = ServiceSystem(scheduler, None)
+        system = NekoSystem(scheduler, RecordingNetwork())
         return scheduler, EndpointRegistry(
             system,
             eta=0.5,
@@ -359,7 +360,7 @@ class TestDaemonDispatch:
                                          kind="gossip"))
                 daemon.dispatch(Datagram(source="ghost", destination="monitor",
                                          kind="crash"))
-                daemon._on_datagram(b"not json at all", ("127.0.0.1", 1))
+                daemon.network._on_datagram(b"not json at all", ("127.0.0.1", 1))
                 assert daemon.dropped_datagrams == dropped + 3
             finally:
                 await daemon.stop()
@@ -398,6 +399,103 @@ class TestDaemonDispatch:
             await daemon.stop()
             await daemon.stop()
             assert not daemon.running
+
+        run(main())
+
+    def test_every_datagram_is_counted_exactly_once(self):
+        """Raw bytes straight into the network's intake (no traffic): each
+        lands in exactly one of heartbeats, control acks, drops or sheds."""
+        async def main():
+            daemon = MonitorDaemon(port=0, http_port=None, eta=0.5,
+                                   detector_ids=["Last+CI_med"],
+                                   max_intake_rate=4.0)
+            await daemon.start()
+            try:
+                now = daemon.scheduler.now
+
+                def wire(source, kind, destination="monitor", **fields):
+                    return encode_datagram(Datagram(
+                        source=source, destination=destination, kind=kind,
+                        **fields,
+                    ))
+
+                script = [
+                    wire("ep", "heartbeat", seq=0, timestamp=now),
+                    b"not json at all",
+                    wire("ep", "heartbeat", "elsewhere", seq=1, timestamp=now),
+                    # The bank's own process name is not an address.
+                    wire("ep", "heartbeat", "monitor[ep]", seq=2, timestamp=now),
+                    wire("ghost", "crash"),
+                    wire("ep", "gossip"),
+                    wire("ep", "crash", payload={"ctl": 1}),
+                    # The fifth datagram for the daemon within a second of
+                    # a four-token bucket.
+                    wire("ep", "heartbeat", seq=3, timestamp=now),
+                ]
+                for raw in script:
+                    # Port 9 (discard): the crash's ack goes nowhere.
+                    daemon.network._on_datagram(raw, ("127.0.0.1", 9))
+                assert daemon.heartbeats_total == 1
+                assert daemon.control_acks_sent == 1
+                assert daemon.dropped_datagrams == 5
+                assert daemon.shed_datagrams == 1
+                assert daemon.registry.get("ep").heartbeats == 1
+            finally:
+                await daemon.stop()
+
+        run(main())
+
+    def test_no_dispatch_once_stop_begins(self):
+        async def main():
+            daemon = MonitorDaemon(port=0, http_port=0, eta=0.5,
+                                   detector_ids=["Last+CI_med"])
+            await daemon.start()
+            # An HTTP request still in flight holds stop() in its drain.
+            _reader, writer = await asyncio.open_connection(
+                *daemon.http_endpoint
+            )
+            await asyncio.sleep(0.05)  # accepted
+            stopping = asyncio.ensure_future(daemon.stop(drain=0.5))
+            await asyncio.sleep(0.05)  # stop() is now inside the drain
+            assert not stopping.done() and not daemon.scheduler.closed
+            daemon.network._on_datagram(
+                encode_datagram(Datagram(
+                    source="late", destination="monitor", kind="heartbeat",
+                    seq=0, timestamp=daemon.scheduler.now,
+                )),
+                ("127.0.0.1", 9),
+            )
+            await stopping
+            writer.close()
+            assert daemon.heartbeats_total == 0
+            assert daemon.registry.get("late") is None
+            assert daemon.scheduler.outstanding == 0
+
+        run(main())
+
+    def test_failed_start_can_be_retried(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            holder, _ = await loop.create_datagram_endpoint(
+                asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0)
+            )
+            port = holder.get_extra_info("sockname")[1]
+            daemon = MonitorDaemon(port=port, http_port=None, eta=0.5,
+                                   detector_ids=["Last+CI_med"])
+            with pytest.raises(OSError):
+                await daemon.start()
+            assert not daemon.running
+            with pytest.raises(RuntimeError):
+                daemon.registry  # the failed bind built nothing
+            holder.close()
+            await asyncio.sleep(0)
+            await daemon.start()
+            try:
+                assert daemon.udp_endpoint == ("127.0.0.1", port)
+                # One exporter, subscribed once.
+                assert len(daemon.obs._dirty_listeners) == 1
+            finally:
+                await daemon.stop()
 
         run(main())
 

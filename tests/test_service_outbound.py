@@ -149,11 +149,13 @@ class TestDaemonOutbound:
                                    payload={"epoch": 1, "primary": "a"})
                 # Unknown destination: dropped, accounted.
                 dropped = daemon.dropped_datagrams
-                assert not daemon.send_datagram(message)
+                assert not daemon.network.send(message)
                 assert daemon.dropped_datagrams == dropped + 1
                 # Pinned destination: delivered.
-                daemon.add_peer("peer1", transport.get_extra_info("sockname"))
-                assert daemon.send_datagram(message)
+                daemon.network.add_peer(
+                    "peer1", transport.get_extra_info("sockname")
+                )
+                assert daemon.network.send(message)
                 assert daemon.sent_datagrams == 1
                 assert await eventually(lambda: capture.received)
                 assert capture.received[0].kind == "kv-view"
@@ -172,20 +174,20 @@ class TestDaemonOutbound:
             await daemon.start()
             try:
                 pinned = ("127.0.0.1", 40001)
-                daemon.add_peer("ep1", pinned)
+                daemon.network.add_peer("ep1", pinned)
                 # A datagram merely *claiming* to be ep1 from another
                 # address must not redirect ep1's outbound traffic.
                 spoof = Datagram(source="ep1", destination="monitor",
                                  kind="heartbeat", seq=1, timestamp=0.0)
-                daemon._on_datagram(encode_datagram(spoof),
-                                    ("127.0.0.1", 55555))
-                assert daemon.peer_addr("ep1") == pinned
+                daemon.network._on_datagram(encode_datagram(spoof),
+                                            ("127.0.0.1", 55555))
+                assert daemon.network.endpoint("ep1") == pinned
                 # Unpinned names keep the auto-learning convention.
                 other = Datagram(source="ep2", destination="monitor",
                                  kind="heartbeat", seq=1, timestamp=0.0)
-                daemon._on_datagram(encode_datagram(other),
-                                    ("127.0.0.1", 55556))
-                assert daemon.peer_addr("ep2") == ("127.0.0.1", 55556)
+                daemon.network._on_datagram(encode_datagram(other),
+                                            ("127.0.0.1", 55556))
+                assert daemon.network.endpoint("ep2") == ("127.0.0.1", 55556)
             finally:
                 await daemon.stop()
 
@@ -202,7 +204,8 @@ class TestDaemonOutbound:
             try:
                 assert await eventually(lambda: daemon.heartbeats_total > 0)
                 # The inbound heartbeat taught the daemon ep1's address.
-                assert daemon.peer_addr("ep1") is not None
+                learned = daemon.network.endpoint("ep1")
+                assert learned[1] == fleet.network.local_endpoint[1]
                 # A fleet emitter is the simulator's stack in a NekoProcess.
                 assert [type(layer) for layer in fleet.emitters["ep1"].stack.layers] == [
                     Heartbeater, LiveCrash

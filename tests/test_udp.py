@@ -135,11 +135,11 @@ class TestWireFormat:
                     source="q", destination="monitor", kind="heartbeat",
                     seq=0, timestamp=daemon.scheduler.now,
                 ))
-                daemon._on_datagram(good, ("127.0.0.1", 1))
+                daemon.network._on_datagram(good, ("127.0.0.1", 1))
                 assert daemon.heartbeats_total == 1
                 for raw in NON_FINITE_OR_BOOL:
                     dropped = daemon.dropped_datagrams
-                    daemon._on_datagram(raw, ("127.0.0.1", 1))
+                    daemon.network._on_datagram(raw, ("127.0.0.1", 1))
                     assert daemon.dropped_datagrams == dropped + 1, raw
                 assert daemon.heartbeats_total == 1
                 assert len(daemon.trace_tail(64, kind="receive")["events"]) == 1
@@ -295,6 +295,48 @@ class TestUdpNetwork:
             )
             assert network.dropped_datagrams == 2
             assert received == []
+            network.close()
+
+        run(main())
+
+    def test_socket_send_error_is_counted_spanned_and_reported(self):
+        """The selector loop does not raise from ``sendto``: it hands the
+        error to the protocol's ``error_received`` inside the call.  Port 0
+        is refused by the kernel (EINVAL) without anything leaving the
+        loopback interface."""
+        async def main():
+            tracer = TraceRecorder(None, ring_capacity=16)
+            network = await opened(tracer=tracer)
+            network.add_peer("x", ("127.0.0.1", 0))
+            message = Datagram(source="monitor", destination="x",
+                               kind="control-ack")
+            assert network.send(message) is False
+            assert network.send_errors == 1
+            assert network.sent_datagrams == 0
+            [span] = tracer.tail(16, kind="send-error")
+            assert span["endpoint"] == "x"
+            assert span["detector"] == "control-ack"
+            network.close()
+            assert network.send(message) is False  # closed: unroutable
+            assert network.unroutable == 1
+
+        run(main())
+
+    def test_failed_bind_leaves_the_network_reopenable(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            holder, _ = await loop.create_datagram_endpoint(
+                asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0)
+            )
+            port = holder.get_extra_info("sockname")[1]
+            network = UdpNetwork(port=port)
+            with pytest.raises(OSError):
+                await network.open()
+            assert network.scheduler is None
+            holder.close()
+            await asyncio.sleep(0)
+            await network.open()
+            assert network.local_endpoint == ("127.0.0.1", port)
             network.close()
 
         run(main())
