@@ -10,6 +10,7 @@ disagree.
 from __future__ import annotations
 
 import abc
+from typing import List, Sequence
 
 from repro.sim.engine import Simulator
 
@@ -37,6 +38,13 @@ class Clock(abc.ABC):
     def global_from_local(self, local: float) -> float:
         """Map a local reading back to the global instant (inverse)."""
 
+    @abc.abstractmethod
+    def global_from_local_offsets(
+        self, base: float, deltas: Sequence[float]
+    ) -> List[float]:
+        """``[global_from_local(base + d) for d in deltas]``, bit for bit,
+        in one call: a detector bank maps its freshness points so."""
+
 
 class PerfectClock(Clock):
     """A clock that reads global time exactly.
@@ -50,6 +58,11 @@ class PerfectClock(Clock):
 
     def global_from_local(self, local: float) -> float:
         return local
+
+    def global_from_local_offsets(
+        self, base: float, deltas: Sequence[float]
+    ) -> List[float]:
+        return [base + d for d in deltas]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "PerfectClock()"
@@ -93,6 +106,15 @@ class DriftingClock(Clock):
 
     def global_from_local(self, local: float) -> float:
         return (local - self._offset) / (1.0 + self._drift)
+
+    def global_from_local_offsets(
+        self, base: float, deltas: Sequence[float]
+    ) -> List[float]:
+        # global_from_local's operands in its order; the offset is read
+        # now, so a step by adjust() shows in the next batch.
+        offset = self._offset
+        rate = 1.0 + self._drift
+        return [(base + d - offset) / rate for d in deltas]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DriftingClock(offset={self._offset!r}, drift={self._drift!r})"

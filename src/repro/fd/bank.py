@@ -10,6 +10,16 @@ heartbeat, derives every row's time-out and deadline, and keeps **one**
 :class:`~repro.sim.process.Timer` on the earliest deadline — the
 guarantee holds by construction rather than by fan-out.
 
+A heartbeat is one step over plain state.  Beside each
+:class:`~repro.fd.predictors.Predictor` the bank keeps two numbers in
+lists — the prediction in force and the unit Jacobson deviation — and
+updates them with the operations of ``TimeoutStrategy.observe`` and
+``JacobsonMargin.update``, in their order; the delay is checked finite
+once, before any state moves.  The 30 freshness points go through the
+clock in one :meth:`~repro.clocks.clock.Clock.global_from_local_offsets`
+call, which reads the clock's offset then, as thirty
+``global_from_local`` calls would.
+
 Its observable behaviour is that of one
 :class:`~repro.fd.detector.PushFailureDetector` per row behind a
 MultiPlexer, transition for transition and float for float (proved by
@@ -63,8 +73,8 @@ from repro.fd.combinations import (
     make_predictor,
     parse_combination_id,
 )
-from repro.fd.safety import ConfidenceIntervalMargin, JacobsonMargin
-from repro.fd.timeout import TimeoutStrategy
+from repro.fd.predictors import Predictor
+from repro.fd.safety import INITIAL_MARGIN, ConfidenceIntervalMargin
 from repro.neko.layer import Layer
 from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.log import EventLog
@@ -122,7 +132,7 @@ class DetectorView:
     def prediction(self) -> float:
         """The row's current delay forecast ``pred``, in seconds."""
         bank = self._bank
-        return bank._strategies[bank._rows[self._row][0]].prediction()
+        return bank._in_force[bank._rows[self._row][0]]
 
     def current_timeout(self) -> float:
         """The ``delta = pred + sm`` currently in force, in seconds."""
@@ -193,13 +203,15 @@ class DetectorBank(Layer):
         self._event_log = event_log
         self._observe_stale = bool(observe_stale)
         self._tracer = tracer
-        # Shared states: one strategy per predictor (its unit-scale
-        # Jacobson margin keeps the "prediction in force" rule in
-        # TimeoutStrategy), one confidence-interval state for all CI rows.
-        self._strategies: List[TimeoutStrategy] = []
-        self._deviations: List[JacobsonMargin] = []
+        # Shared states, per predictor: the predictor, the prediction in
+        # force (what the next delay's error is measured against) and the
+        # unit-scale Jacobson deviation (``None`` until the first error);
+        # and one confidence-interval state for all CI rows.
+        self._predictors: List[Predictor] = []
+        self._in_force: List[float] = []
+        self._mdev: List[Optional[float]] = []
         self._ci: Optional[ConfidenceIntervalMargin] = None
-        #: Per row: ``(index of its strategy, CI family?, gamma or phi)``.
+        #: Per row: ``(index of its predictor, CI family?, gamma or phi)``.
         self._rows: List[Tuple[int, bool, float]] = []
         self._views: Dict[str, DetectorView] = {}
         self._hooks: List[Optional[Callable[[bool], None]]] = []
@@ -209,12 +221,11 @@ class DetectorBank(Layer):
                 continue  # a repeated id is the same row
             predictor_name, margin_name = parse_combination_id(detector_id)
             if predictor_name not in slots:
-                slots[predictor_name] = len(self._strategies)
-                deviation = JacobsonMargin(1.0, alpha=JACOBSON_ALPHA)
-                self._deviations.append(deviation)
-                self._strategies.append(
-                    TimeoutStrategy(make_predictor(predictor_name), deviation)
-                )
+                slots[predictor_name] = len(self._predictors)
+                predictor = make_predictor(predictor_name)
+                self._predictors.append(predictor)
+                self._in_force.append(predictor.predict())
+                self._mdev.append(None)
             confidence_interval = margin_name in GAMMA_VALUES
             if confidence_interval and self._ci is None:
                 self._ci = ConfidenceIntervalMargin(1.0)
@@ -235,14 +246,12 @@ class DetectorBank(Layer):
         #: Per row: ``delta = pred + sm`` in force (refreshed on every
         #: observation, so an expiry reports the value current then).
         self._timeouts: List[float] = self._derive_timeouts()
-        # What the pending deadlines were armed from, so an expiry can
-        # name its freshness point: the ``_timeouts`` list of the last
-        # fresh heartbeat (replaced, never mutated, by an observation) and
-        # that heartbeat's ``sigma + eta``; ``None`` while the ``on_start``
-        # deadline is pending.
-        self._armed_timeouts: Optional[List[float]] = None
-        self._armed_send_local = 0.0
-        self._start_deadline = _NEVER
+        # What the pending deadlines were armed with, so an expiry can
+        # name its freshness point: per row, the time-out and the global
+        # freshness point (before clamping to the arming instant).  Both
+        # lists are replaced, never mutated.
+        self._armed_timeouts: List[float] = []
+        self._armed_taus: List[float] = []
         self._timer: Optional[Timer] = None
         self._max_seq = -1
         # Counters (diagnostics; metrics come from the event log).
@@ -283,31 +292,27 @@ class DetectorBank(Layer):
     def _derive_timeouts(self) -> List[float]:
         """Every row's time-out from the shared states.
 
-        ``pred`` is the row's predictor's forecast; ``sm`` scales the
-        shared margin state by the row's γ or φ (multiplied left to right,
-        as :meth:`SafetyMargin.current` does).  Clamped below at zero like
-        :meth:`TimeoutStrategy.timeout`.
+        ``pred`` is the row's predictor's forecast in force; ``sm`` scales
+        the shared margin state by the row's γ or φ (multiplied left to
+        right, as :meth:`SafetyMargin.current` does).  Clamped below at
+        zero like :meth:`TimeoutStrategy.timeout`.
         """
         spread = self._ci.spread() if self._ci is not None else None
         if spread is not None:
             sigma, inflation_root = spread
-        predictions = []
-        deviations = []
-        for strategy, deviation in zip(self._strategies, self._deviations):
-            predictions.append(strategy.prediction())
-            deviations.append(deviation.mdev)
+        in_force = self._in_force
+        mdev = self._mdev
         timeouts = []
         for slot, confidence_interval, scale in self._rows:
             if confidence_interval:
                 if spread is None:
-                    margin = self._ci.initial_margin
+                    margin = INITIAL_MARGIN
                 else:
                     margin = scale * sigma * inflation_root
-            elif deviations[slot] is None:
-                margin = self._deviations[slot].initial_margin
             else:
-                margin = scale * deviations[slot]
-            delta = predictions[slot] + margin
+                deviation = mdev[slot]
+                margin = INITIAL_MARGIN if deviation is None else scale * deviation
+            delta = in_force[slot] + margin
             timeouts.append(delta if delta > 0.0 else 0.0)
         return timeouts
 
@@ -339,15 +344,16 @@ class DetectorBank(Layer):
         self._site = process.address
         clock = process.clock
         self._local_from_global = clock.local_from_global
-        self._global_from_local = clock.global_from_local
+        self._global_from_local_offsets = clock.global_from_local_offsets
 
     def on_start(self) -> None:
         # Before any heartbeat: expect the first one within one period
         # plus the configured initial time-out, on every row.
-        deadline = self.process.sim.now + (self.eta + self.initial_timeout)
-        self._deadlines[:] = [deadline] * len(self._rows)
-        self._armed_timeouts = None
-        self._start_deadline = deadline
+        rows = len(self._rows)
+        deadline = self._sim.now + (self.eta + self.initial_timeout)
+        self._deadlines[:] = [deadline] * rows
+        self._armed_timeouts = [self.initial_timeout] * rows
+        self._armed_taus = [deadline] * rows
         self._arm()
 
     # ------------------------------------------------------------------
@@ -359,68 +365,93 @@ class DetectorBank(Layer):
             return
         if message.seq is None or message.timestamp is None:
             raise ValueError(f"heartbeat without seq/timestamp: {message!r}")
-        self.heartbeats_seen += 1
-        delay = self.process.local_time() - message.timestamp
+        now = self._sim.now
+        delay = self._local_from_global(now) - message.timestamp
         fresh = message.seq > self._max_seq
-        if fresh or self._observe_stale:
-            # Every shared state sees the delay once.
-            for strategy in self._strategies:
-                strategy.observe(delay)
-            if self._ci is not None:
-                self._ci.update(delay, 0.0)  # SM_CI ignores the prediction
-            self._timeouts = self._derive_timeouts()
+        observed = fresh or self._observe_stale
+        if observed and not math.isfinite(delay):
+            raise ValueError(f"observed delay must be finite, got {delay!r}")
+        self.heartbeats_seen += 1
+        if observed:
+            self._observe(delay)
         if fresh:
             self._max_seq = message.seq
-            self._trust_and_rearm(message.timestamp)
+            self._trust_and_rearm(now, message.timestamp)
         else:
             self.stale_heartbeats += 1
         self.deliver_up(message)
 
-    def _trust_and_rearm(self, send_timestamp_local: float) -> None:
+    def _observe(self, delay: float) -> None:
+        """Every shared state sees the (finite) delay once.
+
+        Per predictor, in the order of :meth:`TimeoutStrategy.observe`:
+        the Jacobson deviation takes the error of the prediction in force
+        (:meth:`JacobsonMargin.update` with ``alpha = JACOBSON_ALPHA``),
+        then the predictor absorbs the delay and its fresh forecast comes
+        into force.  Then ``SM_CI``, which ignores the prediction.
+        """
+        in_force = self._in_force
+        mdev = self._mdev
+        for slot, predictor in enumerate(self._predictors):
+            prediction = in_force[slot]
+            if not math.isfinite(prediction):
+                raise ValueError("observation and prediction must be finite")
+            error = abs(delay - prediction)
+            deviation = mdev[slot]
+            mdev[slot] = (
+                error
+                if deviation is None
+                else deviation + JACOBSON_ALPHA * (error - deviation)
+            )
+            predictor.observe(delay)
+            in_force[slot] = predictor.predict()
+        if self._ci is not None:
+            self._ci.update(delay, 0.0)
+        self._timeouts = self._derive_timeouts()
+
+    def _trust_and_rearm(self, now: float, send_timestamp_local: float) -> None:
         """End every suspicion and move each row's deadline to its next
         freshness point ``tau_{i+1} = sigma_i + eta + delta``.
 
-        ``sigma_i`` is the sender's local timestamp; the freshness point
-        is converted through this process's clock, which is exact under
-        the paper's synchronised-clock assumption and carries the residual
-        offset otherwise.
+        ``sigma_i`` is the sender's local timestamp; the freshness points
+        are converted through this process's clock in one batch, which is
+        exact under the paper's synchronised-clock assumption and carries
+        the residual offset otherwise.
 
         Traced, the ``trust`` spans come in bank order, then one
         ``freshness`` span: the line a lone detector would write for the
         row the timer is now armed on (the earliest deadline, bank order
-        on ties).  The arming snapshot (this ``_timeouts`` list and
-        ``sigma_i + eta``) is kept for the ``suspect`` spans.
+        on ties).  The arming snapshot (this ``_timeouts`` list and the
+        freshness points) is kept for the ``suspect`` spans.
         """
-        process = self.process
-        sim = process.sim
-        now = sim.now
-        global_from_local = process.clock.global_from_local
         next_send_local = send_timestamp_local + self.eta
         suspecting = self._suspecting
         deadlines = self._deadlines
         timeouts = self._timeouts
+        taus = self._global_from_local_offsets(next_send_local, timeouts)
         self._armed_timeouts = timeouts
-        self._armed_send_local = next_send_local
-        for row, delta in enumerate(timeouts):
-            if suspecting[row]:
-                suspecting[row] = False
-                self._transition(row, EventKind.END_SUSPECT, delta)
-            tau_global = global_from_local(next_send_local + delta)
-            deadlines[row] = tau_global if tau_global > now else now
+        self._armed_taus = taus
+        if True in suspecting:
+            for row, tau_global in enumerate(taus):
+                if suspecting[row]:
+                    suspecting[row] = False
+                    self._transition(now, row, EventKind.END_SUSPECT, timeouts[row])
+                deadlines[row] = tau_global if tau_global > now else now
+        else:
+            deadlines[:] = [tau if tau > now else now for tau in taus]
         self._arm()
         if self._tracer is not None and deadlines:
             row = deadlines.index(min(deadlines))
-            delta = timeouts[row]
             tau_global = deadlines[row]
             if tau_global <= now:  # clamped to now: tau itself is earlier
-                tau_global = global_from_local(next_send_local + delta)
+                tau_global = taus[row]
             self._tracer.emit(
-                sim.now,
+                now,
                 "freshness",
                 self.monitored,
                 detector=self._ids[row],
                 seq=self._max_seq,
-                timeout=delta,
+                timeout=timeouts[row],
                 deadline=tau_global,
             )
 
@@ -435,34 +466,37 @@ class DetectorBank(Layer):
 
     def _expired(self) -> None:
         deadlines = self._deadlines
-        sim = self.process.sim
+        sim = self._sim
+        now = sim.now
         # The earliest row is due.  Further rows follow inside this expiry
-        # only while strictly overdue (real-time schedulers); a deadline
-        # equal to ``now`` gets its own expiry, as its own timer would.
+        # only while strictly overdue (real-time schedulers: ``now`` is
+        # read again after each transition); a deadline equal to ``now``
+        # gets its own expiry, as its own timer would.
         while True:
             row = deadlines.index(min(deadlines))  # ties: bank order
             deadlines[row] = _NEVER
             self._suspecting[row] = True
             self._suspicions[row] += 1
-            self._transition(row, EventKind.START_SUSPECT, self._timeouts[row])
+            self._transition(now, row, EventKind.START_SUSPECT, self._timeouts[row])
             earliest = min(deadlines)
-            if earliest >= sim.now:
+            now = sim.now
+            if earliest >= now:
                 break
         if earliest < _NEVER:
             assert self._timer is not None
             self._timer.arm_at(earliest)
 
-    def _transition(self, row: int, kind: EventKind, timeout: float) -> None:
-        """Record one suspect/trust transition of ``row``: event, span, hook.
+    def _transition(
+        self, now: float, row: int, kind: EventKind, timeout: float
+    ) -> None:
+        """Record one suspect/trust transition of ``row`` at ``now``: event,
+        span, hook.
 
         ``timeout`` is the time-out in force, which the event carries.  A
         ``suspect`` span carries instead the freshness point that expired
-        (``deadline``) and the time-out it was armed with, recomputed from
-        the arming snapshot with the operands and operations of
-        :meth:`_trust_and_rearm` (so equal to the armed value unless the
-        clock was stepped in between).
+        (``deadline``) and the time-out it was armed with, from the arming
+        snapshot — the values armed, even if the clock was stepped since.
         """
-        now = self._sim.now
         detector_id = self._ids[row]
         # Positional, in StatEvent's field order (seq is None).
         self._event_log.append(
@@ -480,15 +514,8 @@ class DetectorBank(Layer):
         if self._tracer is not None:
             deadline = None
             if suspecting:
-                armed = self._armed_timeouts
-                if armed is None:
-                    timeout = self.initial_timeout
-                    deadline = self._start_deadline
-                else:
-                    timeout = armed[row]
-                    deadline = self._global_from_local(
-                        self._armed_send_local + timeout
-                    )
+                timeout = self._armed_timeouts[row]
+                deadline = self._armed_taus[row]
             self._tracer.emit(
                 now,
                 "suspect" if suspecting else "trust",

@@ -41,6 +41,10 @@ from typing import Optional, Tuple
 
 from repro.nekostat.stats import Welford
 
+#: The adaptive margins' default ``initial_margin``: the margin in force
+#: until their state can produce one.
+INITIAL_MARGIN = 0.1
+
 
 class SafetyMargin(abc.ABC):
     """Base class for safety margins.
@@ -112,7 +116,9 @@ class ConfidenceIntervalMargin(SafetyMargin):
 
     name = "CI"
 
-    def __init__(self, gamma: float, *, initial_margin: float = 0.1) -> None:
+    def __init__(
+        self, gamma: float, *, initial_margin: float = INITIAL_MARGIN
+    ) -> None:
         super().__init__(initial_margin)
         if gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {gamma!r}")
@@ -174,7 +180,7 @@ class JacobsonMargin(SafetyMargin):
         phi: float,
         *,
         alpha: float = 0.25,
-        initial_margin: float = 0.1,
+        initial_margin: float = INITIAL_MARGIN,
     ) -> None:
         super().__init__(initial_margin)
         if phi <= 0:
@@ -223,6 +229,7 @@ class JacobsonMargin(SafetyMargin):
 
 
 __all__ = [
+    "INITIAL_MARGIN",
     "ConfidenceIntervalMargin",
     "ConstantMargin",
     "JacobsonMargin",

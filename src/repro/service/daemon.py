@@ -391,6 +391,12 @@ class MonitorDaemon:
         registry = self._registry
         if registry is None:
             return
+        if message.kind == "heartbeat" and (
+            message.seq is None or message.timestamp is None
+        ):
+            # Decodable but unusable: dropped before it can register anyone.
+            self._dispatch_drops += 1
+            return
         monitor = registry.get(message.source)
         if message.kind == "heartbeat":
             if monitor is None:
@@ -404,15 +410,9 @@ class MonitorDaemon:
                     return
             self.heartbeats_total += 1
             tracer = self.obs.tracer
-            if (
-                tracer is not None or self.drift is not None
-            ) and message.seq is not None:
+            if tracer is not None or self.drift is not None:
                 now = self.scheduler.now
-                delay = (
-                    now - message.timestamp
-                    if message.timestamp is not None
-                    else None
-                )
+                delay = now - message.timestamp
                 if tracer is not None:
                     tracer.emit(
                         now,
@@ -421,7 +421,7 @@ class MonitorDaemon:
                         seq=message.seq,
                         delay=delay,
                     )
-                if self.drift is not None and delay is not None:
+                if self.drift is not None:
                     self.drift.observe(
                         message.source, now, delay, seq=message.seq
                     )

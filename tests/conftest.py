@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.neko.layer import Layer, ProtocolStack
 from repro.neko.system import NekoSystem, NetworkBackend
@@ -11,6 +14,20 @@ from repro.nekostat.log import EventLog
 from repro.net.delay import ConstantDelay
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+
+#: ``HYPOTHESIS_PROFILE=deep`` runs the properties ten times deeper than
+#: tier-1 does: hypothesis' default example count through the profile,
+#: and the counts the equivalence proofs pin through :func:`examples`.
+HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+DEEP_FACTOR = 10
+settings.register_profile("deep", max_examples=100 * DEEP_FACTOR)
+settings.load_profile(HYPOTHESIS_PROFILE)
+
+
+def examples(tier1: int) -> int:
+    """A property's ``max_examples``: ``tier1``, times ten under the
+    ``deep`` profile (an explicit count would otherwise override it)."""
+    return tier1 * DEEP_FACTOR if HYPOTHESIS_PROFILE == "deep" else tier1
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Tests for the clock substrate (local clocks and NTP synchronisation)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clocks.clock import DriftingClock, PerfectClock
 from repro.clocks.ntp import DisciplinedClock, NtpSample, NtpSynchronizer
@@ -178,3 +180,42 @@ class TestDisciplinedClock:
         sim.run(until=1.0)
         assert abs(clock.offset) < 1e-9
         clock.stop_sync()
+
+
+finite = st.floats(
+    min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
+)
+
+
+class TestBatchedMap:
+    @given(
+        st.sampled_from(["perfect", "drifting", "disciplined"]),
+        finite,
+        st.floats(min_value=-1e-3, max_value=1e-3),
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=3),
+        st.lists(finite, max_size=40),
+        finite,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_global_from_local_per_offset(
+        self, kind, offset, drift, steps, deltas, base
+    ):
+        """``global_from_local_offsets`` is ``global_from_local`` of each
+        ``base + d``, bit for bit, with the offset in force at call time."""
+        sim = Simulator()
+        if kind == "perfect":
+            clock = PerfectClock(sim)
+            steps = []  # a perfect clock is never stepped
+        elif kind == "drifting":
+            clock = DriftingClock(sim, offset=offset, drift=drift)
+        else:
+            clock = DisciplinedClock(
+                sim, offset=offset, drift=drift,
+                delay_out=lambda: 0.01, delay_back=lambda: 0.01,
+            )
+        for correction in [0.0, *steps]:
+            if correction:
+                clock.adjust(correction)
+            batched = clock.global_from_local_offsets(base, deltas)
+            single = [clock.global_from_local(base + d) for d in deltas]
+            assert [x.hex() for x in batched] == [x.hex() for x in single]

@@ -15,11 +15,15 @@ proof compare floats.
 """
 
 import asyncio
+import cProfile
+import math
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.clocks.clock import DriftingClock, PerfectClock
 from repro.fd.bank import DetectorBank, make_detector_bank
 from repro.fd.combinations import combination_ids, make_strategy, parse_combination_id
@@ -35,7 +39,7 @@ from repro.obs.trace import TraceRecorder
 from repro.service.runtime import AsyncioScheduler
 from repro.sim.engine import Simulator
 
-from tests.conftest import RecordingLayer, RecordingNetwork
+from tests.conftest import RecordingLayer, RecordingNetwork, examples
 
 ETA = 1.0
 INITIAL_TIMEOUT = 4.0
@@ -89,7 +93,7 @@ class Observed:
     """Everything one run of one stack lets an observer see."""
 
     def __init__(self, build, ids, arrivals, *, until, observe_stale=True,
-                 offset=0.0, drift=0.0, trace_path=None):
+                 offset=0.0, drift=0.0, steps=(), trace_path=None):
         self.sim = Simulator()
         self.event_log = EventLog()
         self.tracer = TraceRecorder(trace_path, ring_capacity=1_000_000)
@@ -100,7 +104,7 @@ class Observed:
         system = NekoSystem(self.sim)
         clock = (
             DriftingClock(self.sim, offset=offset, drift=drift)
-            if offset or drift
+            if offset or drift or steps
             else PerfectClock(self.sim)
         )
         self.process = system.create_process(
@@ -110,6 +114,9 @@ class Observed:
         )
         for arrival, seq in arrivals:
             self.sim.schedule_at(arrival, lambda seq=seq: self._receive(seq))
+        # Clock steps ``(time, correction)``, as an NTP synchroniser makes.
+        for at, correction in steps:
+            self.sim.schedule_at(at, lambda c=correction: clock.adjust(c))
         system.run(until=until)
 
     def _receive(self, seq):
@@ -233,7 +240,7 @@ def arrivals_of(delays, crash_spans):
 
 class TestDifferential:
     @given(beats, crashes, detector_sets, clocks, st.booleans())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_fused_bank_equals_thirty_detectors(
         self, delays, crash_spans, ids, clock, observe_stale
     ):
@@ -260,6 +267,25 @@ class TestDifferential:
         ]
         fused = assert_same(ALL_IDS, arrivals, until=470.0)
         assert len(fused.event_log) > 60  # both crashes, every row
+
+    def test_clock_stepped_between_heartbeats(self):
+        """A drifting clock stepped between heartbeats, as an NTP
+        synchroniser does, then silence.  Deadlines armed after a step map
+        through the offset in force then; a row armed before the step at
+        13.6 s expires after it, and its ``suspect`` span names the
+        freshness point it was armed with."""
+        delays = [0.21, 0.35, 0.18, 0.27, 0.4, 0.22, 0.31, 0.25, 0.2, 0.3] * 2
+        arrivals = [(seq * ETA + delay, seq) for seq, delay in enumerate(delays)]
+        steps = [(7.6, -0.03), (13.6, 0.02)]
+        fused = assert_same(
+            ALL_IDS, arrivals, until=40.0, offset=0.01, drift=2e-5, steps=steps
+        )
+        final = [e for e in suspicions(fused) if e.time > arrivals[-1][0]]
+        assert sorted(e.detector for e in final) == sorted(ALL_IDS)
+        assert any(
+            span["kind"] == "suspect" and span["seq"] == 13
+            for span in fused.spans
+        )
 
 
 # ----------------------------------------------------------------------
@@ -471,6 +497,76 @@ class TestSmallBanks:
         assert bank["Last+CI_low"].suspecting  # re-armed by the heartbeat
         bank.stop()
         assert sim.pending_events == 0
+
+
+# ----------------------------------------------------------------------
+# The fused step
+# ----------------------------------------------------------------------
+def on_time_bank(sim, *, delay=0.2, beats=300):
+    """A 30-row bank behind a MultiPlexer, fed heartbeat ``seq`` at
+    ``seq * ETA + delay`` for ``beats`` heartbeats."""
+    bank = make_detector_bank(
+        "q", ETA, EventLog(), ALL_IDS, initial_timeout=INITIAL_TIMEOUT
+    )
+    system = NekoSystem(sim)
+    process = system.create_process("p", ProtocolStack([MultiPlexer([bank])]))
+    for seq in range(beats):
+        sim.schedule_at(
+            seq * ETA + delay,
+            lambda seq=seq: process.receive_from_network(heartbeat(seq)),
+        )
+    system.start()
+    return bank, process
+
+
+def repro_calls(profiler):
+    """Calls of functions defined in the ``repro`` package (C functions
+    and everything outside it are left out) — the rule of the benchmark's
+    ``py_calls_per_unit``."""
+    prefix = os.path.join(os.path.dirname(repro.__file__), "")
+    return sum(
+        entry.callcount
+        for entry in profiler.getstats()
+        if not isinstance(entry.code, str)
+        and entry.code.co_filename.startswith(prefix)
+    )
+
+
+class TestFusedStep:
+    def test_heartbeat_cost_in_calls(self, sim):
+        """A fresh heartbeat that moves no row is one bank step: at most
+        60 calls of the package's functions, from the engine's step to the
+        re-armed timer (the five predictors' ``observe``/``predict`` are
+        twenty of them).  Walking five ``TimeoutStrategy`` chains and
+        mapping 30 deadlines one by one took 112."""
+        bank, _process = on_time_bank(sim)
+        sim.run(until=250.5)  # past ARIMA's initial fit
+        transitions = sum(view.suspicions_raised for _id, view in bank.items())
+        profiler = cProfile.Profile()
+        profiler.enable()
+        sim.run(until=299.5)
+        profiler.disable()
+        assert bank.heartbeats_seen == 300
+        assert sum(view.suspicions_raised for _id, view in bank.items()) == transitions
+        assert not any(view.suspecting for _id, view in bank.items())
+        assert repro_calls(profiler) / 49 <= 60
+
+    @pytest.mark.parametrize("timestamp", [math.nan, -math.inf])
+    def test_non_finite_delay_rejected_before_any_state_moves(self, sim, timestamp):
+        bank, process = on_time_bank(sim, beats=30)
+        sim.run(until=30.0)
+        views = [view for _id, view in bank.items()]
+        before = [(view.prediction(), view.current_timeout()) for view in views]
+        deadline = bank._timer.deadline
+        seen = bank.heartbeats_seen
+        with pytest.raises(ValueError):
+            bank.deliver(heartbeat(30, timestamp=timestamp))
+        assert [(view.prediction(), view.current_timeout()) for view in views] == before
+        assert bank._timer.deadline == deadline
+        assert (bank.heartbeats_seen, bank.highest_sequence) == (seen, 29)
+        # The bank goes on from the state it had.
+        process.receive_from_network(heartbeat(30))
+        assert bank.highest_sequence == 30
 
 
 # ----------------------------------------------------------------------

@@ -112,16 +112,17 @@ class TestLostRestoreInference:
                 _heartbeat(daemon, 5)
                 _control(daemon, "crash")
                 monitor = daemon.registry.get("ep")
-                # A seqless heartbeat is malformed: the detector rejects
-                # it downstream, and crucially the inference guard never
-                # ran — the endpoint stays crashed.
-                with pytest.raises(ValueError):
-                    daemon.dispatch(
-                        Datagram(
-                            source="ep", destination="monitor",
-                            kind="heartbeat",
-                        )
+                dropped = daemon.dropped_datagrams
+                # A seqless heartbeat is malformed: dispatch drops it
+                # before it reaches the monitor, so the inference guard
+                # never runs — the endpoint stays crashed.
+                daemon.dispatch(
+                    Datagram(
+                        source="ep", destination="monitor",
+                        kind="heartbeat",
                     )
+                )
+                assert daemon.dropped_datagrams == dropped + 1
                 assert monitor.crashed
                 assert monitor.inferred_restores == 0
             finally:

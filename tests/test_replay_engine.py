@@ -28,6 +28,8 @@ from repro.experiments.runner import (
 from repro.fd.combinations import combination_ids
 from repro.neko.config import ExperimentConfig
 
+from tests.conftest import examples
+
 TOLERANCE = 1e-9
 
 #: Every combination, including the six batched-ARIMA ones.
@@ -120,7 +122,7 @@ class TestEngineEquivalence:
         rep = run_qos_replay(config, ALL_IDS)
         assert_summaries_equivalent(sim, rep)
 
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=examples(5), deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         num_cycles=st.integers(min_value=300, max_value=1500),

@@ -391,6 +391,34 @@ class TestDaemonDispatch:
 
         run(main())
 
+    def test_heartbeat_without_seq_or_timestamp_is_dropped_at_intake(self):
+        """The wire format admits ``null`` for both fields; such a heartbeat
+        is counted as a drop before it can register its source."""
+        async def main():
+            daemon = MonitorDaemon(port=0, http_port=None, eta=0.5,
+                                   detector_ids=["Last+CI_med"],
+                                   auto_register=True)
+            await daemon.start()
+            try:
+                dropped = daemon.dropped_datagrams
+                for raw in (
+                    b'{"source":"ep1","destination":"monitor",'
+                    b'"kind":"heartbeat","seq":null,"timestamp":null}',
+                    b'{"source":"ep1","destination":"monitor",'
+                    b'"kind":"heartbeat","seq":3}',
+                    b'{"source":"ep1","destination":"monitor",'
+                    b'"kind":"heartbeat","timestamp":1.5}',
+                ):
+                    daemon.network._on_datagram(raw, ("127.0.0.1", 9))
+                    dropped += 1
+                    assert len(daemon.registry) == 0
+                    assert daemon.heartbeats_total == 0
+                    assert daemon.dropped_datagrams == dropped
+            finally:
+                await daemon.stop()
+
+        run(main())
+
     def test_stop_is_idempotent(self):
         async def main():
             daemon = MonitorDaemon(port=0, http_port=None, eta=0.5,
