@@ -157,7 +157,7 @@ async def run_daemon_scenario_async(
     attach_backend(engine, fleet.network, name="fleet")
     await fleet.start()
     try:
-        # fdlint: disable=clock-discipline (live loopback scenario; duration is wall-clock by contract)
+        # fdlint: disable=clock-seed-taint (live loopback scenario; duration is wall-clock by contract)
         await asyncio.sleep(duration)
         survived = daemon.running and fleet.running
         now = daemon.scheduler.now

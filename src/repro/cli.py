@@ -549,7 +549,7 @@ async def _run_until(duration: float, stoppers) -> None:
 
     try:
         if duration > 0:
-            # fdlint: disable=clock-discipline (the serve commands run in real time; --duration is wall-clock by contract)
+            # fdlint: disable=clock-seed-taint (the serve commands run in real time; --duration is wall-clock by contract)
             await asyncio.sleep(duration)
         else:
             await asyncio.Event().wait()  # parked until cancelled

@@ -108,7 +108,7 @@ class LiveKvNode:
     async def stop(self) -> None:
         """Stop heartbeating and close the socket (idempotent)."""
         self.network.close()
-        # fdlint: disable=clock-discipline (zero-delay event-loop yield so transport close callbacks run; not time flow)
+        # fdlint: disable=clock-seed-taint (zero-delay event-loop yield so transport close callbacks run; not time flow)
         await asyncio.sleep(0)
 
     @property
@@ -294,7 +294,7 @@ class AsyncKvClient:
             if not waiter.done():
                 waiter.cancel()
         self._waiters.clear()
-        # fdlint: disable=clock-discipline (zero-delay event-loop yield so transport close callbacks run; not time flow)
+        # fdlint: disable=clock-seed-taint (zero-delay event-loop yield so transport close callbacks run; not time flow)
         await asyncio.sleep(0)
 
     async def set(self, key: str, value: Any) -> Version:
@@ -352,7 +352,7 @@ class AsyncKvClient:
                 attempt += 1
                 rotation += 1
                 self.retries_total += 1
-                # fdlint: disable=clock-discipline (seeded jittered retry backoff; live-network-only client path, no simulated time flows here)
+                # fdlint: disable=clock-seed-taint (seeded jittered retry backoff; live-network-only client path, no simulated time flows here)
                 await asyncio.sleep(self._retry_delay(attempt))
                 continue
             finally:

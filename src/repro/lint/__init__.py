@@ -2,8 +2,8 @@
 
 The reproduction rests on structural invariants (sim/real clock
 transparency, injected seeded randomness, a non-blocking event loop,
-lock discipline, independent detector instances) that ordinary linters
-cannot know about.  This package checks them with a pluggable AST rule
+independent detector instances) that ordinary linters cannot know
+about.  This package checks them with a pluggable AST rule
 corpus; see ``docs/static-analysis.md`` for the rule catalogue and the
 pragma/justification convention.
 """

@@ -17,12 +17,7 @@ from typing import List, Optional
 
 from repro.lint.cache import DEFAULT_CACHE_DIR
 from repro.lint.config import DEFAULT_CONFIG
-from repro.lint.engine import (
-    known_rule_ids,
-    lint_paths,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint.engine import lint_paths, load_baseline, write_baseline
 from repro.lint.findings import Finding
 
 
@@ -95,14 +90,6 @@ def _split(spec: Optional[str]) -> Optional[List[str]]:
 
 def command_lint(args: argparse.Namespace) -> int:
     """Entry point invoked by :func:`repro.cli.main`."""
-    select = _split(args.select)
-    ignore = _split(args.ignore) or []
-    known = set(known_rule_ids())
-    for spec in (select or []) + ignore:
-        if spec not in known:
-            print(f"error: unknown rule {spec!r} (known: "
-                  f"{', '.join(sorted(known))})", file=sys.stderr)
-            return 2
     for path in args.paths:
         if not os.path.exists(path):
             print(f"error: no such path: {path}", file=sys.stderr)
@@ -124,14 +111,18 @@ def command_lint(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    result = lint_paths(
-        args.paths,
-        DEFAULT_CONFIG,
-        select=select,
-        ignore=ignore,
-        baseline=baseline,
-        cache_dir=None if args.no_cache else DEFAULT_CACHE_DIR,
-    )
+    try:
+        result = lint_paths(
+            args.paths,
+            DEFAULT_CONFIG,
+            select=_split(args.select),
+            ignore=_split(args.ignore) or [],
+            baseline=baseline,
+            cache_dir=None if args.no_cache else DEFAULT_CACHE_DIR,
+        )
+    except ValueError as exc:  # e.g. an unknown rule id
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.write_baseline:
         count = write_baseline(args.baseline, result)

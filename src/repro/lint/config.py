@@ -40,13 +40,13 @@ def in_dirs(rel_path: str, dirs: Tuple[str, ...]) -> bool:
 class LintConfig:
     """Scoping policy consumed by the rules (see module docstring)."""
 
-    #: clock-discipline: files allowed to read the wall clock.  This is
+    #: clock-seed-taint: files allowed to read the wall clock.  This is
     #: the one real-network anchor — the asyncio scheduler that maps loop
     #: time onto the epoch.  Everything else must take time from a
     #: Scheduler surface (or carry a justified pragma).
     clock_allowed_files: Tuple[str, ...] = ("repro/service/runtime.py",)
 
-    #: seeded-randomness: files allowed to construct generators from
+    #: clock-seed-taint: files allowed to construct generators from
     #: module-level numpy/stdlib randomness.  ``sim/random.py`` *is* the
     #: seed-derivation root every simulation RNG flows from; the live
     #: heartbeat fleet draws OS entropy for real-network crash phases.
@@ -55,25 +55,20 @@ class LintConfig:
         "repro/service/heartbeat.py",
     )
 
-    #: async-blocking: directories whose ``async def`` bodies are
-    #: scanned for lexically blocking calls.
-    async_dirs: Tuple[str, ...] = ("service/", "obs/")
-
-    #: async-blocking: event-loop-resident modules whose *synchronous*
-    #: methods also run on the loop (timer callbacks, datagram handlers)
-    #: and are therefore scanned in full, not just their async defs.
+    #: async-blocking-reach: event-loop-resident modules whose
+    #: *synchronous* functions also run on the loop (timer callbacks,
+    #: datagram handlers) and are therefore roots, like every coroutine.
     loop_resident_files: Tuple[str, ...] = (
         "repro/obs/trace.py",
         "repro/obs/history.py",
+        "repro/net/udp.py",
+        "repro/service/daemon.py",
     )
 
-    #: async-blocking: receiver names whose ``.write()`` is the buffered
-    #: asyncio-stream write (non-blocking; back-pressure via ``drain``).
+    #: async-blocking-reach: receiver names whose ``.write()`` is the
+    #: buffered asyncio-stream write (non-blocking; back-pressure via
+    #: ``drain``).
     asyncio_safe_receivers: Tuple[str, ...] = ("writer", "transport")
-
-    #: lock-discipline: directories whose classes are checked for
-    #: attributes mutated both inside and outside ``with self._lock:``.
-    lock_dirs: Tuple[str, ...] = ("obs/", "service/", "net/")
 
     #: mutable-shared-state: directories whose *class-level* mutable
     #: attributes are flagged (detector/predictor banks must keep the
@@ -151,8 +146,8 @@ class LintConfig:
     taint_sim_files: Tuple[str, ...] = ("repro/fd/replay.py",)
 
     #: clock-seed-taint: runtime files whose primitives do not taint, on
-    #: top of the FDL001/FDL002 whitelists — live-mode adapters whose
-    #: whole purpose is bridging to real wall-clock time.
+    #: top of the clock/random whitelists above — live-mode adapters
+    #: whose whole purpose is bridging to real wall-clock time.
     taint_runtime_files: Tuple[str, ...] = (
         "repro/kv/live.py",
         "repro/service/daemon.py",
@@ -162,11 +157,6 @@ class LintConfig:
         "repro/chaos/runner.py",
         "repro/cli.py",
     )
-
-    #: lock-read-race: directories whose lock-using classes are checked
-    #: for attributes written under ``with self.*lock*`` in one method
-    #: but read bare in another.
-    race_dirs: Tuple[str, ...] = ("obs/", "service/", "net/")
 
     #: contract-drift: where each contract surface lives.  A sub-check
     #: only runs when at least one of its *source* files is part of the

@@ -10,16 +10,20 @@ Two kinds of rule coexist behind one registry:
   via ``check_project(project)`` over the linked
   :class:`~repro.lint.project.ProjectContext` — the import graph and
   approximate call graph of every linted file.  :func:`lint_paths`
-  runs this pass by default; :func:`lint_file` stays per-file so
+  always runs this pass; :func:`lint_file` stays per-file so
   single-snippet unit tests see exactly the lexical rules.
 
-Both passes route findings through the same suppression protocol:
+Both entry points reject an unknown rule id in ``select``, ``ignore``
+or :attr:`LintConfig.ignore` with :class:`ValueError`, so a stale slug
+can never turn a run into a silent no-op.  Both passes route findings
+through the same suppression protocol:
 
 * a finding covered by a *justified* ``# fdlint: disable=`` pragma is
   recorded as a :class:`~repro.lint.findings.Suppression`;
 * a pragma **without** a written justification suppresses nothing and
   additionally raises the ``unjustified-suppression`` (FDL000)
-  meta-finding, so the repo cannot be "clean" by silent fiat.
+  meta-finding, so the repo cannot be "clean" by silent fiat; so does
+  a pragma naming a rule that does not exist.
 
 A baseline file (``--baseline``) holds fingerprints of known findings
 to tolerate during incremental adoption; fingerprints are
@@ -78,6 +82,17 @@ def known_rule_ids() -> List[str]:
     return ids
 
 
+def _check_rule_ids(specs: Iterable[str]) -> None:
+    """Raise :class:`ValueError` naming the first unknown rule id."""
+    known = set(known_rule_ids())
+    for spec in specs:
+        if spec not in known:
+            raise ValueError(
+                f"unknown rule {spec!r} (known: "
+                f"{', '.join(sorted(known))})"
+            )
+
+
 @dataclass
 class LintResult:
     """The outcome of one engine run."""
@@ -132,7 +147,7 @@ def _selected(
     return not (identities & set(ignore))
 
 
-def _unjustified_finding(path: str, line: int) -> Finding:
+def _meta_finding(path: str, line: int, message: str, hint: str) -> Finding:
     return Finding(
         path=path,
         line=line,
@@ -140,11 +155,36 @@ def _unjustified_finding(path: str, line: int) -> Finding:
         rule=UNJUSTIFIED_RULE,
         code=UNJUSTIFIED_CODE,
         severity="error",
-        message="fdlint pragma without a written "
-        "justification suppresses nothing",
-        hint="append the reason in parentheses: "
+        message=message,
+        hint=hint,
+    )
+
+
+def _unjustified_finding(path: str, line: int) -> Finding:
+    return _meta_finding(
+        path,
+        line,
+        "fdlint pragma without a written justification suppresses nothing",
+        "append the reason in parentheses: "
         "# fdlint: disable=<rule>  (why this is sound)",
     )
+
+
+def _unknown_rule_findings(ctx: FileContext) -> List[Finding]:
+    """FDL000 for every pragma naming a rule that does not exist."""
+    known = set(known_rule_ids()) | {"all"}
+    findings: List[Finding] = []
+    for line, pragma in sorted(ctx.pragmas.items()):
+        unknown = [r for r in pragma.rules if r not in known]
+        if unknown:
+            findings.append(_meta_finding(
+                ctx.path,
+                line,
+                f"fdlint pragma names unknown rule(s) {', '.join(unknown)}",
+                "name a rule slug, its FDLnnn code or `all` "
+                "(docs/static-analysis.md lists them), or drop the pragma",
+            ))
+    return findings
 
 
 def _apply_pragmas(
@@ -232,6 +272,7 @@ def _analyze_file(
         return pragma.line, pragma.rules, pragma.justification
 
     findings, suppressions = _apply_pragmas(raw, pragma_for)
+    findings.extend(_unknown_rule_findings(ctx))
     summary = build_module_summary(ctx) if want_summary else None
     return findings, suppressions, summary
 
@@ -250,11 +291,12 @@ def lint_file(
     :func:`lint_paths`; keeping this entry point lexical means snippet
     tests exercise exactly the rule under test.
     """
+    ignore = tuple(ignore) + tuple(config.ignore)
+    _check_rule_ids([*(select or ()), *ignore])
     result = LintResult(files_scanned=1)
     if source is None:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-    ignore = tuple(ignore) + tuple(config.ignore)
     findings, suppressions, _ = _analyze_file(
         path, config, select, ignore, source, want_summary=False
     )
@@ -347,21 +389,20 @@ def lint_paths(
     select: Optional[Sequence[str]] = None,
     ignore: Sequence[str] = (),
     baseline: Optional[Sequence[str]] = None,
-    project: bool = True,
     cache_dir: Optional[str] = None,
 ) -> LintResult:
     """Analyze every ``.py`` file under ``paths``.
 
-    Runs the per-file rules on each file, then (``project=True``, the
-    default) links every file's summary into one
-    :class:`~repro.lint.project.ProjectContext` and runs the
-    interprocedural rules over it.  ``baseline`` is an iterable of
+    Runs the per-file rules on each file, then links every file's
+    summary into one :class:`~repro.lint.project.ProjectContext` and
+    runs the project rules over it.  ``baseline`` is an iterable of
     fingerprints to drop from the result (counted in
     :attr:`LintResult.baselined`); ``cache_dir`` enables the
     content-hash result cache (:mod:`repro.lint.cache`).
     """
-    total = LintResult()
     ignore = tuple(ignore) + tuple(config.ignore)
+    _check_rule_ids([*(select or ()), *ignore])
+    total = LintResult()
     cache = None
     if cache_dir is not None:
         from repro.lint.cache import LintCache
@@ -384,12 +425,11 @@ def lint_paths(
         total.files_scanned += 1
         if summary is not None:
             summaries.append(summary)
-    if project:
-        proj_findings, proj_suppressions = _project_pass(
-            summaries, config, select, ignore
-        )
-        total.findings.extend(proj_findings)
-        total.suppressions.extend(proj_suppressions)
+    proj_findings, proj_suppressions = _project_pass(
+        summaries, config, select, ignore
+    )
+    total.findings.extend(proj_findings)
+    total.suppressions.extend(proj_suppressions)
     # FDL000 can legitimately surface from both passes for one pragma.
     total.findings = list(dict.fromkeys(total.findings))
     total.suppressions = _merge_suppressions(total.suppressions)

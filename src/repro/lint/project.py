@@ -1,28 +1,26 @@
 """Project-wide analysis: import graph, call graph, cross-file facts.
 
-The per-file rules (FDL001–FDL009) go blind the moment an invariant
-becomes a *cross-module* property: a wall-clock read wrapped in a
-helper one import away, a blocking sqlite call three sync frames below
-a coroutine, an attribute guarded in one method and read bare in
-another, a metric renamed in the exporter but not in the docs.  This
-module builds the shared substrate those interprocedural rules
-(FDL010–FDL013) run on:
+Per-file rules go blind the moment an invariant becomes a
+*cross-module* property: a wall-clock read wrapped in a helper one
+import away, a blocking sqlite call three sync frames below a
+coroutine, a metric renamed in the exporter but not in the docs.  This
+module builds the shared substrate the project rules (FDL010, FDL011,
+FDL013) run on:
 
 * :func:`build_module_summary` walks one parsed file **once** and
   extracts every fact the project rules need — defined functions and
   classes, an approximate call graph fragment, direct clock / random /
-  blocking calls, ``self.*`` reads and writes with their lock state,
-  rendered metric names, emitted / handled trace-span kinds, CLI
-  subcommand surfaces, and the pragma table.  Summaries are plain
-  JSON-able dicts, so the incremental cache can persist them keyed by
-  file content hash and a warm run never re-parses an unchanged file.
+  blocking calls, rendered metric names, emitted / handled trace-span
+  kinds, CLI subcommand surfaces, and the pragma table.  Summaries are
+  plain JSON-able dicts, so the incremental cache can persist them
+  keyed by file content hash and a warm run never re-parses an
+  unchanged file.
 * :class:`ProjectContext` links the summaries of every linted file:
   it resolves dotted call targets through the import graph, ``self.``
   method calls through class definitions and their (project-resolved)
   bases, and ``self.attr.m()`` calls through ``__init__`` attribute
   types, then answers the reachability questions the rules ask
-  (transitive clock/seed taint, transitive blocking, lock-held-only
-  methods).
+  (transitive clock/seed taint, transitive blocking).
 
 Soundness caveats — the call graph is **approximate by design**:
 
@@ -55,17 +53,74 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.config import LintConfig, path_matches
 from repro.lint.context import FileContext, dotted_name
-from repro.lint.rules.async_blocking import (
-    BLOCKING_CALLS,
-    BLOCKING_METHODS,
-    WRITE_METHODS,
-)
-from repro.lint.rules.clock_discipline import FORBIDDEN_CALLS
-from repro.lint.rules.lock_discipline import MUTATOR_METHODS
-from repro.lint.rules.seeded_randomness import ALLOWED_TERMINALS
 
 #: Bump when the summary layout changes — invalidates cached summaries.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
+
+#: Fully-qualified callables that read or burn wall-clock time.
+FORBIDDEN_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.thread_time",
+        "time.sleep",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+        "asyncio.sleep",
+    }
+)
+
+#: Terminal attributes allowed under numpy.random: deterministic
+#: machinery that still requires explicit entropy at the call site.
+ALLOWED_TERMINALS = frozenset(
+    {"Generator", "SeedSequence", "BitGenerator", "PCG64", "PCG64DXSM",
+     "Philox", "MT19937", "SFC64"}
+)
+
+#: Fully-qualified blocking callables.
+BLOCKING_CALLS = frozenset(
+    {
+        "open",
+        "time.sleep",
+        "os.remove",
+        "os.replace",
+        "os.rename",
+        "os.fsync",
+        "os.system",
+        "shutil.copy",
+        "shutil.move",
+        "socket.create_connection",
+    }
+)
+
+#: Method names that block regardless of receiver.
+BLOCKING_METHODS = frozenset(
+    {
+        "execute",
+        "executemany",
+        "executescript",
+        "commit",
+        "flush",
+        "fsync",
+        "recv",
+        "recvfrom",
+        "recv_into",
+        "accept",
+        "sendall",
+        "makefile",
+        "getaddrinfo",
+    }
+)
+
+#: Method names that block unless the receiver is an asyncio stream.
+WRITE_METHODS = frozenset({"write", "writelines"})
 
 #: Pseudo-function holding a module's top-level statements.
 MODULE_BODY = "<module>"
@@ -109,19 +164,17 @@ class FunctionInfo:
     line: int
     is_async: bool = False
     class_name: str = ""
-    #: Direct wall-clock / randomness / blocking calls:
-    #: ``[line, name-or-reason, suppressed]`` — ``suppressed`` is True
-    #: when a justified per-file pragma covers the call site.
+    #: Direct wall-clock / randomness calls: ``[line, name]``.
     clock: List[List[Any]] = field(default_factory=list)
     random: List[List[Any]] = field(default_factory=list)
+    #: Direct blocking calls, neither awaited nor inside a ``lambda``:
+    #: ``[line, reason, choke_point]`` — ``choke_point`` is True when a
+    #: justified FDL011 pragma accepts the call.
     blocking: List[List[Any]] = field(default_factory=list)
     #: Outgoing edges: ``[line, kind, spec…, via, awaited]`` where kind
     #: is ``abs`` (dotted name), ``self`` (method), ``selfattr``
     #: (attr, method) or ``typed`` (class dotted, method).
     calls: List[List[Any]] = field(default_factory=list)
-    #: ``self.X`` loads / stores: ``[attr, line, in_lock]``.
-    reads: List[List[Any]] = field(default_factory=list)
-    writes: List[List[Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -134,7 +187,6 @@ class ClassInfo:
     methods: List[str] = field(default_factory=list)
     #: ``self.attr`` → resolved dotted class name (from ``__init__``).
     attr_types: Dict[str, str] = field(default_factory=dict)
-    uses_lock: bool = False
 
 
 @dataclass
@@ -179,8 +231,6 @@ class ModuleSummary:
                     "random": f.random,
                     "blocking": f.blocking,
                     "calls": f.calls,
-                    "reads": f.reads,
-                    "writes": f.writes,
                 }
                 for q, f in self.functions.items()
             },
@@ -190,7 +240,6 @@ class ModuleSummary:
                     "bases": c.bases,
                     "methods": c.methods,
                     "attr_types": c.attr_types,
-                    "uses_lock": c.uses_lock,
                 }
                 for n, c in self.classes.items()
             },
@@ -227,8 +276,6 @@ class ModuleSummary:
                 random=f["random"],
                 blocking=f["blocking"],
                 calls=f["calls"],
-                reads=f["reads"],
-                writes=f["writes"],
             )
         for n, c in data["classes"].items():
             summary.classes[n] = ClassInfo(
@@ -237,7 +284,6 @@ class ModuleSummary:
                 bases=c["bases"],
                 methods=c["methods"],
                 attr_types=c["attr_types"],
-                uses_lock=c["uses_lock"],
             )
         return summary
 
@@ -297,8 +343,8 @@ class _SummaryBuilder:
                 ) and isinstance(first.value.value, str):
                     self._docstrings.add(first.value)
 
-    def _suppressed(self, line: int, rule: str, code: str) -> bool:
-        pragma = self.ctx.pragma_for(line, rule, code)
+    def _choke_point(self, line: int) -> bool:
+        pragma = self.ctx.pragma_for(line, "async-blocking-reach", "FDL011")
         return pragma is not None and pragma.justified
 
     def _function_for(self, node: ast.AST) -> Tuple[str, str]:
@@ -337,16 +383,6 @@ class _SummaryBuilder:
     def _in_lambda(self, node: ast.AST) -> bool:
         return isinstance(self.ctx.enclosing_function(node), ast.Lambda)
 
-    def _in_lock(self, node: ast.AST) -> bool:
-        for ancestor in self.ctx.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return False
-            if isinstance(ancestor, ast.With) and any(
-                _is_lock_item(item) for item in ancestor.items
-            ):
-                return True
-        return False
-
     # -- main pass -----------------------------------------------------
     def build(self) -> ModuleSummary:
         for node in ast.walk(self.ctx.tree):
@@ -356,10 +392,6 @@ class _SummaryBuilder:
                 self._register_class(node)
             elif isinstance(node, ast.Call):
                 self._visit_call(node)
-            elif isinstance(node, ast.Attribute):
-                self._visit_attribute(node)
-            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                self._visit_assignment(node)
             elif isinstance(node, ast.Compare):
                 self._visit_compare(node)
             elif isinstance(node, ast.Constant):
@@ -425,31 +457,16 @@ class _SummaryBuilder:
         line = node.lineno
         awaited = isinstance(self.ctx.parent(node), ast.Await)
         in_lambda = self._in_lambda(node)
-        in_lock = self._in_lock(node)
         name = self.ctx.resolve_call(node)
 
         # Primitive facts --------------------------------------------------
         if name in FORBIDDEN_CALLS:
-            info.clock.append(
-                [line, name,
-                 self._suppressed(line, "clock-discipline", "FDL001")]
-            )
+            info.clock.append([line, name])
         if name is not None and self._is_ambient_random(name):
-            info.random.append(
-                [line, name,
-                 self._suppressed(line, "seeded-randomness", "FDL002")]
-            )
+            info.random.append([line, name])
         reason = None if name is None else self._blocking_reason(name)
-        if reason is not None and not awaited:
-            suppressed = in_lambda or self._suppressed(
-                line, "async-blocking", "FDL003"
-            ) or self._suppressed(line, "async-blocking-reach", "FDL011")
-            info.blocking.append([line, reason, suppressed])
-
-        # Lock-mutator calls count as attribute writes ---------------------
-        mutated = _mutated_attr_of_call(node)
-        if mutated is not None:
-            info.writes.append([mutated, line, in_lock])
+        if reason is not None and not awaited and not in_lambda:
+            info.blocking.append([line, reason, self._choke_point(line)])
 
         # Call edges -------------------------------------------------------
         via = "offload" if in_lambda else "direct"
@@ -528,32 +545,6 @@ class _SummaryBuilder:
             if parts[0] == "self" and len(parts) == 3:
                 return ["selfattr", parts[1], parts[2]]
         return None
-
-    # -- attribute reads / writes --------------------------------------
-    def _visit_attribute(self, node: ast.Attribute) -> None:
-        # Every Load of ``self.X`` is a read — including the chain root
-        # of ``self.a.b`` and the receiver of ``self.a.get(...)``; the
-        # race rule only cares about attrs that are *written under lock*
-        # somewhere, so method-name "reads" can never produce findings.
-        if not isinstance(node.value, ast.Name) or node.value.id != "self":
-            return
-        if not isinstance(node.ctx, ast.Load):
-            return
-        if "lock" in node.attr.lower():
-            return
-        info = self._info(node)
-        if not info.class_name:
-            return
-        info.reads.append([node.attr, node.lineno, self._in_lock(node)])
-
-    def _visit_assignment(self, node: ast.AST) -> None:
-        attr = _mutated_attr_of_assign(node)
-        if attr is None:
-            return
-        info = self._info(node)
-        if not info.class_name:
-            return
-        info.writes.append([attr, node.lineno, self._in_lock(node)])
 
     # -- contract facts -------------------------------------------------
     def _visit_constant(self, node: ast.Constant) -> None:
@@ -655,48 +646,6 @@ def _string_constants(node: ast.expr) -> Iterator[str]:
             yield from _string_constants(node.args[0])
 
 
-def _is_lock_item(item: ast.withitem) -> bool:
-    return _is_lock_item_expr(item.context_expr)
-
-
-def _is_lock_item_expr(expr: ast.expr) -> bool:
-    name = dotted_name(expr)
-    return (
-        name is not None
-        and name.startswith("self.")
-        and "lock" in name.rsplit(".", 1)[1].lower()
-    )
-
-
-def _mutated_attr_of_call(node: ast.Call) -> Optional[str]:
-    name = dotted_name(node.func)
-    if name is None:
-        return None
-    parts = name.split(".")
-    if len(parts) == 3 and parts[0] == "self" and parts[2] in MUTATOR_METHODS:
-        return parts[1]
-    return None
-
-
-def _mutated_attr_of_assign(node: ast.AST) -> Optional[str]:
-    targets: List[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, ast.AugAssign):
-        targets = [node.target]
-    elif isinstance(node, ast.AnnAssign) and node.value is not None:
-        targets = [node.target]
-    for target in targets:
-        if isinstance(target, ast.Subscript):
-            target = target.value
-        name = dotted_name(target)
-        if name is not None:
-            parts = name.split(".")
-            if len(parts) == 2 and parts[0] == "self":
-                return parts[1]
-    return None
-
-
 def build_module_summary(ctx: FileContext) -> ModuleSummary:
     """Extract the project-rule facts for one parsed file."""
     builder = _SummaryBuilder(ctx)
@@ -750,7 +699,6 @@ class ProjectContext:
                 self.classes[f"{summary.modname}.{name}"] = (summary, cls)
         self._edges: Optional[List[CallSite]] = None
         self._callers: Optional[Dict[str, List[CallSite]]] = None
-        self._callees: Optional[Dict[str, List[CallSite]]] = None
 
     # ------------------------------------------------------------------
     # Resolution
@@ -910,15 +858,6 @@ class ProjectContext:
             self._callers = table
         return self._callers
 
-    @property
-    def callees_of(self) -> Dict[str, List[CallSite]]:
-        if self._callees is None:
-            table: Dict[str, List[CallSite]] = {}
-            for edge in self.edges:
-                table.setdefault(edge.caller, []).append(edge)
-            self._callees = table
-        return self._callees
-
     # ------------------------------------------------------------------
     # Reachability queries
     # ------------------------------------------------------------------
@@ -931,8 +870,8 @@ class ProjectContext:
         function that transitively reaches a wall-clock or ambient-random
         call outside the respective whitelisted files.
 
-        Pragma-suppressed primitives still taint: FDL001/FDL002 pragmas
-        accept a *direct* call in context, not laundering the value into
+        Pragma-suppressed primitives still taint: a pragma accepts a
+        *direct* call in context, not laundering the value into
         deterministic code.  The next hop lets a rule print the chain.
         """
         table: Dict[str, Tuple[str, str]] = {}
@@ -947,11 +886,11 @@ class ProjectContext:
             for qualname, info in summary.functions.items():
                 primitive = None
                 if not clock_ok:
-                    for line, name, _suppressed in info.clock:
+                    for line, name in info.clock:
                         primitive = f"{name}() at {summary.rel_path}:{line}"
                         break
                 if primitive is None and not random_ok:
-                    for line, name, _suppressed in info.random:
+                    for line, name in info.random:
                         primitive = f"{name}() at {summary.rel_path}:{line}"
                         break
                 if primitive is not None:
@@ -977,8 +916,8 @@ class ProjectContext:
             for qualname, info in summary.functions.items():
                 if info.is_async:
                     continue
-                for line, reason, suppressed in info.blocking:
-                    if suppressed:
+                for line, reason, choke_point in info.blocking:
+                    if choke_point:
                         continue
                     table[qualname] = (
                         f"{reason} at {summary.rel_path}:{line}", "",
@@ -1013,76 +952,20 @@ class ProjectContext:
             chain.append(current)
         return chain
 
-    def lock_held_only_methods(self, summary: ModuleSummary) -> Set[str]:
-        """Methods (per class) whose every in-project call edge is made
-        while holding the class lock — their bodies count as guarded.
-
-        Returns qualnames.  Conservative: requires at least one incoming
-        edge, an underscore-prefixed name, and every incoming edge either
-        lexically inside a ``with self.*lock*`` block or from another
-        lock-held-only method of the same class.
-        """
-        in_lock_edges: Dict[str, List[Tuple[str, bool]]] = {}
-        for qualname, info in summary.functions.items():
-            if not info.class_name:
-                continue
-            for call in info.calls:
-                line, spec, _via, _awaited = (
-                    call[0], call[1:-2], call[-2], call[-1],
-                )
-                if spec[0] != "self":
-                    continue
-                callee = self.resolve_method(
-                    summary, info.class_name, spec[1]
-                )
-                if callee is None:
-                    continue
-                locked = self._call_site_in_lock(summary, info, line)
-                in_lock_edges.setdefault(callee, []).append(
-                    (qualname, locked)
-                )
-        held: Set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for callee, edges in in_lock_edges.items():
-                if callee in held:
-                    continue
-                short = callee.rsplit(".", 1)[-1]
-                if not short.startswith("_") or short.startswith("__"):
-                    continue
-                if edges and all(
-                    locked or caller in held for caller, locked in edges
-                ):
-                    held.add(callee)
-                    changed = True
-        return held
-
-    @staticmethod
-    def _call_site_in_lock(
-        summary: ModuleSummary, info: FunctionInfo, line: int
-    ) -> bool:
-        """Whether any write/read record at this line was lock-guarded.
-
-        Lock state was recorded per read/write, not per call; a call on a
-        line whose sibling facts are guarded is treated as guarded.  When
-        no sibling fact exists, fall back to unguarded (conservative for
-        the race rule: more reads count as bare).
-        """
-        for attr, rec_line, in_lock in info.writes + info.reads:
-            if rec_line == line:
-                return bool(in_lock)
-        return False
-
 
 __all__ = [
+    "ALLOWED_TERMINALS",
+    "BLOCKING_CALLS",
+    "BLOCKING_METHODS",
     "CallSite",
     "ClassInfo",
+    "FORBIDDEN_CALLS",
     "FunctionInfo",
     "MODULE_BODY",
     "ModuleSummary",
     "ProjectContext",
     "SUMMARY_VERSION",
+    "WRITE_METHODS",
     "build_module_summary",
     "module_name_for",
 ]

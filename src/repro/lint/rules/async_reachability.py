@@ -1,26 +1,33 @@
-"""FDL011 — blocking I/O reachable from the event loop through helpers.
+"""FDL011 — nothing on the event loop blocks on I/O, however deep.
 
-FDL003 flags blocking calls *lexically* inside ``async def`` bodies and
-loop-resident modules, but a coroutine that calls a sync helper that
-calls a sync helper that hits sqlite blocks the loop just the same.
-This rule runs the reachability closure on the project call graph:
+The live service is a single-threaded asyncio daemon; one synchronous
+sqlite ``execute``, file ``write``/``flush`` or socket ``recv`` inside
+it stalls *every* endpoint's detector timers and skews T_D for the
+whole fleet.  The **roots** are every coroutine plus every function of
+the configured loop-resident modules
+(:data:`~repro.lint.config.LintConfig.loop_resident_files` — timer
+callbacks and datagram handlers that run on the loop).  The rule
+reports two kinds of finding over the project summary:
 
-* a sync function **blocks** if it makes an unsuppressed blocking call
-  (sqlite execute/commit, file open/flush/fsync, socket recv/sendall,
-  ``time.sleep`` …) or calls — without an executor offload — another
-  sync project function that blocks;
-* the roots are every project coroutine plus the sync methods of the
-  configured loop-resident modules (timer callbacks, datagram handlers);
-* a root's call edge into a blocking sync function is a finding at the
-  call site, with the chain down to the primitive in the message.
+* **direct** — a root makes a blocking call (sqlite
+  execute/commit, file open/flush/fsync, socket recv/sendall,
+  ``time.sleep`` …) itself;
+* **chain** — a root calls a sync function that **blocks**: one that
+  makes an unsuppressed blocking call or calls — without an executor
+  offload — another sync project function that blocks.  The finding is
+  at the root's call site, with the chain down to the primitive.
 
-Call edges through a recognised offload surface (``run_in_executor``,
-``asyncio.to_thread``, ``Executor.submit``, ``threading.Thread``) or a
-``lambda`` body do not propagate: that is precisely the sanctioned way
-to run blocking work.  A *justified* FDL003/FDL011 pragma on a blocking
-primitive marks an accepted choke point and stops propagation there —
-suppression decisions stay local to the primitive, as per-file rules
-already behave.
+Not blocking: ``await``-ed calls (coroutines, non-blocking at the call
+site), calls inside ``lambda`` bodies and call edges through a
+recognised offload surface (``run_in_executor``, ``asyncio.to_thread``,
+``Executor.submit``, ``threading.Thread``) — the sanctioned way to run
+blocking work — and ``.write()`` on asyncio stream receivers
+(buffered, back-pressured via ``drain``; see
+``asyncio_safe_receivers``).  A *justified* pragma on a blocking
+primitive marks an accepted choke point: it suppresses the direct
+finding and stops propagation there, so suppression decisions stay
+local to the primitive.  Its justification cites the latency bound
+(see ``BENCH_obs.json``).
 """
 
 from __future__ import annotations
@@ -37,11 +44,34 @@ class AsyncBlockingReachRule(ProjectRule):
     rule = "async-blocking-reach"
     code = "FDL011"
     invariant = (
-        "no blocking call is reachable from a coroutine or loop-resident "
-        "callback through synchronous call chains"
+        "service liveness: no blocking call is made by, or reachable "
+        "through synchronous call chains from, a coroutine or "
+        "loop-resident callback"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        yield from self._direct(project)
+        yield from self._chains(project)
+
+    def _direct(self, project: ProjectContext) -> Iterator[Finding]:
+        loop_resident = project.config.loop_resident_files
+        for summary in project.summaries:
+            resident = path_matches(summary.rel_path, loop_resident)
+            for info in summary.functions.values():
+                if not (resident or info.is_async):
+                    continue
+                for line, reason, _ in info.blocking:
+                    yield self.at(
+                        summary.path,
+                        line,
+                        f"blocking call {reason} on the event loop",
+                        hint="offload via loop.run_in_executor / "
+                        "asyncio.to_thread, batch it behind a bounded "
+                        "choke point, or pragma it with the measured "
+                        "latency bound",
+                    )
+
+    def _chains(self, project: ProjectContext) -> Iterator[Finding]:
         table = project.blocking_table()
         if not table:
             return

@@ -209,7 +209,7 @@ class WindowedQosStore:
         self.retention = float(retention)
         self.flush_every = int(flush_every)
         self._connection = sqlite3.connect(path)
-        # fdlint: disable=async-blocking (one-time schema DDL at store construction, before the daemon serves)
+        # fdlint: disable=async-blocking-reach (one-time schema DDL at store construction, before the daemon serves)
         self._connection.executescript(_SCHEMA)
         self._pending: List[Tuple[str, str, str, float]] = []
         self._last_time = float("-inf")
@@ -238,7 +238,7 @@ class WindowedQosStore:
     # instead of a dozen scattered ones.  An executor offload would add
     # cross-thread hand-off for work that is already microseconds.
 
-    # fdlint: disable=async-blocking (bounded choke point: ~400k rows/s inserts, ~50ms worst-case window query (history.window_query_ms), ~1.1ms per endpoint read (history.endpoint_query_ms); measured in BENCH_obs.json)
+    # fdlint: disable=async-blocking-reach (bounded choke point: ~400k rows/s inserts, ~50ms worst-case window query (history.window_query_ms), ~1.1ms per endpoint read (history.endpoint_query_ms); measured in BENCH_obs.json)
     def _sql(self, statement: str, parameters=(), *, many: bool = False):
         """Execute one statement (the store's only query/DML site).
 
@@ -258,7 +258,7 @@ class WindowedQosStore:
                 return self._connection.executemany(statement, parameters)
             return self._connection.execute(statement, parameters)
 
-    # fdlint: disable=async-blocking (commits only at flush_every=256 rows, flush(), prune() on the snapshot tick and close(), never on a read; ~0.4 ms fsync on a local file, measured in docs/performance.md section 8)
+    # fdlint: disable=async-blocking-reach (commits only at flush_every=256 rows, flush(), prune() on the snapshot tick and close(), never on a read; ~0.4 ms fsync on a local file, measured in docs/performance.md section 8)
     def _commit(self) -> None:
         """Commit the current transaction (the only commit site)."""
         try:
@@ -270,7 +270,7 @@ class WindowedQosStore:
             self._degrade()
             self._connection.commit()
 
-    # fdlint: disable=async-blocking (one-time in-memory schema rebuild on a degradation event, not steady-state I/O)
+    # fdlint: disable=async-blocking-reach (one-time in-memory schema rebuild on a degradation event, not steady-state I/O)
     def _degrade(self) -> None:
         """Fall back to a fresh in-memory database (history is lost,
         service continues).  Counted and flagged, never silent."""

@@ -160,7 +160,7 @@ class TraceRecorder:
         self._file: Optional[io.TextIOWrapper] = None
         self._file_bytes = 0
         if path is not None:
-            # fdlint: disable=async-blocking (opens the JSONL sink once at construction, before the daemon serves)
+            # fdlint: disable=async-blocking-reach (opens the JSONL sink once at construction, before the daemon serves)
             self._file = open(path, "a", encoding="utf-8")
             self._file_bytes = self._file.tell()
         self._closed = False
@@ -211,7 +211,7 @@ class TraceRecorder:
         """
         if self._closed:
             return
-        # fdlint: disable=clock-discipline (observer self-measurement: emission overhead is wall-clock by definition, exported as the fd_obs overhead meta-metric)
+        # fdlint: disable=clock-seed-taint (observer self-measurement: emission overhead is wall-clock by definition, exported as the fd_obs overhead meta-metric)
         started = perf_counter()
         ring = self._ring
         file = self._file
@@ -279,7 +279,7 @@ class TraceRecorder:
                 piece("}\n")
             text = "".join(pieces)
             try:
-                # fdlint: disable=async-blocking (bounded: one buffered write per batch of JSONL lines; ~2.5us for a lone span, formatting included, measured in BENCH_obs.json trace.jsonl_ns_per_event; a traced heartbeat writes three spans plus one per transition)
+                # fdlint: disable=async-blocking-reach (bounded: one buffered write per batch of JSONL lines; ~2.5us for a lone span, formatting included, measured in BENCH_obs.json trace.jsonl_ns_per_event; a traced heartbeat writes three spans plus one per transition)
                 file.write(text)
                 # json.dumps escapes everything outside ASCII: one
                 # character is one byte.
@@ -301,10 +301,10 @@ class TraceRecorder:
             self.evicted_total += overflow
         ring.extend(spans)
         self.events_total += len(spans)
-        # fdlint: disable=clock-discipline (observer self-measurement, see the matching pragma at the start of emit_batch)
+        # fdlint: disable=clock-seed-taint (observer self-measurement, see the matching pragma at the start of emit_batch)
         self.overhead_seconds += perf_counter() - started
 
-    # fdlint: disable=async-blocking (rotation runs once per max_bytes (~220k events at defaults) and is bounded by three renames plus one open)
+    # fdlint: disable=async-blocking-reach (rotation runs once per max_bytes (~220k events at defaults) and is bounded by three renames plus one open)
     def _rotate(self) -> None:
         assert self._file is not None and self.path is not None
         self._file.close()
@@ -369,7 +369,7 @@ class TraceRecorder:
     def flush(self) -> None:
         """Push buffered JSONL lines to the OS."""
         if self._file is not None:
-            # fdlint: disable=async-blocking (operator-facing flush; called at close/shutdown, off the heartbeat hot path)
+            # fdlint: disable=async-blocking-reach (operator-facing flush; called at close/shutdown, off the heartbeat hot path)
             self._file.flush()
 
     @property

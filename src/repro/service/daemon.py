@@ -306,7 +306,7 @@ class MonitorDaemon:
         self.network.close()
         self.obs.close()
         # One loop turn so transport close callbacks run before we return.
-        # fdlint: disable=clock-discipline (zero-delay event-loop yield, not time flow; the drain path is real-network only)
+        # fdlint: disable=clock-seed-taint (zero-delay event-loop yield, not time flow; the drain path is real-network only)
         await asyncio.sleep(0)
 
     @property

@@ -263,7 +263,7 @@ class HeartbeatFleet:
             return
         self._running = False
         self.network.close()
-        # fdlint: disable=clock-discipline (zero-delay event-loop yield so transport close callbacks run; not time flow)
+        # fdlint: disable=clock-seed-taint (zero-delay event-loop yield so transport close callbacks run; not time flow)
         await asyncio.sleep(0)
 
     @property

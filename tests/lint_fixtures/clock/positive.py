@@ -1,4 +1,4 @@
-"""Positive fixture: every statement below violates clock-discipline."""
+"""Positive fixture: every statement below violates clock-seed-taint."""
 
 import asyncio
 import time

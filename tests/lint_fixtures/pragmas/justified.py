@@ -1,8 +1,6 @@
 """Fixture: a violation silenced by a *justified* pragma."""
 
-import time
 
-
-def measured_overhead():
-    # fdlint: disable=clock-discipline (fixture: self-measurement needs the wall clock)
-    return time.perf_counter()
+def interval_unchanged(timeout, previous_timeout):
+    # fdlint: disable=float-time-equality (fixture: change detection against the exact value assigned, not an ordering test)
+    return timeout == previous_timeout

@@ -1,7 +1,5 @@
 """Fixture: a pragma with no written reason suppresses nothing."""
 
-import time
 
-
-def sneaky_timestamp():
-    return time.time()  # fdlint: disable=clock-discipline
+def same_instant(arrival_time, deadline):
+    return arrival_time == deadline  # fdlint: disable=float-time-equality

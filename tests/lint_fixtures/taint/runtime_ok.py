@@ -4,5 +4,5 @@ import time
 
 
 def runtime_now() -> float:
-    # fdlint: disable=clock-discipline (fixture: stands in for a whitelisted live-runtime clock bridge)
+    # fdlint: disable=clock-seed-taint (fixture: stands in for a whitelisted live-runtime clock bridge)
     return time.time()

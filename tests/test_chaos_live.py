@@ -111,7 +111,7 @@ class TestDaemonSurvivesChaos:
             attach_backend(engine, fleet.network)
             await fleet.start()
             try:
-                # fdlint: disable=clock-discipline (live loopback scenario runs in real time by contract)
+                # fdlint: disable=clock-seed-taint (live loopback scenario runs in real time by contract)
                 await asyncio.sleep(6.0)
                 events = tracer.tail(8192)
                 for monitor in daemon.registry:

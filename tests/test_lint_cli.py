@@ -22,8 +22,8 @@ class TestExitCodes:
     def test_findings_exit_one(self, capsys):
         assert main(["lint", DIRTY]) == 1
         out = capsys.readouterr().out
-        assert "clock-discipline" in out
-        assert "FDL001" in out
+        assert "clock-seed-taint" in out
+        assert "FDL010" in out
 
     def test_unknown_rule_exits_two(self, capsys):
         assert main(["lint", CLEAN, "--select", "no-such-rule"]) == 2
@@ -44,11 +44,11 @@ class TestExitCodes:
 
 class TestSelection:
     def test_select_by_code(self, capsys):
-        assert main(["lint", DIRTY, "--select", "FDL001"]) == 1
-        assert "clock-discipline" in capsys.readouterr().out
+        assert main(["lint", DIRTY, "--select", "FDL010"]) == 1
+        assert "clock-seed-taint" in capsys.readouterr().out
 
     def test_ignore_makes_dirty_file_clean(self, capsys):
-        assert main(["lint", DIRTY, "--ignore", "clock-discipline"]) == 0
+        assert main(["lint", DIRTY, "--ignore", "clock-seed-taint"]) == 0
         capsys.readouterr()
 
 
@@ -70,7 +70,7 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 1
         assert payload["files_scanned"] == 1
-        assert payload["counts"]["clock-discipline"] >= 1
+        assert payload["counts"]["clock-seed-taint"] >= 1
         for finding in payload["findings"]:
             assert finding["code"].startswith("FDL")
 

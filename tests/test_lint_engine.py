@@ -1,6 +1,7 @@
 """Engine-level tests: pragmas, baselines, JSON schema, rule selection."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,17 @@ from repro.lint.engine import (
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 
+#: One float-time-equality and one mutable-shared-state finding.
+TWO_RULES = (
+    "class Bank:\n"
+    "    shared = []\n"
+    "\n"
+    "\n"
+    "def same(now, when):\n"
+    "    return now == when\n"
+)
+
+
 def lint_source(source: str, name: str = "repro/fd/sample.py"):
     return lint_file(name, DEFAULT_CONFIG, source=source)
 
@@ -28,14 +40,14 @@ class TestPragmas:
         assert len(result.suppressions) == 1
         suppression = result.suppressions[0]
         assert suppression.justified
-        assert "self-measurement" in suppression.justification
-        assert "clock-discipline" in suppression.rules
+        assert "change detection" in suppression.justification
+        assert "float-time-equality" in suppression.rules
 
     def test_unjustified_pragma_suppresses_nothing(self):
         result = lint_file(str(FIXTURES / "pragmas/unjustified.py"),
                            DEFAULT_CONFIG)
         rules = sorted(f.rule for f in result.findings)
-        assert "clock-discipline" in rules
+        assert "float-time-equality" in rules
         assert "unjustified-suppression" in rules
         assert result.suppressions == []
 
@@ -47,9 +59,9 @@ class TestPragmas:
 
     def test_trailing_pragma_covers_its_line(self):
         source = (
-            "import time\n"
-            "t = time.time()  "
-            "# fdlint: disable=clock-discipline (test: trailing form)\n"
+            "def same(now, when):\n"
+            "    return now == when  "
+            "# fdlint: disable=float-time-equality (test: trailing form)\n"
         )
         result = lint_source(source)
         assert result.findings == []
@@ -57,19 +69,18 @@ class TestPragmas:
 
     def test_own_line_pragma_covers_next_line(self):
         source = (
-            "import time\n"
-            "# fdlint: disable=clock-discipline (test: own-line form)\n"
-            "t = time.time()\n"
+            "def same(now, when):\n"
+            "    # fdlint: disable=float-time-equality (test: own-line form)\n"
+            "    return now == when\n"
         )
         assert lint_source(source).findings == []
 
     def test_def_header_pragma_covers_whole_body(self):
         source = (
-            "import time\n"
-            "# fdlint: disable=clock-discipline (test: block form)\n"
-            "def clocked():\n"
-            "    a = time.time()\n"
-            "    b = time.monotonic()\n"
+            "# fdlint: disable=float-time-equality (test: block form)\n"
+            "def same(now, when, deadline):\n"
+            "    a = now == when\n"
+            "    b = deadline != when\n"
             "    return a, b\n"
         )
         result = lint_source(source)
@@ -79,21 +90,20 @@ class TestPragmas:
 
     def test_pragma_for_wrong_rule_does_not_suppress(self):
         source = (
-            "import time\n"
-            "t = time.time()  "
-            "# fdlint: disable=seeded-randomness (test: wrong rule)\n"
+            "def same(now, when):\n"
+            "    return now == when  "
+            "# fdlint: disable=error-swallowing (test: wrong rule)\n"
         )
         result = lint_source(source)
-        assert [f.rule for f in result.findings] == ["clock-discipline"]
+        assert [f.rule for f in result.findings] == ["float-time-equality"]
 
     def test_pragma_text_inside_string_is_inert(self):
         source = (
-            "import time\n"
-            'NOTE = "# fdlint: disable=clock-discipline (not a comment)"\n'
-            "t = time.time()\n"
+            'NOTE = "# fdlint: disable=float-time-equality (not a comment)"\n'
+            "same = now == when\n"
         )
         result = lint_source(source)
-        assert [f.rule for f in result.findings] == ["clock-discipline"]
+        assert [f.rule for f in result.findings] == ["float-time-equality"]
 
 
 class TestBaseline:
@@ -147,41 +157,74 @@ class TestJsonSchema:
             assert set(suppression) >= {
                 "path", "line", "rules", "justification", "suppressed",
             }
-        assert payload["counts"]["clock-discipline"] >= 1
+        assert payload["counts"]["clock-seed-taint"] >= 1
         # must survive serialization untouched
         assert json.loads(json.dumps(payload)) == payload
 
 
 class TestSelection:
     def test_select_narrows_to_one_rule(self):
-        source = (
-            "import time, random\n"
-            "t = time.time()\n"
-            "r = random.random()\n"
-        )
         result = lint_file(
             "repro/fd/sample.py", DEFAULT_CONFIG,
-            select=["clock-discipline"], source=source,
+            select=["float-time-equality"], source=TWO_RULES,
         )
-        assert {f.rule for f in result.findings} == {"clock-discipline"}
+        assert {f.rule for f in result.findings} == {"float-time-equality"}
 
     def test_ignore_drops_one_rule(self):
-        source = (
-            "import time, random\n"
-            "t = time.time()\n"
-            "r = random.random()\n"
-        )
         result = lint_file(
             "repro/fd/sample.py", DEFAULT_CONFIG,
-            ignore=["clock-discipline"], source=source,
+            ignore=["float-time-equality"], source=TWO_RULES,
         )
-        assert {f.rule for f in result.findings} == {"seeded-randomness"}
+        assert {f.rule for f in result.findings} == {"mutable-shared-state"}
 
     def test_known_rule_ids_include_codes_and_fdl000(self):
         ids = known_rule_ids()
-        assert "clock-discipline" in ids
-        assert "FDL001" in ids
+        assert "clock-seed-taint" in ids
+        assert "FDL010" in ids
         assert "FDL000" in ids and "unjustified-suppression" in ids
+
+
+class TestUnknownRuleIds:
+    """A stale or misspelt rule id is an error, never a silent no-op."""
+
+    TARGET = str(FIXTURES / "clock/positive.py")
+
+    def test_lint_paths_rejects_unknown_select(self):
+        with pytest.raises(ValueError, match="unknown rule 'clock-disciplin'"):
+            lint_paths([self.TARGET], DEFAULT_CONFIG,
+                       select=["clock-disciplin"])
+
+    def test_lint_paths_rejects_unknown_ignore(self):
+        with pytest.raises(ValueError, match="unknown rule 'FDL004'"):
+            lint_paths([self.TARGET], DEFAULT_CONFIG, ignore=["FDL004"])
+
+    def test_lint_paths_rejects_unknown_config_ignore(self):
+        config = replace(DEFAULT_CONFIG, ignore=("lock-discipline",))
+        with pytest.raises(ValueError, match="'lock-discipline'"):
+            lint_paths([self.TARGET], config)
+
+    def test_lint_file_rejects_unknown_select(self):
+        with pytest.raises(ValueError, match="unknown rule 'no-such-rule'"):
+            lint_file(self.TARGET, DEFAULT_CONFIG, select=["no-such-rule"])
+
+    def test_pragma_naming_unknown_rule_is_fdl000(self):
+        source = (
+            "def sleepy():\n"
+            "    # fdlint: disable=clock-discipline (a renamed rule)\n"
+            "    return 1\n"
+        )
+        result = lint_source(source)
+        assert [(f.code, f.line) for f in result.findings] == [
+            ("FDL000", 2)
+        ]
+        assert "clock-discipline" in result.findings[0].message
+
+    def test_pragma_naming_all_or_a_code_is_known(self):
+        source = (
+            "x = 1  # fdlint: disable=all (test: wildcard)\n"
+            "y = 2  # fdlint: disable=FDL010 (test: code)\n"
+        )
+        assert lint_source(source).findings == []
 
 
 class TestSyntaxError:

@@ -1,8 +1,10 @@
-"""Project-pass tests: FDL010-FDL013 fixtures, engine parity, cache."""
+"""Project-pass tests: FDL010/FDL011/FDL013 fixtures, engine parity, cache."""
 
 import shutil
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from repro.lint import DEFAULT_CONFIG, lint_file, lint_paths
 from repro.lint.cache import DEFAULT_CACHE_DIR, LintCache
@@ -13,6 +15,57 @@ FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 def lint_dir(subdir, config=DEFAULT_CONFIG, **kwargs):
     return lint_paths([str(FIXTURES / subdir)], config, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Direct primitives: FDL010/FDL011 on the same lines as the per-file
+# FDL001 (clock), FDL002 (randomness) and FDL003 (blocking) they absorbed
+# ----------------------------------------------------------------------
+#: fixture family -> (rule, positive fixture, flagged lines, negative)
+DIRECT = {
+    "clock": (
+        "clock-seed-taint", "clock/positive.py", {10, 14, 18, 22, 26, 30},
+        "clock/negative.py",
+    ),
+    "randomness": (
+        "clock-seed-taint", "randomness/positive.py", {9, 13, 17, 21},
+        "randomness/negative.py",
+    ),
+    "blocking": (
+        "async-blocking-reach", "service/async_positive.py",
+        {5, 6, 10, 14, 15, 16}, "service/async_negative.py",
+    ),
+}
+
+
+class TestDirectPrimitives:
+    @pytest.mark.parametrize("family", sorted(DIRECT))
+    def test_positive_fixture_lines(self, family):
+        rule, positive, lines, _ = DIRECT[family]
+        result = lint_dir(positive, select=[rule])
+        assert {f.line for f in result.findings} == lines
+        assert {f.rule for f in result.findings} == {rule}
+        assert all(f.hint for f in result.findings)
+
+    @pytest.mark.parametrize("family", sorted(DIRECT))
+    def test_negative_fixture_is_clean(self, family):
+        rule, _, _, negative = DIRECT[family]
+        assert lint_dir(negative, select=[rule]).findings == []
+
+    def test_coroutine_anywhere_is_checked(self, tmp_path):
+        # No directory scoping: a coroutine under sim/ that opens a file
+        # blocks the loop as surely as one under service/.
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "replay.py").write_text(
+            "async def load(path):\n"
+            "    with open(path) as handle:\n"
+            "        return handle.read()\n",
+            encoding="utf-8",
+        )
+        result = lint_paths([str(tmp_path)], DEFAULT_CONFIG,
+                            select=["async-blocking-reach"])
+        assert [(f.code, f.line) for f in result.findings] == [("FDL011", 2)]
+        assert "open()" in result.findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -32,7 +85,7 @@ class TestClockSeedTaint:
         assert "stamp() -> wall_clock_now()" in messages
 
     def test_pragma_on_primitive_does_not_launder(self):
-        # runtime_ok.py carries a *justified* FDL001 pragma on its
+        # runtime_ok.py carries a *justified* FDL010 pragma on its
         # time.time() — that accepts the direct call, but the function
         # still taints callers in the deterministic tier.
         result = lint_dir("taint", select=["clock-seed-taint"])
@@ -40,6 +93,8 @@ class TestClockSeedTaint:
                     if f.path.endswith("sim/negative.py")]
         assert len(negative) == 1
         assert "runtime_now" in negative[0].message
+        assert [f for f in result.findings
+                if f.path.endswith("runtime_ok.py")] == []
 
     def test_whitelisted_runtime_file_does_not_taint(self):
         config = replace(
@@ -71,26 +126,6 @@ class TestAsyncBlockingReach:
 
     def test_negative_offload_and_choke_point_are_clean(self):
         result = lint_dir("reach", select=["async-blocking-reach"])
-        assert [f for f in result.findings
-                if f.path.endswith("negative.py")] == []
-
-
-# ----------------------------------------------------------------------
-# FDL012 lock-read races
-# ----------------------------------------------------------------------
-class TestLockReadRace:
-    def test_positive_flags_bare_reads_of_guarded_attrs(self):
-        result = lint_dir("race", select=["lock-read-race"])
-        flagged = [f for f in result.findings
-                   if f.path.endswith("positive.py")]
-        assert len(flagged) == 2
-        assert {f.code for f in flagged} == {"FDL012"}
-        attrs = " | ".join(f.message for f in flagged)
-        assert "_samples" in attrs
-        assert "_high_water" in attrs
-
-    def test_negative_guarded_reads_and_held_only_helper_are_clean(self):
-        result = lint_dir("race", select=["lock-read-race"])
         assert [f for f in result.findings
                 if f.path.endswith("negative.py")] == []
 
@@ -185,12 +220,20 @@ def _write_taint_tree(tmp_path, pragma=""):
     return tmp_path
 
 
+def at_call_site(result):
+    """Findings in ``sim/run.py``; ``helpers.py``'s own ``time.time()``
+    is a separate, direct FDL010 finding."""
+    return [f for f in result.findings if f.path.endswith("run.py")]
+
+
 class TestProjectEngineParity:
     def test_project_findings_report_without_pragma(self, tmp_path):
         _write_taint_tree(tmp_path)
         result = lint_paths([str(tmp_path)], DEFAULT_CONFIG,
                             select=["clock-seed-taint"])
-        assert [f.rule for f in result.findings] == ["clock-seed-taint"]
+        assert [f.rule for f in at_call_site(result)] == ["clock-seed-taint"]
+        assert [f.line for f in result.findings
+                if f.path.endswith("helpers.py")] == [5]
 
     def test_justified_pragma_suppresses_project_finding(self, tmp_path):
         _write_taint_tree(
@@ -200,7 +243,7 @@ class TestProjectEngineParity:
         )
         result = lint_paths([str(tmp_path)], DEFAULT_CONFIG,
                             select=["clock-seed-taint"])
-        assert result.findings == []
+        assert at_call_site(result) == []
         assert len(result.suppressions) == 1
         assert result.suppressions[0].justified
         assert result.suppressions[0].suppressed[0].code == "FDL010"
@@ -213,7 +256,7 @@ class TestProjectEngineParity:
         )
         result = lint_paths([str(tmp_path)], DEFAULT_CONFIG,
                             select=["clock-seed-taint"])
-        rules = sorted(f.rule for f in result.findings)
+        rules = sorted(f.rule for f in at_call_site(result))
         assert rules == ["clock-seed-taint", "unjustified-suppression"]
         assert result.suppressions == []
 
@@ -221,12 +264,12 @@ class TestProjectEngineParity:
         _write_taint_tree(tmp_path)
         by_code = lint_paths([str(tmp_path)], DEFAULT_CONFIG,
                              select=["FDL010"])
-        assert [f.code for f in by_code.findings] == ["FDL010"]
+        assert [f.code for f in at_call_site(by_code)] == ["FDL010"]
 
     def test_ignore_drops_project_rule(self, tmp_path):
         _write_taint_tree(tmp_path)
         result = lint_paths([str(tmp_path)], DEFAULT_CONFIG,
-                            ignore=["FDL010", "clock-discipline"])
+                            ignore=["FDL010"])
         assert [f for f in result.findings if f.code == "FDL010"] == []
 
     def test_baseline_filters_project_findings(self, tmp_path):
@@ -243,12 +286,6 @@ class TestProjectEngineParity:
         )
         assert filtered.findings == []
         assert filtered.baselined == len(full.findings)
-
-    def test_project_pass_can_be_disabled(self, tmp_path):
-        _write_taint_tree(tmp_path)
-        result = lint_paths([str(tmp_path)], DEFAULT_CONFIG,
-                            select=["clock-seed-taint"], project=False)
-        assert result.findings == []
 
     def test_lint_file_is_per_file_only(self):
         # Single-snippet unit tests must see exactly the lexical rules.
@@ -325,12 +362,12 @@ class TestLintCache:
                    cache_dir=cache_dir)
         narrowed = lint_paths(
             [str(tmp_path / "tree")], DEFAULT_CONFIG,
-            ignore=["clock-discipline"], cache_dir=cache_dir,
+            ignore=["clock-seed-taint"], cache_dir=cache_dir,
         )
         # different selection -> different salt -> no stale reuse
         assert narrowed.cache_hits == 0
         assert [f for f in narrowed.findings
-                if f.rule == "clock-discipline"] == []
+                if f.rule == "clock-seed-taint"] == []
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         tree = _write_taint_tree(tmp_path / "tree")

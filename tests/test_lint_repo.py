@@ -2,12 +2,16 @@
 
 This is the point of the linter — the invariants it encodes (time only
 through the Scheduler surface, seeded randomness, no blocking I/O on
-the event loop, lock discipline, no float-time equality, no shared
-mutable state) must hold for ``src/`` at all times, and every escape
-hatch must carry a written justification.
+the event loop, no float-time equality, no shared mutable state) must
+hold for ``src/`` at all times, and every escape hatch must carry a
+written justification.  ``src/`` is linted once per module: the full
+run covers the project rules too, since per-file selection never
+changes the project pass.
 """
 
 from pathlib import Path
+
+import pytest
 
 from repro.lint import DEFAULT_CONFIG, lint_paths
 from repro.lint.engine import discover_rules
@@ -15,37 +19,31 @@ from repro.lint.engine import discover_rules
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXPECTED_RULES = {
-    "clock-discipline",
-    "seeded-randomness",
-    "async-blocking",
-    "lock-discipline",
     "float-time-equality",
     "mutable-shared-state",
-    # interprocedural project tier
+    "sample-array-narrowing",
+    "detector-bank-construction",
+    "error-swallowing",
+    # project tier
     "clock-seed-taint",
     "async-blocking-reach",
-    "lock-read-race",
     "contract-drift",
 }
 
-PROJECT_RULES = {
-    "clock-seed-taint",
-    "async-blocking-reach",
-    "lock-read-race",
-    "contract-drift",
-}
+
+@pytest.fixture(scope="module")
+def src_result():
+    return lint_paths([str(SRC)], DEFAULT_CONFIG)
 
 
 class TestRepoIsClean:
-    def test_src_has_zero_findings(self):
-        result = lint_paths([str(SRC)], DEFAULT_CONFIG)
-        assert result.files_scanned > 50
-        rendered = "\n".join(f.render() for f in result.findings)
-        assert result.clean, f"repo lint regressions:\n{rendered}"
+    def test_src_has_zero_findings(self, src_result):
+        assert src_result.files_scanned > 50
+        rendered = "\n".join(f.render() for f in src_result.findings)
+        assert src_result.clean, f"repo lint regressions:\n{rendered}"
 
-    def test_every_suppression_is_justified(self):
-        result = lint_paths([str(SRC)], DEFAULT_CONFIG)
-        for suppression in result.suppressions:
+    def test_every_suppression_is_justified(self, src_result):
+        for suppression in src_result.suppressions:
             assert suppression.justified, (
                 f"{suppression.path}:{suppression.line} pragma has no "
                 "written justification"
@@ -56,17 +54,7 @@ class TestRepoIsClean:
             )
 
     def test_full_rule_set_is_active(self):
-        assert EXPECTED_RULES <= set(discover_rules())
-
-    def test_src_is_clean_under_project_rules_alone(self):
-        # The interprocedural tier specifically: taint, blocking
-        # reachability, lock races, and contract drift must hold even
-        # when selected on their own (no per-file rules to hide behind).
-        result = lint_paths(
-            [str(SRC)], DEFAULT_CONFIG, select=sorted(PROJECT_RULES)
-        )
-        rendered = "\n".join(f.render() for f in result.findings)
-        assert result.clean, f"project-tier regressions:\n{rendered}"
+        assert set(discover_rules()) == EXPECTED_RULES
 
     def test_linter_lints_itself(self):
         result = lint_paths([str(SRC / "repro" / "lint")], DEFAULT_CONFIG)

@@ -1,32 +1,25 @@
 """Per-rule fixture tests: each rule is present, firing, and precise.
 
-Every rule in ``src/repro/lint/rules/`` has one positive fixture (must
-flag) and one negative fixture (must stay silent) under
-``tests/lint_fixtures/``.  Rules are resolved through the engine's
-package discovery, so deleting a rule module makes its positive test
-fail — the corpus is genuinely load-bearing.
+Every per-file rule in ``src/repro/lint/rules/`` has one positive
+fixture (must flag) and one negative fixture (must stay silent) under
+``tests/lint_fixtures/``; the project rules' fixtures are exercised in
+``tests/test_lint_project.py``.  Rules are resolved through the
+engine's package discovery, so deleting a rule module makes its
+positive test fail — the corpus is genuinely load-bearing.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.lint import DEFAULT_CONFIG, lint_file
+from repro.lint import DEFAULT_CONFIG, lint_file, lint_paths
 from repro.lint.engine import discover_rules
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: rule slug -> (positive fixture, negative fixture)
+#: per-file rule slug -> (positive fixture, negative fixture)
 CORPUS = {
-    "clock-discipline": ("clock/positive.py", "clock/negative.py"),
-    "seeded-randomness": (
-        "randomness/positive.py", "randomness/negative.py"
-    ),
-    "async-blocking": (
-        "service/async_positive.py", "service/async_negative.py"
-    ),
-    "lock-discipline": ("obs/lock_positive.py", "obs/lock_negative.py"),
     "float-time-equality": (
         "float_time/positive.py", "float_time/negative.py"
     ),
@@ -92,7 +85,8 @@ class TestClockRulePrecision:
     ``src/repro/service/runtime.py`` *documents* its epoch anchoring
     with the literal text ``time.time()`` and also really calls it once
     in ``AsyncioScheduler.__init__``.  With the whitelist stripped, the
-    rule must flag exactly the call line — not the docstring.
+    clock check of ``clock-seed-taint`` must flag exactly the call line
+    — not the docstring.
     """
 
     RUNTIME = SRC / "repro" / "service" / "runtime.py"
@@ -115,15 +109,15 @@ class TestClockRulePrecision:
         assert call_lines and prose_lines, "runtime.py layout changed"
 
         config = LintConfig(clock_allowed_files=())
-        result = lint_file(
-            str(self.RUNTIME), config, select=["clock-discipline"]
+        result = lint_paths(
+            [str(self.RUNTIME)], config, select=["clock-seed-taint"]
         )
         flagged = {f.line for f in result.findings}
         assert flagged == call_lines
         assert not (flagged & prose_lines)
 
     def test_runtime_is_whitelisted_by_default(self):
-        result = lint_file(
-            str(self.RUNTIME), DEFAULT_CONFIG, select=["clock-discipline"]
+        result = lint_paths(
+            [str(self.RUNTIME)], DEFAULT_CONFIG, select=["clock-seed-taint"]
         )
         assert result.findings == []

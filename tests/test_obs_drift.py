@@ -355,7 +355,7 @@ class TestLiveDrift:
             attach_backend(engine, fleet.network)
         await fleet.start()
         try:
-            # fdlint: disable=clock-discipline (live loopback scenario runs in real time by contract)
+            # fdlint: disable=clock-seed-taint (live loopback scenario runs in real time by contract)
             await asyncio.sleep(duration)
             host, port = daemon.http_endpoint
             url = f"http://{host}:{port}/drift"

@@ -491,16 +491,16 @@ class TestSendSpanRegression:
             system = NekoSystem(network.scheduler, network)
             system.create_process("ep", ProtocolStack([heartbeater, crash]))
             system.start()
-            # fdlint: disable=clock-discipline (live emitter test runs on the wall clock by contract)
+            # fdlint: disable=clock-seed-taint (live emitter test runs on the wall clock by contract)
             await asyncio.sleep(0.1)
             crash.crash()  # suppressed heartbeats must leave no span
-            # fdlint: disable=clock-discipline (live emitter test runs on the wall clock by contract)
+            # fdlint: disable=clock-seed-taint (live emitter test runs on the wall clock by contract)
             await asyncio.sleep(0.06)
             crash.restore()
-            # fdlint: disable=clock-discipline (live emitter test runs on the wall clock by contract)
+            # fdlint: disable=clock-seed-taint (live emitter test runs on the wall clock by contract)
             await asyncio.sleep(0.1)
             heartbeater.stop()
-            # fdlint: disable=clock-discipline (lets the last datagram land)
+            # fdlint: disable=clock-seed-taint (lets the last datagram land)
             await asyncio.sleep(0.05)
             network.close()
             spans = tracer.tail(64, kind="send")

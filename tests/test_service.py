@@ -608,7 +608,7 @@ class TestHeartbeatEmitter:
             )
             await asyncio.sleep(3.5 * eta)
             before = len(sent)
-            # fdlint: disable=async-blocking (the stall under test)
+            # fdlint: disable=async-blocking-reach (the stall under test)
             time.sleep(5 * eta)
             await asyncio.sleep(3.5 * eta)
             scheduler.close()
