@@ -41,31 +41,28 @@ from typing import Dict, Optional, Sequence
 
 from repro.experiments.accuracy import collect_delay_trace
 from repro.experiments.runner import aggregate_runs, run_repetitions
-from repro.fd.combinations import combination_ids
-from repro.fd.replay import (
-    REPLAY_MARGINS,
-    REPLAY_PREDICTORS,
-    replay_strategy,
-    replay_strategy_scalar,
-)
+from repro.fd.combinations import MARGIN_NAMES, combination_ids
+from repro.fd.replay import replay_strategy, replay_strategy_scalar
 from repro.neko.config import ExperimentConfig
 
+#: The predictors in the order the timings have always used (not
+#: ``PREDICTOR_NAMES``' order), so the recorded subsets stay the same.
+PREDICTORS = ("Arima", "Last", "Mean", "WinMean", "LPF")
+
 #: Margin subset for the strategy-level timings: the paper's "medium"
-#: level of each family, derived from the replay module's own registry
-#: so the bench can never drift from what replay actually supports.
-BENCH_MARGINS = tuple(m for m in REPLAY_MARGINS if m.endswith("_med"))
+#: level of each family.
+BENCH_MARGINS = tuple(m for m in MARGIN_NAMES if m.endswith("_med"))
 
 #: Predictors timed by the generic replay section.  ARIMA gets its own
 #: section (its cost profile is refit-dominated, unlike the O(n)
 #: recurrence predictors) so the two speed-up contracts stay separate.
-BENCH_PREDICTORS = tuple(p for p in REPLAY_PREDICTORS if p != "Arima")
+BENCH_PREDICTORS = tuple(p for p in PREDICTORS if p != "Arima")
 
 #: Detector subset for the serial-vs-parallel campaign timing: one
-#: combination per replayable predictor family, margins cycled, derived
-#: from the same registries.
+#: combination per predictor family, margins cycled.
 CAMPAIGN_DETECTORS = [
-    f"{predictor}+{REPLAY_MARGINS[index % len(REPLAY_MARGINS)]}"
-    for index, predictor in enumerate(REPLAY_PREDICTORS)
+    f"{predictor}+{MARGIN_NAMES[index % len(MARGIN_NAMES)]}"
+    for index, predictor in enumerate(PREDICTORS)
 ]
 
 

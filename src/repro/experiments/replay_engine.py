@@ -45,8 +45,8 @@ import numpy as np
 
 from repro.experiments.parallel import parallel_map
 from repro.experiments.runner import MONITOR, MONITORED, QosRunSummary
-from repro.fd.combinations import combination_ids, parse_combination_id
-from repro.fd.replay import replay_detector_matrix, supports_replay
+from repro.fd.combinations import combination_ids
+from repro.fd.replay import replay_detector_matrix
 from repro.neko.config import ExperimentConfig
 from repro.net.wan import get_profile
 from repro.sim.random import RandomStreams
@@ -141,19 +141,6 @@ def synthesize_heartbeat_trace(config: ExperimentConfig) -> HeartbeatTrace:
     )
 
 
-def _check_replayable(detector_ids: Sequence[str]) -> None:
-    unsupported = [
-        detector_id
-        for detector_id in detector_ids
-        if not supports_replay(*parse_combination_id(detector_id))
-    ]
-    if unsupported:
-        raise ValueError(
-            f"no vectorized replay for {unsupported}; "
-            'use engine="simulator" for these combinations'
-        )
-
-
 def run_qos_replay(
     config: ExperimentConfig,
     detector_ids: Optional[Sequence[str]] = None,
@@ -166,16 +153,14 @@ def run_qos_replay(
     """
     if detector_ids is None:
         detector_ids = combination_ids()
-    _check_replayable(detector_ids)
     trace = synthesize_heartbeat_trace(config)
-    initial_timeout = config.extras.get("initial_timeout", 10.0 * config.eta)
     matrix = replay_detector_matrix(
         detector_ids,
         trace.send_times,
         trace.delays,
         eta=config.eta,
         lost=trace.lost,
-        initial_timeout=initial_timeout,
+        initial_timeout=config.initial_timeout,
         end_time=config.duration,
     )
     qos = {
@@ -219,7 +204,6 @@ def run_repetitions_replay(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     ids = tuple(detector_ids) if detector_ids is not None else None
-    _check_replayable(ids if ids is not None else combination_ids())
     payloads = [(config.with_run(run_id), ids) for run_id in range(runs)]
     return parallel_map(_execute_replay_repetition, payloads, workers=workers)
 

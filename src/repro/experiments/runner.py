@@ -170,13 +170,12 @@ def build_qos_system(
     )
     monitored_stack = ProtocolStack([heartbeater, simcrash])
 
-    initial_timeout = config.extras.get("initial_timeout", 10.0 * config.eta)
     detectors = make_detector_bank(
         MONITORED,
         config.eta,
         event_log,
         detector_ids,
-        initial_timeout=initial_timeout,
+        initial_timeout=config.initial_timeout,
     )
     uppers: List[Layer] = [detectors]
     if extra_monitor_layers is not None:

@@ -29,6 +29,7 @@ Continuous margin levels reach the fast path as explicit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,7 +82,7 @@ def _run_one(
         PushFailureDetector(
             strategy, MONITORED, config.eta, log,
             detector_id=detector_id,
-            initial_timeout=config.extras.get("initial_timeout", 10.0 * config.eta),
+            initial_timeout=config.initial_timeout,
         )
     ])
     parts["system"].run(until=config.duration)  # type: ignore[attr-defined]
@@ -107,7 +108,7 @@ def _replay_one(
         trace.delays,
         eta=config.eta,
         lost=trace.lost,
-        initial_timeout=config.extras.get("initial_timeout", 10.0 * config.eta),
+        initial_timeout=config.initial_timeout,
         end_time=config.duration,
     )
     return replayed.to_detector_qos()
@@ -202,8 +203,8 @@ def sweep_margin_level(
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
     for level in levels:
-        if level <= 0:
-            raise ValueError(f"levels must be > 0, got {level!r}")
+        if not math.isfinite(level) or level <= 0:
+            raise ValueError(f"levels must be finite and > 0, got {level!r}")
     payloads = [
         (base_config, float(level), family, predictor_name, engine)
         for level in levels

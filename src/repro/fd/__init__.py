@@ -12,9 +12,10 @@ is the heartbeat send time.
 (5 predictors × 6 safety margins); :mod:`repro.fd.baselines` adds the
 comparison detectors from the literature (NFD-E, Bertier's detector, a
 constant-time-out detector and the φ-accrual detector).
-:mod:`repro.fd.replay` evaluates the non-ARIMA combinations over recorded
-delay traces as vectorized array operations — an order of magnitude
-faster than the per-observation class path, and proven equivalent to it.
+:mod:`repro.fd.replay` evaluates all 30 combinations over recorded delay
+traces as vectorized array operations, in one kernel — an order of
+magnitude faster than the per-observation class path, and proven
+equivalent to it.
 
 The experimental layers — :class:`~repro.fd.heartbeat.Heartbeater`,
 :class:`~repro.fd.simcrash.SimCrash` and
@@ -60,10 +61,8 @@ from repro.fd.registry import (
 from repro.fd.replay import (
     DetectorReplay,
     StrategyReplay,
-    replay_combination,
     replay_detector,
     replay_strategy,
-    supports_replay,
 )
 from repro.fd.requirements import (
     Configuration,
@@ -114,8 +113,6 @@ __all__ = [
     "make_strategy",
     "register_margin",
     "register_predictor",
-    "replay_combination",
     "replay_detector",
     "replay_strategy",
-    "supports_replay",
 ]

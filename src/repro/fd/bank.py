@@ -168,9 +168,6 @@ class DetectorBank(Layer):
     initial_timeout:
         Time-out applied before the first heartbeat, measured from start
         plus one sending period.
-    observe_stale:
-        Whether delays of stale (reordered/late) heartbeats feed the
-        predictors and margins.
     on_transition_factory:
         Optional hook factory; its return value for a detector id is
         called as ``on_transition(suspecting)`` on that row's transitions.
@@ -188,7 +185,6 @@ class DetectorBank(Layer):
         detector_ids: Sequence[str],
         *,
         initial_timeout: float = 10.0,
-        observe_stale: bool = True,
         on_transition_factory: Optional[TransitionHookFactory] = None,
         tracer: Optional["TraceRecorder"] = None,
     ) -> None:
@@ -201,7 +197,6 @@ class DetectorBank(Layer):
         self.eta = float(eta)
         self.initial_timeout = float(initial_timeout)
         self._event_log = event_log
-        self._observe_stale = bool(observe_stale)
         self._tracer = tracer
         # Shared states, per predictor: the predictor, the prediction in
         # force (what the next delay's error is measured against) and the
@@ -367,14 +362,11 @@ class DetectorBank(Layer):
             raise ValueError(f"heartbeat without seq/timestamp: {message!r}")
         now = self._sim.now
         delay = self._local_from_global(now) - message.timestamp
-        fresh = message.seq > self._max_seq
-        observed = fresh or self._observe_stale
-        if observed and not math.isfinite(delay):
+        if not math.isfinite(delay):
             raise ValueError(f"observed delay must be finite, got {delay!r}")
         self.heartbeats_seen += 1
-        if observed:
-            self._observe(delay)
-        if fresh:
+        self._observe(delay)  # stale heartbeats too: every delay is observed
+        if message.seq > self._max_seq:
             self._max_seq = message.seq
             self._trust_and_rearm(now, message.timestamp)
         else:
@@ -543,7 +535,6 @@ def make_detector_bank(
     detector_ids: Optional[Sequence[str]] = None,
     *,
     initial_timeout: float = 10.0,
-    observe_stale: bool = True,
     on_transition_factory: Optional[TransitionHookFactory] = None,
     tracer: Optional["TraceRecorder"] = None,
 ) -> DetectorBank:
@@ -559,7 +550,6 @@ def make_detector_bank(
         event_log,
         combination_ids() if detector_ids is None else detector_ids,
         initial_timeout=initial_timeout,
-        observe_stale=observe_stale,
         on_transition_factory=on_transition_factory,
         tracer=tracer,
     )

@@ -17,8 +17,8 @@ Operationally:
 * suspicion ends only when a fresh heartbeat arrives (nothing else can
   refute it);
 * *stale* heartbeats (late or reordered) never affect trust, but their
-  delays are still genuine observations and by default are fed to the
-  strategy (the paper's ``obs`` list holds every received heartbeat).
+  delays are still genuine observations and are fed to the strategy
+  (the paper's ``obs`` list holds every received heartbeat).
 
 The detector emits ``START_SUSPECT``/``END_SUSPECT`` events into the
 experiment's event log; all QoS metrics are derived from those events.
@@ -66,9 +66,6 @@ class PushFailureDetector(Layer):
         Time-out applied before the first heartbeat is received (the
         strategy has no observations yet).  Measured from start plus one
         sending period.
-    observe_stale:
-        Whether delays of stale (reordered/late) heartbeats feed the
-        strategy.  Default ``True``.
     on_transition:
         Optional callback ``on_transition(suspecting)`` fired on every
         suspect/trust transition — how upper layers (consensus, group
@@ -94,7 +91,6 @@ class PushFailureDetector(Layer):
         *,
         detector_id: str = "",
         initial_timeout: float = 10.0,
-        observe_stale: bool = True,
         on_transition: Optional["Callable[[bool], None]"] = None,
         tracer: Optional["TraceRecorder"] = None,
     ) -> None:
@@ -109,7 +105,6 @@ class PushFailureDetector(Layer):
         self.detector_id = detector_id or strategy.name
         self._event_log = event_log
         self._initial_timeout = float(initial_timeout)
-        self._observe_stale = bool(observe_stale)
         self._on_transition = on_transition
         self._tracer = tracer
         self._max_seq = -1
@@ -210,8 +205,7 @@ class PushFailureDetector(Layer):
             self._arm_next_freshness_point(message.timestamp)
         else:
             self.stale_heartbeats += 1
-            if self._observe_stale:
-                self.strategy.observe(delay)
+            self.strategy.observe(delay)
         self.deliver_up(message)
 
     def _arm_next_freshness_point(self, send_timestamp_local: float) -> None:

@@ -27,7 +27,7 @@ import math
 from collections import deque
 from typing import Deque, Optional
 
-from repro.timeseries.arima import ArimaForecaster
+from repro.timeseries.arima import FIT_WINDOW, INITIAL_FIT, ArimaForecaster
 from repro.timeseries.base import Forecaster
 
 
@@ -202,8 +202,8 @@ class ArimaPredictor(Predictor):
         q: int = 1,
         *,
         refit_interval: int = 1000,
-        initial_fit: int = 200,
-        fit_window: int = 4000,
+        initial_fit: int = INITIAL_FIT,
+        fit_window: int = FIT_WINDOW,
         initial_prediction: float = 0.0,
     ) -> None:
         super().__init__(initial_prediction)

@@ -7,13 +7,18 @@ observation a chain of method calls through
 trace* — send times, delays, loss mask, as produced by
 :mod:`repro.net.traces` or
 :func:`repro.experiments.accuracy.collect_delay_trace` — none of that
-machinery is needed: every non-ARIMA predictor and both adaptive margins
-are simple recurrences over the observation sequence, computable in O(n)
-with NumPy:
+machinery is needed: every predictor and both adaptive margins are
+recurrences over the observation sequence, computable in O(n) with NumPy:
 
 * ``LAST`` is the identity, ``MEAN`` a ``cumsum / arange``, ``WINMEAN`` a
   sliding-window sum (two ``cumsum`` reads), ``LPF`` an exponential
   recurrence;
+* ``ARIMA`` is batched per refit-window
+  (:func:`~repro.timeseries.arima.batch_arima_predictions`): the refit
+  stays a per-window least-squares call on the paper's schedule, the AR
+  part of every one-step forecast and the undifferencing are shifted-array
+  operations, and only the MA innovation feedback remains a seeded O(n)
+  float recurrence;
 * ``SM_CI`` needs only running first and second moments (a shifted
   ``cumsum`` pair, numerically equivalent to the scalar Welford
   accumulator);
@@ -23,26 +28,22 @@ with NumPy:
   the arrival order and the per-observation time-outs with pure array
   algebra — no event queue.
 
-* ``ARIMA`` is batched per refit-window
-  (:func:`~repro.timeseries.arima.batch_arima_predictions`): the refit
-  stays a per-window least-squares call on the paper's schedule, the AR
-  part of every one-step forecast and the undifferencing are shifted-array
-  operations, and only the MA innovation feedback remains a seeded O(n)
-  float recurrence — so all 30 paper combinations replay vectorized.
-
-The 5 × 6 matrix shares its state the way
-:class:`~repro.fd.bank.DetectorBank` does: :func:`replay_detector_matrix`
-runs one prediction pass per predictor and one *unit* margin state per
+There is one detector kernel, a loop over rows ``(label, predictor,
+family, level)``, and it shares its state the way
+:class:`~repro.fd.bank.DetectorBank` does: one :func:`trace_view` per
+trace, one prediction pass per predictor and one *unit* margin state per
 family member — one pair of running moments serves every ``SM_CI`` row
 (the margin ignores the prediction), one ``|x − prediction in force|``
 EWMA per predictor serves its ``SM_JAC`` rows — and a row is that state
-times its γ or φ.  :func:`replay_margins` is the one-row case of the same
-two helpers.
+times its γ or φ.  :func:`replay_detector_matrix` feeds it the paper's
+combination ids; :func:`replay_detector` is its one-row case, for a
+Table 1 margin name or an explicit ``("CI", gamma)`` / ``("JAC", phi)``
+level.  :func:`replay_strategy` is the strategy-level case of the same
+stages (no trace, no intervals).
 
-:func:`replay_strategy` matches the per-observation
-:class:`~repro.fd.timeout.TimeoutStrategy` classes to float tolerance
-(``tests/test_replay.py`` proves it against both the scalar classes and a
-full event-driven :class:`~repro.fd.detector.PushFailureDetector` run);
+``tests/test_replay.py`` proves the stages against the scalar classes
+(:func:`replay_strategy_scalar`, :func:`replay_detector_scalar`) and a
+full event-driven :class:`~repro.fd.detector.PushFailureDetector` run;
 ``scripts/bench_perf.py`` tracks the speedup.  Crash injection still
 needs the event-driven engine — the replay models a crash-free monitored
 process, which is exactly the offline predictor/margin evaluation
@@ -52,6 +53,7 @@ workload (and the ``engine="replay"`` campaign mode of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -64,37 +66,24 @@ from repro.fd.combinations import (
     JACOBSON_ALPHA,
     LPF_BETA,
     PHI_VALUES,
+    PREDICTOR_NAMES,
     WINMEAN_WINDOW,
     make_margin,
     make_predictor,
     parse_combination_id,
 )
+from repro.fd.safety import INITIAL_MARGIN
 from repro.fd.timeout import TimeoutStrategy
 from repro.nekostat.metrics import DetectorQos, qos_from_suspicion_arrays
 from repro.timeseries.arima import batch_arima_predictions
-
-#: Predictors with a vectorized replay implementation — all five paper
-#: families, so every one of the 30 combinations replays vectorized.
-REPLAY_PREDICTORS: Tuple[str, ...] = ("Arima", "Last", "Mean", "WinMean", "LPF")
-
-#: Margin families with a vectorized replay implementation.
-REPLAY_MARGINS: Tuple[str, ...] = tuple(GAMMA_VALUES) + tuple(PHI_VALUES)
-
-#: ARIMA replay defaults beyond the Table 2 order/refit constants; must
-#: mirror :class:`~repro.fd.predictors.ArimaPredictor`'s defaults (the
-#: equivalence tests pin the two together).
-ARIMA_INITIAL_FIT = 200
-ARIMA_FIT_WINDOW = 4000
-
-#: Default margin before enough observations exist (matches
-#: :class:`~repro.fd.safety.ConfidenceIntervalMargin` and
-#: :class:`~repro.fd.safety.JacobsonMargin`).
-DEFAULT_INITIAL_MARGIN = 0.1
 
 #: A margin argument: a Table 1 name ("CI_med", "JAC_low", ...) or an
 #: explicit ``(family, level)`` pair — ``("CI", gamma)`` / ``("JAC", phi)``
 #: — for the continuous sweeps.
 MarginSpec = Union[str, Tuple[str, float]]
+
+#: One row of the detector kernel: ``(label, predictor, family, level)``.
+_Row = Tuple[str, str, str, float]
 
 
 def _resolve_margin_spec(margin: MarginSpec) -> Tuple[str, float, str]:
@@ -105,36 +94,16 @@ def _resolve_margin_spec(margin: MarginSpec) -> Tuple[str, float, str]:
         if margin in PHI_VALUES:
             return "JAC", PHI_VALUES[margin], margin
         raise ValueError(
-            f"no vectorized replay for margin {margin!r}; "
-            f"supported: {REPLAY_MARGINS} or a ('CI'|'JAC', level) pair"
+            f"unknown margin {margin!r}; expected a Table 1 name or a "
+            "('CI'|'JAC', level) pair"
         )
     family, level = margin
     if family not in ("CI", "JAC"):
         raise ValueError(f"margin family must be 'CI' or 'JAC', got {family!r}")
     level = float(level)
-    if level <= 0:
-        raise ValueError(f"margin level must be > 0, got {level!r}")
+    if not math.isfinite(level) or level <= 0:
+        raise ValueError(f"margin level must be finite and > 0, got {level!r}")
     return family, level, f"{family}@{level:g}"
-
-
-def supports_replay(
-    predictor_name: str, margin_name: Optional[MarginSpec] = None
-) -> bool:
-    """Whether the combination has a vectorized replay implementation.
-
-    True for all 30 paper combinations — including ``Arima+*``, whose
-    refit-window batching lives in
-    :func:`~repro.timeseries.arima.batch_arima_predictions`.  Unknown
-    predictors or margins return ``False``.
-    """
-    if predictor_name not in REPLAY_PREDICTORS:
-        return False
-    if margin_name is not None:
-        try:
-            _resolve_margin_spec(margin_name)
-        except (ValueError, TypeError):
-            return False
-    return True
 
 
 def _seeded_ewma(values: "np.ndarray", gain: float) -> "np.ndarray":
@@ -158,21 +127,14 @@ def _seeded_ewma(values: "np.ndarray", gain: float) -> "np.ndarray":
 
 
 def replay_predictions(
-    predictor_name: str,
-    observations: "np.ndarray",
-    *,
-    window: int = WINMEAN_WINDOW,
-    beta: float = LPF_BETA,
-    arima_order: Tuple[int, int, int] = ARIMA_ORDER,
-    arima_refit_interval: int = ARIMA_REFIT_INTERVAL,
-    arima_initial_fit: int = ARIMA_INITIAL_FIT,
-    arima_fit_window: int = ARIMA_FIT_WINDOW,
+    predictor_name: str, observations: "np.ndarray"
 ) -> "np.ndarray":
     """Prediction in force *after* each observation, as an array.
 
     ``out[k]`` equals ``strategy.prediction()`` after feeding
-    ``observations[: k + 1]`` — the forecast the detector arms its next
-    freshness point with.
+    ``observations[: k + 1]`` to the predictor
+    :func:`~repro.fd.combinations.make_predictor` builds — the forecast the
+    detector arms its next freshness point with.
     """
     x = np.asarray(observations, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -181,21 +143,13 @@ def replay_predictions(
     if predictor_name == "Last":
         return x.copy()
     if predictor_name == "Arima":
-        p, d, q = arima_order
         return batch_arima_predictions(
-            x,
-            p,
-            d,
-            q,
-            refit_interval=arima_refit_interval,
-            initial_fit=arima_initial_fit,
-            fit_window=arima_fit_window,
+            x, *ARIMA_ORDER, refit_interval=ARIMA_REFIT_INTERVAL
         )
     if predictor_name == "Mean":
         return np.cumsum(x) / np.arange(1, n + 1)
     if predictor_name == "WinMean":
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+        window = WINMEAN_WINDOW
         cs = np.cumsum(x)
         out = np.empty(n)
         head = min(window, n)
@@ -204,28 +158,20 @@ def replay_predictions(
             out[window:] = (cs[window:] - cs[:-window]) / float(window)
         return out
     if predictor_name == "LPF":
-        if not 0.0 < beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {beta!r}")
-        return _seeded_ewma(x, beta)
+        return _seeded_ewma(x, LPF_BETA)
     raise ValueError(
-        f"no vectorized replay for predictor {predictor_name!r}; "
-        f"supported: {REPLAY_PREDICTORS}"
+        f"unknown predictor {predictor_name!r}; known: {PREDICTOR_NAMES}"
     )
 
 
-def _unit_margin_state(
-    family: str,
-    x: "np.ndarray",
-    predictions: "np.ndarray",
-    initial_prediction: float,
-    alpha: float,
-):
+def _unit_margin_state(family: str, x: "np.ndarray", predictions: "np.ndarray"):
     """The level-free state every margin of one family member scales.
 
     ``"CI"``: the ``(sigma, sqrt(inflation), m2 == 0)`` triple of the
     running moments — independent of the prediction, so one serves every
     ``SM_CI`` row of a trace.  ``"JAC"``: the Jacobson mean deviation of
-    ``|x − prediction in force|`` — one per predictor.
+    ``|x − prediction in force|`` — one per predictor (a predictor with no
+    observation yet predicts 0).
     """
     if family == "CI":
         counts = np.arange(1, x.size + 1, dtype=float)
@@ -244,13 +190,11 @@ def _unit_margin_state(
         return sigma, root, m2 == 0.0
     if predictions.shape != x.shape:
         raise ValueError("predictions must align with observations")
-    in_force = np.concatenate(([float(initial_prediction)], predictions[:-1]))
-    return _seeded_ewma(np.abs(x - in_force), alpha)
+    in_force = np.concatenate(([0.0], predictions[:-1]))
+    return _seeded_ewma(np.abs(x - in_force), JACOBSON_ALPHA)
 
 
-def _scale_margin(
-    family: str, level: float, state, initial_margin: float
-) -> "np.ndarray":
+def _scale_margin(family: str, level: float, state) -> "np.ndarray":
     """One margin row: the unit state times its γ or φ.
 
     Multiplied left to right, as
@@ -263,7 +207,7 @@ def _scale_margin(
     with np.errstate(invalid="ignore"):
         out = level * sigma * root
     out[degenerate] = 0.0  # sigma == 0 -> margin 0, as in the scalar class
-    out[0] = initial_margin  # fewer than two observations
+    out[0] = INITIAL_MARGIN  # fewer than two observations
     return out
 
 
@@ -271,10 +215,6 @@ def replay_margins(
     margin_name: MarginSpec,
     observations: "np.ndarray",
     predictions: "np.ndarray",
-    *,
-    initial_prediction: float = 0.0,
-    initial_margin: float = DEFAULT_INITIAL_MARGIN,
-    alpha: float = JACOBSON_ALPHA,
 ) -> "np.ndarray":
     """Safety margin in force *after* each observation, as an array.
 
@@ -289,10 +229,8 @@ def replay_margins(
     if x.ndim != 1 or x.size == 0:
         raise ValueError("observations must be a non-empty 1-D array")
     family, level, _ = _resolve_margin_spec(margin_name)
-    state = _unit_margin_state(
-        family, x, np.asarray(predictions, dtype=float), initial_prediction, alpha
-    )
-    return _scale_margin(family, level, state, initial_margin)
+    state = _unit_margin_state(family, x, np.asarray(predictions, dtype=float))
+    return _scale_margin(family, level, state)
 
 
 @dataclass(frozen=True)
@@ -315,23 +253,14 @@ def replay_strategy(
     predictor_name: str,
     margin_name: MarginSpec,
     observations: Sequence[float],
-    *,
-    initial_prediction: float = 0.0,
-    initial_margin: float = DEFAULT_INITIAL_MARGIN,
 ) -> StrategyReplay:
     """Vectorized equivalent of feeding every observation to a
     :class:`~repro.fd.timeout.TimeoutStrategy` built by
     :func:`~repro.fd.combinations.make_strategy`."""
     x = np.asarray(observations, dtype=float)
+    family, level, margin_label = _resolve_margin_spec(margin_name)
     predictions = replay_predictions(predictor_name, x)
-    margins = replay_margins(
-        margin_name,
-        x,
-        predictions,
-        initial_prediction=initial_prediction,
-        initial_margin=initial_margin,
-    )
-    _, _, margin_label = _resolve_margin_spec(margin_name)
+    margins = _scale_margin(family, level, _unit_margin_state(family, x, predictions))
     timeouts = np.maximum(0.0, predictions + margins)
     return StrategyReplay(
         detector=f"{predictor_name}+{margin_label}",
@@ -340,16 +269,6 @@ def replay_strategy(
         margins=margins,
         timeouts=timeouts,
     )
-
-
-def replay_combination(
-    detector_id: str,
-    observations: Sequence[float],
-    **kwargs,
-) -> StrategyReplay:
-    """:func:`replay_strategy` keyed by a ``"Predictor+Margin"`` id."""
-    predictor_name, margin_name = parse_combination_id(detector_id)
-    return replay_strategy(predictor_name, margin_name, observations, **kwargs)
 
 
 def replay_strategy_scalar(
@@ -461,7 +380,6 @@ def trace_view(
     lost: Optional[Sequence[bool]] = None,
     initial_timeout: Optional[float] = None,
     end_time: Optional[float] = None,
-    observe_stale: bool = True,
 ) -> TraceView:
     """Resolve a raw trace into arrival order, freshness and observations.
 
@@ -507,33 +425,13 @@ def trace_view(
     horizon = arrivals <= end_time
     arrivals, sequence, sigma = arrivals[horizon], sequence[horizon], sigma[horizon]
 
-    if arrivals.size == 0:
-        return TraceView(
-            eta=float(eta),
-            end_time=float(end_time),
-            initial_timeout=float(initial_timeout),
-            arrival_times=np.empty(0),
-            sequence_numbers=np.empty(0, dtype=int),
-            sigma=np.empty(0),
-            fresh=np.empty(0, dtype=bool),
-            observations=np.empty(0),
-            fresh_observation_index=np.empty(0, dtype=int),
-        )
-
-    # Freshness: sequence number above everything seen so far.
+    # Freshness: sequence number above everything seen so far (no arrival
+    # inside the horizon leaves every array empty).
     running_max = np.maximum.accumulate(sequence)
-    fresh = np.empty(arrivals.size, dtype=bool)
-    fresh[0] = True
+    fresh = np.ones(arrivals.size, dtype=bool)
     fresh[1:] = sequence[1:] > running_max[:-1]
 
-    observed_delays = arrivals - sigma
-    if observe_stale:
-        observations = observed_delays
-        fresh_observation_index = np.flatnonzero(fresh)
-    else:
-        observations = observed_delays[fresh]
-        fresh_observation_index = np.arange(observations.size)
-
+    # Every delivered heartbeat's delay is observed, stale ones included.
     return TraceView(
         eta=float(eta),
         end_time=float(end_time),
@@ -542,8 +440,8 @@ def trace_view(
         sequence_numbers=sequence,
         sigma=sigma,
         fresh=fresh,
-        observations=observations,
-        fresh_observation_index=fresh_observation_index,
+        observations=arrivals - sigma,
+        fresh_observation_index=np.flatnonzero(fresh),
     )
 
 
@@ -602,6 +500,51 @@ def replay_view_with_timeouts(
     )
 
 
+def _replay_rows(
+    rows: Sequence[_Row],
+    send_times: Sequence[float],
+    delays: Sequence[float],
+    *,
+    eta: float,
+    lost: Optional[Sequence[bool]],
+    initial_timeout: Optional[float],
+    end_time: Optional[float],
+) -> Dict[str, DetectorReplay]:
+    """The detector kernel: one trace view, one prediction pass per
+    predictor, one unit margin state per family member, then per row a
+    scale, the clamp and the interval algebra.  Keyed by row label, in
+    row order."""
+    view = trace_view(
+        send_times,
+        delays,
+        eta=eta,
+        lost=lost,
+        initial_timeout=initial_timeout,
+        end_time=end_time,
+    )
+    results: Dict[str, DetectorReplay] = {}
+    if view.arrival_times.size == 0:
+        for label, _, _, _ in rows:
+            results[label] = replay_view_with_timeouts(view, label, np.empty(0))
+        return results
+    x = view.observations
+    predictions_of: Dict[str, "np.ndarray"] = {}
+    # Unit margin states of this call, keyed "CI" / ("JAC", predictor).
+    states: Dict[object, object] = {}
+    for label, predictor_name, family, level in rows:
+        predictions = predictions_of.get(predictor_name)
+        if predictions is None:
+            predictions = replay_predictions(predictor_name, x)
+            predictions_of[predictor_name] = predictions
+        key = family if family == "CI" else (family, predictor_name)
+        state = states.get(key)
+        if state is None:
+            state = states[key] = _unit_margin_state(family, x, predictions)
+        timeouts = np.maximum(0.0, predictions + _scale_margin(family, level, state))
+        results[label] = replay_view_with_timeouts(view, label, timeouts)
+    return results
+
+
 def replay_detector(
     predictor_name: str,
     margin_name: MarginSpec,
@@ -612,40 +555,29 @@ def replay_detector(
     lost: Optional[Sequence[bool]] = None,
     initial_timeout: Optional[float] = None,
     end_time: Optional[float] = None,
-    observe_stale: bool = True,
-    initial_prediction: float = 0.0,
-    initial_margin: float = DEFAULT_INITIAL_MARGIN,
 ) -> DetectorReplay:
-    """Replay a recorded heartbeat trace through a vectorized detector.
+    """Replay a recorded heartbeat trace through one vectorized detector.
 
     Reproduces the event-driven
     :class:`~repro.fd.detector.PushFailureDetector` on that input — same
     freshness points, same suspicion intervals — assuming perfect clocks,
     a monitored process that never crashes, and a monitor started at
-    t = 0 (the offline trace-evaluation setting).  See :func:`trace_view`
+    t = 0 (the offline trace-evaluation setting).  ``margin_name`` is a
+    Table 1 name or a ``("CI", gamma)`` / ``("JAC", phi)`` pair.  The
+    one-row case of :func:`replay_detector_matrix`; see :func:`trace_view`
     for the trace conventions.
     """
-    view = trace_view(
+    family, level, margin_label = _resolve_margin_spec(margin_name)
+    label = f"{predictor_name}+{margin_label}"
+    return _replay_rows(
+        [(label, predictor_name, family, level)],
         send_times,
         delays,
         eta=eta,
         lost=lost,
         initial_timeout=initial_timeout,
         end_time=end_time,
-        observe_stale=observe_stale,
-    )
-    _, _, margin_label = _resolve_margin_spec(margin_name)
-    detector_id = f"{predictor_name}+{margin_label}"
-    if view.arrival_times.size == 0:
-        return replay_view_with_timeouts(view, detector_id, np.empty(0))
-    strategy = replay_strategy(
-        predictor_name,
-        margin_name,
-        view.observations,
-        initial_prediction=initial_prediction,
-        initial_margin=initial_margin,
-    )
-    return replay_view_with_timeouts(view, detector_id, strategy.timeouts)
+    )[label]
 
 
 def replay_detector_matrix(
@@ -657,9 +589,6 @@ def replay_detector_matrix(
     lost: Optional[Sequence[bool]] = None,
     initial_timeout: Optional[float] = None,
     end_time: Optional[float] = None,
-    observe_stale: bool = True,
-    initial_prediction: float = 0.0,
-    initial_margin: float = DEFAULT_INITIAL_MARGIN,
 ) -> Dict[str, DetectorReplay]:
     """Replay one trace through many combinations, sharing the work.
 
@@ -671,45 +600,20 @@ def replay_detector_matrix(
     what is left per row is a scale, a clamp and the interval algebra.
     Returns replays keyed by id, in input order.
     """
-    combos = [parse_combination_id(detector_id) for detector_id in detector_ids]
-    view = trace_view(
+    rows = []
+    for detector_id in detector_ids:
+        predictor_name, margin_name = parse_combination_id(detector_id)
+        family, level, _ = _resolve_margin_spec(margin_name)
+        rows.append((detector_id, predictor_name, family, level))
+    return _replay_rows(
+        rows,
         send_times,
         delays,
         eta=eta,
         lost=lost,
         initial_timeout=initial_timeout,
         end_time=end_time,
-        observe_stale=observe_stale,
     )
-    results: Dict[str, DetectorReplay] = {}
-    if view.arrival_times.size == 0:
-        for detector_id, _ in zip(detector_ids, combos):
-            results[detector_id] = replay_view_with_timeouts(
-                view, detector_id, np.empty(0)
-            )
-        return results
-    x = view.observations
-    predictions_of: Dict[str, "np.ndarray"] = {}
-    # Unit margin states of this call, keyed "CI" / ("JAC", predictor).
-    states: Dict[object, object] = {}
-    for detector_id, (predictor_name, margin_name) in zip(detector_ids, combos):
-        predictions = predictions_of.get(predictor_name)
-        if predictions is None:
-            predictions = replay_predictions(predictor_name, x)
-            predictions_of[predictor_name] = predictions
-        family, level, _ = _resolve_margin_spec(margin_name)
-        key = family if family == "CI" else (family, predictor_name)
-        state = states.get(key)
-        if state is None:
-            state = states[key] = _unit_margin_state(
-                family, x, predictions, initial_prediction, JACOBSON_ALPHA
-            )
-        margins = _scale_margin(family, level, state, initial_margin)
-        timeouts = np.maximum(0.0, predictions + margins)
-        results[detector_id] = replay_view_with_timeouts(
-            view, detector_id, timeouts
-        )
-    return results
 
 
 def replay_detector_scalar(
@@ -722,7 +626,6 @@ def replay_detector_scalar(
     lost: Optional[Sequence[bool]] = None,
     initial_timeout: Optional[float] = None,
     end_time: Optional[float] = None,
-    observe_stale: bool = True,
 ) -> Tuple[List[float], List[Tuple[float, float]]]:
     """Reference detector replay through the scalar strategy classes.
 
@@ -743,9 +646,11 @@ def replay_detector_scalar(
         for i in range(count)
         if not lost_list[i]
     ]
+    if not arrivals:
+        raise ValueError("every heartbeat was lost; nothing to replay")
     arrivals.sort(key=lambda item: item[0])  # stable: ties keep send order
     if end_time is None:
-        end_time = max(a for a, _, _ in arrivals) if arrivals else eta
+        end_time = arrivals[-1][0]
 
     strategy = TimeoutStrategy(
         make_predictor(predictor_name), make_margin(margin_name)
@@ -770,7 +675,7 @@ def replay_detector_scalar(
                 suspecting = False
             deadline = max(arrival, sigma + eta + strategy.timeout())
             freshness_points.append(deadline)
-        elif observe_stale:
+        else:
             strategy.observe(arrival - sigma)
     if suspecting:
         intervals.append((open_start, float(end_time)))
@@ -780,16 +685,10 @@ def replay_detector_scalar(
 
 
 __all__ = [
-    "ARIMA_FIT_WINDOW",
-    "ARIMA_INITIAL_FIT",
-    "DEFAULT_INITIAL_MARGIN",
     "DetectorReplay",
     "MarginSpec",
-    "REPLAY_MARGINS",
-    "REPLAY_PREDICTORS",
     "StrategyReplay",
     "TraceView",
-    "replay_combination",
     "replay_detector",
     "replay_detector_matrix",
     "replay_detector_scalar",
@@ -798,6 +697,5 @@ __all__ = [
     "replay_strategy",
     "replay_strategy_scalar",
     "replay_view_with_timeouts",
-    "supports_replay",
     "trace_view",
 ]

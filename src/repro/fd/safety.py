@@ -120,8 +120,8 @@ class ConfidenceIntervalMargin(SafetyMargin):
         self, gamma: float, *, initial_margin: float = INITIAL_MARGIN
     ) -> None:
         super().__init__(initial_margin)
-        if gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {gamma!r}")
+        if not math.isfinite(gamma) or gamma <= 0:
+            raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
         self.gamma = float(gamma)
         self._accumulator = Welford()
         self._last_observation = 0.0
@@ -183,8 +183,8 @@ class JacobsonMargin(SafetyMargin):
         initial_margin: float = INITIAL_MARGIN,
     ) -> None:
         super().__init__(initial_margin)
-        if phi <= 0:
-            raise ValueError(f"phi must be > 0, got {phi!r}")
+        if not math.isfinite(phi) or phi <= 0:
+            raise ValueError(f"phi must be finite and > 0, got {phi!r}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
         self.phi = float(phi)

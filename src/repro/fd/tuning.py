@@ -14,16 +14,15 @@ autocorrelated paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.experiments.runner import MONITORED, build_qos_system
+from repro.experiments.sweep import _run_one
 from repro.fd.combinations import make_predictor
-from repro.fd.detector import PushFailureDetector
 from repro.fd.safety import ConfidenceIntervalMargin, JacobsonMargin
 from repro.fd.timeout import TimeoutStrategy
 from repro.neko.config import ExperimentConfig
-from repro.nekostat.metrics import DetectorQos, extract_qos
 
 
 @dataclass(frozen=True)
@@ -49,30 +48,6 @@ class TuningResult:
     steps: List[TuningStep]
 
 
-def _evaluate(
-    config: ExperimentConfig,
-    predictor_name: str,
-    family: str,
-    level: float,
-) -> DetectorQos:
-    if family == "CI":
-        margin = ConfidenceIntervalMargin(gamma=level)
-    else:
-        margin = JacobsonMargin(phi=level)
-    strategy = TimeoutStrategy(make_predictor(predictor_name), margin)
-    parts = build_qos_system(config, [], extra_monitor_layers=lambda log: [
-        PushFailureDetector(
-            strategy, MONITORED, config.eta, log,
-            detector_id="tuning", initial_timeout=10.0 * config.eta,
-        )
-    ])
-    parts["system"].run(until=config.duration)  # type: ignore[attr-defined]
-    return extract_qos(
-        parts["event_log"], end_time=config.duration,  # type: ignore[arg-type]
-        detectors=["tuning"],
-    )["tuning"]
-
-
 def tune_margin_level(
     config: ExperimentConfig,
     target_t_mr: float,
@@ -95,13 +70,20 @@ def tune_margin_level(
         raise ValueError(f"family must be 'CI' or 'JAC', got {family!r}")
     if target_t_mr <= 0:
         raise ValueError(f"target_t_mr must be > 0, got {target_t_mr!r}")
+    if not (math.isfinite(initial_level) and math.isfinite(max_level)):
+        raise ValueError("initial_level and max_level must be finite")
     if initial_level <= 0 or max_level < initial_level:
         raise ValueError("need 0 < initial_level <= max_level")
 
     steps: List[TuningStep] = []
 
     def measure(level: float) -> TuningStep:
-        qos = _evaluate(config, predictor_name, family, level)
+        if family == "CI":
+            margin = ConfidenceIntervalMargin(gamma=level)
+        else:
+            margin = JacobsonMargin(phi=level)
+        strategy = TimeoutStrategy(make_predictor(predictor_name), margin)
+        qos = _run_one(config, strategy, "tuning")
         t_mr = qos.t_mr.mean if qos.t_mr else float("inf")
         t_d = qos.t_d.mean if qos.t_d else float("nan")
         step = TuningStep(level=level, t_mr=t_mr, t_d=t_d, met=t_mr >= target_t_mr)

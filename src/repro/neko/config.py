@@ -58,6 +58,12 @@ class ExperimentConfig:
         return self.num_cycles * self.eta
 
     @property
+    def initial_timeout(self) -> float:
+        """The detectors' time-out before the first heartbeat:
+        ``extras["initial_timeout"]`` when set, else ``10 * eta``."""
+        return self.extras.get("initial_timeout", 10.0 * self.eta)
+
+    @property
     def expected_crashes(self) -> float:
         """Expected number of injected crashes in the run."""
         return self.duration / (self.mttc + self.ttr)

@@ -26,6 +26,11 @@ import numpy as np
 from repro.timeseries.arma import ArmaModel, fit_arma_hannan_rissanen
 from repro.timeseries.base import Forecaster
 
+#: The fit schedule beyond the refit interval: the observation count of
+#: the first fit, and how many recent observations each fit reads.
+INITIAL_FIT = 200
+FIT_WINDOW = 4000
+
 
 def difference(series, d: int) -> np.ndarray:
     """Apply the difference operator ``(1 − B)^d`` to a series."""
@@ -104,8 +109,8 @@ def batch_arima_predictions(
     q: int = 1,
     *,
     refit_interval: int = 1000,
-    initial_fit: int = 200,
-    fit_window: int = 4000,
+    initial_fit: int = INITIAL_FIT,
+    fit_window: int = FIT_WINDOW,
 ) -> np.ndarray:
     """Batched ARIMA replay: ``out[k]`` equals ``forecaster.predict()``
     after feeding ``observations[: k + 1]`` to an :class:`ArimaForecaster`
@@ -284,8 +289,8 @@ class ArimaForecaster(Forecaster):
         q: int,
         *,
         refit_interval: int = 1000,
-        initial_fit: int = 200,
-        fit_window: int = 4000,
+        initial_fit: int = INITIAL_FIT,
+        fit_window: int = FIT_WINDOW,
     ) -> None:
         if min(p, d, q) < 0:
             raise ValueError(f"orders must be >= 0, got ({p}, {d}, {q})")
@@ -436,6 +441,8 @@ class ArimaForecaster(Forecaster):
 
 
 __all__ = [
+    "FIT_WINDOW",
+    "INITIAL_FIT",
     "ArimaForecaster",
     "batch_arima_predictions",
     "difference",

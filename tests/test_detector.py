@@ -164,16 +164,6 @@ class TestFalsePositives:
         # The stale delay (1.5) was fed to the predictor (LAST).
         assert detectors[0].strategy.prediction() == pytest.approx(1.5)
 
-    def test_observe_stale_false_skips_stale_delays(self, sim, event_log):
-        delays = [0.2] * 5 + [1.5] + [0.2] * 50
-        strategy = TimeoutStrategy(LastPredictor(), ConstantMargin(0.1))
-        detector = PushFailureDetector(
-            strategy, "monitored", 1.0, event_log,
-            detector_id="fd", initial_timeout=5.0, observe_stale=False,
-        )
-        build(sim, event_log, TraceDelay(delays), detectors=[detector])
-        sim_run(sim, 6.6)
-        assert detector.strategy.prediction() == pytest.approx(0.2)
 
 
 class TestInitialBehaviour:

@@ -56,7 +56,7 @@ def heartbeat(seq, *, eta=ETA, timestamp=None):
     )
 
 
-def scalar_uppers(ids, event_log, hook_factory, tracer, observe_stale):
+def scalar_uppers(ids, event_log, hook_factory, tracer):
     """Today's bank: one detector, one strategy and one timer per id."""
     return [
         PushFailureDetector(
@@ -66,7 +66,6 @@ def scalar_uppers(ids, event_log, hook_factory, tracer, observe_stale):
             event_log,
             detector_id=detector_id,
             initial_timeout=INITIAL_TIMEOUT,
-            observe_stale=observe_stale,
             on_transition=hook_factory(detector_id),
             tracer=tracer,
         )
@@ -74,7 +73,7 @@ def scalar_uppers(ids, event_log, hook_factory, tracer, observe_stale):
     ]
 
 
-def fused_uppers(ids, event_log, hook_factory, tracer, observe_stale):
+def fused_uppers(ids, event_log, hook_factory, tracer):
     return [
         make_detector_bank(
             "q",
@@ -82,7 +81,6 @@ def fused_uppers(ids, event_log, hook_factory, tracer, observe_stale):
             event_log,
             ids,
             initial_timeout=INITIAL_TIMEOUT,
-            observe_stale=observe_stale,
             on_transition_factory=hook_factory,
             tracer=tracer,
         )
@@ -92,15 +90,13 @@ def fused_uppers(ids, event_log, hook_factory, tracer, observe_stale):
 class Observed:
     """Everything one run of one stack lets an observer see."""
 
-    def __init__(self, build, ids, arrivals, *, until, observe_stale=True,
+    def __init__(self, build, ids, arrivals, *, until,
                  offset=0.0, drift=0.0, steps=(), trace_path=None):
         self.sim = Simulator()
         self.event_log = EventLog()
         self.tracer = TraceRecorder(trace_path, ring_capacity=1_000_000)
         self.hook_calls = []
-        self.uppers = build(
-            ids, self.event_log, self._hook, self.tracer, observe_stale
-        )
+        self.uppers = build(ids, self.event_log, self._hook, self.tracer)
         system = NekoSystem(self.sim)
         clock = (
             DriftingClock(self.sim, offset=offset, drift=drift)
@@ -239,17 +235,16 @@ def arrivals_of(delays, crash_spans):
 
 
 class TestDifferential:
-    @given(beats, crashes, detector_sets, clocks, st.booleans())
+    @given(beats, crashes, detector_sets, clocks)
     @settings(max_examples=examples(60), deadline=None)
     def test_fused_bank_equals_thirty_detectors(
-        self, delays, crash_spans, ids, clock, observe_stale
+        self, delays, crash_spans, ids, clock
     ):
         offset, drift = clock
         assert_same(
             ids,
             arrivals_of(delays, crash_spans),
             until=len(delays) * ETA + 12.0,
-            observe_stale=observe_stale,
             offset=offset,
             drift=drift,
         )
@@ -430,13 +425,6 @@ class TestStaleHeartbeat:
             moved += event.data["timeout"] != armed[event.detector]["timeout"]
         assert moved == 30
 
-    def test_unobserved_stale_heartbeat_moves_nothing(self):
-        fused = assert_same(ALL_IDS, self.ARRIVALS, until=30.0, observe_stale=False)
-        assert fused.uppers[0].stale_heartbeats == 1
-        armed = self._armed_by_heartbeat_3(fused)
-        for event in self._final_suspicions(fused):
-            assert event.time == armed[event.detector]["deadline"]
-            assert event.data["timeout"] == armed[event.detector]["timeout"]
 
 
 class TestSmallBanks:
@@ -596,7 +584,7 @@ class TestAsyncioScheduler:
         async def main():
             scheduler = AsyncioScheduler(asyncio.get_running_loop())
             log = EventLog()
-            uppers = build(ALL_IDS, log, lambda _id: None, None, True)
+            uppers = build(ALL_IDS, log, lambda _id: None, None)
             process = NekoProcess(
                 NekoSystem(scheduler, RecordingNetwork()),  # type: ignore[arg-type]
                 "p",

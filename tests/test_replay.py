@@ -17,20 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.fd.replay as replay_module
+from tests.conftest import examples
 from repro.clocks.clock import PerfectClock
 from repro.fd.combinations import (
     GAMMA_VALUES,
     JACOBSON_ALPHA,
     MARGIN_NAMES,
     PHI_VALUES,
+    PREDICTOR_NAMES,
     combination_ids,
     make_strategy,
 )
 from repro.fd.detector import PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.replay import (
-    REPLAY_PREDICTORS,
-    replay_combination,
     replay_detector,
     replay_detector_matrix,
     replay_detector_scalar,
@@ -38,7 +38,6 @@ from repro.fd.replay import (
     replay_predictions,
     replay_strategy,
     replay_strategy_scalar,
-    supports_replay,
 )
 from repro.timeseries.arima import ArimaForecaster, batch_arima_predictions
 from repro.neko.layer import ProtocolStack
@@ -59,36 +58,59 @@ def make_trace(n, seed=42, spike_probability=0.01):
     return delays + spikes * rng.uniform(0.3, 2.5, n)
 
 
+def short_trace(n=40):
+    return np.arange(n) * 1.0, make_trace(n), dict(eta=1.0, end_time=float(n))
+
+
 class TestSupports:
+    """Every combination id and every valid margin spec replays; the
+    rest raise before any work is done."""
+
     def test_vectorized_predictors(self):
-        for name in REPLAY_PREDICTORS:
-            assert supports_replay(name)
+        x = make_trace(300)
+        for name in PREDICTOR_NAMES:
+            assert replay_predictions(name, x).shape == x.shape
+        with pytest.raises(ValueError, match="unknown predictor"):
+            replay_predictions("Nope", x)
 
     def test_all_thirty_combinations_supported(self):
-        for detector_id in combination_ids():
-            predictor, margin = detector_id.split("+")
-            assert supports_replay(predictor, margin), detector_id
+        sends, delays, kwargs = short_trace()
+        matrix = replay_detector_matrix(combination_ids(), sends, delays, **kwargs)
+        assert list(matrix) == combination_ids()
 
     def test_arima_is_vectorized(self):
-        assert supports_replay("Arima")
-        assert supports_replay("Arima", "CI_low")
+        sends, delays, kwargs = short_trace()
+        replayed = replay_detector("Arima", "CI_low", sends, delays, **kwargs)
+        assert replayed.detector == "Arima+CI_low"
 
     def test_margin_spec_tuples(self):
-        assert supports_replay("Last", ("CI", 0.7))
-        assert supports_replay("Last", ("JAC", 2.5))
-        assert not supports_replay("Last", ("XX", 1.0))
-        assert not supports_replay("Last", ("CI", -1.0))
+        sends, delays, kwargs = short_trace()
+        replayed = replay_detector("Last", ("CI", 0.7), sends, delays, **kwargs)
+        assert replayed.detector == "Last+CI@0.7"
+        replay_detector("Last", ("JAC", 2.5), sends, delays, **kwargs)
+        for spec in (("XX", 1.0), ("CI", -1.0)):
+            with pytest.raises(ValueError):
+                replay_detector("Last", spec, sends, delays, **kwargs)
 
     def test_unknown_margin_rejected(self):
-        assert not supports_replay("Last", "nope")
+        sends, delays, kwargs = short_trace()
+        with pytest.raises(ValueError, match="unknown margin"):
+            replay_detector("Last", "nope", sends, delays, **kwargs)
         with pytest.raises(ValueError):
             replay_strategy("Last", "nope", [0.1, 0.2])
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("family", ["CI", "JAC"])
+    def test_non_finite_level_rejected(self, family, level):
+        sends, delays, kwargs = short_trace()
+        with pytest.raises(ValueError, match="finite"):
+            replay_detector("Last", (family, level), sends, delays, **kwargs)
 
 
 class TestStrategyEquivalence:
     """Vectorized sequences == scalar TimeoutStrategy, all 24 combos."""
 
-    @pytest.mark.parametrize("predictor", REPLAY_PREDICTORS)
+    @pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
     @pytest.mark.parametrize("margin", MARGIN_NAMES)
     def test_matches_scalar_classes(self, predictor, margin):
         observations = make_trace(3000)
@@ -101,13 +123,6 @@ class TestStrategyEquivalence:
         )
         np.testing.assert_allclose(fast.margins, margins, rtol=0, atol=TOLERANCE)
         np.testing.assert_allclose(fast.timeouts, timeouts, rtol=0, atol=TOLERANCE)
-
-    def test_combination_id_entry_point(self):
-        observations = make_trace(500)
-        by_id = replay_combination("Last+JAC_med", observations)
-        by_name = replay_strategy("Last", "JAC_med", observations)
-        np.testing.assert_array_equal(by_id.timeouts, by_name.timeouts)
-        assert by_id.detector == "Last+JAC_med"
 
     def test_short_traces(self):
         for n in (1, 2, 3):
@@ -224,29 +239,15 @@ class TestDetectorReplay:
         for (a, b), (c, d) in zip(fast.suspicion_intervals(), intervals):
             assert abs(a - c) < TOLERANCE and abs(b - d) < TOLERANCE
 
-    def test_observe_stale_false_path(self):
-        n, eta = 1000, 1.0
-        delays = make_trace(n, seed=3, spike_probability=0.05)
-        sends = np.arange(n) * eta
-        fast = replay_detector(
-            "Last", "JAC_med", sends, delays, eta=eta,
-            end_time=n * eta, observe_stale=False,
-        )
-        taus, intervals = replay_detector_scalar(
-            "Last", "JAC_med", sends, delays, eta=eta,
-            end_time=n * eta, observe_stale=False,
-        )
-        np.testing.assert_allclose(fast.freshness_points, taus, rtol=0, atol=TOLERANCE)
-        assert len(fast.suspicion_intervals()) == len(intervals)
-
     def test_all_heartbeats_lost_is_rejected(self):
         n, eta = 10, 1.0
-        with pytest.raises(ValueError, match="every heartbeat was lost"):
-            replay_detector(
-                "Last", "JAC_med",
-                np.arange(n) * eta, np.full(n, 0.1),
-                eta=eta, lost=np.ones(n, dtype=bool), end_time=50.0,
-            )
+        for replay in (replay_detector, replay_detector_scalar):
+            with pytest.raises(ValueError, match="every heartbeat was lost"):
+                replay(
+                    "Last", "JAC_med",
+                    np.arange(n) * eta, np.full(n, 0.1),
+                    eta=eta, lost=np.ones(n, dtype=bool), end_time=50.0,
+                )
 
     def test_qos_packaging(self):
         n, eta = 2000, 1.0
@@ -312,7 +313,7 @@ class TestMarginRows:
     """A row of the matrix is a unit state times its level — and, float for
     float, the row the level-inside formulas give."""
 
-    @pytest.mark.parametrize("predictor", REPLAY_PREDICTORS)
+    @pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
     def test_rows_equal_the_level_inside_formulas(self, predictor):
         x = make_trace(900, seed=17, spike_probability=0.03)
         predictions = replay_predictions(predictor, x)
@@ -352,16 +353,10 @@ class TestDetectorMatrix:
     shared instead of recomputed 30 times."""
 
     def test_full_matrix_matches_individual_replays(self):
-        self.check_full_matrix(observe_stale=True)
-
-    def test_full_matrix_without_stale_observations(self):
-        self.check_full_matrix(observe_stale=False)
-
-    def check_full_matrix(self, observe_stale):
         n = 1500
         sends, delays, lost = awkward_trace(n, seed=31)
         ids = combination_ids()
-        kwargs = dict(eta=1.0, lost=lost, end_time=float(n), observe_stale=observe_stale)
+        kwargs = dict(eta=1.0, lost=lost, end_time=float(n))
         matrix = replay_detector_matrix(ids, sends, delays, **kwargs)
         assert list(matrix) == ids
         assert not matrix[ids[0]].fresh.all()  # the trace does reorder
@@ -370,22 +365,37 @@ class TestDetectorMatrix:
             single = replay_detector(predictor, margin, sends, delays, **kwargs)
             assert_same_replay(matrix[detector_id], single)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     @given(
         ids=st.lists(st.sampled_from(combination_ids()), min_size=1, max_size=8),
         seed=st.integers(0, 50),
-        observe_stale=st.booleans(),
     )
-    def test_any_subset_order_and_repetition(self, ids, seed, observe_stale):
+    def test_any_subset_order_and_repetition(self, ids, seed):
         n = 320  # past ARIMA's first fit at 200 observations
         sends, delays, lost = awkward_trace(n, seed=seed)
-        kwargs = dict(eta=1.0, lost=lost, end_time=float(n), observe_stale=observe_stale)
+        kwargs = dict(eta=1.0, lost=lost, end_time=float(n))
         matrix = replay_detector_matrix(ids, sends, delays, **kwargs)
         assert list(matrix) == list(dict.fromkeys(ids))
         for detector_id in ids:
             predictor, margin = detector_id.split("+")
             single = replay_detector(predictor, margin, sends, delays, **kwargs)
             assert_same_replay(matrix[detector_id], single)
+
+    @pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
+    def test_explicit_level_row_equals_its_table_name(self, predictor):
+        """A ``("CI", 2.0)`` / ``("JAC", 2.0)`` row is ``CI_med`` / ``JAC_med``
+        bit for bit; only the label differs."""
+        n = 400
+        sends, delays, lost = awkward_trace(n, seed=8)
+        kwargs = dict(eta=1.0, lost=lost, end_time=float(n))
+        for family, name in (("CI", "CI_med"), ("JAC", "JAC_med")):
+            named = replay_detector(predictor, name, sends, delays, **kwargs)
+            level = replay_detector(predictor, (family, 2.0), sends, delays, **kwargs)
+            assert level.detector == f"{predictor}+{family}@2"
+            assert np.array_equal(level.timeouts, named.timeouts)
+            assert np.array_equal(level.freshness_points, named.freshness_points)
+            assert np.array_equal(level.suspicion_starts, named.suspicion_starts)
+            assert np.array_equal(level.suspicion_ends, named.suspicion_ends)
 
     def test_no_arrival_inside_the_horizon(self):
         sends, delays = np.arange(5) * 1.0, np.full(5, 30.0)

@@ -84,6 +84,11 @@ class TestConfidenceIntervalMargin:
         with pytest.raises(ValueError):
             ConfidenceIntervalMargin(gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            ConfidenceIntervalMargin(gamma=gamma)
+
     def test_non_finite_observation_rejected(self):
         with pytest.raises(ValueError):
             ConfidenceIntervalMargin(gamma=1.0).update(float("inf"), 0.0)
@@ -154,6 +159,11 @@ class TestJacobsonMargin:
             JacobsonMargin(phi=1.0, alpha=0.0)
         with pytest.raises(ValueError):
             JacobsonMargin(phi=1.0).update(float("nan"), 0.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        with pytest.raises(ValueError, match="finite"):
+            JacobsonMargin(phi=phi)
 
 
 class TestBertierMargin:

@@ -1,6 +1,7 @@
 """Tests for parameter sweeps and margin tuning."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.experiments.sweep import (
     sweep_eta,
     sweep_margin_level,
 )
+from repro.fd.detector import PushFailureDetector
 from repro.fd.tuning import tune_margin_level
 from repro.neko.config import ExperimentConfig
 
@@ -74,6 +76,12 @@ class TestSweepMargin:
         with pytest.raises(ValueError):
             sweep_margin_level(FAST, [-1.0])
 
+    @pytest.mark.parametrize("engine", ["simulator", "replay"])
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_non_finite_level_rejected(self, level, engine):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_margin_level(FAST, [1.0, level], engine=engine)
+
     def test_format_sweep(self, ci_points):
         text = format_sweep(ci_points, "gamma")
         assert "gamma" in text and "P_A" in text
@@ -121,3 +129,26 @@ class TestTuning:
             tune_margin_level(FAST, 0.0)
         with pytest.raises(ValueError):
             tune_margin_level(FAST, 60.0, initial_level=8.0, max_level=4.0)
+
+    @pytest.mark.parametrize(
+        "initial_level, max_level", [(math.nan, 64.0), (1.0, math.inf)]
+    )
+    def test_non_finite_levels_rejected(self, initial_level, max_level):
+        # A target every detector meets: only the validation can refuse.
+        with pytest.raises(ValueError, match="finite"):
+            tune_margin_level(
+                FAST, 0.001, initial_level=initial_level, max_level=max_level
+            )
+
+    def test_detector_armed_with_the_campaign_initial_timeout(self, monkeypatch):
+        armed = []
+        original = PushFailureDetector.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            armed.append(self._initial_timeout)
+
+        monkeypatch.setattr(PushFailureDetector, "__init__", spy)
+        config = replace(FAST, extras={"initial_timeout": 3.5})
+        tune_margin_level(config, 0.001, refine_iterations=0)
+        assert armed == [3.5]
