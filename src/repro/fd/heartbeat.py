@@ -47,6 +47,13 @@ class Heartbeater(Layer):
         self.sent = 0
         self.last_send_time: Optional[float] = None
 
+    def on_attach(self) -> None:
+        # What every beat reads, bound once.
+        process = self.process
+        self._sim = process.sim
+        self._address = process.address
+        self._local_time = process.clock.now
+
     def on_start(self) -> None:
         self._timer = self.process.periodic_timer(
             self.eta, self._beat, start=self._start, name="heartbeat"
@@ -59,10 +66,11 @@ class Heartbeater(Layer):
             self._timer.stop()
 
     def _beat(self, seq: int) -> None:
-        timestamp = self.process.local_time()
-        self.last_send_time = self.process.sim.now
+        timestamp = self._local_time()
+        now = self._sim.now
+        self.last_send_time = now
         message = Datagram(
-            source=self.process.address,
+            source=self._address,
             destination=self.monitor,
             kind="heartbeat",
             seq=seq,
@@ -72,9 +80,9 @@ class Heartbeater(Layer):
         if self._event_log is not None and self._record_sent_events:
             self._event_log.append(
                 StatEvent(
-                    time=self.process.sim.now,
+                    time=now,
                     kind=EventKind.SENT,
-                    site=self.process.address,
+                    site=self._address,
                     seq=seq,
                     local_time=timestamp,
                 )

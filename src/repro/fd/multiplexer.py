@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids fd -> obs import
     from repro.obs.trace import TraceRecorder
 
-from repro.neko.layer import Layer
+from repro.neko.layer import Handler, Layer
 from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.log import EventLog
 from repro.net.message import Datagram
@@ -31,8 +31,9 @@ class MultiPlexer(Layer):
     """Fans every delivered message out to a set of upper layers.
 
     The upper layers are full citizens of the process: they are attached
-    to it when the MultiPlexer is, their ``on_start`` hooks run, and their
-    ``send_down`` goes through the MultiPlexer to the network.
+    to it when the MultiPlexer is, their ``on_start`` hooks run, and they
+    are wired when it is — their ``send_down`` is the MultiPlexer's
+    effective ``send``, towards the network.
     """
 
     def __init__(
@@ -48,8 +49,7 @@ class MultiPlexer(Layer):
         self._event_log = event_log
         self._record_received_events = bool(record_received_events)
         self._tracer = tracer
-        for upper in self._uppers:
-            upper._down = self
+        self._upper_delivers: List[Handler] = [upper.deliver for upper in self._uppers]
         self.messages_fanned_out = 0
 
     @property
@@ -57,16 +57,15 @@ class MultiPlexer(Layer):
         """The layers fed by this MultiPlexer."""
         return list(self._uppers)
 
-    def add_upper(self, layer: Layer) -> None:
-        """Attach one more consumer (before the system starts)."""
-        layer._down = self
-        if self.attached:
-            layer._attach(self.process)
-        self._uppers.append(layer)
-
     def on_attach(self) -> None:
         for upper in self._uppers:
             upper._attach(self.process)
+
+    def _wire(self, send_down: Handler, deliver_up: Optional[Handler]) -> None:
+        super()._wire(send_down, deliver_up)
+        for upper in self._uppers:
+            upper._wire(self.send, None)
+        self._upper_delivers = [upper.deliver for upper in self._uppers]
 
     def on_start(self) -> None:
         for upper in self._uppers:
@@ -93,8 +92,8 @@ class MultiPlexer(Layer):
                 seq=message.seq,
             )
         self.messages_fanned_out += 1
-        for upper in self._uppers:
-            upper.deliver(message)
+        for deliver in self._upper_delivers:
+            deliver(message)
         self.deliver_up(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

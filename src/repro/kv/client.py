@@ -168,8 +168,11 @@ class KvClientLayer(Layer):
     # Lifecycle
     # ------------------------------------------------------------------
     def on_attach(self) -> None:
-        self._op_timer = self.process.timer(self._on_op_timeout, name="kv-op-timeout")
-        self._think_timer = self.process.timer(self._begin_op, name="kv-think")
+        process = self.process
+        self._sim = process.sim
+        self._address = process.address
+        self._op_timer = process.timer(self._on_op_timeout, name="kv-op-timeout")
+        self._think_timer = process.timer(self._begin_op, name="kv-think")
 
     def on_start(self) -> None:
         # Stagger client start-ups so they do not issue in lock-step.
@@ -210,14 +213,13 @@ class KvClientLayer(Layer):
         op = spec.choose_op(self._rng)
         key = spec.choose_key(self._rng)
         self._op_counter += 1
-        process = self.process
-        address = process.address
+        address = self._address
         uid = f"{address}:{self._op_counter}"
         value = None
         if op == "set":
             value = f"{address}-v{self._op_counter}"
         self._active = _ActiveOp(
-            op=op, key=key, uid=uid, value=value, start=process.sim.now
+            op=op, key=key, uid=uid, value=value, start=self._sim.now
         )
         self._transmit()
 
@@ -233,7 +235,7 @@ class KvClientLayer(Layer):
             kind = KV_SET
         self.send_down(
             Datagram(
-                source=self.process.address,
+                source=self._address,
                 destination=target,
                 kind=kind,
                 payload=payload,
@@ -272,7 +274,7 @@ class KvClientLayer(Layer):
                 key=active.key,
                 uid=active.uid,
                 start=active.start,
-                end=self.process.sim.now,
+                end=self._sim.now,
                 ok=ok,
                 stale=stale,
                 retries=active.attempts,

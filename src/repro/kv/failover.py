@@ -115,8 +115,13 @@ class FailoverControllerLayer(Layer):
         self._rebroadcast: Optional[PeriodicTimer] = None
         self.view_log: List[Tuple[float, ViewChange]] = []
 
+    def on_attach(self) -> None:
+        process = self.process
+        self._sim = process.sim
+        self._address = process.address
+
     def on_start(self) -> None:
-        self.view_log.append((self.process.sim.now, self.state.view))
+        self.view_log.append((self._sim.now, self.state.view))
         self._rebroadcast = self.process.periodic_timer(
             self.rebroadcast_interval, self._tick, name="kv-view-rebroadcast"
         )
@@ -132,9 +137,10 @@ class FailoverControllerLayer(Layer):
         change = self.state.on_transition(node, suspected)
         if change is None:
             return
-        self.view_log.append((self.process.sim.now, change))
+        now = self._sim.now
+        self.view_log.append((now, change))
         if self._on_view_change is not None:
-            self._on_view_change(self.process.sim.now, change)
+            self._on_view_change(now, change)
         self.broadcast_view()
 
     def broadcast_view(self) -> None:
@@ -146,7 +152,7 @@ class FailoverControllerLayer(Layer):
         for listener in self.listeners:
             self.send_down(
                 Datagram(
-                    source=self.process.address,
+                    source=self._address,
                     destination=listener,
                     kind=KV_VIEW,
                     payload=dict(payload),

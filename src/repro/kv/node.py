@@ -288,6 +288,9 @@ class KvNodeLayer(Layer):
         super().__init__(name=f"KvNode({core.name})")
         self.core = core
 
+    def on_attach(self) -> None:
+        self._address = self.process.address
+
     def deliver(self, message: Datagram) -> None:
         if message.kind not in NODE_KINDS:
             self.deliver_up(message)
@@ -297,7 +300,7 @@ class KvNodeLayer(Layer):
         ):
             self.send_down(
                 Datagram(
-                    source=self.process.address,
+                    source=self._address,
                     destination=destination,
                     kind=kind,
                     payload=payload,

@@ -8,10 +8,14 @@ directions:
 * :meth:`Layer.deliver` — invoked by the layer *below*; the default
   forwards up towards the application.
 
-A :class:`ProtocolStack` wires a list of layers top-to-bottom and connects
-the bottom layer to the process's network access.  Layers that fan out to
-several upper layers (the paper's MultiPlexer) override ``deliver`` and
-manage their own upper list.
+A :class:`ProtocolStack` is wired once, when its process attaches it:
+each layer's ``send_down`` becomes the effective ``send`` of the layer
+below (the bottom's is the process's network sender) and its
+``deliver_up`` the effective ``deliver`` of the layer above.  A layer
+whose class does not override ``send`` or ``deliver`` has that attribute
+bound straight through to its neighbour, so a datagram crosses a
+pass-through layer without a call.  Layers that fan out to several upper
+layers (the paper's MultiPlexer) override ``deliver`` and :meth:`_wire`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from repro.net.message import Datagram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.neko.process import NekoProcess
+
+Handler = Callable[[Datagram], None]
 
 
 class Layer:
@@ -34,10 +40,7 @@ class Layer:
 
     def __init__(self, name: str = "") -> None:
         self.name = name or type(self).__name__
-        self._up: Optional["Layer"] = None
-        self._down: Optional["Layer"] = None
         self._process: Optional["NekoProcess"] = None
-        self._send_down: Optional[Callable[[Datagram], None]] = None
 
     # ------------------------------------------------------------------
     # Wiring (called by ProtocolStack / NekoProcess)
@@ -55,8 +58,23 @@ class Layer:
         return self._process is not None
 
     def _attach(self, process: "NekoProcess") -> None:
+        if self._process is not None:
+            raise RuntimeError(f"layer {self.name!r} already belongs to a process")
         self._process = process
         self.on_attach()
+
+    def _wire(self, send_down: Handler, deliver_up: Optional[Handler]) -> None:
+        """Bind the neighbours: ``send_down`` is the effective ``send`` of
+        what is below, ``deliver_up`` the effective ``deliver`` of what is
+        above (``None`` for a top layer, whose ``deliver_up`` drops).  A
+        direction the class does not override is bound straight through."""
+        self.send_down = send_down
+        if deliver_up is not None:
+            self.deliver_up = deliver_up
+        if type(self).send is Layer.send:
+            self.send = self.send_down
+        if type(self).deliver is Layer.deliver:
+            self.deliver = self.deliver_up
 
     def on_attach(self) -> None:
         """Hook invoked once the layer knows its process; override to
@@ -67,7 +85,7 @@ class Layer:
         periodic activity.  Default: no-op."""
 
     # ------------------------------------------------------------------
-    # Message flow
+    # Message flow (wiring rebinds the forwarding methods per instance)
     # ------------------------------------------------------------------
     def send(self, message: Datagram) -> None:
         """Handle a message travelling down; default forwards below."""
@@ -78,23 +96,17 @@ class Layer:
         self.deliver_up(message)
 
     def send_down(self, message: Datagram) -> None:
-        """Forward ``message`` to the layer below (or the network)."""
-        if self._down is not None:
-            self._down.send(message)
-        elif self._send_down is not None:
-            self._send_down(message)
-        else:
-            raise RuntimeError(
-                f"layer {self.name!r} has nothing below to send to; "
-                "is the stack attached to a process?"
-            )
+        """Forward ``message`` to the layer below (or the network); an
+        unwired layer has nothing below."""
+        raise RuntimeError(
+            f"layer {self.name!r} has nothing below to send to; "
+            "is the stack attached to a process?"
+        )
 
     def deliver_up(self, message: Datagram) -> None:
         """Forward ``message`` to the layer above; dropped silently if this
         is the top layer (matching Neko, where an application layer simply
         consumes what it cares about)."""
-        if self._up is not None:
-            self._up.deliver(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -103,19 +115,18 @@ class Layer:
 class ProtocolStack:
     """An ordered stack of layers, listed top (application) first.
 
-    The stack wires each layer's ``up``/``down`` neighbours.  The bottom
-    layer's ``send_down`` goes to the network sender supplied by the
-    process at attach time; datagrams arriving from the network enter at
-    the bottom via :meth:`deliver_from_network`.
+    :meth:`attach` wires each layer to its neighbours once; the bottom
+    layer's ``send_down`` is the network sender supplied by the process,
+    and datagrams arriving from the network enter at the bottom layer's
+    effective ``deliver``.
     """
 
     def __init__(self, layers: Sequence[Layer]) -> None:
         if not layers:
             raise ValueError("a protocol stack needs at least one layer")
         self._layers: List[Layer] = list(layers)
-        for upper, lower in zip(self._layers, self._layers[1:]):
-            upper._down = lower
-            lower._up = upper
+        if len({id(layer) for layer in self._layers}) != len(self._layers):
+            raise ValueError("a layer may appear only once in a protocol stack")
 
     @property
     def layers(self) -> List[Layer]:
@@ -139,24 +150,25 @@ class ProtocolStack:
                 return layer
         raise LookupError(f"no layer of type {layer_type.__name__} in stack")
 
-    def attach(
-        self,
-        process: "NekoProcess",
-        send_to_network: Callable[[Datagram], None],
-    ) -> None:
-        """Bind every layer to ``process`` and the bottom to the network."""
-        for layer in self._layers:
+    def attach(self, process: "NekoProcess", send_to_network: Handler) -> None:
+        """Bind every layer to ``process``, then wire the stack: bottom-up
+        for ``send_down`` (the bottom's is ``send_to_network``), top-down
+        for ``deliver_up``."""
+        layers = self._layers
+        for layer in layers:
             layer._attach(process)
-        self.bottom._send_down = send_to_network
+        sends = [send_to_network]  # the effective send below each layer
+        for layer in reversed(layers[1:]):
+            sends.append(sends[-1] if type(layer).send is Layer.send else layer.send)
+        deliver_up: Optional[Handler] = None
+        for layer, send_down in zip(layers, reversed(sends)):
+            layer._wire(send_down, deliver_up)
+            deliver_up = layer.deliver
 
     def start(self) -> None:
         """Invoke ``on_start`` bottom-up (substrates before applications)."""
         for layer in reversed(self._layers):
             layer.on_start()
-
-    def deliver_from_network(self, message: Datagram) -> None:
-        """Entry point for datagrams arriving from the network."""
-        self.bottom.deliver(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = " / ".join(layer.name for layer in self._layers)

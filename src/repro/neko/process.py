@@ -35,43 +35,23 @@ class NekoProcess:
     ) -> None:
         if not address:
             raise ValueError("process address must be non-empty")
-        self._system = system
-        self._address = address
-        self._stack = stack
-        self._clock = clock if clock is not None else PerfectClock(system.sim)
+        #: The system this process belongs to.
+        self.system = system
+        #: The network address (name) of this process.
+        self.address = address
+        #: The scheduling engine (virtual time in simulations).
+        self.sim: Simulator = system.sim
+        #: This process's local clock.
+        self.clock: Clock = clock if clock is not None else PerfectClock(self.sim)
+        #: The protocol stack.
+        self.stack = stack
+        self._network_send = system.network.send
         stack.attach(self, self._send_to_network)
-
-    # ------------------------------------------------------------------
-    # Identity and environment
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> str:
-        """The network address (name) of this process."""
-        return self._address
-
-    @property
-    def system(self) -> "NekoSystem":
-        """The system this process belongs to."""
-        return self._system
-
-    @property
-    def sim(self) -> Simulator:
-        """The scheduling engine (virtual time in simulations)."""
-        return self._system.sim
-
-    @property
-    def clock(self) -> Clock:
-        """This process's local clock."""
-        return self._clock
-
-    @property
-    def stack(self) -> ProtocolStack:
-        """The protocol stack."""
-        return self._stack
+        self._deliver = stack.bottom.deliver
 
     def local_time(self) -> float:
         """The current local clock reading, in seconds."""
-        return self._clock.now()
+        return self.clock.now()
 
     # ------------------------------------------------------------------
     # Timers (conveniences for layers)
@@ -91,7 +71,7 @@ class NekoProcess:
         (the paper's interval is closed at ``tau``).
         """
         return Timer(
-            self.sim, callback, name=f"{self._address}:{name}", priority=priority
+            self.sim, callback, name=f"{self.address}:{name}", priority=priority
         )
 
     def periodic_timer(
@@ -104,25 +84,25 @@ class NekoProcess:
     ) -> PeriodicTimer:
         """Create a periodic timer on this process's engine."""
         return PeriodicTimer(
-            self.sim, period, callback, start=start, name=f"{self._address}:{name}"
+            self.sim, period, callback, start=start, name=f"{self.address}:{name}"
         )
 
     # ------------------------------------------------------------------
     # Network plumbing
     # ------------------------------------------------------------------
     def _send_to_network(self, message: Datagram) -> None:
-        self._system.network.send(message)
+        self._network_send(message)
 
     def receive_from_network(self, message: Datagram) -> None:
         """Called by the network backend when a datagram arrives here."""
-        self._stack.deliver_from_network(message)
+        self._deliver(message)
 
     def start(self) -> None:
         """Start the protocol stack (bottom-up ``on_start`` hooks)."""
-        self._stack.start()
+        self.stack.start()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NekoProcess({self._address!r}, {self._stack!r})"
+        return f"NekoProcess({self.address!r}, {self.stack!r})"
 
 
 __all__ = ["NekoProcess"]

@@ -92,7 +92,7 @@ class SimulatedNetwork(NetworkBackend):
             fifo=fifo,
             record_delays=record_delays,
         )
-        link.connect(lambda message: self._deliver(message))
+        link.connect(self._deliver)
         self._links[(source, destination)] = link
         return link
 
@@ -219,12 +219,15 @@ class NekoSystem:
         *,
         clock: Optional[Clock] = None,
     ) -> NekoProcess:
-        """Create a process, register it with the network, return it."""
+        """Create a process, register it with the network, return it;
+        started at once if the system already is."""
         if address in self._processes:
             raise ValueError(f"process address {address!r} already in use")
         process = NekoProcess(self, address, stack, clock=clock)
         self._network.register(address, process.receive_from_network)
         self._processes[address] = process
+        if self._started:
+            process.start()
         return process
 
     def start(self) -> None:

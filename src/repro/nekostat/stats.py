@@ -16,12 +16,22 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-try:  # scipy is available in the reference environment but optional
-    # The two inverse CDFs only: ``scipy.stats`` costs a further ~0.6 s of
-    # import and ~46 MiB for results identical bit for bit.
-    from scipy.special import ndtri as _ndtri, stdtrit as _stdtrit
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _ndtri = _stdtrit = None
+
+@lru_cache(maxsize=None)
+def _scipy_quantiles() -> Optional[tuple]:
+    """scipy's ``(ndtri, stdtrit)``, or ``None`` when scipy is absent.
+
+    Imported on the first quantile asked for, not with the module:
+    ``scipy.special`` is ~0.36 s of import that a process computing no
+    confidence interval never needs.  The two inverse CDFs only —
+    ``scipy.stats`` costs a further ~0.6 s and ~46 MiB for results
+    identical bit for bit.
+    """
+    try:  # scipy is available in the reference environment but optional
+        from scipy.special import ndtri, stdtrit
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
+    return ndtri, stdtrit
 
 
 def normal_quantile(p: float) -> float:
@@ -32,8 +42,9 @@ def normal_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p!r}")
-    if _ndtri is not None:
-        return float(_ndtri(p))
+    scipy = _scipy_quantiles()
+    if scipy is not None:
+        return float(scipy[0](p))
     # Acklam-style rational approximation of the normal quantile.
     a = [-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00]
@@ -69,8 +80,9 @@ def _t_critical(confidence: float, dof: int) -> float:
     Memoised: a pure function of two scalars, asked again on every scrape
     and window read.
     """
-    if _stdtrit is not None:
-        return float(_stdtrit(dof, 0.5 + confidence / 2.0))
+    scipy = _scipy_quantiles()
+    if scipy is not None:
+        return float(scipy[1](dof, 0.5 + confidence / 2.0))
     return normal_quantile(0.5 + confidence / 2.0)
 
 

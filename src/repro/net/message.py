@@ -29,7 +29,7 @@ class Datagram:
     payload: Any = None
     seq: Optional[int] = None
     timestamp: Optional[float] = None
-    uid: int = field(default_factory=lambda: next(_UID))
+    uid: int = field(default_factory=_UID.__next__)
 
     def reply(self, kind: str, payload: Any = None, *, seq: Optional[int] = None,
               timestamp: Optional[float] = None) -> "Datagram":

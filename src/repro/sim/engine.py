@@ -90,7 +90,9 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         if not math.isfinite(start_time):
             raise SimulationError(f"start_time must be finite, got {start_time!r}")
-        self._now = float(start_time)
+        #: Current virtual time, in seconds; :meth:`step` and :meth:`run`
+        #: advance it, nothing else may write it.
+        self.now = float(start_time)
         self._queue: list[tuple] = []
         self._seq = itertools.count()
         self._running = False
@@ -101,11 +103,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time, in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events executed so far (cancelled events excluded)."""
@@ -139,7 +136,7 @@ class Simulator:
         handlers) use a higher priority so they run after the mutating
         events of the same instant.
         """
-        return self.schedule_at(self._now + delay, callback, priority=priority, name=name)
+        return self.schedule_at(self.now + delay, callback, priority=priority, name=name)
 
     def schedule_at(
         self,
@@ -153,11 +150,11 @@ class Simulator:
 
         Returns the event, which the caller may :meth:`~Event.cancel`.
         """
-        if not self._now <= time < math.inf:  # false for NaN too
+        if not self.now <= time < math.inf:  # false for NaN too
             if not math.isfinite(time):
                 raise SimulationError(f"event time must be finite, got {time!r}")
             raise SimulationError(
-                f"cannot schedule event at {time:.6f}, before current time {self._now:.6f}"
+                f"cannot schedule event at {time:.6f}, before current time {self.now:.6f}"
             )
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
@@ -182,7 +179,7 @@ class Simulator:
                 continue
             event.fired = True
             self._pending -= 1
-            self._now = event.time
+            self.now = event.time
             self._events_processed += 1
             event.callback()
             return True
@@ -204,9 +201,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"cannot run until {until:.6f}, before current time {self._now:.6f}"
+                f"cannot run until {until:.6f}, before current time {self.now:.6f}"
             )
         horizon = math.inf if until is None else until
         budget = math.inf if max_events is None else max_events
@@ -232,8 +229,8 @@ class Simulator:
             self._running = False
         # Events due by ``until`` may still be queued after a budget stop:
         # jumping past them would make the next run move time backwards.
-        if until is not None and not (budget_hit or self._stopped) and self._now < until:
-            self._now = until
+        if until is not None and not (budget_hit or self._stopped) and self.now < until:
+            self.now = until
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the in-flight event returns."""
@@ -241,7 +238,7 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self._now:.6f}, pending={self.pending_events}, "
+            f"Simulator(now={self.now:.6f}, pending={self.pending_events}, "
             f"processed={self._events_processed})"
         )
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import repro
 from repro.neko.layer import Layer, ProtocolStack
 from repro.neko.system import NekoSystem, NetworkBackend
 from repro.nekostat.log import EventLog
@@ -22,6 +23,19 @@ HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
 DEEP_FACTOR = 10
 settings.register_profile("deep", max_examples=100 * DEEP_FACTOR)
 settings.load_profile(HYPOTHESIS_PROFILE)
+
+
+def repro_calls(profiler) -> int:
+    """Calls of functions defined in the ``repro`` package (C functions
+    and everything outside it are left out) — the rule of the benchmark's
+    ``py_calls_per_unit``."""
+    prefix = os.path.join(os.path.dirname(repro.__file__), "")
+    return sum(
+        entry.callcount
+        for entry in profiler.getstats()
+        if not isinstance(entry.code, str)
+        and entry.code.co_filename.startswith(prefix)
+    )
 
 
 def examples(tier1: int) -> int:

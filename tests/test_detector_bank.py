@@ -17,13 +17,11 @@ proof compare floats.
 import asyncio
 import cProfile
 import math
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.clocks.clock import DriftingClock, PerfectClock
 from repro.fd.bank import DetectorBank, make_detector_bank
 from repro.fd.combinations import combination_ids, make_strategy, parse_combination_id
@@ -39,7 +37,7 @@ from repro.obs.trace import TraceRecorder
 from repro.service.runtime import AsyncioScheduler
 from repro.sim.engine import Simulator
 
-from tests.conftest import RecordingLayer, RecordingNetwork, examples
+from tests.conftest import RecordingLayer, RecordingNetwork, examples, repro_calls
 
 ETA = 1.0
 INITIAL_TIMEOUT = 4.0
@@ -505,19 +503,6 @@ def on_time_bank(sim, *, delay=0.2, beats=300):
         )
     system.start()
     return bank, process
-
-
-def repro_calls(profiler):
-    """Calls of functions defined in the ``repro`` package (C functions
-    and everything outside it are left out) — the rule of the benchmark's
-    ``py_calls_per_unit``."""
-    prefix = os.path.join(os.path.dirname(repro.__file__), "")
-    return sum(
-        entry.callcount
-        for entry in profiler.getstats()
-        if not isinstance(entry.code, str)
-        and entry.code.co_filename.startswith(prefix)
-    )
 
 
 class TestFusedStep:

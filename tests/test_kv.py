@@ -249,9 +249,8 @@ def _stub_client(nodes):
         nodes, WorkloadSpec(read_fraction=0.0), np.random.default_rng(0)
     )
     sent = []
-    client._process = _StubProcess()
-    client._send_down = sent.append
-    client.on_attach()
+    client._attach(_StubProcess())
+    client.send_down = sent.append
     return client, sent
 
 

@@ -110,8 +110,7 @@ class TestSimCrash:
     def test_deliver_also_dropped_while_crashed(self, sim, event_log):
         simcrash, _ = self.wire(sim, event_log, schedule=[(2.5, 5.5)])
         upper = RecordingLayer()
-        upper._down = simcrash
-        simcrash._up = upper
+        simcrash.deliver_up = upper.deliver
         sim.run(until=3.0)  # now crashed
         simcrash.deliver(Datagram(source="p", destination="q", kind="t"))
         assert upper.received == []
@@ -197,15 +196,6 @@ class TestMultiPlexer:
         received = event_log.filter(kind=EventKind.RECEIVED)
         assert len(received) == 1
         assert received[0].seq == 7
-
-    def test_add_upper_after_attach(self, sim):
-        multiplexer = MultiPlexer([])
-        system = NekoSystem(sim)
-        system.create_process("p", ProtocolStack([multiplexer]))
-        late = RecordingLayer()
-        multiplexer.add_upper(late)
-        multiplexer.deliver(Datagram(source="q", destination="p", kind="t", seq=0))
-        assert len(late.received) == 1
 
     def test_on_start_propagates_to_uppers(self, sim):
         started = []

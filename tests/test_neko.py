@@ -1,8 +1,11 @@
 """Tests for the Neko-style framework: layers, stacks, processes, system."""
 
+import cProfile
+
 import pytest
 
 from repro.clocks.clock import DriftingClock
+from repro.fd.heartbeat import Heartbeater
 from repro.neko.config import ExperimentConfig
 from repro.neko.layer import Layer, ProtocolStack
 from repro.neko.system import NekoSystem, SimulatedNetwork
@@ -12,7 +15,7 @@ from repro.net.wan import get_profile
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
-from tests.conftest import RecordingLayer, make_two_process_system
+from tests.conftest import RecordingLayer, make_two_process_system, repro_calls
 
 
 class TaggingLayer(Layer):
@@ -64,9 +67,9 @@ class TestProtocolStack:
         tagger = TaggingLayer("B")
         stack = ProtocolStack([recorder, tagger])
         system = NekoSystem(sim)
-        system.create_process("p", stack)
+        process = system.create_process("p", stack)
         message = Datagram(source="q", destination="p", kind="t", payload=[])
-        stack.deliver_from_network(message)
+        process.receive_from_network(message)
         assert message.payload == ["B:up"]
         assert recorder.received == [message]
 
@@ -86,6 +89,59 @@ class TestProtocolStack:
     def test_unattached_layer_has_no_process(self):
         with pytest.raises(RuntimeError):
             Layer("floating").process
+
+    def test_repeated_layer_rejected(self):
+        # Listed twice, a layer would be its own neighbour: sending through
+        # it recursed without end.
+        layer = Layer("twice")
+        with pytest.raises(ValueError):
+            ProtocolStack([layer, layer])
+
+    def test_layer_belongs_to_one_process(self, sim):
+        layer = Layer("shared")
+        system = NekoSystem(sim)
+        system.create_process("a", ProtocolStack([layer]))
+        with pytest.raises(RuntimeError):
+            system.create_process("b", ProtocolStack([layer]))
+        assert layer.process.address == "a"
+        assert "b" not in system.processes
+
+
+class TestWiring:
+    """A stack is wired once, at attach: a datagram crosses pass-through
+    layers without a call."""
+
+    def test_pass_through_layers_are_bound_to_their_neighbours(self, sim):
+        top, middle, bottom = TaggingLayer("T"), Layer("m"), TaggingLayer("B")
+        process = NekoSystem(sim).create_process(
+            "p", ProtocolStack([top, middle, bottom])
+        )
+        assert top.send_down == bottom.send
+        assert middle.send == bottom.send
+        assert bottom.send_down == process._send_to_network
+        assert bottom.deliver_up == top.deliver
+        assert middle.deliver == top.deliver
+
+    def test_datagram_call_budget(self, sim):
+        """One datagram from a top layer's ``send`` through two
+        pass-through layers on each side to the receiving top layer: the
+        network's hops and nothing else (26 calls with a call per layer
+        hop and per property read)."""
+        system = NekoSystem(sim)
+        system.network.set_link("p", "q", ConstantDelay(0.01))
+        sender, receiver = Layer("app"), RecordingLayer()
+        system.create_process("p", ProtocolStack([sender, Layer("a"), Layer("b")]))
+        system.create_process("q", ProtocolStack([receiver, Layer("c"), Layer("d")]))
+        system.start()
+        messages = [Datagram(source="p", destination="q", kind="t") for _ in range(100)]
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for message in messages:
+            sender.send(message)
+        sim.run()
+        profiler.disable()
+        assert receiver.received == messages
+        assert repro_calls(profiler) / len(messages) <= 12
 
 
 class TestNekoProcess:
@@ -303,6 +359,17 @@ class TestSystemLifecycle:
         system.run(until=2.0)
         assert fired == [True]
         assert sim.now == 2.0
+
+    def test_process_created_after_start_is_started(self, sim):
+        system = NekoSystem(sim)
+        recorder = RecordingLayer()
+        system.create_process("q", ProtocolStack([recorder]))
+        system.start()
+        heartbeater = Heartbeater("q", 1.0)
+        system.create_process("p", ProtocolStack([heartbeater]))
+        sim.run(until=2.5)
+        assert heartbeater.sent == 3
+        assert [message.seq for message in recorder.received] == [0, 1, 2]
 
 
 class TestExperimentConfig:

@@ -278,3 +278,34 @@ class TestNormalQuantile:
         )
         env = dict(os.environ, PYTHONPATH=source_root)
         assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+    def test_scipy_loads_on_the_first_quantile(self):
+        """Importing the entry points loads no ``scipy`` module (its
+        ``special`` import is ~0.36 s of every process's set-up); the first
+        quantile loads it, and the values are ``scipy.special``'s exactly."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import json, sys\n"
+            "import repro.cli, repro.experiments.runner, repro.kv.sim, "
+            "repro.service.daemon\n"
+            "from repro.nekostat.stats import _t_critical, normal_quantile\n"
+            "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
+            "print(json.dumps([loaded, _t_critical(0.9, 10), normal_quantile(0.975)]))"
+        )
+        env = dict(os.environ, PYTHONPATH=source_root)
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        loaded, t_critical, quantile = json.loads(completed.stdout)
+        assert loaded == []
+        special = pytest.importorskip("scipy.special")
+        assert t_critical == float(special.stdtrit(10, 0.95))
+        assert quantile == float(special.ndtri(0.975))
