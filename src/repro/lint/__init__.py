@@ -9,14 +9,7 @@ pragma/justification convention.
 """
 
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
-from repro.lint.engine import (
-    LintResult,
-    discover_rules,
-    lint_file,
-    lint_paths,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint.engine import LintResult, discover_rules, lint_file, lint_paths
 from repro.lint.findings import Finding, Suppression
 
 __all__ = [
@@ -28,6 +21,4 @@ __all__ = [
     "discover_rules",
     "lint_file",
     "lint_paths",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -1,12 +1,13 @@
-"""Incremental lint cache: per-file results keyed by content hash.
+"""Incremental lint cache: per-file records keyed by content hash.
 
 A warm ``repro lint src`` should not re-parse 100 unchanged files.  The
-cache stores, per source file, the per-file findings, the applied
-suppressions and the serialized
-:class:`~repro.lint.project.ModuleSummary` — everything the engine
-needs to skip the parse *and* still run the project-wide pass (which is
-re-linked from cached summaries every run, so doc/reference edits are
-always picked up without any staleness logic).
+cache stores, per source file, its record: the per-file rules' raw
+(unsuppressed) findings and its
+:class:`~repro.lint.project.ModuleSummary`, both as
+:func:`dataclasses.asdict` JSON — everything the engine needs to skip
+the parse *and* still run the project-wide and suppression passes
+(which re-link the cached summaries every run, so doc/reference edits
+are always picked up without any staleness logic).
 
 Keys are ``sha256(salt + path + sha256(content))``:
 
@@ -31,15 +32,16 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict
+from typing import List, Optional, Sequence, Tuple
 
 from repro.lint import rules as rules_package
 from repro.lint.config import LintConfig
-from repro.lint.findings import Finding, Suppression
-from repro.lint.project import ModuleSummary
+from repro.lint.findings import Finding
+from repro.lint.project import ModuleSummary, load_summary
 
 #: Bump to invalidate every existing cache entry.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Default on-disk location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-lint-cache"
@@ -99,46 +101,34 @@ class LintCache:
 
     def get(
         self, path: str, source: str
-    ) -> Optional[Tuple[List[Finding], List[Suppression], Optional[ModuleSummary]]]:
-        """The cached result for this exact content, or ``None``."""
-        entry_path = self._entry_path(path, source)
+    ) -> Optional[Tuple[List[Finding], Optional[ModuleSummary]]]:
+        """The cached record for this exact content, or ``None``."""
         try:
-            with open(entry_path, "r", encoding="utf-8") as handle:
+            with open(
+                self._entry_path(path, source), "r", encoding="utf-8"
+            ) as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        try:
-            findings = [_finding_from(f) for f in data["findings"]]
-            suppressions = [
-                _suppression_from(s) for s in data["suppressions"]
-            ]
-            summary = (
-                ModuleSummary.from_dict(data["summary"])
-                if data.get("summary") is not None
-                else None
-            )
-            if data.get("summary") is not None and summary is None:
-                raise ValueError("summary version mismatch")
-        except (KeyError, TypeError, ValueError):
+            findings = [Finding(**f) for f in data["findings"]]
+            summary = data["summary"]
+            if summary is not None:
+                summary = load_summary(summary)
+        except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
-        return findings, suppressions, summary
+        return findings, summary
 
     def put(
         self,
         path: str,
         source: str,
         findings: Sequence[Finding],
-        suppressions: Sequence[Suppression],
         summary: Optional[ModuleSummary],
     ) -> None:
-        """Record a freshly-computed result; failures are silent."""
+        """Record a freshly-computed record; failures are silent."""
         document = {
-            "findings": [f.to_dict() for f in findings],
-            "suppressions": [_suppression_to(s) for s in suppressions],
-            "summary": None if summary is None else summary.to_dict(),
+            "findings": [asdict(f) for f in findings],
+            "summary": None if summary is None else asdict(summary),
         }
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
@@ -150,39 +140,6 @@ class LintCache:
             os.replace(temp_path, self._entry_path(path, source))
         except OSError:
             pass
-
-
-def _finding_from(data: Dict[str, Any]) -> Finding:
-    return Finding(
-        path=data["path"],
-        line=data["line"],
-        col=data["col"],
-        rule=data["rule"],
-        code=data["code"],
-        severity=data["severity"],
-        message=data["message"],
-        hint=data.get("hint", ""),
-    )
-
-
-def _suppression_to(suppression: Suppression) -> Dict[str, Any]:
-    return {
-        "path": suppression.path,
-        "line": suppression.line,
-        "rules": list(suppression.rules),
-        "justification": suppression.justification,
-        "suppressed": [f.to_dict() for f in suppression.suppressed],
-    }
-
-
-def _suppression_from(data: Dict[str, Any]) -> Suppression:
-    return Suppression(
-        path=data["path"],
-        line=data["line"],
-        rules=tuple(data["rules"]),
-        justification=data["justification"],
-        suppressed=tuple(_finding_from(f) for f in data["suppressed"]),
-    )
 
 
 __all__ = ["CACHE_VERSION", "DEFAULT_CACHE_DIR", "LintCache"]

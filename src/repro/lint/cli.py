@@ -4,7 +4,7 @@ Exit codes follow the usual analyzer convention:
 
 * ``0`` — clean (no findings; justified suppressions are fine),
 * ``1`` — findings reported,
-* ``2`` — usage error (unknown rule id, missing path, bad baseline).
+* ``2`` — usage error (unknown rule id, missing path).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from repro.lint.cache import DEFAULT_CACHE_DIR
 from repro.lint.config import DEFAULT_CONFIG
-from repro.lint.engine import lint_paths, load_baseline, write_baseline
+from repro.lint.engine import lint_paths
 from repro.lint.findings import Finding
 
 
@@ -72,14 +72,6 @@ def add_lint_parser(subparsers) -> None:
         "--ignore", default="", metavar="RULES",
         help="comma-separated rule slugs/codes to skip",
     )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline JSON of accepted findings to tolerate",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="record current findings into --baseline and exit 0",
-    )
 
 
 def _split(spec: Optional[str]) -> Optional[List[str]]:
@@ -94,40 +86,17 @@ def command_lint(args: argparse.Namespace) -> int:
         if not os.path.exists(path):
             print(f"error: no such path: {path}", file=sys.stderr)
             return 2
-    if args.write_baseline and args.baseline is None:
-        print("error: --write-baseline requires --baseline PATH",
-              file=sys.stderr)
-        return 2
-
-    baseline = None
-    if args.baseline is not None and not args.write_baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            print(f"error: no such baseline: {args.baseline}",
-                  file=sys.stderr)
-            return 2
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     try:
         result = lint_paths(
             args.paths,
             DEFAULT_CONFIG,
             select=_split(args.select),
             ignore=_split(args.ignore) or [],
-            baseline=baseline,
             cache_dir=None if args.no_cache else DEFAULT_CACHE_DIR,
         )
     except ValueError as exc:  # e.g. an unknown rule id
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        count = write_baseline(args.baseline, result)
-        print(f"wrote {count} fingerprint(s) to {args.baseline}")
-        return 0
 
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
@@ -152,8 +121,6 @@ def command_lint(args: argparse.Namespace) -> int:
         summary += (
             f", {len(result.suppressions)} justified suppression(s)"
         )
-    if result.baselined:
-        summary += f", {result.baselined} baselined"
     print(summary)
     return 0 if result.clean else 1
 

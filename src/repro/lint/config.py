@@ -17,7 +17,7 @@ on checkouts, installed trees and the test fixture corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -192,9 +192,6 @@ class LintConfig:
     #: empty the root is found by walking up from a linted file to the
     #: first directory containing ``docs``.
     contract_root: str = ""
-
-    #: Extra per-run suppressions (rule ids) applied before reporting.
-    ignore: Tuple[str, ...] = field(default=())
 
 
 #: The repo's policy, used by ``repro lint`` and the tier-1 self-check.

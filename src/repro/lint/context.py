@@ -1,11 +1,14 @@
-"""Per-file analysis context shared by every rule.
+"""Per-file analysis context and the one traversal every rule shares.
 
-One :class:`FileContext` wraps a parsed module with the bookkeeping the
-rules need but :mod:`ast` does not provide: a child-to-parent map,
-import-alias resolution (so ``from time import perf_counter as pc``
-still resolves ``pc()`` to ``time.perf_counter``), enclosing-scope
-lookups, and the pragma table.  Building it once per file keeps each
-rule a small, single-purpose visitor.
+One :class:`FileContext` wraps a parsed module with what the rules need
+but :mod:`ast` does not provide: import-alias resolution (so ``from
+time import perf_counter as pc`` still resolves ``pc()`` to
+``time.perf_counter``) and the ancestor stack of the traversal.
+:meth:`FileContext.walk` visits every node of the file once, depth
+first, and hands it to the visitors registered for its type; while a
+visitor runs, :attr:`FileContext.stack` holds the node's ancestors, so
+parent and enclosing-scope lookups read the stack instead of climbing
+a parent map.
 
 Because the analysis is AST-based, docstrings and comments are never
 confused with code: a prose mention of ``time.time()`` is a string
@@ -15,13 +18,18 @@ constant, not a :class:`ast.Call`, so it cannot trigger a rule.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.pragmas import Pragma, parse_pragmas
 
-#: Node types whose header-line pragma covers their whole lexical body.
-_BLOCK_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.With)
+#: Function definitions (a ``lambda`` is not one: it has no name).
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Nodes whose children can hold an import statement.
+_STATEMENTS = (ast.stmt, ast.excepthandler, ast.match_case)
+
+Visitor = Callable[[ast.AST], None]
 
 
 def dotted_name(node: ast.expr) -> Optional[str]:
@@ -36,50 +44,65 @@ def dotted_name(node: ast.expr) -> Optional[str]:
     return None
 
 
+def _import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """The whole file's import table, from a scan of its statements.
+
+    Statements are scanned breadth first; a name bound twice keeps the
+    last binding met.
+    """
+    aliases: Dict[str, str] = {"np": "numpy"}
+    queue = deque([tree])
+    while queue:
+        node = queue.popleft()
+        if isinstance(node, ast.Import):
+            for name in node.names:
+                aliases[name.asname or name.name.split(".")[0]] = name.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            for name in node.names if node.level == 0 else ():
+                if name.name != "*":
+                    aliases[name.asname or name.name] = (
+                        f"{module}.{name.name}" if module else name.name
+                    )
+        else:
+            queue.extend(
+                child for child in ast.iter_child_nodes(node)
+                if isinstance(child, _STATEMENTS)
+            )
+    return aliases
+
+
 class FileContext:
     """Everything a rule needs to know about one source file."""
 
-    def __init__(
-        self,
-        path: str,
-        source: str,
-        tree: ast.Module,
-        config: LintConfig,
-    ) -> None:
+    def __init__(self, path: str, tree: ast.Module, config: LintConfig) -> None:
         self.path = path
         self.rel_path = path.replace("\\", "/")
-        self.source = source
-        self.lines = source.splitlines()
         self.tree = tree
         self.config = config
-        self.parents: Dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                self.parents[child] = parent
-        self.aliases = self._collect_aliases(tree)
-        self.pragmas: Dict[int, Pragma] = parse_pragmas(source)
-        self._block_headers: Optional[Dict[int, Set[int]]] = None
+        self.aliases = _import_aliases(tree)
+        #: Ancestors of the node being visited, outermost first.
+        self.stack: List[ast.AST] = []
+
+    def walk(self, visitors: Mapping[type, Sequence[Visitor]]) -> None:
+        """Visit every node once, depth first, in source order."""
+        stack = self.stack
+        pending = [iter((self.tree,))]
+        while pending:
+            node = next(pending[-1], None)
+            if node is None:
+                pending.pop()
+                if stack:
+                    stack.pop()
+                continue
+            for visit in visitors.get(type(node), ()):
+                visit(node)
+            stack.append(node)
+            pending.append(ast.iter_child_nodes(node))
 
     # ------------------------------------------------------------------
     # Name resolution
     # ------------------------------------------------------------------
-    @staticmethod
-    def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
-        aliases: Dict[str, str] = {"np": "numpy"}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for name in node.names:
-                    aliases[name.asname or name.name.split(".")[0]] = name.name
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                module = node.module or ""
-                for name in node.names:
-                    if name.name == "*":
-                        continue
-                    aliases[name.asname or name.name] = (
-                        f"{module}.{name.name}" if module else name.name
-                    )
-        return aliases
-
     def resolve(self, node: ast.expr) -> Optional[str]:
         """Fully-qualified dotted name of an expression, alias-expanded."""
         name = dotted_name(node)
@@ -94,76 +117,30 @@ class FileContext:
         return self.resolve(call.func)
 
     # ------------------------------------------------------------------
-    # Scope lookups
+    # Scope lookups for the node being visited
     # ------------------------------------------------------------------
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        """The syntactic parent of ``node`` (``None`` for the module)."""
-        return self.parents.get(node)
+    @property
+    def parent(self) -> Optional[ast.AST]:
+        """The syntactic parent (``None`` for the module)."""
+        return self.stack[-1] if self.stack else None
 
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        """Parents of ``node``, innermost first."""
-        current = self.parents.get(node)
-        while current is not None:
-            yield current
-            current = self.parents.get(current)
+    def ancestors(self) -> Iterator[ast.AST]:
+        """Ancestors, innermost first."""
+        return reversed(self.stack)
 
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> Optional[ast.AST]:
+    def enclosing_function(self) -> Optional[ast.AST]:
         """Innermost enclosing function/lambda definition, if any."""
-        for ancestor in self.ancestors(node):
-            if isinstance(
-                ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
+        for ancestor in reversed(self.stack):
+            if isinstance(ancestor, (*FUNCTIONS, ast.Lambda)):
                 return ancestor
         return None
 
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
+    def enclosing_class(self) -> Optional[ast.ClassDef]:
         """Innermost enclosing class definition, if any."""
-        for ancestor in self.ancestors(node):
+        for ancestor in reversed(self.stack):
             if isinstance(ancestor, ast.ClassDef):
                 return ancestor
         return None
 
-    def in_async_function(self, node: ast.AST) -> bool:
-        """Whether the *innermost* enclosing function is ``async def``."""
-        return isinstance(self.enclosing_function(node), ast.AsyncFunctionDef)
 
-    # ------------------------------------------------------------------
-    # Suppression
-    # ------------------------------------------------------------------
-    def _headers(self) -> Dict[int, Set[int]]:
-        if self._block_headers is None:
-            headers: Dict[int, Set[int]] = {}
-            for node in ast.walk(self.tree):
-                if not isinstance(node, _BLOCK_NODES):
-                    continue
-                end = getattr(node, "end_lineno", None) or node.lineno
-                for line in range(node.lineno, end + 1):
-                    headers.setdefault(line, set()).add(node.lineno)
-            self._block_headers = headers
-        return self._block_headers
-
-    def pragma_for(self, line: int, rule: str, code: str) -> Optional[Pragma]:
-        """The pragma suppressing ``rule`` at ``line``, if any.
-
-        Checks the line itself, an own-line pragma directly above, and
-        the header lines of every enclosing def/class/with block.
-        """
-        candidates = [line]
-        candidates.extend(sorted(self._headers().get(line, ()), reverse=True))
-        for candidate in candidates:
-            pragma = self.pragmas.get(candidate)
-            if pragma is not None and pragma.covers(rule, code):
-                return pragma
-            above = self.pragmas.get(candidate - 1)
-            if (
-                above is not None
-                and above.own_line
-                and above.covers(rule, code)
-            ):
-                return above
-        return None
-
-
-__all__ = ["FileContext", "dotted_name"]
+__all__ = ["FUNCTIONS", "FileContext", "dotted_name"]

@@ -11,7 +11,7 @@ stated reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
 #: Rule severities, most severe first.  Everything the repo ships today
 #: is an ``error`` — the rules encode invariants, not style.
@@ -30,23 +30,6 @@ class Finding:
     severity: str
     message: str
     hint: str = ""
-
-    def fingerprint(self) -> str:
-        """Stable identity used by baseline files."""
-        return f"{self.path}::{self.rule}::{self.line}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able form (the ``--format json`` schema entry)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-            "hint": self.hint,
-        }
 
     def render(self) -> str:
         """The one-line text form (``--format text``)."""

@@ -7,14 +7,17 @@ coroutine, a metric renamed in the exporter but not in the docs.  This
 module builds the shared substrate the project rules (FDL010, FDL011,
 FDL013) run on:
 
-* :func:`build_module_summary` walks one parsed file **once** and
-  extracts every fact the project rules need — defined functions and
-  classes, an approximate call graph fragment, direct clock / random /
-  blocking calls, rendered metric names, emitted / handled trace-span
-  kinds, CLI subcommand surfaces, and the pragma table.  Summaries are
-  plain JSON-able dicts, so the incremental cache can persist them
-  keyed by file content hash and a warm run never re-parses an
-  unchanged file.
+* :class:`SummaryBuilder` fills one file's :class:`ModuleSummary`
+  from the visitors it registers on that file's single traversal
+  (:meth:`~repro.lint.context.FileContext.walk`, shared with the
+  per-file rules): defined functions and classes, an approximate call
+  graph fragment, direct clock / random / blocking calls, rendered
+  metric names, emitted / handled trace-span kinds, CLI subcommand
+  surfaces, and the pragma and block tables that
+  :meth:`ModuleSummary.pragma_for` reads for every finding.  Summaries
+  are plain dataclasses, stored by the incremental cache as
+  :func:`dataclasses.asdict` JSON keyed by file content hash, so a warm
+  run never re-parses an unchanged file.
 * :class:`ProjectContext` links the summaries of every linted file:
   it resolves dotted call targets through the import graph, ``self.``
   method calls through class definitions and their (project-resolved)
@@ -49,13 +52,11 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.config import LintConfig, path_matches
-from repro.lint.context import FileContext, dotted_name
-
-#: Bump when the summary layout changes — invalidates cached summaries.
-SUMMARY_VERSION = 2
+from repro.lint.context import FUNCTIONS, FileContext, dotted_name
+from repro.lint.pragmas import Pragma
 
 #: Fully-qualified callables that read or burn wall-clock time.
 FORBIDDEN_CALLS = frozenset(
@@ -168,8 +169,7 @@ class FunctionInfo:
     clock: List[List[Any]] = field(default_factory=list)
     random: List[List[Any]] = field(default_factory=list)
     #: Direct blocking calls, neither awaited nor inside a ``lambda``:
-    #: ``[line, reason, choke_point]`` — ``choke_point`` is True when a
-    #: justified FDL011 pragma accepts the call.
+    #: ``[line, reason]``.
     blocking: List[List[Any]] = field(default_factory=list)
     #: Outgoing edges: ``[line, kind, spec…, via, awaited]`` where kind
     #: is ``abs`` (dotted name), ``self`` (method), ``selfattr``
@@ -191,7 +191,8 @@ class ClassInfo:
 
 @dataclass
 class ModuleSummary:
-    """Everything the project rules need to know about one file."""
+    """Everything the project rules and the suppression pass need to
+    know about one file."""
 
     path: str
     rel_path: str
@@ -208,170 +209,105 @@ class ModuleSummary:
     #: ``subcommand → {"line": int, "flags": [...]}`` plus the main
     #: parser's flags under the "" key.
     cli_subcommands: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Serialized pragma table: ``line → [rules, justification, own_line]``.
-    pragmas: Dict[int, List[Any]] = field(default_factory=dict)
-    #: Block-header coverage: ``line → [header lines]``.
-    headers: Dict[int, List[int]] = field(default_factory=dict)
+    #: The file's pragmas, keyed by their own line.
+    pragmas: Dict[int, Pragma] = field(default_factory=dict)
+    #: ``[first, last]`` lines of every def/class/with block: a pragma
+    #: on a block's header line covers the whole span.
+    blocks: List[List[int]] = field(default_factory=list)
 
-    # ------------------------------------------------------------------
-    # Serialization (the cache stores summaries as JSON)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "path": self.path,
-            "rel_path": self.rel_path,
-            "modname": self.modname,
-            "functions": {
-                q: {
-                    "line": f.line,
-                    "is_async": f.is_async,
-                    "class_name": f.class_name,
-                    "clock": f.clock,
-                    "random": f.random,
-                    "blocking": f.blocking,
-                    "calls": f.calls,
-                }
-                for q, f in self.functions.items()
-            },
-            "classes": {
-                n: {
-                    "line": c.line,
-                    "bases": c.bases,
-                    "methods": c.methods,
-                    "attr_types": c.attr_types,
-                }
-                for n, c in self.classes.items()
-            },
-            "metric_literals": self.metric_literals,
-            "emit_kinds": self.emit_kinds,
-            "kind_handles": self.kind_handles,
-            "cli_subcommands": self.cli_subcommands,
-            "pragmas": {str(k): v for k, v in self.pragmas.items()},
-            "headers": {str(k): v for k, v in self.headers.items()},
-        }
+    def pragma_for(self, line: int, rule: str, code: str) -> Optional[Pragma]:
+        """The pragma suppressing ``rule`` at ``line``, if any.
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> Optional["ModuleSummary"]:
-        if data.get("version") != SUMMARY_VERSION:
+        Checks the line itself, an own-line pragma directly above, and
+        the header lines of every enclosing def/class/with block.
+        """
+        if not self.pragmas:
             return None
-        summary = cls(
-            path=data["path"],
-            rel_path=data["rel_path"],
-            modname=data["modname"],
-            metric_literals=data["metric_literals"],
-            emit_kinds=data["emit_kinds"],
-            kind_handles=data["kind_handles"],
-            cli_subcommands=data["cli_subcommands"],
-            pragmas={int(k): v for k, v in data["pragmas"].items()},
-            headers={int(k): v for k, v in data["headers"].items()},
-        )
-        for q, f in data["functions"].items():
-            summary.functions[q] = FunctionInfo(
-                qualname=q,
-                line=f["line"],
-                is_async=f["is_async"],
-                class_name=f["class_name"],
-                clock=f["clock"],
-                random=f["random"],
-                blocking=f["blocking"],
-                calls=f["calls"],
-            )
-        for n, c in data["classes"].items():
-            summary.classes[n] = ClassInfo(
-                name=n,
-                line=c["line"],
-                bases=c["bases"],
-                methods=c["methods"],
-                attr_types=c["attr_types"],
-            )
-        return summary
-
-    # ------------------------------------------------------------------
-    # Pragma lookup (mirrors FileContext.pragma_for, but serialized)
-    # ------------------------------------------------------------------
-    def pragma_for(self, line: int, rule: str, code: str) -> Optional[Tuple[int, List[Any]]]:
-        """``(pragma_line, [rules, justification, own_line])`` or None."""
-        candidates = [line]
-        candidates.extend(sorted(self.headers.get(line, ()), reverse=True))
-        for candidate in candidates:
-            entry = self.pragmas.get(candidate)
-            if entry is not None and _covers(entry[0], rule, code):
-                return candidate, entry
+        headers = {first for first, last in self.blocks if first <= line <= last}
+        for candidate in [line, *sorted(headers, reverse=True)]:
+            pragma = self.pragmas.get(candidate)
+            if pragma is not None and pragma.covers(rule, code):
+                return pragma
             above = self.pragmas.get(candidate - 1)
-            if above is not None and above[2] and _covers(above[0], rule, code):
-                return candidate - 1, above
+            if above is not None and above.own_line and above.covers(rule, code):
+                return above
         return None
 
 
-def _covers(rules: Sequence[str], rule: str, code: str) -> bool:
-    return any(r in ("all", rule, code) for r in rules)
+def load_summary(data: Dict[str, Any]) -> ModuleSummary:
+    """A summary from its :func:`dataclasses.asdict` form read back
+    from JSON (whose object keys are strings)."""
+    fields = dict(data)
+    fields["functions"] = {
+        q: FunctionInfo(**f) for q, f in data["functions"].items()
+    }
+    fields["classes"] = {n: ClassInfo(**c) for n, c in data["classes"].items()}
+    fields["pragmas"] = {
+        int(line): Pragma(**{**p, "rules": tuple(p["rules"])})
+        for line, p in data["pragmas"].items()
+    }
+    return ModuleSummary(**fields)
 
 
 # ----------------------------------------------------------------------
 # Extraction
 # ----------------------------------------------------------------------
-class _SummaryBuilder:
-    """One-pass extractor from a :class:`FileContext` to a summary."""
+class SummaryBuilder:
+    """Visitors that fill one file's summary during its traversal.
 
-    def __init__(self, ctx: FileContext) -> None:
+    The traversal is depth first, but a visitor only reads the stack
+    there; it defers its change to the summary, and :meth:`finish`
+    applies the changes in breadth-first order — least nested first,
+    so the primitive a chain finding names is the one least buried in
+    loops and branches of its function.  Depth-first order is source
+    order within each depth, so a stable sort by depth turns one order
+    into the other.
+    """
+
+    def __init__(self, ctx: FileContext, pragmas: Dict[int, Pragma]) -> None:
         self.ctx = ctx
+        modname = module_name_for(ctx.path)
         self.summary = ModuleSummary(
-            path=ctx.path,
-            rel_path=ctx.rel_path,
-            modname=module_name_for(ctx.path),
+            path=ctx.path, rel_path=ctx.rel_path, modname=modname,
+            pragmas=pragmas,
         )
-        for line, pragma in ctx.pragmas.items():
-            self.summary.pragmas[line] = [
-                list(pragma.rules), pragma.justification, pragma.own_line,
-            ]
-        for line, headers in ctx._headers().items():
-            self.summary.headers[line] = sorted(headers)
-        self._docstrings: Set[ast.AST] = set()
-        self._collect_docstrings(ctx.tree)
+        self._module_body = (f"{modname}.{MODULE_BODY}", "")
+        #: def node → (qualname, class name), filled as each def is met.
+        self._scopes: Dict[ast.AST, Tuple[str, str]] = {}
+        #: (phase, depth, change, arguments) awaiting :meth:`finish`.
+        self._changes: List[Tuple[int, int, Callable[..., None], tuple]] = []
 
-    # -- helpers -------------------------------------------------------
-    def _collect_docstrings(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
-            if isinstance(
-                node,
-                (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
-            ) and node.body:
-                first = node.body[0]
-                if isinstance(first, ast.Expr) and isinstance(
-                    first.value, ast.Constant
-                ) and isinstance(first.value.value, str):
-                    self._docstrings.add(first.value)
+    def visitors(self) -> Dict[type, List[Callable[[ast.AST], None]]]:
+        """Fresh ``node type → visitors`` table for :meth:`FileContext.walk`."""
+        return {
+            ast.FunctionDef: [self._visit_function],
+            ast.AsyncFunctionDef: [self._visit_function],
+            ast.ClassDef: [self._visit_class],
+            ast.With: [self._visit_block],
+            ast.Call: [self._visit_call],
+            ast.Compare: [self._visit_compare],
+            ast.Constant: [self._visit_constant],
+            ast.Assign: [self._visit_assign],
+        }
 
-    def _choke_point(self, line: int) -> bool:
-        pragma = self.ctx.pragma_for(line, "async-blocking-reach", "FDL011")
-        return pragma is not None and pragma.justified
+    def _defer(self, change: Callable[..., None], *args: Any, phase: int = 0) -> None:
+        self._changes.append((phase, len(self.ctx.stack), change, args))
 
-    def _function_for(self, node: ast.AST) -> Tuple[str, str]:
-        """(qualname, class name) of the function owning ``node``."""
-        func = self.ctx.enclosing_function(node)
-        while isinstance(func, ast.Lambda):
-            func = self.ctx.enclosing_function(func)
-        if func is None:
-            return f"{self.summary.modname}.{MODULE_BODY}", ""
-        return self._qualname(func)
+    def finish(self) -> ModuleSummary:
+        """The summary, changes applied breadth first (class docstring);
+        a function's ``def`` edges follow its call edges."""
+        for _, _, change, args in sorted(self._changes, key=lambda c: c[:2]):
+            change(*args)
+        return self.summary
 
-    def _qualname(self, func: ast.AST) -> Tuple[str, str]:
-        parts = [func.name]
-        class_name = ""
-        for ancestor in self.ctx.ancestors(func):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                parts.append(ancestor.name)
-            elif isinstance(ancestor, ast.ClassDef):
-                if not class_name:
-                    class_name = ancestor.name
-                parts.append(ancestor.name)
-        parts.append(self.summary.modname)
-        return ".".join(reversed(parts)), class_name
-
-    def _info(self, node: ast.AST) -> FunctionInfo:
-        qualname, class_name = self._function_for(node)
-        return self._info_for(qualname, class_name)
+    # -- scopes ----------------------------------------------------------
+    def _function_for(self) -> Tuple[str, str]:
+        """(qualname, class name) of the function owning the current
+        node; lambdas belong to the def around them."""
+        for ancestor in reversed(self.ctx.stack):
+            if isinstance(ancestor, FUNCTIONS):
+                return self._scopes[ancestor]
+        return self._module_body
 
     def _info_for(self, qualname: str, class_name: str = "") -> FunctionInfo:
         info = self.summary.functions.get(qualname)
@@ -380,35 +316,45 @@ class _SummaryBuilder:
             self.summary.functions[qualname] = info
         return info
 
-    def _in_lambda(self, node: ast.AST) -> bool:
-        return isinstance(self.ctx.enclosing_function(node), ast.Lambda)
+    def _visit_block(self, node: ast.AST) -> None:
+        self.summary.blocks.append([node.lineno, node.end_lineno or node.lineno])
 
-    # -- main pass -----------------------------------------------------
-    def build(self) -> ModuleSummary:
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._register_function(node)
-            elif isinstance(node, ast.ClassDef):
-                self._register_class(node)
-            elif isinstance(node, ast.Call):
-                self._visit_call(node)
-            elif isinstance(node, ast.Compare):
-                self._visit_compare(node)
-            elif isinstance(node, ast.Constant):
-                self._visit_constant(node)
-        self._link_nested_defs()
-        return self.summary
+    def _visit_function(self, node: ast.AST) -> None:
+        self._visit_block(node)
+        parts = [self.summary.modname]
+        class_name = ""
+        for ancestor in self.ctx.stack:
+            if isinstance(ancestor, (*FUNCTIONS, ast.ClassDef)):
+                parts.append(ancestor.name)
+                if isinstance(ancestor, ast.ClassDef):
+                    class_name = ancestor.name
+        parts.append(node.name)
+        qualname = ".".join(parts)
+        outer = self._function_for()
+        self._scopes[node] = (qualname, class_name)
+        self._defer(self._define, node, qualname, class_name)
+        # A nested def gets a ``def`` edge from its enclosing function.
+        if outer is not self._module_body and not isinstance(
+            self.ctx.parent, ast.ClassDef
+        ):
+            self._defer(
+                self._add_call, outer,
+                [node.lineno, "abs", qualname, "def", False], phase=1,
+            )
 
-    def _register_function(self, node: ast.AST) -> None:
-        qualname, class_name = self._qualname(node)
+    def _define(self, node: ast.AST, qualname: str, class_name: str) -> None:
         info = self._info_for(qualname, class_name)
         info.line = node.lineno
         info.is_async = isinstance(node, ast.AsyncFunctionDef)
 
-    def _register_class(self, node: ast.ClassDef) -> None:
-        if self.ctx.enclosing_function(node) is not None:
+    def _add_call(self, owner: Tuple[str, str], edge: List[Any]) -> None:
+        self._info_for(*owner).calls.append(edge)
+
+    def _visit_class(self, node: ast.ClassDef) -> None:
+        self._visit_block(node)
+        if self.ctx.enclosing_function() is not None:
             return  # local classes are out of scope
-        parent_cls = self.ctx.enclosing_class(node)
+        parent_cls = self.ctx.enclosing_class()
         name = f"{parent_cls.name}.{node.name}" if parent_cls else node.name
         info = ClassInfo(name=name, line=node.lineno)
         for base in node.bases:
@@ -416,11 +362,11 @@ class _SummaryBuilder:
             if resolved is not None:
                 info.bases.append(resolved)
         for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(item, FUNCTIONS):
                 info.methods.append(item.name)
                 if item.name == "__init__":
                     self._collect_attr_types(item, info)
-        self.summary.classes[name] = info
+        self._defer(self.summary.classes.__setitem__, name, info)
 
     def _collect_attr_types(self, init: ast.AST, info: ClassInfo) -> None:
         for node in ast.walk(init):
@@ -436,27 +382,27 @@ class _SummaryBuilder:
                 if name is not None and name.startswith("self.") and name.count(".") == 1:
                     info.attr_types[name.split(".", 1)[1]] = resolved
 
-    def _link_nested_defs(self) -> None:
-        """``def`` edges from each function to the defs nested in it."""
-        for node in ast.walk(self.ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            parent = self.ctx.parent(node)
-            enclosing = self.ctx.enclosing_function(node)
-            if enclosing is None or isinstance(parent, ast.ClassDef):
-                continue
-            qualname, _ = self._qualname(node)
-            outer_q, outer_cls = self._qualname(enclosing)
-            self._info_for(outer_q, outer_cls).calls.append(
-                [node.lineno, "abs", qualname, "def", False]
-            )
-
     # -- call edges and primitives -------------------------------------
     def _visit_call(self, node: ast.Call) -> None:
-        info = self._info(node)
+        self._defer(
+            self._add_call_facts,
+            node,
+            self._function_for(),
+            isinstance(self.ctx.parent, ast.Await),
+            isinstance(self.ctx.enclosing_function(), ast.Lambda),
+            self.ctx.parent,
+        )
+
+    def _add_call_facts(
+        self,
+        node: ast.Call,
+        owner: Tuple[str, str],
+        awaited: bool,
+        in_lambda: bool,
+        parent: ast.AST,
+    ) -> None:
+        info = self._info_for(*owner)
         line = node.lineno
-        awaited = isinstance(self.ctx.parent(node), ast.Await)
-        in_lambda = self._in_lambda(node)
         name = self.ctx.resolve_call(node)
 
         # Primitive facts --------------------------------------------------
@@ -466,7 +412,7 @@ class _SummaryBuilder:
             info.random.append([line, name])
         reason = None if name is None else self._blocking_reason(name)
         if reason is not None and not awaited and not in_lambda:
-            info.blocking.append([line, reason, self._choke_point(line)])
+            info.blocking.append([line, reason])
 
         # Call edges -------------------------------------------------------
         via = "offload" if in_lambda else "direct"
@@ -485,7 +431,7 @@ class _SummaryBuilder:
         self._visit_emit(node)
 
         # CLI surface -------------------------------------------------------
-        self._visit_cli_call(node)
+        self._visit_cli_call(node, parent)
 
     def _is_ambient_random(self, name: str) -> bool:
         if name.startswith("numpy.random."):
@@ -548,10 +494,20 @@ class _SummaryBuilder:
 
     # -- contract facts -------------------------------------------------
     def _visit_constant(self, node: ast.Constant) -> None:
-        if not isinstance(node.value, str) or node in self._docstrings:
+        if not isinstance(node.value, str) or self._is_docstring():
             return
         for token in _METRIC_TOKEN.findall(node.value):
-            self.summary.metric_literals.append([node.lineno, token])
+            self._defer(self.summary.metric_literals.append, [node.lineno, token])
+
+    def _is_docstring(self) -> bool:
+        """Whether the constant being visited is a docstring."""
+        stack = self.ctx.stack
+        return (
+            len(stack) >= 2
+            and isinstance(stack[-1], ast.Expr)
+            and isinstance(stack[-2], (ast.Module, ast.ClassDef, *FUNCTIONS))
+            and stack[-2].body[0] is stack[-1]
+        )
 
     def _visit_compare(self, node: ast.Compare) -> None:
         left = dotted_name(node.left)
@@ -579,13 +535,12 @@ class _SummaryBuilder:
         ):
             self.summary.emit_kinds.append([node.lineno, kind_arg.value])
 
-    def _visit_cli_call(self, node: ast.Call) -> None:
+    def _visit_cli_call(self, node: ast.Call, parent: ast.AST) -> None:
         if not isinstance(node.func, ast.Attribute):
             return
         if node.func.attr == "add_parser" and node.args:
             first = node.args[0]
             if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                parent = self.ctx.parent(node)
                 var = None
                 if isinstance(parent, ast.Assign) and len(parent.targets) == 1:
                     var = dotted_name(parent.targets[0])
@@ -613,16 +568,14 @@ class _SummaryBuilder:
             )
             top["flags"].extend(flags)
 
-    # -- set-literal kind tables ---------------------------------------
-    def collect_kind_tables(self) -> None:
-        for node in ast.walk(self.ctx.tree):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = dotted_name(node.targets[0])
-            if target is None or "kind" not in target.rsplit(".", 1)[-1].lower():
-                continue
-            for value in _string_constants(node.value):
-                self.summary.kind_handles.append(value)
+    def _visit_assign(self, node: ast.Assign) -> None:
+        """``*kind*`` set-literal tables name the kinds a file handles."""
+        if len(node.targets) != 1:
+            return
+        target = dotted_name(node.targets[0])
+        if target is None or "kind" not in target.rsplit(".", 1)[-1].lower():
+            return
+        self.summary.kind_handles.extend(_string_constants(node.value))
 
 
 def _plausible_callback(name: str) -> bool:
@@ -644,14 +597,6 @@ def _string_constants(node: ast.expr) -> Iterator[str]:
         name = dotted_name(node.func)
         if name in ("frozenset", "set", "tuple", "list"):
             yield from _string_constants(node.args[0])
-
-
-def build_module_summary(ctx: FileContext) -> ModuleSummary:
-    """Extract the project-rule facts for one parsed file."""
-    builder = _SummaryBuilder(ctx)
-    summary = builder.build()
-    builder.collect_kind_tables()
-    return summary
 
 
 # ----------------------------------------------------------------------
@@ -676,11 +621,9 @@ class ProjectContext:
         self,
         summaries: Sequence[ModuleSummary],
         config: LintConfig,
-        root: Optional[str] = None,
     ) -> None:
         self.summaries = list(summaries)
         self.config = config
-        self.root = root
         self.by_path: Dict[str, ModuleSummary] = {
             s.path: s for s in self.summaries
         }
@@ -909,6 +852,9 @@ class ProjectContext:
         """``qualname → (blocking description, next hop)`` for every
         *sync* function that transitively performs unsuppressed blocking
         I/O through on-loop (non-offload, non-awaited) call chains.
+
+        A blocking call under a justified FDL011 pragma is an accepted
+        choke point: it does not propagate.
         """
         table: Dict[str, Tuple[str, str]] = {}
         pending: List[str] = []
@@ -916,8 +862,11 @@ class ProjectContext:
             for qualname, info in summary.functions.items():
                 if info.is_async:
                     continue
-                for line, reason, choke_point in info.blocking:
-                    if choke_point:
+                for line, reason in info.blocking:
+                    pragma = summary.pragma_for(
+                        line, "async-blocking-reach", "FDL011"
+                    )
+                    if pragma is not None and pragma.justified:
                         continue
                     table[qualname] = (
                         f"{reason} at {summary.rel_path}:{line}", "",
@@ -964,8 +913,8 @@ __all__ = [
     "MODULE_BODY",
     "ModuleSummary",
     "ProjectContext",
-    "SUMMARY_VERSION",
+    "SummaryBuilder",
     "WRITE_METHODS",
-    "build_module_summary",
+    "load_summary",
     "module_name_for",
 ]

@@ -60,7 +60,7 @@ class AsyncBlockingReachRule(ProjectRule):
             for info in summary.functions.values():
                 if not (resident or info.is_async):
                     continue
-                for line, reason, _ in info.blocking:
+                for line, reason in info.blocking:
                     yield self.at(
                         summary.path,
                         line,

@@ -49,6 +49,7 @@ class BankConstructionRule(LintRule):
         "one detector matrix: fan-out over combination ids happens only "
         "in repro.fd.bank, never as an inline PushFailureDetector loop"
     )
+    node_types = (ast.Call,)
 
     def _is_combination_source(
         self, ctx: FileContext, source: ast.expr
@@ -67,33 +68,30 @@ class BankConstructionRule(LintRule):
                 return True
         return False
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[Finding]:
+        name = ctx.resolve_call(node)
+        if name is None or name.rsplit(".", 1)[-1] != "PushFailureDetector":
+            return
         if path_matches(ctx.rel_path, ctx.config.bank_allowed_files):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+        for ancestor in ctx.ancestors():
+            sources = list(_iter_sources(ancestor))
+            if not sources:
                 continue
-            name = ctx.resolve_call(node)
-            if name is None or name.rsplit(".", 1)[-1] != "PushFailureDetector":
-                continue
-            for ancestor in ctx.ancestors(node):
-                sources = list(_iter_sources(ancestor))
-                if not sources:
-                    continue
-                if any(
-                    self._is_combination_source(ctx, source)
-                    for source in sources
-                ):
-                    yield self.make(
-                        ctx,
-                        node,
-                        "inline detector-bank fan-out: PushFailureDetector "
-                        "constructed in a loop over combination ids",
-                        hint="build the matrix with "
-                        "repro.fd.bank.make_detector_bank so every consumer "
-                        "shares the bank's wiring (timeouts, hooks, tracing)",
-                    )
-                    break
+            if any(
+                self._is_combination_source(ctx, source)
+                for source in sources
+            ):
+                yield self.make(
+                    ctx,
+                    node,
+                    "inline detector-bank fan-out: PushFailureDetector "
+                    "constructed in a loop over combination ids",
+                    hint="build the matrix with "
+                    "repro.fd.bank.make_detector_bank so every consumer "
+                    "shares the bank's wiring (timeouts, hooks, tracing)",
+                )
+                break
 
 
 RULES = [BankConstructionRule()]

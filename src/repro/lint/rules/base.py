@@ -1,20 +1,23 @@
 """Shared rule shapes (not itself a rule module — no ``RULES`` here).
 
 A per-file rule is anything with ``rule`` (slug), ``code`` (``FDLnnn``),
-``severity``, a one-line ``invariant`` and a ``check(ctx)`` generator;
+``severity``, a one-line ``invariant``, the ``node_types`` it inspects
+and a ``visit(node, ctx)`` generator.  The engine walks each file once
+and calls ``visit`` for every node of those types, with
+``ctx.stack`` holding the node's ancestors, so a new rule adds no walk.
 :class:`LintRule` provides the finding constructor so concrete rules
-stay focused on their AST walk.  A *project* rule
+stay focused on their node checks.  A *project* rule
 (:class:`ProjectRule`, ``project = True``) instead implements
 ``check_project(project)`` over the linked
 :class:`~repro.lint.project.ProjectContext` — the engine runs these
-once per invocation, after the per-file pass, and routes their findings
-through the identical pragma/baseline machinery.
+once per invocation, after the per-file pass; the findings of both
+kinds go through one suppression pass.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Tuple
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
@@ -33,8 +36,11 @@ class LintRule:
     invariant: str = ""
     #: Project rules run once over the linked graph, not per file.
     project: bool = False
+    #: Node types a per-file rule's :meth:`visit` receives.
+    node_types: Tuple[type, ...] = ()
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
+        """Findings at ``node``; ``ctx.stack`` holds its ancestors."""
         raise NotImplementedError
 
     def make(
@@ -61,9 +67,6 @@ class ProjectRule(LintRule):
     """Base class for interprocedural rules over the project graph."""
 
     project: bool = True
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())  # project rules contribute nothing per file
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         raise NotImplementedError

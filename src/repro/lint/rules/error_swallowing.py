@@ -85,29 +85,28 @@ class ErrorSwallowingRule(LintRule):
         "counts a metric, or carries a justified pragma — errors are "
         "never silently swallowed"
     )
+    node_types = (ast.ExceptHandler,)
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        fragments = ctx.config.error_counter_fragments
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if not _is_broad(node):
-                continue
-            if _accounts_for_error(node, fragments):
-                continue
-            caught = (
-                "bare except" if node.type is None
-                else f"except {ast.unparse(node.type)}"
-            )
-            yield self.make(
-                ctx,
-                node,
-                f"{caught} swallows the error: the handler neither "
-                "re-raises nor counts it",
-                hint="re-raise (possibly as a typed error), increment an "
-                "error/restart counter, or catch the specific exception "
-                "type you mean to tolerate",
-            )
+    def visit(
+        self, node: ast.ExceptHandler, ctx: FileContext
+    ) -> Iterator[Finding]:
+        if not _is_broad(node) or _accounts_for_error(
+            node, ctx.config.error_counter_fragments
+        ):
+            return
+        caught = (
+            "bare except" if node.type is None
+            else f"except {ast.unparse(node.type)}"
+        )
+        yield self.make(
+            ctx,
+            node,
+            f"{caught} swallows the error: the handler neither "
+            "re-raises nor counts it",
+            hint="re-raise (possibly as a typed error), increment an "
+            "error/restart counter, or catch the specific exception "
+            "type you mean to tolerate",
+        )
 
 
 RULES = [ErrorSwallowingRule()]

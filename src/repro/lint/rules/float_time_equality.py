@@ -50,6 +50,7 @@ class FloatTimeEqualityRule(LintRule):
         "never compared with == / != (sim-exact ties do not survive "
         "real clocks)"
     )
+    node_types = (ast.Compare,)
 
     def _time_like(self, ctx: FileContext, node: ast.expr) -> bool:
         name = dotted_name(node)
@@ -63,26 +64,23 @@ class FloatTimeEqualityRule(LintRule):
             for fragment in ctx.config.time_name_fragments
         )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
+    def visit(self, node: ast.Compare, ctx: FileContext) -> Iterator[Finding]:
+        operands = [node.left, *node.comparators]
+        for index, op in enumerate(node.ops):
+            if not isinstance(op, (ast.Eq, ast.NotEq)):
                 continue
-            operands = [node.left, *node.comparators]
-            for index, op in enumerate(node.ops):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                left, right = operands[index], operands[index + 1]
-                if _is_sentinel(left) or _is_sentinel(right):
-                    continue
-                if self._time_like(ctx, left) or self._time_like(ctx, right):
-                    yield self.make(
-                        ctx,
-                        node,
-                        "exact equality between float time/duration "
-                        "values",
-                        hint="compare with an epsilon (math.isclose) or "
-                        "restructure around <= / >= ordering",
-                    )
+            left, right = operands[index], operands[index + 1]
+            if _is_sentinel(left) or _is_sentinel(right):
+                continue
+            if self._time_like(ctx, left) or self._time_like(ctx, right):
+                yield self.make(
+                    ctx,
+                    node,
+                    "exact equality between float time/duration "
+                    "values",
+                    hint="compare with an epsilon (math.isclose) or "
+                    "restructure around <= / >= ordering",
+                )
 
 
 RULES = [FloatTimeEqualityRule()]

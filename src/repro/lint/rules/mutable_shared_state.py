@@ -56,15 +56,14 @@ class MutableSharedStateRule(LintRule):
         "detector-bank independence: no mutable object is shared across "
         "calls (default args) or across instances (class attributes)"
     )
+    node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_defaults(ctx, node)
-            elif isinstance(node, ast.ClassDef) and in_dirs(
-                ctx.rel_path, ctx.config.mutable_class_dirs
-            ):
+    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
+        if isinstance(node, ast.ClassDef):
+            if in_dirs(ctx.rel_path, ctx.config.mutable_class_dirs):
                 yield from self._check_class_body(ctx, node)
+        else:
+            yield from self._check_defaults(ctx, node)
 
     def _check_defaults(
         self, ctx: FileContext, func: ast.AST

@@ -71,55 +71,51 @@ class SampleNarrowingRule(LintRule):
         "batch QoS extraction stays vectorized: sample arrays are never "
         "narrowed element-by-element with float() on the metrics path"
     )
+    node_types = (
+        ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp,
+    )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         config = ctx.config
         if not (
             path_matches(ctx.rel_path, config.sample_batch_files)
             or in_dirs(ctx.rel_path, config.sample_batch_dirs)
         ):
             return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For):
-                source = _sample_iterable(ctx, node.iter)
-                if source is None:
-                    continue
-                loop_vars = _target_names(node.target)
-                regions = [*node.body, *node.orelse]
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-            ):
-                source = None
-                loop_vars = set()
-                for generator in node.generators:
-                    found = _sample_iterable(ctx, generator.iter)
-                    if found is not None:
-                        source = source or found
-                        loop_vars |= _target_names(generator.target)
-                if source is None:
-                    continue
-                if isinstance(node, ast.DictComp):
-                    regions = [node.key, node.value]
-                else:
-                    regions = [node.elt]
-                regions.extend(
-                    condition
-                    for generator in node.generators
-                    for condition in generator.ifs
-                )
+        if isinstance(node, ast.For):
+            source = _sample_iterable(ctx, node.iter)
+            loop_vars = _target_names(node.target)
+            regions = [*node.body, *node.orelse]
+        else:
+            source = None
+            loop_vars = set()
+            for generator in node.generators:
+                found = _sample_iterable(ctx, generator.iter)
+                if found is not None:
+                    source = source or found
+                    loop_vars |= _target_names(generator.target)
+            if isinstance(node, ast.DictComp):
+                regions = [node.key, node.value]
             else:
-                continue
-            for region in regions:
-                for call in _narrowing_calls(region, loop_vars):
-                    yield self.make(
-                        ctx,
-                        call,
-                        f"per-element float() narrowing of sample array "
-                        f"{source!r}",
-                        hint="keep the math in NumPy (np.diff, np.sum, "
-                        "vector arithmetic) and convert once at the "
-                        "boundary with .tolist()",
-                    )
+                regions = [node.elt]
+            regions.extend(
+                condition
+                for generator in node.generators
+                for condition in generator.ifs
+            )
+        if source is None:
+            return
+        for region in regions:
+            for call in _narrowing_calls(region, loop_vars):
+                yield self.make(
+                    ctx,
+                    call,
+                    f"per-element float() narrowing of sample array "
+                    f"{source!r}",
+                    hint="keep the math in NumPy (np.diff, np.sum, "
+                    "vector arithmetic) and convert once at the "
+                    "boundary with .tolist()",
+                )
 
 
 RULES = [SampleNarrowingRule()]

@@ -33,14 +33,6 @@ class TestExitCodes:
         assert main(["lint", "no/such/dir"]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_write_baseline_requires_baseline_path(self, capsys):
-        assert main(["lint", DIRTY, "--write-baseline"]) == 2
-        assert "--write-baseline requires" in capsys.readouterr().err
-
-    def test_missing_baseline_file_exits_two(self, capsys):
-        assert main(["lint", DIRTY, "--baseline", "no/such.json"]) == 2
-        assert "no such baseline" in capsys.readouterr().err
-
 
 class TestSelection:
     def test_select_by_code(self, capsys):
@@ -50,18 +42,6 @@ class TestSelection:
     def test_ignore_makes_dirty_file_clean(self, capsys):
         assert main(["lint", DIRTY, "--ignore", "clock-seed-taint"]) == 0
         capsys.readouterr()
-
-
-class TestBaselineFlow:
-    def test_write_then_filter(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        assert main([
-            "lint", DIRTY, "--baseline", baseline, "--write-baseline",
-        ]) == 0
-        assert "wrote" in capsys.readouterr().out
-
-        assert main(["lint", DIRTY, "--baseline", baseline]) == 0
-        assert "baselined" in capsys.readouterr().out
 
 
 class TestJsonOutput:

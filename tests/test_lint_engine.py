@@ -1,20 +1,17 @@
-"""Engine-level tests: pragmas, baselines, JSON schema, rule selection."""
+"""Engine-level tests: pragmas, JSON schema, rule selection, one walk."""
 
+import ast
 import json
-from dataclasses import replace
+import os
 from pathlib import Path
 
 import pytest
 
-from repro.lint import DEFAULT_CONFIG, lint_file, lint_paths
-from repro.lint.engine import (
-    SCHEMA_VERSION,
-    known_rule_ids,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint import DEFAULT_CONFIG, engine, lint_file, lint_paths
+from repro.lint.engine import SCHEMA_VERSION, iter_python_files, known_rule_ids
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 #: One float-time-equality and one mutable-shared-state finding.
@@ -106,37 +103,6 @@ class TestPragmas:
         assert [f.rule for f in result.findings] == ["float-time-equality"]
 
 
-class TestBaseline:
-    def test_roundtrip_and_filtering(self, tmp_path):
-        target = str(FIXTURES / "clock/positive.py")
-        full = lint_paths([target], DEFAULT_CONFIG)
-        assert full.findings
-
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), full)
-
-        stored = json.loads(baseline_path.read_text(encoding="utf-8"))
-        assert stored["version"] == 1
-        assert len(stored["fingerprints"]) == len(set(
-            f.fingerprint() for f in full.findings
-        ))
-
-        fingerprints = load_baseline(str(baseline_path))
-        filtered = lint_paths(
-            [target], DEFAULT_CONFIG, baseline=fingerprints
-        )
-        assert filtered.findings == []
-        assert filtered.baselined == len(full.findings)
-
-    def test_baseline_keeps_new_findings(self, tmp_path):
-        target = str(FIXTURES / "clock/positive.py")
-        full = lint_paths([target], DEFAULT_CONFIG)
-        partial = {f.fingerprint() for f in full.findings[:1]}
-        result = lint_paths([target], DEFAULT_CONFIG, baseline=partial)
-        assert len(result.findings) == len(full.findings) - 1
-        assert result.baselined == 1
-
-
 class TestJsonSchema:
     def test_to_dict_shape(self):
         result = lint_paths(
@@ -147,7 +113,6 @@ class TestJsonSchema:
         payload = result.to_dict()
         assert payload["version"] == SCHEMA_VERSION
         assert payload["files_scanned"] == 2
-        assert isinstance(payload["baselined"], int)
         for finding in payload["findings"]:
             assert set(finding) >= {
                 "path", "line", "col", "rule", "code", "severity",
@@ -198,11 +163,6 @@ class TestUnknownRuleIds:
         with pytest.raises(ValueError, match="unknown rule 'FDL004'"):
             lint_paths([self.TARGET], DEFAULT_CONFIG, ignore=["FDL004"])
 
-    def test_lint_paths_rejects_unknown_config_ignore(self):
-        config = replace(DEFAULT_CONFIG, ignore=("lock-discipline",))
-        with pytest.raises(ValueError, match="'lock-discipline'"):
-            lint_paths([self.TARGET], config)
-
     def test_lint_file_rejects_unknown_select(self):
         with pytest.raises(ValueError, match="unknown rule 'no-such-rule'"):
             lint_file(self.TARGET, DEFAULT_CONFIG, select=["no-such-rule"])
@@ -232,3 +192,64 @@ class TestSyntaxError:
         result = lint_source("def broken(:\n", name="repro/fd/broken.py")
         assert [f.rule for f in result.findings] == ["syntax-error"]
         assert result.findings[0].code == "FDL999"
+
+
+class TestOverlappingPaths:
+    """A file reached through several arguments is linted once."""
+
+    TREE = FIXTURES / "taint"
+
+    def test_each_file_is_listed_once_in_first_seen_order(self):
+        once = iter_python_files([str(self.TREE)])
+        overlapping = iter_python_files([
+            str(self.TREE / "sim" / "positive.py"),
+            str(self.TREE),
+            str(self.TREE / "sim"),
+            os.path.join(str(self.TREE), ".", "sim"),
+        ])
+        assert len(overlapping) == len(once) == 4
+        assert overlapping[0] == str(self.TREE / "sim" / "positive.py")
+        assert sorted(overlapping) == sorted(once)
+
+    def test_overlapping_arguments_report_like_one(self):
+        once = lint_paths([str(self.TREE)], DEFAULT_CONFIG)
+        twice = lint_paths(
+            [str(self.TREE), str(self.TREE / "sim"),
+             os.path.join(str(self.TREE), ".")],
+            DEFAULT_CONFIG,
+        )
+        assert twice.files_scanned == once.files_scanned == 4
+        assert twice.findings == once.findings
+        assert twice.suppressions == once.suppressions
+        assert [len(s.suppressed) for s in twice.suppressions] == [1]
+
+
+class TestOneWalk:
+    """Each file is traversed once; rules are discovered once per run."""
+
+    def test_traversal_budget_on_the_bank_module(self, monkeypatch):
+        bank = SRC / "repro" / "fd" / "bank.py"
+        nodes = sum(1 for _ in ast.walk(ast.parse(bank.read_text("utf-8"))))
+        real = ast.iter_child_nodes
+        calls = []
+
+        def counting(node):
+            calls.append(node)
+            return real(node)
+
+        monkeypatch.setattr(ast, "iter_child_nodes", counting)
+        lint_paths([str(bank)], DEFAULT_CONFIG)
+        assert 0 < len(calls) <= 2 * nodes
+
+    def test_rules_are_discovered_once_per_run(self, monkeypatch):
+        real = engine.discover_rules
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(engine, "discover_rules", counting)
+        result = lint_paths([str(SRC / "repro" / "fd")], DEFAULT_CONFIG)
+        assert result.files_scanned > 10
+        assert len(calls) == 1

@@ -8,7 +8,6 @@ import pytest
 
 from repro.lint import DEFAULT_CONFIG, lint_file, lint_paths
 from repro.lint.cache import DEFAULT_CACHE_DIR, LintCache
-from repro.lint.engine import write_baseline, load_baseline
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
@@ -192,7 +191,7 @@ class TestContractDrift:
 
 
 # ----------------------------------------------------------------------
-# Engine parity: pragmas, selection, baselines, lint_file scope
+# Engine parity: pragmas, selection, lint_file scope
 # ----------------------------------------------------------------------
 TAINTED_SIM = """\
 from helpers import stamp
@@ -271,21 +270,6 @@ class TestProjectEngineParity:
         result = lint_paths([str(tmp_path)], DEFAULT_CONFIG,
                             ignore=["FDL010"])
         assert [f for f in result.findings if f.code == "FDL010"] == []
-
-    def test_baseline_filters_project_findings(self, tmp_path):
-        _write_taint_tree(tmp_path)
-        full = lint_paths([str(tmp_path)], DEFAULT_CONFIG,
-                          select=["clock-seed-taint"])
-        assert full.findings
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), full)
-        filtered = lint_paths(
-            [str(tmp_path)], DEFAULT_CONFIG,
-            select=["clock-seed-taint"],
-            baseline=load_baseline(str(baseline_path)),
-        )
-        assert filtered.findings == []
-        assert filtered.baselined == len(full.findings)
 
     def test_lint_file_is_per_file_only(self):
         # Single-snippet unit tests must see exactly the lexical rules.

@@ -1,14 +1,10 @@
 """Tests for events and the event log."""
 
 import pickle
-import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.nekostat.events import EventKind, StatEvent
-from repro.nekostat.log import EventLog
-from repro.nekostat.persist import load_event_log, save_event_log
 
 
 def suspect(time, detector="fd", kind=EventKind.START_SUSPECT):
@@ -108,49 +104,6 @@ class TestStatEvent:
     def test_repr(self):
         event = StatEvent(1.0, EventKind.START_SUSPECT, "p", "fd")
         assert repr(event) == "StatEvent(t=1.000000, start_suspect, p, fd=fd)"
-
-
-#: JSON-exact field values: finite floats, short text, small extras.
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_TEXT = st.text(max_size=8)
-_DATA = st.dictionaries(
-    _TEXT, st.one_of(st.none(), st.booleans(), st.integers(), _FINITE, _TEXT),
-    max_size=3,
-)
-
-
-@st.composite
-def stat_events(draw):
-    kind = draw(st.sampled_from(list(EventKind)))
-    needs_detector = kind in (EventKind.START_SUSPECT, EventKind.END_SUSPECT)
-    needs_seq = kind in (EventKind.SENT, EventKind.RECEIVED)
-    return StatEvent(
-        time=draw(_FINITE),
-        kind=kind,
-        site=draw(_TEXT),
-        detector=draw(_TEXT if needs_detector else st.one_of(st.none(), _TEXT)),
-        seq=draw(st.integers(0, 2**40) if needs_seq else st.none()),
-        local_time=draw(st.one_of(st.none(), _FINITE)),
-        data=draw(_DATA),
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(events=st.lists(stat_events(), max_size=12))
-def test_persist_jsonl_round_trip(tmp_path_factory, events):
-    """Every event, any field combination, survives the JSONL file: the
-    same record, float bits included."""
-    events.sort(key=lambda event: event.time)
-    log = EventLog()
-    for event in events:
-        log.append(event)
-    path = tmp_path_factory.mktemp("persist") / "events.jsonl"
-    assert save_event_log(log, path) == len(events)
-    restored = list(load_event_log(path))
-    assert restored == events
-    assert all(type(event) is StatEvent for event in restored)
-    for before, after in zip(events, restored):
-        assert struct.pack("<d", after.time) == struct.pack("<d", before.time)
 
 
 class TestEventLog:
