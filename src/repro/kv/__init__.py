@@ -21,19 +21,23 @@ Modules
 ``metrics``
     User-visible QoS extraction (:class:`~repro.kv.metrics.KvRunSummary`).
 ``sim``
-    Deterministic end-to-end runs on the simulated WAN
+    One cluster builder for a simulated or a real UDP network
+    (:func:`~repro.kv.sim.build_kv_cluster`), and deterministic
+    end-to-end runs on the simulated WAN
     (:func:`~repro.kv.sim.run_kv_sim`).
-``live``
-    The same protocol over real UDP sockets next to the monitoring
-    daemon (:class:`~repro.kv.live.LiveKvNode`,
-    :class:`~repro.kv.live.LiveFailoverController`).
 """
 
 from repro.kv.client import KvClientLayer, OpRecord
 from repro.kv.failover import FailoverControllerLayer, FailoverState, ViewChange
 from repro.kv.metrics import KvRunSummary, compute_summary
 from repro.kv.node import KvNodeCore, KvNodeLayer
-from repro.kv.sim import KvSimConfig, KvSimResult, run_kv_sim
+from repro.kv.sim import (
+    KvCluster,
+    KvSimConfig,
+    KvSimResult,
+    build_kv_cluster,
+    run_kv_sim,
+)
 from repro.kv.store import Version, VersionedStore
 from repro.kv.workload import WorkloadSpec
 
@@ -41,6 +45,7 @@ __all__ = [
     "FailoverControllerLayer",
     "FailoverState",
     "KvClientLayer",
+    "KvCluster",
     "KvNodeCore",
     "KvNodeLayer",
     "KvRunSummary",
@@ -51,6 +56,7 @@ __all__ = [
     "VersionedStore",
     "ViewChange",
     "WorkloadSpec",
+    "build_kv_cluster",
     "compute_summary",
     "run_kv_sim",
 ]

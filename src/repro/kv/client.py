@@ -23,6 +23,7 @@ from repro.kv.node import (
     KV_SET,
     KV_SET_OK,
     KV_VIEW,
+    MALFORMED,
 )
 from repro.kv.store import Version, decode_version
 from repro.kv.workload import WorkloadSpec
@@ -86,12 +87,9 @@ class _ActiveOp:
 
 
 class ClientView:
-    """What a client believes about the cluster and has seen of its data.
-
-    The one copy of the view-adoption, replica-rotation and stale-read
-    rules, shared by the simulated :class:`KvClientLayer` and the live
-    :class:`~repro.kv.live.AsyncKvClient`.
-    """
+    """What a client believes about the cluster and has seen of its data:
+    the view-adoption, replica-rotation and stale-read rules of
+    :class:`KvClientLayer`."""
 
     def __init__(self, nodes: Sequence[str]) -> None:
         if not nodes:
@@ -122,8 +120,8 @@ class ClientView:
         """
         epoch = int(payload["epoch"])
         if epoch > self.epoch:
-            self.epoch = epoch
             self.primary = payload["primary"]
+            self.epoch = epoch
             return 0
         return rotation + 1
 
@@ -145,7 +143,11 @@ class ClientView:
 
 
 class KvClientLayer(Layer):
-    """A seeded closed-loop client as a protocol layer."""
+    """A seeded closed-loop client as a protocol layer.
+
+    A reply or view whose payload it cannot read is dropped and counted
+    in :attr:`dropped_malformed`, like a lost datagram.
+    """
 
     def __init__(
         self,
@@ -163,6 +165,7 @@ class KvClientLayer(Layer):
         self._op_timer: Optional[Timer] = None
         self._think_timer: Optional[Timer] = None
         self._stopped = False
+        self.dropped_malformed = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -292,25 +295,39 @@ class KvClientLayer(Layer):
     def deliver(self, message: Datagram) -> None:
         kind = message.kind
         if kind == KV_VIEW:
-            self.view._adopt_view(message.payload)
+            try:
+                self.view._adopt_view(message.payload)
+            except MALFORMED:
+                self.dropped_malformed += 1
             return
         if kind not in (KV_SET_OK, KV_GET_OK, KV_REDIRECT):
             self.deliver_up(message)
             return
         active = self._active
-        if active is None or message.payload.get("uid") != active.uid:
-            return  # Late reply of an operation already finished or retried.
+        if active is None:
+            return  # Late reply of an operation already finished.
+        payload = message.payload
+        try:
+            if payload.get("uid") != active.uid:
+                return  # Late reply of an operation already retried.
+            if kind == KV_REDIRECT:
+                rotation = self.view._adopt_view(payload, active.rotation)
+            else:
+                raw = payload["version"]
+                if raw is None and kind == KV_GET_OK:
+                    version = None  # The key is absent.
+                else:
+                    version = decode_version(raw)
+        except MALFORMED:
+            self.dropped_malformed += 1
+            return
         if kind == KV_SET_OK:
-            version = decode_version(message.payload["version"])
             self.view.observe(active.key, version)
             self._finish(ok=True, version=version)
         elif kind == KV_GET_OK:
-            raw = message.payload["version"]
-            version = decode_version(raw) if raw is not None else None
             stale = self.view.observe(active.key, version)
             self._finish(ok=True, stale=stale, version=version)
         else:  # KV_REDIRECT
-            rotation = self.view._adopt_view(message.payload, active.rotation)
             if self.view.primary is None:
                 return  # No primary known: let the op timeout drive retries.
             active.attempts += 1

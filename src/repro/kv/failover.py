@@ -1,8 +1,7 @@
 """FD-driven failover: suspect/trust transitions become view changes.
 
-:class:`FailoverState` is the pure election rule shared by the simulated
-controller layer here and the live controller in :mod:`repro.kv.live`:
-nodes are ranked by a fixed priority order (their configuration order),
+:class:`FailoverState` is the pure election rule of the controller
+layer here: nodes are ranked by a fixed priority order (their configuration order),
 and leadership is *sticky* — the primary only changes when the current
 primary is suspected (or there is none), in which case the
 highest-priority unsuspected node is promoted.  A higher-priority node
@@ -13,7 +12,7 @@ Every view change bumps the epoch, which is the first component of every
 write version (:mod:`repro.kv.store`) — promotion is what makes a new
 primary's writes dominate a deposed one's.
 
-The simulated controller (:class:`FailoverControllerLayer`) sits on top
+The controller (:class:`FailoverControllerLayer`) sits on top
 of a :class:`~repro.fd.multiplexer.MultiPlexer` fanning heartbeats into
 one one-row detector bank per node, all built via
 :func:`repro.fd.bank.make_detector_bank`.  View changes are broadcast as
@@ -25,7 +24,7 @@ convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.kv.node import KV_VIEW
 from repro.neko.layer import Layer
@@ -79,7 +78,7 @@ class FailoverState:
 
 
 class FailoverControllerLayer(Layer):
-    """Simulated controller: detector transitions in, view broadcasts out.
+    """The controller: detector transitions in, view broadcasts out.
 
     Parameters
     ----------
@@ -90,9 +89,8 @@ class FailoverControllerLayer(Layer):
         clients).
     rebroadcast_interval:
         Period of the view re-broadcast that repairs lost view datagrams.
-    on_view_change:
-        Optional hook ``(time, view)`` — the sim runner records the view
-        log for promotion-delay metrics through it.
+
+    Every installed view is appended to :attr:`view_log` with its time.
     """
 
     def __init__(
@@ -101,7 +99,6 @@ class FailoverControllerLayer(Layer):
         listeners: Sequence[str],
         *,
         rebroadcast_interval: float = 2.0,
-        on_view_change: Optional[Callable[[float, ViewChange], None]] = None,
     ) -> None:
         super().__init__(name="FailoverController")
         if rebroadcast_interval <= 0:
@@ -111,7 +108,6 @@ class FailoverControllerLayer(Layer):
         self.state = FailoverState(nodes)
         self.listeners = list(listeners)
         self.rebroadcast_interval = float(rebroadcast_interval)
-        self._on_view_change = on_view_change
         self._rebroadcast: Optional[PeriodicTimer] = None
         self.view_log: List[Tuple[float, ViewChange]] = []
 
@@ -137,10 +133,7 @@ class FailoverControllerLayer(Layer):
         change = self.state.on_transition(node, suspected)
         if change is None:
             return
-        now = self._sim.now
-        self.view_log.append((now, change))
-        if self._on_view_change is not None:
-            self._on_view_change(now, change)
+        self.view_log.append((self._sim.now, change))
         self.broadcast_view()
 
     def broadcast_view(self) -> None:

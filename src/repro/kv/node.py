@@ -3,10 +3,10 @@
 The protocol logic lives in :class:`KvNodeCore`, a transport-agnostic
 state machine whose handlers take a decoded request and return the
 datagram-shaped replies to transmit.  :class:`KvNodeLayer` wraps it as
-a :class:`~repro.neko.layer.Layer`, which the deterministic simulation
-and the live :class:`~repro.kv.live.LiveKvNode` (the same stack on a
-real UDP socket) both run — the hypothesis byte-stability test
-exercises the exact code the live service runs.
+a :class:`~repro.neko.layer.Layer`, which
+:func:`~repro.kv.sim.build_kv_cluster` stacks on a simulated and on a
+real UDP network alike — the hypothesis byte-stability test exercises
+the exact code a live cluster runs.
 
 Protocol sketch (primary + backups, client-driven retry):
 
@@ -32,7 +32,7 @@ transfer for the metrics we report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.kv.store import VersionedStore, decode_version, encode_version
 from repro.neko.layer import Layer
@@ -57,6 +57,10 @@ Outgoing = Tuple[str, str, Dict[str, Any]]
 #: Cap on remembered completed-write uids (idempotent retry window).
 COMPLETED_WINDOW = 4096
 
+#: What reading a payload this protocol never sends raises (the wire
+#: admits any JSON): a layer drops and counts such a datagram.
+MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
 
 @dataclass
 class PendingWrite:
@@ -78,7 +82,6 @@ class KvNodeCore:
         nodes: Sequence[str],
         *,
         write_concern: int = 0,
-        on_event: Optional[Callable[[str, Dict[str, Any]], None]] = None,
     ) -> None:
         if name not in nodes:
             raise ValueError(f"node {name!r} must be a member of {list(nodes)!r}")
@@ -99,7 +102,6 @@ class KvNodeCore:
         self.write_seq = 0
         self._pending: Dict[str, PendingWrite] = {}
         self._completed: Dict[str, Tuple[int, int]] = {}
-        self._on_event = on_event
         self.served_reads = 0
         self.served_writes = 0
         self.redirects_sent = 0
@@ -117,10 +119,6 @@ class KvNodeCore:
     def pending_writes(self) -> int:
         """Writes awaiting backup acks (primary only)."""
         return len(self._pending)
-
-    def _emit(self, kind: str, **fields: Any) -> None:
-        if self._on_event is not None:
-            self._on_event(kind, fields)
 
     def _view_payload(self) -> Dict[str, Any]:
         return {"epoch": self.epoch, "primary": self.primary}
@@ -183,7 +181,6 @@ class KvNodeCore:
         version = (self.epoch, self.write_seq)
         self.store.apply(key, value, version)
         self.served_writes += 1
-        self._emit("kv-write", key=key, version=version)
         out: List[Outgoing] = [
             (peer, KV_REP, {"key": key, "value": value,
                             "version": encode_version(version), "uid": uid})
@@ -251,21 +248,20 @@ class KvNodeCore:
         epoch = int(payload["epoch"])
         if epoch <= self.epoch:
             return []
+        primary = payload["primary"]
         was_primary = self.is_primary
         self.epoch = epoch
-        self.primary = payload["primary"]
+        self.primary = primary
         if self.is_primary and not was_primary:
             # Fresh epoch, fresh write sequence: versions stamped here
             # dominate every version of any earlier epoch.
             self.write_seq = 0
-            self._emit("kv-promote", epoch=epoch)
         elif was_primary and not self.is_primary:
             # Deposed: writes still awaiting backup acks will never be
             # acknowledged under the old epoch — drop them so the client
             # times out and retries against the new primary.
             self.dropped_pending += len(self._pending)
             self._pending.clear()
-            self._emit("kv-demote", epoch=epoch)
         return []
 
     def _remember_completed(self, uid: str, version: Tuple[int, int]) -> None:
@@ -282,11 +278,16 @@ class KvNodeCore:
 
 
 class KvNodeLayer(Layer):
-    """A :class:`KvNodeCore` as a protocol layer."""
+    """A :class:`KvNodeCore` as a protocol layer.
+
+    A KV datagram whose payload the core cannot read is dropped and
+    counted in :attr:`dropped_malformed`, like a lost datagram.
+    """
 
     def __init__(self, core: KvNodeCore) -> None:
         super().__init__(name=f"KvNode({core.name})")
         self.core = core
+        self.dropped_malformed = 0
 
     def on_attach(self) -> None:
         self._address = self.process.address
@@ -295,9 +296,14 @@ class KvNodeLayer(Layer):
         if message.kind not in NODE_KINDS:
             self.deliver_up(message)
             return
-        for destination, kind, payload in self.core.handle(
-            message.source, message.kind, message.payload
-        ):
+        try:
+            replies = self.core.handle(
+                message.source, message.kind, message.payload
+            )
+        except MALFORMED:
+            self.dropped_malformed += 1
+            return
+        for destination, kind, payload in replies:
             self.send_down(
                 Datagram(
                     source=self._address,
@@ -320,6 +326,7 @@ __all__ = [
     "KV_VIEW",
     "KvNodeCore",
     "KvNodeLayer",
+    "MALFORMED",
     "NODE_KINDS",
     "Outgoing",
     "PendingWrite",

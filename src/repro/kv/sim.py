@@ -1,16 +1,21 @@
-"""Deterministic end-to-end KV runs on the simulated WAN.
+"""End-to-end KV runs: one cluster builder, on a simulated or a real network.
 
-:func:`run_kv_sim` assembles the whole system on one discrete-event
-engine — replicas, failure-detector-driven controller, seeded closed-loop
-clients — over the paper's calibrated WAN delay/loss models, runs it for
-a configured duration with a crash schedule, and returns both layers of
-QoS:
+:func:`build_kv_cluster` creates the whole system on any
+:class:`~repro.neko.system.NekoSystem` — replicas,
+failure-detector-driven controller, seeded closed-loop clients — and
+:meth:`KvCluster.finish` ends a run and returns both layers of QoS:
 
 * the **user-visible** :class:`~repro.kv.metrics.KvRunSummary`
   (unavailability, failed/stale reads, write loss, promotion delay);
 * the **raw detector** :class:`~repro.nekostat.metrics.DetectorQos` per
   node (T_D, T_M, T_MR), extracted from one event log per node so the
   same combination id never collides across replicas.
+
+:func:`run_kv_sim` runs that cluster deterministically on the paper's
+calibrated WAN delay/loss models for a configured duration.  On a real
+network the same call builds it on
+``NekoSystem(network.scheduler, network)`` over one
+:class:`~repro.net.udp.UdpNetwork` (``tests/test_kv_live.py``).
 
 The wiring mirrors :func:`repro.apps.harness.build_consensus_group`:
 
@@ -23,8 +28,8 @@ The wiring mirrors :func:`repro.apps.harness.build_consensus_group`:
 * client stacks: a bare ``KvClientLayer``.
 
 Everything random flows from one :class:`~repro.sim.random.RandomStreams`
-root, so the run is a pure function of its config — the property the
-hypothesis byte-stability test asserts.
+root, so a simulated run is a pure function of its config — the
+property the hypothesis byte-stability test asserts.
 """
 
 from __future__ import annotations
@@ -59,7 +64,11 @@ CONTROLLER = "controller"
 
 @dataclass(frozen=True)
 class KvSimConfig:
-    """Everything one simulated KV run depends on."""
+    """Everything one KV run depends on.
+
+    ``profile_name`` and ``fault_plan`` shape the simulated network, so
+    only :func:`run_kv_sim` reads them.
+    """
 
     nodes: int = 3
     clients: int = 2
@@ -73,8 +82,9 @@ class KvSimConfig:
     initial_timeout: float = 1.0
     rebroadcast_interval: float = 2.0
     #: Explicit crash schedule: ``(node_index, crash_time, restore_time)``
-    #: tuples.  ``None`` selects the default single primary crash at 40%
-    #: of the run, restored at 70%.
+    #: tuples, in seconds after the cluster is built.  ``None`` selects
+    #: the default single primary crash at 40% of the run, restored at
+    #: 70%.
     crashes: Optional[Tuple[Tuple[int, float, float], ...]] = None
     #: Optional chaos scenario injected into every link of the run.
     #: The plan timeline is anchored at sim time 0.
@@ -167,22 +177,77 @@ class KvSimResult:
         return json.dumps(self.canonical_dict(), sort_keys=True)
 
 
-def run_kv_sim(config: KvSimConfig) -> KvSimResult:
-    """Run one deterministic simulated KV experiment."""
-    sim = Simulator()
-    streams = RandomStreams(config.seed)
-    network = SimulatedNetwork(
-        sim, get_profile(config.profile_name), streams, record_delays=False
-    )
-    system = NekoSystem(sim, network)
+@dataclass
+class KvCluster:
+    """The processes :func:`build_kv_cluster` created on one system."""
 
+    config: KvSimConfig
+    system: NekoSystem
+    #: The system's time at build; crash schedules are relative to it.
+    start: float
+    controller: FailoverControllerLayer
+    cores: Dict[str, KvNodeCore]
+    clients: Dict[str, KvClientLayer]
+    #: One event log per replica: its crashes and its detector's verdicts.
+    node_logs: Dict[str, EventLog]
+
+    def finish(self) -> KvSimResult:
+        """End the run now: flush the clients, stop the controller, and
+        derive both QoS layers from what the run recorded."""
+        config = self.config
+        start = self.start
+        end_time = self.system.sim.now
+        for client in self.clients.values():
+            client.flush(end_time)
+        self.controller.stop()
+
+        node_names = config.node_names
+        views = list(self.controller.view_log)
+        primary_crash_times = [
+            start + crash_time
+            for node_index, crash_time, _restore in config.crash_schedule()
+            if primary_at(views, start + crash_time) == node_names[node_index]
+        ]
+        records: List[OpRecord] = []
+        for client in self.clients.values():
+            records.extend(client.records)
+        summary = compute_summary(
+            records,
+            views,
+            {name: self.cores[name].store for name in node_names},
+            primary_crash_times=primary_crash_times,
+        )
+        detector_qos = {
+            name: extract_qos(
+                self.node_logs[name],
+                end_time=end_time,
+                detectors=[config.detector_id],
+            )[config.detector_id]
+            for name in node_names
+        }
+        return KvSimResult(
+            config=config,
+            summary=summary,
+            detector_qos=detector_qos,
+            records=records,
+            views=views,
+            primary_crash_times=primary_crash_times,
+        )
+
+
+def build_kv_cluster(
+    system: NekoSystem, config: KvSimConfig, streams: RandomStreams
+) -> KvCluster:
+    """Create one KV cluster's controller, replica and client processes.
+
+    ``system`` may run on a :class:`~repro.neko.system.SimulatedNetwork`
+    or on a :class:`~repro.net.udp.UdpNetwork`: the stacks are the same.
+    The caller starts the system and, at the end, calls
+    :meth:`KvCluster.finish`.
+    """
+    start = system.sim.now
     node_names = config.node_names
     client_names = config.client_names
-
-    chaos_engine: Optional[ChaosEngine] = None
-    if config.fault_plan is not None:
-        chaos_engine = ChaosEngine(config.fault_plan)
-        install_chaos(network, chaos_engine)
 
     # Controller: one detector per node, each writing suspicion events
     # into that node's own event log (combination ids collide across
@@ -213,7 +278,9 @@ def run_kv_sim(config: KvSimConfig) -> KvSimResult:
     # Replicas: protocol layer over a heartbeater over crash injection.
     schedules: Dict[int, List[Tuple[float, float]]] = {}
     for node_index, crash_time, restore_time in config.crash_schedule():
-        schedules.setdefault(node_index, []).append((crash_time, restore_time))
+        schedules.setdefault(node_index, []).append(
+            (start + crash_time, start + restore_time)
+        )
     cores: Dict[str, KvNodeCore] = {}
     for index, name in enumerate(node_names):
         core = KvNodeCore(name, node_names, write_concern=config.write_concern)
@@ -229,53 +296,54 @@ def run_kv_sim(config: KvSimConfig) -> KvSimResult:
         system.create_process(name, ProtocolStack(layers))
 
     # Clients: seeded closed-loop traffic.
-    client_layers: Dict[str, KvClientLayer] = {}
+    clients: Dict[str, KvClientLayer] = {}
     for name in client_names:
         client = KvClientLayer(
             node_names, config.workload, streams.get(f"kv.client.{name}")
         )
-        client_layers[name] = client
+        clients[name] = client
         system.create_process(name, ProtocolStack([client]))
 
+    return KvCluster(
+        config=config,
+        system=system,
+        start=start,
+        controller=controller,
+        cores=cores,
+        clients=clients,
+        node_logs=node_logs,
+    )
+
+
+def run_kv_sim(config: KvSimConfig) -> KvSimResult:
+    """Run one deterministic simulated KV experiment."""
+    sim = Simulator()
+    streams = RandomStreams(config.seed)
+    network = SimulatedNetwork(
+        sim, get_profile(config.profile_name), streams, record_delays=False
+    )
+    system = NekoSystem(sim, network)
+
+    chaos_engine: Optional[ChaosEngine] = None
+    if config.fault_plan is not None:
+        chaos_engine = ChaosEngine(config.fault_plan)
+        install_chaos(network, chaos_engine)
+
+    cluster = build_kv_cluster(system, config, streams)
     system.start()
     sim.run(until=config.duration)
-
-    for client in client_layers.values():
-        client.flush(config.duration)
-    controller.stop()
-
-    views = list(controller.view_log)
-    primary_crash_times = [
-        crash_time
-        for node_index, crash_time, _restore in config.crash_schedule()
-        if primary_at(views, crash_time) == node_names[node_index]
-    ]
-    records: List[OpRecord] = []
-    for name in client_names:
-        records.extend(client_layers[name].records)
-    summary = compute_summary(
-        records,
-        views,
-        {name: cores[name].store for name in node_names},
-        primary_crash_times=primary_crash_times,
-    )
-    detector_qos = {
-        name: extract_qos(
-            node_logs[name],
-            end_time=config.duration,
-            detectors=[config.detector_id],
-        )[config.detector_id]
-        for name in node_names
-    }
-    return KvSimResult(
-        config=config,
-        summary=summary,
-        detector_qos=detector_qos,
-        records=records,
-        views=views,
-        primary_crash_times=primary_crash_times,
-        chaos=chaos_engine.report() if chaos_engine is not None else None,
-    )
+    result = cluster.finish()
+    if chaos_engine is not None:
+        result.chaos = chaos_engine.report()
+    return result
 
 
-__all__ = ["CONTROLLER", "KvSimConfig", "KvSimResult", "qos_brief", "run_kv_sim"]
+__all__ = [
+    "CONTROLLER",
+    "KvCluster",
+    "KvSimConfig",
+    "KvSimResult",
+    "build_kv_cluster",
+    "qos_brief",
+    "run_kv_sim",
+]

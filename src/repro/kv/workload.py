@@ -1,10 +1,9 @@
 """Workload description for the closed-loop KV clients.
 
 A :class:`WorkloadSpec` is the seeded-workload contract shared by the
-simulated clients (:mod:`repro.kv.client`), the live smoke client
-(:mod:`repro.kv.live`) and the sweep layer: a read/write mix over a
-shared key space, paced by a think time, with a per-operation timeout
-and a bounded retry budget.  All randomness is drawn from named
+clients (:mod:`repro.kv.client`) and the sweep layer: a read/write mix
+over a shared key space, paced by a think time, with a per-operation
+timeout and a bounded retry budget.  All randomness is drawn from named
 :class:`~repro.sim.random.RandomStreams` generators, so the same seed
 always produces the same operation sequence — the property the
 byte-stability test pins down.

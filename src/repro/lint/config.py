@@ -149,7 +149,6 @@ class LintConfig:
     #: top of the clock/random whitelists above — live-mode adapters
     #: whose whole purpose is bridging to real wall-clock time.
     taint_runtime_files: Tuple[str, ...] = (
-        "repro/kv/live.py",
         "repro/service/daemon.py",
         "repro/service/exporter.py",
         "repro/obs/trace.py",
@@ -165,7 +164,6 @@ class LintConfig:
     contract_metric_renderers: Tuple[str, ...] = (
         "repro/service/exporter.py",
         "repro/obs/drift.py",
-        "repro/kv/live.py",
     )
     contract_metric_docs: Tuple[str, ...] = (
         "docs/observability.md",
@@ -173,13 +171,10 @@ class LintConfig:
         "docs/robustness.md",
         "docs/kv.md",
     )
-    #: (kv/node.py is deliberately absent: its ``_emit`` publishes node
-    #: *events* to an injected callback, not TraceRecorder spans.)
     contract_span_emitters: Tuple[str, ...] = (
         "repro/service/daemon.py",
         "repro/net/udp.py",
         "repro/obs/drift.py",
-        "repro/kv/live.py",
     )
     contract_span_analyzers: Tuple[str, ...] = (
         "repro/obs/analyze.py",

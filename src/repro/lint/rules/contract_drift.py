@@ -4,8 +4,8 @@ Three surfaces of this repo are *contracts* consumed outside the
 process, where silent drift breaks users without failing a unit test:
 
 * **Prometheus metric names** rendered by the exporter tier
-  (``service/exporter.py``, ``obs/drift.py``, ``kv/live.py``) versus
-  the names documented in ``docs/*.md`` and asserted in tests.  A
+  (``service/exporter.py``, ``obs/drift.py``) versus the names
+  documented in ``docs/*.md`` and asserted in tests.  A
   renamed gauge breaks every dashboard scraping it.
 * **Trace span kinds** emitted through ``TraceRecorder.emit`` /
   ``_emit`` versus the kinds the trace analyzer handles or the

@@ -98,6 +98,9 @@ def decode_datagram(raw: bytes) -> Datagram:
             type(timestamp) in _NUMBER and _FLOAT_MIN <= timestamp <= _FLOAT_MAX
         ):
             raise DatagramDecodeError("timestamp must be a finite number or null")
+        if kind == "heartbeat" and (seq is None or timestamp is None):
+            # Every receiver reads both; the wire format alone admits null.
+            raise DatagramDecodeError("a heartbeat needs a seq and a timestamp")
         uid = data.get("uid", 0)
         if type(uid) is not int:
             raise DatagramDecodeError("uid must be an integer")

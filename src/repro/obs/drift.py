@@ -27,8 +27,8 @@ in a long process (microseconds) cannot read as WAN drift however often
 the window is re-tested.
 
 Each evaluation updates ``fd_service_drift_*`` gauges (rendered into
-the exporter head via :meth:`render_metrics`, the same extension hook
-the live KV controller uses), feeds the ``/drift`` HTTP route, and —
+the exporter head via :meth:`render_metrics`), feeds the ``/drift``
+HTTP route, and —
 when an endpoint's verdict flips — emits a ``calibration-drift`` trace
 span whose ``delay``/``timeout``/``deadline`` fields carry the window
 mean, baseline mean and KS distance.

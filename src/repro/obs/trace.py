@@ -30,8 +30,7 @@ A trace follows one heartbeat across the whole pipeline:
 
 Beyond the heartbeat journey, subsystems reuse the same recorder:
 ``send-error`` (a daemon outbound send failed; ``detector`` carries the
-datagram kind), ``kv-view``/``kv-promote``/``kv-demote`` (live KV
-failover, :mod:`repro.kv.live`), and ``calibration-drift`` (the
+datagram kind) and ``calibration-drift`` (the
 :class:`~repro.obs.drift.DriftMonitor` flipped an endpoint's verdict;
 ``delay`` = window mean, ``timeout`` = baseline mean, ``deadline`` = KS
 distance, ``seq`` = 1 drifted / 0 recovered).

@@ -168,9 +168,6 @@ class MonitorDaemon:
         self._snapshot_handle = None
         self._started_at = 0.0
         self._running = False
-        # Optional live KV failover controller (repro.kv.live); when set,
-        # the exporter renders its per-application series.
-        self.kv_controller: Optional[Any] = None
         # Fleet-level counters (the network counts what it sends and the
         # datagrams that never reach dispatch).
         self.heartbeats_total = 0
@@ -390,12 +387,6 @@ class MonitorDaemon:
         """Route one decoded datagram (also the socket-less test entry)."""
         registry = self._registry
         if registry is None:
-            return
-        if message.kind == "heartbeat" and (
-            message.seq is None or message.timestamp is None
-        ):
-            # Decodable but unusable: dropped before it can register anyone.
-            self._dispatch_drops += 1
             return
         monitor = registry.get(message.source)
         if message.kind == "heartbeat":

@@ -397,12 +397,6 @@ class IncrementalExporter:
                 f"{daemon.component_restarts[component]}"
             )
 
-        # Per-application series: a live KV failover controller, when one
-        # is attached (repro.kv.live).
-        kv = getattr(daemon, "kv_controller", None)
-        if kv is not None:
-            kv.render_metrics(lines, header)
-
         # Profile-drift gauges, when drift monitoring is enabled
         # (repro.obs.drift; values as of the last periodic evaluation).
         drift = getattr(daemon, "drift", None)

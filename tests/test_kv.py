@@ -32,6 +32,7 @@ from repro.kv.node import (
     KV_SET_OK,
     KV_VIEW,
     KvNodeCore,
+    KvNodeLayer,
 )
 from repro.kv import sim as kv_sim
 from repro.kv.sim import CONTROLLER, KvSimConfig, run_kv_sim
@@ -286,8 +287,56 @@ class TestKvClientTargeting:
         assert sent[-1].destination == "n0"
 
 
+class TestMalformedPayloads:
+    """The wire admits any JSON payload: a replica or a client drops and
+    counts one it cannot read, and no exception reaches the network."""
+
+    def test_replica_drops_and_counts_unreadable_payloads(self):
+        core = KvNodeCore("n0", ["n0", "n1"])
+        layer = KvNodeLayer(core)
+        layer._attach(_StubProcess())
+        sent = []
+        layer.send_down = sent.append
+        for kind, payload in (
+            (KV_SET, None),
+            (KV_GET, {"key": "k"}),
+            (KV_VIEW, {"epoch": "x", "primary": "n1"}),
+            (KV_REP, {"key": "k", "value": "v", "version": 5, "uid": "u"}),
+            (KV_VIEW, {"epoch": 3}),
+        ):
+            layer.deliver(Datagram(source="c", destination="n0", kind=kind,
+                                   payload=payload))
+        assert layer.dropped_malformed == 5
+        assert sent == []
+        assert (core.epoch, core.primary, len(core.store)) == (0, "n0", 0)
+        layer.deliver(Datagram(source="c", destination="n0", kind=KV_GET,
+                               payload={"key": "k", "uid": "u"}))
+        assert [message.kind for message in sent] == [KV_GET_OK]
+
+    def test_client_drops_and_counts_unreadable_payloads(self):
+        client, sent = _stub_client(["n0", "n1"])
+        client._begin_op()
+        uid = sent[-1].payload["uid"]
+        for kind, payload in (
+            (KV_VIEW, {"epoch": "x", "primary": "n1"}),
+            (KV_VIEW, {"epoch": 2}),
+            (KV_SET_OK, ["not", "a", "dict"]),
+            (KV_SET_OK, {"uid": uid, "version": None}),
+            (KV_REDIRECT, {"uid": uid, "epoch": 1}),
+        ):
+            client.deliver(Datagram(source="n0", destination="client0",
+                                    kind=kind, payload=payload))
+        assert client.dropped_malformed == 5
+        assert (client.view.epoch, client.view.primary) == (0, "n0")
+        assert client.records == [] and len(sent) == 1
+        client.deliver(Datagram(source="n0", destination="client0",
+                                kind=KV_SET_OK,
+                                payload={"uid": uid, "version": [0, 1]}))
+        assert [record.version for record in client.records] == [(0, 1)]
+
+
 class TestClientView:
-    """The rules the simulated and the live client share."""
+    """The client's view-adoption, rotation and stale-read rules."""
 
     def test_stale_is_below_a_version_already_observed(self):
         view = ClientView(["n0", "n1"])

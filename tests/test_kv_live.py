@@ -1,28 +1,47 @@
-"""Live-mode KV smoke test: one real-UDP failover, fully observable.
+"""Live KV: `run_kv_sim`'s cluster on one real loopback UDP socket.
 
-The acceptance scenario of the KV subsystem's live mode: a monitor
-daemon with a live detector bank, two `LiveKvNode` replicas heartbeating
-it over loopback UDP, a `LiveFailoverController` driving view changes
-from suspect/trust transitions, and an `AsyncKvClient` writing through
-the failover.  Every state transition must be visible in the `repro.obs`
-trace and the `/metrics` exposition.
+`build_kv_cluster` creates the controller, the replicas and the client
+on a `NekoSystem` over one `UdpNetwork`, exactly as `run_kv_sim` does on
+the simulated network, and `KvCluster.finish` turns the run into the
+same `KvSimResult`.  On loopback every detector combination flaps (a
+node is suspected for about a millisecond every 0.1–1 s), so these
+tests assert eventual states, never view counts.
 """
 
 import asyncio
+import json
+import os
 
 import pytest
 
 from repro.chaos import ChaosEngine, FaultPlan, attach_backend
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.simcrash import SimCrash
-from repro.kv.live import AsyncKvClient, LiveFailoverController, LiveKvNode
 from repro.kv.node import KvNodeLayer
+from repro.kv.sim import KvSimConfig, build_kv_cluster
+from repro.kv.workload import WorkloadSpec
+from repro.neko.system import NekoSystem, SimulatedNetwork
+from repro.net.udp import UdpNetwork
 from repro.obs import TraceRecorder
-from repro.service import LiveCrash, MonitorDaemon
+from repro.sim.engine import Simulator
+from repro.sim.random import RandomStreams
 
 pytestmark = [pytest.mark.kv, pytest.mark.network]
 
 NETWORK_TIMEOUT = 90.0
+
+#: One client keeps one key busy, so every read is of the last writes.
+WORKLOAD = WorkloadSpec(
+    read_fraction=0.5, key_space=1, think_time=0.05, op_timeout=0.4,
+    max_retries=30,
+)
+
+
+def live_config(crashes):
+    return KvSimConfig(
+        nodes=2, clients=1, eta=0.1, initial_timeout=0.8,
+        workload=WORKLOAD, crashes=crashes,
+    )
 
 
 def run(coroutine, timeout=NETWORK_TIMEOUT):
@@ -41,205 +60,195 @@ async def eventually(predicate, *, timeout=30.0, interval=0.02):
     return True
 
 
-def _learned(network, name):
-    """Whether ``network``'s peer table has an address for ``name``."""
-    try:
-        network.endpoint(name)
-    except KeyError:
-        return False
-    return True
+async def live_cluster(config, engine=None, tracer=None):
+    """The cluster on one opened loopback network, started; with a chaos
+    ``engine`` its intake shim is returned too, dormant until armed."""
+    network = UdpNetwork(tracer=tracer)
+    intake = None
+    if engine is not None:
+        intake = attach_backend(engine, network, name="kv")
+        intake.arm(float("inf"))
+    await network.open()
+    system = NekoSystem(network.scheduler, network)
+    cluster = build_kv_cluster(system, config, RandomStreams(config.seed))
+    system.start()
+    return network, cluster, intake
+
+
+def stack_types(system):
+    return {
+        name: [type(layer) for layer in process.stack.layers]
+        for name, process in system.processes.items()
+    }
+
+
+def assert_stacks_are_the_simulators(cluster):
+    sim = Simulator()
+    simulated = NekoSystem(sim, SimulatedNetwork(sim))
+    build_kv_cluster(simulated, cluster.config, RandomStreams(0))
+    live = stack_types(cluster.system)
+    assert live == stack_types(simulated)
+    assert live["node0"] == [KvNodeLayer, Heartbeater, SimCrash]
+
+
+def acked_writes(records, *, since=float("-inf"), epoch=0):
+    return [
+        record for record in records
+        if record.op == "set" and record.ok and record.start >= since
+        and record.version[0] >= epoch
+    ]
+
+
+def write_read_back(records, since, epoch):
+    """The first write acked in ``epoch`` or later that started after
+    ``since``, and the first read issued after it — once both exist."""
+    writes = acked_writes(records, since=since, epoch=epoch)
+    if not writes:
+        return None
+    read = next(
+        (record for record in records
+         if record.op == "get" and record.ok and record.start >= writes[0].end),
+        None,
+    )
+    return (writes[0], read) if read is not None else None
 
 
 class TestLiveFailover:
-    def test_real_udp_failover_is_fully_observable(self):
+    def test_crash_fails_over_and_writes_continue_in_a_newer_epoch(self):
+        # node0, the first primary, crashes 0.5 s after the build.
+        config = live_config(crashes=((0, 0.5, 3600.0),))
+
         async def main():
             tracer = TraceRecorder(None, ring_capacity=8192)
-            daemon = MonitorDaemon(
-                port=0, http_port=None, eta=0.1,
-                detector_ids=["Last+CI_med"], initial_timeout=0.8,
-                auto_register=True, tracer=tracer,
-            )
-            await daemon.start()
-            names = ["kv-a", "kv-b"]
-            nodes = [
-                LiveKvNode(
-                    name, names, daemon.udp_endpoint, eta=0.1, tracer=tracer
-                )
-                for name in names
-            ]
-            client = None
+            network, cluster, _ = await live_cluster(config, tracer=tracer)
             try:
-                for node in nodes:
-                    await node.start()
-                for node in nodes:
-                    for other in nodes:
-                        if other is not node:
-                            node.add_peer(other.name, other.udp_endpoint)
-                controller = LiveFailoverController(
-                    daemon, names, detector_id="Last+CI_med"
-                )
-                assert daemon.kv_controller is controller
-                client = AsyncKvClient(
-                    "c1",
-                    {node.name: node.udp_endpoint for node in nodes},
-                    names,
-                    op_timeout=0.4,
-                    max_retries=30,
-                )
-                await client.start()
+                assert_stacks_are_the_simulators(cluster)
+                state = cluster.controller.state
+                records = cluster.clients["client0"].records
+                crash = cluster.system.processes["node0"].stack.layers[-1]
 
-                # A live replica is the simulator's stack in a NekoProcess.
-                assert [type(layer) for layer in nodes[0].process.stack.layers] == [
-                    KvNodeLayer, Heartbeater, LiveCrash
-                ]
-                assert issubclass(LiveCrash, SimCrash)
+                assert await eventually(lambda: acked_writes(records))
+                before = acked_writes(records)[0]
 
-                # Both replicas heartbeat the daemon, which learns their
-                # service addresses from the inbound datagrams.
+                # The detector suspects the crashed primary for good and
+                # the controller installs a view naming node1.
                 assert await eventually(
-                    lambda: all(_learned(daemon.network, n) for n in names)
+                    lambda: crash.crashed and "node0" in state.suspected
+                    and state.primary == "node1"
                 )
+                failover_epoch = state.epoch
+                failed_over_at = network.scheduler.now
 
-                # A write against the initial view lands on kv-a.
-                before = await client.set("k", "before-crash")
-                assert before == (0, 1)
-
-                # Crash the primary: the detector suspects it and the
-                # controller installs a view naming kv-b.
-                nodes[0].crash()
+                # Writes continue on the new primary in a newer epoch, and
+                # a later read returns them, not stale.
                 assert await eventually(
-                    lambda: controller.view.primary == "kv-b"
+                    lambda: write_read_back(records, failed_over_at, failover_epoch)
                 )
-                assert controller.failovers_total >= 1
-
-                # Writes and reads continue against the new primary; the
-                # new-epoch version dominates the pre-crash one.
-                after = await client.set("k", "after-failover")
-                assert after > before and after[0] >= 1
-                value, version, stale = await client.get("k")
-                assert value == "after-failover"
-                assert version == after and not stale
-
-                # Every transition is visible in the trace...
-                kinds = {event["kind"] for event in tracer.tail(8192)}
-                assert {"crash", "suspect", "kv-demote", "kv-promote",
-                        "kv-view"} <= kinds
-                # ...including send spans from the KV replicas' own
-                # heartbeat emitters (the shared tracer is threaded
-                # through LiveKvNode), wall-time and seq on every one.
-                kv_sends = [
-                    event for event in tracer.tail(8192, kind="send")
-                    if event["endpoint"] in names
-                ]
-                assert kv_sends
-                assert all(
-                    "seq" in event and "t" in event for event in kv_sends
+                after, read = write_read_back(
+                    records, failed_over_at, failover_epoch
                 )
-                # ...and on /metrics.
-                metrics = daemon.exporter.render()
-                assert "fd_kv_epoch" in metrics
-                assert "fd_kv_failovers_total" in metrics
-                assert 'fd_kv_primary{endpoint="kv-b"} 1' in metrics
-                assert "fd_service_sent_datagrams_total" in metrics
-                assert controller.views_broadcast > 0
+                assert after.version > before.version
+                assert read.version >= after.version and not read.stale
+
+                # The network traced every heartbeat it put on the wire:
+                # a `send` span with the replica, wall time and seq.
+                sends = tracer.tail(8192, kind="send")
+                assert {event["endpoint"] for event in sends} == {
+                    "node0", "node1"
+                }
+                assert all("seq" in event and "t" in event for event in sends)
             finally:
-                if client is not None:
-                    await client.stop()
-                for node in nodes:
-                    await node.stop()
-                await daemon.stop()
+                result = cluster.finish()
+                network.close()
                 tracer.close()
+            # The same finish as a simulated run: both QoS layers.
+            assert result.summary.ops == len(result.records) > 0
+            assert len(result.detector_qos["node0"].td_samples) == 1
 
         run(main())
 
 
 class TestLivePartitionHeal:
+    #: Seconds node0's outbound traffic is dropped.
+    PARTITION = 1.5
+
+    @pytest.mark.chaos
     def test_partition_demotes_and_heal_readopts_primary(self):
-        """A healed primary is re-adopted and clients converge.
+        """A partitioned primary is demoted; once healed it is primary
+        again, and the client converges on it.
 
-        The chaos shim on the daemon intake drops kv-a's heartbeats for
-        a 4s window — a pure network partition, the node itself stays
-        healthy.  The controller must demote to kv-b while kv-a is
-        unreachable, then re-promote kv-a (priority order) once its
-        heartbeats flow again, and a client must see its writes land on
-        whichever primary the view names at the time.
+        The chaos shim on the one network's intake drops every datagram
+        node0 sends — its heartbeats, replies and replication — for
+        ``PARTITION`` seconds; the node itself stays healthy.
         """
+        config = live_config(crashes=())
+        plan = (
+            FaultPlan.build(name="kv-heal", seed=0)
+            .partition("node0", "*", 0.0, self.PARTITION, bidirectional=False)
+            .done()
+        )
+        engine = ChaosEngine(plan)
+
         async def main():
-            plan = (
-                FaultPlan.build(name="kv-heal", seed=0)
-                .partition("kv-a", "*", 0.0, 4.0, bidirectional=False)
-                .done()
-            )
-            engine = ChaosEngine(plan)
-            daemon = MonitorDaemon(
-                port=0, http_port=None, eta=0.1,
-                detector_ids=["Last+CI_med"], initial_timeout=0.8,
-                auto_register=True,
-            )
-            intake = attach_backend(engine, daemon.network, name="daemon")
-            await daemon.start()
-            # Keep the partition dormant until the steady state exists.
-            intake.arm(float("inf"))
-            names = ["kv-a", "kv-b"]
-            nodes = [
-                LiveKvNode(name, names, daemon.udp_endpoint, eta=0.1)
-                for name in names
-            ]
-            client = None
+            network, cluster, intake = await live_cluster(config, engine)
             try:
-                for node in nodes:
-                    await node.start()
-                for node in nodes:
-                    for other in nodes:
-                        if other is not node:
-                            node.add_peer(other.name, other.udp_endpoint)
-                controller = LiveFailoverController(
-                    daemon, names, detector_id="Last+CI_med"
-                )
-                client = AsyncKvClient(
-                    "c1",
-                    {node.name: node.udp_endpoint for node in nodes},
-                    names,
-                    op_timeout=0.4,
-                    max_retries=30,
-                )
-                await client.start()
+                assert_stacks_are_the_simulators(cluster)
+                state = cluster.controller.state
+                records = cluster.clients["client0"].records
 
                 assert await eventually(
-                    lambda: all(_learned(daemon.network, n) for n in names)
+                    lambda: acked_writes(records) and state.primary == "node0"
                 )
-                before = await client.set("k", "pre-partition")
-                assert controller.view.primary == "kv-a"
+                before = acked_writes(records)[-1]
 
-                # Anchor the plan: the 4s partition starts *now*.
-                intake.arm(daemon.scheduler.now)
+                # Anchor the plan: the partition starts now.
+                partitioned_at = network.scheduler.now
+                intake.arm(partitioned_at)
                 assert await eventually(
-                    lambda: controller.view.primary == "kv-b", timeout=15.0
+                    lambda: state.primary == "node1"
+                    and "node0" in state.suspected, timeout=15.0
                 ), "partitioned primary must be demoted"
-                assert controller.failovers_total >= 1
-                during = await client.set("k", "during-partition")
-                assert during > before
-
-                # Heal: kv-a's heartbeats flow again, the detector
-                # re-trusts, and priority order re-promotes kv-a.
+                failover_epoch = state.epoch
                 assert await eventually(
-                    lambda: controller.view.primary == "kv-a", timeout=20.0
+                    lambda: acked_writes(
+                        records, since=partitioned_at, epoch=failover_epoch
+                    )
+                )
+                during = acked_writes(
+                    records, since=partitioned_at, epoch=failover_epoch
+                )[0]
+                assert during.version > before.version
+
+                # Heal: node0's heartbeats flow again and it is trusted.
+                # Sticky leadership never deposes a trusted primary, so
+                # node0 is re-adopted only once node1 is suspected —
+                # falsely, as every loopback detector flaps — and node0,
+                # first in priority order, is promoted.
+                assert await eventually(
+                    lambda: state.primary == "node0", timeout=20.0
                 ), "healed primary must be re-adopted"
-                assert controller.failovers_total >= 2
                 assert engine.stats.dropped > 0
+                readopt_epoch = state.epoch
+                healed_at = network.scheduler.now
 
                 # The client converges on the restored primary: a fresh
-                # write lands there and dominates every earlier version.
-                after = await client.set("k", "post-heal")
-                assert after > during
-                value, version, stale = await client.get("k")
-                assert value == "post-heal"
-                assert version == after and not stale
+                # write dominates every earlier version and reads back.
+                assert await eventually(
+                    lambda: write_read_back(records, healed_at, readopt_epoch)
+                )
+                after, read = write_read_back(records, healed_at, readopt_epoch)
+                assert after.version > during.version
+                assert read.version >= after.version and not read.stale
             finally:
-                if client is not None:
-                    await client.stop()
-                for node in nodes:
-                    await node.stop()
-                await daemon.stop()
+                result = cluster.finish()
+                network.close()
+                # CI points CHAOS_TRACE_DIR at a directory it uploads
+                # when the chaos suite fails.
+                trace_dir = os.environ.get("CHAOS_TRACE_DIR")
+                if trace_dir:
+                    os.makedirs(trace_dir, exist_ok=True)
+                    path = os.path.join(trace_dir, "kv-partition-heal.json")
+                    with open(path, "w") as handle:
+                        json.dump(result.canonical_dict(), handle, sort_keys=True)
 
         run(main())

@@ -24,6 +24,7 @@ import urllib.request
 import pytest
 
 from repro.net.message import Datagram
+from repro.net.udp import encode_datagram
 from repro.obs import TraceRecorder, WindowedQosStore
 from repro.service import HeartbeatFleet, MonitorDaemon
 
@@ -113,14 +114,15 @@ class TestLostRestoreInference:
                 _control(daemon, "crash")
                 monitor = daemon.registry.get("ep")
                 dropped = daemon.dropped_datagrams
-                # A seqless heartbeat is malformed: dispatch drops it
+                # A seqless heartbeat is malformed: the codec drops it
                 # before it reaches the monitor, so the inference guard
                 # never runs — the endpoint stays crashed.
-                daemon.dispatch(
-                    Datagram(
+                daemon.network._on_datagram(
+                    encode_datagram(Datagram(
                         source="ep", destination="monitor",
                         kind="heartbeat",
-                    )
+                    )),
+                    ("127.0.0.1", 9),
                 )
                 assert daemon.dropped_datagrams == dropped + 1
                 assert monitor.crashed

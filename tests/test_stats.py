@@ -272,7 +272,7 @@ class TestNormalQuantile:
 
         source_root = os.path.dirname(os.path.dirname(repro.__file__))
         probe = (
-            "import sys, repro, repro.cli, repro.service, repro.kv.live, "
+            "import sys, repro, repro.cli, repro.service, repro.kv.sim, "
             "repro.experiments, repro.nekostat.stats\n"
             "sys.exit('scipy.stats' in sys.modules)"
         )

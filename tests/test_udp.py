@@ -97,6 +97,19 @@ class TestWireFormat:
         got = decode_datagram(encode_datagram(message))
         assert got.kind == "crash" and got.seq is None
 
+    def test_heartbeat_without_seq_or_timestamp_rejected(self):
+        """Every heartbeat receiver reads both fields, so the codec is the
+        one intake check: no receiver behind it sees such a heartbeat."""
+        for raw in (
+            b'{"source": "q", "destination": "m", "kind": "heartbeat"}',
+            b'{"source": "q", "destination": "m", "kind": "heartbeat",'
+            b' "seq": null, "timestamp": 1.5}',
+            b'{"source": "q", "destination": "m", "kind": "heartbeat",'
+            b' "seq": 3, "timestamp": null}',
+        ):
+            with pytest.raises(DatagramDecodeError):
+                decode_datagram(raw)
+
     def test_malformed_bytes_rejected(self):
         with pytest.raises(DatagramDecodeError):
             decode_datagram(b"\xff\x00 not json")
@@ -273,6 +286,7 @@ class TestUdpNetwork:
                 network._on_datagram(
                     encode_datagram(Datagram(
                         source=source, destination="monitor", kind="heartbeat",
+                        seq=0, timestamp=1.0,
                     )),
                     ("127.0.0.1", 55555),
                 )
