@@ -379,8 +379,9 @@ class DetectorBank(Layer):
         Per predictor, in the order of :meth:`TimeoutStrategy.observe`:
         the Jacobson deviation takes the error of the prediction in force
         (:meth:`JacobsonMargin.update` with ``alpha = JACOBSON_ALPHA``),
-        then the predictor absorbs the delay and its fresh forecast comes
-        into force.  Then ``SM_CI``, which ignores the prediction.
+        then the predictor absorbs the delay and the fresh forecast its
+        ``observe`` returns comes into force.  Then ``SM_CI``, which
+        ignores the prediction.
         """
         in_force = self._in_force
         mdev = self._mdev
@@ -395,8 +396,7 @@ class DetectorBank(Layer):
                 if deviation is None
                 else deviation + JACOBSON_ALPHA * (error - deviation)
             )
-            predictor.observe(delay)
-            in_force[slot] = predictor.predict()
+            in_force[slot] = predictor.observe(delay)
         if self._ci is not None:
             self._ci.update(delay, 0.0)
         self._timeouts = self._derive_timeouts()

@@ -50,11 +50,8 @@ class ConstantPredictor(Predictor):
             raise ValueError(f"value must be >= 0, got {value!r}")
         self._value = float(value)
 
-    def _observe(self, value: float) -> None:
-        pass  # observations do not move a constant prediction
-
-    def _predict(self) -> float:
-        return self._value
+    def _observe(self, value: float) -> float:
+        return self._value  # observations do not move a constant prediction
 
     def _reset(self) -> None:
         pass

@@ -32,7 +32,13 @@ from repro.timeseries.base import Forecaster
 
 
 class Predictor(Forecaster):
-    """Base class for delay predictors: a named, resettable forecaster."""
+    """Base class for delay predictors: a named, resettable forecaster.
+
+    :meth:`observe` returns the fresh forecast and stores it;
+    :meth:`predict` returns the stored one.  A subclass implements two
+    hooks: ``_observe(value)`` absorbs a validated delay and returns the
+    forecast of the next one, and ``_reset()`` forgets its state.
+    """
 
     #: Short name used in detector identifiers (e.g. ``"Last"``).
     name: str = "Predictor"
@@ -40,35 +46,35 @@ class Predictor(Forecaster):
     def __init__(self, initial_prediction: float = 0.0) -> None:
         self._initial_prediction = float(initial_prediction)
         self._observations = 0
+        self._prediction = self._initial_prediction
 
     @property
     def observations(self) -> int:
         """How many delays have been observed."""
         return self._observations
 
-    def observe(self, value: float) -> None:
-        """Feed one observed delay (seconds)."""
+    def observe(self, value: float) -> float:
+        """Feed one observed delay (seconds); return the forecast of the
+        next one, which :meth:`predict` returns from now on."""
         if not math.isfinite(value):
             raise ValueError(f"observed delay must be finite, got {value!r}")
         self._observations += 1
-        self._observe(float(value))
+        self._prediction = prediction = self._observe(float(value))
+        return prediction
 
     def predict(self) -> float:
-        """Forecast the next delay (seconds)."""
-        if self._observations == 0:
-            return self._initial_prediction
-        return self._predict()
+        """Forecast the next delay (seconds): ``initial_prediction`` before
+        the first observation, else what the last :meth:`observe` returned."""
+        return self._prediction
 
     def reset(self) -> None:
         """Forget all observations."""
         self._observations = 0
+        self._prediction = self._initial_prediction
         self._reset()
 
     # Subclass hooks -----------------------------------------------------
-    def _observe(self, value: float) -> None:
-        raise NotImplementedError
-
-    def _predict(self) -> float:
+    def _observe(self, value: float) -> float:
         raise NotImplementedError
 
     def _reset(self) -> None:
@@ -87,11 +93,9 @@ class LastPredictor(Predictor):
         super().__init__(initial_prediction)
         self._last = 0.0
 
-    def _observe(self, value: float) -> None:
+    def _observe(self, value: float) -> float:
         self._last = value
-
-    def _predict(self) -> float:
-        return self._last
+        return value
 
     def _reset(self) -> None:
         self._last = 0.0
@@ -110,10 +114,8 @@ class MeanPredictor(Predictor):
         super().__init__(initial_prediction)
         self._sum = 0.0
 
-    def _observe(self, value: float) -> None:
+    def _observe(self, value: float) -> float:
         self._sum += value
-
-    def _predict(self) -> float:
         return self._sum / self._observations
 
     def _reset(self) -> None:
@@ -137,13 +139,11 @@ class WinMeanPredictor(Predictor):
         self._buffer: Deque[float] = deque(maxlen=self.window)
         self._window_sum = 0.0
 
-    def _observe(self, value: float) -> None:
+    def _observe(self, value: float) -> float:
         if len(self._buffer) == self.window:
             self._window_sum -= self._buffer[0]
         self._buffer.append(value)
         self._window_sum += value
-
-    def _predict(self) -> float:
         return self._window_sum / len(self._buffer)
 
     def _reset(self) -> None:
@@ -170,14 +170,11 @@ class LpfPredictor(Predictor):
         self.beta = float(beta)
         self._estimate: Optional[float] = None
 
-    def _observe(self, value: float) -> None:
+    def _observe(self, value: float) -> float:
         if self._estimate is None:
             self._estimate = value
         else:
             self._estimate += self.beta * (value - self._estimate)
-
-    def _predict(self) -> float:
-        assert self._estimate is not None
         return self._estimate
 
     def _reset(self) -> None:
@@ -226,11 +223,10 @@ class ArimaPredictor(Predictor):
         """The (p, d, q) order."""
         return (self._forecaster.p, self._forecaster.d, self._forecaster.q)
 
-    def _observe(self, value: float) -> None:
-        self._forecaster.observe(value)
-
-    def _predict(self) -> float:
-        return self._forecaster.predict()
+    def _observe(self, value: float) -> float:
+        forecaster = self._forecaster
+        forecaster.observe(value)
+        return forecaster.predict()
 
     def _reset(self) -> None:
         self._forecaster.reset()

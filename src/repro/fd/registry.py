@@ -16,6 +16,27 @@ Stock names (the paper's) resolve through
 shadow, the stock set.  :class:`MedianPredictor` — a robust sliding-window
 median, natural on heavy-tailed paths — ships as a worked example and is
 pre-registered.
+
+A custom predictor subclasses :class:`~repro.fd.predictors.Predictor`
+and implements two hooks::
+
+    class DoubleLast(Predictor):
+        name = "DoubleLast"
+
+        def _observe(self, value: float) -> float:
+            self._last = value
+            return 2.0 * value   # the forecast of the next delay
+
+        def _reset(self) -> None:
+            self._last = 0.0
+
+``_observe`` receives a finite delay (the base class validates and
+counts it) and returns the forecast of the next one; the base class
+stores it, returns it from ``observe`` and from every ``predict()``
+until the next observation, and answers ``initial_prediction`` before
+the first one and after ``reset()``.  The detector bank reads the
+forecast from ``observe``, so a heartbeat costs one call per predictor
+plus its hook.
 """
 
 from __future__ import annotations
@@ -114,15 +135,13 @@ class MedianPredictor(Predictor):
         self._buffer: deque = deque(maxlen=self.window)
         self._sorted: List[float] = []
 
-    def _observe(self, value: float) -> None:
+    def _observe(self, value: float) -> float:
         if len(self._buffer) == self.window:
             oldest = self._buffer[0]
             index = bisect.bisect_left(self._sorted, oldest)
             del self._sorted[index]
         self._buffer.append(value)
         bisect.insort(self._sorted, value)
-
-    def _predict(self) -> float:
         n = len(self._sorted)
         middle = n // 2
         if n % 2:

@@ -140,14 +140,16 @@ class ConfidenceIntervalMargin(SafetyMargin):
         left to right — one state therefore serves every ``SM_CI`` level
         of a detector bank.
         """
-        n = self._accumulator.count
+        accumulator = self._accumulator
+        n = accumulator.count
         if n < 2:
             return None
-        variance_sum = self._accumulator.variance * (n - 1)  # sum of squared deviations
-        sigma = self._accumulator.std
+        variance = accumulator.m2 / (n - 1)  # Welford.variance's operands
+        sigma = math.sqrt(variance)
         if sigma == 0.0:
             return 0.0, 1.0
-        deviation = self._last_observation - self._accumulator.mean
+        variance_sum = variance * (n - 1)  # sum of squared deviations
+        deviation = self._last_observation - accumulator.mean
         inflation = 1.0 + 1.0 / n + (deviation * deviation) / variance_sum
         return sigma, math.sqrt(inflation)
 

@@ -49,9 +49,8 @@ class TimeoutStrategy:
             else self._predictor.predict()
         )
         self._margin.update(delay, in_force)
-        self._predictor.observe(delay)
         # The prediction now in force is the fresh one.
-        self._prediction_in_force = self._predictor.predict()
+        self._prediction_in_force = self._predictor.observe(delay)
 
     def prediction(self) -> float:
         """The current delay forecast ``pred`` (seconds)."""

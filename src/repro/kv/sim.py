@@ -222,6 +222,7 @@ class KvCluster:
                 self.node_logs[name],
                 end_time=end_time,
                 detectors=[config.detector_id],
+                start_time=start,
             )[config.detector_id]
             for name in node_names
         }

@@ -188,6 +188,7 @@ def extract_qos(
     *,
     end_time: Optional[float] = None,
     detectors: Optional[Sequence[str]] = None,
+    start_time: float = 0.0,
 ) -> Dict[str, DetectorQos]:
     """Compute per-detector QoS from an event log.
 
@@ -200,12 +201,17 @@ def extract_qos(
         are closed there.  Defaults to the last event's time.
     detectors:
         Restrict to these detector ids (default: all that appear).
+    start_time:
+        The time the run began at: observation and up time count from
+        there.  A simulated run starts at 0.0; a run on a real-time
+        scheduler starts at the loop time it was built at.
     """
     if end_time is None:
         end_time = log[-1].time if len(log) else 0.0
     crashes = log.crash_intervals(end_time=end_time)
     crashed_time = sum(end - start for start, end in crashes)
-    up_windows = _up_windows(crashes, end_time)
+    up_windows = _up_windows(crashes, end_time, start_time)
+    observation_time = end_time - start_time
     detector_ids = list(detectors) if detectors is not None else log.detectors()
     intervals_of = _suspicion_intervals_by_detector(log, detector_ids, end_time)
     crash_count = len(crashes)
@@ -216,8 +222,8 @@ def extract_qos(
     for detector in detector_ids:
         qos = DetectorQos(
             detector=detector,
-            observation_time=end_time,
-            up_time=max(0.0, end_time - crashed_time),
+            observation_time=observation_time,
+            up_time=max(0.0, observation_time - crashed_time),
         )
         intervals = intervals_of[detector]
         permanent: set = set()
@@ -290,11 +296,11 @@ def extract_qos(
 
 
 def _up_windows(
-    crashes: Sequence[Tuple[float, float]], end_time: float
+    crashes: Sequence[Tuple[float, float]], end_time: float, start_time: float = 0.0
 ) -> List[Tuple[float, float]]:
-    """The complement of the crash intervals within [0, end_time)."""
+    """The complement of the crash intervals within [start_time, end_time)."""
     windows: List[Tuple[float, float]] = []
-    cursor = 0.0
+    cursor = start_time
     for crash_start, crash_end in crashes:
         if crash_start > cursor:
             windows.append((cursor, min(crash_start, end_time)))

@@ -242,41 +242,36 @@ class Welford:
 
     Numerically stable over the 100 000-sample runs of the experiments;
     avoids keeping every sample in memory when only the summary is needed.
+    The moments are plain attributes, read without a call; only
+    :meth:`add` writes them.
     """
 
     def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
+        #: Number of samples accumulated.
+        self.count = 0
+        #: Sample mean (0.0 when empty).
+        self.mean = 0.0
+        #: Sum of squared deviations from the mean.
+        self.m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
 
     def add(self, value: float) -> None:
         """Accumulate one sample."""
         value = float(value)
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
+        self.count += 1
+        delta = value - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (value - self.mean)
         self._min = min(self._min, value)
         self._max = max(self._max, value)
 
     @property
-    def count(self) -> int:
-        """Number of samples accumulated."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 when empty)."""
-        return self._mean if self._count else 0.0
-
-    @property
     def variance(self) -> float:
         """Unbiased sample variance (0.0 with fewer than two samples)."""
-        if self._count < 2:
+        if self.count < 2:
             return 0.0
-        return self._m2 / (self._count - 1)
+        return self.m2 / (self.count - 1)
 
     @property
     def std(self) -> float:
@@ -286,29 +281,29 @@ class Welford:
     @property
     def minimum(self) -> float:
         """Smallest sample seen; raises when empty."""
-        if not self._count:
+        if not self.count:
             raise ValueError("no samples accumulated")
         return self._min
 
     @property
     def maximum(self) -> float:
         """Largest sample seen; raises when empty."""
-        if not self._count:
+        if not self.count:
             raise ValueError("no samples accumulated")
         return self._max
 
     def summary(self, confidence: float = 0.95) -> SummaryStats:
         """Freeze the accumulated statistics into a :class:`SummaryStats`."""
-        if not self._count:
+        if not self.count:
             raise ValueError("no samples accumulated")
         if not 0.0 < confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
-        if self._count > 1:
-            half = _t_critical(confidence, self._count - 1) * self.std / math.sqrt(self._count)
+        if self.count > 1:
+            half = _t_critical(confidence, self.count - 1) * self.std / math.sqrt(self.count)
         else:
             half = float("inf")
         return SummaryStats(
-            count=self._count,
+            count=self.count,
             mean=self.mean,
             std=self.std,
             minimum=self._min,

@@ -37,23 +37,18 @@ class Event:
     :meth:`Simulator.schedule` returns the event itself, so one schedule
     allocates one object.  ``__slots__`` keeps the per-event footprint
     small — a 100 000-cycle run allocates hundreds of thousands of these.
+    Only :meth:`Simulator.schedule_at` creates events, and it fills the
+    slots itself: the class has no ``__init__`` to call.
     """
 
     __slots__ = ("time", "callback", "name", "cancelled", "fired", "_sim")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        time: float,
-        callback: Callable[[], None],
-        name: str = "",
-    ) -> None:
-        self._sim = sim
-        self.time = time
-        self.callback = callback
-        self.name = name
-        self.cancelled = False
-        self.fired = False
+    time: float
+    callback: Callable[[], None]
+    name: str
+    cancelled: bool
+    fired: bool
+    _sim: "Simulator"
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -159,7 +154,13 @@ class Simulator:
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
         time = float(time)
-        event = Event(self, time, callback, name)
+        event = object.__new__(Event)  # slots unset; no __init__ to call
+        event._sim = self
+        event.time = time
+        event.callback = callback
+        event.name = name
+        event.cancelled = False
+        event.fired = False
         heapq.heappush(self._queue, (time, priority, next(self._seq), event))
         self._pending += 1
         return event

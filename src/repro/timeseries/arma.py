@@ -21,6 +21,7 @@ standard initialiser even for maximum-likelihood ARMA fitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,15 +43,23 @@ class ArmaModel:
     const: float
     noise_variance: float
 
-    @property
+    # The orders and the float coefficients are computed on first use
+    # and kept: innovations() reads the orders per sample, forecast_one()
+    # the coefficients per heartbeat.
+    @cached_property
     def p(self) -> int:
         """AR order."""
         return int(self.phi.shape[0])
 
-    @property
+    @cached_property
     def q(self) -> int:
         """MA order."""
         return int(self.theta.shape[0])
+
+    @cached_property
+    def _terms(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """The AR and MA coefficients as Python floats."""
+        return tuple(map(float, self.phi)), tuple(map(float, self.theta))
 
     def forecast_one(
         self,
@@ -64,13 +73,12 @@ class ArmaModel:
         Histories shorter than the model order are zero-padded on the old
         side (the conditional-sum-of-squares start-up convention).
         """
+        ar, ma = self._terms
         forecast = self.const
-        for i in range(1, self.p + 1):
-            if i <= len(recent_values):
-                forecast += float(self.phi[i - 1]) * float(recent_values[-i])
-        for j in range(1, self.q + 1):
-            if j <= len(recent_innovations):
-                forecast += float(self.theta[j - 1]) * float(recent_innovations[-j])
+        for coefficient, value in zip(ar, reversed(recent_values)):
+            forecast += coefficient * float(value)
+        for coefficient, innovation in zip(ma, reversed(recent_innovations)):
+            forecast += coefficient * float(innovation)
         return forecast
 
     def innovations(self, series: Sequence[float]) -> np.ndarray:

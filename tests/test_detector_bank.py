@@ -508,10 +508,12 @@ def on_time_bank(sim, *, delay=0.2, beats=300):
 class TestFusedStep:
     def test_heartbeat_cost_in_calls(self, sim):
         """A fresh heartbeat that moves no row is one bank step: at most
-        60 calls of the package's functions, from the engine's step to the
-        re-armed timer (the five predictors' ``observe``/``predict`` are
-        twenty of them).  Walking five ``TimeoutStrategy`` chains and
-        mapping 30 deadlines one by one took 112."""
+        40 calls of the package's functions, from the engine's step to the
+        re-armed timer (36 today; the five predictors' ``observe`` and
+        ``_observe`` are ten of them).  Walking five ``TimeoutStrategy``
+        chains and mapping 30 deadlines one by one took 112; a separate
+        ``predict``/``_predict`` per predictor, property reads of the
+        ``SM_CI`` moments and the ARMA orders took 54."""
         bank, _process = on_time_bank(sim)
         sim.run(until=250.5)  # past ARIMA's initial fit
         transitions = sum(view.suspicions_raised for _id, view in bank.items())
@@ -522,7 +524,7 @@ class TestFusedStep:
         assert bank.heartbeats_seen == 300
         assert sum(view.suspicions_raised for _id, view in bank.items()) == transitions
         assert not any(view.suspecting for _id, view in bank.items())
-        assert repro_calls(profiler) / 49 <= 60
+        assert repro_calls(profiler) / 49 <= 40
 
     @pytest.mark.parametrize("timestamp", [math.nan, -math.inf])
     def test_non_finite_delay_rejected_before_any_state_moves(self, sim, timestamp):

@@ -168,6 +168,32 @@ class TestLiveFailover:
         run(main())
 
 
+class TestLiveQos:
+    def test_detector_qos_counts_from_the_build(self):
+        """Each replica's `DetectorQos` covers the run, not the loop's
+        time before the build: its observation and up time are at most
+        the run's length, and node0's up time leaves out its crash."""
+        config = live_config(crashes=((0, 0.3, 0.6),))
+
+        async def main():
+            network, cluster, _ = await live_cluster(config)
+            try:
+                await asyncio.sleep(1.0)
+            finally:
+                result = cluster.finish()
+                length = network.scheduler.now - cluster.start
+                network.close()
+            return result, length
+
+        result, length = run(main())
+        for node, qos in result.detector_qos.items():
+            assert 0.0 < qos.up_time <= qos.observation_time <= length, node
+            assert qos.suspected_up_time <= qos.up_time, node
+        node0 = result.detector_qos["node0"]
+        # Crash and restore fire when the loop gets to them, a little late.
+        assert node0.up_time == pytest.approx(node0.observation_time - 0.3, abs=0.1)
+
+
 class TestLivePartitionHeal:
     #: Seconds node0's outbound traffic is dropped.
     PARTITION = 1.5

@@ -386,6 +386,30 @@ class TestMalformedLogs:
         assert qos.up_time == 10.0
 
 
+class TestStartTime:
+    """A run on a real-time scheduler starts at the loop time it was
+    built at, not at 0."""
+
+    LOG = [
+        (1001.0, S, "fd"), (1002.0, E, "fd"),
+        (1004.0, C, None), (1004.5, S, "fd"),
+        (1006.0, R, None), (1006.2, E, "fd"),
+    ]
+
+    def test_observation_and_up_time_count_from_the_start(self):
+        qos = extract_qos(build_log(self.LOG), end_time=1010.0, start_time=1000.0)["fd"]
+        assert qos.observation_time == 10.0
+        assert qos.up_time == 8.0
+        assert qos.suspected_up_time == pytest.approx(1.2)
+        assert qos.td_samples == [0.5]
+        assert qos.mistakes == [MistakeInterval(1001.0, 1002.0)]
+
+    def test_up_windows_open_at_the_start(self):
+        assert _up_windows([(1004.0, 1006.0)], 1010.0, 1000.0) == [
+            (1000.0, 1004.0), (1006.0, 1010.0)
+        ]
+
+
 # ----------------------------------------------------------------------
 # extract_qos against its earlier per-interval body, bit for bit
 # ----------------------------------------------------------------------

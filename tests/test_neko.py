@@ -125,8 +125,9 @@ class TestWiring:
     def test_datagram_call_budget(self, sim):
         """One datagram from a top layer's ``send`` through two
         pass-through layers on each side to the receiving top layer: the
-        network's hops and nothing else (26 calls with a call per layer
-        hop and per property read)."""
+        network's hops and nothing else: at most 10 calls per datagram,
+        plus the one ``Simulator.run`` (26 per datagram with a call per
+        layer hop and per property read, 11 with ``Event.__init__``)."""
         system = NekoSystem(sim)
         system.network.set_link("p", "q", ConstantDelay(0.01))
         sender, receiver = Layer("app"), RecordingLayer()
@@ -141,7 +142,7 @@ class TestWiring:
         sim.run()
         profiler.disable()
         assert receiver.received == messages
-        assert repro_calls(profiler) / len(messages) <= 12
+        assert repro_calls(profiler) <= 10 * len(messages) + 1  # + one run()
 
 
 class TestNekoProcess:

@@ -39,9 +39,7 @@ class TestRegistry:
 
             def _observe(self, value):
                 self._last = value
-
-            def _predict(self):
-                return 2.0 * self._last
+                return 2.0 * value
 
             def _reset(self):
                 self._last = 0.0

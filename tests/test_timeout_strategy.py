@@ -37,7 +37,7 @@ class TestTimeoutStrategy:
 
     def test_timeout_clamped_at_zero(self):
         class NegativePredictor(LastPredictor):
-            def _predict(self):
+            def _observe(self, value):
                 return -1.0
 
         strategy = TimeoutStrategy(NegativePredictor(), ConstantMargin(0.0))
