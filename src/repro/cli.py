@@ -919,11 +919,15 @@ def _command_chaos(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.add_channel:
-        plan = add_channel_plan(
-            seed=args.seed,
-            stabilization_time=args.stabilization,
-            horizon=args.horizon,
-        )
+        try:
+            plan = add_channel_plan(
+                seed=args.seed,
+                stabilization_time=args.stabilization,
+                horizon=args.horizon,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     elif args.plan:
         plan = FaultPlan.load(args.plan)
         if args.seed:

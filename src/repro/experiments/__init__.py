@@ -47,16 +47,11 @@ from repro.experiments.report import (
     format_wan_table,
 )
 from repro.experiments.chart import render_figure
-from repro.experiments.compare import (
-    compare_campaigns,
-    format_comparison,
-)
 from repro.experiments.store import load_campaign, save_campaign
 from repro.experiments.sweep import (
     SweepPoint,
     format_sweep,
     sweep_eta,
-    sweep_margin_level,
 )
 
 __all__ = [
@@ -72,15 +67,12 @@ __all__ = [
     "build_qos_system",
     "characterize_profile",
     "collect_delay_trace",
-    "compare_campaigns",
     "figure_data",
-    "format_comparison",
     "format_sweep",
     "load_campaign",
     "render_figure",
     "save_campaign",
     "sweep_eta",
-    "sweep_margin_level",
     "format_figure_grid",
     "format_predictor_accuracy_table",
     "format_qos_report",

@@ -1,35 +1,27 @@
-"""Parameter sweeps: QoS as a function of the experiment knobs.
+"""Parameter sweep: QoS as a function of the heartbeat period.
 
-The paper fixes the heartbeat period at ``eta = 1 s`` (Table 5) and the
-margin levels at three points (Table 1).  These sweeps treat them as the
-continuous dials they are:
+The paper fixes the heartbeat period at ``eta = 1 s`` (Table 5).
+:func:`sweep_eta` treats it as the continuous dial it is: QoS versus
+heartbeat rate.  The message cost is ``1/eta`` per second; detection time
+grows like ``eta/2 + delta``; the mistake *rate* per second falls as
+heartbeats get rarer.  This is the cost/QoS frontier an operator
+actually tunes.
 
-* :func:`sweep_eta` — QoS versus heartbeat rate.  The message cost is
-  ``1/eta`` per second; detection time grows like ``eta/2 + delta``;
-  the mistake *rate* per second falls as heartbeats get rarer.  This is
-  the cost/QoS frontier an operator actually tunes.
-* :func:`sweep_margin_level` — QoS versus a continuous γ (for ``SM_CI``)
-  or φ (for ``SM_JAC``), generalising the three-point Table 1 grid and
-  exposing where the accuracy/delay trade-off curve bends.
+The sweep reuses the standard experiment runner, so every point is a full
+crash-injected run.  Points are independent runs, so the sweep accepts
+``workers`` and fans out over the process pool of
+:mod:`repro.experiments.parallel`; the per-point work is done by a
+module-level function on picklable payloads, and serial execution maps
+the very same function inline — the two paths cannot diverge.
 
-Both reuse the standard experiment runner, so every point is a full
-crash-injected run.  Points are independent runs, so both sweeps accept
-``workers`` and fan out over the process pool of
-:mod:`repro.experiments.parallel`; the per-point work is done by
-module-level functions on picklable payloads, and serial execution maps
-the very same functions inline — the two paths cannot diverge.
-
-Both also accept ``engine="replay"``: the point then rides the vectorized
+It also accepts ``engine="replay"``: the point then rides the vectorized
 trace-replay fast path (:mod:`repro.experiments.replay_engine`) instead
 of the event-driven system — crash-free configurations only, but orders
 of magnitude faster, which is what makes dense sweep grids affordable.
-Continuous margin levels reach the fast path as explicit
-``("CI", gamma)`` / ``("JAC", phi)`` margin specs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,8 +29,7 @@ from repro.experiments.parallel import parallel_map
 from repro.experiments.runner import MONITORED, build_qos_system
 from repro.fd.combinations import make_margin, make_predictor
 from repro.fd.detector import PushFailureDetector
-from repro.fd.replay import MarginSpec, replay_detector
-from repro.fd.safety import ConfidenceIntervalMargin, JacobsonMargin
+from repro.fd.replay import replay_detector
 from repro.fd.timeout import TimeoutStrategy
 from repro.neko.config import ExperimentConfig
 from repro.nekostat.metrics import DetectorQos, extract_qos
@@ -95,7 +86,7 @@ def _run_one(
 def _replay_one(
     config: ExperimentConfig,
     predictor_name: str,
-    margin_spec: MarginSpec,
+    margin_name: str,
 ) -> DetectorQos:
     """One sweep point on the trace-replay fast path."""
     from repro.experiments.replay_engine import synthesize_heartbeat_trace
@@ -103,7 +94,7 @@ def _replay_one(
     trace = synthesize_heartbeat_trace(config)
     replayed = replay_detector(
         predictor_name,
-        margin_spec,
+        margin_name,
         trace.send_times,
         trace.delays,
         eta=config.eta,
@@ -129,23 +120,6 @@ def _execute_eta_point(
         )
         qos = _run_one(config, strategy, f"sweep-eta-{eta}")
     return SweepPoint.from_qos(eta, qos, eta)
-
-
-def _execute_margin_point(
-    payload: Tuple[ExperimentConfig, float, str, str, str],
-) -> SweepPoint:
-    """One margin-level sweep point (module-level so it pickles)."""
-    base_config, level, family, predictor_name, engine = payload
-    if engine == "replay":
-        qos = _replay_one(base_config, predictor_name, (family, level))
-    else:
-        if family == "CI":
-            margin = ConfidenceIntervalMargin(gamma=level)
-        else:
-            margin = JacobsonMargin(phi=level)
-        strategy = TimeoutStrategy(make_predictor(predictor_name), margin)
-        qos = _run_one(base_config, strategy, f"sweep-{family}-{level}")
-    return SweepPoint.from_qos(level, qos, base_config.eta)
 
 
 def sweep_eta(
@@ -180,38 +154,6 @@ def sweep_eta(
     return parallel_map(_execute_eta_point, payloads, workers=workers)
 
 
-def sweep_margin_level(
-    base_config: ExperimentConfig,
-    levels: Sequence[float],
-    *,
-    family: str = "CI",
-    predictor_name: str = "Last",
-    workers: Optional[int] = 1,
-    engine: str = "simulator",
-) -> List[SweepPoint]:
-    """Run the experiment at each margin level (γ for CI, φ for JAC).
-
-    ``workers`` and ``engine`` behave as in :func:`sweep_eta`; on the
-    replay engine the level reaches the fast path as an explicit
-    ``(family, level)`` margin spec, so the grid is not limited to the
-    Table 1 names.
-    """
-    if family not in ("CI", "JAC"):
-        raise ValueError(f"family must be 'CI' or 'JAC', got {family!r}")
-    if not levels:
-        raise ValueError("need at least one level")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    for level in levels:
-        if not math.isfinite(level) or level <= 0:
-            raise ValueError(f"levels must be finite and > 0, got {level!r}")
-    payloads = [
-        (base_config, float(level), family, predictor_name, engine)
-        for level in levels
-    ]
-    return parallel_map(_execute_margin_point, payloads, workers=workers)
-
-
 def format_sweep(points: Sequence[SweepPoint], parameter: str) -> str:
     """Render sweep points as a table."""
     header = (f"{parameter:>10}{'msg/s':>8}{'T_D':>10}{'T_D^U':>10}"
@@ -229,4 +171,4 @@ def format_sweep(points: Sequence[SweepPoint], parameter: str) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["SweepPoint", "format_sweep", "sweep_eta", "sweep_margin_level"]
+__all__ = ["SweepPoint", "format_sweep", "sweep_eta"]

@@ -50,7 +50,6 @@ from repro.fd.combinations import (
     make_predictor,
     make_strategy,
 )
-from repro.fd.adaptive_interval import AdaptiveHeartbeater, IntervalController
 from repro.fd.analysis import AnalyticQos, ConstantTimeoutAnalysis
 from repro.fd.registry import (
     MedianPredictor,
@@ -71,18 +70,12 @@ from repro.fd.requirements import (
     configure,
 )
 
-# NOTE: repro.fd.tuning is intentionally NOT imported here — it drives the
-# experiment runner (repro.experiments), which itself imports this package;
-# import it explicitly as `from repro.fd.tuning import tune_margin_level`.
-
 __all__ = [
-    "AdaptiveHeartbeater",
     "AnalyticQos",
     "ArimaPredictor",
     "ConfidenceIntervalMargin",
     "Configuration",
     "ConstantTimeoutAnalysis",
-    "IntervalController",
     "MedianPredictor",
     "QosRequirements",
     "UnsatisfiableRequirements",

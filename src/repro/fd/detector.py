@@ -24,7 +24,7 @@ The detector emits ``START_SUSPECT``/``END_SUSPECT`` events into the
 experiment's event log; all QoS metrics are derived from those events.
 
 This is the single-detector layer, for any
-:class:`~repro.fd.timeout.TimeoutStrategy` (baselines, tuning sweeps,
+:class:`~repro.fd.timeout.TimeoutStrategy` (baselines, the η sweep,
 per-peer detectors).  The paper's predictor × margin matrix runs as one
 :class:`~repro.fd.bank.DetectorBank`, which behaves as one of these per
 row.
@@ -108,7 +108,6 @@ class PushFailureDetector(Layer):
         self._on_transition = on_transition
         self._tracer = tracer
         self._max_seq = -1
-        self._last_fresh_timestamp: Optional[float] = None
         self._suspecting = False
         self._timer: Optional[Timer] = None
         # The pending expiry: its delta and freshness point.
@@ -146,21 +145,6 @@ class PushFailureDetector(Layer):
         if self._timer is not None:
             self._timer.cancel()
 
-    def update_eta(self, new_eta: float) -> None:
-        """Adopt a renegotiated sending period (see
-        :mod:`repro.fd.adaptive_interval`).
-
-        The pending deadline is re-armed from the last fresh heartbeat's
-        timestamp with the new period, so a *growing* period does not
-        leave a stale (too early) freshness point behind.  A shrinking
-        period is always safe either way.
-        """
-        if new_eta <= 0:
-            raise ValueError(f"new_eta must be > 0, got {new_eta!r}")
-        self.eta = float(new_eta)
-        if not self._suspecting and self._last_fresh_timestamp is not None:
-            self._arm_next_freshness_point(self._last_fresh_timestamp)
-
     # ------------------------------------------------------------------
     # Layer lifecycle
     # ------------------------------------------------------------------
@@ -193,7 +177,6 @@ class PushFailureDetector(Layer):
         fresh = message.seq > self._max_seq
         if fresh:
             self._max_seq = message.seq
-            self._last_fresh_timestamp = message.timestamp
             self.strategy.observe(delay)
             if self._suspecting:
                 self._suspecting = False

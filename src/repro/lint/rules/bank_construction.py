@@ -12,8 +12,8 @@ policy — a later fix to the bank (initial timeouts, tracer plumbing,
 observe-stale semantics) would not reach the inline copy — and brings
 back the per-heartbeat cost the bank exists to remove: every predictor
 updated six times, thirty timers re-armed.  Constructing
-a *single* detector directly stays legal — the tuning and sweep layers
-do it on purpose — and so does any loop over non-combination sources
+a *single* detector directly stays legal — the η sweep does it on
+purpose — and so does any loop over non-combination sources
 (e.g. the consensus harness's loop over peers).  The bank module itself
 is whitelisted via
 :data:`repro.lint.config.LintConfig.bank_allowed_files`.

@@ -26,13 +26,6 @@ from repro.nekostat.metrics import (
     extract_qos,
     query_accuracy,
 )
-from repro.nekostat.quantities import (
-    CounterQuantity,
-    IntervalQuantity,
-    Quantity,
-    QuantitySet,
-    SeriesQuantity,
-)
 from repro.nekostat.stats import (
     SummaryStats,
     Welford,
@@ -42,17 +35,12 @@ from repro.nekostat.stats import (
 )
 
 __all__ = [
-    "CounterQuantity",
     "DetectorQos",
     "EventKind",
     "EventLog",
     "FDStatHandler",
-    "IntervalQuantity",
     "MistakeInterval",
     "OnlineQosAccumulator",
-    "Quantity",
-    "QuantitySet",
-    "SeriesQuantity",
     "StatEvent",
     "StatHandler",
     "SummaryStats",

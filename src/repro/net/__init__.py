@@ -30,7 +30,7 @@ from repro.net.delay import (
 from repro.net.link import FairLossyLink, LinkStats
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 from repro.net.message import Datagram
-from repro.net.topology import HopDelay, MultiHopDelay, RouteFlappingDelay
+from repro.net.topology import RouteFlappingDelay
 from repro.net.traces import DelayTrace, TraceRecorder
 from repro.net.wan import WanProfile, italy_japan_profile, lan_profile, mobile_profile
 
@@ -45,11 +45,9 @@ __all__ = [
     "DiurnalModulation",
     "FairLossyLink",
     "GilbertElliottLoss",
-    "HopDelay",
     "LinkStats",
     "LognormalDelay",
     "LossModel",
-    "MultiHopDelay",
     "MultiScaleWanDelay",
     "NoLoss",
     "RouteFlappingDelay",

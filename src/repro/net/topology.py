@@ -1,101 +1,19 @@
-"""Multi-hop path composition and route dynamics.
+"""Route dynamics.
 
-The paper attributes WAN delay variability to "the many hops traversed in
-today packet switching WAN technology" (its path had 18 hops).  This
-module models that structure explicitly:
-
-* :class:`HopDelay` — one store-and-forward hop: propagation +
-  exponential-ish queueing;
-* :class:`MultiHopDelay` — a path as a sum of hops (the Table 4 hop
-  count becomes a real parameter instead of metadata);
-* :class:`RouteFlappingDelay` — switches between alternative paths at
-  random epochs, shifting the delay *floor* — the kind of
-  within-run nonstationarity live Internet paths exhibit (and the likely
-  cause of the paper's CI-side predictor spread that a stationary model
-  cannot reproduce; see EXPERIMENTS.md).
+:class:`RouteFlappingDelay` switches between alternative paths at random
+epochs, shifting the delay *floor* — the kind of within-run
+nonstationarity live Internet paths exhibit (and the likely cause of the
+paper's CI-side predictor spread that a stationary model cannot
+reproduce; see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.net.delay import DelayModel
-
-
-class HopDelay(DelayModel):
-    """One router hop: fixed propagation plus gamma queueing."""
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        propagation: float,
-        *,
-        queue_shape: float = 1.5,
-        queue_scale: float = 0.0004,
-    ) -> None:
-        if propagation < 0:
-            raise ValueError(f"propagation must be >= 0, got {propagation!r}")
-        if queue_shape <= 0 or queue_scale < 0:
-            raise ValueError("queue parameters must be positive")
-        self._rng = rng
-        self.propagation = float(propagation)
-        self._queue_shape = float(queue_shape)
-        self._queue_scale = float(queue_scale)
-
-    def sample(self, now: float) -> float:
-        queueing = (
-            float(self._rng.gamma(self._queue_shape, self._queue_scale))
-            if self._queue_scale > 0
-            else 0.0
-        )
-        return self.propagation + queueing
-
-
-class MultiHopDelay(DelayModel):
-    """A path as the sum of independent hops.
-
-    ``hop_count`` i.i.d. hops share the total propagation floor; queueing
-    adds up across hops, which is why longer paths have both higher delay
-    and higher variance — the paper's LAN-versus-WAN contrast in one
-    parameter.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        hop_count: int,
-        total_propagation: float,
-        *,
-        queue_shape: float = 1.5,
-        queue_scale: float = 0.0004,
-    ) -> None:
-        if hop_count < 1:
-            raise ValueError(f"hop_count must be >= 1, got {hop_count!r}")
-        if total_propagation < 0:
-            raise ValueError("total_propagation must be >= 0")
-        per_hop = total_propagation / hop_count
-        self._hops: List[HopDelay] = [
-            HopDelay(rng, per_hop, queue_shape=queue_shape, queue_scale=queue_scale)
-            for _ in range(hop_count)
-        ]
-
-    @property
-    def hop_count(self) -> int:
-        """Number of hops on the path."""
-        return len(self._hops)
-
-    def floor(self) -> float:
-        """The total propagation floor of the path."""
-        return sum(hop.propagation for hop in self._hops)
-
-    def sample(self, now: float) -> float:
-        return sum(hop.sample(now) for hop in self._hops)
-
-    def reset(self) -> None:
-        for hop in self._hops:
-            hop.reset()
 
 
 class RouteFlappingDelay(DelayModel):
@@ -145,4 +63,4 @@ class RouteFlappingDelay(DelayModel):
             route.reset()
 
 
-__all__ = ["HopDelay", "MultiHopDelay", "RouteFlappingDelay"]
+__all__ = ["RouteFlappingDelay"]

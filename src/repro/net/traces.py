@@ -156,12 +156,13 @@ class DelayTrace:
             result = np.zeros(max_lag + 1)
             result[0] = 1.0
             return result
-        acf = np.empty(min(max_lag, n - 1) + 1)
-        for lag in range(acf.size):
-            acf[lag] = float(np.dot(arr[: n - lag], arr[lag:])) / (n * variance)
-        if acf.size < max_lag + 1:
-            acf = np.concatenate([acf, np.zeros(max_lag + 1 - acf.size)])
-        return acf
+        correlations = np.empty(min(max_lag, n - 1) + 1)
+        for lag in range(correlations.size):
+            correlations[lag] = float(np.dot(arr[: n - lag], arr[lag:])) / (n * variance)
+        if correlations.size < max_lag + 1:
+            padding = np.zeros(max_lag + 1 - correlations.size)
+            correlations = np.concatenate([correlations, padding])
+        return correlations
 
 
 class TraceRecorder:

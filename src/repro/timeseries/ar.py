@@ -1,12 +1,8 @@
 """Autoregressive model fitting.
 
-Two estimators for AR(p) coefficients:
-
-* :func:`fit_ar_yule_walker` — moment-based, solves the Yule–Walker
-  equations with the Levinson–Durbin recursion.  Always yields a
-  stationary model; used for quick diagnostics and PACF computation.
-* :func:`fit_ar_ols` — conditional least squares with an intercept; this
-  is the stage-1 "long AR" of the Hannan–Rissanen ARMA estimator.
+:func:`fit_ar_ols` fits AR(p) coefficients by conditional least squares
+with an intercept; it is the stage-1 "long AR" of the Hannan–Rissanen
+ARMA estimator.
 
 Model convention used throughout the package::
 
@@ -35,40 +31,6 @@ def _validate_series(series, order: int, minimum: int) -> np.ndarray:
     return values
 
 
-def fit_ar_yule_walker(series, order: int) -> Tuple[np.ndarray, float]:
-    """Fit AR(p) by Yule–Walker / Levinson–Durbin.
-
-    Returns ``(phi, noise_variance)`` where ``phi`` has length ``order``.
-    The series is centred internally; callers that need the intercept can
-    recover it as ``mean * (1 - phi.sum())``.
-    """
-    values = _validate_series(series, order, minimum=max(order + 1, 2))
-    if order == 0:
-        return np.zeros(0), float(np.var(values))
-    centred = values - np.mean(values)
-    n = centred.size
-    # Biased autocovariances gamma_0..gamma_p (biased => positive-definite).
-    gamma = np.array(
-        [float(np.dot(centred[: n - lag], centred[lag:])) / n for lag in range(order + 1)]
-    )
-    if gamma[0] == 0.0:
-        return np.zeros(order), 0.0
-    # Levinson-Durbin recursion.
-    phi = np.zeros(order)
-    prev = np.zeros(order)
-    variance = gamma[0]
-    for k in range(1, order + 1):
-        if variance <= 0:
-            break
-        acc = gamma[k] - float(np.dot(prev[: k - 1], gamma[k - 1 : 0 : -1]))
-        reflection = acc / variance
-        phi[: k - 1] = prev[: k - 1] - reflection * prev[: k - 1][::-1]
-        phi[k - 1] = reflection
-        variance *= 1.0 - reflection * reflection
-        prev[:k] = phi[:k]
-    return phi, max(0.0, float(variance))
-
-
 def fit_ar_ols(series, order: int) -> Tuple[np.ndarray, float, np.ndarray]:
     """Fit AR(p) with intercept by conditional least squares.
 
@@ -93,4 +55,4 @@ def fit_ar_ols(series, order: int) -> Tuple[np.ndarray, float, np.ndarray]:
     return phi, intercept, residuals
 
 
-__all__ = ["fit_ar_ols", "fit_ar_yule_walker"]
+__all__ = ["fit_ar_ols"]

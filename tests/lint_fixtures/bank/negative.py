@@ -1,6 +1,6 @@
 """Negative fixture: legal detector construction (FDL008 stays silent).
 
-A single detector built directly (the tuning/sweep idiom), a loop over
+A single detector built directly (the η-sweep idiom), a loop over
 non-combination sources (the consensus harness's loop over peers), and
 the bank helper itself are all fine.
 """

@@ -105,3 +105,13 @@ class TestCalibrate:
         assert "floor" in out
         assert "fitted profile check" in out
         assert "Mean one-way delay" in out
+
+
+class TestChaos:
+    def test_horizon_inside_stabilization_exits_2(self, capsys):
+        # --stabilization defaults to 20 s, so a 20 s horizon leaves no
+        # bounded suffix: an error line and exit 2, not a traceback.
+        assert main(["chaos", "--add-channel", "--horizon", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "stabilization_time < horizon" in err

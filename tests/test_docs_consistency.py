@@ -5,6 +5,7 @@ EXPERIMENTS.md records every table and figure.  These tests keep those
 documents honest as the code evolves.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,34 @@ REPO = Path(__file__).resolve().parent.parent
 
 def read(name: str) -> str:
     return (REPO / name).read_text(encoding="utf-8")
+
+
+def module_map():
+    """DESIGN.md's module map: file rows, and directories a row covers whole.
+
+    A package heading is indented two spaces (``  fd/``), a file row two
+    (top-level modules) or four under its heading (``    bank.py``); a
+    directory row under a heading (``    rules/``) covers its files.
+    """
+    design = read("DESIGN.md")
+    start = design.index("src/repro/\n")
+    block = design[start:design.index("```", start)].splitlines()[1:]
+    rows, covered, package = set(), set(), None
+    for line in block:
+        heading = re.match(r"  (\w+)/\s", line)
+        top_file = re.match(r"  (\w+\.py)\s", line)
+        nested = re.match(r"    (\w+)(\.py|/)\s", line)
+        if heading:
+            package = heading.group(1)
+        elif top_file:
+            rows.add(top_file.group(1))
+        elif nested and package:
+            name, kind = nested.groups()
+            if kind == "/":
+                covered.add(f"{package}/{name}")
+            else:
+                rows.add(f"{package}/{name}.py")
+    return rows, covered
 
 
 class TestDesignDocument:
@@ -36,6 +65,23 @@ class TestDesignDocument:
             assert f"{package}/" in design or f"{package}." in design, (
                 f"package repro.{package} missing from DESIGN.md inventory"
             )
+
+    def test_every_module_map_row_names_a_file(self):
+        rows, _ = module_map()
+        missing = sorted(row for row in rows if not (REPO / "src" / "repro" / row).is_file())
+        assert not missing, f"DESIGN.md's module map names missing files: {missing}"
+
+    def test_every_module_has_a_module_map_row(self):
+        rows, covered = module_map()
+        source = REPO / "src" / "repro"
+        unlisted = sorted(
+            path.relative_to(source).as_posix()
+            for path in source.rglob("*.py")
+            if path.name not in ("__init__.py", "__main__.py")
+            and path.relative_to(source).as_posix() not in rows
+            and path.parent.relative_to(source).as_posix() not in covered
+        )
+        assert not unlisted, f"modules without a DESIGN.md module-map row: {unlisted}"
 
     def test_design_declares_paper_identity_check(self):
         assert "Paper identity check" in read("DESIGN.md")

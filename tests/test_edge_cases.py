@@ -12,7 +12,6 @@ from repro.fd.combinations import make_strategy
 from repro.fd.detector import PushFailureDetector
 from repro.neko.config import ExperimentConfig
 from repro.nekostat.metrics import DetectorQos, extract_qos
-from repro.nekostat.quantities import IntervalQuantity, QuantitySet
 from repro.nekostat.events import EventKind
 from repro.timeseries.arma import ArmaModel
 
@@ -116,23 +115,6 @@ class TestLiveMembershipIntegration:
         assert service.is_suspected(MONITORED) == detector.suspecting
         expected = "backup" if detector.suspecting else MONITORED
         assert service.coordinator() == expected
-
-    def test_quantities_over_real_experiment(self):
-        """The generic quantity framework measures a real run's downtime."""
-        config = ExperimentConfig(num_cycles=600, mttc=80.0, ttr=15.0, seed=9)
-        parts = build_qos_system(config, ["Last+JAC_med"])
-        quantities = QuantitySet(parts["event_log"])
-        downtime = quantities.add(IntervalQuantity(
-            "downtime",
-            starts=lambda e: e.kind is EventKind.CRASH,
-            ends=lambda e: e.kind is EventKind.RESTORE,
-        ))
-        parts["system"].run(until=config.duration)
-        summary = downtime.summary()
-        assert summary is not None
-        # TTR is constant: every downtime sample equals 15 s.
-        assert summary.mean == pytest.approx(15.0)
-        assert summary.std == pytest.approx(0.0, abs=1e-9)
 
 
 class TestUdpExtras:

@@ -1,8 +1,5 @@
-"""Tests for the extension modules: store, quantities, topology, charts."""
+"""Tests for the extension modules: store, route flapping, charts."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.experiments.chart import render_figure
@@ -15,15 +12,7 @@ from repro.experiments.store import (
     save_campaign,
 )
 from repro.neko.config import ExperimentConfig
-from repro.nekostat.events import EventKind, StatEvent
-from repro.nekostat.log import EventLog
-from repro.nekostat.quantities import (
-    CounterQuantity,
-    IntervalQuantity,
-    QuantitySet,
-    SeriesQuantity,
-)
-from repro.net.topology import HopDelay, MultiHopDelay, RouteFlappingDelay
+from repro.net.topology import RouteFlappingDelay
 
 
 class TestStore:
@@ -83,124 +72,7 @@ class TestStore:
         assert restored["x"].p_a == 1.0
 
 
-class TestQuantities:
-    def crash(self, t):
-        return StatEvent(time=t, kind=EventKind.CRASH, site="q")
-
-    def restore(self, t):
-        return StatEvent(time=t, kind=EventKind.RESTORE, site="q")
-
-    def suspect(self, t, detector="fd", data=None):
-        return StatEvent(
-            time=t, kind=EventKind.START_SUSPECT, site="m",
-            detector=detector, data=data or {},
-        )
-
-    def test_counter(self, event_log):
-        quantities = QuantitySet(event_log)
-        counter = quantities.add(
-            CounterQuantity("crashes", lambda e: e.kind is EventKind.CRASH)
-        )
-        event_log.append(self.crash(1.0))
-        event_log.append(self.restore(2.0))
-        event_log.append(self.crash(3.0))
-        assert counter.count == 2
-
-    def test_interval_measures_downtime(self, event_log):
-        quantities = QuantitySet(event_log)
-        downtime = quantities.add(IntervalQuantity(
-            "downtime",
-            starts=lambda e: e.kind is EventKind.CRASH,
-            ends=lambda e: e.kind is EventKind.RESTORE,
-        ))
-        event_log.append(self.crash(1.0))
-        event_log.append(self.restore(4.0))
-        event_log.append(self.crash(10.0))
-        event_log.append(self.restore(12.5))
-        assert downtime.samples() == pytest.approx([3.0, 2.5])
-        assert downtime.summary().mean == pytest.approx(2.75)
-
-    def test_interval_pairs_by_key(self, event_log):
-        quantities = QuantitySet(event_log)
-        per_detector = quantities.add(IntervalQuantity(
-            "suspicion",
-            starts=lambda e: e.kind is EventKind.START_SUSPECT,
-            ends=lambda e: e.kind is EventKind.END_SUSPECT,
-            key=lambda e: e.detector,
-        ))
-        event_log.append(self.suspect(1.0, "a"))
-        event_log.append(self.suspect(2.0, "b"))
-        event_log.append(StatEvent(
-            time=5.0, kind=EventKind.END_SUSPECT, site="m", detector="a"
-        ))
-        assert per_detector.samples() == pytest.approx([4.0])
-        assert per_detector.open_intervals == 1
-
-    def test_unmatched_end_ignored(self, event_log):
-        quantities = QuantitySet(event_log)
-        interval = quantities.add(IntervalQuantity(
-            "downtime",
-            starts=lambda e: e.kind is EventKind.CRASH,
-            ends=lambda e: e.kind is EventKind.RESTORE,
-        ))
-        event_log.append(self.restore(2.0))
-        assert interval.samples() == []
-
-    def test_series_extracts_values(self, event_log):
-        quantities = QuantitySet(event_log)
-        timeouts = quantities.add(SeriesQuantity(
-            "timeout",
-            lambda e: e.data.get("timeout")
-            if e.kind is EventKind.START_SUSPECT else None,
-        ))
-        event_log.append(self.suspect(1.0, data={"timeout": 0.3}))
-        event_log.append(self.suspect(2.0, "other", data={"timeout": 0.5}))
-        assert timeouts.samples() == [0.3, 0.5]
-
-    def test_report_and_lookup(self, event_log):
-        quantities = QuantitySet(event_log)
-        quantities.add(CounterQuantity("c", lambda e: True))
-        assert "c" in quantities
-        assert quantities["c"].name == "c"
-        event_log.append(self.crash(1.0))
-        report = quantities.report()
-        assert report["c"].mean == 1.0
-
-    def test_duplicate_name_rejected(self, event_log):
-        quantities = QuantitySet(event_log)
-        quantities.add(CounterQuantity("c", lambda e: True))
-        with pytest.raises(ValueError):
-            quantities.add(CounterQuantity("c", lambda e: True))
-
-    def test_empty_summary_is_none(self, event_log):
-        quantities = QuantitySet(event_log)
-        series = quantities.add(SeriesQuantity("s", lambda e: None))
-        assert series.summary() is None
-
-
 class TestTopology:
-    def test_hop_delay_floor(self, rng):
-        hop = HopDelay(rng, 0.01)
-        samples = [hop.sample(float(i)) for i in range(1000)]
-        assert min(samples) >= 0.01
-
-    def test_multihop_floor_and_mean(self, rng):
-        path = MultiHopDelay(rng, hop_count=18, total_propagation=0.18)
-        assert path.hop_count == 18
-        assert path.floor() == pytest.approx(0.18)
-        samples = np.array([path.sample(float(i)) for i in range(5000)])
-        assert samples.min() >= 0.18
-        # 18 hops x shape*scale queueing each.
-        expected_mean = 0.18 + 18 * 1.5 * 0.0004
-        assert samples.mean() == pytest.approx(expected_mean, rel=0.1)
-
-    def test_more_hops_more_variance(self, rng):
-        short = MultiHopDelay(np.random.default_rng(1), 2, 0.1)
-        long = MultiHopDelay(np.random.default_rng(1), 20, 0.1)
-        short_samples = np.array([short.sample(float(i)) for i in range(5000)])
-        long_samples = np.array([long.sample(float(i)) for i in range(5000)])
-        assert long_samples.std() > short_samples.std()
-
     def test_route_flapping_switches(self, rng):
         from repro.net.delay import ConstantDelay
 
@@ -230,10 +102,6 @@ class TestTopology:
         assert flapper.flaps == 0
 
     def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            MultiHopDelay(rng, 0, 0.1)
-        with pytest.raises(ValueError):
-            HopDelay(rng, -0.1)
         with pytest.raises(ValueError):
             RouteFlappingDelay(rng, [], 0.1)
 

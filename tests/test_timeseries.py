@@ -1,4 +1,5 @@
-"""Tests for the time-series substrate: AR, ARMA, ARIMA, selection, diagnostics."""
+"""Tests for the time-series substrate: AR, ARMA, ARIMA, selection, and the
+sample ACF the residual checks use."""
 
 import math
 from collections import deque
@@ -6,7 +7,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.timeseries.ar import fit_ar_ols, fit_ar_yule_walker
+from repro.net.traces import DelayTrace
+from repro.timeseries.ar import fit_ar_ols
 from repro.timeseries.arima import (
     ArimaForecaster,
     batch_arima_predictions,
@@ -15,8 +17,17 @@ from repro.timeseries.arima import (
 )
 from repro.timeseries.arma import ArmaModel, fit_arma_hannan_rissanen
 from repro.timeseries.base import evaluate_forecaster
-from repro.timeseries.diagnostics import acf, ljung_box, pacf
 from repro.timeseries.selection import score_order, select_arima_order
+
+
+def autocorrelation(series, max_lag):
+    """The sample ACF of ``series`` from the repo's one estimator.
+
+    ``DelayTrace`` holds non-negative delays; the ACF is invariant under a
+    shift, so the series is moved onto ``[0, inf)`` first.
+    """
+    values = np.asarray(series, dtype=float)
+    return DelayTrace(values - values.min()).autocorrelation(max_lag)
 
 
 def make_ar1(n, phi, sigma=1.0, const=0.0, seed=0):
@@ -36,41 +47,6 @@ def make_arma11(n, phi, theta, sigma=1.0, seed=0):
     return z
 
 
-class TestYuleWalker:
-    def test_recovers_ar1_coefficient(self):
-        z = make_ar1(20000, 0.7)
-        phi, variance = fit_ar_yule_walker(z, 1)
-        assert phi[0] == pytest.approx(0.7, abs=0.03)
-        assert variance == pytest.approx(1.0, rel=0.1)
-
-    def test_recovers_ar2_coefficients(self):
-        rng = np.random.default_rng(1)
-        z = np.zeros(20000)
-        for t in range(2, len(z)):
-            z[t] = 0.5 * z[t - 1] - 0.3 * z[t - 2] + rng.normal()
-        phi, _ = fit_ar_yule_walker(z, 2)
-        assert phi[0] == pytest.approx(0.5, abs=0.03)
-        assert phi[1] == pytest.approx(-0.3, abs=0.03)
-
-    def test_order_zero(self):
-        phi, variance = fit_ar_yule_walker([1.0, 2.0, 3.0], 0)
-        assert phi.size == 0
-        assert variance == pytest.approx(np.var([1.0, 2.0, 3.0]))
-
-    def test_constant_series_is_safe(self):
-        phi, variance = fit_ar_yule_walker([5.0] * 100, 3)
-        assert np.all(phi == 0.0)
-        assert variance == 0.0
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            fit_ar_yule_walker([1.0], 2)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            fit_ar_yule_walker([1.0, float("nan"), 2.0], 1)
-
-
 class TestArOls:
     def test_recovers_coefficient_and_intercept(self):
         z = make_ar1(20000, 0.6, const=2.0)
@@ -82,7 +58,7 @@ class TestArOls:
     def test_residuals_are_white(self):
         z = make_ar1(20000, 0.8)
         _, _, residuals = fit_ar_ols(z, 1)
-        correlations = acf(residuals, 5)
+        correlations = autocorrelation(residuals, 5)
         assert np.all(np.abs(correlations[1:]) < 0.03)
 
     def test_order_zero_returns_mean(self):
@@ -144,7 +120,7 @@ class TestHannanRissanen:
         model = fit_arma_hannan_rissanen(z, 1, 0)
         innovations = model.innovations(z)
         # Innovations of a well-fitted model are white.
-        correlations = acf(innovations[10:], 3)
+        correlations = autocorrelation(innovations[10:], 3)
         assert np.all(np.abs(correlations[1:]) < 0.05)
 
 
@@ -429,43 +405,17 @@ class TestDiagnostics:
     def test_acf_of_white_noise(self):
         rng = np.random.default_rng(13)
         z = rng.normal(0, 1, 20000)
-        correlations = acf(z, 5)
+        correlations = autocorrelation(z, 5)
         assert correlations[0] == pytest.approx(1.0)
         assert np.all(np.abs(correlations[1:]) < 0.03)
 
     def test_acf_of_ar1_decays_geometrically(self):
         z = make_ar1(50000, 0.7, seed=14)
-        correlations = acf(z, 3)
+        correlations = autocorrelation(z, 3)
         assert correlations[1] == pytest.approx(0.7, abs=0.03)
         assert correlations[2] == pytest.approx(0.49, abs=0.04)
 
-    def test_pacf_of_ar1_cuts_off(self):
-        z = make_ar1(50000, 0.7, seed=15)
-        partial = pacf(z, 4)
-        assert partial[1] == pytest.approx(0.7, abs=0.03)
-        assert np.all(np.abs(partial[2:]) < 0.05)
-
-    def test_pacf_lag0_is_one(self):
-        assert pacf([1.0, 2.0, 1.5, 2.5, 1.0, 2.0], 1)[0] == 1.0
-
-    def test_ljung_box_small_for_white_noise(self):
-        rng = np.random.default_rng(16)
-        q, dof = ljung_box(rng.normal(0, 1, 5000), 10)
-        assert dof == 10
-        assert q < 25  # chi2(10) 95% quantile ~ 18.3; generous bound
-
-    def test_ljung_box_large_for_correlated(self):
-        z = make_ar1(5000, 0.8, seed=17)
-        q, _ = ljung_box(z, 10)
-        assert q > 1000
-
-    def test_ljung_box_validation(self):
-        with pytest.raises(ValueError):
-            ljung_box([1.0, 2.0], 5)
-        with pytest.raises(ValueError):
-            ljung_box([1.0] * 100, 0)
-
     def test_acf_constant_series(self):
-        correlations = acf([3.0] * 50, 4)
+        correlations = autocorrelation([3.0] * 50, 4)
         assert correlations[0] == 1.0
         assert np.all(correlations[1:] == 0.0)

@@ -79,9 +79,9 @@ class TestDelayTrace:
             DelayTrace.load(path)
 
     def test_autocorrelation_of_constant_is_safe(self):
-        acf = DelayTrace([0.2] * 10).autocorrelation(3)
-        assert acf[0] == 1.0
-        assert np.all(acf[1:] == 0.0)
+        correlations = DelayTrace([0.2] * 10).autocorrelation(3)
+        assert correlations[0] == 1.0
+        assert np.all(correlations[1:] == 0.0)
 
     def test_autocorrelation_lag0_is_one(self):
         rng = np.random.default_rng(0)
