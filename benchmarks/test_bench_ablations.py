@@ -119,8 +119,8 @@ class TestClockSyncAblation:
                 config, ["Last+JAC_med"],
                 extra_monitor_layers=lambda log: [
                     PushFailureDetector(
-                        constant_timeout_strategy(0.35), MONITORED,
-                        config.eta, log, detector_id="const",
+                        MONITORED, config.eta, log,
+                        [("const", constant_timeout_strategy(0.35))],
                         initial_timeout=5.0,
                     )
                 ],
@@ -201,8 +201,9 @@ class TestLossBurstinessAblation:
             heartbeater = Heartbeater("p", 1.0, event_log)
             system.create_process("q", ProtocolStack([heartbeater]))
             detector = PushFailureDetector(
-                make_strategy("Last", "JAC_med"), "q", 1.0, event_log,
-                detector_id="fd", initial_timeout=10.0,
+                "q", 1.0, event_log,
+                [("fd", make_strategy("Last", "JAC_med"))],
+                initial_timeout=10.0,
             )
             system.create_process("p", ProtocolStack([detector]))
             system.run(until=20_000.0)

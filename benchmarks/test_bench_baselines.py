@@ -16,7 +16,6 @@ from repro.fd.baselines import (
     constant_timeout_strategy,
     nfd_e_strategy,
 )
-from repro.fd.detector import PushFailureDetector
 from repro.neko.config import ExperimentConfig
 from repro.nekostat.metrics import extract_qos
 
@@ -26,20 +25,18 @@ CONFIG = ExperimentConfig(num_cycles=10_000, mttc=120.0, ttr=20.0, seed=404)
 PAPER_PICKS = ["Last+JAC_med", "Arima+CI_high"]
 
 
+def rows():
+    """The paper picks, then the push baselines as ``(label, strategy)``
+    rows of the same detector layer."""
+    return PAPER_PICKS + [
+        ("NFD-E(30ms)", nfd_e_strategy(alpha=0.030)),
+        ("Bertier", bertier_strategy()),
+        ("Const(300ms)", constant_timeout_strategy(0.300)),
+    ]
+
+
 def extra_layers(log):
     return [
-        PushFailureDetector(
-            nfd_e_strategy(alpha=0.030), "monitored", CONFIG.eta, log,
-            detector_id="NFD-E(30ms)", initial_timeout=10.0,
-        ),
-        PushFailureDetector(
-            bertier_strategy(), "monitored", CONFIG.eta, log,
-            detector_id="Bertier", initial_timeout=10.0,
-        ),
-        PushFailureDetector(
-            constant_timeout_strategy(0.300), "monitored", CONFIG.eta, log,
-            detector_id="Const(300ms)", initial_timeout=10.0,
-        ),
         PhiAccrualDetector(
             "monitored", CONFIG.eta, log,
             threshold=8.0, detector_id="PhiAccrual(8)", initial_timeout=10.0,
@@ -55,7 +52,7 @@ class TestBaselinesComparison:
     def test_bench_baselines_vs_paper_combinations(self, benchmark):
         def run():
             parts = build_qos_system(
-                CONFIG, PAPER_PICKS, extra_monitor_layers=extra_layers
+                CONFIG, rows(), extra_monitor_layers=extra_layers
             )
             parts["system"].run(until=CONFIG.duration)  # type: ignore[attr-defined]
             return extract_qos(

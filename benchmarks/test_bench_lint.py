@@ -39,7 +39,7 @@ def lint_record(tmp_path_factory):
 def test_full_src_walk_stays_under_budget(lint_record):
     full = lint_record["full_src"]
     assert full["files"] > 50
-    assert full["rules"] == 8  # five per-file rules + three project rules
+    assert full["rules"] == 7  # four per-file rules + three project rules
     assert full["best_s"] < FULL_SRC_BUDGET_S, (
         f"linting src took {full['best_s']:.2f}s "
         f"(contract is < {FULL_SRC_BUDGET_S:.1f}s)"

@@ -15,7 +15,7 @@ A stationary control run (no flaps) shows the spread vanish again.
 import numpy as np
 import pytest
 
-from repro.fd.combinations import PREDICTOR_NAMES, make_strategy
+from repro.fd.combinations import PREDICTOR_NAMES
 from repro.fd.detector import PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.multiplexer import MultiPlexer
@@ -49,16 +49,17 @@ def run_world(flap_probability):
     heartbeater = Heartbeater("monitor", 1.0, log)
     simcrash = SimCrash(100.0, 30.0, None, log, schedule=CRASHES)
     system.create_process("monitored", ProtocolStack([heartbeater, simcrash]))
-    detectors = [
-        PushFailureDetector(
-            make_strategy(predictor, "CI_med"), "monitored", 1.0, log,
-            detector_id=predictor, initial_timeout=10.0,
-        )
-        for predictor in PREDICTOR_NAMES
-    ]
-    system.create_process("monitor", ProtocolStack([MultiPlexer(detectors, log)]))
+    detector = PushFailureDetector(
+        "monitored", 1.0, log,
+        [f"{predictor}+CI_med" for predictor in PREDICTOR_NAMES],
+        initial_timeout=10.0,
+    )
+    system.create_process("monitor", ProtocolStack([MultiPlexer([detector], log)]))
     system.run(until=DURATION)
-    return delay.flaps, extract_qos(log, end_time=DURATION)
+    qos = extract_qos(log, end_time=DURATION)
+    return delay.flaps, {
+        predictor: qos[f"{predictor}+CI_med"] for predictor in PREDICTOR_NAMES
+    }
 
 
 class TestRouteFlapNonstationarity:

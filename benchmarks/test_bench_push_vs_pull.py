@@ -41,8 +41,8 @@ def run_world(style: str):
             "monitored", ProtocolStack([heartbeater, simcrash])
         )
         detector = PushFailureDetector(
-            make_strategy("Last", "JAC_med"), "monitored", 1.0, event_log,
-            detector_id="fd", initial_timeout=10.0,
+            "monitored", 1.0, event_log,
+            [("fd", make_strategy("Last", "JAC_med"))], initial_timeout=10.0,
         )
         system.create_process("monitor", ProtocolStack([MultiPlexer([detector], event_log)]))
         system.run(until=DURATION)

@@ -9,7 +9,8 @@ pieces through :mod:`repro.fd.registry` —
 * a custom **quantile margin** (a fixed empirical-quantile cushion) —
 
 then races them against the paper's recommended ``Last+JAC_med`` under
-identical network conditions (same MultiPlexer, same crashes).
+identical network conditions: one detector layer, three ``(label,
+strategy)`` rows, the same crashes.
 
 Run with::
 
@@ -17,8 +18,7 @@ Run with::
 """
 
 from repro import ExperimentConfig
-from repro.experiments.runner import MONITORED, build_qos_system
-from repro.fd.detector import PushFailureDetector
+from repro.experiments.runner import build_qos_system
 from repro.fd.registry import make_registered_strategy, register_margin
 from repro.fd.safety import SafetyMargin
 from repro.nekostat.metrics import extract_qos
@@ -66,17 +66,8 @@ def main() -> None:
         ("Median+Q98", make_registered_strategy("Median", "Q98")),
     ]
 
-    def extra_layers(log):
-        return [
-            PushFailureDetector(
-                strategy, MONITORED, config.eta, log,
-                detector_id=name, initial_timeout=10.0,
-            )
-            for name, strategy in contenders
-        ]
-
     print(f"Racing {len(contenders)} detectors: {config.describe()}\n")
-    parts = build_qos_system(config, [], extra_monitor_layers=extra_layers)
+    parts = build_qos_system(config, contenders)
     parts["system"].run(until=config.duration)
     qos = extract_qos(parts["event_log"], end_time=config.duration)
 

@@ -15,7 +15,6 @@ Run with::
 
 import asyncio
 
-from repro.fd.combinations import make_strategy
 from repro.fd.detector import PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
 from repro.neko.layer import ProtocolStack
@@ -33,16 +32,12 @@ async def main() -> None:
     scheduler = network.scheduler
     system = NekoSystem(scheduler, network)  # type: ignore[arg-type]
     heartbeater = Heartbeater("monitor", eta, event_log)
-    detector = PushFailureDetector(
-        make_strategy("Last", "JAC_med"),
-        "monitored",
-        eta,
-        event_log,
-        detector_id="Last+JAC_med",
-        initial_timeout=1.0,
+    layer = PushFailureDetector(
+        "monitored", eta, event_log, ["Last+JAC_med"], initial_timeout=1.0
     )
+    detector = layer["Last+JAC_med"]
     system.create_process("monitored", ProtocolStack([heartbeater]))
-    system.create_process("monitor", ProtocolStack([detector]))
+    system.create_process("monitor", ProtocolStack([layer]))
 
     print(f"both processes share the socket {network.endpoint('monitor')}")
     system.start()

@@ -50,8 +50,8 @@ def main() -> None:
     config = ExperimentConfig(num_cycles=20_000, mttc=120.0, ttr=20.0, seed=8)
     parts = build_qos_system(config, [], extra_monitor_layers=lambda log: [
         PushFailureDetector(
-            constant_timeout_strategy(delta), MONITORED, config.eta, log,
-            detector_id="tuned", initial_timeout=5.0,
+            MONITORED, config.eta, log,
+            [("tuned", constant_timeout_strategy(delta))], initial_timeout=5.0,
         )
     ])
     parts["system"].run(until=config.duration)  # type: ignore[attr-defined]

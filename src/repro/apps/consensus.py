@@ -59,8 +59,8 @@ class ConsensusLayer(Layer):
     suspects:
         Oracle ``suspects(address) -> bool`` giving the local failure
         detector's current opinion of ``address``.  Wire it to
-        :class:`~repro.fd.detector.PushFailureDetector.suspecting` (one
-        detector per peer) or to any other detector implementation.
+        :attr:`~repro.fd.detector.DetectorView.suspecting` (one
+        detector row per peer) or to any other detector implementation.
     on_decide:
         Optional callback ``on_decide(result)`` fired once, on decision.
     retransmit_interval:

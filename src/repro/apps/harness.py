@@ -10,8 +10,9 @@ experiment needs:
   :class:`~repro.fd.simcrash.SimCrash` layer, so injected crashes silence
   a process entirely;
 * every process runs one :class:`~repro.fd.detector.PushFailureDetector`
-  per peer, built from a caller-supplied strategy factory (so the FD
-  tuning under study is a single argument);
+  per peer, whose one ``(label, strategy)`` row comes from a
+  caller-supplied strategy factory (so the FD tuning under study is a
+  single argument);
 * a :class:`~repro.apps.consensus.ConsensusLayer` sits on top, consuming
   the local detectors as its ◇S oracle.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.consensus import ConsensusLayer, ConsensusResult
-from repro.fd.detector import PushFailureDetector
+from repro.fd.detector import DetectorView, PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.multiplexer import MultiPlexer
 from repro.fd.simcrash import SimCrash
@@ -49,7 +50,7 @@ class ConsensusGroup:
     system: NekoSystem
     event_log: EventLog
     consensus: Dict[str, ConsensusLayer]
-    detectors: Dict[Tuple[str, str], PushFailureDetector]
+    detectors: Dict[Tuple[str, str], DetectorView]
     simcrash: Dict[str, SimCrash]
 
     def propose_all(self, values: Dict[str, object]) -> None:
@@ -105,12 +106,13 @@ def build_consensus_group(
     )
 
     consensus_layers: Dict[str, ConsensusLayer] = {}
-    detectors: Dict[Tuple[str, str], PushFailureDetector] = {}
+    detectors: Dict[Tuple[str, str], DetectorView] = {}
     crash_layers: Dict[str, SimCrash] = {}
 
     for address in group:
         peers = [peer for peer in group if peer != address]
-        local_detectors: Dict[str, PushFailureDetector] = {}
+        local_detectors: Dict[str, DetectorView] = {}
+        layers: List[Layer] = []
 
         consensus = ConsensusLayer(
             group,
@@ -121,19 +123,19 @@ def build_consensus_group(
         )
 
         for peer in peers:
-            detector = PushFailureDetector(
-                strategy_factory(),
+            label = f"{address}->{peer}"
+            layer = PushFailureDetector(
                 peer,
                 eta,
                 event_log,
-                detector_id=f"{address}->{peer}",
+                [(label, strategy_factory())],
                 initial_timeout=initial_timeout,
-                on_transition=lambda suspected, c=consensus, p=peer: (
-                    c.on_suspicion_change(p, suspected)
+                on_transition_factory=lambda _label, c=consensus, p=peer: (
+                    lambda suspected: c.on_suspicion_change(p, suspected)
                 ),
             )
-            local_detectors[peer] = detector
-            detectors[(address, peer)] = detector
+            layers.append(layer)
+            local_detectors[peer] = detectors[(address, peer)] = layer[label]
 
         heartbeaters: List[Layer] = [
             Heartbeater(peer, eta, event_log) for peer in peers
@@ -144,7 +146,7 @@ def build_consensus_group(
             schedule=list(schedule) if schedule is not None else [],
         )
         crash_layers[address] = simcrash
-        multiplexer = MultiPlexer(list(local_detectors.values()), event_log)
+        multiplexer = MultiPlexer(layers, event_log)
         stack = ProtocolStack(
             [consensus, *heartbeaters, simcrash, multiplexer]
         )

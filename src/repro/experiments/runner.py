@@ -4,10 +4,10 @@ The distributed system has two Neko processes:
 
 * ``monitored`` — stack ``[Heartbeater, SimCrash]``; the heartbeater sends
   every ``eta``, SimCrash injects crash/repair cycles;
-* ``monitor`` — stack ``[MultiPlexer(DetectorBank, extras...)]``; the
-  fused bank holds all failure-detector combinations, so they perceive
-  identical network conditions by construction, and the MultiPlexer feeds
-  any extra monitor layers the same arrivals.
+* ``monitor`` — stack ``[MultiPlexer(PushFailureDetector, extras...)]``;
+  the one detector layer holds every failure-detector row, so they
+  perceive identical network conditions by construction, and the
+  MultiPlexer feeds any extra monitor layers the same arrivals.
 
 The two are connected by a fair-lossy link built from the configured
 :class:`~repro.net.wan.WanProfile`.  An :class:`~repro.nekostat.log.EventLog`
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.clocks.clock import Clock, DriftingClock, PerfectClock
-from repro.fd.bank import make_detector_bank
+from repro.fd.detector import PushFailureDetector, Row
 from repro.fd.combinations import combination_ids
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.multiplexer import MultiPlexer
@@ -132,7 +132,7 @@ class AggregatedQos:
 
 def build_qos_system(
     config: ExperimentConfig,
-    detector_ids: Sequence[str],
+    detector_ids: Sequence[Row],
     *,
     extra_monitor_layers: Optional[Callable[[EventLog], Sequence[Layer]]] = None,
     record_events: bool = False,
@@ -141,8 +141,9 @@ def build_qos_system(
 
     Keys of the returned dict: ``sim``, ``system``, ``event_log``,
     ``handler``, ``heartbeater``, ``simcrash``, ``multiplexer``,
-    ``detectors`` (the :class:`~repro.fd.bank.DetectorBank`, a mapping
-    from detector id to its view), ``link``.
+    ``detectors`` (the :class:`~repro.fd.detector.PushFailureDetector`,
+    a mapping from row id to its view), ``link``.  ``detector_ids`` are
+    its rows: table ids or ``(label, strategy)`` pairs.
     """
     sim = Simulator()
     streams = RandomStreams(config.seed)
@@ -170,7 +171,7 @@ def build_qos_system(
     )
     monitored_stack = ProtocolStack([heartbeater, simcrash])
 
-    detectors = make_detector_bank(
+    detectors = PushFailureDetector(
         MONITORED,
         config.eta,
         event_log,

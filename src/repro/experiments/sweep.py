@@ -13,28 +13,17 @@ crash-injected run.  Points are independent runs, so the sweep accepts
 :mod:`repro.experiments.parallel`; the per-point work is done by a
 module-level function on picklable payloads, and serial execution maps
 the very same function inline — the two paths cannot diverge.
-
-It also accepts ``engine="replay"``: the point then rides the vectorized
-trace-replay fast path (:mod:`repro.experiments.replay_engine`) instead
-of the event-driven system — crash-free configurations only, but orders
-of magnitude faster, which is what makes dense sweep grids affordable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import parallel_map
-from repro.experiments.runner import MONITORED, build_qos_system
-from repro.fd.combinations import make_margin, make_predictor
-from repro.fd.detector import PushFailureDetector
-from repro.fd.replay import replay_detector
-from repro.fd.timeout import TimeoutStrategy
+from repro.experiments.runner import run_qos_experiment
 from repro.neko.config import ExperimentConfig
-from repro.nekostat.metrics import DetectorQos, extract_qos
-
-_ENGINES = ("simulator", "replay")
+from repro.nekostat.metrics import DetectorQos
 
 
 @dataclass(frozen=True)
@@ -64,61 +53,14 @@ class SweepPoint:
         )
 
 
-def _run_one(
-    config: ExperimentConfig,
-    strategy: TimeoutStrategy,
-    detector_id: str,
-) -> DetectorQos:
-    parts = build_qos_system(config, [], extra_monitor_layers=lambda log: [
-        PushFailureDetector(
-            strategy, MONITORED, config.eta, log,
-            detector_id=detector_id,
-            initial_timeout=config.initial_timeout,
-        )
-    ])
-    parts["system"].run(until=config.duration)  # type: ignore[attr-defined]
-    return extract_qos(
-        parts["event_log"], end_time=config.duration,  # type: ignore[arg-type]
-        detectors=[detector_id],
-    )[detector_id]
-
-
-def _replay_one(
-    config: ExperimentConfig,
-    predictor_name: str,
-    margin_name: str,
-) -> DetectorQos:
-    """One sweep point on the trace-replay fast path."""
-    from repro.experiments.replay_engine import synthesize_heartbeat_trace
-
-    trace = synthesize_heartbeat_trace(config)
-    replayed = replay_detector(
-        predictor_name,
-        margin_name,
-        trace.send_times,
-        trace.delays,
-        eta=config.eta,
-        lost=trace.lost,
-        initial_timeout=config.initial_timeout,
-        end_time=config.duration,
-    )
-    return replayed.to_detector_qos()
-
-
 def _execute_eta_point(
-    payload: Tuple[ExperimentConfig, float, str, str, str],
+    payload: Tuple[ExperimentConfig, float, str],
 ) -> SweepPoint:
     """One eta sweep point (module-level so it pickles into workers)."""
-    base_config, eta, predictor_name, margin_name, engine = payload
+    base_config, eta, detector_id = payload
     cycles = max(1, int(round(base_config.duration / eta)))
     config = replace(base_config, eta=eta, num_cycles=cycles)
-    if engine == "replay":
-        qos = _replay_one(config, predictor_name, margin_name)
-    else:
-        strategy = TimeoutStrategy(
-            make_predictor(predictor_name), make_margin(margin_name)
-        )
-        qos = _run_one(config, strategy, f"sweep-eta-{eta}")
+    qos = run_qos_experiment(config, [detector_id]).qos[detector_id]
     return SweepPoint.from_qos(eta, qos, eta)
 
 
@@ -129,7 +71,6 @@ def sweep_eta(
     predictor_name: str = "Last",
     margin_name: str = "JAC_med",
     workers: Optional[int] = 1,
-    engine: str = "simulator",
 ) -> List[SweepPoint]:
     """Run the experiment at each heartbeat period in ``etas``.
 
@@ -137,20 +78,14 @@ def sweep_eta(
     so every point sees the same crash schedule length.  With ``workers``
     > 1 (or ``None`` = all cores) the points run on a process pool; the
     result is identical to the serial sweep point for point.
-    ``engine="replay"`` evaluates each point on the vectorized fast path
-    (crash-free configurations only).
     """
     if not etas:
         raise ValueError("need at least one eta")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
     for eta in etas:
         if eta <= 0:
             raise ValueError(f"eta must be > 0, got {eta!r}")
-    payloads = [
-        (base_config, float(eta), predictor_name, margin_name, engine)
-        for eta in etas
-    ]
+    detector_id = f"{predictor_name}+{margin_name}"
+    payloads = [(base_config, float(eta), detector_id) for eta in etas]
     return parallel_map(_execute_eta_point, payloads, workers=workers)
 
 

@@ -20,11 +20,11 @@ equivalent to it.
 The experimental layers — :class:`~repro.fd.heartbeat.Heartbeater`,
 :class:`~repro.fd.simcrash.SimCrash` and
 :class:`~repro.fd.multiplexer.MultiPlexer` — reproduce the paper's
-Figure 3 architecture.  :class:`~repro.fd.bank.DetectorBank` is the
-matrix itself as one layer: the shared predictor and margin states, every
-row's deadline and one timer per monitored endpoint;
-:class:`~repro.fd.detector.PushFailureDetector` is the single-detector
-layer for any other :class:`~repro.fd.timeout.TimeoutStrategy`.
+Figure 3 architecture.  :class:`~repro.fd.detector.PushFailureDetector`
+is the one push detector layer: every detector watching one endpoint —
+table ids over shared predictor and margin states, and ``(label,
+strategy)`` rows for any other :class:`~repro.fd.timeout.TimeoutStrategy`
+— with every row's deadline and one timer.
 """
 
 from repro.fd.predictors import (
@@ -38,7 +38,6 @@ from repro.fd.predictors import (
 from repro.fd.safety import ConfidenceIntervalMargin, JacobsonMargin, SafetyMargin, ConstantMargin
 from repro.fd.timeout import TimeoutStrategy
 from repro.fd.detector import PushFailureDetector
-from repro.fd.bank import DetectorBank, make_detector_bank
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.multiplexer import MultiPlexer
 from repro.fd.simcrash import SimCrash
@@ -80,7 +79,6 @@ __all__ = [
     "QosRequirements",
     "UnsatisfiableRequirements",
     "ConstantMargin",
-    "DetectorBank",
     "DetectorReplay",
     "StrategyReplay",
     "Heartbeater",
@@ -98,7 +96,6 @@ __all__ = [
     "TimeoutStrategy",
     "WinMeanPredictor",
     "all_combinations",
-    "make_detector_bank",
     "make_margin",
     "make_predictor",
     "configure",

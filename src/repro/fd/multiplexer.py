@@ -6,10 +6,11 @@ guaranteeing that every consumer perceives identical network conditions.
 This fan-out is what makes the comparison fair: one arrival sequence, many
 simultaneous consumers.
 
-The paper's thirty combinations are one upper here: the fused
-:class:`~repro.fd.bank.DetectorBank` gives them identical conditions by
-construction (one delay, one freshness test per heartbeat).  The
-MultiPlexer stays in every monitor stack for what sits beside the bank —
+The paper's thirty combinations are one upper here: the
+:class:`~repro.fd.detector.PushFailureDetector` layer gives its rows
+identical conditions by construction (one delay, one freshness test per
+heartbeat).  The MultiPlexer stays in every monitor stack for what sits
+beside that layer —
 baseline and tuning detectors (``extra_monitor_layers``), the ``fanout``
 span and ``RECEIVED`` events.
 """

@@ -8,8 +8,8 @@ The registry makes that a one-liner for library users::
 
     register_predictor("Median", lambda **kw: MedianPredictor(**kw))
     strategy = make_registered_strategy("Median", "CI_med")
-    # -> usable anywhere a paper combination is, including run_qos_experiment
-    #    via extra_monitor_layers.
+    # -> a ("Median+CI_med", strategy) row of a PushFailureDetector,
+    #    beside the paper's table ids.
 
 Stock names (the paper's) resolve through
 :mod:`repro.fd.combinations`; registered names extend, and may not

@@ -30,7 +30,7 @@ recurrences over the observation sequence, computable in O(n) with NumPy:
 
 There is one detector kernel, a loop over rows ``(label, predictor,
 family, level)``, and it shares its state the way
-:class:`~repro.fd.bank.DetectorBank` does: one :func:`trace_view` per
+:class:`~repro.fd.detector.PushFailureDetector` does: one :func:`trace_view` per
 trace, one prediction pass per predictor and one *unit* margin state per
 family member — one pair of running moments serves every ``SM_CI`` row
 (the margin ignores the prediction), one ``|x − prediction in force|``
@@ -199,7 +199,7 @@ def _scale_margin(family: str, level: float, state) -> "np.ndarray":
 
     Multiplied left to right, as
     :meth:`~repro.fd.safety.ConfidenceIntervalMargin.current` and
-    ``DetectorBank._derive_timeouts`` do, so the floats are theirs.
+    ``PushFailureDetector._derive_timeouts`` do, so the floats are theirs.
     """
     if family == "JAC":
         return level * state

@@ -14,8 +14,8 @@ primary's writes dominate a deposed one's.
 
 The controller (:class:`FailoverControllerLayer`) sits on top
 of a :class:`~repro.fd.multiplexer.MultiPlexer` fanning heartbeats into
-one one-row detector bank per node, all built via
-:func:`repro.fd.bank.make_detector_bank`.  View changes are broadcast as
+one one-row :class:`~repro.fd.detector.PushFailureDetector` per node.
+View changes are broadcast as
 ``kv-view`` datagrams to every node and client, and re-broadcast
 periodically so a lost view datagram delays — never wedges —
 convergence.
@@ -129,7 +129,8 @@ class FailoverControllerLayer(Layer):
             self._rebroadcast.stop()
 
     def on_transition(self, node: str, suspected: bool) -> None:
-        """Detector transition hook (wired via ``make_detector_bank``)."""
+        """Detector transition hook (``on_transition_factory`` of each
+        node's :class:`~repro.fd.detector.PushFailureDetector`)."""
         change = self.state.on_transition(node, suspected)
         if change is None:
             return

@@ -23,8 +23,7 @@ The wiring mirrors :func:`repro.apps.harness.build_consensus_group`:
   ``Heartbeater(→controller)`` / ``SimCrash`` — a crash silences both
   the replica protocol and its heartbeats;
 * controller stack: ``FailoverControllerLayer`` / ``MultiPlexer`` over
-  a one-row detector bank per node, all built via
-  :func:`repro.fd.bank.make_detector_bank`;
+  a one-row :class:`~repro.fd.detector.PushFailureDetector` per node;
 * client stacks: a bare ``KvClientLayer``.
 
 Everything random flows from one :class:`~repro.sim.random.RandomStreams`
@@ -41,7 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.link import install_chaos
 from repro.chaos.plan import FaultPlan
-from repro.fd.bank import make_detector_bank
+from repro.fd.detector import PushFailureDetector
 from repro.fd.combinations import parse_combination_id
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.multiplexer import MultiPlexer
@@ -252,16 +251,16 @@ def build_kv_cluster(
 
     # Controller: one detector per node, each writing suspicion events
     # into that node's own event log (combination ids collide across
-    # nodes otherwise — see repro.fd.bank).
+    # nodes otherwise — see repro.fd.detector).
     controller = FailoverControllerLayer(
         node_names,
         node_names + client_names,
         rebroadcast_interval=config.rebroadcast_interval,
     )
     node_logs: Dict[str, EventLog] = {name: EventLog() for name in node_names}
-    banks = []
+    detectors = []
     for name in node_names:
-        bank = make_detector_bank(
+        detector = PushFailureDetector(
             name,
             config.eta,
             node_logs[name],
@@ -271,9 +270,9 @@ def build_kv_cluster(
                 lambda suspected: controller.on_transition(node, suspected)
             ),
         )
-        banks.append(bank)
+        detectors.append(detector)
     system.create_process(
-        CONTROLLER, ProtocolStack([controller, MultiPlexer(banks, EventLog())])
+        CONTROLLER, ProtocolStack([controller, MultiPlexer(detectors, EventLog())])
     )
 
     # Replicas: protocol layer over a heartbeater over crash injection.

@@ -114,15 +114,6 @@ class LintConfig:
         "arrivals",
     )
 
-    #: detector-bank-construction: the one module allowed to fan
-    #: PushFailureDetector out over the combination-id matrix.
-    bank_allowed_files: Tuple[str, ...] = ("repro/fd/bank.py",)
-
-    #: detector-bank-construction: loop-iterable identifiers (terminal
-    #: name, lowercased) treated as combination-id sources in addition
-    #: to anything containing "combination".
-    bank_id_names: Tuple[str, ...] = ("detector_ids", "detectors")
-
     #: error-swallowing: identifier fragments that mark an assignment
     #: target (or called function) inside a broad ``except`` as error
     #: accounting — incrementing ``*_errors_total``, bumping a restart

@@ -359,8 +359,8 @@ class OnlineQosAccumulator:
     transition kinds as they happen —
 
     * :meth:`observe_suspect` / :meth:`observe_trust` from the detector
-      (e.g. via :class:`~repro.fd.detector.PushFailureDetector`'s
-      ``on_transition`` hook);
+      (e.g. via the ``on_transition_factory`` hooks of a
+      :class:`~repro.fd.detector.PushFailureDetector`);
     * :meth:`observe_crash` / :meth:`observe_restore` from whichever
       oracle knows the monitored process's true state (the live crash
       injector, an orchestrator, a liveness probe);

@@ -10,14 +10,13 @@ A trace follows one heartbeat across the whole pipeline:
 ``receive``     :class:`~repro.service.daemon.MonitorDaemon` decoded
                 and routed the datagram (``delay`` = one-way delay)
 ``fanout``      :class:`~repro.fd.multiplexer.MultiPlexer` forwarded
-                the arrival to the detector bank
+                the arrival to the detector layer
 ``freshness``   a fresh heartbeat armed the detector's timer: the
                 forecast (``timeout`` = delta = prediction + safety
                 margin) and the freshness point (``deadline`` = tau).  A
-                :class:`~repro.fd.bank.DetectorBank` writes one per
-                heartbeat, for the row its one timer is armed on (the
-                earliest deadline); a lone
-                :class:`~repro.fd.detector.PushFailureDetector` its own
+                :class:`~repro.fd.detector.PushFailureDetector` writes
+                one per heartbeat, for the row its one timer is armed
+                on (the earliest deadline)
 ``suspect``     the detector started suspecting (``seq`` = highest
                 heartbeat sequence seen at the transition): the
                 freshness point that expired (``deadline``) and the

@@ -1,9 +1,9 @@
 """Per-endpoint monitoring state and the runtime endpoint registry.
 
 Each registered endpoint gets the paper's full monitor-side architecture
-— a :class:`~repro.fd.multiplexer.MultiPlexer` over the fused
-:class:`~repro.fd.bank.DetectorBank` that holds every (predictor, margin)
-combination on one timer — plus one streaming
+— a :class:`~repro.fd.multiplexer.MultiPlexer` over the
+:class:`~repro.fd.detector.PushFailureDetector` layer that holds every
+(predictor, margin) combination on one timer — plus one streaming
 :class:`~repro.nekostat.metrics.OnlineQosAccumulator` per detector, fed
 by the detectors' ``on_transition`` hooks and by crash/restore
 notifications from the live crash injector.  Endpoints can be added and
@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.hub import ObservabilityHub
     from repro.obs.trace import TraceRecorder
 
-from repro.fd.bank import DetectorBank, make_detector_bank
+from repro.fd.detector import PushFailureDetector
 from repro.fd.multiplexer import MultiPlexer
 from repro.neko.layer import ProtocolStack
 from repro.neko.process import NekoProcess
@@ -73,7 +73,7 @@ class EndpointMonitor:
             )
             for detector_id in detector_ids
         }
-        self.detectors: DetectorBank = make_detector_bank(
+        self.detectors = PushFailureDetector(
             name,
             eta,
             self.event_log,

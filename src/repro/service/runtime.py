@@ -5,7 +5,7 @@ real — is delivered here.  :class:`AsyncioScheduler`, the one real-time
 scheduler, implements the scheduling surface of
 :class:`repro.sim.engine.Simulator` (``now``, ``schedule``,
 ``schedule_at``) on the asyncio event loop, so an unchanged
-:class:`~repro.fd.bank.DetectorBank` (and the
+:class:`~repro.fd.detector.PushFailureDetector` (and the
 :class:`~repro.fd.multiplexer.MultiPlexer` stack it sits in) runs inside a
 single-threaded asyncio daemon, and unchanged heartbeaters and KV
 replicas run on a :class:`~repro.net.udp.UdpNetwork`.  No dispatch lock

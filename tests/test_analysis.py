@@ -39,8 +39,8 @@ def simulate(delta, *, duration=20000.0, eta=1.0, loss=0.0,
     simcrash = SimCrash(100.0, 20.0, None, event_log, schedule=list(crash_schedule))
     system.create_process("q", ProtocolStack([heartbeater, simcrash]))
     detector = PushFailureDetector(
-        constant_timeout_strategy(delta), "q", eta, event_log,
-        detector_id="fd", initial_timeout=5.0,
+        "q", eta, event_log, [("fd", constant_timeout_strategy(delta))],
+        initial_timeout=5.0,
     )
     system.create_process("p", ProtocolStack([detector]))
     system.run(until=duration)

@@ -9,7 +9,6 @@ from repro.fd.baselines import (
     constant_timeout_strategy,
     nfd_e_strategy,
 )
-from repro.fd.detector import PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.multiplexer import MultiPlexer
 from repro.fd.pull import PullFailureDetector, PullResponder

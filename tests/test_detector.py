@@ -1,8 +1,9 @@
 """Scenario tests for the push-style failure detector.
 
 Each scenario wires the real Figure 3 architecture (Heartbeater, SimCrash,
-MultiPlexer, PushFailureDetector) on controlled links so the expected
-suspect/trust transitions can be computed by hand.
+MultiPlexer, a PushFailureDetector with one ``(label, strategy)`` row) on
+controlled links so the expected suspect/trust transitions can be
+computed by hand.
 """
 
 import pytest
@@ -25,8 +26,9 @@ from repro.sim.engine import Simulator
 
 
 def build(sim, event_log, delay_model, *, eta=1.0, strategy=None,
-          crash_schedule=None, initial_timeout=5.0, detectors=None):
-    """Wire heartbeater -> simcrash -> link -> multiplexer -> detector(s)."""
+          crash_schedule=None, initial_timeout=5.0):
+    """Wire heartbeater -> simcrash -> link -> multiplexer -> detector;
+    return the system and the row's view, in a list."""
     system = NekoSystem(sim)
     system.network.set_link("monitored", "monitor", delay_model)
     heartbeater = Heartbeater("monitor", eta, event_log)
@@ -35,19 +37,16 @@ def build(sim, event_log, delay_model, *, eta=1.0, strategy=None,
         schedule=crash_schedule if crash_schedule is not None else [],
     )
     system.create_process("monitored", ProtocolStack([heartbeater, simcrash]))
-    if detectors is None:
-        if strategy is None:
-            strategy = TimeoutStrategy(LastPredictor(), ConstantMargin(0.1))
-        detectors = [
-            PushFailureDetector(
-                strategy, "monitored", eta, event_log,
-                detector_id="fd", initial_timeout=initial_timeout,
-            )
-        ]
-    multiplexer = MultiPlexer(detectors, event_log)
+    if strategy is None:
+        strategy = TimeoutStrategy(LastPredictor(), ConstantMargin(0.1))
+    detector = PushFailureDetector(
+        "monitored", eta, event_log, [("fd", strategy)],
+        initial_timeout=initial_timeout,
+    )
+    multiplexer = MultiPlexer([detector], event_log)
     system.create_process("monitor", ProtocolStack([multiplexer]))
     system.start()
-    return system, detectors
+    return system, [detector["fd"]]
 
 
 class TestSteadyState:
@@ -61,7 +60,7 @@ class TestSteadyState:
         sim_run(sim, 10.0)
         fd = detectors[0]
         assert fd.heartbeats_seen == 10
-        assert fd.strategy.prediction() == pytest.approx(0.2)
+        assert fd.prediction() == pytest.approx(0.2)
 
     def test_current_timeout_tracks_strategy(self, sim, event_log):
         _, detectors = build(sim, event_log, ConstantDelay(0.2))
@@ -162,7 +161,7 @@ class TestFalsePositives:
         _, detectors = build(sim, event_log, TraceDelay(delays), strategy=strategy)
         sim_run(sim, 6.6)  # just after the stale arrival at 6.5
         # The stale delay (1.5) was fed to the predictor (LAST).
-        assert detectors[0].strategy.prediction() == pytest.approx(1.5)
+        assert detectors[0].prediction() == pytest.approx(1.5)
 
 
 
@@ -187,7 +186,7 @@ class TestInitialBehaviour:
         from repro.net.message import Datagram
 
         strategy = TimeoutStrategy(LastPredictor(), ConstantMargin(0.1))
-        detector = PushFailureDetector(strategy, "p", 1.0, event_log)
+        detector = PushFailureDetector("p", 1.0, event_log, [("fd", strategy)])
         system = NekoSystem(sim)
         system.create_process("monitor", ProtocolStack([detector]))
         with pytest.raises(ValueError):
@@ -198,7 +197,7 @@ class TestInitialBehaviour:
         from tests.conftest import RecordingLayer
 
         strategy = TimeoutStrategy(LastPredictor(), ConstantMargin(0.1))
-        detector = PushFailureDetector(strategy, "p", 1.0, event_log)
+        detector = PushFailureDetector("p", 1.0, event_log, [("fd", strategy)])
         recorder = RecordingLayer()
         system = NekoSystem(sim)
         system.create_process("monitor", ProtocolStack([recorder, detector]))
@@ -208,11 +207,11 @@ class TestInitialBehaviour:
         assert detector.heartbeats_seen == 0
 
     def test_invalid_parameters(self, event_log):
-        strategy = TimeoutStrategy(LastPredictor(), ConstantMargin(0.1))
+        rows = [("fd", TimeoutStrategy(LastPredictor(), ConstantMargin(0.1)))]
         with pytest.raises(ValueError):
-            PushFailureDetector(strategy, "p", 0.0, event_log)
+            PushFailureDetector("p", 0.0, event_log, rows)
         with pytest.raises(ValueError):
-            PushFailureDetector(strategy, "p", 1.0, event_log, initial_timeout=-1.0)
+            PushFailureDetector("p", 1.0, event_log, rows, initial_timeout=-1.0)
 
 
 class TestEventData:

@@ -1,13 +1,14 @@
-"""The fused ``DetectorBank`` against the stack it replaces.
+"""The detector layer against the stack it replaces.
 
 The reference is the paper's literal architecture: a ``MultiPlexer``
-fanning out to one ``PushFailureDetector`` (own strategy, own timer) per
-combination.  Both stacks are driven with the same arrival sequence on
+fanning out to one scalar detector (``tests/reference_detector.py``: own
+strategy, own timer) per row — a table id or a ``(label, strategy)``
+pair.  Both stacks are driven with the same arrival sequence on
 separate simulators and must agree on everything an observer can see:
 the event log (kind, time, detector, time-out in force), the order of
 ``on_transition`` calls, the trace spans and the number of engine events.
-The bank's trace follows its one timer, so it is compared with a
-projection of the thirty detectors' spans (:func:`project`): suspect and
+The layer's trace follows its one timer, so it is compared with a
+projection of the scalar detectors' spans (:func:`project`): suspect and
 trust spans as they are, and per fresh heartbeat the one ``freshness``
 span of the row the timer is armed on.  Equality is exact — no
 tolerances — because the committed goldens and the replay ≡ simulator
@@ -23,10 +24,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clocks.clock import DriftingClock, PerfectClock
-from repro.fd.bank import DetectorBank, make_detector_bank
+from repro.fd.baselines import (
+    bertier_strategy,
+    constant_timeout_strategy,
+    nfd_e_strategy,
+)
 from repro.fd.combinations import combination_ids, make_strategy, parse_combination_id
 from repro.fd.detector import PushFailureDetector
 from repro.fd.multiplexer import MultiPlexer
+from repro.fd.registry import (
+    make_registered_strategy,
+    register_margin,
+    registered_margins,
+)
+from repro.fd.safety import JacobsonMargin
 from repro.neko.layer import ProtocolStack
 from repro.neko.process import NekoProcess
 from repro.neko.system import NekoSystem
@@ -38,10 +49,27 @@ from repro.service.runtime import AsyncioScheduler
 from repro.sim.engine import Simulator
 
 from tests.conftest import RecordingLayer, RecordingNetwork, examples, repro_calls
+from tests.reference_detector import ReferenceDetector
 
 ETA = 1.0
 INITIAL_TIMEOUT = 4.0
 ALL_IDS = combination_ids()
+
+#: A registered margin for the strategy rows: a Jacobson margin with its
+#: own gain and scale, outside the table.
+SPREAD = "JAC_fast-rows"
+if SPREAD not in registered_margins():
+    register_margin(SPREAD, lambda: JacobsonMargin(alpha=0.5, phi=3.0))
+
+#: ``(label, strategy factory)`` rows: each stack builds its own
+#: strategies.  Short windows so the runs leave the warm-up.
+STRATEGY_ROWS = [
+    ("Const(300ms)", lambda: constant_timeout_strategy(0.3)),
+    ("NFD-E(50ms)", lambda: nfd_e_strategy(0.05, window=8)),
+    ("Bertier", lambda: bertier_strategy(window=8)),
+    ("Median+JAC_med", lambda: make_registered_strategy("Median", "JAC_med")),
+    (f"Median+{SPREAD}", lambda: make_registered_strategy("Median", SPREAD)),
+]
 
 
 def heartbeat(seq, *, eta=ETA, timestamp=None):
@@ -54,30 +82,38 @@ def heartbeat(seq, *, eta=ETA, timestamp=None):
     )
 
 
-def scalar_uppers(ids, event_log, hook_factory, tracer):
-    """Today's bank: one detector, one strategy and one timer per id."""
+def scalar_uppers(rows, event_log, hook_factory, tracer):
+    """The reference: one detector, one strategy and one timer per row.
+
+    A row is a table id or a ``(label, strategy factory)`` pair."""
+    uppers = []
+    for row in rows:
+        if isinstance(row, str):
+            label, strategy = row, make_strategy(*parse_combination_id(row))
+        else:
+            label, strategy = row[0], row[1]()
+        uppers.append(
+            ReferenceDetector(
+                strategy,
+                "q",
+                ETA,
+                event_log,
+                detector_id=label,
+                initial_timeout=INITIAL_TIMEOUT,
+                on_transition=hook_factory(label),
+                tracer=tracer,
+            )
+        )
+    return uppers
+
+
+def fused_uppers(rows, event_log, hook_factory, tracer):
     return [
         PushFailureDetector(
-            make_strategy(*parse_combination_id(detector_id)),
             "q",
             ETA,
             event_log,
-            detector_id=detector_id,
-            initial_timeout=INITIAL_TIMEOUT,
-            on_transition=hook_factory(detector_id),
-            tracer=tracer,
-        )
-        for detector_id in ids  # fdlint: disable=detector-bank-construction (the reference stack the fused bank is proved against)
-    ]
-
-
-def fused_uppers(ids, event_log, hook_factory, tracer):
-    return [
-        make_detector_bank(
-            "q",
-            ETA,
-            event_log,
-            ids,
+            [row if isinstance(row, str) else (row[0], row[1]()) for row in rows],
             initial_timeout=INITIAL_TIMEOUT,
             on_transition_factory=hook_factory,
             tracer=tracer,
@@ -281,6 +317,52 @@ class TestDifferential:
         )
 
 
+class TestStrategyRows:
+    """``(label, strategy)`` rows — constant time-out, NFD-E, Bertier, the
+    registered ``Median`` predictor with a stock and a registered margin —
+    alone and mixed with table ids, against one reference detector each."""
+
+    @given(
+        beats,
+        crashes,
+        st.lists(
+            st.sampled_from(STRATEGY_ROWS + ALL_IDS[::4]),
+            min_size=1, max_size=8, unique_by=lambda row: str(row),
+        ),
+        clocks,
+    )
+    @settings(max_examples=examples(40), deadline=None)
+    def test_strategy_rows_equal_one_detector_each(
+        self, delays, crash_spans, rows, clock
+    ):
+        offset, drift = clock
+        assert_same(
+            rows,
+            arrivals_of(delays, crash_spans),
+            until=len(delays) * ETA + 12.0,
+            offset=offset,
+            drift=drift,
+        )
+
+    def test_stale_reordered_and_stepped(self):
+        """Late heartbeats overtaken by the next (stale on arrival), a
+        drifting clock stepped twice, then silence: every row's events,
+        hooks and spans as its own detector's."""
+        delays = [0.21, 0.35, 1.6, 0.27, 0.4, 0.22, 1.31, 0.25, 0.2, 0.3] * 3
+        arrivals = [(seq * ETA + delay, seq) for seq, delay in enumerate(delays)]
+        steps = [(7.6, -0.03), (13.6, 0.02), (21.3, 0.05)]
+        rows = STRATEGY_ROWS + ["Last+JAC_med", "Mean+CI_high"]
+        fused = assert_same(
+            rows, arrivals, until=50.0, offset=0.01, drift=2e-5, steps=steps
+        )
+        assert fused.uppers[0].stale_heartbeats == 6
+        final = [e for e in suspicions(fused) if e.time > arrivals[-1][0]]
+        assert sorted(e.detector for e in final) == sorted(
+            row if isinstance(row, str) else row[0] for row in rows
+        )
+        assert len(fused.hook_calls) == len(fused.event_log)
+
+
 # ----------------------------------------------------------------------
 # Pinned cases
 # ----------------------------------------------------------------------
@@ -427,7 +509,7 @@ class TestStaleHeartbeat:
 
 class TestSmallBanks:
     def test_empty_bank_arms_nothing_and_passes_traffic_on(self, sim, event_log):
-        bank = make_detector_bank("q", ETA, event_log, [])
+        bank = PushFailureDetector("q", ETA, event_log, [])
         extra = RecordingLayer()
         system = NekoSystem(sim)
         process = system.create_process(
@@ -456,16 +538,22 @@ class TestSmallBanks:
 
     def test_views_follow_bank_order_and_repeats_collapse(self, event_log):
         ids = ["WinMean+JAC_low", "Arima+CI_high", "WinMean+JAC_low"]
-        bank = make_detector_bank("q", ETA, event_log, ids)
-        assert isinstance(bank, DetectorBank)
+        bank = PushFailureDetector("q", ETA, event_log, ids)
         assert list(bank) == ["WinMean+JAC_low", "Arima+CI_high"]
         assert [view.detector_id for _id, view in bank.items()] == list(bank)
         assert bank.initial_timeout == 10.0
+        assert list(PushFailureDetector("q", ETA, event_log)) == ALL_IDS
         with pytest.raises(ValueError):
-            make_detector_bank("q", ETA, event_log, ["Nope+CI_low"])
+            PushFailureDetector("q", ETA, event_log, ["Nope+CI_low"])
+        with pytest.raises(ValueError):
+            PushFailureDetector(
+                "q", ETA, event_log,
+                [("fd", constant_timeout_strategy(0.3)),
+                 ("fd", constant_timeout_strategy(0.4))],
+            )
 
     def test_stopped_row_stays_quiet_until_the_next_heartbeat(self, sim, event_log):
-        bank = make_detector_bank(
+        bank = PushFailureDetector(
             "q", ETA, event_log, ["Last+CI_low", "Last+CI_high"],
             initial_timeout=INITIAL_TIMEOUT,
         )
@@ -491,7 +579,7 @@ class TestSmallBanks:
 def on_time_bank(sim, *, delay=0.2, beats=300):
     """A 30-row bank behind a MultiPlexer, fed heartbeat ``seq`` at
     ``seq * ETA + delay`` for ``beats`` heartbeats."""
-    bank = make_detector_bank(
+    bank = PushFailureDetector(
         "q", ETA, EventLog(), ALL_IDS, initial_timeout=INITIAL_TIMEOUT
     )
     system = NekoSystem(sim)

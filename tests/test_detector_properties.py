@@ -41,12 +41,12 @@ def run_scenario(delays, crash_schedule, duration):
     )
     system.create_process("q", ProtocolStack([heartbeater, simcrash]))
     detector = PushFailureDetector(
-        constant_timeout_strategy(DELTA), "q", ETA, event_log,
-        detector_id="fd", initial_timeout=5.0,
+        "q", ETA, event_log, [("fd", constant_timeout_strategy(DELTA))],
+        initial_timeout=5.0,
     )
     system.create_process("p", ProtocolStack([detector]))
     system.run(until=duration)
-    return event_log, detector
+    return event_log, detector["fd"]
 
 
 # Delays: mostly moderate, occasionally huge (lost-like) or tiny.

@@ -195,8 +195,9 @@ class TestDetectorClockInteraction:
             )
             parts = build_qos_system(config, [], extra_monitor_layers=lambda log: [
                 PushFailureDetector(
-                    constant_timeout_strategy(0.35), MONITORED, config.eta,
-                    log, detector_id="const", initial_timeout=5.0,
+                    MONITORED, config.eta, log,
+                    [("const", constant_timeout_strategy(0.35))],
+                    initial_timeout=5.0,
                 )
             ])
             parts["system"].run(until=config.duration)

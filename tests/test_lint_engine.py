@@ -228,7 +228,7 @@ class TestOneWalk:
     """Each file is traversed once; rules are discovered once per run."""
 
     def test_traversal_budget_on_the_bank_module(self, monkeypatch):
-        bank = SRC / "repro" / "fd" / "bank.py"
+        bank = SRC / "repro" / "fd" / "detector.py"
         nodes = sum(1 for _ in ast.walk(ast.parse(bank.read_text("utf-8"))))
         real = ast.iter_child_nodes
         calls = []

@@ -22,7 +22,6 @@ EXPECTED_RULES = {
     "float-time-equality",
     "mutable-shared-state",
     "sample-array-narrowing",
-    "detector-bank-construction",
     "error-swallowing",
     # project tier
     "clock-seed-taint",

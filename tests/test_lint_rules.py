@@ -29,9 +29,6 @@ CORPUS = {
     "sample-array-narrowing": (
         "metrics/positive.py", "metrics/negative.py"
     ),
-    "detector-bank-construction": (
-        "bank/positive.py", "bank/negative.py"
-    ),
     "error-swallowing": ("errors/positive.py", "errors/negative.py"),
 }
 

@@ -414,8 +414,8 @@ def _traced_scenario(sim, event_log, tracer, *, crash_schedule=()):
     simcrash = SimCrash(100.0, 10.0, None, event_log, schedule=list(crash_schedule))
     system.create_process("monitored", ProtocolStack([heartbeater, simcrash]))
     detector = PushFailureDetector(
-        make_strategy("Last", "CI_med"), "monitored", 1.0, event_log,
-        detector_id="fd", initial_timeout=5.0, tracer=tracer,
+        "monitored", 1.0, event_log, [("fd", make_strategy("Last", "CI_med"))],
+        initial_timeout=5.0, tracer=tracer,
     )
     multiplexer = MultiPlexer([detector], event_log, tracer=tracer)
     system.create_process("monitor", ProtocolStack([multiplexer]))

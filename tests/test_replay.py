@@ -484,8 +484,8 @@ class TestEventDrivenEquivalence:
         log = EventLog()
         heartbeater = Heartbeater("monitor", eta, log)
         detector = PushFailureDetector(
-            make_strategy(*combo), "monitored", eta, log,
-            detector_id=detector_id, initial_timeout=10.0 * eta,
+            "monitored", eta, log, [(detector_id, make_strategy(*combo))],
+            initial_timeout=10.0 * eta,
         )
         system.create_process(
             "monitored", ProtocolStack([heartbeater]), clock=PerfectClock(sim)

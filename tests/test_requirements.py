@@ -125,8 +125,9 @@ class TestEndToEndContract:
         simcrash = SimCrash(100.0, 20.0, None, event_log, schedule=schedule)
         system.create_process("q", ProtocolStack([heartbeater, simcrash]))
         detector = PushFailureDetector(
-            constant_timeout_strategy(configuration.delta), "q",
-            configuration.eta, event_log, detector_id="fd", initial_timeout=5.0,
+            "q", configuration.eta, event_log,
+            [("fd", constant_timeout_strategy(configuration.delta))],
+            initial_timeout=5.0,
         )
         system.create_process("p", ProtocolStack([detector]))
         duration = 10_000.0

@@ -59,7 +59,7 @@ class TestSweepEta:
 
         def spy(self, *args, **kwargs):
             original(self, *args, **kwargs)
-            armed.append(self._initial_timeout)
+            armed.append(self.initial_timeout)
 
         monkeypatch.setattr(PushFailureDetector, "__init__", spy)
         config = replace(FAST, extras={"initial_timeout": 3.5})

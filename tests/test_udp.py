@@ -10,7 +10,6 @@ import asyncio
 import pytest
 
 from repro.clocks.clock import DriftingClock
-from repro.fd.bank import make_detector_bank
 from repro.fd.detector import PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.multiplexer import MultiPlexer
@@ -375,7 +374,7 @@ def contract_stacks(system, event_log):
             schedule=[(origin + CRASH_WINDOW[0], origin + CRASH_WINDOW[1])],
         ),
     ])
-    bank = make_detector_bank("q", ETA, event_log, ["Last+JAC_med"])
+    bank = PushFailureDetector("q", ETA, event_log, ["Last+JAC_med"])
     monitor = ProtocolStack(
         [MultiPlexer([bank], event_log, record_received_events=True)]
     )
@@ -443,12 +442,13 @@ class TestRealExecution:
             eta = 0.05  # fast heartbeats to keep the test short
             heartbeater = Heartbeater("monitor", eta, event_log)
             strategy = TimeoutStrategy(LastPredictor(), ConstantMargin(0.2))
-            detector = PushFailureDetector(
-                strategy, "monitored", eta, event_log,
-                detector_id="udp-fd", initial_timeout=1.0,
+            layer = PushFailureDetector(
+                "monitored", eta, event_log, [("udp-fd", strategy)],
+                initial_timeout=1.0,
             )
+            detector = layer["udp-fd"]
             system.create_process("monitored", ProtocolStack([heartbeater]))
-            system.create_process("monitor", ProtocolStack([detector]))
+            system.create_process("monitor", ProtocolStack([layer]))
             system.start()
             await asyncio.sleep(0.6)
             heartbeater.stop()
