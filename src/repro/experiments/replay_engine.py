@@ -11,7 +11,10 @@ of a repetition — the delay/loss trace the WAN profile produces — is
    the same order as :func:`~repro.experiments.runner.build_qos_system`
    (link models keyed by ``"monitored->monitor"``, the SimCrash stream
    checked for crash-freeness), so the synthesized trace is *identical*
-   to what the simulator's link would carry;
+   to what the simulator's link would carry.  It makes one call per
+   model, not one per heartbeat: the loss model's ``drops_many`` (one
+   block of uniforms for the Bernoulli and Gilbert–Elliott models) and
+   the delay model's ``sample_many`` over the survivors;
 2. :func:`run_qos_replay` replays all requested combinations over it with
    :func:`~repro.fd.replay.replay_detector_matrix` — one arrival/freshness
    resolution, one prediction pass per predictor family (the batched
@@ -89,12 +92,16 @@ def synthesize_heartbeat_trace(config: ExperimentConfig) -> HeartbeatTrace:
     """Draw the heartbeat trace the simulator would produce for ``config``.
 
     The same named random streams are consumed in the same order as the
-    event-driven run: the ``monitored->monitor`` delay and loss models
-    sample once per send (loss first; the delay draw is skipped for
-    dropped heartbeats), and the SimCrash stream's first time-to-crash
-    draw is checked against the horizon.  ``num_cycles + 1`` heartbeats go
-    out at ``k * eta`` — the periodic timer's tick at ``t == duration``
-    still fires.
+    event-driven run: the ``monitored->monitor`` loss model answers for
+    every send and the delay model draws for the survivors only, and the
+    SimCrash stream's first time-to-crash draw is checked against the
+    horizon.  Each model is called once for the whole trace
+    (:meth:`~repro.net.loss.LossModel.drops_many`, then
+    :meth:`~repro.net.delay.DelayModel.sample_many` on the survivors'
+    send times): the two streams are independent, so this is the
+    per-datagram interleaving's draws, value for value.
+    ``num_cycles + 1`` heartbeats go out at ``k * eta`` — the periodic
+    timer's tick at ``t == duration`` still fires.
 
     Raises ``ValueError`` for configurations the replay cannot represent:
     a crash inside the horizon, or a non-perfect monitor clock.
@@ -121,15 +128,12 @@ def synthesize_heartbeat_trace(config: ExperimentConfig) -> HeartbeatTrace:
         )
     count = config.num_cycles + 1
     send_times = np.arange(count) * config.eta
+    # Loss and delay draw from separate streams, so the whole loss
+    # sequence can go first and the delays follow for the survivors.
+    lost = loss_model.drops_many(send_times)
     delays = np.full(count, np.nan)
-    lost = np.zeros(count, dtype=bool)
-    drops = loss_model.drops
-    sample = delay_model.sample
-    for index, now in enumerate(send_times.tolist()):
-        if drops(now):
-            lost[index] = True
-        else:
-            delays[index] = sample(now)
+    kept = ~lost
+    delays[kept] = delay_model.sample_many(send_times[kept])
     if bool(np.all(lost)):
         raise ValueError("every heartbeat was lost; nothing to replay")
     return HeartbeatTrace(

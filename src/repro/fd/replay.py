@@ -116,14 +116,14 @@ def _seeded_ewma(values: "np.ndarray", gain: float) -> "np.ndarray":
     :class:`~repro.fd.predictors.LpfPredictor` /
     :class:`~repro.fd.safety.JacobsonMargin` recurrences.
     """
-    out = np.empty(values.shape[0])
-    items = values.tolist()
-    acc = items[0]
-    out[0] = acc
-    for index in range(1, len(items)):
-        acc += gain * (items[index] - acc)
-        out[index] = acc
-    return out
+    items = iter(values.tolist())
+    acc = next(items)
+    out = [acc]
+    append = out.append
+    for value in items:
+        acc += gain * (value - acc)
+        append(acc)
+    return np.array(out)
 
 
 def replay_predictions(

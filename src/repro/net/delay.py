@@ -35,11 +35,26 @@ import numpy as np
 
 
 class DelayModel(abc.ABC):
-    """Abstract one-way delay process."""
+    """Abstract one-way delay process.
+
+    :meth:`sample` draws for one datagram; the simulator, the live stack
+    and the KV store call it once per send.  :meth:`sample_many` draws for
+    a whole send schedule at once — the replay engine's trace synthesis —
+    and must return what that many :meth:`sample` calls would, leaving the
+    generator and the model in the same state.  The default is that loop,
+    which keeps ``now``-dependent models exact; a model with a cheaper
+    equal form overrides it (``tests/test_delay_models.py`` holds every
+    model to it).
+    """
 
     @abc.abstractmethod
     def sample(self, now: float) -> float:
         """Draw the delay (seconds) of a datagram sent at time ``now``."""
+
+    def sample_many(self, times: "np.ndarray") -> "np.ndarray":
+        """Float array: ``out[i]`` is ``sample(times[i])``, in order."""
+        times = np.asarray(times, dtype=float)
+        return np.fromiter(map(self.sample, times.tolist()), float, times.size)
 
     def reset(self) -> None:
         """Reset any internal state (default: stateless, no-op)."""
@@ -291,13 +306,17 @@ class MultiScaleWanDelay(DelayModel):
     spikes stress every safety margin, and the floor anchors the Table 4
     minimum.
 
-    :meth:`sample` is one flat method — every simulated datagram and every
-    replayed heartbeat pays it — that draws white, slow, telegraph and
-    then each tier in turn from the one generator: the draws, in the order,
-    of ``CompositeDelay([core with the first tier, SpikeOverlay(rng,
-    ConstantDelay(0.0), second tier), ...])`` built from the public
-    classes, which ``tests/test_delay_models.py`` holds it to sample for
-    sample and generator state for generator state.
+    :meth:`sample` is one flat method — every simulated datagram pays it —
+    that draws white, slow, telegraph and then each tier in turn from the
+    one generator: the draws, in the order, of ``CompositeDelay([core
+    with the first tier, SpikeOverlay(rng, ConstantDelay(0.0), second
+    tier), ...])`` built from the public classes, which
+    ``tests/test_delay_models.py`` holds it to sample for sample and
+    generator state for generator state.  :meth:`sample_many` is the same
+    draw sequence for a replayed trace in one call, its state in locals.
+    The Gaussian draws consume a variable number of generator words, so
+    the sequence cannot be drawn as one block; it stays five scalar draws
+    per datagram (more while a spike fires).
     """
 
     def __init__(
@@ -376,6 +395,44 @@ class MultiScaleWanDelay(DelayModel):
             delay += tier.spike
             tier.spike *= tier.decay
         return delay
+
+    def sample_many(self, times: "np.ndarray") -> "np.ndarray":
+        # sample()'s body, step for step, over locals; the two must stay
+        # in lockstep (tests/test_delay_models.py compares them).
+        draw, normal = self._draw, self._normal
+        floor, base, high = self._floor, self._base, self._high
+        white_std = self._white_std
+        slow_phi, slow_noise = self._slow_phi, self._slow_noise
+        p_low_to_high, p_high_to_low = self._p_low_to_high, self._p_high_to_low
+        in_high, slow = self._in_high, self._slow
+        tiers = self._tiers
+        delays = []
+        append = delays.append
+        for _ in range(len(times)):
+            white = white_std * normal() if white_std else 0.0
+            slow = slow_phi * slow
+            if slow_noise:
+                slow += slow_noise * normal()
+            if in_high:
+                if draw() < p_high_to_low:
+                    in_high = False
+            elif draw() < p_low_to_high:
+                in_high = True
+            queue = base + white + (high if in_high else 0.0) + slow
+            delay = floor + (queue if queue > 0.0 else 0.0)
+            for tier in tiers:
+                if tier.remaining > 0:
+                    tier.remaining -= 1
+                elif draw() < tier.probability:
+                    tier.spike = tier.minimum + tier.span * draw()
+                    tier.remaining = tier.rest
+                else:
+                    continue
+                delay += tier.spike
+                tier.spike *= tier.decay
+            append(delay)
+        self._in_high, self._slow = in_high, slow
+        return np.array(delays, dtype=float)
 
     def reset(self) -> None:
         self._in_high = False

@@ -13,11 +13,25 @@ import numpy as np
 
 
 class LossModel(abc.ABC):
-    """Abstract per-datagram loss process."""
+    """Abstract per-datagram loss process.
+
+    :meth:`drops` answers for one datagram; the simulator, the live stack
+    and the KV store call it once per send.  :meth:`drops_many` answers
+    for a whole send schedule at once — the replay engine's trace
+    synthesis — and must return what that many :meth:`drops` calls
+    would, leaving the generator and the model in the same state.  The
+    default is that loop; a model whose draws can be taken as one block
+    overrides it (``tests/test_loss_models.py`` holds every model to it).
+    """
 
     @abc.abstractmethod
     def drops(self, now: float) -> bool:
         """Return ``True`` if the datagram sent at ``now`` is lost."""
+
+    def drops_many(self, times: "np.ndarray") -> "np.ndarray":
+        """Boolean array: ``out[i]`` is ``drops(times[i])``, in order."""
+        times = np.asarray(times, dtype=float)
+        return np.fromiter(map(self.drops, times.tolist()), bool, times.size)
 
     def reset(self) -> None:
         """Reset any internal state (default: stateless, no-op)."""
@@ -28,6 +42,9 @@ class NoLoss(LossModel):
 
     def drops(self, now: float) -> bool:
         return False
+
+    def drops_many(self, times: "np.ndarray") -> "np.ndarray":
+        return np.zeros(len(times), dtype=bool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NoLoss()"
@@ -51,6 +68,12 @@ class BernoulliLoss(LossModel):
         if self._p == 0.0:
             return False
         return bool(self._rng.random() < self._p)
+
+    def drops_many(self, times: "np.ndarray") -> "np.ndarray":
+        # One uniform per datagram, so the block is those draws.
+        if self._p == 0.0:
+            return np.zeros(len(times), dtype=bool)
+        return self._rng.random(len(times)) < self._p
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BernoulliLoss(p={self._p!r})"
@@ -120,6 +143,28 @@ class GilbertElliottLoss(LossModel):
         if loss_probability == 0.0:
             return False
         return bool(self._rng.random() < loss_probability)
+
+    def drops_many(self, times: "np.ndarray") -> "np.ndarray":
+        # With both states lossy every datagram draws exactly twice (the
+        # transition, then the loss), so one block of 2n uniforms is those
+        # draws in order.  A loss-free state draws once and takes the loop.
+        if self._loss_good == 0.0 or self._loss_bad == 0.0:
+            return super().drops_many(times)
+        p_gb, p_bg = self._p_gb, self._p_bg
+        loss_good, loss_bad = self._loss_good, self._loss_bad
+        bad = self._bad
+        draws = iter(self._rng.random(2 * len(times)).tolist())
+        lost = []
+        append = lost.append
+        for transition, loss in zip(draws, draws):
+            if bad:
+                if transition < p_bg:
+                    bad = False
+            elif transition < p_gb:
+                bad = True
+            append(loss < (loss_bad if bad else loss_good))
+        self._bad = bad
+        return np.array(lost, dtype=bool)
 
     def reset(self) -> None:
         self._bad = False

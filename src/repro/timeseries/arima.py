@@ -89,10 +89,19 @@ def _filter_innovations(
             predictions[i:] += phi[i - 1] * w_series[:-i]
     if q == 0:
         return w_series - predictions
-    innovations = np.zeros(size)
     w_list = w_series.tolist()
     prediction_list = predictions.tolist()
-    out = innovations.tolist()
+    if q == 1 and size:  # the paper's model: one feedback term
+        theta_1 = theta[0]
+        ws, ps = iter(w_list), iter(prediction_list)
+        innovation = next(ws) - next(ps)
+        out = [innovation]
+        append = out.append
+        for w, prediction in zip(ws, ps):
+            innovation = w - (prediction + theta_1 * innovation)
+            append(innovation)
+        return np.asarray(out)
+    out = [0.0] * size
     for t in range(size):
         prediction = prediction_list[t]
         for j in range(1, q + 1):
@@ -229,7 +238,16 @@ def batch_arima_predictions(
                     pad = -low
                     ar_part[pad:] += phi_f[i - 1] * wd[: end - t - pad]
             forecasts = ar_part.tolist()
-            if q > 0:
+            if q == 1:  # the paper's model: a_hist is the last innovation
+                theta_1 = theta_f[0]
+                ar_forecasts, forecasts = forecasts, []
+                append = forecasts.append
+                for w, ar in zip(wd[t - d : end - d].tolist(), ar_forecasts):
+                    innovation = w - w_forecast
+                    w_forecast = ar + theta_1 * innovation
+                    append(w_forecast)
+                a_hist = [innovation]
+            elif q > 0:
                 w_segment = wd[t - d : end - d].tolist()
                 for offset in range(end - t):
                     a_hist.append(w_segment[offset] - w_forecast)

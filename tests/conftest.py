@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import repro
 from repro.neko.layer import Layer, ProtocolStack
@@ -42,6 +43,63 @@ def examples(tier1: int) -> int:
     """A property's ``max_examples``: ``tier1``, times ten under the
     ``deep`` profile (an explicit count would otherwise override it)."""
     return tier1 * DEEP_FACTOR if HYPOTHESIS_PROFILE == "deep" else tier1
+
+
+def model_state(value):
+    """A link model's state as plain data, nested models and spike runs
+    included.  The generator is left out (compare its
+    ``bit_generator.state``), and so are its bound draw methods."""
+    if isinstance(value, np.random.Generator) or hasattr(value, "__self__"):
+        return None
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [model_state(item) for item in value]
+    if isinstance(value, (bool, int, float, str, type(None))):
+        return value
+    names = getattr(type(value), "__slots__", None) or list(vars(value))
+    return (
+        type(value).__name__,
+        {name: model_state(getattr(value, name)) for name in names},
+    )
+
+
+def send_schedules(longest: int):
+    """Hypothesis strategy: send times and a ``(lo, hi)`` block inside
+    them.  The block may sit after some per-datagram calls and before
+    others, or be empty."""
+    return st.integers(0, longest).flatmap(
+        lambda count: st.tuples(
+            st.just(np.arange(count) * 0.7),
+            st.tuples(st.integers(0, count), st.integers(0, count)).map(sorted),
+        )
+    )
+
+
+def assert_block_equals_scalar(make, scalar: str, block: str, schedule) -> None:
+    """The ``block`` method over ``times[lo:hi]``, between calls of the
+    per-datagram ``scalar`` method on either side, gives what ``scalar``
+    calls throughout give, and leaves the generator and the model in the
+    same state.  ``make(rng)`` builds the model; ``schedule`` is
+    ``(times, (lo, hi))`` as :func:`send_schedules` draws it."""
+    times, (lo, hi) = schedule
+    times = times.tolist()
+    seed = 20050628
+    reference_rng = np.random.default_rng(seed)
+    reference = make(reference_rng)
+    expected = [getattr(reference, scalar)(now) for now in times]
+    rng = np.random.default_rng(seed)
+    model = make(rng)
+    one = getattr(model, scalar)
+    got = [one(now) for now in times[:lo]]
+    middle = getattr(model, block)(np.asarray(times[lo:hi], dtype=float))
+    assert middle.shape == (hi - lo,)
+    got += middle.tolist()
+    got += [one(now) for now in times[hi:]]
+    assert got == expected
+    assert list(map(type, got)) == list(map(type, expected))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert model_state(model) == model_state(reference)
 
 
 @pytest.fixture

@@ -21,6 +21,8 @@ from repro.net.delay import (
     TelegraphDelay,
     TraceDelay,
 )
+from repro.net.topology import RouteFlappingDelay
+from tests.conftest import assert_block_equals_scalar, examples, send_schedules
 
 
 def sample_many(model, count, interval=1.0):
@@ -414,3 +416,75 @@ class TestFlatSamplerEqualsComposition:
         state = composed_rng.bit_generator.state
         assert flat_rng.bit_generator.state == state
         assert wrapped_rng.bit_generator.state == state
+
+
+def check(make, schedule):
+    assert_block_equals_scalar(make, "sample", "sample_many", schedule)
+
+
+#: Every delay model, the ``now``-dependent ones included; each builder
+#: takes the generator every random component shares.
+MODELS = {
+    "constant": lambda rng: ConstantDelay(0.05),
+    "gamma": lambda rng: ShiftedGammaDelay(rng, 0.0002, 2.0, 0.00015),
+    "lognormal": lambda rng: LognormalDelay(rng, 0.06, -3.3, 0.9),
+    "ar1": lambda rng: ArCorrelatedDelay(rng, 0.1, 0.9, 0.004, bias=-0.001),
+    "telegraph": lambda rng: TelegraphDelay(rng, 0.011, 3.0, 2.0),
+    "mobile": lambda rng: SpikeOverlay(
+        rng, LognormalDelay(rng, 0.06, -3.3, 0.9), 0.05, 0.2, 1.5,
+        spike_run=5, decay=0.7,
+    ),
+    "diurnal": lambda rng: DiurnalModulation(
+        ArCorrelatedDelay(rng, 0.1, 0.5, 0.01), 0.1, 0.4, 60.0, phase=0.3
+    ),
+    "composite": lambda rng: CompositeDelay(
+        [ShiftedGammaDelay(rng, 0.1, 2.0, 0.002), TelegraphDelay(rng, 0.01, 4.0, 2.0)]
+    ),
+    "trace": lambda rng: TraceDelay([0.2, 0.25, 0.19, 0.3]),
+    "route-flapping": lambda rng: RouteFlappingDelay(
+        rng, [ConstantDelay(0.1), LognormalDelay(rng, 0.2, -4.0, 0.5)], 0.1
+    ),
+    "multi-scale": lambda rng: MultiScaleWanDelay(
+        rng, floor=0.192, base_queue=0.006, white_std=0.0028,
+        telegraph_high=0.011, telegraph_dwell_low=35.0, telegraph_dwell_high=11.0,
+        slow_std=0.0015, slow_tau=3000.0,
+        spike_tiers=[
+            SpikeTier(0.05, 0.03, 0.08, run=2), SpikeTier(0.02, 0.09, 0.13, run=3)
+        ],
+    ),
+}
+
+
+class TestBlockEqualsPerDatagram:
+    """``sample_many`` returns what as many ``sample`` calls return and
+    leaves the generator and the model where they would: the replay
+    engine's trace synthesis takes the block, the simulator the
+    per-datagram call."""
+
+    @settings(max_examples=examples(40), deadline=None)
+    @given(name=st.sampled_from(sorted(MODELS)), schedule=send_schedules(600))
+    def test_every_model(self, name, schedule):
+        check(MODELS[name], schedule)
+
+    @settings(max_examples=examples(40), deadline=None)
+    @given(
+        white_std=st.sampled_from([0.0, 0.0028]),
+        slow_std=st.sampled_from([0.0, 0.0015]),
+        base_queue=st.sampled_from([0.0, 0.002, 0.006]),
+        dwell_low=st.floats(1.0, 50.0),
+        dwell_high=st.floats(1.0, 20.0),
+        tiers=st.lists(spike_tiers, max_size=3),
+        schedule=send_schedules(600),
+    )
+    def test_multi_scale_sampler(
+        self, white_std, slow_std, base_queue, dwell_low, dwell_high, tiers, schedule
+    ):
+        check(
+            lambda rng: MultiScaleWanDelay(
+                rng, floor=0.192, base_queue=base_queue, white_std=white_std,
+                telegraph_high=0.011, telegraph_dwell_low=dwell_low,
+                telegraph_dwell_high=dwell_high, slow_std=slow_std,
+                slow_tau=3000.0, spike_tiers=tiers,
+            ),
+            schedule,
+        )

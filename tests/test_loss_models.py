@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
+from tests.conftest import assert_block_equals_scalar, examples, send_schedules
 
 
 def drop_rate(model, count=50000):
@@ -92,3 +95,66 @@ class TestGilbertElliottLoss:
             GilbertElliottLoss(rng, p_good_to_bad=1.5, p_bad_to_good=0.1)
         with pytest.raises(ValueError):
             GilbertElliottLoss(rng, 0.1, 0.1, loss_bad=2.0)
+
+
+class EveryOtherSecond(LossModel):
+    """A loss model that reads ``now``: drops in odd seconds only."""
+
+    def drops(self, now):
+        return int(now) % 2 == 1
+
+
+probabilities = st.sampled_from([0.0, 1e-5, 5e-4, 0.002, 0.3, 0.75, 1.0])
+
+
+def check(make, schedule):
+    assert_block_equals_scalar(make, "drops", "drops_many", schedule)
+
+
+class TestBlockEqualsPerDatagram:
+    """``drops_many`` returns what as many ``drops`` calls return and leaves
+    the generator and the model where they would: the replay engine's
+    trace synthesis takes the block, the simulator the per-datagram call."""
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(
+        p_gb=probabilities,
+        p_bg=probabilities,
+        loss_good=probabilities,
+        loss_bad=probabilities,
+        schedule=send_schedules(400),
+    )
+    def test_gilbert_elliott(self, p_gb, p_bg, loss_good, loss_bad, schedule):
+        check(
+            lambda rng: GilbertElliottLoss(
+                rng, p_gb, p_bg, loss_good=loss_good, loss_bad=loss_bad
+            ),
+            schedule,
+        )
+
+    @settings(max_examples=examples(30), deadline=None)
+    @given(p=st.floats(0.0, 1.0), schedule=send_schedules(400))
+    def test_bernoulli(self, p, schedule):
+        check(lambda rng: BernoulliLoss(rng, p), schedule)
+
+    @settings(max_examples=examples(10), deadline=None)
+    @given(schedule=send_schedules(400))
+    def test_stateless_and_now_dependent_models(self, schedule):
+        check(lambda rng: NoLoss(), schedule)
+        check(lambda rng: EveryOtherSecond(), schedule)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-5, 1.0])
+    def test_bernoulli_edges(self, p):
+        # p == 0 draws nothing on either path; p == 1 still draws.
+        check(lambda rng: BernoulliLoss(rng, p), (np.arange(3000) * 0.7, (100, 2900)))
+
+    @pytest.mark.parametrize("loss_good, loss_bad", [(0.0, 0.75), (0.0005, 0.0)])
+    def test_gilbert_elliott_with_a_loss_free_state_takes_the_loop(
+        self, loss_good, loss_bad
+    ):
+        # A loss-free state draws once per datagram, not twice: a block of
+        # 2n uniforms would be the wrong draws.
+        make = lambda rng: GilbertElliottLoss(  # noqa: E731
+            rng, 0.05, 0.3, loss_good=loss_good, loss_bad=loss_bad
+        )
+        check(make, (np.arange(3000) * 0.7, (100, 2900)))

@@ -27,6 +27,7 @@ from repro.experiments.runner import (
 )
 from repro.fd.combinations import combination_ids
 from repro.neko.config import ExperimentConfig
+from repro.net.wan import PROFILES
 
 from tests.conftest import examples
 
@@ -81,12 +82,17 @@ def assert_summaries_equivalent(sim, rep):
 
 class TestTraceSynthesis:
     def test_matches_simulator_link_counters(self):
-        config = crash_free_config(num_cycles=2000, seed=3)
-        trace = synthesize_heartbeat_trace(config)
-        result = run_qos_experiment(config, ["Last+JAC_med"])
-        assert trace.heartbeats_sent == result.heartbeats_sent
-        assert trace.heartbeats_delivered == result.heartbeats_delivered
-        assert trace.loss_rate == pytest.approx(result.link_loss_rate, abs=1e-12)
+        for profile_name in sorted(PROFILES):
+            config = crash_free_config(
+                num_cycles=2000, seed=3, profile_name=profile_name
+            )
+            trace = synthesize_heartbeat_trace(config)
+            result = run_qos_experiment(config, ["Last+JAC_med"])
+            assert trace.heartbeats_sent == result.heartbeats_sent
+            assert trace.heartbeats_delivered == result.heartbeats_delivered
+            assert trace.loss_rate == pytest.approx(
+                result.link_loss_rate, abs=1e-12
+            ), profile_name
 
     def test_sends_num_cycles_plus_one(self):
         config = crash_free_config(num_cycles=500)
@@ -129,26 +135,32 @@ class TestEngineEquivalence:
         eta=st.sampled_from([0.5, 1.0, 2.0]),
     )
     def test_property_pooled_qos_matches(self, seed, num_cycles, eta):
-        config = crash_free_config(num_cycles=num_cycles, eta=eta, seed=seed)
-        sim = run_repetitions(config, 1, ALL_IDS)
-        rep = run_repetitions(config, 1, ALL_IDS, engine="replay")
-        pooled_sim = aggregate_runs(sim)
-        pooled_rep = aggregate_runs(rep)
-        assert set(pooled_sim) == set(pooled_rep) == set(ALL_IDS)
-        for detector_id in ALL_IDS:
-            expected = pooled_sim[detector_id]
-            actual = pooled_rep[detector_id]
-            assert len(actual.tm_samples) == len(expected.tm_samples)
-            np.testing.assert_allclose(
-                actual.tm_samples, expected.tm_samples, rtol=0, atol=TOLERANCE
+        # Every profile per example: lan runs the Bernoulli block and the
+        # default delay loop, mobile Gilbert–Elliott under
+        # SpikeOverlay(LognormalDelay), italy-japan the flat sampler.
+        for profile_name in sorted(PROFILES):
+            config = crash_free_config(
+                num_cycles=num_cycles, eta=eta, seed=seed, profile_name=profile_name
             )
-            np.testing.assert_allclose(
-                actual.tmr_samples, expected.tmr_samples, rtol=0, atol=TOLERANCE
-            )
-            assert actual.p_a == pytest.approx(expected.p_a, abs=1e-9)
-            assert actual.empirical_p_a == pytest.approx(
-                expected.empirical_p_a, abs=1e-9
-            )
+            sim = run_repetitions(config, 1, ALL_IDS)
+            rep = run_repetitions(config, 1, ALL_IDS, engine="replay")
+            pooled_sim = aggregate_runs(sim)
+            pooled_rep = aggregate_runs(rep)
+            assert set(pooled_sim) == set(pooled_rep) == set(ALL_IDS)
+            for detector_id in ALL_IDS:
+                expected = pooled_sim[detector_id]
+                actual = pooled_rep[detector_id]
+                assert len(actual.tm_samples) == len(expected.tm_samples)
+                np.testing.assert_allclose(
+                    actual.tm_samples, expected.tm_samples, rtol=0, atol=TOLERANCE
+                )
+                np.testing.assert_allclose(
+                    actual.tmr_samples, expected.tmr_samples, rtol=0, atol=TOLERANCE
+                )
+                assert actual.p_a == pytest.approx(expected.p_a, abs=1e-9)
+                assert actual.empirical_p_a == pytest.approx(
+                    expected.empirical_p_a, abs=1e-9
+                )
 
     def test_run_repetitions_seeding_matches_serial(self):
         config = crash_free_config(num_cycles=600, seed=21)

@@ -11,6 +11,7 @@ from repro.net.traces import DelayTrace
 from repro.timeseries.ar import fit_ar_ols
 from repro.timeseries.arima import (
     ArimaForecaster,
+    _filter_innovations,
     batch_arima_predictions,
     difference,
     undifference_forecast,
@@ -338,6 +339,41 @@ class TestArimaForecaster:
             series, 2, d, 1, refit_interval=500, initial_fit=200
         )
         assert np.array_equal(batch.view(np.uint64), np.array(ours).view(np.uint64))
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_batch_bit_equal_to_scalar_for_every_ma_order(self, q, d):
+        # The batched replay has one MA feedback loop for q = 1 (the
+        # paper's model) and the general one for any other q; both, and
+        # the q = 0 array path, against the per-observation forecaster.
+        rng = np.random.default_rng(40 + 3 * q + d)
+        series = np.cumsum(0.003 * rng.standard_normal(1600)) + 0.2
+        scalar = ArimaForecaster(2, d, q, refit_interval=500, initial_fit=200)
+        ours = []
+        for value in series:
+            scalar.observe(value)
+            ours.append(scalar.predict())
+        assert scalar.refits >= 3
+        batch = batch_arima_predictions(
+            series, 2, d, q, refit_interval=500, initial_fit=200
+        )
+        assert np.array_equal(batch.view(np.uint64), np.array(ours).view(np.uint64))
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_innovation_filter_bit_equal_to_arma_model(self, q):
+        rng = np.random.default_rng(7 + q)
+        series = 0.003 * rng.standard_normal(800)
+        model = fit_arma_hannan_rissanen(series, 2, q)
+        batch = _filter_innovations(
+            series,
+            [float(value) for value in model.phi],
+            [float(value) for value in model.theta],
+            float(model.const),
+            2,
+            q,
+        )
+        expected = model.innovations(series)
+        assert np.array_equal(batch.view(np.uint64), expected.view(np.uint64))
 
 
 class TestEvaluateForecaster:
