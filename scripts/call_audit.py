@@ -238,8 +238,8 @@ def drive(env: Dict[str, str], work: str) -> None:
         ["calibrate", "--input", "trace.txt", "--check-samples", "2000"],
         ["qos", "--cycles", "600", "--runs", "2", "--detectors", "Last+JAC_med",
          "--chart", "--output", "qos.json"],
-        # The replay on lan: the Bernoulli loss block and the default
-        # delay loop (campaign_replay below runs italy-japan's).
+        # The replay on lan: the default loss and delay loops
+        # (campaign_replay below runs italy-japan's blocks).
         ["qos", "--cycles", "600", "--runs", "2", "--detectors", "Last+JAC_med",
          "--mttc", "1500", "--engine", "replay", "--workers", "2",
          "--profile", "lan"],

@@ -13,8 +13,8 @@ of a repetition — the delay/loss trace the WAN profile produces — is
    checked for crash-freeness), so the synthesized trace is *identical*
    to what the simulator's link would carry.  It makes one call per
    model, not one per heartbeat: the loss model's ``drops_many`` (one
-   block of uniforms for the Bernoulli and Gilbert–Elliott models) and
-   the delay model's ``sample_many`` over the survivors;
+   block of uniforms for a Gilbert–Elliott model with both states lossy)
+   and the delay model's ``sample_many`` over the survivors;
 2. :func:`run_qos_replay` replays all requested combinations over it with
    :func:`~repro.fd.replay.replay_detector_matrix` — one arrival/freshness
    resolution, one prediction pass per predictor family (the batched

@@ -43,9 +43,6 @@ class NoLoss(LossModel):
     def drops(self, now: float) -> bool:
         return False
 
-    def drops_many(self, times: "np.ndarray") -> "np.ndarray":
-        return np.zeros(len(times), dtype=bool)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NoLoss()"
 
@@ -68,12 +65,6 @@ class BernoulliLoss(LossModel):
         if self._p == 0.0:
             return False
         return bool(self._rng.random() < self._p)
-
-    def drops_many(self, times: "np.ndarray") -> "np.ndarray":
-        # One uniform per datagram, so the block is those draws.
-        if self._p == 0.0:
-            return np.zeros(len(times), dtype=bool)
-        return self._rng.random(len(times)) < self._p
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BernoulliLoss(p={self._p!r})"

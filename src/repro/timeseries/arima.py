@@ -91,7 +91,11 @@ def _filter_innovations(
         return w_series - predictions
     w_list = w_series.tolist()
     prediction_list = predictions.tolist()
-    if q == 1 and size:  # the paper's model: one feedback term
+    # The paper's model has one feedback term.  A general-q loop over
+    # lag taps costs this filter a start-up loop and an inner loop per
+    # step, which made batch_arima_predictions 13 % slower (docs/
+    # performance.md, section 16), so q == 1 keeps its own loop.
+    if q == 1 and size:
         theta_1 = theta[0]
         ws, ps = iter(w_list), iter(prediction_list)
         innovation = next(ws) - next(ps)
@@ -238,28 +242,18 @@ def batch_arima_predictions(
                     pad = -low
                     ar_part[pad:] += phi_f[i - 1] * wd[: end - t - pad]
             forecasts = ar_part.tolist()
-            if q == 1:  # the paper's model: a_hist is the last innovation
-                theta_1 = theta_f[0]
-                ar_forecasts, forecasts = forecasts, []
-                append = forecasts.append
-                for w, ar in zip(wd[t - d : end - d].tolist(), ar_forecasts):
-                    innovation = w - w_forecast
-                    w_forecast = ar + theta_1 * innovation
-                    append(w_forecast)
-                a_hist = [innovation]
-            elif q > 0:
-                w_segment = wd[t - d : end - d].tolist()
-                for offset in range(end - t):
-                    a_hist.append(w_segment[offset] - w_forecast)
-                    if len(a_hist) > max_a:
-                        a_hist.pop(0)
-                    forecast = forecasts[offset]
-                    available = len(a_hist)
-                    for j in range(1, q + 1):
-                        if j <= available:
-                            forecast += theta_f[j - 1] * a_hist[-j]
-                    forecasts[offset] = forecast
-                    w_forecast = forecast
+            if q > 0:
+                # A fit needs more than q points, so a_hist holds q
+                # innovations and every lag is available.
+                taps = list(zip(theta_f, range(-1, -q - 1, -1)))
+                append = a_hist.append
+                for offset, w in enumerate(wd[t - d : end - d].tolist()):
+                    append(w - w_forecast)
+                    w_forecast = forecasts[offset]
+                    for theta_j, lag in taps:
+                        w_forecast += theta_j * a_hist[lag]
+                    forecasts[offset] = w_forecast
+                a_hist = a_hist[-max_a:]
             else:
                 w_forecast = forecasts[-1]
             segment = np.asarray(forecasts)

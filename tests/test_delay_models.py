@@ -374,7 +374,7 @@ class TestFlatSamplerEqualsComposition:
 
     DRAWS = 20000
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         white_std=st.sampled_from([0.0, 0.0028]),

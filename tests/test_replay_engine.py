@@ -135,8 +135,8 @@ class TestEngineEquivalence:
         eta=st.sampled_from([0.5, 1.0, 2.0]),
     )
     def test_property_pooled_qos_matches(self, seed, num_cycles, eta):
-        # Every profile per example: lan runs the Bernoulli block and the
-        # default delay loop, mobile Gilbert–Elliott under
+        # Every profile per example: lan runs the default loss and delay
+        # loops, mobile Gilbert–Elliott under
         # SpikeOverlay(LognormalDelay), italy-japan the flat sampler.
         for profile_name in sorted(PROFILES):
             config = crash_free_config(
