@@ -16,9 +16,8 @@ from repro.experiments.report import (
 )
 from repro.fd.combinations import (
     ARIMA_ORDER,
-    GAMMA_VALUES,
     LPF_BETA,
-    PHI_VALUES,
+    MARGIN_LEVELS,
     WINMEAN_WINDOW,
     all_combinations,
     make_strategy,
@@ -41,12 +40,16 @@ class TestTable1Combinations:
         assert len(strategies) == 30
         print("\nTable 1 - Safety Margin Parameters")
         print(f"{'SM_CI':<12}{'gamma':>8}    {'SM_JAC':<12}{'phi':>6}")
-        for (ci, gamma), (jac, phi) in zip(GAMMA_VALUES.items(), PHI_VALUES.items()):
+        names = list(MARGIN_LEVELS)
+        for ci, jac in zip(names[:3], names[3:]):
+            gamma, phi = MARGIN_LEVELS[ci][1], MARGIN_LEVELS[jac][1]
             print(f"{ci:<12}{gamma:>8.2f}    {jac:<12}{phi:>6.1f}")
 
     def test_bench_margin_values_match_paper(self):
-        assert GAMMA_VALUES == {"CI_low": 1.0, "CI_med": 2.0, "CI_high": 3.31}
-        assert PHI_VALUES == {"JAC_low": 1.0, "JAC_med": 2.0, "JAC_high": 4.0}
+        assert MARGIN_LEVELS == {
+            "CI_low": ("CI", 1.0), "CI_med": ("CI", 2.0), "CI_high": ("CI", 3.31),
+            "JAC_low": ("JAC", 1.0), "JAC_med": ("JAC", 2.0), "JAC_high": ("JAC", 4.0),
+        }
 
 
 class TestTable2PredictorParameters:

@@ -10,10 +10,8 @@ from repro.chaos.plan import (
     FAULT_KINDS,
     FaultEvent,
     FaultPlan,
-    FaultPlanBuilder,
     WILDCARD,
     add_channel_plan,
-    plan_from_spec,
 )
 from repro.chaos.runner import (
     run_daemon_scenario,
@@ -33,11 +31,9 @@ __all__ = [
     "Decision",
     "FaultEvent",
     "FaultPlan",
-    "FaultPlanBuilder",
     "add_channel_plan",
     "attach_backend",
     "install_chaos",
-    "plan_from_spec",
     "run_daemon_scenario",
     "run_daemon_scenario_async",
     "run_kv_scenario",

@@ -10,6 +10,9 @@ the same plan JSON replays identically against the discrete-event
 simulator and (modulo real-network nondeterminism in the underlying
 traffic) against the live UDP loopback path.
 
+A plan is written as ``FaultPlan(events=[FaultEvent(...), ...],
+seed=...)`` or read back with :meth:`FaultPlan.from_json` /
+:meth:`FaultPlan.load`; ``repro chaos --plan`` replays one from a file.
 The ADD-channel generator (:func:`add_channel_plan`) produces the
 worst-case adversary family of Kumar & Welch: before a stabilization
 time the channel may behave arbitrarily badly (unbounded delay spikes,
@@ -21,7 +24,8 @@ ones that must survive it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -69,6 +73,10 @@ class FaultEvent:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
+        for label in ("start", "end", "magnitude"):
+            value = getattr(self, label)
+            if not math.isfinite(value):
+                raise ValueError(f"fault {label} must be finite, got {value!r}")
         if self.start < 0:
             raise ValueError(f"fault start must be >= 0, got {self.start!r}")
         if not self.end > self.start:
@@ -109,6 +117,8 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultEvent":
+        if not isinstance(data, dict) or not {"kind", "start", "end"} <= data.keys():
+            raise ValueError(f"a fault event needs kind, start and end, got {data!r}")
         return cls(
             kind=str(data["kind"]),
             start=float(data["start"]),  # type: ignore[arg-type]
@@ -126,8 +136,7 @@ class FaultEvent:
 class FaultPlan:
     """A named, seeded timeline of fault events.
 
-    The plan is immutable; use :meth:`FaultPlan.build` for the chainable
-    builder, or :meth:`from_json` / :meth:`load` to read one back.
+    The plan is immutable; :meth:`from_json` / :meth:`load` read one back.
     """
 
     events: Tuple[FaultEvent, ...] = ()
@@ -143,14 +152,6 @@ class FaultPlan:
     def horizon(self) -> float:
         """Latest event end time (0 for an empty plan)."""
         return max((event.end for event in self.events), default=0.0)
-
-    def kinds(self) -> Tuple[str, ...]:
-        """The distinct fault kinds present, in timeline order."""
-        seen: List[str] = []
-        for event in sorted(self.events, key=lambda e: (e.start, e.end)):
-            if event.kind not in seen:
-                seen.append(event.kind)
-        return tuple(seen)
 
     def with_seed(self, seed: int) -> "FaultPlan":
         """A copy of this plan under a different seed."""
@@ -196,132 +197,6 @@ class FaultPlan:
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
 
-    @classmethod
-    def build(cls, *, name: str = "chaos", seed: int = 0) -> "FaultPlanBuilder":
-        """Start a chainable builder."""
-        return FaultPlanBuilder(name=name, seed=seed)
-
-
-@dataclass
-class FaultPlanBuilder:
-    """Chainable construction of a :class:`FaultPlan`.
-
-    Every method returns ``self``; call :meth:`done` to freeze.
-    """
-
-    name: str = "chaos"
-    seed: int = 0
-    _events: List[FaultEvent] = field(default_factory=list)
-
-    def event(self, event: FaultEvent) -> "FaultPlanBuilder":
-        self._events.append(event)
-        return self
-
-    def partition(
-        self,
-        source: str,
-        destination: str,
-        start: float,
-        end: float,
-        *,
-        bidirectional: bool = True,
-        rate: float = 1.0,
-        note: str = "",
-    ) -> "FaultPlanBuilder":
-        """Cut source→destination (and the reverse path by default)."""
-        self._events.append(FaultEvent(
-            "partition", start, end, source=source, destination=destination,
-            rate=rate, note=note,
-        ))
-        if bidirectional:
-            self._events.append(FaultEvent(
-                "partition", start, end, source=destination, destination=source,
-                rate=rate, note=note,
-            ))
-        return self
-
-    def isolate(self, process: str, start: float, end: float, *,
-                note: str = "") -> "FaultPlanBuilder":
-        """Partition ``process`` from everyone, both directions."""
-        return self.partition(process, WILDCARD, start, end,
-                              bidirectional=True, note=note or f"isolate {process}")
-
-    def loss_burst(self, start: float, end: float, rate: float, *,
-                   source: str = WILDCARD, destination: str = WILDCARD,
-                   note: str = "") -> "FaultPlanBuilder":
-        self._events.append(FaultEvent(
-            "loss-burst", start, end, source=source, destination=destination,
-            rate=rate, note=note,
-        ))
-        return self
-
-    def duplicate(self, start: float, end: float, rate: float = 1.0, *,
-                  copies: int = 2, source: str = WILDCARD,
-                  destination: str = WILDCARD, note: str = "") -> "FaultPlanBuilder":
-        self._events.append(FaultEvent(
-            "duplicate", start, end, source=source, destination=destination,
-            rate=rate, copies=copies, note=note,
-        ))
-        return self
-
-    def reorder(self, start: float, end: float, rate: float, magnitude: float, *,
-                source: str = WILDCARD, destination: str = WILDCARD,
-                note: str = "") -> "FaultPlanBuilder":
-        self._events.append(FaultEvent(
-            "reorder", start, end, source=source, destination=destination,
-            rate=rate, magnitude=magnitude, note=note,
-        ))
-        return self
-
-    def corrupt(self, start: float, end: float, rate: float, *,
-                source: str = WILDCARD, destination: str = WILDCARD,
-                note: str = "") -> "FaultPlanBuilder":
-        self._events.append(FaultEvent(
-            "corrupt", start, end, source=source, destination=destination,
-            rate=rate, note=note,
-        ))
-        return self
-
-    def truncate(self, start: float, end: float, rate: float, *,
-                 source: str = WILDCARD, destination: str = WILDCARD,
-                 note: str = "") -> "FaultPlanBuilder":
-        self._events.append(FaultEvent(
-            "truncate", start, end, source=source, destination=destination,
-            rate=rate, note=note,
-        ))
-        return self
-
-    def delay_spike(self, start: float, end: float, magnitude: float, *,
-                    rate: float = 1.0, source: str = WILDCARD,
-                    destination: str = WILDCARD, note: str = "") -> "FaultPlanBuilder":
-        self._events.append(FaultEvent(
-            "delay-spike", start, end, source=source, destination=destination,
-            rate=rate, magnitude=magnitude, note=note,
-        ))
-        return self
-
-    def clock_skew(self, start: float, end: float, magnitude: float, *,
-                   source: str = WILDCARD, destination: str = WILDCARD,
-                   note: str = "") -> "FaultPlanBuilder":
-        self._events.append(FaultEvent(
-            "clock-skew", start, end, source=source, destination=destination,
-            magnitude=magnitude, note=note,
-        ))
-        return self
-
-    def pause(self, process: str, start: float, end: float, *,
-              note: str = "") -> "FaultPlanBuilder":
-        """Freeze ``process``: outbound dropped, inbound held until ``end``."""
-        self._events.append(FaultEvent(
-            "pause", start, end, source=process, note=note,
-        ))
-        return self
-
-    def done(self) -> FaultPlan:
-        """Freeze the accumulated events into a :class:`FaultPlan`."""
-        events = tuple(sorted(self._events, key=lambda e: (e.start, e.end, e.kind)))
-        return FaultPlan(events=events, seed=self.seed, name=self.name)
-
 
 def add_channel_plan(
     *,
@@ -351,7 +226,8 @@ def add_channel_plan(
             f"{stabilization_time!r} / {horizon!r}"
         )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    builder = FaultPlan.build(name=name, seed=seed)
+    pair = dict(source=source, destination=destination)
+    events: List[FaultEvent] = []
     # Adversarial prefix: alternating loss bursts and growing delay spikes.
     cursor = float(rng.uniform(0.0, stabilization_time * 0.1))
     spike_index = 0
@@ -361,46 +237,38 @@ def add_channel_plan(
         if end <= cursor:
             break
         if rng.random() < 0.5:
-            builder.loss_burst(
-                cursor, end, rate=float(rng.uniform(0.7, 1.0)),
-                source=source, destination=destination,
-                note="adversarial loss burst",
-            )
+            events.append(FaultEvent(
+                "loss-burst", cursor, end, rate=float(rng.uniform(0.7, 1.0)),
+                note="adversarial loss burst", **pair,
+            ))
         else:
             spike_index += 1
             # Successive spikes grow: no bound holds before stabilization.
             magnitude = float(
                 rng.uniform(0.3, 1.0) * max_delay_spike * min(1.0, spike_index / 3.0)
             )
-            builder.delay_spike(
-                cursor, end, max(magnitude, bounded_delay),
-                source=source, destination=destination,
-                note="adversarial delay spike",
-            )
+            events.append(FaultEvent(
+                "delay-spike", cursor, end, magnitude=max(magnitude, bounded_delay),
+                note="adversarial delay spike", **pair,
+            ))
         cursor = end + float(rng.uniform(0.02, 0.1)) * stabilization_time
     # Bounded suffix: mild, bounded loss and delay until the horizon.
-    builder.loss_burst(
-        stabilization_time, horizon, rate=bounded_loss_rate,
-        source=source, destination=destination, note="bounded residual loss",
-    )
-    builder.delay_spike(
-        stabilization_time, horizon, bounded_delay, rate=0.25,
-        source=source, destination=destination, note="bounded residual delay",
-    )
-    return builder.done()
-
-
-def plan_from_spec(spec: Dict[str, object]) -> FaultPlan:
-    """Build a plan from a loose dict (CLI/JSON convenience)."""
-    return FaultPlan.from_dict(spec)
+    events.append(FaultEvent(
+        "loss-burst", stabilization_time, horizon, rate=bounded_loss_rate,
+        note="bounded residual loss", **pair,
+    ))
+    events.append(FaultEvent(
+        "delay-spike", stabilization_time, horizon, rate=0.25,
+        magnitude=bounded_delay, note="bounded residual delay", **pair,
+    ))
+    events.sort(key=lambda e: (e.start, e.end, e.kind))
+    return FaultPlan(events=events, seed=seed, name=name)
 
 
 __all__ = [
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
-    "FaultPlanBuilder",
     "WILDCARD",
     "add_channel_plan",
-    "plan_from_spec",
 ]

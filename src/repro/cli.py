@@ -364,8 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--add-channel", action="store_true",
         help="generate an ADD-channel adversary plan instead of loading one",
     )
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="override the plan seed (also seeds --add-channel)")
+    chaos.add_argument("--seed", type=int, default=None,
+                       help="override the plan seed (also seeds --add-channel, "
+                            "default 0)")
     chaos.add_argument("--stabilization", type=float, default=20.0,
                        help="ADD-channel stabilization time, seconds")
     chaos.add_argument("--horizon", type=float, default=40.0,
@@ -918,22 +919,22 @@ def _command_chaos(args: argparse.Namespace) -> int:
         print("error: --plan and --add-channel are mutually exclusive",
               file=sys.stderr)
         return 2
-    if args.add_channel:
-        try:
+    if not (args.add_channel or args.plan):
+        print("error: give --plan PATH or --add-channel", file=sys.stderr)
+        return 2
+    try:
+        if args.add_channel:
             plan = add_channel_plan(
-                seed=args.seed,
+                seed=0 if args.seed is None else args.seed,
                 stabilization_time=args.stabilization,
                 horizon=args.horizon,
             )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.plan:
-        plan = FaultPlan.load(args.plan)
-        if args.seed:
-            plan = plan.with_seed(args.seed)
-    else:
-        print("error: give --plan PATH or --add-channel", file=sys.stderr)
+        else:
+            plan = FaultPlan.load(args.plan)
+            if args.seed is not None:
+                plan = plan.with_seed(args.seed)
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.save_plan:
         plan.save(args.save_plan)

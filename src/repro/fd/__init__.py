@@ -59,7 +59,7 @@ from repro.fd.registry import (
 from repro.fd.replay import (
     DetectorReplay,
     StrategyReplay,
-    replay_detector,
+    replay_detector_matrix,
     replay_strategy,
 )
 from repro.fd.requirements import (
@@ -103,6 +103,6 @@ __all__ = [
     "make_strategy",
     "register_margin",
     "register_predictor",
-    "replay_detector",
+    "replay_detector_matrix",
     "replay_strategy",
 ]

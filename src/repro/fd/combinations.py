@@ -44,19 +44,21 @@ from repro.fd.timeout import TimeoutStrategy
 #: Predictor names in the paper's plotting order.
 PREDICTOR_NAMES: Tuple[str, ...] = ("Arima", "Last", "LPF", "Mean", "WinMean")
 
-#: Safety-margin names in the paper's x-axis order (CI side then JAC side).
-MARGIN_NAMES: Tuple[str, ...] = (
-    "CI_low",
-    "CI_med",
-    "CI_high",
-    "JAC_low",
-    "JAC_med",
-    "JAC_high",
-)
+#: Table 1: each safety-margin name's family and level (gamma for
+#: ``"CI"``, phi for ``"JAC"``), in the paper's x-axis order.  The one
+#: place a margin name is resolved: :func:`make_margin`, the detector
+#: layer and the replay kernel read it by subscript.
+MARGIN_LEVELS: Dict[str, Tuple[str, float]] = {
+    "CI_low": ("CI", 1.0),
+    "CI_med": ("CI", 2.0),
+    "CI_high": ("CI", 3.31),
+    "JAC_low": ("JAC", 1.0),
+    "JAC_med": ("JAC", 2.0),
+    "JAC_high": ("JAC", 4.0),
+}
 
-#: Table 1 parameter values.
-GAMMA_VALUES: Dict[str, float] = {"CI_low": 1.0, "CI_med": 2.0, "CI_high": 3.31}
-PHI_VALUES: Dict[str, float] = {"JAC_low": 1.0, "JAC_med": 2.0, "JAC_high": 4.0}
+#: Safety-margin names in the paper's x-axis order (CI side then JAC side).
+MARGIN_NAMES: Tuple[str, ...] = tuple(MARGIN_LEVELS)
 
 #: Table 2 parameter values.
 ARIMA_ORDER: Tuple[int, int, int] = (2, 1, 1)
@@ -91,18 +93,19 @@ def make_predictor(name: str, **overrides) -> Predictor:
 
 def make_margin(name: str, **overrides) -> SafetyMargin:
     """Build a fresh safety margin by paper name (e.g. ``"CI_low"``)."""
-    if name in GAMMA_VALUES:
-        overrides.setdefault("gamma", GAMMA_VALUES[name])
+    if name not in MARGIN_LEVELS:
+        raise KeyError(f"unknown margin {name!r}; known: {MARGIN_NAMES}")
+    family, level = MARGIN_LEVELS[name]
+    margin: SafetyMargin
+    if family == "CI":
+        overrides.setdefault("gamma", level)
         margin = ConfidenceIntervalMargin(**overrides)
-        margin.name = name
-        return margin
-    if name in PHI_VALUES:
-        overrides.setdefault("phi", PHI_VALUES[name])
+    else:
+        overrides.setdefault("phi", level)
         overrides.setdefault("alpha", JACOBSON_ALPHA)
         margin = JacobsonMargin(**overrides)
-        margin.name = name
-        return margin
-    raise KeyError(f"unknown margin {name!r}; known: {MARGIN_NAMES}")
+    margin.name = name
+    return margin
 
 
 def make_strategy(predictor_name: str, margin_name: str) -> TimeoutStrategy:
@@ -146,11 +149,10 @@ def parse_combination_id(detector_id: str) -> Tuple[str, str]:
 __all__ = [
     "ARIMA_ORDER",
     "ARIMA_REFIT_INTERVAL",
-    "GAMMA_VALUES",
     "JACOBSON_ALPHA",
     "LPF_BETA",
+    "MARGIN_LEVELS",
     "MARGIN_NAMES",
-    "PHI_VALUES",
     "PREDICTOR_NAMES",
     "WINMEAN_WINDOW",
     "all_combinations",

@@ -81,9 +81,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids fd -> obs import
     from repro.obs.trace import TraceRecorder
 
 from repro.fd.combinations import (
-    GAMMA_VALUES,
     JACOBSON_ALPHA,
-    PHI_VALUES,
+    MARGIN_LEVELS,
     combination_ids,
     make_predictor,
     parse_combination_id,
@@ -253,10 +252,10 @@ class PushFailureDetector(Layer):
                     self._predictors.append(predictor)
                     self._in_force.append(predictor.predict())
                     self._mdev.append(None)
-                confidence_interval = margin_name in GAMMA_VALUES
+                family, scale = MARGIN_LEVELS[margin_name]
+                confidence_interval = family == "CI"
                 if confidence_interval and self._ci is None:
                     self._ci = ConfidenceIntervalMargin(1.0)
-                scale = (GAMMA_VALUES if confidence_interval else PHI_VALUES)[margin_name]
                 self._rows.append((slots[predictor_name], confidence_interval, scale))
             else:
                 detector_id, strategy = row

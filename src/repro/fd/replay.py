@@ -28,22 +28,21 @@ recurrences over the observation sequence, computable in O(n) with NumPy:
   the arrival order and the per-observation time-outs with pure array
   algebra — no event queue.
 
-There is one detector kernel, a loop over rows ``(label, predictor,
-family, level)``, and it shares its state the way
-:class:`~repro.fd.detector.PushFailureDetector` does: one :func:`trace_view` per
-trace, one prediction pass per predictor and one *unit* margin state per
-family member — one pair of running moments serves every ``SM_CI`` row
-(the margin ignores the prediction), one ``|x − prediction in force|``
+There is one detector kernel, :func:`replay_detector_matrix`, a loop over
+the combination ids it is given, and it shares its state the way
+:class:`~repro.fd.detector.PushFailureDetector` does: one :func:`trace_view`
+per trace, one prediction pass per predictor and one *unit* margin state
+per family member — one pair of running moments serves every ``SM_CI``
+row (the margin ignores the prediction), one ``|x − prediction in force|``
 EWMA per predictor serves its ``SM_JAC`` rows — and a row is that state
-times its γ or φ.  :func:`replay_detector_matrix` feeds it the paper's
-combination ids; :func:`replay_detector` is its one-row case, for a
-Table 1 margin name or an explicit ``("CI", gamma)`` / ``("JAC", phi)``
-level.  :func:`replay_strategy` is the strategy-level case of the same
+times the γ or φ :data:`~repro.fd.combinations.MARGIN_LEVELS` gives its
+margin.  :func:`replay_strategy` is the strategy-level case of the same
 stages (no trace, no intervals).
 
 ``tests/test_replay.py`` proves the stages against the scalar classes
-(:func:`replay_strategy_scalar`, :func:`replay_detector_scalar`) and a
-full event-driven :class:`~repro.fd.detector.PushFailureDetector` run;
+(:func:`replay_strategy_scalar`, and the scalar detector replay in
+``tests/reference_detector.py``) and a full event-driven
+:class:`~repro.fd.detector.PushFailureDetector` run;
 ``scripts/bench_perf.py`` tracks the speedup.  Crash injection still
 needs the event-driven engine — the replay models a crash-free monitored
 process, which is exactly the offline predictor/margin evaluation
@@ -53,19 +52,18 @@ workload (and the ``engine="replay"`` campaign mode of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fd.combinations import (
     ARIMA_ORDER,
     ARIMA_REFIT_INTERVAL,
-    GAMMA_VALUES,
     JACOBSON_ALPHA,
     LPF_BETA,
-    PHI_VALUES,
+    MARGIN_LEVELS,
+    MARGIN_NAMES,
     PREDICTOR_NAMES,
     WINMEAN_WINDOW,
     make_margin,
@@ -76,35 +74,6 @@ from repro.fd.safety import INITIAL_MARGIN
 from repro.fd.timeout import TimeoutStrategy
 from repro.nekostat.metrics import DetectorQos, qos_from_suspicion_arrays
 from repro.timeseries.arima import batch_arima_predictions
-
-#: A margin argument: a Table 1 name ("CI_med", "JAC_low", ...) or an
-#: explicit ``(family, level)`` pair — ``("CI", gamma)`` / ``("JAC", phi)``
-#: — for the continuous sweeps.
-MarginSpec = Union[str, Tuple[str, float]]
-
-#: One row of the detector kernel: ``(label, predictor, family, level)``.
-_Row = Tuple[str, str, str, float]
-
-
-def _resolve_margin_spec(margin: MarginSpec) -> Tuple[str, float, str]:
-    """Normalise a margin spec to ``(family, level, label)``."""
-    if isinstance(margin, str):
-        if margin in GAMMA_VALUES:
-            return "CI", GAMMA_VALUES[margin], margin
-        if margin in PHI_VALUES:
-            return "JAC", PHI_VALUES[margin], margin
-        raise ValueError(
-            f"unknown margin {margin!r}; expected a Table 1 name or a "
-            "('CI'|'JAC', level) pair"
-        )
-    family, level = margin
-    if family not in ("CI", "JAC"):
-        raise ValueError(f"margin family must be 'CI' or 'JAC', got {family!r}")
-    level = float(level)
-    if not math.isfinite(level) or level <= 0:
-        raise ValueError(f"margin level must be finite and > 0, got {level!r}")
-    return family, level, f"{family}@{level:g}"
-
 
 def _seeded_ewma(values: "np.ndarray", gain: float) -> "np.ndarray":
     """``out[0] = v[0]; out[k] = out[k-1] + gain*(v[k] - out[k-1])``.
@@ -188,8 +157,6 @@ def _unit_margin_state(family: str, x: "np.ndarray", predictions: "np.ndarray"):
             sigma = np.sqrt(m2 / (counts - 1.0))
             root = np.sqrt(1.0 + 1.0 / counts + (deviation * deviation) / m2)
         return sigma, root, m2 == 0.0
-    if predictions.shape != x.shape:
-        raise ValueError("predictions must align with observations")
     in_force = np.concatenate(([0.0], predictions[:-1]))
     return _seeded_ewma(np.abs(x - in_force), JACOBSON_ALPHA)
 
@@ -211,28 +178,6 @@ def _scale_margin(family: str, level: float, state) -> "np.ndarray":
     return out
 
 
-def replay_margins(
-    margin_name: MarginSpec,
-    observations: "np.ndarray",
-    predictions: "np.ndarray",
-) -> "np.ndarray":
-    """Safety margin in force *after* each observation, as an array.
-
-    ``out[k]`` equals ``margin.current()`` after the margin saw the pairs
-    ``(observations[j], prediction in force for j)`` for ``j <= k`` —
-    mirroring the update order fixed by
-    :meth:`~repro.fd.timeout.TimeoutStrategy.observe`.  ``margin_name``
-    may also be an explicit ``("CI", gamma)`` / ``("JAC", phi)`` pair,
-    which is how the continuous margin-level sweeps ride the fast path.
-    """
-    x = np.asarray(observations, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("observations must be a non-empty 1-D array")
-    family, level, _ = _resolve_margin_spec(margin_name)
-    state = _unit_margin_state(family, x, np.asarray(predictions, dtype=float))
-    return _scale_margin(family, level, state)
-
-
 @dataclass(frozen=True)
 class StrategyReplay:
     """The per-observation sequences of one predictor+margin combination.
@@ -251,19 +196,21 @@ class StrategyReplay:
 
 def replay_strategy(
     predictor_name: str,
-    margin_name: MarginSpec,
+    margin_name: str,
     observations: Sequence[float],
 ) -> StrategyReplay:
     """Vectorized equivalent of feeding every observation to a
     :class:`~repro.fd.timeout.TimeoutStrategy` built by
     :func:`~repro.fd.combinations.make_strategy`."""
+    if margin_name not in MARGIN_LEVELS:
+        raise ValueError(f"unknown margin {margin_name!r}; known: {MARGIN_NAMES}")
+    family, level = MARGIN_LEVELS[margin_name]
     x = np.asarray(observations, dtype=float)
-    family, level, margin_label = _resolve_margin_spec(margin_name)
     predictions = replay_predictions(predictor_name, x)
     margins = _scale_margin(family, level, _unit_margin_state(family, x, predictions))
     timeouts = np.maximum(0.0, predictions + margins)
     return StrategyReplay(
-        detector=f"{predictor_name}+{margin_label}",
+        detector=f"{predictor_name}+{margin_name}",
         observations=x,
         predictions=predictions,
         margins=margins,
@@ -449,7 +396,7 @@ def replay_view_with_timeouts(
     view: TraceView, detector_id: str, timeouts: "np.ndarray"
 ) -> DetectorReplay:
     """Freshness-point/suspicion-interval algebra over per-observation
-    time-outs — the detector-specific half of :func:`replay_detector`."""
+    time-outs — the per-row half of :func:`replay_detector_matrix`."""
     eta = view.eta
     end_time = view.end_time
     if view.arrival_times.size == 0:
@@ -500,86 +447,6 @@ def replay_view_with_timeouts(
     )
 
 
-def _replay_rows(
-    rows: Sequence[_Row],
-    send_times: Sequence[float],
-    delays: Sequence[float],
-    *,
-    eta: float,
-    lost: Optional[Sequence[bool]],
-    initial_timeout: Optional[float],
-    end_time: Optional[float],
-) -> Dict[str, DetectorReplay]:
-    """The detector kernel: one trace view, one prediction pass per
-    predictor, one unit margin state per family member, then per row a
-    scale, the clamp and the interval algebra.  Keyed by row label, in
-    row order."""
-    view = trace_view(
-        send_times,
-        delays,
-        eta=eta,
-        lost=lost,
-        initial_timeout=initial_timeout,
-        end_time=end_time,
-    )
-    results: Dict[str, DetectorReplay] = {}
-    if view.arrival_times.size == 0:
-        for label, _, _, _ in rows:
-            results[label] = replay_view_with_timeouts(view, label, np.empty(0))
-        return results
-    x = view.observations
-    predictions_of: Dict[str, "np.ndarray"] = {}
-    # Unit margin states of this call, keyed "CI" / ("JAC", predictor).
-    states: Dict[object, object] = {}
-    for label, predictor_name, family, level in rows:
-        predictions = predictions_of.get(predictor_name)
-        if predictions is None:
-            predictions = replay_predictions(predictor_name, x)
-            predictions_of[predictor_name] = predictions
-        key = family if family == "CI" else (family, predictor_name)
-        state = states.get(key)
-        if state is None:
-            state = states[key] = _unit_margin_state(family, x, predictions)
-        timeouts = np.maximum(0.0, predictions + _scale_margin(family, level, state))
-        results[label] = replay_view_with_timeouts(view, label, timeouts)
-    return results
-
-
-def replay_detector(
-    predictor_name: str,
-    margin_name: MarginSpec,
-    send_times: Sequence[float],
-    delays: Sequence[float],
-    *,
-    eta: float,
-    lost: Optional[Sequence[bool]] = None,
-    initial_timeout: Optional[float] = None,
-    end_time: Optional[float] = None,
-) -> DetectorReplay:
-    """Replay a recorded heartbeat trace through one vectorized detector.
-
-    Reproduces the event-driven
-    :class:`~repro.fd.detector.PushFailureDetector` on that input — same
-    freshness points, same suspicion intervals — assuming perfect clocks,
-    a monitored process that never crashes, and a monitor started at
-    t = 0 (the offline trace-evaluation setting).  ``margin_name`` is a
-    Table 1 name or a ``("CI", gamma)`` / ``("JAC", phi)`` pair.  The
-    one-row case of :func:`replay_detector_matrix`; see :func:`trace_view`
-    for the trace conventions.
-    """
-    family, level, margin_label = _resolve_margin_spec(margin_name)
-    label = f"{predictor_name}+{margin_label}"
-    return _replay_rows(
-        [(label, predictor_name, family, level)],
-        send_times,
-        delays,
-        eta=eta,
-        lost=lost,
-        initial_timeout=initial_timeout,
-        end_time=end_time,
-    )[label]
-
-
 def replay_detector_matrix(
     detector_ids: Sequence[str],
     send_times: Sequence[float],
@@ -592,21 +459,25 @@ def replay_detector_matrix(
 ) -> Dict[str, DetectorReplay]:
     """Replay one trace through many combinations, sharing the work.
 
-    The arrival/freshness resolution is computed once, and the prediction
-    sequence once per predictor *family* (the expensive ARIMA batch runs
-    a single time however many ``Arima+*`` margins are requested) and each
-    unit margin state once — the full 30-combination paper matrix costs
-    five prediction passes, one moment pass and five deviation passes;
-    what is left per row is a scale, a clamp and the interval algebra.
-    Returns replays keyed by id, in input order.
+    Reproduces, per id, the event-driven
+    :class:`~repro.fd.detector.PushFailureDetector` on that input — same
+    freshness points, same suspicion intervals — assuming perfect clocks,
+    a monitored process that never crashes, and a monitor started at
+    t = 0 (the offline trace-evaluation setting); see :func:`trace_view`
+    for the trace conventions.  The arrival/freshness resolution is
+    computed once, the prediction sequence once per predictor (the
+    expensive ARIMA batch runs a single time however many ``Arima+*``
+    margins are requested) and each unit margin state once — the full
+    30-combination paper matrix costs five prediction passes, one moment
+    pass and five deviation passes; what is left per row is a scale, a
+    clamp and the interval algebra.  Returns replays keyed by id, in
+    input order.
     """
     rows = []
     for detector_id in detector_ids:
         predictor_name, margin_name = parse_combination_id(detector_id)
-        family, level, _ = _resolve_margin_spec(margin_name)
-        rows.append((detector_id, predictor_name, family, level))
-    return _replay_rows(
-        rows,
+        rows.append((detector_id, predictor_name, *MARGIN_LEVELS[margin_name]))
+    view = trace_view(
         send_times,
         delays,
         eta=eta,
@@ -614,85 +485,36 @@ def replay_detector_matrix(
         initial_timeout=initial_timeout,
         end_time=end_time,
     )
-
-
-def replay_detector_scalar(
-    predictor_name: str,
-    margin_name: str,
-    send_times: Sequence[float],
-    delays: Sequence[float],
-    *,
-    eta: float,
-    lost: Optional[Sequence[bool]] = None,
-    initial_timeout: Optional[float] = None,
-    end_time: Optional[float] = None,
-) -> Tuple[List[float], List[Tuple[float, float]]]:
-    """Reference detector replay through the scalar strategy classes.
-
-    Returns ``(freshness_points, suspicion_intervals)``.  Pure python —
-    no numpy required — and valid for every combination including ARIMA;
-    the equivalence tests pit :func:`replay_detector` against it.
-    """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta!r}")
-    if initial_timeout is None:
-        initial_timeout = 10.0 * eta
-    count = len(send_times)
-    if len(delays) != count:
-        raise ValueError("send_times and delays must have matching length")
-    lost_list = list(lost) if lost is not None else [False] * count
-    arrivals = [
-        (send_times[i] + delays[i], i, send_times[i])
-        for i in range(count)
-        if not lost_list[i]
-    ]
-    if not arrivals:
-        raise ValueError("every heartbeat was lost; nothing to replay")
-    arrivals.sort(key=lambda item: item[0])  # stable: ties keep send order
-    if end_time is None:
-        end_time = arrivals[-1][0]
-
-    strategy = TimeoutStrategy(
-        make_predictor(predictor_name), make_margin(margin_name)
-    )
-    deadline = eta + float(initial_timeout)
-    max_seq = -1
-    suspecting = False
-    freshness_points: List[float] = []
-    intervals: List[Tuple[float, float]] = []
-    open_start = 0.0
-    for arrival, seq, sigma in arrivals:
-        if arrival > end_time:
-            break
-        if not suspecting and deadline < arrival and deadline <= end_time:
-            suspecting = True
-            open_start = deadline
-        if seq > max_seq:
-            max_seq = seq
-            strategy.observe(arrival - sigma)
-            if suspecting:
-                intervals.append((open_start, arrival))
-                suspecting = False
-            deadline = max(arrival, sigma + eta + strategy.timeout())
-            freshness_points.append(deadline)
-        else:
-            strategy.observe(arrival - sigma)
-    if suspecting:
-        intervals.append((open_start, float(end_time)))
-    elif deadline <= end_time:
-        intervals.append((deadline, float(end_time)))
-    return freshness_points, intervals
+    results: Dict[str, DetectorReplay] = {}
+    if view.arrival_times.size == 0:
+        for detector_id, _, _, _ in rows:
+            results[detector_id] = replay_view_with_timeouts(
+                view, detector_id, np.empty(0)
+            )
+        return results
+    x = view.observations
+    predictions_of: Dict[str, "np.ndarray"] = {}
+    # Unit margin states of this call, keyed "CI" / ("JAC", predictor).
+    states: Dict[object, object] = {}
+    for detector_id, predictor_name, family, level in rows:
+        predictions = predictions_of.get(predictor_name)
+        if predictions is None:
+            predictions = replay_predictions(predictor_name, x)
+            predictions_of[predictor_name] = predictions
+        key = family if family == "CI" else (family, predictor_name)
+        state = states.get(key)
+        if state is None:
+            state = states[key] = _unit_margin_state(family, x, predictions)
+        timeouts = np.maximum(0.0, predictions + _scale_margin(family, level, state))
+        results[detector_id] = replay_view_with_timeouts(view, detector_id, timeouts)
+    return results
 
 
 __all__ = [
     "DetectorReplay",
-    "MarginSpec",
     "StrategyReplay",
     "TraceView",
-    "replay_detector",
     "replay_detector_matrix",
-    "replay_detector_scalar",
-    "replay_margins",
     "replay_predictions",
     "replay_strategy",
     "replay_strategy_scalar",

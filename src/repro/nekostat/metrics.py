@@ -176,13 +176,6 @@ def _suspicion_intervals_by_detector(
     return intervals
 
 
-def _suspicion_intervals(
-    events: Sequence[StatEvent], detector: str, end_time: float
-) -> List[Tuple[float, float]]:
-    """Maximal [start, end) suspicion intervals for one detector."""
-    return _suspicion_intervals_by_detector(events, [detector], end_time)[detector]
-
-
 def extract_qos(
     log: EventLog,
     *,

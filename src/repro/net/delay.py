@@ -2,26 +2,24 @@
 
 A delay model answers one question: *how long will the datagram sent now
 take to arrive?*  Models are sampled once per datagram, in send order, so
-stateful models (autocorrelated queues, diurnal congestion) see a coherent
-timeline.
+stateful models (congestion epochs, spike runs) see a coherent timeline.
 
 All delays are in **seconds**.  Models take their randomness from an
 injected :class:`numpy.random.Generator`, never from a global source, which
 keeps simulations reproducible (see :mod:`repro.sim.random`).
 
-The models compose:
+These are the models a profile (:mod:`repro.net.wan`) or a simulated
+system builds:
 
+* :class:`ConstantDelay` — a fixed delay, the simulated network's default.
 * :class:`ShiftedGammaDelay` — the classic Internet one-way delay shape:
-  a fixed propagation floor plus gamma-distributed queueing.
-* :class:`ArCorrelatedDelay` — an AR(1) queueing component, giving the
-  short-range autocorrelation real paths exhibit (and that adaptive
-  predictors such as LAST and LPF exploit).
-* :class:`SpikeOverlay` — rare large excursions (route flaps, congestion
-  bursts) that produce the heavy right tail (the paper's path shows a
-  340 ms maximum against a 192 ms minimum).
-* :class:`DiurnalModulation` — slow time-of-day congestion swing.
-* :class:`CompositeDelay` — sums components over a common floor.
-* :class:`TraceDelay` — replays a recorded trace verbatim.
+  a fixed propagation floor plus gamma-distributed queueing (the LAN
+  profile).
+* :class:`LognormalDelay` with a :class:`SpikeOverlay` — rare large
+  excursions over a heavy-tailed body (the mobile profile).
+* :class:`MultiScaleWanDelay` — jitter, congestion epochs, a slow level
+  and spike tiers in one flat sampler (the Italy–Japan profile; the
+  paper's path shows a 340 ms maximum against a 192 ms minimum).
 """
 
 from __future__ import annotations
@@ -143,107 +141,6 @@ class LognormalDelay(DelayModel):
         return self._minimum + float(self._rng.lognormal(self._mu, self._sigma))
 
 
-class ArCorrelatedDelay(DelayModel):
-    """A delay process with AR(1) autocorrelated queueing.
-
-    The queueing component follows
-
-        q_t = max(0, phi * q_{t-1} + e_t),    e_t ~ Normal(bias, noise_std)
-
-    and the delivered delay is ``minimum + q_t``.  ``phi`` close to 1 gives
-    long congestion episodes; ``phi = 0`` degenerates to i.i.d. truncated
-    normal queueing.  The positive-part clamp keeps delays physical while
-    preserving the autocorrelation structure above the floor.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        minimum: float,
-        phi: float,
-        noise_std: float,
-        *,
-        bias: float = 0.0,
-        initial_queue: float = 0.0,
-    ) -> None:
-        if minimum < 0:
-            raise ValueError(f"minimum must be >= 0, got {minimum!r}")
-        if not 0.0 <= phi < 1.0:
-            raise ValueError(f"phi must be in [0, 1), got {phi!r}")
-        if noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {noise_std!r}")
-        self._rng = rng
-        self._minimum = float(minimum)
-        self._phi = float(phi)
-        self._noise_std = float(noise_std)
-        self._bias = float(bias)
-        self._initial_queue = float(initial_queue)
-        self._queue = self._initial_queue
-
-    def sample(self, now: float) -> float:
-        noise = float(self._rng.normal(self._bias, self._noise_std))
-        self._queue = max(0.0, self._phi * self._queue + noise)
-        return self._minimum + self._queue
-
-    def reset(self) -> None:
-        self._queue = self._initial_queue
-
-
-class TelegraphDelay(DelayModel):
-    """A two-state Markov (random telegraph) congestion level.
-
-    The path alternates between a LOW state (contribution 0) and a HIGH
-    state (contribution ``high``), with geometric dwell times of the given
-    means (in samples).  This models congestion *epochs* — bursts of
-    cross-traffic lasting tens of heartbeats — which give real WAN delay
-    series their regime-switching character.  Epochs are what separates
-    windowed predictors (which re-converge within an epoch) from the
-    global MEAN (which averages across epochs and is systematically wrong
-    inside each one).
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        high: float,
-        dwell_low: float,
-        dwell_high: float,
-    ) -> None:
-        if high < 0:
-            raise ValueError(f"high must be >= 0, got {high!r}")
-        if dwell_low < 1 or dwell_high < 1:
-            raise ValueError(
-                f"dwell times must be >= 1 sample, got {dwell_low!r}, {dwell_high!r}"
-            )
-        self._rng = rng
-        self._high = float(high)
-        self._p_low_to_high = 1.0 / float(dwell_low)
-        self._p_high_to_low = 1.0 / float(dwell_high)
-        self._in_high = False
-
-    @property
-    def in_high_state(self) -> bool:
-        """Whether the path is currently in the congested state."""
-        return self._in_high
-
-    def duty_cycle(self) -> float:
-        """Long-run fraction of time spent in the HIGH state."""
-        denominator = self._p_low_to_high + self._p_high_to_low
-        return self._p_low_to_high / denominator if denominator else 0.0
-
-    def sample(self, now: float) -> float:
-        if self._in_high:
-            if self._rng.random() < self._p_high_to_low:
-                self._in_high = False
-        else:
-            if self._rng.random() < self._p_low_to_high:
-                self._in_high = True
-        return self._high if self._in_high else 0.0
-
-    def reset(self) -> None:
-        self._in_high = False
-
-
 @dataclass(frozen=True)
 class SpikeTier:
     """The parameters of one spike process (see :class:`SpikeOverlay`)."""
@@ -294,7 +191,9 @@ class MultiScaleWanDelay(DelayModel):
     with four stochastic components at distinct timescales:
 
     * ``white`` — i.i.d. Gaussian per-packet jitter;
-    * ``telegraph`` — congestion epochs (:class:`TelegraphDelay`);
+    * ``telegraph`` — congestion epochs: a two-state Markov level, 0 or
+      ``telegraph_high``, with geometric dwell times of the given means
+      (in samples);
     * ``slow`` — an AR(1) level wandering over ~an hour (time-of-day
       drift);
     * ``spikes`` — rare multi-packet delay excursions, one process per
@@ -308,10 +207,11 @@ class MultiScaleWanDelay(DelayModel):
 
     :meth:`sample` is one flat method — every simulated datagram pays it —
     that draws white, slow, telegraph and then each tier in turn from the
-    one generator: the draws, in the order, of ``CompositeDelay([core
-    with the first tier, SpikeOverlay(rng, ConstantDelay(0.0), second
-    tier), ...])`` built from the public classes, which
-    ``tests/test_delay_models.py`` holds it to sample for sample and
+    one generator: the draws, in the order, of a sum of the core (its
+    epochs a random-telegraph model of their own) with the first tier and
+    a ``SpikeOverlay(rng, ConstantDelay(0.0), tier)`` per further tier,
+    which ``tests/test_delay_models.py`` builds from parts
+    (``tests/reference_delay.py``) and holds it to sample for sample and
     generator state for generator state.  :meth:`sample_many` is the same
     draw sequence for a replayed trace in one call, its state in locals.
     The Gaussian draws consume a variable number of generator words, so
@@ -337,17 +237,19 @@ class MultiScaleWanDelay(DelayModel):
             raise ValueError("floor and base_queue must be >= 0")
         if min(white_std, slow_std) < 0 or slow_tau <= 0:
             raise ValueError("noise parameters must be >= 0 (tau > 0)")
-        # Validates the epoch parameters; its state is inlined below.
-        telegraph = TelegraphDelay(
-            rng, telegraph_high, telegraph_dwell_low, telegraph_dwell_high
-        )
+        if telegraph_high < 0:
+            raise ValueError(f"telegraph_high must be >= 0, got {telegraph_high!r}")
+        if telegraph_dwell_low < 1 or telegraph_dwell_high < 1:
+            raise ValueError(
+                "dwell times must be >= 1 sample, got "
+                f"{telegraph_dwell_low!r}, {telegraph_dwell_high!r}"
+            )
         self._draw = rng.random
         self._normal = rng.standard_normal
         self._floor = float(floor)
         self._base = float(base_queue)
         self._white_std = float(white_std)
         self._high = float(telegraph_high)
-        self._duty_cycle = telegraph.duty_cycle()
         self._p_low_to_high = 1.0 / float(telegraph_dwell_low)
         self._p_high_to_low = 1.0 / float(telegraph_dwell_high)
         self._in_high = False
@@ -366,7 +268,9 @@ class MultiScaleWanDelay(DelayModel):
 
     def mean_queueing(self) -> float:
         """Expected queueing above the floor (ignoring clamping/spikes)."""
-        return self._base + self._high * self._duty_cycle
+        switches = self._p_low_to_high + self._p_high_to_low
+        duty_cycle = self._p_low_to_high / switches if switches else 0.0
+        return self._base + self._high * duty_cycle
 
     def sample(self, now: float) -> float:
         # rng.normal(0.0, s) is s * standard_normal() and rng.uniform(a, b)
@@ -492,114 +396,12 @@ class SpikeOverlay(DelayModel):
         self._remaining = 0
 
 
-class DiurnalModulation(DelayModel):
-    """Slow sinusoidal congestion swing over a base model.
-
-    The queueing part of the base delay (everything above ``floor``) is
-    scaled by ``1 + amplitude * sin(2*pi*now/period + phase)``.  With a
-    24-hour period this reproduces the work-day/weekend variability the
-    paper attributes to WANs.
-    """
-
-    def __init__(
-        self,
-        base: DelayModel,
-        floor: float,
-        amplitude: float,
-        period: float,
-        *,
-        phase: float = 0.0,
-    ) -> None:
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError(f"amplitude must be in [0, 1), got {amplitude!r}")
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period!r}")
-        self._base = base
-        self._floor = float(floor)
-        self._amplitude = float(amplitude)
-        self._period = float(period)
-        self._phase = float(phase)
-
-    def sample(self, now: float) -> float:
-        raw = self._base.sample(now)
-        queueing = max(0.0, raw - self._floor)
-        factor = 1.0 + self._amplitude * math.sin(
-            2.0 * math.pi * now / self._period + self._phase
-        )
-        return self._floor + queueing * factor
-
-    def reset(self) -> None:
-        self._base.reset()
-
-
-class CompositeDelay(DelayModel):
-    """Sum of several delay components above a common floor.
-
-    The first component is taken whole; every further component contributes
-    only its value (assumed to be a pure queueing term).  Useful to combine
-    e.g. an AR(1) congestion term with an i.i.d. jitter term.
-    """
-
-    def __init__(self, components: Sequence[DelayModel]) -> None:
-        if not components:
-            raise ValueError("CompositeDelay needs at least one component")
-        self._components = list(components)
-
-    def sample(self, now: float) -> float:
-        return sum(component.sample(now) for component in self._components)
-
-    def reset(self) -> None:
-        for component in self._components:
-            component.reset()
-
-
-class TraceDelay(DelayModel):
-    """Replays a recorded delay trace, one sample per datagram.
-
-    When the trace is exhausted the model either wraps around
-    (``wrap=True``, default) or raises ``IndexError``.  Replay supports the
-    paper's methodology of feeding identical network conditions to every
-    detector (see also the MultiPlexer layer, which achieves the same for a
-    single run).
-    """
-
-    def __init__(self, delays: Sequence[float], *, wrap: bool = True) -> None:
-        if len(delays) == 0:
-            raise ValueError("trace must contain at least one delay")
-        arr = np.asarray(delays, dtype=float)
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("trace delays must be finite and >= 0")
-        self._delays = arr
-        self._wrap = bool(wrap)
-        self._index = 0
-
-    def __len__(self) -> int:
-        return int(self._delays.shape[0])
-
-    def sample(self, now: float) -> float:
-        if self._index >= len(self):
-            if not self._wrap:
-                raise IndexError("delay trace exhausted")
-            self._index = 0
-        value = float(self._delays[self._index])
-        self._index += 1
-        return value
-
-    def reset(self) -> None:
-        self._index = 0
-
-
 __all__ = [
-    "ArCorrelatedDelay",
-    "CompositeDelay",
     "ConstantDelay",
     "DelayModel",
-    "DiurnalModulation",
     "LognormalDelay",
     "MultiScaleWanDelay",
     "ShiftedGammaDelay",
     "SpikeOverlay",
     "SpikeTier",
-    "TelegraphDelay",
-    "TraceDelay",
 ]

@@ -1,18 +1,17 @@
-"""Delay trace recording, persistence and characterisation.
+"""Delay trace synthesis, persistence and characterisation.
 
 The paper characterises its Italy–Japan path by collecting 100 000 one-way
 heartbeat delays (Table 4) and reuses such traces to rank predictors
 (Table 3, following the methodology of Nunes & Jansch-Pôrto).  This module
-provides the same workflow: record a trace from a link (or synthesise one
-from a delay model), save/load it as a plain text file, and summarise it.
+provides the same workflow: synthesise a trace from a delay model, save
+or load it as a plain text file, and summarise it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -165,33 +164,4 @@ class DelayTrace:
         return correlations
 
 
-class TraceRecorder:
-    """Accumulates delays observed at runtime into a :class:`DelayTrace`.
-
-    Attach :meth:`record` wherever a delay becomes known (e.g. in a
-    heartbeat receiver: ``arrival_time - send_time``).
-    """
-
-    def __init__(self) -> None:
-        self._delays: List[float] = []
-
-    def record(self, delay: float) -> None:
-        """Record one observed delay, in seconds."""
-        if delay < 0 or not math.isfinite(delay):
-            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
-        self._delays.append(float(delay))
-
-    def extend(self, delays: Iterable[float]) -> None:
-        """Record many delays at once."""
-        for delay in delays:
-            self.record(delay)
-
-    def __len__(self) -> int:
-        return len(self._delays)
-
-    def trace(self) -> DelayTrace:
-        """Freeze the recorded delays into an immutable trace."""
-        return DelayTrace(self._delays)
-
-
-__all__ = ["DelayTrace", "TraceRecorder", "TraceSummary"]
+__all__ = ["DelayTrace", "TraceSummary"]

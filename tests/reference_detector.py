@@ -24,16 +24,18 @@ Operationally:
 
 :class:`~repro.fd.detector.PushFailureDetector` runs any number of rows as
 one layer; ``tests/test_detector_bank.py`` holds it equal to one of these
-per row behind a MultiPlexer.
+per row behind a MultiPlexer.  :func:`replay_detector_scalar` is the same
+algebra over a recorded trace, the reference of the vectorized replay.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids fd -> obs import
     from repro.obs.trace import TraceRecorder
 
+from repro.fd.combinations import make_margin, make_predictor
 from repro.fd.timeout import TimeoutStrategy
 from repro.neko.layer import Layer
 from repro.nekostat.events import EventKind, StatEvent
@@ -258,4 +260,75 @@ class ReferenceDetector(Layer):
         return f"ReferenceDetector({self.detector_id!r}, {state}, seq={self._max_seq})"
 
 
-__all__ = ["ReferenceDetector"]
+def replay_detector_scalar(
+    predictor_name: str,
+    margin_name: str,
+    send_times: Sequence[float],
+    delays: Sequence[float],
+    *,
+    eta: float,
+    lost: Optional[Sequence[bool]] = None,
+    initial_timeout: Optional[float] = None,
+    end_time: Optional[float] = None,
+) -> Tuple[List[float], List[Tuple[float, float]]]:
+    """The detector algebra above, over a recorded trace, as one loop.
+
+    Returns ``(freshness_points, suspicion_intervals)`` of one
+    combination under the conventions of
+    :func:`repro.fd.replay.trace_view`.  Pure python — no numpy — and
+    valid for every combination including ARIMA;
+    ``tests/test_replay.py`` pits
+    :func:`~repro.fd.replay.replay_detector_matrix` against it.
+    """
+    if eta <= 0:
+        raise ValueError(f"eta must be > 0, got {eta!r}")
+    if initial_timeout is None:
+        initial_timeout = 10.0 * eta
+    count = len(send_times)
+    if len(delays) != count:
+        raise ValueError("send_times and delays must have matching length")
+    lost_list = list(lost) if lost is not None else [False] * count
+    arrivals = [
+        (send_times[i] + delays[i], i, send_times[i])
+        for i in range(count)
+        if not lost_list[i]
+    ]
+    if not arrivals:
+        raise ValueError("every heartbeat was lost; nothing to replay")
+    arrivals.sort(key=lambda item: item[0])  # stable: ties keep send order
+    if end_time is None:
+        end_time = arrivals[-1][0]
+
+    strategy = TimeoutStrategy(
+        make_predictor(predictor_name), make_margin(margin_name)
+    )
+    deadline = eta + float(initial_timeout)
+    max_seq = -1
+    suspecting = False
+    freshness_points: List[float] = []
+    intervals: List[Tuple[float, float]] = []
+    open_start = 0.0
+    for arrival, seq, sigma in arrivals:
+        if arrival > end_time:
+            break
+        if not suspecting and deadline < arrival and deadline <= end_time:
+            suspecting = True
+            open_start = deadline
+        if seq > max_seq:
+            max_seq = seq
+            strategy.observe(arrival - sigma)
+            if suspecting:
+                intervals.append((open_start, arrival))
+                suspecting = False
+            deadline = max(arrival, sigma + eta + strategy.timeout())
+            freshness_points.append(deadline)
+        else:
+            strategy.observe(arrival - sigma)
+    if suspecting:
+        intervals.append((open_start, float(end_time)))
+    elif deadline <= end_time:
+        intervals.append((deadline, float(end_time)))
+    return freshness_points, intervals
+
+
+__all__ = ["ReferenceDetector", "replay_detector_scalar"]

@@ -21,7 +21,8 @@ from repro.neko.system import NekoSystem
 from repro.nekostat.events import EventKind
 from repro.nekostat.log import EventLog
 from repro.nekostat.metrics import extract_qos
-from repro.net.delay import ConstantDelay, TraceDelay
+from repro.net.delay import ConstantDelay
+from tests.reference_delay import TraceDelay
 
 
 class TestConstantTimeout:

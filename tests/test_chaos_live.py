@@ -15,6 +15,7 @@ import pytest
 
 from repro.chaos import (
     ChaosEngine,
+    FaultEvent,
     FaultPlan,
     attach_backend,
     run_daemon_scenario_async,
@@ -47,18 +48,19 @@ async def eventually(predicate, *, timeout=30.0, interval=0.02):
 
 def full_fault_matrix_plan() -> FaultPlan:
     """Every fault family the engine knows, packed into ~5 seconds."""
-    return (
-        FaultPlan.build(name="matrix", seed=0)
-        .loss_burst(0.0, 1.0, 0.6)
-        .duplicate(0.5, 1.5, copies=3)
-        .reorder(1.0, 2.0, 0.8, 0.2)
-        .corrupt(1.5, 2.5, 0.5)
-        .truncate(2.0, 3.0, 0.5)
-        .delay_spike(2.5, 3.5, 0.3)
-        .clock_skew(3.0, 4.0, 0.15)
-        .partition("node-2", "monitor", 3.5, 4.5, bidirectional=False)
-        .pause("node-1", 4.0, 5.0)
-        .done()
+    return FaultPlan(
+        events=[
+            FaultEvent("loss-burst", 0.0, 1.0, rate=0.6),
+            FaultEvent("duplicate", 0.5, 1.5, copies=3),
+            FaultEvent("reorder", 1.0, 2.0, rate=0.8, magnitude=0.2),
+            FaultEvent("corrupt", 1.5, 2.5, rate=0.5),
+            FaultEvent("truncate", 2.0, 3.0, rate=0.5),
+            FaultEvent("delay-spike", 2.5, 3.5, magnitude=0.3),
+            FaultEvent("clock-skew", 3.0, 4.0, magnitude=0.15),
+            FaultEvent("partition", 3.5, 4.5, source="node-2", destination="monitor"),
+            FaultEvent("pause", 4.0, 5.0, source="node-1"),
+        ],
+        name="matrix",
     )
 
 
@@ -89,12 +91,15 @@ class TestDaemonSurvivesChaos:
     def test_accumulators_stay_consistent_with_recorded_trace(self):
         async def main():
             tracer = TraceRecorder(None, ring_capacity=8192)
-            plan = (
-                FaultPlan.build(name="consistency", seed=4)
-                .loss_burst(0.5, 2.0, 0.7)
-                .partition("node-1", "monitor", 2.5, 4.0,
-                           bidirectional=False)
-                .done()
+            plan = FaultPlan(
+                events=[
+                    FaultEvent("loss-burst", 0.5, 2.0, rate=0.7),
+                    FaultEvent(
+                        "partition", 2.5, 4.0, source="node-1", destination="monitor"
+                    ),
+                ],
+                seed=4,
+                name="consistency",
             )
             engine = ChaosEngine(plan)
             daemon = MonitorDaemon(
@@ -154,11 +159,11 @@ class TestDaemonSurvivesChaos:
 
     def test_detectors_retrust_within_bounded_time_after_heal(self):
         async def main():
-            plan = (
-                FaultPlan.build(name="heal", seed=0)
-                .partition("node-1", "monitor", 0.0, 2.5,
-                           bidirectional=False)
-                .done()
+            plan = FaultPlan(
+                events=[FaultEvent(
+                    "partition", 0.0, 2.5, source="node-1", destination="monitor"
+                )],
+                name="heal",
             )
             engine = ChaosEngine(plan)
             daemon = MonitorDaemon(
@@ -215,11 +220,13 @@ class TestDaemonSurvivesChaos:
             trace_path = os.path.join(trace_dir, "acceptance-fd-trace.jsonl")
         else:
             trace_path = str(tmp_path / "fd-trace.jsonl")
-        plan = (
-            FaultPlan.build(name="acceptance", seed=2)
-            .loss_burst(0.5, 2.0, 0.7)
-            .delay_spike(2.5, 3.5, 0.4)
-            .done()
+        plan = FaultPlan(
+            events=[
+                FaultEvent("loss-burst", 0.5, 2.0, rate=0.7),
+                FaultEvent("delay-spike", 2.5, 3.5, magnitude=0.4),
+            ],
+            seed=2,
+            name="acceptance",
         )
         report = run(run_daemon_scenario_async(
             plan, duration=6.0, eta=0.15,
@@ -331,11 +338,13 @@ class TestCliReplay:
     def test_same_plan_json_replays_against_sim_and_live(self, tmp_path):
         from repro.cli import main
 
-        plan = (
-            FaultPlan.build(name="replay", seed=6)
-            .loss_burst(0.5, 2.0, 0.5)
-            .delay_spike(2.0, 3.0, 0.2)
-            .done()
+        plan = FaultPlan(
+            events=[
+                FaultEvent("loss-burst", 0.5, 2.0, rate=0.5),
+                FaultEvent("delay-spike", 2.0, 3.0, magnitude=0.2),
+            ],
+            seed=6,
+            name="replay",
         )
         plan_path = tmp_path / "plan.json"
         plan.save(str(plan_path))

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -115,3 +117,43 @@ class TestChaos:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "stabilization_time < horizon" in err
+
+    PLAN = {"name": "cli", "seed": 5,
+            "events": [{"kind": "loss-burst", "start": 0, "end": 1, "rate": 0.5}]}
+
+    @pytest.mark.parametrize("text", [
+        '{"events": [{"kind": "tsunami", "start": 0, "end": 1}]}',
+        '{"events": [',
+        '{"events": [{"start": 0, "end": 1}]}',
+        '{"events": [{"kind": "delay-spike", "start": 0, "end": 1, "magnitude": Infinity}]}',
+        '{"events": [{"kind": "delay-spike", "start": 0, "end": 1, "magnitude": NaN}]}',
+        '{"events": [{"kind": "loss-burst", "start": 0, "end": Infinity}]}',
+    ], ids=["unknown-kind", "malformed", "no-kind", "inf-magnitude",
+            "nan-magnitude", "inf-end"])
+    def test_invalid_plan_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main(["chaos", "--plan", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_plan_exits_2(self, tmp_path, capsys):
+        assert main(["chaos", "--plan", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("source", ["--plan", "--add-channel"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, source):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(self.PLAN))
+        args = ["--plan", str(path)] if source == "--plan" else ["--add-channel"]
+        assert main(["chaos", *args, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_seed_zero_overrides_the_plan_seed(self, tmp_path, capsys):
+        path, saved = tmp_path / "plan.json", tmp_path / "saved.json"
+        path.write_text(json.dumps(self.PLAN))
+        assert main([
+            "chaos", "--plan", str(path), "--seed", "0", "--duration", "2",
+            "--eta", "0.5", "--save-plan", str(saved),
+        ]) == 0
+        assert "seed=0" in capsys.readouterr().out
+        assert json.loads(saved.read_text())["seed"] == 0

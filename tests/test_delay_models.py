@@ -1,4 +1,5 @@
-"""Tests for the delay models."""
+"""Tests for the delay models, and for the composed reference
+(``tests/reference_delay.py``) the flat multi-scale sampler is held to."""
 
 import math
 
@@ -8,21 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.delay import (
-    ArCorrelatedDelay,
-    CompositeDelay,
     ConstantDelay,
     DelayModel,
-    DiurnalModulation,
     LognormalDelay,
     MultiScaleWanDelay,
     ShiftedGammaDelay,
     SpikeOverlay,
     SpikeTier,
-    TelegraphDelay,
-    TraceDelay,
 )
 from repro.net.topology import RouteFlappingDelay
 from tests.conftest import assert_block_equals_scalar, examples, send_schedules
+from tests.reference_delay import CompositeDelay, TelegraphDelay, TraceDelay
 
 
 def sample_many(model, count, interval=1.0):
@@ -78,41 +75,6 @@ class TestLognormalDelay:
     def test_invalid_sigma(self, rng):
         with pytest.raises(ValueError):
             LognormalDelay(rng, minimum=0.0, mu=0.0, sigma=0.0)
-
-
-class TestArCorrelatedDelay:
-    def test_respects_minimum(self, rng):
-        model = ArCorrelatedDelay(rng, minimum=0.1, phi=0.8, noise_std=0.01)
-        assert np.all(sample_many(model, 2000) >= 0.1)
-
-    def test_positive_autocorrelation(self, rng):
-        model = ArCorrelatedDelay(
-            rng, minimum=0.0, phi=0.9, noise_std=0.01, bias=0.01
-        )
-        samples = sample_many(model, 20000)
-        centred = samples - samples.mean()
-        lag1 = np.dot(centred[:-1], centred[1:]) / np.dot(centred, centred)
-        assert lag1 > 0.6
-
-    def test_phi_zero_is_uncorrelated(self, rng):
-        model = ArCorrelatedDelay(rng, minimum=0.0, phi=0.0, noise_std=0.01, bias=0.05)
-        samples = sample_many(model, 20000)
-        centred = samples - samples.mean()
-        lag1 = np.dot(centred[:-1], centred[1:]) / np.dot(centred, centred)
-        assert abs(lag1) < 0.05
-
-    def test_reset_restores_initial_queue(self, rng):
-        model = ArCorrelatedDelay(
-            rng, minimum=0.0, phi=0.9, noise_std=0.0, bias=0.0, initial_queue=0.5
-        )
-        first = model.sample(0.0)
-        model.sample(1.0)
-        model.reset()
-        assert model.sample(0.0) == pytest.approx(first)
-
-    def test_invalid_phi_rejected(self, rng):
-        with pytest.raises(ValueError):
-            ArCorrelatedDelay(rng, minimum=0.0, phi=1.0, noise_std=0.01)
 
 
 class TestTelegraphDelay:
@@ -187,25 +149,6 @@ class TestSpikeOverlay:
     def test_invalid_probability_rejected(self, rng):
         with pytest.raises(ValueError):
             SpikeOverlay(rng, ConstantDelay(0.0), 1.5, 0.0, 0.1)
-
-
-class TestDiurnalModulation:
-    def test_modulates_queueing_only(self):
-        base = ConstantDelay(0.3)
-        model = DiurnalModulation(base, floor=0.2, amplitude=0.5, period=100.0)
-        # At t=25 (quarter period) sin = 1: queueing 0.1 scaled by 1.5.
-        assert model.sample(25.0) == pytest.approx(0.2 + 0.15)
-        # At t=75 sin = -1: queueing scaled by 0.5.
-        assert model.sample(75.0) == pytest.approx(0.2 + 0.05)
-
-    def test_floor_never_violated(self, rng):
-        base = ShiftedGammaDelay(rng, minimum=0.192, shape=2.0, scale=0.005)
-        model = DiurnalModulation(base, floor=0.192, amplitude=0.9, period=3600.0)
-        assert np.all(sample_many(model, 5000) >= 0.192)
-
-    def test_invalid_amplitude(self):
-        with pytest.raises(ValueError):
-            DiurnalModulation(ConstantDelay(0.1), 0.0, 1.0, 60.0)
 
 
 class TestCompositeDelay:
@@ -422,25 +365,29 @@ def check(make, schedule):
     assert_block_equals_scalar(make, "sample", "sample_many", schedule)
 
 
-#: Every delay model, the ``now``-dependent ones included; each builder
-#: takes the generator every random component shares.
+class RushHourDelay(DelayModel):
+    """A delay model that reads ``now`` and the generator: gamma queueing,
+    doubled in odd seconds."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def sample(self, now):
+        queue = float(self._rng.gamma(2.0, 0.01))
+        return 0.1 + (2.0 * queue if int(now) % 2 else queue)
+
+
+#: Every delay model a profile builds, and one that reads ``now``; each
+#: builder takes the generator every random component shares.
 MODELS = {
     "constant": lambda rng: ConstantDelay(0.05),
     "gamma": lambda rng: ShiftedGammaDelay(rng, 0.0002, 2.0, 0.00015),
     "lognormal": lambda rng: LognormalDelay(rng, 0.06, -3.3, 0.9),
-    "ar1": lambda rng: ArCorrelatedDelay(rng, 0.1, 0.9, 0.004, bias=-0.001),
-    "telegraph": lambda rng: TelegraphDelay(rng, 0.011, 3.0, 2.0),
     "mobile": lambda rng: SpikeOverlay(
         rng, LognormalDelay(rng, 0.06, -3.3, 0.9), 0.05, 0.2, 1.5,
         spike_run=5, decay=0.7,
     ),
-    "diurnal": lambda rng: DiurnalModulation(
-        ArCorrelatedDelay(rng, 0.1, 0.5, 0.01), 0.1, 0.4, 60.0, phase=0.3
-    ),
-    "composite": lambda rng: CompositeDelay(
-        [ShiftedGammaDelay(rng, 0.1, 2.0, 0.002), TelegraphDelay(rng, 0.01, 4.0, 2.0)]
-    ),
-    "trace": lambda rng: TraceDelay([0.2, 0.25, 0.19, 0.3]),
+    "rush-hour": RushHourDelay,
     "route-flapping": lambda rng: RouteFlappingDelay(
         rng, [ConstantDelay(0.1), LognormalDelay(rng, 0.2, -4.0, 0.5)], 0.1
     ),

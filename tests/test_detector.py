@@ -21,8 +21,9 @@ from repro.neko.system import NekoSystem
 from repro.nekostat.events import EventKind
 from repro.nekostat.log import EventLog
 from repro.nekostat.metrics import extract_qos
-from repro.net.delay import ConstantDelay, TraceDelay
+from repro.net.delay import ConstantDelay
 from repro.sim.engine import Simulator
+from tests.reference_delay import TraceDelay
 
 
 def build(sim, event_log, delay_model, *, eta=1.0, strategy=None,

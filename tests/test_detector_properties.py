@@ -23,8 +23,8 @@ from repro.neko.system import NekoSystem
 from repro.nekostat.events import EventKind
 from repro.nekostat.log import EventLog
 from repro.nekostat.metrics import extract_qos
-from repro.net.delay import TraceDelay
 from repro.sim.engine import Simulator
+from tests.reference_delay import TraceDelay
 
 ETA = 1.0
 DELTA = 0.5  # constant time-out under test

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.chaos import ChaosEngine, FaultPlan, attach_backend
+from repro.chaos import ChaosEngine, FaultEvent, FaultPlan, attach_backend
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.simcrash import SimCrash
 from repro.kv.node import KvNodeLayer
@@ -208,10 +208,9 @@ class TestLivePartitionHeal:
         ``PARTITION`` seconds; the node itself stays healthy.
         """
         config = live_config(crashes=())
-        plan = (
-            FaultPlan.build(name="kv-heal", seed=0)
-            .partition("node0", "*", 0.0, self.PARTITION, bidirectional=False)
-            .done()
+        plan = FaultPlan(
+            events=[FaultEvent("partition", 0.0, self.PARTITION, source="node0")],
+            name="kv-heal",
         )
         engine = ChaosEngine(plan)
 

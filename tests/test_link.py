@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.net.delay import ConstantDelay, TraceDelay
+from repro.net.delay import ConstantDelay
 from repro.net.link import FairLossyLink
 from repro.net.loss import BernoulliLoss
 from repro.net.message import Datagram
 from repro.sim.random import RandomStreams
+from tests.reference_delay import TraceDelay
 
 
 def make_datagram(seq=None):

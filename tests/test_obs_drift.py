@@ -377,14 +377,14 @@ class TestLiveDrift:
         assert entry["effect_seconds"] < report["min_effect"]
 
     def test_injected_delay_spike_is_flagged(self):
-        from repro.chaos import FaultPlan
+        from repro.chaos import FaultEvent, FaultPlan
 
         # Self-baseline freezes over the calm first ~2s (40 beats at
         # 20Hz); the +400ms spike then floods the rolling window.
-        plan = (
-            FaultPlan.build(name="drift-spike", seed=1)
-            .delay_spike(2.5, 60.0, 0.4)
-            .done()
+        plan = FaultPlan(
+            events=[FaultEvent("delay-spike", 2.5, 60.0, magnitude=0.4)],
+            seed=1,
+            name="drift-spike",
         )
         report = self._run(self._daemon_drift_run(plan, duration=7.0))
         assert report["drifted"] == ["node-1"]

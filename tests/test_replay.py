@@ -8,7 +8,11 @@ Three layers of proof, per the performance-layer contract:
   detector reference on traces with loss and reordering;
 * the suspicion intervals match a *real* event-driven run — a
   :class:`~repro.fd.detector.PushFailureDetector` fed through a
-  :class:`~repro.net.delay.TraceDelay` link on the simulation engine.
+  trace-replaying link (``tests/reference_delay.py``) on the simulation
+  engine.
+
+A single detector replays as the one-row matrix,
+``replay_detector_matrix([id], ...)[id]``.
 """
 
 import numpy as np
@@ -20,10 +24,9 @@ import repro.fd.replay as replay_module
 from tests.conftest import examples
 from repro.clocks.clock import PerfectClock
 from repro.fd.combinations import (
-    GAMMA_VALUES,
     JACOBSON_ALPHA,
+    MARGIN_LEVELS,
     MARGIN_NAMES,
-    PHI_VALUES,
     PREDICTOR_NAMES,
     combination_ids,
     make_strategy,
@@ -31,10 +34,7 @@ from repro.fd.combinations import (
 from repro.fd.detector import PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
 from repro.fd.replay import (
-    replay_detector,
     replay_detector_matrix,
-    replay_detector_scalar,
-    replay_margins,
     replay_predictions,
     replay_strategy,
     replay_strategy_scalar,
@@ -43,9 +43,10 @@ from repro.timeseries.arima import ArimaForecaster, batch_arima_predictions
 from repro.neko.layer import ProtocolStack
 from repro.neko.system import NekoSystem
 from repro.nekostat.log import EventLog
-from repro.nekostat.metrics import _suspicion_intervals
-from repro.net.delay import TraceDelay
+from repro.nekostat.metrics import _suspicion_intervals_by_detector
 from repro.sim.engine import Simulator
+from tests.reference_delay import TraceDelay
+from tests.reference_detector import replay_detector_scalar
 
 TOLERANCE = 1e-9
 
@@ -62,9 +63,17 @@ def short_trace(n=40):
     return np.arange(n) * 1.0, make_trace(n), dict(eta=1.0, end_time=float(n))
 
 
+def replay_one(predictor, margin, send_times, delays, **kwargs):
+    """One combination's replay: the one-row matrix."""
+    detector_id = f"{predictor}+{margin}"
+    return replay_detector_matrix([detector_id], send_times, delays, **kwargs)[
+        detector_id
+    ]
+
+
 class TestSupports:
-    """Every combination id and every valid margin spec replays; the
-    rest raise before any work is done."""
+    """Every combination id replays; the rest raise before any work is
+    done."""
 
     def test_vectorized_predictors(self):
         x = make_trace(300)
@@ -80,31 +89,15 @@ class TestSupports:
 
     def test_arima_is_vectorized(self):
         sends, delays, kwargs = short_trace()
-        replayed = replay_detector("Arima", "CI_low", sends, delays, **kwargs)
+        replayed = replay_one("Arima", "CI_low", sends, delays, **kwargs)
         assert replayed.detector == "Arima+CI_low"
-
-    def test_margin_spec_tuples(self):
-        sends, delays, kwargs = short_trace()
-        replayed = replay_detector("Last", ("CI", 0.7), sends, delays, **kwargs)
-        assert replayed.detector == "Last+CI@0.7"
-        replay_detector("Last", ("JAC", 2.5), sends, delays, **kwargs)
-        for spec in (("XX", 1.0), ("CI", -1.0)):
-            with pytest.raises(ValueError):
-                replay_detector("Last", spec, sends, delays, **kwargs)
 
     def test_unknown_margin_rejected(self):
         sends, delays, kwargs = short_trace()
         with pytest.raises(ValueError, match="unknown margin"):
-            replay_detector("Last", "nope", sends, delays, **kwargs)
-        with pytest.raises(ValueError):
+            replay_one("Last", "nope", sends, delays, **kwargs)
+        with pytest.raises(ValueError, match="unknown margin"):
             replay_strategy("Last", "nope", [0.1, 0.2])
-
-    @pytest.mark.parametrize("level", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("family", ["CI", "JAC"])
-    def test_non_finite_level_rejected(self, family, level):
-        sends, delays, kwargs = short_trace()
-        with pytest.raises(ValueError, match="finite"):
-            replay_detector("Last", (family, level), sends, delays, **kwargs)
 
 
 class TestStrategyEquivalence:
@@ -225,7 +218,7 @@ class TestDetectorReplay:
         delays = make_trace(n, seed=11, spike_probability=0.02)
         lost = rng.random(n) < 0.03
         sends = np.arange(n) * eta
-        fast = replay_detector(
+        fast = replay_one(
             combo[0], combo[1], sends, delays, eta=eta, lost=lost, end_time=n * eta
         )
         taus, intervals = replay_detector_scalar(
@@ -241,7 +234,7 @@ class TestDetectorReplay:
 
     def test_all_heartbeats_lost_is_rejected(self):
         n, eta = 10, 1.0
-        for replay in (replay_detector, replay_detector_scalar):
+        for replay in (replay_one, replay_detector_scalar):
             with pytest.raises(ValueError, match="every heartbeat was lost"):
                 replay(
                     "Last", "JAC_med",
@@ -252,7 +245,7 @@ class TestDetectorReplay:
     def test_qos_packaging(self):
         n, eta = 2000, 1.0
         delays = make_trace(n, seed=9, spike_probability=0.03)
-        fast = replay_detector(
+        fast = replay_one(
             "Last", "JAC_low", np.arange(n) * eta, delays, eta=eta, end_time=n * eta
         )
         qos = fast.to_detector_qos()
@@ -317,40 +310,28 @@ class TestMarginRows:
     def test_rows_equal_the_level_inside_formulas(self, predictor):
         x = make_trace(900, seed=17, spike_probability=0.03)
         predictions = replay_predictions(predictor, x)
-        specs = [(name, "CI", level) for name, level in GAMMA_VALUES.items()]
-        specs += [(name, "JAC", level) for name, level in PHI_VALUES.items()]
-        specs += [(("CI", 2.5), "CI", 2.5), (("JAC", 3.0), "JAC", 3.0)]
-        for spec, family, level in specs:
+        for name, (family, level) in MARGIN_LEVELS.items():
             assert np.array_equal(
-                replay_margins(spec, x, predictions),
+                replay_strategy(predictor, name, x).margins,
                 reference_margins(family, level, x, predictions),
-            ), (predictor, spec)
+            ), (predictor, name)
 
     def test_constant_series_has_zero_ci_margin(self):
         x = np.full(50, 0.2)
-        margins = replay_margins("CI_high", x, x)
+        margins = replay_strategy("Last", "CI_high", x).margins
         assert margins[0] == 0.1
         assert np.all(margins[1:] == 0.0)
 
     def test_value_errors_kept(self):
-        x = make_trace(20)
-        with pytest.raises(ValueError, match="align"):
-            replay_margins("JAC_med", x, x[:-1])
-        with pytest.raises(ValueError, match="non-empty"):
-            replay_margins("CI_med", np.empty(0), np.empty(0))
-        with pytest.raises(ValueError, match="non-empty"):
-            replay_margins("JAC_med", np.empty(0), np.empty(0))
-        for spec in (("CI", 0.0), ("JAC", -1.0)):
-            with pytest.raises(ValueError, match="level"):
-                replay_margins(spec, x, x)
-        with pytest.raises(ValueError, match="family"):
-            replay_margins(("XX", 1.0), x, x)
+        for margin in ("CI_med", "JAC_med"):
+            with pytest.raises(ValueError, match="non-empty"):
+                replay_strategy("Last", margin, np.empty(0))
 
 
 class TestDetectorMatrix:
-    """replay_detector_matrix == per-combination replay_detector, bit for
-    bit, with the trace view, the predictions and the unit margin states
-    shared instead of recomputed 30 times."""
+    """replay_detector_matrix == each row replayed alone, bit for bit, with
+    the trace view, the predictions and the unit margin states shared
+    instead of recomputed 30 times."""
 
     def test_full_matrix_matches_individual_replays(self):
         n = 1500
@@ -362,7 +343,7 @@ class TestDetectorMatrix:
         assert not matrix[ids[0]].fresh.all()  # the trace does reorder
         for detector_id in ids:
             predictor, margin = detector_id.split("+")
-            single = replay_detector(predictor, margin, sends, delays, **kwargs)
+            single = replay_one(predictor, margin, sends, delays, **kwargs)
             assert_same_replay(matrix[detector_id], single)
 
     @settings(max_examples=examples(20), deadline=None)
@@ -378,24 +359,8 @@ class TestDetectorMatrix:
         assert list(matrix) == list(dict.fromkeys(ids))
         for detector_id in ids:
             predictor, margin = detector_id.split("+")
-            single = replay_detector(predictor, margin, sends, delays, **kwargs)
+            single = replay_one(predictor, margin, sends, delays, **kwargs)
             assert_same_replay(matrix[detector_id], single)
-
-    @pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
-    def test_explicit_level_row_equals_its_table_name(self, predictor):
-        """A ``("CI", 2.0)`` / ``("JAC", 2.0)`` row is ``CI_med`` / ``JAC_med``
-        bit for bit; only the label differs."""
-        n = 400
-        sends, delays, lost = awkward_trace(n, seed=8)
-        kwargs = dict(eta=1.0, lost=lost, end_time=float(n))
-        for family, name in (("CI", "CI_med"), ("JAC", "JAC_med")):
-            named = replay_detector(predictor, name, sends, delays, **kwargs)
-            level = replay_detector(predictor, (family, 2.0), sends, delays, **kwargs)
-            assert level.detector == f"{predictor}+{family}@2"
-            assert np.array_equal(level.timeouts, named.timeouts)
-            assert np.array_equal(level.freshness_points, named.freshness_points)
-            assert np.array_equal(level.suspicion_starts, named.suspicion_starts)
-            assert np.array_equal(level.suspicion_ends, named.suspicion_ends)
 
     def test_no_arrival_inside_the_horizon(self):
         sends, delays = np.arange(5) * 1.0, np.full(5, 30.0)
@@ -406,7 +371,7 @@ class TestDetectorMatrix:
             predictor, margin = detector_id.split("+")
             assert_same_replay(
                 matrix[detector_id],
-                replay_detector(predictor, margin, sends, delays, **kwargs),
+                replay_one(predictor, margin, sends, delays, **kwargs),
             )
             assert matrix[detector_id].suspicion_starts.tolist() == [5.0]
             assert matrix[detector_id].suspicion_ends.tolist() == [20.0]
@@ -449,7 +414,7 @@ class TestAcceptanceScale:
         delays = make_trace(n, seed=2005, spike_probability=0.01)
         sends = np.arange(n) * eta
         for combo in (("Mean", "CI_med"), ("LPF", "JAC_med")):
-            fast = replay_detector(
+            fast = replay_one(
                 combo[0], combo[1], sends, delays, eta=eta, end_time=n * eta
             )
             taus, intervals = replay_detector_scalar(
@@ -494,9 +459,11 @@ class TestEventDrivenEquivalence:
             "monitor", ProtocolStack([detector]), clock=PerfectClock(sim)
         )
         system.run(until=duration)
-        event_intervals = _suspicion_intervals(list(log), detector_id, duration)
+        event_intervals = _suspicion_intervals_by_detector(
+            log, [detector_id], duration
+        )[detector_id]
 
-        replayed = replay_detector(
+        replayed = replay_one(
             combo[0], combo[1],
             np.arange(heartbeater.sent) * eta, delays[: heartbeater.sent],
             eta=eta, end_time=duration,

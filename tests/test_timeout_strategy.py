@@ -3,9 +3,8 @@
 import pytest
 
 from repro.fd.combinations import (
-    GAMMA_VALUES,
+    MARGIN_LEVELS,
     MARGIN_NAMES,
-    PHI_VALUES,
     PREDICTOR_NAMES,
     all_combinations,
     combination_ids,
@@ -75,8 +74,11 @@ class TestCombinations:
         assert MARGIN_NAMES[3:] == ("JAC_low", "JAC_med", "JAC_high")
 
     def test_table1_parameters(self):
-        assert GAMMA_VALUES == {"CI_low": 1.0, "CI_med": 2.0, "CI_high": 3.31}
-        assert PHI_VALUES == {"JAC_low": 1.0, "JAC_med": 2.0, "JAC_high": 4.0}
+        assert MARGIN_LEVELS == {
+            "CI_low": ("CI", 1.0), "CI_med": ("CI", 2.0), "CI_high": ("CI", 3.31),
+            "JAC_low": ("JAC", 1.0), "JAC_med": ("JAC", 2.0), "JAC_high": ("JAC", 4.0),
+        }
+        assert tuple(MARGIN_LEVELS) == MARGIN_NAMES
 
     def test_make_predictor_table2_defaults(self):
         arima = make_predictor("Arima")

@@ -1,10 +1,11 @@
-"""Tests for delay trace recording, persistence and statistics."""
+"""Tests for delay trace synthesis, persistence and statistics."""
 
 import numpy as np
 import pytest
 
-from repro.net.delay import ConstantDelay, TraceDelay
-from repro.net.traces import DelayTrace, TraceRecorder
+from repro.net.delay import ConstantDelay
+from repro.net.traces import DelayTrace
+from tests.reference_delay import TraceDelay
 
 
 class TestDelayTrace:
@@ -93,25 +94,3 @@ class TestDelayTrace:
         level = np.repeat(rng.uniform(0.1, 0.2, 50), 20)  # 20-sample plateaus
         trace = DelayTrace(level)
         assert trace.autocorrelation(1)[1] > 0.8
-
-
-class TestTraceRecorder:
-    def test_records_and_freezes(self):
-        recorder = TraceRecorder()
-        recorder.record(0.1)
-        recorder.record(0.2)
-        assert len(recorder) == 2
-        assert list(recorder.trace()) == [0.1, 0.2]
-
-    def test_extend(self):
-        recorder = TraceRecorder()
-        recorder.extend([0.1, 0.2, 0.3])
-        assert len(recorder) == 3
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            TraceRecorder().record(-0.1)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            TraceRecorder().record(float("nan"))
