@@ -64,7 +64,7 @@ def main() -> None:
         td = (f"{brief['td_mean'] * 1e3:6.0f} ms"
               if brief["td_mean"] is not None else "     -")
         print(f"  {node}: T_D {td}  mistakes={brief['mistakes']:<3} "
-              f"P_A={brief['empirical_p_a']:.6f}")
+              f"empirical_p_a={brief['empirical_p_a']:.6f}")
 
     print("\nThe detector's T_D is the floor of the users' promotion delay; "
           "every false suspicion above\nbecomes an unavailability window. "

@@ -117,9 +117,9 @@ async def run_daemon_scenario_async(
     seconds; chaos intake shims on both components replay the plan.
 
     ``trace_path`` records every span — emitter ``send`` spans included,
-    the fleet shares the daemon's recorder — to a JSONL file, and the
-    report then carries per-series online QoS so ``repro trace-analyze``
-    output can be checked against the live accumulators.
+    the fleet shares the daemon's recorder — to a JSONL file, and each
+    endpoint's ``qos`` then maps detector ids to their accumulators'
+    :class:`~repro.nekostat.metrics.DetectorQos` at ``now``.
     ``drift_window > 0`` runs the online drift monitor and appends its
     final evaluation to the report.
     """
@@ -169,10 +169,7 @@ async def run_daemon_scenario_async(
                 "suspecting_at_end": any(suspecting.values()),
             }
             if trace_path is not None:
-                entry["qos"] = {
-                    detector_id: qos_brief_live(qos)
-                    for detector_id, qos in monitor.snapshot(now).items()
-                }
+                entry["qos"] = monitor.snapshot(now)
             per_endpoint[monitor.name] = entry
         report: Dict[str, Any] = {
             "target": "daemon",
@@ -205,20 +202,6 @@ async def run_daemon_scenario_async(
     finally:
         await fleet.stop()
         await daemon.stop()
-
-
-def qos_brief_live(qos: Any) -> Dict[str, Any]:
-    """A JSON-able brief of one online accumulator snapshot."""
-    t_d = qos.t_d
-    t_m = qos.t_m
-    return {
-        "mistakes": len(qos.mistakes),
-        "td_samples": len(qos.td_samples),
-        "t_d_mean": t_d.mean if t_d else None,
-        "t_m_mean": t_m.mean if t_m else None,
-        "p_a": qos.p_a,
-        "undetected_crashes": qos.undetected_crashes,
-    }
 
 
 def run_daemon_scenario(plan: FaultPlan, **kwargs: Any) -> Dict[str, Any]:

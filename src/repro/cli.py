@@ -977,7 +977,7 @@ def _command_chaos(args: argparse.Namespace) -> int:
     if args.target == "sim":
         for detector_id, brief in sorted(report["qos"].items()):
             print(f"  {detector_id}: mistakes={brief['mistakes']} "
-                  f"P_A={brief['empirical_p_a']:.6f}")
+                  f"empirical_p_a={brief['empirical_p_a']:.6f}")
     elif args.target == "daemon":
         daemon = report["daemon"]
         print(f"  daemon: heartbeats={daemon['heartbeats_total']} "

@@ -11,8 +11,8 @@ The distributed system has two Neko processes:
 
 The two are connected by a fair-lossy link built from the configured
 :class:`~repro.net.wan.WanProfile`.  An :class:`~repro.nekostat.log.EventLog`
-plus :class:`~repro.nekostat.handler.FDStatHandler` collect everything the
-QoS metrics need.
+collects everything the QoS metrics need, and
+:func:`~repro.nekostat.metrics.extract_qos` derives them from it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.fd.simcrash import SimCrash
 from repro.neko.config import ExperimentConfig
 from repro.neko.layer import Layer, ProtocolStack
 from repro.neko.system import NekoSystem, SimulatedNetwork
-from repro.nekostat.handler import FDStatHandler
 from repro.nekostat.log import EventLog
 from repro.nekostat.metrics import DetectorQos, extract_qos, query_accuracy
 from repro.nekostat.stats import SummaryStats, summarize
@@ -140,7 +139,7 @@ def build_qos_system(
     """Assemble the experiment; returns the wired components by name.
 
     Keys of the returned dict: ``sim``, ``system``, ``event_log``,
-    ``handler``, ``heartbeater``, ``simcrash``, ``multiplexer``,
+    ``heartbeater``, ``simcrash``, ``multiplexer``,
     ``detectors`` (the :class:`~repro.fd.detector.PushFailureDetector`,
     a mapping from row id to its view), ``link``.  ``detector_ids`` are
     its rows: table ids or ``(label, strategy)`` pairs.
@@ -149,7 +148,6 @@ def build_qos_system(
     streams = RandomStreams(config.seed)
     profile = get_profile(config.profile_name)
     event_log = EventLog()
-    handler = FDStatHandler(event_log)
 
     system = NekoSystem(sim)
     network = system.network
@@ -198,7 +196,6 @@ def build_qos_system(
         "sim": sim,
         "system": system,
         "event_log": event_log,
-        "handler": handler,
         "heartbeater": heartbeater,
         "simcrash": simcrash,
         "multiplexer": multiplexer,

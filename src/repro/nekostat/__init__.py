@@ -6,9 +6,10 @@ NekoStat (Falai's add-on to Neko) turns *distributed events* into
 1. layers emit typed :class:`~repro.nekostat.events.StatEvent` records
    (``Sent``, ``Received``, ``StartSuspect``, ``EndSuspect``, ``Crash``,
    ``Restore``) into an :class:`~repro.nekostat.log.EventLog`;
-2. :class:`~repro.nekostat.handler.FDStatHandler` — the paper's
-   ``FD_StatHandler`` — extracts the QoS samples ``T_D``, ``T_M``,
-   ``T_MR`` per failure detector;
+2. :func:`~repro.nekostat.metrics.extract_qos` — the paper's
+   ``FD_StatHandler`` — parses the log into intervals that
+   :func:`~repro.nekostat.metrics.qos_from_suspicion_arrays`, the one
+   batch extractor, sweeps into ``T_D``, ``T_M``, ``T_MR`` per detector;
 3. :mod:`repro.nekostat.stats` summarises samples with means, extrema and
    Student-t confidence intervals.
 
@@ -18,7 +19,6 @@ any new detector is evaluated by the same unmodified code.
 
 from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.log import EventLog
-from repro.nekostat.handler import FDStatHandler, StatHandler
 from repro.nekostat.metrics import (
     DetectorQos,
     MistakeInterval,
@@ -38,11 +38,9 @@ __all__ = [
     "DetectorQos",
     "EventKind",
     "EventLog",
-    "FDStatHandler",
     "MistakeInterval",
     "OnlineQosAccumulator",
     "StatEvent",
-    "StatHandler",
     "SummaryStats",
     "Welford",
     "extract_qos",

@@ -21,6 +21,9 @@ Definitions follow Chen, Toueg & Aguilera (DSN 2000), as used by the paper
   correct at a random instant while the process is up.
 
 All computation is done on the event log alone.
+:func:`qos_from_suspicion_arrays` is the one batch extractor (event log,
+trace replay and span replay all call it); :class:`OnlineQosAccumulator`
+streams the same metrics for the live daemon.
 """
 
 from __future__ import annotations
@@ -183,169 +186,124 @@ def extract_qos(
     detectors: Optional[Sequence[str]] = None,
     start_time: float = 0.0,
 ) -> Dict[str, DetectorQos]:
-    """Compute per-detector QoS from an event log.
+    """Per-detector QoS from an event log: the log's parse into
+    suspicion and crash intervals, then :func:`qos_from_suspicion_arrays`
+    once per detector.
 
-    Parameters
-    ----------
-    log:
-        The event log of a completed run.
-    end_time:
-        The virtual time the run ended at; open suspicion/crash intervals
-        are closed there.  Defaults to the last event's time.
-    detectors:
-        Restrict to these detector ids (default: all that appear).
-    start_time:
-        The time the run began at: observation and up time count from
-        there.  A simulated run starts at 0.0; a run on a real-time
-        scheduler starts at the loop time it was built at.
+    ``end_time`` (default: the last event's time) closes open intervals;
+    ``detectors`` restricts the ids (default: all that appear);
+    ``start_time`` is where observation and up time start counting (0.0
+    for a simulated run, the loop time it was built at for a real-time
+    one).
     """
     if end_time is None:
         end_time = log[-1].time if len(log) else 0.0
-    crashes = log.crash_intervals(end_time=end_time)
-    crashed_time = sum(end - start for start, end in crashes)
-    up_windows = _up_windows(crashes, end_time, start_time)
-    observation_time = end_time - start_time
+    crashes = np.array(log.crash_intervals(end_time=end_time), float).reshape(-1, 2)
     detector_ids = list(detectors) if detectors is not None else log.detectors()
     intervals_of = _suspicion_intervals_by_detector(log, detector_ids, end_time)
-    crash_count = len(crashes)
-    window_count = len(up_windows)
-    make_mistake = MistakeInterval._make
-
     results: Dict[str, DetectorQos] = {}
     for detector in detector_ids:
-        qos = DetectorQos(
-            detector=detector,
-            observation_time=observation_time,
-            up_time=max(0.0, observation_time - crashed_time),
+        intervals = np.array(intervals_of[detector], dtype=float).reshape(-1, 2)
+        results[detector] = qos_from_suspicion_arrays(
+            detector, intervals[:, 0], intervals[:, 1], end_time=end_time,
+            start_time=start_time, crash_starts=crashes[:, 0],
+            crash_ends=crashes[:, 1],
         )
-        intervals = intervals_of[detector]
-        permanent: set = set()
-
-        # --- detection times -------------------------------------------
-        # Crashes and intervals are both time-ordered, so the intervals
-        # that ended before one crash ended before every later one: the
-        # search resumes where the previous crash's began.
-        first = 0
-        for crash_start, crash_end in crashes:
-            detection: Optional[Tuple[float, float]] = None
-            while first < len(intervals) and intervals[first][1] < crash_start:
-                first += 1
-            for index in range(first, len(intervals)):
-                s, e = intervals[index]
-                if s >= crash_end - _EPS:
-                    break
-                if e >= crash_end - _EPS:
-                    detection = (s, e)
-                    permanent.add(index)
-                    break
-            if detection is None:
-                qos.undetected_crashes += 1
-            else:
-                qos.td_samples.append(max(0.0, detection[0] - crash_start))
-
-        # --- mistakes ----------------------------------------------------
-        # A suspicion raised while the process was up, i.e. outside every
-        # [crash, restore) window; the same sweep over two sorted lists.
-        mistakes = qos.mistakes
-        crash_index = 0
-        for index, interval in enumerate(intervals):
-            if index in permanent:
-                continue
-            s = interval[0]
-            while crash_index < crash_count and crashes[crash_index][1] - _EPS <= s:
-                crash_index += 1
-            if crash_index == crash_count or s < crashes[crash_index][0] - _EPS:
-                mistakes.append(make_mistake(interval))
-
-        # --- recurrence --------------------------------------------------
-        starts = [mistake[0] for mistake in mistakes]
-        qos.tmr_samples = [b - a for a, b in zip(starts, starts[1:])]
-
-        # --- availability ------------------------------------------------
-        # Two-pointer sweep over the two sorted interval lists: O(n + m)
-        # rather than O(n * m) — on a 100 000-cycle run with thousands of
-        # mistakes and hundreds of crash windows the difference is the
-        # bulk of the extraction time.  Each overlap is
-        # ``max(0.0, min(e, we) - max(s, ws))`` written out with the
-        # builtins' tie rules (the first operand wins a tie), added in
-        # interval order.
-        suspected_up = 0.0
-        window_index = 0
-        for s, e in intervals:
-            while window_index < window_count and up_windows[window_index][1] <= s:
-                window_index += 1
-            k = window_index
-            while k < window_count:
-                ws, we = up_windows[k]
-                if not ws < e:
-                    break
-                overlap = (we if we < e else e) - (ws if ws > s else s)
-                suspected_up += overlap if overlap > 0.0 else 0.0
-                k += 1
-        qos.suspected_up_time = suspected_up
-
-        results[detector] = qos
     return results
-
-
-def _up_windows(
-    crashes: Sequence[Tuple[float, float]], end_time: float, start_time: float = 0.0
-) -> List[Tuple[float, float]]:
-    """The complement of the crash intervals within [start_time, end_time)."""
-    windows: List[Tuple[float, float]] = []
-    cursor = start_time
-    for crash_start, crash_end in crashes:
-        if crash_start > cursor:
-            windows.append((cursor, min(crash_start, end_time)))
-        cursor = max(cursor, crash_end)
-    if cursor < end_time:
-        windows.append((cursor, end_time))
-    return windows
 
 
 def qos_from_suspicion_arrays(
     detector: str,
-    suspicion_starts: "np.ndarray",
-    suspicion_ends: "np.ndarray",
+    starts: "np.ndarray",
+    ends: "np.ndarray",
     *,
     end_time: float,
+    start_time: float = 0.0,
+    crash_starts: Sequence[float] = (),
+    crash_ends: Sequence[float] = (),
 ) -> DetectorQos:
-    """Batch QoS extraction for a crash-free run, as array operations.
+    """The one batch extractor (event log, trace replay, span replay):
+    a detector's QoS from its suspicion intervals and the crash
+    intervals, each disjoint and in time order (open ones closed at
+    ``end_time``), observed over ``[start_time, end_time)``.
 
-    The trace-replay fast path (:mod:`repro.fd.replay`) produces the
-    suspicion intervals of a whole run as two aligned arrays; this
-    packages them into the :class:`DetectorQos` that :func:`extract_qos`
-    would derive from the event log of the equivalent crash-free run.
-    With no crashes every suspicion is a mistake, recurrence times are
-    the first difference of the starts, and the suspected-while-up time
-    is one vector sum — O(n) NumPy, no per-interval bookkeeping.  The
-    sample math stays in arrays until the final ``tolist()`` (lint rule
-    FDL007 forbids per-element ``float()`` narrowing on this path).
+    A crash is detected by the last suspicion that starts before
+    ``crash_end − ε`` and ends at or after it and the crash start; the
+    other suspicions that start outside every ``[crash_start − ε,
+    crash_end − ε)`` are mistakes.  Each (suspicion, up-window) overlap
+    keeps the builtins' tie rules, is floored at 0.0 and is summed in
+    order (``np.cumsum``, not pairwise ``np.sum``); the crashed time is
+    the builtin ``sum``.  So every sample is bit for bit the
+    per-interval loops' (``tests/test_metrics.py``).  No crash, no
+    masks.  Samples stay in arrays until ``tolist()`` (FDL007).
     """
-    starts = np.asarray(suspicion_starts, dtype=float)
-    ends = np.asarray(suspicion_ends, dtype=float)
-    if starts.shape != ends.shape or starts.ndim != 1:
-        raise ValueError("suspicion starts/ends must be matching 1-D arrays")
-    if starts.size and (
-        bool(np.any(ends < starts)) or bool(np.any(np.diff(starts) < 0))
-    ):
-        raise ValueError("suspicion intervals must be ordered with end >= start")
-    qos = DetectorQos(
-        detector=detector,
-        observation_time=float(end_time),
-        up_time=float(end_time),
-    )
+    s = np.asarray(starts, dtype=float)
+    e = np.asarray(ends, dtype=float)
+    cs = np.asarray(crash_starts, dtype=float)
+    ce = np.asarray(crash_ends, dtype=float)
+    for name, a, b in (("suspicion", s, e), ("crash", cs, ce)):
+        if a.shape != b.shape or a.ndim != 1 or (
+            a.size and (np.any(b < a) or np.any(a[1:] < b[:-1]))
+        ):
+            raise ValueError(f"{name} intervals must be disjoint, in time order")
+    observation_time = float(end_time) - float(start_time)
+    qos = DetectorQos(detector=detector, observation_time=observation_time)
+    if cs.size:
+        crashed_time = sum((ce - cs).tolist())
+        cut = ce - _EPS
+        last = np.searchsorted(s, cut) - 1  # each crash's candidate
+        detected = last >= 0
+        if s.size:
+            tail = e[np.where(detected, last, 0)]
+            detected &= (tail >= cs) & (tail >= cut)
+        permanent = np.zeros(s.size, dtype=bool)
+        permanent[last[detected]] = True
+        td = s[last[detected]] - cs[detected]
+        qos.td_samples = np.where(td > 0.0, td, 0.0).tolist()
+        qos.undetected_crashes = int(cs.size - np.count_nonzero(detected))
+        up = s < np.append(cs - _EPS, np.inf)[np.searchsorted(cut, s, side="right")]
+        ms, me = s[up & ~permanent], e[up & ~permanent]
+        # Up windows, the crashes' complement, then every (suspicion,
+        # window) pair that can overlap, in suspicion then window order.
+        cursor = np.maximum.accumulate(np.append(float(start_time), ce))
+        opens = cs > cursor[:-1]
+        ws = cursor[:-1][opens]
+        we = np.where(end_time < cs, end_time, cs)[opens]
+        if cursor[-1] < end_time:
+            ws, we = np.append(ws, cursor[-1]), np.append(we, end_time)
+        lo = np.searchsorted(we, s, side="right")
+        counts = np.maximum(np.searchsorted(ws, e), lo) - lo
+        rows = np.repeat(np.arange(s.size), counts)
+        cols = np.arange(rows.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        ps, pe, pws, pwe = s[rows], e[rows], ws[cols], we[cols]
+    else:
+        crashed_time = 0.0
+        # One window; a suspicion outside it overlaps by a floored +0.0,
+        # which leaves the sum unchanged.
+        ms, me = s, e
+        ps, pe, pws, pwe = s, e, start_time, end_time
+    qos.up_time = max(0.0, observation_time - crashed_time)
+    # ``tuple.__new__`` builds each mistake in C (``_make`` runs Python).
     qos.mistakes = list(
-        map(MistakeInterval._make, zip(starts.tolist(), ends.tolist()))
+        map(tuple.__new__, [MistakeInterval] * ms.size, zip(ms.tolist(), me.tolist()))
     )
-    qos.tmr_samples = np.diff(starts).tolist()
-    qos.suspected_up_time = float(np.sum(ends - starts))
+    qos.tmr_samples = np.diff(ms).tolist()
+    overlap = np.where(pwe < pe, pwe, pe) - np.where(pws > ps, pws, ps)
+    if overlap.size:
+        qos.suspected_up_time = float(
+            np.cumsum(np.where(overlap > 0.0, overlap, 0.0))[-1]
+        )
     return qos
 
 
 class OnlineQosAccumulator:
     """Streaming QoS: the same metrics as :func:`extract_qos`, updated on
     every transition instead of from a finished log.
+
+    Only the live daemon uses it (registry, exporter, history snapshots,
+    ``/qos``): ``/qos`` replays a few transitions per series, sixty
+    series per read, inside the ``live_fleet`` benchmark's timed loop,
+    where the array sweep costs ≈ 80 µs a series against ≈ 4 µs here.
 
     A long-running monitoring service cannot afford to keep (or re-scan)
     an unbounded event log, so this accumulator consumes the four
@@ -414,11 +372,6 @@ class OnlineQosAccumulator:
     def crashed(self) -> bool:
         """Whether the monitored process is currently (known) crashed."""
         return self._crashed
-
-    @property
-    def last_time(self) -> float:
-        """The time of the most recent observed transition."""
-        return self._last_time
 
     # ------------------------------------------------------------------
     # Transition intake

@@ -16,12 +16,11 @@ rotated backups included) into exactly that analysis:
   prediction (``timeout``), how late the resolving heartbeat missed the
   deadline (``margin``), and the in-flight heartbeats that would have
   prevented the mistake had they arrived inside the freshness window;
-* **mistake timelines / QoS from spans alone** — the suspect/trust/
-  crash/restore spans replayed through fresh
-  :class:`~repro.nekostat.metrics.OnlineQosAccumulator` instances,
-  reproducing the live daemon's online QoS numbers without ever seeing
-  the daemon's state (cross-checkable against a
-  :class:`~repro.obs.history.WindowedQosStore` snapshot trail).
+* **mistake timelines / QoS from spans alone** — the spans' intervals
+  swept by :func:`~repro.nekostat.metrics.qos_from_suspicion_arrays`,
+  the event log's extractor, reproducing the live daemon's online QoS
+  numbers without ever seeing the daemon's state (cross-checkable
+  against a :class:`~repro.obs.history.WindowedQosStore` snapshot).
 
 Everything here is an offline CLI/analysis path (``repro trace-analyze``
 and ``repro postmortem``) — file I/O is deliberate and bounded by the
@@ -39,9 +38,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nekostat.metrics import DetectorQos, OnlineQosAccumulator
+from repro.nekostat.metrics import DetectorQos, qos_from_suspicion_arrays
 
-#: Span kinds that drive the QoS replay (detector verdicts + liveness).
+#: Span kinds that drive the QoS replay (a ``register`` opens a series).
 _QOS_KINDS = frozenset({"suspect", "trust", "crash", "restore"})
 
 #: Hop names in pipeline order (the keys of every breakdown dict).
@@ -231,13 +230,47 @@ def _emit_time(slots: List[Optional[float]]) -> Optional[float]:
 # ----------------------------------------------------------------------
 @dataclass
 class SpanQos:
-    """The QoS replay result for one ``(endpoint, detector)`` series."""
+    """One ``(endpoint, detector)`` series' QoS, :meth:`closed_at` the
+    analysis' end, and its window's start and ``(starts, ends)``
+    intervals (one open at the end of the trace ends at ``inf``)."""
 
     endpoint: str
     detector: str
     qos: DetectorQos
     suspecting_at_end: bool
     inconsistencies: int = 0
+    start_time: float = 0.0
+    suspicions: Tuple[Sequence[float], Sequence[float]] = ((), ())
+    crashes: Tuple[Sequence[float], Sequence[float]] = ((), ())
+
+    def closed_at(self, end_time: float) -> DetectorQos:
+        """The QoS over ``[start_time, end_time]``, as an accumulator
+        snapshotted at ``end_time`` saw it: an interval open there closes
+        there, one starting after it is left out."""
+        closed: List["np.ndarray"] = []
+        for starts, ends in (self.suspicions, self.crashes):
+            starts = np.asarray(starts, dtype=float)
+            kept = int(np.searchsorted(starts, end_time, side="right"))
+            ends = np.asarray(ends, dtype=float)[:kept]
+            closed += [starts[:kept], np.where(ends <= end_time, ends, end_time)]
+        starts, ends, crash_starts, crash_ends = closed
+        return qos_from_suspicion_arrays(
+            self.detector, starts, ends, end_time=end_time,
+            start_time=self.start_time, crash_starts=crash_starts,
+            crash_ends=crash_ends,
+        )
+
+
+class _EndpointSpans:
+    """One endpoint's ``(starts, ends)`` lists; one start more: open."""
+
+    def __init__(self, start: float) -> None:
+        self.start = start
+        self.last = start  # the latest transition, for the ordering check
+        self.crashes: Tuple[List[float], List[float]] = ([], [])
+        self.suspicions: Dict[str, Tuple[List[float], List[float]]] = {}
+        #: Skipped spans per detector; "" counts against every series.
+        self.errors: Dict[str, int] = {}
 
 
 def qos_from_spans(
@@ -246,92 +279,66 @@ def qos_from_spans(
     end_time: Optional[float] = None,
     detectors: Optional[Sequence[str]] = None,
 ) -> Dict[Tuple[str, str], SpanQos]:
-    """Replay detector transitions through fresh online accumulators.
-
-    ``crash``/``restore`` spans carry no detector label and fan out to
-    every detector series already seen (and seed series seen later —
-    a second pass handles detectors whose first transition follows the
-    first crash).  Events must be in causal (file) order; an event that
-    violates the accumulator's ordering contract — possible when
-    analysing a hand-merged or truncated trace — is counted as an
-    inconsistency rather than aborting the analysis.
+    """Each ``(endpoint, detector)`` series' QoS from its spans alone:
+    its suspect/trust and its endpoint's crash/restore intervals, swept
+    by :func:`~repro.nekostat.metrics.qos_from_suspicion_arrays` and
+    closed at ``end_time`` (default: the last such span).  The window
+    opens at the endpoint's ``register`` span, where the daemon's
+    accumulators start (a second one starts new series; without one, at
+    the endpoint's first span).  An out-of-order or illegal transition
+    (suspect while suspecting …) is skipped and counted in
+    ``inconsistencies``; a crash/restore one in every series'.
     """
     wanted = set(detectors) if detectors is not None else None
-    ordered = [e for e in events if e.get("kind") in _QOS_KINDS]
-
-    # First pass: discover each endpoint's detector set and first span
-    # time, so liveness events can fan out to series created later.
-    first_seen: Dict[str, float] = {}
-    pairs: Dict[str, List[str]] = {}
-    for event in ordered:
-        endpoint = event.get("endpoint", "")
-        if not endpoint:
-            continue
-        first_seen.setdefault(endpoint, event["t"])
-        detector = event.get("detector", "")
-        if detector and detector not in pairs.setdefault(endpoint, []):
-            if wanted is None or detector in wanted:
-                pairs[endpoint].append(detector)
-
-    accumulators: Dict[Tuple[str, str], OnlineQosAccumulator] = {}
-    suspecting: Dict[Tuple[str, str], bool] = {}
-    errors: Dict[Tuple[str, str], int] = {}
-    for endpoint, ids in pairs.items():
-        for detector in ids:
-            key = (endpoint, detector)
-            accumulators[key] = OnlineQosAccumulator(
-                detector, start_time=first_seen[endpoint]
-            )
-            suspecting[key] = False
-            errors[key] = 0
-
+    endpoints: Dict[str, _EndpointSpans] = {}
     last_t = 0.0
-    for event in ordered:
-        endpoint = event.get("endpoint", "")
-        kind = event["kind"]
-        t = event["t"]
+    for event in events:
+        name = event.get("endpoint", "")
+        if not name:
+            continue
+        kind = event.get("kind")
+        t = event.get("t", 0.0)
+        state = endpoints.get(name)
+        if state is None or kind == "register":
+            state = endpoints[name] = _EndpointSpans(t)
+        if kind not in _QOS_KINDS:
+            continue
         last_t = max(last_t, t)
-        if kind in ("crash", "restore"):
-            targets = [
-                key for key in accumulators if key[0] == endpoint
-            ]
+        if kind == "crash" or kind == "restore":
+            owner = ""
+            intervals = state.crashes
         else:
-            detector = event.get("detector", "")
-            key = (endpoint, detector)
-            if key not in accumulators:
+            owner = event.get("detector", "")
+            if not owner or (wanted is not None and owner not in wanted):
                 continue
-            targets = [key]
-        for key in targets:
-            accumulator = accumulators[key]
-            try:
-                if kind == "suspect":
-                    accumulator.observe_suspect(t)
-                    suspecting[key] = True
-                elif kind == "trust":
-                    accumulator.observe_trust(t)
-                    suspecting[key] = False
-                elif kind == "crash":
-                    accumulator.observe_crash(t)
-                else:
-                    accumulator.observe_restore(t)
-            except ValueError:
-                errors[key] += 1
+            intervals = state.suspicions.setdefault(owner, ([], []))
+        opens = kind == "suspect" or kind == "crash"
+        if t < state.last or (len(intervals[0]) > len(intervals[1])) is opens:
+            state.errors[owner] = state.errors.get(owner, 0) + 1
+        else:
+            intervals[0 if opens else 1].append(t)
+        state.last = max(state.last, t)
 
     close_at = end_time if end_time is not None else last_t
     result: Dict[Tuple[str, str], SpanQos] = {}
-    for key, accumulator in accumulators.items():
-        endpoint, detector = key
-        try:
-            qos = accumulator.snapshot(max(close_at, accumulator.last_time))
-        except ValueError:
-            qos = accumulator.snapshot()
-        result[key] = SpanQos(
-            endpoint=endpoint,
-            detector=detector,
-            qos=qos,
-            suspecting_at_end=suspecting[key],
-            inconsistencies=errors[key],
-        )
+    for name, state in endpoints.items():
+        # An interval still open at the end of the trace ends at inf.
+        starts, ends = state.crashes
+        crashes = (starts, ends + [math.inf] * (len(starts) - len(ends)))
+        for detector, (starts, ends) in state.suspicions.items():
+            series = SpanQos(
+                endpoint=name,
+                detector=detector,
+                qos=DetectorQos(detector=detector),  # closed below
+                suspecting_at_end=len(starts) > len(ends),
+                inconsistencies=state.errors.get(detector, 0)
+                + state.errors.get("", 0),
+                start_time=state.start,
+                suspicions=(starts, ends + [math.inf] * (len(starts) - len(ends))),
+                crashes=crashes,
+            )
+            series.qos = series.closed_at(close_at)
+            result[(name, detector)] = series
     return result
 
 
@@ -557,27 +564,30 @@ def analyze(
 
 def cross_check(
     analysis: TraceAnalysis,
-    reference: Dict[Tuple[str, str], DetectorQos],
+    reference: Dict[Tuple[str, str], Tuple[float, DetectorQos]],
     *,
     p_a_tolerance: float = 1e-3,
 ) -> List[str]:
-    """Compare span-derived QoS against a reference (e.g. the live
-    accumulators, or the newest :class:`WindowedQosStore` snapshots).
+    """Compare span-derived QoS against a reference: per series, the
+    instant a QoS was taken and that QoS (the live accumulators'
+    snapshot, or the newest :class:`WindowedQosStore` snapshot, as
+    :func:`history_reference` reads them).
 
+    Each series' span window is closed at its reference's instant, so
+    both sides describe the same window whatever the last span's time.
     Returns human-readable disagreement lines; empty means the trace
     reproduces the reference.  Mistake and detection counts must match
-    exactly; ``P_A`` within ``p_a_tolerance`` (span and accumulator
-    timestamps are sampled microseconds apart on a real event loop).
+    exactly; ``P_A`` within ``p_a_tolerance``.
     """
     problems: List[str] = []
-    for key, expected in sorted(reference.items()):
+    for key, (instant, expected) in sorted(reference.items()):
         endpoint, detector = key
         span_qos = analysis.qos.get(key)
         if span_qos is None:
             if expected.mistakes or expected.td_samples:
                 problems.append(f"{endpoint}/{detector}: missing from trace")
             continue
-        actual = span_qos.qos
+        actual = span_qos.closed_at(instant)
         if len(actual.mistakes) != len(expected.mistakes):
             problems.append(
                 f"{endpoint}/{detector}: mistakes {len(actual.mistakes)} "
@@ -598,15 +608,16 @@ def cross_check(
 
 def history_reference(
     store: Any,
-) -> Dict[Tuple[str, str], DetectorQos]:
+) -> Dict[Tuple[str, str], Tuple[float, DetectorQos]]:
     """The newest persisted snapshot per series of a
-    :class:`~repro.obs.history.WindowedQosStore` (cross-check input)."""
-    reference: Dict[Tuple[str, str], DetectorQos] = {}
+    :class:`~repro.obs.history.WindowedQosStore` and the instant it was
+    taken (cross-check input)."""
+    reference: Dict[Tuple[str, str], Tuple[float, DetectorQos]] = {}
     for endpoint in store.endpoints():
         for detector in store.detectors(endpoint):
             rows = store.snapshots(endpoint, detector)
             if rows:
-                reference[(endpoint, detector)] = rows[-1][1]
+                reference[(endpoint, detector)] = rows[-1]
     return reference
 
 

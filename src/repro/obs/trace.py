@@ -25,6 +25,8 @@ A trace follows one heartbeat across the whole pipeline:
                 ``timeout`` = the delta now in force)
 ``crash``       crash control datagram (or inferred crash) observed
 ``restore``     restore control datagram (or inferred restore) observed
+``register``    an endpoint registered: its accumulators' and its
+                ``repro trace-analyze`` QoS window open here
 ==============  ======================================================
 
 Beyond the heartbeat journey, subsystems reuse the same recorder:

@@ -32,6 +32,7 @@ from repro.fd.detector import PushFailureDetector
 from repro.fd.multiplexer import MultiPlexer
 from repro.neko.layer import ProtocolStack
 from repro.neko.process import NekoProcess
+from repro.nekostat.events import EventKind, StatEvent
 from repro.nekostat.metrics import DetectorQos, OnlineQosAccumulator
 from repro.net.message import Datagram
 from repro.service.runtime import BoundedEventLog
@@ -45,6 +46,9 @@ class EndpointMonitor:
     QoS accumulator per detector combination.  Its process is not
     registered on the system's network: heartbeats reach it only through
     :meth:`deliver`, never by a datagram addressed to ``monitor[name]``.
+    Its bounded ``event_log`` also holds the endpoint's crashes and
+    restores: until it wraps, ``extract_qos`` over it from
+    ``registered_at`` to ``t`` equals the accumulators at ``t``.
     """
 
     def __init__(
@@ -67,12 +71,16 @@ class EndpointMonitor:
         self._tracer = tracer
         self.registered_at = self._scheduler.now
         self.event_log = BoundedEventLog(log_capacity)
-        self.accumulators: Dict[str, OnlineQosAccumulator] = {
-            detector_id: OnlineQosAccumulator(
+        # A loop, not a comprehension (a call), pays for the span's call.
+        self.accumulators: Dict[str, OnlineQosAccumulator] = {}
+        for detector_id in detector_ids:
+            self.accumulators[detector_id] = OnlineQosAccumulator(
                 detector_id, start_time=self.registered_at
             )
-            for detector_id in detector_ids
-        }
+        if tracer is not None:  # the accumulators' window opens here
+            tracer.emit_batch(
+                self.registered_at, "register", name, (("", None, None, None),)
+            )
         self.detectors = PushFailureDetector(
             name,
             eta,
@@ -130,6 +138,7 @@ class EndpointMonitor:
         self.crashes += 1
         self._crash_seq_high = self._seq_high
         t = self._scheduler.now
+        self.event_log.append(StatEvent(t, EventKind.CRASH, self.name))
         for accumulator in self.accumulators.values():
             accumulator.observe_crash(t)
         if self._tracer is not None:
@@ -144,6 +153,7 @@ class EndpointMonitor:
             return
         self._crashed = False
         t = self._scheduler.now
+        self.event_log.append(StatEvent(t, EventKind.RESTORE, self.name))
         for accumulator in self.accumulators.values():
             accumulator.observe_restore(t)
         if self._tracer is not None:
@@ -182,9 +192,12 @@ class EndpointMonitor:
 
     def _transition_hook(self, detector_id: str) -> Callable[[bool], None]:
         accumulator = self.accumulators[detector_id]
+        event_log = self.event_log
 
         def on_transition(suspecting: bool) -> None:
-            now = self._scheduler.now
+            # The detector logged the transition just now: its time is the
+            # span's too, so trace, accumulator and history share it.
+            now = event_log[-1].time
             accumulator.observe_transition(suspecting, now)
             if self._hub is not None:
                 self._hub.on_detector_transition(

@@ -236,45 +236,44 @@ class TestDaemonSurvivesChaos:
         events = obs_analyze.load_events([trace_path])
         assert events, "the scenario must have recorded spans"
         analysis = obs_analyze.analyze(events, end_time=report["now"])
-        # Rebuild the reference from the report's accumulator briefs.
+        # The reference is the report's accumulator snapshots.
         problems = []
         for endpoint, entry in report["endpoints"].items():
-            for detector, brief in entry["qos"].items():
+            for detector, live in entry["qos"].items():
                 span_qos = analysis.qos.get((endpoint, detector))
                 if span_qos is None:
-                    if brief["mistakes"] or brief["td_samples"]:
+                    if live.mistakes or live.td_samples:
                         problems.append(f"{endpoint}/{detector} missing")
                     continue
                 qos = span_qos.qos
-                if len(qos.mistakes) != brief["mistakes"]:
+                if len(qos.mistakes) != len(live.mistakes):
                     problems.append(
                         f"{endpoint}/{detector} mistakes "
-                        f"{len(qos.mistakes)} != {brief['mistakes']}"
+                        f"{len(qos.mistakes)} != {len(live.mistakes)}"
                     )
-                if len(qos.td_samples) != brief["td_samples"]:
+                if len(qos.td_samples) != len(live.td_samples):
                     problems.append(f"{endpoint}/{detector} td count")
-                if abs(qos.p_a - brief["p_a"]) > 1e-3:
+                if abs(qos.p_a - live.p_a) > 1e-3:
                     problems.append(
                         f"{endpoint}/{detector} P_A {qos.p_a} "
-                        f"vs {brief['p_a']}"
+                        f"vs {live.p_a}"
                     )
                 assert span_qos.inconsistencies == 0
         assert not problems, problems
         # At least one series actually exercised the mistake machinery
         # (the loss burst lasts ~10 heartbeat periods per endpoint).
         assert any(
-            brief["mistakes"] > 0
+            live.mistakes
             for entry in report["endpoints"].values()
-            for brief in entry["qos"].values()
+            for live in entry["qos"].values()
         ), "chaos plan should have induced at least one mistake"
         # cross_check agrees with the same data via the public surface.
-        reference = {}
-        for endpoint, entry in report["endpoints"].items():
-            for detector, brief in entry["qos"].items():
-                mirror = analysis.qos.get((endpoint, detector))
-                if mirror is not None:
-                    reference[(endpoint, detector)] = mirror.qos
-        assert isinstance(next(iter(reference.values())), DetectorQos)
+        reference = {
+            (endpoint, detector): (report["now"], live)
+            for endpoint, entry in report["endpoints"].items()
+            for detector, live in entry["qos"].items()
+        }
+        assert isinstance(next(iter(reference.values()))[1], DetectorQos)
         assert obs_analyze.cross_check(analysis, reference) == []
 
     def test_load_shedding_is_bounded_and_counted(self):

@@ -35,7 +35,7 @@ class TestRunner:
     def test_build_returns_components(self):
         parts = build_qos_system(SMALL, DETECTORS)
         assert set(parts) >= {
-            "sim", "system", "event_log", "handler", "heartbeater",
+            "sim", "system", "event_log", "heartbeater",
             "simcrash", "multiplexer", "detectors", "link",
         }
         assert set(parts["detectors"]) == set(DETECTORS)

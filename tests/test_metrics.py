@@ -22,7 +22,6 @@ from repro.nekostat.metrics import (
     DetectorQos,
     MistakeInterval,
     _suspicion_intervals_by_detector,
-    _up_windows,
     extract_qos,
     qos_from_suspicion_arrays,
     query_accuracy,
@@ -409,32 +408,52 @@ class TestStartTime:
             (1000.0, 1004.0), (1006.0, 1010.0)
         ]
 
+    def test_suspected_up_time_counts_from_the_start(self):
+        # [998, 1001) straddles the start: only [1000, 1001) is up time.
+        log = build_log([(998.0, S, "fd"), (1001.0, E, "fd")])
+        qos = extract_qos(log, end_time=1010.0, start_time=1000.0)["fd"]
+        assert qos.suspected_up_time == 1.0
+        assert qos.up_time == 10.0
+
 
 # ----------------------------------------------------------------------
 # extract_qos against its earlier per-interval body, bit for bit
 # ----------------------------------------------------------------------
+def _up_windows(crashes, end_time, start_time=0.0):
+    """The complement of the crash intervals within [start_time, end_time)."""
+    windows = []
+    cursor = start_time
+    for crash_start, crash_end in crashes:
+        if crash_start > cursor:
+            windows.append((cursor, min(crash_start, end_time)))
+        cursor = max(cursor, crash_end)
+    if cursor < end_time:
+        windows.append((cursor, end_time))
+    return windows
+
+
 def _reference_overlap(interval, window):
     start = max(interval[0], window[0])
     end = min(interval[1], window[1])
     return max(0.0, end - start)
 
 
-def _reference_extract_qos(log, *, end_time=None, detectors=None):
+def _reference_extract_qos(log, *, end_time=None, detectors=None, start_time=0.0):
     """The extractor as it was written with a helper call per overlap and
     a keyword-built mistake per interval: the reference for bit identity."""
     if end_time is None:
         end_time = log[-1].time if len(log) else 0.0
     crashes = log.crash_intervals(end_time=end_time)
     crashed_time = sum(end - start for start, end in crashes)
-    up_windows = _up_windows(crashes, end_time)
+    up_windows = _up_windows(crashes, end_time, start_time)
     detector_ids = list(detectors) if detectors is not None else log.detectors()
     intervals_of = _suspicion_intervals_by_detector(log, detector_ids, end_time)
     results = {}
     for detector in detector_ids:
         qos = DetectorQos(
             detector=detector,
-            observation_time=end_time,
-            up_time=max(0.0, end_time - crashed_time),
+            observation_time=end_time - start_time,
+            up_time=max(0.0, end_time - start_time - crashed_time),
         )
         intervals = intervals_of[detector]
         permanent = set()
@@ -556,3 +575,136 @@ def test_extract_qos_bit_identical_to_reference(case, ask_all):
     for detector in reference:
         assert _qos_bytes(fast[detector]) == _qos_bytes(reference[detector])
         assert all(type(m) is MistakeInterval for m in fast[detector].mistakes)
+
+
+# ----------------------------------------------------------------------
+# The sweep called directly: crash arrays, a start, the replay's path
+# ----------------------------------------------------------------------
+def _sweep_inputs(log, end_time, detector):
+    if end_time is None:
+        end_time = log[-1].time if len(log) else 0.0
+    intervals = _suspicion_intervals_by_detector(log, [detector], end_time)[detector]
+    crashes = log.crash_intervals(end_time=end_time)
+    return (
+        end_time,
+        np.array([start for start, _ in intervals], dtype=float),
+        np.array([end for _, end in intervals], dtype=float),
+        [start for start, _ in crashes],
+        [end for _, end in crashes],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_signed_zero_logs(),
+    start_time=st.one_of(_TIME, st.sampled_from([-0.0, -3.5])).filter(
+        lambda t: t != 0.0 or math.copysign(1.0, t) < 0
+    ),
+)
+def test_sweep_with_crashes_and_a_start_bit_identical_to_reference(case, start_time):
+    """``qos_from_suspicion_arrays`` with crash arrays and a window that
+    does not open at 0 equals the per-interval reference byte for byte."""
+    log, end_time = case
+    reference = _reference_extract_qos(
+        log, end_time=end_time, detectors=["a", "b", "c"], start_time=start_time
+    )
+    for detector in ("a", "b", "c"):
+        end, starts, ends, crash_starts, crash_ends = _sweep_inputs(
+            log, end_time, detector
+        )
+        qos = qos_from_suspicion_arrays(
+            detector,
+            starts,
+            ends,
+            end_time=end,
+            start_time=start_time,
+            crash_starts=crash_starts,
+            crash_ends=crash_ends,
+        )
+        assert _qos_bytes(qos) == _qos_bytes(reference[detector])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_signed_zero_logs())
+def test_crash_free_sweep_bit_identical_to_reference(case):
+    """The replay's path: no crash arrays, the window opening at 0."""
+    log, end_time = case
+    crash_free = EventLog()
+    for event in log:
+        if event.detector is not None:
+            crash_free.append(event)
+    reference = _reference_extract_qos(
+        crash_free, end_time=end_time, detectors=["a", "b", "c"]
+    )
+    for detector in ("a", "b", "c"):
+        end, starts, ends, crash_starts, _ = _sweep_inputs(
+            crash_free, end_time, detector
+        )
+        assert crash_starts == []
+        qos = qos_from_suspicion_arrays(detector, starts, ends, end_time=end)
+        assert _qos_bytes(qos) == _qos_bytes(reference[detector])
+
+
+def test_replayed_detector_qos_bit_identical_to_reference():
+    """A trace replay's ``to_detector_qos`` against the reference over an
+    event log of the same suspicions."""
+    from repro.fd.replay import replay_detector_matrix
+
+    rng = np.random.default_rng(7)
+    n = 400
+    delays = 0.1 + rng.gamma(2.0, 0.01, n) + (rng.random(n) < 0.05) * 1.5
+    replays = replay_detector_matrix(
+        ["Last+CI_low", "Mean+JAC_med"], np.arange(n) * 1.0, delays,
+        eta=1.0, end_time=float(n),
+    )
+    for detector, replay in replays.items():
+        log = EventLog()
+        for start, end in replay.suspicion_intervals():
+            log.append(StatEvent(start, S, "monitor", detector))
+            log.append(StatEvent(end, E, "monitor", detector))
+        assert replay.suspicion_starts.size > 2
+        expected = _reference_extract_qos(log, end_time=replay.end_time)[detector]
+        assert _qos_bytes(replay.to_detector_qos()) == _qos_bytes(expected)
+
+
+class TestSweepArguments:
+    def test_crash_arrays_must_match(self):
+        with pytest.raises(ValueError, match="crash"):
+            qos_from_suspicion_arrays(
+                "fd", np.empty(0), np.empty(0), end_time=10.0,
+                crash_starts=[1.0], crash_ends=[],
+            )
+
+    def test_overlapping_crashes_rejected(self):
+        with pytest.raises(ValueError, match="crash"):
+            qos_from_suspicion_arrays(
+                "fd", np.empty(0), np.empty(0), end_time=10.0,
+                crash_starts=[1.0, 2.0], crash_ends=[3.0, 4.0],
+            )
+
+    def test_overlapping_suspicions_rejected(self):
+        with pytest.raises(ValueError):
+            qos_from_suspicion_arrays(
+                "fd", np.array([1.0, 2.0]), np.array([3.0, 4.0]), end_time=10.0
+            )
+
+    def test_detection_at_a_signed_zero_keeps_the_builtin_max(self):
+        # (-0.0) - 0.0 is -0.0: max(0.0, -0.0) is 0.0, np.maximum(0.0, -0.0) -0.0.
+        log = build_log([(-0.0, S, "fd"), (0.0, C, None), (5.0, R, None), (5.5, E, "fd")])
+        reference = _reference_extract_qos(log, end_time=10.0)["fd"]
+        qos = qos_from_suspicion_arrays(
+            "fd", np.array([-0.0]), np.array([5.5]), end_time=10.0,
+            crash_starts=[0.0], crash_ends=[5.0],
+        )
+        assert _qos_bytes(qos) == _qos_bytes(reference)
+        assert math.copysign(1.0, qos.td_samples[0]) == 1.0
+
+    def test_a_suspicion_spanning_two_crashes_detects_both(self):
+        qos = qos_from_suspicion_arrays(
+            "fd", np.array([1.5]), np.array([9.0]), end_time=10.0,
+            crash_starts=[1.0, 5.0], crash_ends=[3.0, 8.0],
+        )
+        assert qos.td_samples == [0.5, 0.0]
+        assert qos.mistakes == []
+        assert qos.up_time == 5.0
+        assert qos.suspected_up_time == 3.0

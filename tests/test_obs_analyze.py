@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.nekostat.events import EventKind
-from repro.nekostat.metrics import OnlineQosAccumulator
+from repro.nekostat.metrics import MistakeInterval, OnlineQosAccumulator
 from repro.obs import TraceRecorder, WindowedQosStore
 from repro.obs.analyze import (
     HOPS,
@@ -184,7 +184,8 @@ class TestQosFromSpans:
             (11.0, "suspect"), (11.2, "trust"),      # second mistake
         ]
         events = [span(0.0, "fanout", "q", seq=0)]
-        live = OnlineQosAccumulator("fd", start_time=2.0)
+        # No register span: the series opens at the endpoint's first span.
+        live = OnlineQosAccumulator("fd", start_time=0.0)
         for t, kind in transitions:
             detector = "" if kind in ("crash", "restore") else "fd"
             events.append(span(t, kind, "q", detector=detector, seq=1))
@@ -232,6 +233,78 @@ class TestQosFromSpans:
         result = qos_from_spans(events, end_time=4.0)[("q", "fd")]
         assert result.inconsistencies == 1
         assert len(result.qos.mistakes) == 1
+
+
+    def test_register_span_opens_the_window(self):
+        """With exactly one mistake ``T_MR`` falls back to the up time, so
+        ``P_A`` depends on where the window opens: at the register span,
+        where the daemon's accumulators start, not at the first
+        transition nor at a span before it."""
+        events = [
+            span(0.5, "receive", "q", seq=0, delay=0.0),
+            span(1.0, "register", "q"),
+            span(4.0, "suspect", "q", detector="fd"),
+            span(5.0, "trust", "q", detector="fd"),
+        ]
+        live = OnlineQosAccumulator("fd", start_time=1.0)
+        live.observe_suspect(4.0)
+        live.observe_trust(5.0)
+        result = qos_from_spans(events, end_time=11.0)[("q", "fd")]
+        assert result.start_time == 1.0
+        assert result.qos == live.snapshot(11.0)
+        assert result.qos.up_time == 10.0
+
+    def test_second_register_starts_a_new_series(self):
+        events = [
+            span(1.0, "register", "q"),
+            span(2.0, "suspect", "q", detector="fd"),
+            span(3.0, "crash", "q"),
+            span(6.0, "register", "q"),
+            span(7.0, "suspect", "q", detector="fd"),
+            span(7.5, "trust", "q", detector="fd"),
+        ]
+        result = qos_from_spans(events, end_time=10.0)[("q", "fd")]
+        assert result.start_time == 6.0
+        assert result.qos.mistakes == [MistakeInterval(7.0, 7.5)]
+        assert result.qos.up_time == 4.0
+        assert result.qos.undetected_crashes == 0
+        assert not result.suspecting_at_end
+        assert result.inconsistencies == 0
+
+    def test_illegal_liveness_span_counts_against_every_series(self):
+        events = [
+            span(1.0, "suspect", "q", detector="a"),
+            span(1.5, "trust", "q", detector="a"),
+            span(2.0, "restore", "q"),  # never crashed
+            span(3.0, "suspect", "q", detector="b"),
+            span(3.5, "trust", "q", detector="b"),
+        ]
+        result = qos_from_spans(events, end_time=4.0)
+        assert result[("q", "a")].inconsistencies == 1
+        assert result[("q", "b")].inconsistencies == 1
+        assert len(result[("q", "b")].qos.mistakes) == 1
+
+    def test_closed_at_leaves_out_what_follows_the_instant(self):
+        events = [
+            span(0.0, "register", "q"),
+            span(1.0, "suspect", "q", detector="fd"),
+            span(2.0, "trust", "q", detector="fd"),
+            span(3.0, "crash", "q"),
+            span(3.5, "suspect", "q", detector="fd"),
+            span(8.0, "restore", "q"),
+            span(8.5, "trust", "q", detector="fd"),
+            span(9.0, "suspect", "q", detector="fd"),
+        ]
+        series = qos_from_spans(events)[("q", "fd")]
+        live = OnlineQosAccumulator("fd")
+        live.observe_suspect(1.0)
+        live.observe_trust(2.0)
+        live.observe_crash(3.0)
+        live.observe_suspect(3.5)
+        assert series.closed_at(5.0) == live.snapshot(5.0)
+        assert series.suspecting_at_end
+        assert len(series.qos.mistakes) == 2
+        assert series.qos.td_samples == [0.5]
 
 
 class TestPostMortems:
@@ -537,7 +610,7 @@ class TestAnalyzeAndCrossCheck:
     def test_cross_check_agrees_with_identical_reference(self):
         events, _ = TestPostMortems()._mistake_trace()
         analysis = analyze(events, end_time=3.0)
-        reference = {("q", "fd"): analysis.qos[("q", "fd")].qos}
+        reference = {("q", "fd"): (3.0, analysis.qos[("q", "fd")].qos)}
         assert cross_check(analysis, reference) == []
 
     def test_cross_check_flags_count_and_pa_disagreement(self):
@@ -549,7 +622,7 @@ class TestAnalyzeAndCrossCheck:
         other.observe_suspect(2.0)
         other.observe_trust(2.8)
         problems = cross_check(
-            analysis, {("q", "fd"): other.snapshot(3.0)}
+            analysis, {("q", "fd"): (3.0, other.snapshot(3.0))}
         )
         assert any("mistakes" in p for p in problems)
         assert any("P_A" in p for p in problems)
@@ -559,8 +632,28 @@ class TestAnalyzeAndCrossCheck:
         busy = OnlineQosAccumulator("fd", start_time=0.0)
         busy.observe_suspect(0.5)
         busy.observe_trust(0.6)
-        problems = cross_check(analysis, {("q", "fd"): busy.snapshot(1.0)})
+        problems = cross_check(
+            analysis, {("q", "fd"): (1.0, busy.snapshot(1.0))}
+        )
         assert problems == ["q/fd: missing from trace"]
+
+    def test_cross_check_closes_spans_at_the_reference_instant(self):
+        """A daemon that outlives its last span: an open suspicion keeps
+        accruing until the snapshot, and the span side must be closed
+        there, not at the last span."""
+        events = [
+            span(0.0, "register", "q"),
+            span(1.0, "suspect", "q", detector="fd"),
+            span(1.5, "trust", "q", detector="fd"),
+            span(4.0, "suspect", "q", detector="fd"),
+        ]
+        analysis = analyze(events)
+        live = OnlineQosAccumulator("fd")
+        for t, suspecting in ((1.0, True), (1.5, False), (4.0, True)):
+            live.observe_transition(suspecting, t)
+        assert analysis.qos[("q", "fd")].qos != live.snapshot(9.0)
+        assert cross_check(analysis, {("q", "fd"): (9.0, live.snapshot(9.0))}) == []
+        assert cross_check(analysis, {("q", "fd"): (4.0, live.snapshot(9.0))})
 
     def test_history_reference_takes_newest_snapshot(self):
         store = WindowedQosStore()
@@ -571,7 +664,9 @@ class TestAnalyzeAndCrossCheck:
         store.record_snapshot("q", "fd", 6.0, accumulator.snapshot(6.0))
         reference = history_reference(store)
         assert set(reference) == {("q", "fd")}
-        assert reference[("q", "fd")].observation_time == pytest.approx(6.0)
+        instant, qos = reference[("q", "fd")]
+        assert instant == 6.0
+        assert qos.observation_time == pytest.approx(6.0)
         store.close()
 
 
@@ -604,7 +699,9 @@ class TestCli:
         path = self._write_trace(tmp_path)
         db = str(tmp_path / "qos.sqlite")
         store = WindowedQosStore(db)
-        mirror = OnlineQosAccumulator("fd", start_time=1.103)
+        # The trace has no register span: its window opens at q's first
+        # span, the send at 0.0.
+        mirror = OnlineQosAccumulator("fd", start_time=0.0)
         mirror.observe_suspect(1.103)
         mirror.observe_trust(1.504)
         store.record_snapshot("q", "fd", 1.504, mirror.snapshot(1.504))
@@ -630,7 +727,9 @@ class TestCli:
         )
         db = str(tmp_path / "qos.sqlite")
         store = WindowedQosStore(db)
-        mirror = OnlineQosAccumulator("fd", start_time=1.103)
+        # The trace has no register span: its window opens at q's first
+        # span, the send at 0.0.
+        mirror = OnlineQosAccumulator("fd", start_time=0.0)
         mirror.observe_suspect(1.103)
         mirror.observe_trust(1.504)
         mirror.observe_suspect(2.0)

@@ -417,7 +417,12 @@ class TestTracedLoopbackIntegration:
         # A heartbeat's journey is three spans: the bank writes one
         # freshness span per fresh heartbeat, not one per detector, and
         # each suspicion names the freshness point that expired.
-        journey = [e for e in events if e["kind"] not in TRANSITION_KINDS]
+        # The endpoint's one register span opens its QoS window.
+        assert [e["kind"] for e in events].count("register") == 1
+        journey = [
+            e for e in events
+            if e["kind"] not in TRANSITION_KINDS and e["kind"] != "register"
+        ]
         assert {e["kind"] for e in journey} == {"receive", "fanout", "freshness"}
         freshness = [e["seq"] for e in journey if e["kind"] == "freshness"]
         assert len(freshness) == len(set(freshness))
@@ -427,6 +432,119 @@ class TestTracedLoopbackIntegration:
             # timer a clock tick early).
             assert suspect["deadline"] < suspect["t"] + 1e-3
             assert suspect["timeout"] > 0.0
+
+
+# ----------------------------------------------------------------------
+# One observation window: spans, store, /qos and the event log agree
+# ----------------------------------------------------------------------
+WINDOW_ETA = 0.2
+WINDOW_ROWS = ["Last+CI_high", "Mean+JAC_high", "Last+JAC_med", "Mean+CI_med"]
+
+
+async def _one_crash_one_silence(trace_path, db_path):
+    """A daemon fed by a raw loopback socket every quarter period, so
+    loop jitter never raises a suspicion: one silence while up (one
+    mistake per row), then one announced crash (one detection)."""
+    tracer = TraceRecorder(str(trace_path))
+    history = WindowedQosStore(str(db_path))
+    daemon = MonitorDaemon(
+        port=0, http_port=0, eta=WINDOW_ETA, detector_ids=WINDOW_ROWS,
+        initial_timeout=0.6, tracer=tracer, history=history,
+        snapshot_interval=0.0,
+    )
+    await daemon.start()
+    loop = asyncio.get_running_loop()
+    sender, _ = await loop.create_datagram_endpoint(
+        asyncio.DatagramProtocol, remote_addr=daemon.udp_endpoint
+    )
+    seq = 0
+
+    def send(kind, **fields):
+        sender.sendto(encode_datagram(Datagram(
+            source="ep", destination="monitor", kind=kind, **fields
+        )))
+
+    async def beat(seconds):
+        nonlocal seq
+        until = loop.time() + seconds
+        while loop.time() < until:
+            send("heartbeat", seq=seq, timestamp=daemon.scheduler.now)
+            seq += 1
+            await asyncio.sleep(WINDOW_ETA / 4)
+
+    try:
+        await beat(1.0)
+        await asyncio.sleep(3 * WINDOW_ETA)  # up, silent: a mistake
+        await beat(0.5)
+        send("crash")
+        await asyncio.sleep(3 * WINDOW_ETA)  # crashed: a detection
+        send("restore")
+        await beat(0.5)
+        host, port = daemon.http_endpoint
+        status_code, body = await _http(host, port, "GET", "/qos?window=60")
+        assert status_code == 200
+    finally:
+        sender.close()
+        await daemon.stop()
+    return daemon.registry.get("ep"), json.loads(body)
+
+
+@pytest.mark.network
+class TestOneObservationWindow:
+    def test_spans_store_qos_route_and_event_log_agree(self, tmp_path, capsys):
+        """Each consumer opens the series' window at registration and
+        closes it where the store's snapshot was taken, with exactly one
+        mistake per row, where T_MR falls back to the up time and P_A
+        shows any disagreement about the window."""
+        from repro.cli import main as cli_main
+        from repro.nekostat.log import EventLog
+        from repro.nekostat.metrics import extract_qos
+        from repro.obs.analyze import history_reference, load_events, qos_from_spans
+        from repro.obs.history import _qos_from_dict
+
+        trace_path = tmp_path / "trace.jsonl"
+        db_path = tmp_path / "history.sqlite"
+        monitor, windows = run(
+            _one_crash_one_silence(trace_path, db_path), timeout=60.0
+        )
+        store = WindowedQosStore(str(db_path))
+        try:
+            reference = history_reference(store)
+        finally:
+            store.close()
+        spans = qos_from_spans(load_events([str(trace_path)]))
+        [closed_at] = {instant for instant, _ in reference.values()}
+        from_log = extract_qos(
+            monitor.event_log, start_time=monitor.registered_at,
+            end_time=closed_at, detectors=WINDOW_ROWS,
+        )
+        for row in WINDOW_ROWS:
+            stored = reference[("ep", row)][1]
+            assert spans[("ep", row)].start_time == monitor.registered_at
+            assert spans[("ep", row)].closed_at(closed_at) == stored, row
+            assert from_log[row] == stored, row
+        assert any(len(from_log[row].mistakes) == 1 for row in WINDOW_ROWS)
+        assert all(from_log[row].td_samples for row in WINDOW_ROWS)
+
+        # /qos: the store's window query, against the log up to its end.
+        start, end = windows["start"], windows["end"]
+        assert start < monitor.registered_at
+        until_end = EventLog()
+        for event in monitor.event_log:
+            if event.time <= end:
+                until_end.append(event)
+        window_qos = extract_qos(
+            until_end, start_time=start, end_time=end, detectors=WINDOW_ROWS
+        )
+        for row in WINDOW_ROWS:
+            served = _qos_from_dict(row, windows["endpoints"]["ep"][row])
+            assert served == window_qos[row], row
+
+        assert cli_main([
+            "trace-analyze", "--input", str(trace_path),
+            "--history-db", str(db_path),
+        ]) == 0
+        assert f"{len(WINDOW_ROWS)} series agree" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

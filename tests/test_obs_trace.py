@@ -395,8 +395,9 @@ class TestWriteErrors:
                 assert daemon.heartbeats_total == 2
                 tail = daemon.trace_tail(100)
                 assert tail["recorder"]["write_errors_total"] == 1
+                # "ep" registered on its first heartbeat.
                 assert {e["kind"] for e in tail["events"]} == {
-                    "receive", "fanout", "freshness"
+                    "register", "receive", "fanout", "freshness"
                 }
                 assert "fd_obs_trace_write_errors_total 1" in daemon.metrics_text()
             finally:
