@@ -50,7 +50,7 @@ from repro.fd.requirements import QosRequirements, configure
 from repro.fd.timeout import TimeoutStrategy
 from repro.net.wan import get_profile, italy_japan_profile, lan_profile, mobile_profile
 
-__version__ = "1.29.0"
+__version__ = "1.30.0"
 
 __all__ = [
     "AggregatedQos",

@@ -1,5 +1,6 @@
 """Tests for the statistics helpers."""
 
+import json
 import math
 import struct
 
@@ -262,50 +263,190 @@ class TestNormalQuantile:
             normal_quantile(1.0)
 
     def test_importing_repro_does_not_import_scipy_stats(self):
-        """The two quantiles come from ``scipy.special``; ``scipy.stats``
-        would add ~0.6 s and ~46 MiB to every process that imports repro."""
-        import os
-        import subprocess
-        import sys
+        """No ``scipy`` module loads with the entry points, nor when a
+        process computes an interval, a quantile or a daemon's first
+        scrape: the quantiles are the package's own (``scipy.special``
+        alone was ~25 MiB and ~0.3 s of every process that asked)."""
+        loaded, scrape_quantiles = json.loads(_probe(
+            "import asyncio, json, sys\n"
+            "import repro, repro.cli, repro.service, repro.service.daemon, "
+            "repro.kv.sim, repro.experiments, repro.experiments.runner\n"
+            "from repro.nekostat.stats import Welford, _t_critical, normal_quantile, summarize\n"
+            "from repro.service.daemon import MonitorDaemon\n"
+            "def scipy():\n"
+            "    return sorted(name for name in sys.modules if name.startswith('scipy'))\n"
+            "def asked():\n"
+            "    info = _t_critical.cache_info()\n"
+            "    return info.hits + info.misses\n"
+            "loaded = [scipy()]\n"
+            "async def scrape():\n"
+            "    daemon = MonitorDaemon(port=0, http_port=None, eta=0.5)\n"
+            "    await daemon.start()\n"
+            "    try:\n"
+            "        monitor = daemon.add_endpoint('a')\n"
+            "        daemon.add_endpoint('b')\n"
+            "        await asyncio.sleep(0.01)\n"
+            "        start = monitor.registered_at\n"
+            "        tick = (daemon.scheduler.now - start) / 8\n"
+            "        for accumulator in monitor.accumulators.values():\n"
+            "            for k in range(1, 7):  # three mistakes: T_M and T_MR intervals\n"
+            "                accumulator.observe_transition(k % 2 == 1, start + k * tick)\n"
+            "        before = asked()\n"
+            "        daemon.metrics_text()\n"
+            "        return asked() - before\n"
+            "    finally:\n"
+            "        await daemon.stop()\n"
+            "scrape_quantiles = asyncio.run(scrape())\n"
+            "loaded.append(scipy())\n"
+            "summarize([0.1, 0.4, 0.2])\n"
+            "welford = Welford()\n"
+            "for value in (1.0, 2.0, 4.0, 8.0):\n"
+            "    welford.add(value)\n"
+            "welford.summary(0.99)\n"
+            "normal_quantile(0.975)\n"
+            "loaded.append(scipy())\n"
+            "print(json.dumps([loaded, scrape_quantiles]))"
+        ))
+        assert scrape_quantiles > 0  # the scrape did compute intervals
+        assert loaded == [[], [], []]
 
-        import repro
 
-        source_root = os.path.dirname(os.path.dirname(repro.__file__))
-        probe = (
-            "import sys, repro, repro.cli, repro.service, repro.kv.sim, "
-            "repro.experiments, repro.nekostat.stats\n"
-            "sys.exit('scipy.stats' in sys.modules)"
-        )
-        env = dict(os.environ, PYTHONPATH=source_root)
-        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+def _probe(source, *, block_scipy=False):
+    """Run ``source`` in a fresh interpreter on this checkout; its stdout.
+    ``block_scipy`` makes every ``import scipy`` there fail."""
+    import os
+    import subprocess
+    import sys
 
-    def test_scipy_loads_on_the_first_quantile(self):
-        """Importing the entry points loads no ``scipy`` module (its
-        ``special`` import is ~0.36 s of every process's set-up); the first
-        quantile loads it, and the values are ``scipy.special``'s exactly."""
-        import json
-        import os
-        import subprocess
-        import sys
+    import repro
 
-        import repro
+    if block_scipy:
+        source = "import sys\nsys.modules['scipy'] = None\n" + source
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", source], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
 
-        source_root = os.path.dirname(os.path.dirname(repro.__file__))
-        probe = (
-            "import json, sys\n"
-            "import repro.cli, repro.experiments.runner, repro.kv.sim, "
-            "repro.service.daemon\n"
-            "from repro.nekostat.stats import _t_critical, normal_quantile\n"
-            "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
-            "print(json.dumps([loaded, _t_critical(0.9, 10), normal_quantile(0.975)]))"
-        )
-        env = dict(os.environ, PYTHONPATH=source_root)
-        completed = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            check=True,
-        )
-        loaded, t_critical, quantile = json.loads(completed.stdout)
-        assert loaded == []
+
+def ulps(value, reference):
+    """``|value - reference|`` in units in the last place of ``reference``."""
+    return abs(value - reference) / math.ulp(reference)
+
+
+#: Two-sided Student-t critical values at confidences 0.9, 0.95 and 0.99
+#: per degrees of freedom: the quantile at ``1/2 + confidence/2`` of the
+#: float confidence taken exactly, to the nearest double.  Made with
+#: mpmath 1.3 (not a test dependency):
+#:
+#:     mp.mp.dps = 50
+#:     alpha = (1 - mp.mpf(confidence)) / 2
+#:     t = mp.findroot(lambda t: mp.betainc(mp.mpf(dof) / 2, 0.5, 0, dof / (dof + t * t),
+#:                                          regularized=True) / 2 - alpha,
+#:                     (1, 70), solver="illinois")
+#:     float(t)
+T_REFERENCE = {
+    1: (6.313751514675045, 12.706204736174694, 63.656741162871526),
+    2: (2.919985580353726, 4.302652729749462, 9.92484320091829),
+    3: (2.353363434801824, 3.1824463052837086, 5.840909309733355),
+    4: (2.1318467863266504, 2.7764451051977934, 4.604094871349992),
+    5: (2.0150483733330242, 2.5705818356363146, 4.032142983555227),
+    6: (1.9431802805153033, 2.4469118511449692, 3.707428021324779),
+    7: (1.8945786050900075, 2.364624251592785, 3.4994832973504932),
+    8: (1.8595480375308986, 2.3060041352041662, 3.355387331333395),
+    9: (1.8331129326562372, 2.262157162798205, 3.249835541592126),
+    10: (1.8124611228116765, 2.2281388519862744, 3.169272672616951),
+    11: (1.7958848187040442, 2.2009851600916392, 3.1058065155392804),
+    12: (1.7822875556493203, 2.1788128296672284, 3.0545395893929017),
+    13: (1.7709333959868732, 2.160368656462792, 3.012275838716578),
+    14: (1.7613101357748921, 2.1447866879178035, 2.9768427343708344),
+    15: (1.7530503556925736, 2.131449545559775, 2.9467128834752385),
+    16: (1.74588367627625, 2.119905299221254, 2.9207816224250998),
+    17: (1.7396067260750732, 2.1098155778333165, 2.8982305196774183),
+    18: (1.7340636066175388, 2.1009220402410382, 2.8784404727386077),
+    19: (1.7291328115213696, 2.093024054408309, 2.860934606464979),
+    20: (1.7247182429207875, 2.0859634472658644, 2.845339709786108),
+    21: (1.7207429028118786, 2.07961384472768, 2.8313595580230495),
+    22: (1.717144374380243, 2.073873067904026, 2.818756060600143),
+    23: (1.7138715277470482, 2.068657610419048, 2.8073356837699985),
+    24: (1.7108820799094286, 2.0638985616280254, 2.796939504774456),
+    25: (1.7081407612518993, 2.0595385527532972, 2.78743581367697),
+    26: (1.7056179197592733, 2.0555294386428726, 2.778714533329683),
+    27: (1.7032884457221271, 2.051830516480285, 2.7706829571222116),
+    28: (1.7011309342659318, 2.0484071417952445, 2.7632624554614442),
+    29: (1.699127026533498, 2.045229642132704, 2.7563859036706053),
+    30: (1.697260886593958, 2.0422724563012378, 2.749995653567225),
+    50: (1.6759050251630976, 2.0085591121007607, 2.677793270940844),
+    100: (1.6602343260853396, 1.9839715185235518, 2.6258905214380177),
+    199: (1.6525467461665635, 1.9719565442517535, 2.6007602160585157),
+    200: (1.6525081009108777, 1.971896223633909, 2.6006344361915574),
+    249: (1.650996151677465, 1.9695368676403506, 2.595717758273491),
+    250: (1.6509714898128582, 1.9694983934211532, 2.59563763046618),
+    251: (1.6509470251874285, 1.9694602272245434, 2.5955581457078143),
+    1000: (1.6463788172854648, 1.962339080826408, 2.5807546980659506),
+    10000: (1.6450060180692432, 1.960201239890626, 2.5763210466685287),
+    67105: (1.6448763345039903, 1.9599993367983326, 2.5759025719977062),
+    1000000: (1.6448551507220406, 1.9599663568141066, 2.575834220105334),
+}
+
+#: ``Phi^{-1}(p)`` to the nearest double: ``float(mp.sqrt(2) *
+#: mp.erfinv(2 * mp.mpf(p) - 1))`` at ``mp.mp.dps = 50``.
+NORMAL_REFERENCE = {
+    1e-10: -6.361340902404057,
+    0.001: -3.0902323061678136,
+    0.01: -2.326347874040841,
+    0.025: -1.9599639845400543,
+    0.05: -1.6448536269514726,
+    0.1: -1.2815515655446004,
+    0.3: -0.5244005127080408,
+    0.6: 0.2533471031357997,
+    0.75: 0.6744897501960817,
+    0.9: 1.2815515655446006,
+    0.95: 1.6448536269514722,
+    0.975: 1.9599639845400538,
+    0.99: 2.3263478740408408,
+    0.999: 3.090232306167813,
+    0.99999999: 5.612001243305505,
+}
+
+#: The bound on a t critical value's distance from the table (the worst
+#: measured over dof 1..259 and every 7th to 1 200 is ~27 ulps); the
+#: normal quantile's is tighter (measured ~2).
+T_ULPS = 64
+NORMAL_ULPS = 4
+CONFIDENCES = (0.9, 0.95, 0.99)
+
+
+class TestQuantileReference:
+    @pytest.mark.parametrize("dof", sorted(T_REFERENCE))
+    def test_t_critical_within_bound_of_the_table(self, dof):
+        for confidence, reference in zip(CONFIDENCES, T_REFERENCE[dof]):
+            assert ulps(_t_critical(confidence, dof), reference) <= T_ULPS, (confidence, dof)
+
+    def test_normal_quantile_within_bound_of_the_table(self):
+        for p, reference in NORMAL_REFERENCE.items():
+            assert ulps(normal_quantile(p), reference) <= NORMAL_ULPS, p
+
+    def test_the_interval_is_the_same_without_scipy(self):
+        """With scipy unimportable the critical value is still Student's,
+        not a normal fallback's 1.96."""
+        t_critical, half_width = json.loads(_probe(
+            "import json\n"
+            "from repro.nekostat.stats import _t_critical, summarize\n"
+            "print(json.dumps([_t_critical(0.95, 4), "
+            "summarize([1.0, 2.0, 3.0, 4.0, 5.0]).ci_half_width]))",
+            block_scipy=True,
+        ))
+        reference = T_REFERENCE[4][1]
+        assert ulps(t_critical, reference) <= T_ULPS
+        # std sqrt(2.5) over sqrt(5): the half width is t / sqrt(2).
+        assert ulps(half_width, reference / math.sqrt(2.0)) <= T_ULPS + 2
+
+    def test_agrees_with_scipy_special(self):
         special = pytest.importorskip("scipy.special")
-        assert t_critical == float(special.stdtrit(10, 0.95))
-        assert quantile == float(special.ndtri(0.975))
+        for dof in T_REFERENCE:
+            for confidence in CONFIDENCES:
+                expected = float(special.stdtrit(dof, 0.5 + confidence / 2.0))
+                assert ulps(_t_critical(confidence, dof), expected) <= T_ULPS, (confidence, dof)
+        for p in NORMAL_REFERENCE:
+            assert ulps(normal_quantile(p), float(special.ndtri(p))) <= T_ULPS, p
