@@ -14,16 +14,16 @@ from repro.experiments.report import (
     format_predictor_accuracy_table,
     format_wan_table,
 )
-from repro.fd.combinations import (
-    ARIMA_ORDER,
-    LPF_BETA,
-    MARGIN_LEVELS,
-    WINMEAN_WINDOW,
-    all_combinations,
-    make_strategy,
-)
+from repro.fd.combinations import MARGINS, PREDICTORS, all_combinations, make_strategy
+from repro.fd.safety import ConfidenceIntervalMargin, JacobsonMargin
 from repro.neko.config import ExperimentConfig
 from repro.timeseries.selection import select_arima_order
+
+
+def arima_order():
+    """Table 2's ARIMA (p, d, q)."""
+    params = PREDICTORS["Arima"][1]
+    return params["p"], params["d"], params["q"]
 
 
 class TestTable1Combinations:
@@ -40,15 +40,16 @@ class TestTable1Combinations:
         assert len(strategies) == 30
         print("\nTable 1 - Safety Margin Parameters")
         print(f"{'SM_CI':<12}{'gamma':>8}    {'SM_JAC':<12}{'phi':>6}")
-        names = list(MARGIN_LEVELS)
+        names = list(MARGINS)
         for ci, jac in zip(names[:3], names[3:]):
-            gamma, phi = MARGIN_LEVELS[ci][1], MARGIN_LEVELS[jac][1]
+            gamma, phi = MARGINS[ci][1], MARGINS[jac][1]
             print(f"{ci:<12}{gamma:>8.2f}    {jac:<12}{phi:>6.1f}")
 
     def test_bench_margin_values_match_paper(self):
-        assert MARGIN_LEVELS == {
-            "CI_low": ("CI", 1.0), "CI_med": ("CI", 2.0), "CI_high": ("CI", 3.31),
-            "JAC_low": ("JAC", 1.0), "JAC_med": ("JAC", 2.0), "JAC_high": ("JAC", 4.0),
+        CI, JAC = ConfidenceIntervalMargin, JacobsonMargin
+        assert MARGINS == {
+            "CI_low": (CI, 1.0), "CI_med": (CI, 2.0), "CI_high": (CI, 3.31),
+            "JAC_low": (JAC, 1.0), "JAC_med": (JAC, 2.0), "JAC_high": (JAC, 4.0),
         }
 
 
@@ -73,16 +74,17 @@ class TestTable2PredictorParameters:
         )
         print("\nTable 2 - Predictor parameters")
         print(f"  ARIMA selected order : {result.best_order} "
-              f"(paper: {ARIMA_ORDER}, connection-dependent)")
-        print(f"  LPF beta             : {LPF_BETA}")
-        print(f"  WINMEAN N            : {WINMEAN_WINDOW}")
+              f"(paper: {arima_order()}, connection-dependent)")
+        print(f"  LPF beta             : {PREDICTORS['LPF'][1]['beta']}")
+        print(f"  WINMEAN N            : {PREDICTORS['WinMean'][1]['window']}")
         p, d, q = result.best_order
         assert p <= 2 and d <= 1 and q <= 1  # a compact model wins
 
     def test_bench_paper_order_parameters(self):
-        assert ARIMA_ORDER == (2, 1, 1)
-        assert LPF_BETA == pytest.approx(1 / 8)
-        assert WINMEAN_WINDOW == 10
+        assert arima_order() == (2, 1, 1)
+        assert PREDICTORS["Arima"][1]["refit_interval"] == 1000
+        assert PREDICTORS["LPF"][1]["beta"] == pytest.approx(1 / 8)
+        assert PREDICTORS["WinMean"][1]["window"] == 10
 
 
 class TestTable3PredictorAccuracy:

@@ -6,8 +6,10 @@ Times the performance layers added for the large-scale campaigns
 
 * the serial repetition loop vs. the process-pool campaign runner
   (``run_repetitions(..., workers=N)``),
-* the per-observation ``TimeoutStrategy`` classes vs. the vectorized
-  trace replay (``repro.fd.replay``) on a recorded delay trace,
+* the per-observation ``TimeoutStrategy`` classes vs. the predictors'
+  and margins' block forms (``forecast_many``, ``unit_many`` and
+  ``scale_many``, what ``repro.fd.replay`` reads) on a recorded delay
+  trace,
 * the scalar ``ArimaForecaster`` path vs. the batched refit-window
   ARIMA replay (``batch_arima_predictions``), and
 * the event-driven simulator campaign vs. the replay-backed campaign
@@ -17,8 +19,8 @@ Times the performance layers added for the large-scale campaigns
 and writes the measurements to a JSON file so successive runs can be
 compared.  The parallel runner and the replay paths are proven
 equivalent to their scalar counterparts by ``tests/test_parallel.py``,
-``tests/test_replay.py`` and ``tests/test_replay_engine.py``; this
-script only measures speed.
+``tests/test_predictor_contract.py``, ``tests/test_replay.py`` and
+``tests/test_replay_engine.py``; this script only measures speed.
 
 Usage::
 
@@ -37,17 +39,24 @@ import json
 import os
 import sys
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.experiments.accuracy import collect_delay_trace
 from repro.experiments.runner import aggregate_runs, run_repetitions
-from repro.fd.combinations import MARGIN_NAMES, combination_ids
-from repro.fd.replay import replay_strategy, replay_strategy_scalar
+from repro.fd.combinations import (
+    MARGINS,
+    MARGIN_NAMES,
+    PREDICTORS,
+    combination_ids,
+    make_strategy,
+)
 from repro.neko.config import ExperimentConfig
 
 #: The predictors in the order the timings have always used (not
 #: ``PREDICTOR_NAMES``' order), so the recorded subsets stay the same.
-PREDICTORS = ("Arima", "Last", "Mean", "WinMean", "LPF")
+TIMED_PREDICTORS = ("Arima", "Last", "Mean", "WinMean", "LPF")
 
 #: Margin subset for the strategy-level timings: the paper's "medium"
 #: level of each family.
@@ -56,13 +65,13 @@ BENCH_MARGINS = tuple(m for m in MARGIN_NAMES if m.endswith("_med"))
 #: Predictors timed by the generic replay section.  ARIMA gets its own
 #: section (its cost profile is refit-dominated, unlike the O(n)
 #: recurrence predictors) so the two speed-up contracts stay separate.
-BENCH_PREDICTORS = tuple(p for p in PREDICTORS if p != "Arima")
+BENCH_PREDICTORS = tuple(p for p in TIMED_PREDICTORS if p != "Arima")
 
 #: Detector subset for the serial-vs-parallel campaign timing: one
 #: combination per predictor family, margins cycled.
 CAMPAIGN_DETECTORS = [
     f"{predictor}+{MARGIN_NAMES[index % len(MARGIN_NAMES)]}"
-    for index, predictor in enumerate(PREDICTORS)
+    for index, predictor in enumerate(TIMED_PREDICTORS)
 ]
 
 
@@ -92,8 +101,37 @@ def time_campaign(
     }
 
 
+def strategy_loop(
+    predictor_name: str, margin_name: str, observations: np.ndarray
+) -> List[Tuple[float, float, float]]:
+    """The per-observation path: one strategy fed every delay, its
+    prediction, margin and time-out read after each."""
+    strategy = make_strategy(predictor_name, margin_name)
+    sequences = []
+    for value in observations:
+        strategy.observe(float(value))
+        sequences.append(
+            (strategy.prediction(), strategy.margin.current(), strategy.timeout())
+        )
+    return sequences
+
+
+def block_forms(
+    predictor_name: str, margin_name: str, observations: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The same sequences from the classes' block forms, composed as the
+    replay composes them."""
+    predictor_class, params = PREDICTORS[predictor_name]
+    margin_class, level = MARGINS[margin_name]
+    predictions = predictor_class.forecast_many(observations, **params)
+    margins = margin_class.scale_many(
+        level, margin_class.unit_many(observations, predictions)
+    )
+    return predictions, margins, np.maximum(0.0, predictions + margins)
+
+
 def time_replay(trace_len: int, seed: int = 5) -> Dict[str, object]:
-    """Wall-clock the scalar strategy classes vs. the vectorized replay."""
+    """Wall-clock the scalar strategy classes vs. their block forms."""
     trace = collect_delay_trace(count=trace_len, seed=seed)
     observations = trace.delays
 
@@ -101,12 +139,12 @@ def time_replay(trace_len: int, seed: int = 5) -> Dict[str, object]:
 
     start = time.perf_counter()
     for predictor_name, margin_name in combos:
-        replay_strategy_scalar(predictor_name, margin_name, observations)
+        strategy_loop(predictor_name, margin_name, observations)
     scalar_s = time.perf_counter() - start
 
     start = time.perf_counter()
     for predictor_name, margin_name in combos:
-        replay_strategy(predictor_name, margin_name, observations)
+        block_forms(predictor_name, margin_name, observations)
     vector_s = time.perf_counter() - start
 
     return {
@@ -130,12 +168,12 @@ def time_arima_replay(trace_len: int, seed: int = 5) -> Dict[str, object]:
 
     start = time.perf_counter()
     for margin_name in BENCH_MARGINS:
-        replay_strategy_scalar("Arima", margin_name, observations)
+        strategy_loop("Arima", margin_name, observations)
     scalar_s = time.perf_counter() - start
 
     start = time.perf_counter()
     for margin_name in BENCH_MARGINS:
-        replay_strategy("Arima", margin_name, observations)
+        block_forms("Arima", margin_name, observations)
     vector_s = time.perf_counter() - start
 
     return {

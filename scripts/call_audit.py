@@ -81,7 +81,7 @@ BENCH_SCALE = {
 TIMEOUT_S = 900.0
 #: The ceiling on unreached function lines: the audit's figure when it was
 #: set, plus 50 for drift between runs.  Lower it as code leaves ``src/``.
-MAX_UNREACHED_LINES = 1194
+MAX_UNREACHED_LINES = 1174
 
 HOOK = '''\
 """Records the functions of {source!r} that run in this process."""

@@ -29,7 +29,7 @@ from repro.experiments.runner import (
     run_qos_experiment,
     run_repetitions,
 )
-from repro.experiments.qos import figure_data, run_figure_experiments
+from repro.experiments.qos import figure_data
 from repro.experiments.accuracy import (
     collect_delay_trace,
     predictor_accuracy,
@@ -78,7 +78,6 @@ __all__ = [
     "mobile_profile",
     "predictor_accuracy",
     "rank_predictors",
-    "run_figure_experiments",
     "run_qos_experiment",
     "run_repetitions",
 ]

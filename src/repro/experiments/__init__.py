@@ -39,7 +39,7 @@ from repro.experiments.accuracy import (
     rank_predictors,
 )
 from repro.experiments.characterize import characterize_profile
-from repro.experiments.qos import figure_data, qos_metric_value, run_figure_experiments
+from repro.experiments.qos import figure_data, qos_metric_value
 from repro.experiments.report import (
     format_figure_grid,
     format_predictor_accuracy_table,
@@ -80,7 +80,6 @@ __all__ = [
     "predictor_accuracy",
     "qos_metric_value",
     "rank_predictors",
-    "run_figure_experiments",
     "run_qos_experiment",
     "run_qos_replay",
     "run_repetitions",

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.fd.combinations import PREDICTOR_NAMES, make_predictor
 from repro.net.traces import DelayTrace
 from repro.net.wan import WanProfile, get_profile
@@ -45,13 +47,12 @@ def collect_delay_trace(
     streams = RandomStreams(seed)
     delay_model = profile.build_delay_model(streams, "accuracy")
     loss_model = profile.build_loss_model(streams, "accuracy")
-    delays: List[float] = []
-    for i in range(count):
-        now = i * eta
-        if apply_loss and loss_model.drops(now):
-            continue
-        delays.append(delay_model.sample(now))
-    return DelayTrace(delays)
+    sends = np.arange(count) * eta
+    if apply_loss:
+        # Loss and delay draw from separate streams, so drawing every
+        # loss first moves no delay.
+        sends = sends[~loss_model.drops_many(sends)]
+    return DelayTrace(delay_model.sample_many(sends))
 
 
 def predictor_accuracy(

@@ -54,12 +54,9 @@ def characterize_profile(
     delay_model = profile.build_delay_model(streams, "characterize")
     loss_model = profile.build_loss_model(streams, "characterize")
 
-    delays = np.empty(samples)
-    for i in range(samples):
-        delays[i] = delay_model.sample(i * eta)
-    trace = DelayTrace(delays)
-
-    drops = sum(1 for i in range(samples) if loss_model.drops(i * eta))
+    sends = np.arange(samples) * eta
+    trace = DelayTrace(delay_model.sample_many(sends))
+    drops = int(np.count_nonzero(loss_model.drops_many(sends)))
     acf1 = float(trace.autocorrelation(max_lag=1)[1])
 
     return PathCharacterization(

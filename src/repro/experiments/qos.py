@@ -22,15 +22,10 @@ key      meaning                                        figure
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Sequence, Union
 
-from repro.experiments.runner import (
-    AggregatedQos,
-    aggregate_runs,
-    run_repetitions,
-)
+from repro.experiments.runner import AggregatedQos
 from repro.fd.combinations import MARGIN_NAMES, PREDICTOR_NAMES, parse_combination_id
-from repro.neko.config import ExperimentConfig
 from repro.nekostat.metrics import DetectorQos
 
 FIGURE_METRICS: Dict[str, str] = {
@@ -90,25 +85,9 @@ def figure_data(
     return result
 
 
-def run_figure_experiments(
-    config: ExperimentConfig,
-    *,
-    runs: int = 13,
-    detector_ids: Optional[Sequence[str]] = None,
-) -> Dict[str, AggregatedQos]:
-    """Run the full Section 5.2 campaign and pool the results.
-
-    The paper used 13 runs; fewer runs with more cycles each give the
-    same pooled sample sizes.
-    """
-    results = run_repetitions(config, runs, detector_ids)
-    return aggregate_runs(results)
-
-
 __all__ = [
     "FIGURE_METRICS",
     "LOWER_IS_BETTER",
     "figure_data",
     "qos_metric_value",
-    "run_figure_experiments",
 ]

@@ -56,12 +56,7 @@ from repro.fd.registry import (
     register_margin,
     register_predictor,
 )
-from repro.fd.replay import (
-    DetectorReplay,
-    StrategyReplay,
-    replay_detector_matrix,
-    replay_strategy,
-)
+from repro.fd.replay import DetectorReplay, replay_detector_matrix
 from repro.fd.requirements import (
     Configuration,
     QosRequirements,
@@ -80,7 +75,6 @@ __all__ = [
     "UnsatisfiableRequirements",
     "ConstantMargin",
     "DetectorReplay",
-    "StrategyReplay",
     "Heartbeater",
     "JacobsonMargin",
     "LastPredictor",
@@ -104,5 +98,4 @@ __all__ = [
     "register_margin",
     "register_predictor",
     "replay_detector_matrix",
-    "replay_strategy",
 ]

@@ -28,7 +28,7 @@ Detector identifiers are ``"<Predictor>+<Margin>"``, e.g. ``"Arima+CI_low"``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple, Type
 
 from repro.fd.predictors import (
     ArimaPredictor,
@@ -41,31 +41,37 @@ from repro.fd.predictors import (
 from repro.fd.safety import ConfidenceIntervalMargin, JacobsonMargin, SafetyMargin
 from repro.fd.timeout import TimeoutStrategy
 
-#: Predictor names in the paper's plotting order.
-PREDICTOR_NAMES: Tuple[str, ...] = ("Arima", "Last", "LPF", "Mean", "WinMean")
+#: Table 2: each predictor name's class and parameters, in the paper's
+#: plotting order.  The one place a predictor name resolves:
+#: :func:`make_predictor` (and through it the detector layer) builds
+#: ``cls(**params)``, the replay calls ``cls.forecast_many(x, **params)``.
+PREDICTORS: Dict[str, Tuple[Type[Predictor], Dict[str, Any]]] = {
+    "Arima": (ArimaPredictor, {"p": 2, "d": 1, "q": 1, "refit_interval": 1000}),
+    "Last": (LastPredictor, {}),
+    "LPF": (LpfPredictor, {"beta": 1.0 / 8.0}),
+    "Mean": (MeanPredictor, {}),
+    "WinMean": (WinMeanPredictor, {"window": 10}),
+}
 
-#: Table 1: each safety-margin name's family and level (gamma for
-#: ``"CI"``, phi for ``"JAC"``), in the paper's x-axis order.  The one
-#: place a margin name is resolved: :func:`make_margin`, the detector
-#: layer and the replay kernel read it by subscript.
-MARGIN_LEVELS: Dict[str, Tuple[str, float]] = {
-    "CI_low": ("CI", 1.0),
-    "CI_med": ("CI", 2.0),
-    "CI_high": ("CI", 3.31),
-    "JAC_low": ("JAC", 1.0),
-    "JAC_med": ("JAC", 2.0),
-    "JAC_high": ("JAC", 4.0),
+#: Predictor names in the paper's plotting order.
+PREDICTOR_NAMES: Tuple[str, ...] = tuple(PREDICTORS)
+
+#: Table 1: each safety-margin name's class and level (gamma for
+#: ``SM_CI``, phi for ``SM_JAC``, whose alpha is the class default 1/4), in
+#: the paper's x-axis order.  The one place a margin name resolves:
+#: :func:`make_margin` builds ``cls(level)``, the detector layer and the
+#: replay scale the class's shared state by the level.
+MARGINS: Dict[str, Tuple[Type[SafetyMargin], float]] = {
+    "CI_low": (ConfidenceIntervalMargin, 1.0),
+    "CI_med": (ConfidenceIntervalMargin, 2.0),
+    "CI_high": (ConfidenceIntervalMargin, 3.31),
+    "JAC_low": (JacobsonMargin, 1.0),
+    "JAC_med": (JacobsonMargin, 2.0),
+    "JAC_high": (JacobsonMargin, 4.0),
 }
 
 #: Safety-margin names in the paper's x-axis order (CI side then JAC side).
-MARGIN_NAMES: Tuple[str, ...] = tuple(MARGIN_LEVELS)
-
-#: Table 2 parameter values.
-ARIMA_ORDER: Tuple[int, int, int] = (2, 1, 1)
-ARIMA_REFIT_INTERVAL: int = 1000
-LPF_BETA: float = 1.0 / 8.0
-WINMEAN_WINDOW: int = 10
-JACOBSON_ALPHA: float = 0.25
+MARGIN_NAMES: Tuple[str, ...] = tuple(MARGINS)
 
 
 def make_predictor(name: str, **overrides) -> Predictor:
@@ -74,36 +80,18 @@ def make_predictor(name: str, **overrides) -> Predictor:
     ``overrides`` tweak the instance parameters (e.g. ``window=20`` for
     WinMean in ablations); unspecified parameters take the paper's values.
     """
-    if name == "Arima":
-        p, d, q = overrides.pop("order", ARIMA_ORDER)
-        overrides.setdefault("refit_interval", ARIMA_REFIT_INTERVAL)
-        return ArimaPredictor(p, d, q, **overrides)
-    if name == "Last":
-        return LastPredictor(**overrides)
-    if name == "LPF":
-        overrides.setdefault("beta", LPF_BETA)
-        return LpfPredictor(**overrides)
-    if name == "Mean":
-        return MeanPredictor(**overrides)
-    if name == "WinMean":
-        overrides.setdefault("window", WINMEAN_WINDOW)
-        return WinMeanPredictor(**overrides)
-    raise KeyError(f"unknown predictor {name!r}; known: {PREDICTOR_NAMES}")
+    if name not in PREDICTORS:
+        raise KeyError(f"unknown predictor {name!r}; known: {PREDICTOR_NAMES}")
+    cls, params = PREDICTORS[name]
+    return cls(**{**params, **overrides})
 
 
 def make_margin(name: str, **overrides) -> SafetyMargin:
     """Build a fresh safety margin by paper name (e.g. ``"CI_low"``)."""
-    if name not in MARGIN_LEVELS:
+    if name not in MARGINS:
         raise KeyError(f"unknown margin {name!r}; known: {MARGIN_NAMES}")
-    family, level = MARGIN_LEVELS[name]
-    margin: SafetyMargin
-    if family == "CI":
-        overrides.setdefault("gamma", level)
-        margin = ConfidenceIntervalMargin(**overrides)
-    else:
-        overrides.setdefault("phi", level)
-        overrides.setdefault("alpha", JACOBSON_ALPHA)
-        margin = JacobsonMargin(**overrides)
+    cls, level = MARGINS[name]
+    margin = cls(level, **overrides)
     margin.name = name
     return margin
 
@@ -147,14 +135,10 @@ def parse_combination_id(detector_id: str) -> Tuple[str, str]:
 
 
 __all__ = [
-    "ARIMA_ORDER",
-    "ARIMA_REFIT_INTERVAL",
-    "JACOBSON_ALPHA",
-    "LPF_BETA",
-    "MARGIN_LEVELS",
+    "MARGINS",
     "MARGIN_NAMES",
+    "PREDICTORS",
     "PREDICTOR_NAMES",
-    "WINMEAN_WINDOW",
     "all_combinations",
     "combination_ids",
     "make_margin",

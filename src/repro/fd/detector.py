@@ -81,14 +81,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids fd -> obs import
     from repro.obs.trace import TraceRecorder
 
 from repro.fd.combinations import (
-    JACOBSON_ALPHA,
-    MARGIN_LEVELS,
+    MARGINS,
     combination_ids,
     make_predictor,
     parse_combination_id,
 )
 from repro.fd.predictors import Predictor
-from repro.fd.safety import INITIAL_MARGIN, ConfidenceIntervalMargin
+from repro.fd.safety import INITIAL_MARGIN, JACOBSON_ALPHA, ConfidenceIntervalMargin
 from repro.fd.timeout import TimeoutStrategy
 from repro.neko.layer import Layer
 from repro.nekostat.events import EventKind, StatEvent
@@ -252,8 +251,8 @@ class PushFailureDetector(Layer):
                     self._predictors.append(predictor)
                     self._in_force.append(predictor.predict())
                     self._mdev.append(None)
-                family, scale = MARGIN_LEVELS[margin_name]
-                confidence_interval = family == "CI"
+                margin_class, scale = MARGINS[margin_name]
+                confidence_interval = margin_class is ConfidenceIntervalMargin
                 if confidence_interval and self._ci is None:
                     self._ci = ConfidenceIntervalMargin(1.0)
                 self._rows.append((slots[predictor_name], confidence_interval, scale))

@@ -15,7 +15,14 @@ mean this is *not* sequence-number order) and forecasts the next delay:
   refitted every 1000 observations).
 
 All predictors run in O(1) per observation (the paper's complexity
-remark), including MEAN (running sum) and WINMEAN (ring buffer).
+remark), including MEAN (running sum) and WINMEAN (ring buffer).  Each
+also has a block form, :meth:`Predictor.forecast_many`, which the trace
+replay reads: the base class runs the per-observation loop, and the five
+paper predictors override it with array operations that give the same
+floats (MEAN a ``cumsum / arange``, LPF an exponential recurrence over a
+float list, ARIMA the batched
+:func:`~repro.timeseries.arima.batch_arima_predictions`) or, for
+WINMEAN's two ``cumsum`` reads, floats within ~1e-13 of them.
 
 A predictor with no observations yet returns ``initial_prediction``
 (default 0.0): the failure detector must always be able to arm a time-out.
@@ -27,7 +34,14 @@ import math
 from collections import deque
 from typing import Deque, Optional
 
-from repro.timeseries.arima import FIT_WINDOW, INITIAL_FIT, ArimaForecaster
+import numpy as np
+
+from repro.timeseries.arima import (
+    FIT_WINDOW,
+    INITIAL_FIT,
+    ArimaForecaster,
+    batch_arima_predictions,
+)
 from repro.timeseries.base import Forecaster
 
 
@@ -73,6 +87,20 @@ class Predictor(Forecaster):
         self._prediction = self._initial_prediction
         self._reset()
 
+    @classmethod
+    def forecast_many(cls, observations: "np.ndarray", **params) -> "np.ndarray":
+        """Block form: ``out[k]`` is what :meth:`observe` returns for
+        ``observations[k]`` on a fresh ``cls(**params)`` that has observed
+        ``observations[:k]`` — the forecast in force after it.
+
+        ``observations`` is a non-empty 1-D float array of finite delays.
+        This is that per-observation loop, so every predictor has a block
+        form; an override computes the same forecasts with array
+        operations and takes the constructor parameters that shape them.
+        """
+        observe = cls(**params).observe
+        return np.array([observe(value) for value in observations.tolist()])
+
     # Subclass hooks -----------------------------------------------------
     def _observe(self, value: float) -> float:
         raise NotImplementedError
@@ -97,6 +125,10 @@ class LastPredictor(Predictor):
         self._last = value
         return value
 
+    @classmethod
+    def forecast_many(cls, observations: "np.ndarray") -> "np.ndarray":
+        return observations.copy()
+
     def _reset(self) -> None:
         self._last = 0.0
 
@@ -117,6 +149,10 @@ class MeanPredictor(Predictor):
     def _observe(self, value: float) -> float:
         self._sum += value
         return self._sum / self._observations
+
+    @classmethod
+    def forecast_many(cls, observations: "np.ndarray") -> "np.ndarray":
+        return np.cumsum(observations) / np.arange(1, observations.size + 1)
 
     def _reset(self) -> None:
         self._sum = 0.0
@@ -146,9 +182,44 @@ class WinMeanPredictor(Predictor):
         self._window_sum += value
         return self._window_sum / len(self._buffer)
 
+    @classmethod
+    def forecast_many(
+        cls, observations: "np.ndarray", window: int = 10
+    ) -> "np.ndarray":
+        # A sliding-window sum from two cumsum reads: within ~1e-13 of the
+        # ring buffer's running sum, not bit for bit.
+        n = observations.size
+        cs = np.cumsum(observations)
+        out = np.empty(n)
+        head = min(window, n)
+        out[:head] = cs[:head] / np.arange(1, head + 1)
+        if n > window:
+            out[window:] = (cs[window:] - cs[:-window]) / float(window)
+        return out
+
     def _reset(self) -> None:
         self._buffer.clear()
         self._window_sum = 0.0
+
+
+def _seeded_ewma(values: "np.ndarray", gain: float) -> "np.ndarray":
+    """``out[0] = v[0]; out[k] = out[k-1] + gain*(v[k] - out[k-1])``.
+
+    The recurrence is inherently sequential, so this is an explicit O(n)
+    loop — but over a plain float list, without any per-observation object
+    dispatch, it is still an order of magnitude faster than the class
+    path, and it performs *bit-identical* operations to the scalar
+    :class:`LpfPredictor` / :class:`~repro.fd.safety.JacobsonMargin`
+    recurrences.
+    """
+    items = iter(values.tolist())
+    acc = next(items)
+    out = [acc]
+    append = out.append
+    for value in items:
+        acc += gain * (value - acc)
+        append(acc)
+    return np.array(out)
 
 
 class LpfPredictor(Predictor):
@@ -176,6 +247,12 @@ class LpfPredictor(Predictor):
         else:
             self._estimate += self.beta * (value - self._estimate)
         return self._estimate
+
+    @classmethod
+    def forecast_many(
+        cls, observations: "np.ndarray", beta: float = 0.125
+    ) -> "np.ndarray":
+        return _seeded_ewma(observations, beta)
 
     def _reset(self) -> None:
         self._estimate = None
@@ -227,6 +304,28 @@ class ArimaPredictor(Predictor):
         forecaster = self._forecaster
         forecaster.observe(value)
         return forecaster.predict()
+
+    @classmethod
+    def forecast_many(
+        cls,
+        observations: "np.ndarray",
+        p: int = 2,
+        d: int = 1,
+        q: int = 1,
+        *,
+        refit_interval: int = 1000,
+        initial_fit: int = INITIAL_FIT,
+        fit_window: int = FIT_WINDOW,
+    ) -> "np.ndarray":
+        return batch_arima_predictions(
+            observations,
+            p,
+            d,
+            q,
+            refit_interval=refit_interval,
+            initial_fit=initial_fit,
+            fit_window=fit_window,
+        )
 
     def _reset(self) -> None:
         self._forecaster.reset()

@@ -36,7 +36,11 @@ stores it, returns it from ``observe`` and from every ``predict()``
 until the next observation, and answers ``initial_prediction`` before
 the first one and after ``reset()``.  The detector bank reads the
 forecast from ``observe``, so a heartbeat costs one call per predictor
-plus its hook.
+plus its hook.  The block form :meth:`~repro.fd.predictors.Predictor.forecast_many`
+(every forecast over a recorded trace at once) comes from the base
+class as that ``observe`` loop; a predictor may override it with array
+operations, as the paper's five do, and
+``tests/test_predictor_contract.py`` holds the two equal.
 """
 
 from __future__ import annotations

@@ -8,45 +8,41 @@ trace* — send times, delays, loss mask, as produced by
 :mod:`repro.net.traces` or
 :func:`repro.experiments.accuracy.collect_delay_trace` — none of that
 machinery is needed: every predictor and both adaptive margins are
-recurrences over the observation sequence, computable in O(n) with NumPy:
+recurrences over the observation sequence, and each class carries its
+O(n) block form beside its per-observation one:
 
-* ``LAST`` is the identity, ``MEAN`` a ``cumsum / arange``, ``WINMEAN`` a
-  sliding-window sum (two ``cumsum`` reads), ``LPF`` an exponential
-  recurrence;
-* ``ARIMA`` is batched per refit-window
-  (:func:`~repro.timeseries.arima.batch_arima_predictions`): the refit
-  stays a per-window least-squares call on the paper's schedule, the AR
-  part of every one-step forecast and the undifferencing are shifted-array
-  operations, and only the MA innovation feedback remains a seeded O(n)
-  float recurrence;
-* ``SM_CI`` needs only running first and second moments (a shifted
-  ``cumsum`` pair, numerically equivalent to the scalar Welford
-  accumulator);
-* ``SM_JAC`` is an exponential recurrence over the absolute one-step
-  prediction errors;
+* :meth:`Predictor.forecast_many <repro.fd.predictors.Predictor.forecast_many>`
+  — ``LAST`` the identity, ``MEAN`` a ``cumsum / arange``, ``WINMEAN`` a
+  sliding-window sum, ``LPF`` an exponential recurrence, ``ARIMA`` the
+  per-refit-window batch of
+  :func:`~repro.timeseries.arima.batch_arima_predictions`; any other
+  predictor runs its ``observe`` loop;
+* ``unit_many`` / ``scale_many`` of
+  :class:`~repro.fd.safety.ConfidenceIntervalMargin` (running moments from
+  a shifted ``cumsum`` pair) and :class:`~repro.fd.safety.JacobsonMargin`
+  (an exponential recurrence over the absolute one-step errors);
 * freshness points, suspicion intervals and mistake durations follow from
   the arrival order and the per-observation time-outs with pure array
   algebra — no event queue.
 
 There is one detector kernel, :func:`replay_detector_matrix`, a loop over
-the combination ids it is given, and it shares its state the way
+the combination ids it is given.  It resolves each name through the
+tables of :mod:`repro.fd.combinations` and shares its state the way
 :class:`~repro.fd.detector.PushFailureDetector` does: one :func:`trace_view`
 per trace, one prediction pass per predictor and one *unit* margin state
 per family member — one pair of running moments serves every ``SM_CI``
-row (the margin ignores the prediction), one ``|x − prediction in force|``
+row (the margin reads no prediction), one ``|x − prediction in force|``
 EWMA per predictor serves its ``SM_JAC`` rows — and a row is that state
-times the γ or φ :data:`~repro.fd.combinations.MARGIN_LEVELS` gives its
-margin.  :func:`replay_strategy` is the strategy-level case of the same
-stages (no trace, no intervals).
+times its γ or φ.
 
-``tests/test_replay.py`` proves the stages against the scalar classes
-(:func:`replay_strategy_scalar`, and the scalar detector replay in
-``tests/reference_detector.py``) and a full event-driven
-:class:`~repro.fd.detector.PushFailureDetector` run;
-``scripts/bench_perf.py`` tracks the speedup.  Crash injection still
-needs the event-driven engine — the replay models a crash-free monitored
-process, which is exactly the offline predictor/margin evaluation
-workload (and the ``engine="replay"`` campaign mode of
+``tests/test_predictor_contract.py`` holds each block form equal to its
+class's per-observation path; ``tests/test_replay.py`` proves the
+detector replay against the scalar detector in
+``tests/reference_detector.py`` and a full event-driven
+:class:`~repro.fd.detector.PushFailureDetector` run.  Crash injection
+still needs the event-driven engine — the replay models a crash-free
+monitored process, which is exactly the offline predictor/margin
+evaluation workload (and the ``engine="replay"`` campaign mode of
 :mod:`repro.experiments.replay_engine`).
 """
 
@@ -57,192 +53,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fd.combinations import (
-    ARIMA_ORDER,
-    ARIMA_REFIT_INTERVAL,
-    JACOBSON_ALPHA,
-    LPF_BETA,
-    MARGIN_LEVELS,
-    MARGIN_NAMES,
-    PREDICTOR_NAMES,
-    WINMEAN_WINDOW,
-    make_margin,
-    make_predictor,
-    parse_combination_id,
-)
-from repro.fd.safety import INITIAL_MARGIN
-from repro.fd.timeout import TimeoutStrategy
+from repro.fd.combinations import MARGINS, PREDICTORS, parse_combination_id
 from repro.nekostat.metrics import DetectorQos, qos_from_suspicion_arrays
-from repro.timeseries.arima import batch_arima_predictions
-
-def _seeded_ewma(values: "np.ndarray", gain: float) -> "np.ndarray":
-    """``out[0] = v[0]; out[k] = out[k-1] + gain*(v[k] - out[k-1])``.
-
-    The recurrence is inherently sequential, so this is an explicit O(n)
-    loop — but over a plain float list, without any per-observation object
-    dispatch, it is still an order of magnitude faster than the class
-    path, and it performs *bit-identical* operations to the scalar
-    :class:`~repro.fd.predictors.LpfPredictor` /
-    :class:`~repro.fd.safety.JacobsonMargin` recurrences.
-    """
-    items = iter(values.tolist())
-    acc = next(items)
-    out = [acc]
-    append = out.append
-    for value in items:
-        acc += gain * (value - acc)
-        append(acc)
-    return np.array(out)
-
-
-def replay_predictions(
-    predictor_name: str, observations: "np.ndarray"
-) -> "np.ndarray":
-    """Prediction in force *after* each observation, as an array.
-
-    ``out[k]`` equals ``strategy.prediction()`` after feeding
-    ``observations[: k + 1]`` to the predictor
-    :func:`~repro.fd.combinations.make_predictor` builds — the forecast the
-    detector arms its next freshness point with.
-    """
-    x = np.asarray(observations, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("observations must be a non-empty 1-D array")
-    n = x.size
-    if predictor_name == "Last":
-        return x.copy()
-    if predictor_name == "Arima":
-        return batch_arima_predictions(
-            x, *ARIMA_ORDER, refit_interval=ARIMA_REFIT_INTERVAL
-        )
-    if predictor_name == "Mean":
-        return np.cumsum(x) / np.arange(1, n + 1)
-    if predictor_name == "WinMean":
-        window = WINMEAN_WINDOW
-        cs = np.cumsum(x)
-        out = np.empty(n)
-        head = min(window, n)
-        out[:head] = cs[:head] / np.arange(1, head + 1)
-        if n > window:
-            out[window:] = (cs[window:] - cs[:-window]) / float(window)
-        return out
-    if predictor_name == "LPF":
-        return _seeded_ewma(x, LPF_BETA)
-    raise ValueError(
-        f"unknown predictor {predictor_name!r}; known: {PREDICTOR_NAMES}"
-    )
-
-
-def _unit_margin_state(family: str, x: "np.ndarray", predictions: "np.ndarray"):
-    """The level-free state every margin of one family member scales.
-
-    ``"CI"``: the ``(sigma, sqrt(inflation), m2 == 0)`` triple of the
-    running moments — independent of the prediction, so one serves every
-    ``SM_CI`` row of a trace.  ``"JAC"``: the Jacobson mean deviation of
-    ``|x − prediction in force|`` — one per predictor (a predictor with no
-    observation yet predicts 0).
-    """
-    if family == "CI":
-        counts = np.arange(1, x.size + 1, dtype=float)
-        # Shift by the overall mean before accumulating moments: the
-        # cumulative sums then cancel benignly and the running variance
-        # matches the scalar Welford accumulator to ~1e-15 relative.
-        shift = float(np.mean(x))
-        xs = x - shift
-        cs = np.cumsum(xs)
-        running_mean = cs / counts
-        m2 = np.maximum(np.cumsum(xs * xs) - cs * running_mean, 0.0)
-        deviation = xs - running_mean
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sigma = np.sqrt(m2 / (counts - 1.0))
-            root = np.sqrt(1.0 + 1.0 / counts + (deviation * deviation) / m2)
-        return sigma, root, m2 == 0.0
-    in_force = np.concatenate(([0.0], predictions[:-1]))
-    return _seeded_ewma(np.abs(x - in_force), JACOBSON_ALPHA)
-
-
-def _scale_margin(family: str, level: float, state) -> "np.ndarray":
-    """One margin row: the unit state times its γ or φ.
-
-    Multiplied left to right, as
-    :meth:`~repro.fd.safety.ConfidenceIntervalMargin.current` and
-    ``PushFailureDetector._derive_timeouts`` do, so the floats are theirs.
-    """
-    if family == "JAC":
-        return level * state
-    sigma, root, degenerate = state
-    with np.errstate(invalid="ignore"):
-        out = level * sigma * root
-    out[degenerate] = 0.0  # sigma == 0 -> margin 0, as in the scalar class
-    out[0] = INITIAL_MARGIN  # fewer than two observations
-    return out
-
-
-@dataclass(frozen=True)
-class StrategyReplay:
-    """The per-observation sequences of one predictor+margin combination.
-
-    Index ``k`` reflects the state *after* observation ``k`` was absorbed:
-    exactly what :meth:`~repro.fd.timeout.TimeoutStrategy.prediction` /
-    ``timeout()`` would return at that point of the scalar run.
-    """
-
-    detector: str
-    observations: "np.ndarray"
-    predictions: "np.ndarray"
-    margins: "np.ndarray"
-    timeouts: "np.ndarray"
-
-
-def replay_strategy(
-    predictor_name: str,
-    margin_name: str,
-    observations: Sequence[float],
-) -> StrategyReplay:
-    """Vectorized equivalent of feeding every observation to a
-    :class:`~repro.fd.timeout.TimeoutStrategy` built by
-    :func:`~repro.fd.combinations.make_strategy`."""
-    if margin_name not in MARGIN_LEVELS:
-        raise ValueError(f"unknown margin {margin_name!r}; known: {MARGIN_NAMES}")
-    family, level = MARGIN_LEVELS[margin_name]
-    x = np.asarray(observations, dtype=float)
-    predictions = replay_predictions(predictor_name, x)
-    margins = _scale_margin(family, level, _unit_margin_state(family, x, predictions))
-    timeouts = np.maximum(0.0, predictions + margins)
-    return StrategyReplay(
-        detector=f"{predictor_name}+{margin_name}",
-        observations=x,
-        predictions=predictions,
-        margins=margins,
-        timeouts=timeouts,
-    )
-
-
-def replay_strategy_scalar(
-    predictor_name: str,
-    margin_name: str,
-    observations: Sequence[float],
-) -> Tuple[List[float], List[float], List[float]]:
-    """Reference implementation: the per-observation class path.
-
-    Returns ``(predictions, margins, timeouts)`` lists; used by the
-    equivalence tests and as the baseline of ``scripts/bench_perf.py``.
-    Works for every registered combination, including ARIMA.
-    """
-    strategy = TimeoutStrategy(
-        make_predictor(predictor_name), make_margin(margin_name)
-    )
-    predictions: List[float] = []
-    margins: List[float] = []
-    timeouts: List[float] = []
-    for value in observations:
-        strategy.observe(float(value))
-        prediction = strategy.prediction()
-        timeout = strategy.timeout()
-        predictions.append(prediction)
-        margins.append(strategy.margin.current())
-        timeouts.append(timeout)
-    return predictions, margins, timeouts
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +288,7 @@ def replay_detector_matrix(
     rows = []
     for detector_id in detector_ids:
         predictor_name, margin_name = parse_combination_id(detector_id)
-        rows.append((detector_id, predictor_name, *MARGIN_LEVELS[margin_name]))
+        rows.append((detector_id, predictor_name, *MARGINS[margin_name]))
     view = trace_view(
         send_times,
         delays,
@@ -494,30 +306,28 @@ def replay_detector_matrix(
         return results
     x = view.observations
     predictions_of: Dict[str, "np.ndarray"] = {}
-    # Unit margin states of this call, keyed "CI" / ("JAC", predictor).
+    # Unit margin states of this call, keyed by margin class and, for a
+    # margin that reads the prediction, predictor.
     states: Dict[object, object] = {}
-    for detector_id, predictor_name, family, level in rows:
+    for detector_id, predictor_name, margin_class, level in rows:
         predictions = predictions_of.get(predictor_name)
         if predictions is None:
-            predictions = replay_predictions(predictor_name, x)
+            predictor_class, params = PREDICTORS[predictor_name]
+            predictions = predictor_class.forecast_many(x, **params)
             predictions_of[predictor_name] = predictions
-        key = family if family == "CI" else (family, predictor_name)
+        key = (margin_class, predictor_name if margin_class.reads_prediction else None)
         state = states.get(key)
         if state is None:
-            state = states[key] = _unit_margin_state(family, x, predictions)
-        timeouts = np.maximum(0.0, predictions + _scale_margin(family, level, state))
+            state = states[key] = margin_class.unit_many(x, predictions)
+        timeouts = np.maximum(0.0, predictions + margin_class.scale_many(level, state))
         results[detector_id] = replay_view_with_timeouts(view, detector_id, timeouts)
     return results
 
 
 __all__ = [
     "DetectorReplay",
-    "StrategyReplay",
     "TraceView",
     "replay_detector_matrix",
-    "replay_predictions",
-    "replay_strategy",
-    "replay_strategy_scalar",
     "replay_view_with_timeouts",
     "trace_view",
 ]

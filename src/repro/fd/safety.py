@@ -31,6 +31,13 @@ The structural difference the paper leans on: SM_CI is independent of the
 predictor, SM_JAC tracks the predictor's own errors — so a very accurate
 predictor (ARIMA) makes SM_JAC razor-thin and mistake-prone, while a crude
 predictor (LAST) gets a generous, self-correcting margin.
+
+Both families also have a block form, which the trace replay reads:
+``unit_many`` computes the level-free state after each observation in
+O(n) array operations, and ``scale_many`` turns it into one level's
+margins.  One state serves every level of a family: every ``SM_CI`` row
+of a trace (``reads_prediction`` is false), or every ``SM_JAC`` row of
+one predictor.
 """
 
 from __future__ import annotations
@@ -39,11 +46,17 @@ import abc
 import math
 from typing import Optional, Tuple
 
+import numpy as np
+
+from repro.fd.predictors import _seeded_ewma
 from repro.nekostat.stats import Welford
 
 #: The adaptive margins' default ``initial_margin``: the margin in force
 #: until their state can produce one.
 INITIAL_MARGIN = 0.1
+
+#: Jacobson's gain ``alpha`` (Table 1), the default of :class:`JacobsonMargin`.
+JACOBSON_ALPHA = 0.25
 
 
 class SafetyMargin(abc.ABC):
@@ -56,6 +69,11 @@ class SafetyMargin(abc.ABC):
 
     #: Short name used in detector identifiers (e.g. ``"CI_low"``).
     name: str = "SafetyMargin"
+
+    #: Whether the margin's block state depends on the prediction in force
+    #: (assumed unless a class says otherwise); one that does not serves
+    #: every predictor of a trace replay.
+    reads_prediction: bool = True
 
     def __init__(self, initial_margin: float = 0.0) -> None:
         if initial_margin < 0:
@@ -115,6 +133,7 @@ class ConfidenceIntervalMargin(SafetyMargin):
     """
 
     name = "CI"
+    reads_prediction = False
 
     def __init__(
         self, gamma: float, *, initial_margin: float = INITIAL_MARGIN
@@ -164,6 +183,38 @@ class ConfidenceIntervalMargin(SafetyMargin):
         self._accumulator = Welford()
         self._last_observation = 0.0
 
+    @staticmethod
+    def unit_many(observations: "np.ndarray", predictions: "np.ndarray"):
+        """Block form of :meth:`spread` after each observation: the
+        ``(sigma, sqrt(inflation), m2 == 0)`` triple of the running moments
+        (``predictions`` is not read)."""
+        x = observations
+        counts = np.arange(1, x.size + 1, dtype=float)
+        # Shift by the overall mean before accumulating moments: the
+        # cumulative sums then cancel benignly and the running variance
+        # matches the scalar Welford accumulator to ~1e-15 relative.
+        shift = float(np.mean(x))
+        xs = x - shift
+        cs = np.cumsum(xs)
+        running_mean = cs / counts
+        m2 = np.maximum(np.cumsum(xs * xs) - cs * running_mean, 0.0)
+        deviation = xs - running_mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigma = np.sqrt(m2 / (counts - 1.0))
+            root = np.sqrt(1.0 + 1.0 / counts + (deviation * deviation) / m2)
+        return sigma, root, m2 == 0.0
+
+    @staticmethod
+    def scale_many(gamma: float, unit) -> "np.ndarray":
+        """:meth:`current` after each observation, from :meth:`unit_many`'s
+        state; multiplied left to right, as :meth:`current` does."""
+        sigma, root, degenerate = unit
+        with np.errstate(invalid="ignore"):
+            out = gamma * sigma * root
+        out[degenerate] = 0.0  # sigma == 0 -> margin 0, as in current()
+        out[0] = INITIAL_MARGIN  # fewer than two observations
+        return out
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConfidenceIntervalMargin(gamma={self.gamma!r})"
 
@@ -181,7 +232,7 @@ class JacobsonMargin(SafetyMargin):
         self,
         phi: float,
         *,
-        alpha: float = 0.25,
+        alpha: float = JACOBSON_ALPHA,
         initial_margin: float = INITIAL_MARGIN,
     ) -> None:
         super().__init__(initial_margin)
@@ -226,12 +277,30 @@ class JacobsonMargin(SafetyMargin):
         self._mdev = 0.0
         self._updates = 0
 
+    @staticmethod
+    def unit_many(
+        observations: "np.ndarray", predictions: "np.ndarray"
+    ) -> "np.ndarray":
+        """Block form of :attr:`mdev` after each observation, with
+        ``alpha = JACOBSON_ALPHA``.  ``predictions[k]`` is the forecast
+        after observation ``k``, so observation ``k`` is measured against
+        ``predictions[k - 1]`` (0 before the first: a predictor with no
+        observation yet predicts 0)."""
+        in_force = np.concatenate(([0.0], predictions[:-1]))
+        return _seeded_ewma(np.abs(observations - in_force), JACOBSON_ALPHA)
+
+    @staticmethod
+    def scale_many(phi: float, unit: "np.ndarray") -> "np.ndarray":
+        """:meth:`current` after each observation: ``phi * mdev``."""
+        return phi * unit
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"JacobsonMargin(phi={self.phi!r}, alpha={self.alpha!r})"
 
 
 __all__ = [
     "INITIAL_MARGIN",
+    "JACOBSON_ALPHA",
     "ConfidenceIntervalMargin",
     "ConstantMargin",
     "JacobsonMargin",

@@ -544,6 +544,10 @@ class SummaryBuilder:
                 var = None
                 if isinstance(parent, ast.Assign) and len(parent.targets) == 1:
                     var = dotted_name(parent.targets[0])
+                # A reused parser variable now names this subcommand only.
+                for entry in self.summary.cli_subcommands.values():
+                    if var is not None and entry["var"] == var:
+                        entry["var"] = None
                 entry = self.summary.cli_subcommands.setdefault(
                     first.value, {"line": node.lineno, "flags": [], "var": var}
                 )

@@ -1,10 +1,11 @@
-"""Delay trace synthesis, persistence and characterisation.
+"""Delay trace persistence and characterisation.
 
 The paper characterises its Italy–Japan path by collecting 100 000 one-way
 heartbeat delays (Table 4) and reuses such traces to rank predictors
 (Table 3, following the methodology of Nunes & Jansch-Pôrto).  This module
-provides the same workflow: synthesise a trace from a delay model, save
-or load it as a plain text file, and summarise it.
+holds such a trace: save or load it as a plain text file, and summarise
+it.  :func:`repro.experiments.accuracy.collect_delay_trace` synthesises
+one from a network profile's models.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from pathlib import Path
 from typing import List, Sequence, Union
 
 import numpy as np
-
-from repro.net.delay import DelayModel
 
 
 @dataclass(frozen=True)
@@ -56,30 +55,6 @@ class DelayTrace:
             raise ValueError("trace delays must be finite and >= 0")
         self._delays = arr
         self._delays.setflags(write=False)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_model(
-        cls,
-        model: DelayModel,
-        count: int,
-        *,
-        interval: float = 1.0,
-        start: float = 0.0,
-    ) -> "DelayTrace":
-        """Synthesise a trace by sampling ``model`` every ``interval`` s.
-
-        This mirrors the paper's accuracy experiment: ``count`` successive
-        heartbeats sent every ``interval`` seconds, each delay recorded.
-        """
-        if count <= 0:
-            raise ValueError(f"count must be > 0, got {count!r}")
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval!r}")
-        delays = [model.sample(start + i * interval) for i in range(count)]
-        return cls(delays)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DelayTrace":

@@ -137,7 +137,7 @@ def batch_arima_predictions(
     AR part of every one-step forecast and the final undifferencing are
     plain shifted-array operations over the differenced series; only the
     MA innovation feedback remains an O(n) float recurrence (the
-    :func:`~repro.fd.replay._seeded_ewma` pattern).  All operations are
+    pattern of :func:`~repro.fd.predictors._seeded_ewma`).  All operations are
     performed in the scalar path's association order, so agreement is
     bitwise in practice, not merely within tolerance.
     """

@@ -25,7 +25,9 @@ Operationally:
 :class:`~repro.fd.detector.PushFailureDetector` runs any number of rows as
 one layer; ``tests/test_detector_bank.py`` holds it equal to one of these
 per row behind a MultiPlexer.  :func:`replay_detector_scalar` is the same
-algebra over a recorded trace, the reference of the vectorized replay.
+algebra over a recorded trace, the reference of the vectorized replay, and
+:func:`replay_strategy_scalar` the per-observation sequences of one
+strategy, the reference of the block forms.
 """
 
 from __future__ import annotations
@@ -260,6 +262,31 @@ class ReferenceDetector(Layer):
         return f"ReferenceDetector({self.detector_id!r}, {state}, seq={self._max_seq})"
 
 
+def replay_strategy_scalar(
+    predictor_name: str,
+    margin_name: str,
+    observations: Sequence[float],
+) -> Tuple[List[float], List[float], List[float]]:
+    """The per-observation class path of one combination.
+
+    Returns ``(predictions, margins, timeouts)`` lists: entry ``k`` is
+    what the :class:`~repro.fd.timeout.TimeoutStrategy` reports after
+    observation ``k``.  Works for every combination, including ARIMA.
+    """
+    strategy = TimeoutStrategy(
+        make_predictor(predictor_name), make_margin(margin_name)
+    )
+    predictions: List[float] = []
+    margins: List[float] = []
+    timeouts: List[float] = []
+    for value in observations:
+        strategy.observe(float(value))
+        predictions.append(strategy.prediction())
+        margins.append(strategy.margin.current())
+        timeouts.append(strategy.timeout())
+    return predictions, margins, timeouts
+
+
 def replay_detector_scalar(
     predictor_name: str,
     margin_name: str,
@@ -331,4 +358,4 @@ def replay_detector_scalar(
     return freshness_points, intervals
 
 
-__all__ = ["ReferenceDetector", "replay_detector_scalar"]
+__all__ = ["ReferenceDetector", "replay_detector_scalar", "replay_strategy_scalar"]

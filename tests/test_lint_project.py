@@ -1,5 +1,6 @@
 """Project-pass tests: FDL010/FDL011/FDL013 fixtures, engine parity, cache."""
 
+import ast
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 from repro.lint import DEFAULT_CONFIG, lint_file, lint_paths
 from repro.lint.cache import DEFAULT_CACHE_DIR, LintCache
+from repro.lint.context import FileContext
+from repro.lint.project import SummaryBuilder
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
@@ -174,6 +177,22 @@ class TestContractDrift:
         assert not any("--known" in m for m in messages)
         assert not any("'demo'" in m and "not documented" in m
                        for m in messages)
+
+    def test_reused_parser_variable_files_flags_under_its_latest_subcommand(self):
+        source = (
+            "p = sub.add_parser('alpha')\n"
+            "p.add_argument('--one')\n"
+            "p = sub.add_parser('beta')\n"
+            "p.add_argument('--two')\n"
+        )
+        ctx = FileContext("cli_fix.py", ast.parse(source), DEFAULT_CONFIG)
+        builder = SummaryBuilder(ctx, {})
+        ctx.walk(builder.visitors())
+        surface = {
+            name: entry["flags"]
+            for name, entry in builder.finish().cli_subcommands.items()
+        }
+        assert surface == {"alpha": ["--one"], "beta": ["--two"]}
 
     def test_all_findings_are_fdl013(self):
         result = self.run()

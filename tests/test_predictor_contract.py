@@ -1,11 +1,13 @@
-"""The two-hook predictor contract, and the state a heartbeat reads.
+"""The two-hook predictor contract, the block forms, and the state a
+heartbeat reads.
 
 A predictor's ``observe`` returns the fresh forecast and ``predict()``
 returns it until the next observation; a subclass implements only
-``_observe`` and ``_reset``.  ``ArmaModel.forecast_one`` and
-``ConfidenceIntervalMargin.spread`` read their state without a call per
-coefficient or moment; both are held bit for bit to test-local copies of
-their earlier bodies.
+``_observe`` and ``_reset``.  Each predictor's and each Table 1 margin's
+block form (what the trace replay reads) equals its per-observation
+class.  ``ArmaModel.forecast_one`` and ``ConfidenceIntervalMargin.spread``
+read their state without a call per coefficient or moment; both are held
+bit for bit to test-local copies of their earlier bodies.
 """
 
 import math
@@ -18,8 +20,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import examples
+from tests.test_replay import TOLERANCE, make_trace
 from repro.fd.baselines import ConstantPredictor
-from repro.fd.registry import make_registered_predictor, registered_predictors
+from repro.fd.combinations import MARGINS, PREDICTORS, make_margin
+from repro.fd.registry import (
+    MedianPredictor,
+    make_registered_predictor,
+    registered_predictors,
+)
 from repro.fd.safety import ConfidenceIntervalMargin
 from repro.timeseries.arma import ArmaModel
 
@@ -73,6 +81,95 @@ class TestObserveReturnsTheForecast:
             predictor.observe(math.inf)
         assert predictor.observations == 1
         assert predictor.predict() == forecast
+
+
+# ----------------------------------------------------------------------
+# Block forms against the per-observation classes
+# ----------------------------------------------------------------------
+#: Each predictor's class and parameters: the table's, ARIMA on the short
+#: schedule so that an example spans refits, and two that take the base
+#: class's loop.
+BLOCK_PREDICTORS = {
+    **PREDICTORS,
+    "Arima": (PREDICTORS["Arima"][0], {**PREDICTORS["Arima"][1], **ARIMA_SCHEDULE}),
+    "Median": (MedianPredictor, {}),
+    "Const": (ConstantPredictor, {"value": 0.3}),
+}
+
+def block_trace(n, seed, spike_probability, constant):
+    """A delay trace as the replay tests draw them, or a constant one
+    (zero variance: the CI margin's degenerate branch)."""
+    if constant:
+        return np.full(n, 0.125)
+    return make_trace(n, seed=seed, spike_probability=spike_probability)
+
+
+def assert_block_equal(block, reference, approximate):
+    """Bit for bit, or within ``TOLERANCE`` where the block form sums in
+    another order (WinMean's sliding window, SM_CI's shifted moments)."""
+    if approximate:
+        np.testing.assert_allclose(block, reference, rtol=0, atol=TOLERANCE)
+    else:
+        np.testing.assert_array_equal(block, reference)
+
+
+block_traces = dict(
+    n=st.integers(min_value=1, max_value=600),
+    seed=st.integers(min_value=0, max_value=2**16),
+    spike_probability=st.sampled_from([0.0, 0.01, 0.05]),
+    constant=st.booleans(),
+)
+
+
+def strategy_cases(test):
+    """The traces of ``tests/test_replay.py``'s strategy equivalence: a
+    3 000-delay trace, the shortest ones and a constant one."""
+    test = example(n=3000, seed=42, spike_probability=0.01, constant=False)(test)
+    for n in (1, 2, 3):
+        test = example(n=n, seed=42, spike_probability=0.01, constant=False)(test)
+    return example(n=50, seed=0, spike_probability=0.0, constant=True)(test)
+
+
+class TestBlockEqualsPerObservation:
+    @pytest.mark.parametrize("name", list(BLOCK_PREDICTORS))
+    @settings(max_examples=examples(15), deadline=None)
+    @given(**block_traces)
+    @strategy_cases
+    def test_forecast_many_equals_the_observe_loop(
+        self, name, n, seed, spike_probability, constant
+    ):
+        x = block_trace(n, seed, spike_probability, constant)
+        predictor_class, params = BLOCK_PREDICTORS[name]
+        predictor = predictor_class(**params)
+        reference = [predictor.observe(value) for value in x.tolist()]
+        block = predictor_class.forecast_many(x, **params)
+        assert block.dtype == float and block.shape == x.shape
+        assert_block_equal(block, reference, name == "WinMean")
+
+    @pytest.mark.parametrize("predictor_name", list(PREDICTORS))
+    @settings(max_examples=examples(15), deadline=None)
+    @given(**block_traces)
+    @strategy_cases
+    def test_margin_block_equals_current_after_each_update(
+        self, predictor_name, n, seed, spike_probability, constant
+    ):
+        x = block_trace(n, seed, spike_probability, constant)
+        predictor_class, params = PREDICTORS[predictor_name]
+        predictions = predictor_class.forecast_many(x, **params)
+        for margin_name, (margin_class, level) in MARGINS.items():
+            margin = make_margin(margin_name)
+            reference = []
+            in_force = 0.0  # a predictor with no observation predicts 0
+            for value, prediction in zip(x.tolist(), predictions.tolist()):
+                margin.update(value, in_force)
+                reference.append(margin.current())
+                in_force = prediction
+            block = margin_class.scale_many(
+                level, margin_class.unit_many(x, predictions)
+            )
+            assert_block_equal(
+                block, reference, margin_class is ConfidenceIntervalMargin
+            )
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Three layers of proof, per the performance-layer contract:
 
-* the per-observation sequences (prediction, margin, time-out) match the
-  scalar :class:`~repro.fd.timeout.TimeoutStrategy` classes;
+* the per-observation sequences (prediction, margin, time-out) that the
+  classes' block forms give, composed as the replay composes them, match
+  the scalar :class:`~repro.fd.timeout.TimeoutStrategy` classes;
 * the derived freshness points and suspicion intervals match the scalar
   detector reference on traces with loss and reordering;
 * the suspicion intervals match a *real* event-driven run — a
@@ -20,25 +21,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.fd.replay as replay_module
+import repro.fd.predictors as predictors_module
+import repro.fd.safety as safety_module
 from tests.conftest import examples
 from repro.clocks.clock import PerfectClock
 from repro.fd.combinations import (
-    JACOBSON_ALPHA,
-    MARGIN_LEVELS,
+    MARGINS,
     MARGIN_NAMES,
+    PREDICTORS,
     PREDICTOR_NAMES,
     combination_ids,
     make_strategy,
 )
 from repro.fd.detector import PushFailureDetector
 from repro.fd.heartbeat import Heartbeater
-from repro.fd.replay import (
-    replay_detector_matrix,
-    replay_predictions,
-    replay_strategy,
-    replay_strategy_scalar,
-)
+from repro.fd.replay import replay_detector_matrix
+from repro.fd.safety import JACOBSON_ALPHA, ConfidenceIntervalMargin, JacobsonMargin
 from repro.timeseries.arima import ArimaForecaster, batch_arima_predictions
 from repro.neko.layer import ProtocolStack
 from repro.neko.system import NekoSystem
@@ -46,7 +44,7 @@ from repro.nekostat.log import EventLog
 from repro.nekostat.metrics import _suspicion_intervals_by_detector
 from repro.sim.engine import Simulator
 from tests.reference_delay import TraceDelay
-from tests.reference_detector import replay_detector_scalar
+from tests.reference_detector import replay_detector_scalar, replay_strategy_scalar
 
 TOLERANCE = 1e-9
 
@@ -63,6 +61,17 @@ def short_trace(n=40):
     return np.arange(n) * 1.0, make_trace(n), dict(eta=1.0, end_time=float(n))
 
 
+def block_strategy(predictor, margin, observations):
+    """One combination's ``(predictions, margins, timeouts)`` from the
+    classes' block forms, composed as the replay composes them."""
+    predictor_class, params = PREDICTORS[predictor]
+    margin_class, level = MARGINS[margin]
+    x = np.asarray(observations, dtype=float)
+    predictions = predictor_class.forecast_many(x, **params)
+    margins = margin_class.scale_many(level, margin_class.unit_many(x, predictions))
+    return predictions, margins, np.maximum(0.0, predictions + margins)
+
+
 def replay_one(predictor, margin, send_times, delays, **kwargs):
     """One combination's replay: the one-row matrix."""
     detector_id = f"{predictor}+{margin}"
@@ -77,10 +86,11 @@ class TestSupports:
 
     def test_vectorized_predictors(self):
         x = make_trace(300)
-        for name in PREDICTOR_NAMES:
-            assert replay_predictions(name, x).shape == x.shape
+        for predictor_class, params in PREDICTORS.values():
+            assert predictor_class.forecast_many(x, **params).shape == x.shape
+        sends, delays, kwargs = short_trace()
         with pytest.raises(ValueError, match="unknown predictor"):
-            replay_predictions("Nope", x)
+            replay_one("Nope", "CI_low", sends, delays, **kwargs)
 
     def test_all_thirty_combinations_supported(self):
         sends, delays, kwargs = short_trace()
@@ -96,43 +106,38 @@ class TestSupports:
         sends, delays, kwargs = short_trace()
         with pytest.raises(ValueError, match="unknown margin"):
             replay_one("Last", "nope", sends, delays, **kwargs)
-        with pytest.raises(ValueError, match="unknown margin"):
-            replay_strategy("Last", "nope", [0.1, 0.2])
 
 
 class TestStrategyEquivalence:
-    """Vectorized sequences == scalar TimeoutStrategy, all 24 combos."""
+    """Block-form sequences == scalar TimeoutStrategy, all 30 combos."""
 
     @pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
     @pytest.mark.parametrize("margin", MARGIN_NAMES)
     def test_matches_scalar_classes(self, predictor, margin):
         observations = make_trace(3000)
-        fast = replay_strategy(predictor, margin, observations)
-        predictions, margins, timeouts = replay_strategy_scalar(
-            predictor, margin, observations
-        )
-        np.testing.assert_allclose(
-            fast.predictions, predictions, rtol=0, atol=TOLERANCE
-        )
-        np.testing.assert_allclose(fast.margins, margins, rtol=0, atol=TOLERANCE)
-        np.testing.assert_allclose(fast.timeouts, timeouts, rtol=0, atol=TOLERANCE)
+        fast = block_strategy(predictor, margin, observations)
+        scalar = replay_strategy_scalar(predictor, margin, observations)
+        for block, reference in zip(fast, scalar):
+            np.testing.assert_allclose(block, reference, rtol=0, atol=TOLERANCE)
 
     def test_short_traces(self):
         for n in (1, 2, 3):
             observations = make_trace(n)
-            fast = replay_strategy("Mean", "CI_med", observations)
+            _, fast_margins, fast_timeouts = block_strategy(
+                "Mean", "CI_med", observations
+            )
             _, margins, timeouts = replay_strategy_scalar(
                 "Mean", "CI_med", observations
             )
-            np.testing.assert_allclose(fast.margins, margins, rtol=0, atol=TOLERANCE)
-            np.testing.assert_allclose(fast.timeouts, timeouts, rtol=0, atol=TOLERANCE)
+            np.testing.assert_allclose(fast_margins, margins, rtol=0, atol=TOLERANCE)
+            np.testing.assert_allclose(fast_timeouts, timeouts, rtol=0, atol=TOLERANCE)
 
     def test_constant_trace_zero_sigma(self):
         observations = np.full(50, 0.125)
-        fast = replay_strategy("Last", "CI_med", observations)
+        _, fast_margins, _ = block_strategy("Last", "CI_med", observations)
         _, margins, _ = replay_strategy_scalar("Last", "CI_med", observations)
-        np.testing.assert_allclose(fast.margins, margins, rtol=0, atol=TOLERANCE)
-        assert np.all(fast.margins[1:] == 0.0)  # sigma == 0 -> margin 0
+        np.testing.assert_allclose(fast_margins, margins, rtol=0, atol=TOLERANCE)
+        assert np.all(fast_margins[1:] == 0.0)  # sigma == 0 -> margin 0
 
 
 class TestArimaReplay:
@@ -200,8 +205,8 @@ class TestArimaReplay:
 
     def test_strategy_path_uses_batch(self):
         x = make_trace(1500, seed=23)
-        fast = replay_strategy("Arima", "CI_med", x)
-        np.testing.assert_array_equal(fast.predictions, batch_arima_predictions(x))
+        predictions, _, _ = block_strategy("Arima", "CI_med", x)
+        np.testing.assert_array_equal(predictions, batch_arima_predictions(x))
 
 
 class TestDetectorReplay:
@@ -309,23 +314,18 @@ class TestMarginRows:
     @pytest.mark.parametrize("predictor", PREDICTOR_NAMES)
     def test_rows_equal_the_level_inside_formulas(self, predictor):
         x = make_trace(900, seed=17, spike_probability=0.03)
-        predictions = replay_predictions(predictor, x)
-        for name, (family, level) in MARGIN_LEVELS.items():
+        predictions, _, _ = block_strategy(predictor, "CI_low", x)
+        for name, (margin_class, level) in MARGINS.items():
+            _, margins, _ = block_strategy(predictor, name, x)
             assert np.array_equal(
-                replay_strategy(predictor, name, x).margins,
-                reference_margins(family, level, x, predictions),
+                margins, reference_margins(margin_class.name, level, x, predictions)
             ), (predictor, name)
 
     def test_constant_series_has_zero_ci_margin(self):
         x = np.full(50, 0.2)
-        margins = replay_strategy("Last", "CI_high", x).margins
+        _, margins, _ = block_strategy("Last", "CI_high", x)
         assert margins[0] == 0.1
         assert np.all(margins[1:] == 0.0)
-
-    def test_value_errors_kept(self):
-        for margin in ("CI_med", "JAC_med"):
-            with pytest.raises(ValueError, match="non-empty"):
-                replay_strategy("Last", margin, np.empty(0))
 
 
 class TestDetectorMatrix:
@@ -381,19 +381,22 @@ class TestDetectorMatrix:
         deviation EWMA per predictor (LPF's own prediction EWMA is the
         sixth), however the ids are ordered or repeated."""
         calls = {"ewma": 0, "CI": 0, "JAC": 0}
-        real_ewma = replay_module._seeded_ewma
-        real_state = replay_module._unit_margin_state
+        real_ewma = predictors_module._seeded_ewma
 
         def counting_ewma(values, gain):
             calls["ewma"] += 1
             return real_ewma(values, gain)
 
-        def counting_state(family, *args):
-            calls[family] += 1
-            return real_state(family, *args)
+        monkeypatch.setattr(predictors_module, "_seeded_ewma", counting_ewma)
+        monkeypatch.setattr(safety_module, "_seeded_ewma", counting_ewma)
+        for margin_class in (ConfidenceIntervalMargin, JacobsonMargin):
+            real_state = margin_class.unit_many
 
-        monkeypatch.setattr(replay_module, "_seeded_ewma", counting_ewma)
-        monkeypatch.setattr(replay_module, "_unit_margin_state", counting_state)
+            def counting_state(*args, real_state=real_state, family=margin_class.name):
+                calls[family] += 1
+                return real_state(*args)
+
+            monkeypatch.setattr(margin_class, "unit_many", staticmethod(counting_state))
         sends, delays, lost = awkward_trace(400, seed=2)
         ids = combination_ids()[::-1] + combination_ids()[:7]
         replay_detector_matrix(ids, sends, delays, eta=1.0, lost=lost, end_time=400.0)

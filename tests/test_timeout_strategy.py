@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fd.combinations import (
-    MARGIN_LEVELS,
+    MARGINS,
     MARGIN_NAMES,
     PREDICTOR_NAMES,
     all_combinations,
@@ -14,7 +14,7 @@ from repro.fd.combinations import (
     parse_combination_id,
 )
 from repro.fd.predictors import LastPredictor, WinMeanPredictor
-from repro.fd.safety import ConstantMargin, JacobsonMargin
+from repro.fd.safety import ConfidenceIntervalMargin, ConstantMargin, JacobsonMargin
 from repro.fd.timeout import TimeoutStrategy
 
 
@@ -74,11 +74,12 @@ class TestCombinations:
         assert MARGIN_NAMES[3:] == ("JAC_low", "JAC_med", "JAC_high")
 
     def test_table1_parameters(self):
-        assert MARGIN_LEVELS == {
-            "CI_low": ("CI", 1.0), "CI_med": ("CI", 2.0), "CI_high": ("CI", 3.31),
-            "JAC_low": ("JAC", 1.0), "JAC_med": ("JAC", 2.0), "JAC_high": ("JAC", 4.0),
+        CI, JAC = ConfidenceIntervalMargin, JacobsonMargin
+        assert MARGINS == {
+            "CI_low": (CI, 1.0), "CI_med": (CI, 2.0), "CI_high": (CI, 3.31),
+            "JAC_low": (JAC, 1.0), "JAC_med": (JAC, 2.0), "JAC_high": (JAC, 4.0),
         }
-        assert tuple(MARGIN_LEVELS) == MARGIN_NAMES
+        assert tuple(MARGINS) == MARGIN_NAMES
 
     def test_make_predictor_table2_defaults(self):
         arima = make_predictor("Arima")

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net.delay import ConstantDelay
 from repro.net.traces import DelayTrace
-from tests.reference_delay import TraceDelay
 
 
 class TestDelayTrace:
@@ -52,14 +50,6 @@ class TestDelayTrace:
 
     def test_single_sample_std_zero(self):
         assert DelayTrace([0.5]).summary().std == 0.0
-
-    def test_from_model_samples_at_interval(self):
-        trace = DelayTrace.from_model(TraceDelay([0.1, 0.2, 0.3]), count=3)
-        assert list(trace) == [0.1, 0.2, 0.3]
-
-    def test_from_model_invalid_count(self):
-        with pytest.raises(ValueError):
-            DelayTrace.from_model(ConstantDelay(0.1), count=0)
 
     def test_save_and_load_roundtrip(self, tmp_path):
         trace = DelayTrace([0.123456789, 0.2])
